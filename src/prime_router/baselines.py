@@ -202,6 +202,7 @@ def prime_flow(g: SwapGraph, query: RouteQuery) -> RouteSolution:
                           0.0, query.max_hops, frozenset(), search)
         stats.find_path_calls += 1
         stats.queue_pushes += search.pushes
+        stats.swap_evals += search.swap_evals
         if found is None:
             break
         if not flows:

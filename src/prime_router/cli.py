@@ -12,7 +12,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
@@ -135,21 +134,11 @@ def cmd_bench(args) -> int:
         amounts = _bench_amounts(args, snapshot)
         base_query = _build_query(args, args.source, args.target, amounts[0])
         prepared = prepare_routing(graph, base_query)
-        cases = [(amount, algo, rep)
-                 for amount in amounts for algo in algos
-                 for rep in range(args.repetitions)]
-
-        def run(case):
-            amount, algo, rep = case
-            result = _run_case(graph, prepared, args, args.source,
-                               args.target, amount, algo)
-            return case, result
-
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(run, cases))
-        else:
-            results = [run(c) for c in cases]
+        results = [((amount, algo, rep),
+                    _run_case(graph, prepared, args, args.source, args.target,
+                              amount, algo))
+                   for amount in amounts for algo in algos
+                   for rep in range(args.repetitions)]
 
         baseline: dict = {}
         for (amount, algo, rep), result in results:
@@ -173,6 +162,7 @@ def cmd_bench(args) -> int:
                 "wall_time_ms": f"{elapsed:.3f}",
                 "iterations": sol.stats.asgm_iterations,
                 "queue_pushes": sol.stats.queue_pushes,
+                "swap_evals": sol.stats.swap_evals,
             })
             if args.trace_dir and sol.trace:
                 name = f"trace_{os.path.basename(snap_path)}_{algo}_{amount}_{rep}.csv"
@@ -180,7 +170,7 @@ def cmd_bench(args) -> int:
     _write_csv(rows, args.out,
                ["snapshot", "source", "target", "amount", "algorithm",
                 "repetition", "output", "bp_vs_baseline", "wall_time_ms",
-                "iterations", "queue_pushes"])
+                "iterations", "queue_pushes", "swap_evals"])
     return EXIT_OK
 
 
@@ -294,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--hubs", default=None)
     bench.add_argument("--alpha", type=float, default=1e-4)
     bench.add_argument("--beta", type=float, default=0.5)
-    bench.add_argument("--jobs", type=int, default=1)
     bench.add_argument("--out", default=None, help="CSV path (default stdout)")
     bench.add_argument("--trace-dir", default=None)
     bench.add_argument("--no-shortcuts", action="store_true")

@@ -114,6 +114,10 @@ class _Overlay:
     def __init__(self, rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]]):
         self._rows = rows
 
+    def token_ids(self) -> Tuple[str, ...]:
+        """Tokens with outgoing edges in this overlay."""
+        return tuple(self._rows)
+
     def out_items(self, u: str):
         return self._rows.get(u, ())
 

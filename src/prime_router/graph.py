@@ -147,13 +147,6 @@ class SwapGraph:
         """(neighbour, candidates sorted by spot desc) pairs, neighbour-sorted."""
         return self._search.get(u, ())
 
-    def out_edges(self, u: str) -> Iterable[Edge]:
-        for _, candidates in self.out_items(u):
-            yield from candidates
-
-    def neighbor_tokens(self, u: str) -> Tuple[str, ...]:
-        return tuple(v for v, _ in self._search.get(u, ()))
-
 
 def _expand_pool(pool: Pool) -> List[Edge]:
     edges = []

@@ -301,6 +301,7 @@ def solution_to_dict(sol: RouteSolution) -> dict:
         "stats": {
             "find_path_calls": sol.stats.find_path_calls,
             "queue_pushes": sol.stats.queue_pushes,
+            "swap_evals": sol.stats.swap_evals,
             "asgm_iterations": sol.stats.asgm_iterations,
             "paths_discovered": sol.stats.paths_discovered,
             "degraded": sol.stats.degraded,

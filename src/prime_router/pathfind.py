@@ -1,4 +1,4 @@
-"""Threshold-gated best-path search with dominance pruning, plus an oracle.
+"""Bound-pruned best-path search with dominance pruning, plus an oracle.
 
 ``find_path`` runs a queue-based traversal (SPFA flavour): states carry the
 exact integer amount produced so far, and a successor is enqueued only when it
@@ -9,6 +9,26 @@ output in at most as many hops, otherwise hop-budget interactions can hide
 the optimum.  With that refinement the search is exact against exhaustive
 enumeration on two-token-pool graphs (see tests).
 
+Every curve is concave with ``f(x) <= spot * x``, so a path delivers at most
+its input times the product of its edges' spot rates.  Each call first
+tabulates ``rate[r][v]``, the largest such product over walks of at most
+``r`` hops from ``v`` to the target, taking each token pair at its best spot
+rate and ignoring masks, visited tokens and pool-distinctness.  A state
+holding ``out`` at ``v`` with ``r`` hops left can therefore deliver at most
+``out * rate[r][v]``: an admissible bound in the sense of Hart, Nilsson &
+Raphael (1968).  A successor is dropped, before its exact swap and again
+after it, once that bound cannot exceed ``max(best arrival, tau * amount)``.
+
+The bound never changes the result.  A dropped state has no completion that
+could be accepted (average rate above tau) or beat the best arrival already
+recorded, so the winning path never passes through one.  The frontier entries
+a dropped state would have recorded only dominate states holding less at the
+same token with no more hops left, whose bound is no larger, so the bound
+drops those too: every state that can still win meets the same frontier, in
+the same queue order, as in the unbounded search.  The bound is a float and
+carries a relative slack of 1e-9, so rounding can never drop a state that
+reaches the result.
+
 Paths are vertex-simple and pool-distinct.  The traversal never expands the
 target, so every arrival there is terminal; the best arrival whose average
 rate clears the threshold is returned after the queue drains.
@@ -18,12 +38,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import CapacityExceededError, GraphTooLargeError
 from .graph import Edge, SwapGraph
 
 ORACLE_MAX_TOKENS = 16
+# relative slack on the float bound, far above the rounding error of a
+# product of a few spot rates
+BOUND_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,15 +108,39 @@ def _best_candidate(candidates: Sequence[Edge], amount: int,
     return best_edge, best_out
 
 
+def _rate_table(view, target: str, max_hops: int) -> List[Dict[str, float]]:
+    """``rate[r][v]``: best spot-rate product over walks v -> target, <= r hops.
+
+    Rows run from r = 0 (the target alone, at 1) to ``max_hops - 1``, the
+    most hops a successor of the source has left.  A token that cannot reach
+    the target within r hops is absent from row r.
+    """
+    arcs = [(u, v, candidates[0].spot) for u in view.token_ids()
+            if u != target for v, candidates in view.out_items(u)]
+    rate = [{target: 1.0}]
+    for _ in range(1, max_hops):
+        prev = rate[-1]
+        row = dict(prev)
+        for u, v, spot in arcs:
+            tail = prev.get(v)
+            if tail is not None:
+                through = tail * spot
+                if through > row.get(u, 0.0):
+                    row[u] = through
+        rate.append(row)
+    return rate
+
+
 def find_path(view, source: str, target: str, amount: int, tau: float,
               max_hops: int, masked_pools: FrozenSet[str] = frozenset(),
               stats: Optional[SearchStats] = None) -> Optional[SinglePath]:
     """Best simple pool-distinct path by exact simulated output.
 
-    ``view`` is anything exposing ``out_items(u)`` (a SwapGraph or an engine
-    overlay).  Returns None when no arrival at the target has average rate
-    output/amount strictly above ``tau``.  Amounts compare as exact integers;
-    among equal outputs the first arrival in queue order wins.
+    ``view`` is anything exposing ``token_ids()`` and ``out_items(u)`` (a
+    SwapGraph or an engine overlay).  Returns None when no arrival at the
+    target has average rate output/amount strictly above ``tau``.  Amounts
+    compare as exact integers; among equal outputs the first arrival in
+    queue order wins.
     """
     if source == target:
         raise ValueError("source and target must differ")
@@ -102,9 +149,13 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
 
+    rate = _rate_table(view, target, max_hops)
     # frontier[v][h] = best amount recorded at v with at most h hops
     frontier = {}
     best_target = 0
+    # a state whose bound cannot exceed lim = max(best_target, tau * amount)
+    # cannot win
+    lim = tau * amount
     best_state = None
     queue = deque()
     queue.append((source, amount, (), (source,), ()))
@@ -117,29 +168,36 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                 best_state = (edges, cur)
             continue
         hops = len(edges)
-        if hops >= max_hops:
-            continue
+        # row 0 holds only the target, so no state past max_hops is queued
+        reach = rate[max_hops - hops - 1]
         for v, candidates in view.out_items(token):
-            if v in visited:
+            v_rate = reach.get(v)
+            if v_rate is None or v in visited:
                 continue
             # the first candidate has the best spot rate, so its concavity
             # bound caps the whole pair; skip without any exact evaluation
-            # when even that cannot beat the recorded frontier
+            # when even that cannot beat the recorded frontier, or cannot
+            # lift the path bound above lim
             if v == target:
                 gate = best_target
             else:
                 levels = frontier.get(v)
                 gate = levels[hops + 1] if levels is not None else 0
-            if candidates[0].output_bound(cur) <= gate:
+            cap = candidates[0].output_bound(cur)
+            if cap <= gate or cap * v_rate * BOUND_SLACK <= lim:
                 continue
             edge, out = _best_candidate(candidates, cur, masked_pools,
                                         visited, pools, stats)
             if edge is None or out == 0:
                 continue
+            if out * v_rate * BOUND_SLACK <= lim:
+                continue
             if v == target:
                 if out <= best_target:
                     continue
                 best_target = out
+                if out > lim:
+                    lim = out
             else:
                 if levels is None:
                     levels = [0] * (max_hops + 1)

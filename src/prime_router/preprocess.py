@@ -109,8 +109,10 @@ class ShortcutIndex:
         hub_set = set(hubs)
         for shortcuts in entries.values():
             for sc in shortcuts:
-                assert not hub_set.intersection(sc.interior), \
-                    "shortcut interior must avoid hubs"
+                if hub_set.intersection(sc.interior):
+                    raise InvalidParamsError(
+                        f"shortcut {sc.hub_in}->{sc.hub_out} passes through "
+                        f"a hub: interior {sc.interior}")
 
     def get(self, hub_in: str, hub_out: str) -> Tuple[Shortcut, ...]:
         return self._entries.get((hub_in, hub_out), ())

@@ -39,6 +39,17 @@ class TestRoute:
         assert payload["paths"]
         assert "tau" in payload
 
+    def test_stats_report_search_work(self, snapshot_path, capsys):
+        path, source, target = snapshot_path
+        code, out, _ = run_cli(capsys, "route", "--snapshot", path,
+                               "--from", source, "--to", target,
+                               "--amount", "1000000")
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        assert stats["find_path_calls"] >= 1
+        assert stats["swap_evals"] >= stats["paths_discovered"] >= 1
+        assert stats["queue_pushes"] >= 1
+
     def test_unknown_token_exits_one(self, snapshot_path, capsys):
         path, source, _ = snapshot_path
         code, out, err = run_cli(capsys, "route", "--snapshot", path,
@@ -77,7 +88,9 @@ class TestRoute:
                                    "--from", source, "--to", target,
                                    "--amount", "1000000", "--algo", algo)
             assert code == 0
-            assert json.loads(out)["algorithm"] == algo
+            payload = json.loads(out)
+            assert payload["algorithm"] == algo
+            assert payload["stats"]["swap_evals"] > 0
 
     def test_trace_written(self, snapshot_path, tmp_path, capsys):
         path, source, target = snapshot_path
@@ -140,22 +153,30 @@ class TestBench:
             outs.append(rows)
         assert outs[0] == outs[1]
 
-    def test_parallel_jobs_same_report(self, snapshot_path, tmp_path, capsys):
+    def test_serial_runs_same_report(self, snapshot_path, tmp_path, capsys):
         path, source, target = snapshot_path
         reports = []
-        for jobs, name in (("1", "serial.csv"), ("3", "parallel.csv")):
+        for name in ("first.csv", "second.csv"):
             out_csv = tmp_path / name
             code, _, _ = run_cli(capsys, "bench", "--snapshot", path,
                                  "--from", source, "--to", target,
                                  "--amounts", "1000,2000", "--algos",
-                                 "prime,osp", "--jobs", jobs,
+                                 "prime,osp", "--repetitions", "2",
                                  "--out", str(out_csv))
             assert code == 0
             rows = list(csv.DictReader(open(out_csv)))
             for r in rows:
                 r.pop("wall_time_ms")
             reports.append(rows)
+        assert len(reports[0]) == 8
+        assert all(int(r["swap_evals"]) > 0 for r in reports[0])
         assert reports[0] == reports[1]
+
+    def test_jobs_flag_removed(self, snapshot_path, capsys):
+        path, source, target = snapshot_path
+        with pytest.raises(SystemExit):
+            main(["bench", "--snapshot", path, "--from", source, "--to",
+                  target, "--amounts", "1000", "--jobs", "2"])
 
     def test_ablate_mode(self, snapshot_path, tmp_path, capsys):
         path, source, target = snapshot_path

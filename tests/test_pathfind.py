@@ -1,9 +1,19 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from prime_router.errors import GraphTooLargeError
-from prime_router.graph import build_graph
+from prime_router.baselines import best_single_path, prime_flow
+from prime_router.engine import (
+    RouteQuery,
+    _query_overlay,
+    prepare_routing,
+    prime,
+)
+from prime_router.errors import GraphTooLargeError, NoRouteError
+from prime_router.graph import KIND_PIECEWISE, SwapGraph, build_graph
+from prime_router.io import generate_synthetic, solution_to_dict
 from prime_router.pathfind import (
     SearchStats,
     enumerate_paths_oracle,
@@ -140,3 +150,156 @@ class TestFindPath:
                                     cp_pool("P0", "T0", "T1", 10**6, 10**6)])
         res = find_path(g, "T0", "T1", 1000, 0.0, 3)
         assert res.edges[0].pool_id == "P0"
+
+
+# sha256 of the stats-free results in test_golden_results, taken with the
+# unbounded search that preceded the rate bound
+GOLDEN_SHA256 = \
+    "1106ff2ea7579baf13c3cdb05d94c93b18640d4a80091d0c2161a715db6e5e5e"
+
+
+def _spot_product(path):
+    rate = 1.0
+    for e in path:
+        rate *= e.spot
+    return rate
+
+
+def _best_output(paths, x, usable=lambda path: True):
+    sims = (simulate_chain(p, x) for p in paths if usable(p))
+    return max((v for v in sims if v is not None), default=0)
+
+
+def _expected(paths, x, tau, usable):
+    """What find_path must return: the best usable output, or None."""
+    best = _best_output(paths, x, usable)
+    return best if best and best / x > tau else None
+
+
+def _pick_tau(rng, paths, x):
+    """Thresholds around the best rate, so gating hits both ways."""
+    best = _best_output(paths, x)
+    return rng.choice((0.0, 0.5, 0.9, 0.99, 1.0, 1.001)) * best / x
+
+
+def _pools_free(masked):
+    def usable(path):
+        ids = [pid for e in path for pid in e.pool_ids]
+        return len(set(ids)) == len(ids) and not set(ids) & masked
+    return usable
+
+
+class TestBoundPruning:
+    def test_exact_with_tau_masks_and_piecewise(self):
+        rng = random.Random(0xB0)
+        piecewise_seen = 0
+        gated_none = 0
+        for trial in range(150):
+            n = rng.randint(4, 12)
+            snap = generate_synthetic(trial, n, rng.randint(n - 1, 2 * n + 4),
+                                      hub_fraction=0.25,
+                                      reserve_spread_orders=3)
+            g = snap.build_graph()
+            piecewise_seen += sum(p.kind == KIND_PIECEWISE
+                                  for p in g.pools.values())
+            s, t = rng.sample(sorted(g.tokens), 2)
+            x = 10**rng.randint(15, 24)
+            paths = enumerate_paths_oracle(g, s, t, 3)
+            tau = _pick_tau(rng, paths, x)
+            masked = frozenset(pid for pid in g.pools if rng.random() < 0.3)
+            res = find_path(g, s, t, x, tau, 3, masked)
+            want = _expected(paths, x, tau, _pools_free(masked))
+            assert (res.output if res else None) == want
+            if res is not None:
+                assert not set(res.pool_ids) & masked
+            gated_none += tau > 0 and want is None
+        assert piecewise_seen > 0 and gated_none > 0
+
+    def test_exact_on_overlay_with_composite_edges(self):
+        rng = random.Random(0xB1)
+        composite_wins = 0
+        for trial in range(60):
+            snap = generate_synthetic(100 + trial, 14, 34, hub_fraction=0.3,
+                                      reserve_spread_orders=3)
+            g = snap.build_graph()
+            s, t = rng.sample(sorted(g.tokens), 2)
+            prep = prepare_routing(g, RouteQuery(s, t, 1, hub_count=4))
+            overlay = _query_overlay(prep, s, t)
+            edges = [e for u in overlay.token_ids()
+                     for _, cands in overlay.out_items(u) for e in cands]
+            # the overlay as a plain graph, so the oracle can enumerate it;
+            # each composite edge is one "pool" there, its legs checked below
+            flat = SwapGraph({tok: g.tokens[tok] for e in edges
+                              for tok in (e.token_in, e.token_out)}, {}, edges)
+            if not flat.has_token(s) or not flat.has_token(t):
+                continue
+            x = 10**rng.randint(15, 24)
+            paths = enumerate_paths_oracle(flat, s, t, 3)
+            tau = _pick_tau(rng, paths, x)
+            masked = frozenset(pid for pid in g.pools if rng.random() < 0.2)
+            free = _pools_free(masked)
+
+            def usable(path):
+                # a composite may not pass through a token already on the path
+                seen = {s}
+                for e in path:
+                    if any(leg.token_in in seen for leg in e.legs[1:]):
+                        return False
+                    seen.add(e.token_out)
+                return free(path)
+
+            res = find_path(overlay, s, t, x, tau, 3, masked)
+            assert (res.output if res else None) == \
+                _expected(paths, x, tau, usable)
+            composite_wins += res is not None and any(e.legs for e in res.edges)
+        assert composite_wins > 0
+
+    def test_tau_above_every_path_pushes_nothing(self):
+        # prices agree across pools and every pool charges a fee, so every
+        # cycle loses value and no walk beats the best simple path's rate
+        rng = random.Random(0xB2)
+        for _ in range(30):
+            n = rng.randint(3, 9)
+            value = [10**rng.randint(0, 4) for _ in range(n)]
+            pools = []
+            for i in range(1, n):
+                j = rng.randrange(i)
+                pools.append((j, i))
+            while len(pools) < 2 * n:
+                pools.append(tuple(rng.sample(range(n), 2)))
+            g = build_graph(tokens(n), [
+                cp_pool(f"P{k}", f"T{a}", f"T{b}", value[b] * 10**12,
+                        value[a] * 10**12, rng.choice((5, 30, 100)))
+                for k, (a, b) in enumerate(pools)])
+            paths = enumerate_paths_oracle(g, "T0", f"T{n - 1}", 3)
+            best_spot = max(_spot_product(p) for p in paths)
+            stats = SearchStats()
+            res = find_path(g, "T0", f"T{n - 1}", 10**9, 1.01 * best_spot, 3,
+                            stats=stats)
+            assert res is None
+            assert stats.pushes == 0 and stats.swap_evals == 0
+            assert stats.pops == 1
+
+    def test_golden_results(self):
+        # the bound may change how much work a search does, never a result
+        snap = generate_synthetic(23, 40, 110, hub_fraction=0.2,
+                                  reserve_spread_orders=4)
+        g = snap.build_graph()
+        ids = sorted(g.tokens)
+        rng = random.Random(5)
+        prep = prepare_routing(g, RouteQuery(ids[0], ids[1], 1, hub_count=8))
+        digest = hashlib.sha256()
+        for _ in range(8):
+            s, t = rng.sample(ids, 2)
+            q = RouteQuery(s, t, 10**rng.randint(16, 23), hub_count=8)
+            for algo in (lambda: prime(g, q, prep),
+                         lambda: best_single_path(g, q),
+                         lambda: prime_flow(g, q)):
+                try:
+                    d = solution_to_dict(algo())
+                except NoRouteError:
+                    d = {"no_route": [s, t]}
+                d.pop("stats", None)
+                digest.update(json.dumps(d, sort_keys=True,
+                                         separators=(",", ":")).encode())
+        assert digest.hexdigest() == GOLDEN_SHA256

@@ -6,6 +6,8 @@ import pytest
 from prime_router.errors import InvalidParamsError
 from prime_router.graph import build_graph
 from prime_router.preprocess import (
+    Shortcut,
+    ShortcutIndex,
     build_shortcut_index,
     induce_core_graph,
     select_hubs,
@@ -154,6 +156,17 @@ class TestShortcutIndex:
                 assert len(sc.edges) >= 2
                 pools = sc.pool_ids
                 assert len(set(pools)) == len(pools)
+
+    def test_interior_hub_rejected(self):
+        toks = tokens(3)
+        pools = [cp_pool("P0", "T0", "T2", 1, 1),
+                 cp_pool("P1", "T2", "T1", 1, 1)]
+        g = build_graph(toks, pools)
+        edges = (g.edges_between("T0", "T2")[0], g.edges_between("T2", "T1")[0])
+        sc = Shortcut("T0", "T1", edges, 1.0)
+        ShortcutIndex(("T0", "T1"), 2, 3, {("T0", "T1"): (sc,)})
+        with pytest.raises(InvalidParamsError, match="passes through a hub"):
+            ShortcutIndex(("T0", "T1", "T2"), 2, 3, {("T0", "T1"): (sc,)})
 
     def test_completeness_against_enumeration(self):
         rng = random.Random(47)
