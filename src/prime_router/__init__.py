@@ -7,7 +7,6 @@ from .allocation import (
     MultiEdgePath,
     asgm,
     objective,
-    path_marginal_price,
     path_output,
 )
 from .baselines import GridSpec, best_single_path, grid_oracle, prime_flow
@@ -42,7 +41,7 @@ from .errors import (
 from .graph import Edge, Pool, SwapGraph, Token, build_graph, prune_leaf_tokens
 from .io import Snapshot, generate_synthetic, load_snapshot, save_snapshot
 from .pathfind import SinglePath, enumerate_paths_oracle, find_path
-from .preprocess import ShortcutIndex, build_shortcut_index, induce_core_graph, select_hubs
+from .preprocess import ShortcutIndex, build_shortcut_index, select_hubs
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

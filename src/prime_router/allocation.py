@@ -5,7 +5,10 @@ The allocation problem is: split an input amount across pool-disjoint paths
 the summed output.  Every weight vector lives on a simplex.  The objective is
 evaluated through exact integer swap math, so accepted optimizer steps never
 lose a unit to drift; marginal prices live in double precision and are only
-compared, never fed back into amounts.
+compared, never fed back into amounts.  One per-hop evaluator computes every
+integer path output, hop amount and execution-plan step, and one per-hop
+derivative every real-mode marginal price, so the allocator and the emitted
+plan evaluate a path the same way.
 
 The optimizer moves mass from the lowest-marginal-price component to the
 highest one, with the step found by backtracking from a fixed fraction of the
@@ -63,6 +66,15 @@ class MultiEdgePath:
 
 def single_to_multi(path: SinglePath) -> MultiEdgePath:
     return MultiEdgePath(tuple((e,) for e in path.edges))
+
+
+@dataclass(frozen=True)
+class PlanStep:
+    pool_id: str
+    token_in: str
+    token_out: str
+    amount_in: int
+    min_out: int
 
 
 @dataclass(frozen=True)
@@ -198,65 +210,48 @@ def hop_shares(hop: Tuple[Edge, ...], weights: Sequence[float],
     raise CapacityExceededError("hop input exceeds total edge capacity")
 
 
-def path_output(path: MultiEdgePath, hop_weights: Sequence[Sequence[float]],
-                x_in: int) -> int:
-    """Exact integer output of a path: hops chain with zero residual."""
-    amt = x_in
-    for hop, weights in zip(path.hops, hop_weights):
-        if amt == 0:
-            return 0
-        if len(hop) == 1:
-            amt = hop[0].fn.swap_out(amt)
+def _hop_output(hop: Tuple[Edge, ...], weights: Sequence[float], amt: int,
+                steps: Optional[List[PlanStep]] = None) -> int:
+    """Exact integer output of one hop fed ``amt``.
+
+    A single edge takes the whole amount; parallel edges split it with
+    ``hop_shares``.  With ``steps``, one PlanStep per pool swap is appended:
+    a shortcut composite edge expands into its member legs, chained so each
+    leg consumes the previous leg's full output.
+    """
+    shares = [amt] if len(hop) == 1 else hop_shares(hop, weights, amt)
+    out = 0
+    for e, share in zip(hop, shares):
+        if not share:
             continue
-        shares = hop_shares(hop, weights, amt)
-        out = 0
-        for e, share in zip(hop, shares):
-            if share:
-                out += e.fn.swap_out(share)
-        amt = out
-    return amt
+        if steps is None:
+            out += e.fn.swap_out(share)
+            continue
+        for leg in e.legs or (e,):
+            leg_out = leg.fn.swap_out(share)
+            steps.append(PlanStep(leg.pool_id, leg.token_in, leg.token_out,
+                                  share, leg_out))
+            share = leg_out
+        out += share
+    return out
 
 
 def hop_amounts(path: MultiEdgePath, hop_weights: Sequence[Sequence[float]],
-                x_in: int) -> List[int]:
-    """Integer input of every hop plus the final output (length hops+1)."""
+                x_in: int, steps: Optional[List[PlanStep]] = None) -> List[int]:
+    """Integer input of every hop plus the final output (length hops+1).
+
+    Hops chain with zero residual; ``steps`` collects the pool swaps.
+    """
     amounts = [x_in]
-    amt = x_in
     for hop, weights in zip(path.hops, hop_weights):
-        if amt == 0:
-            amounts.append(0)
-            amt = 0
-            continue
-        if len(hop) == 1:
-            amt = hop[0].fn.swap_out(amt)
-        else:
-            shares = hop_shares(hop, weights, amt)
-            amt = sum(e.fn.swap_out(s) for e, s in zip(hop, shares) if s)
-        amounts.append(amt)
+        amounts.append(_hop_output(hop, weights, amounts[-1], steps))
     return amounts
 
 
-def path_marginal_price(path: MultiEdgePath,
-                        hop_weights: Sequence[Sequence[float]],
-                        a: int) -> float:
-    """Chain-rule derivative at the integer operating point ``a``."""
-    deriv = 1.0
-    amt = a
-    for hop, weights in zip(path.hops, hop_weights):
-        if len(hop) == 1:
-            deriv *= hop[0].fn.marginal_price(amt)
-            amt = hop[0].fn.swap_out(amt)
-            continue
-        shares = hop_shares(hop, weights, amt)
-        hop_deriv = 0.0
-        out = 0
-        for e, w, share in zip(hop, weights, shares):
-            hop_deriv += w * e.fn.marginal_price(share)
-            if share:
-                out += e.fn.swap_out(share)
-        deriv *= hop_deriv
-        amt = out
-    return deriv
+def path_output(path: MultiEdgePath, hop_weights: Sequence[Sequence[float]],
+                x_in: int) -> int:
+    """Exact integer output of a path."""
+    return hop_amounts(path, hop_weights, x_in)[-1]
 
 
 def _bounded_point(fn, point: float):
@@ -267,50 +262,53 @@ def _bounded_point(fn, point: float):
     return point, False
 
 
+def _hop_derivs(hop: Tuple[Edge, ...], weights: Sequence[float],
+                amt: float) -> Tuple[float, float, float]:
+    """(receive, give, real output) of one hop fed the real amount ``amt``.
+
+    The give side is the weight-averaged edge marginal price with operating
+    points pulled back to capacity boundaries.  The receive side is what one
+    extra input unit would actually earn: a capacity-saturated edge takes
+    none of it, so it spreads over the open edges by weight.
+    """
+    if len(hop) == 1:
+        # a lone edge carries the whole amount whatever its weight, as in
+        # _hop_output
+        weights = (1.0,)
+    recv = give = open_mass = out = 0.0
+    open_derivs = []
+    for e, w in zip(hop, weights):
+        point, saturated = _bounded_point(e.fn, w * amt)
+        d = e.fn.marginal_price(point)
+        give += w * d
+        if not saturated:
+            recv += w * d
+            open_mass += w
+            open_derivs.append(d)
+        out += e.fn.out_real(point)
+    if open_mass > 0.0:
+        recv /= open_mass
+    elif open_derivs:
+        # extra input reroutes onto open zero-weight edges
+        recv = sum(open_derivs) / len(open_derivs)
+    return recv, give, out
+
+
 def path_marginals_real(path: MultiEdgePath,
                         hop_weights: Sequence[Sequence[float]],
                         a: float) -> Tuple[float, float]:
     """(receive, give) chain-rule derivatives along the real composition.
 
-    The give side is the classic marginal price with operating points pulled
-    back to capacity boundaries.  The receive side is what one extra input
-    unit would actually earn: a capacity-saturated component contributes
-    nothing, so a pinned path stops being selected to receive mass instead of
-    advertising a boundary slope it cannot honour.
+    A capacity-saturated path receives at price zero, so a pinned path stops
+    being selected to receive mass instead of advertising a boundary slope
+    it cannot honour.
     """
-    recv = 1.0
-    give = 1.0
+    recv = give = 1.0
     amt = float(a)
     for hop, weights in zip(path.hops, hop_weights):
-        if len(hop) == 1:
-            fn = hop[0].fn
-            point, saturated = _bounded_point(fn, amt)
-            d = fn.marginal_price(point)
-            give *= d
-            recv *= 0.0 if saturated else d
-            amt = fn.out_real(point)
-            continue
-        give_d = 0.0
-        recv_d = 0.0
-        open_mass = 0.0
-        out = 0.0
-        derivs = []
-        for e, w in zip(hop, weights):
-            point, saturated = _bounded_point(e.fn, w * amt)
-            d = e.fn.marginal_price(point)
-            give_d += w * d
-            if not saturated:
-                open_mass += w
-                derivs.append((w, d))
-            out += e.fn.out_real(point)
-        if open_mass > 0.0:
-            recv_d = sum(w * d for w, d in derivs) / open_mass
-        elif derivs:
-            # extra input reroutes onto open zero-weight edges
-            recv_d = sum(d for _, d in derivs) / len(derivs)
-        give *= give_d
-        recv *= recv_d
-        amt = out
+        hop_recv, hop_give, amt = _hop_derivs(hop, weights, amt)
+        recv *= hop_recv
+        give *= hop_give
     return recv, give
 
 
@@ -415,32 +413,10 @@ def _downstream_derivs(path: MultiEdgePath,
                        hop_weights: Sequence[Sequence[float]],
                        amounts: Sequence[int]) -> List[float]:
     """after[j] = d(final output)/d(hop j output), at integer points."""
-    n = len(path.hops)
-    after = [1.0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        hop, weights = path.hops[j], hop_weights[j]
-        a_j = amounts[j]
-        if len(hop) == 1:
-            point, saturated = _bounded_point(hop[0].fn, float(a_j))
-            d = 0.0 if saturated else hop[0].fn.marginal_price(point)
-        else:
-            acc = 0.0
-            open_mass = 0.0
-            open_derivs = []
-            for e, w in zip(hop, weights):
-                point, saturated = _bounded_point(e.fn, w * a_j)
-                if not saturated:
-                    dd = e.fn.marginal_price(point)
-                    acc += w * dd
-                    open_mass += w
-                    open_derivs.append(dd)
-            if open_mass > 0.0:
-                d = acc / open_mass
-            elif open_derivs:
-                d = sum(open_derivs) / len(open_derivs)
-            else:
-                d = 0.0
-        after[j] = d * after[j + 1]
+    after = [1.0] * (len(path.hops) + 1)
+    for j in range(len(path.hops) - 1, -1, -1):
+        recv = _hop_derivs(path.hops[j], hop_weights[j], float(amounts[j]))[0]
+        after[j] = recv * after[j + 1]
     return after
 
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .allocation import (
     Allocation,
     MultiEdgePath,
+    PlanStep,
     integer_shares,
     objective,
     path_marginal_real,
@@ -30,7 +31,6 @@ from .allocation import (
 )
 from .cfmm import PiecewiseLiquidity, Segment, cp_swap_out
 from .engine import (
-    PlanStep,
     RouteQuery,
     RouteSolution,
     RouteStats,
@@ -78,34 +78,42 @@ def best_single_path(g: SwapGraph, query: RouteQuery) -> RouteSolution:
 
 
 class _FlowState:
-    """Mutable pool copies; flow execution shifts reserves like on-chain swaps."""
+    """Mutable pool copies; flow execution shifts reserves like on-chain swaps.
+
+    A pool is copied on its first swap, so a reset only drops the copies.
+    A constant-product copy maps token to reserve; a piecewise copy maps each
+    direction to its [capacity, virtual in, virtual out] segment rows.
+    """
 
     def __init__(self, g: SwapGraph):
         self._graph = g
-        self.reset()
+        self._copies: Dict[str, dict] = {}
 
     def reset(self) -> None:
-        self._cp: Dict[str, Dict[str, int]] = {}
-        self._pw: Dict[str, Dict[Tuple[str, str], List[List[int]]]] = {}
-        for pid, pool in self._graph.pools.items():
+        self._copies.clear()
+
+    def _copy(self, pool: Pool) -> dict:
+        state = self._copies.get(pool.id)
+        if state is None:
             if pool.kind == KIND_CONSTANT_PRODUCT:
-                self._cp[pid] = dict(zip(pool.tokens, pool.reserves))
+                state = dict(zip(pool.tokens, pool.reserves))
             else:
-                self._pw[pid] = {
-                    (d.token_in, d.token_out):
-                        [[s.capacity_in, s.virtual_reserve_in,
-                          s.virtual_reserve_out] for s in d.segments]
-                    for d in pool.directions}
+                state = {(d.token_in, d.token_out):
+                         [[s.capacity_in, s.virtual_reserve_in,
+                           s.virtual_reserve_out] for s in d.segments]
+                         for d in pool.directions}
+            self._copies[pool.id] = state
+        return state
 
     def swap(self, pool_id: str, token_in: str, token_out: str, x: int) -> int:
         pool = self._graph.pools[pool_id]
+        state = self._copy(pool)
         if pool.kind == KIND_CONSTANT_PRODUCT:
-            r = self._cp[pool_id]
-            out = cp_swap_out(r[token_in], r[token_out], pool.fee_bps, x)
-            r[token_in] += x
-            r[token_out] -= out
+            out = cp_swap_out(state[token_in], state[token_out], pool.fee_bps, x)
+            state[token_in] += x
+            state[token_out] -= out
             return out
-        segs = self._pw[pool_id][(token_in, token_out)]
+        segs = state[(token_in, token_out)]
         remaining = x
         out = 0
         for s in segs:
@@ -130,19 +138,21 @@ class _FlowState:
         Partially consumed piecewise curves can fail the strict stitching
         checks by a rounding sliver; offending tail segments are dropped from
         the view (execution runs on the raw state, never through this graph).
+        Pools no flow has touched are reused as they are.
         """
         pools = []
         for pid, pool in sorted(self._graph.pools.items()):
-            if pool.kind == KIND_CONSTANT_PRODUCT:
-                r = self._cp[pid]
+            state = self._copies.get(pid)
+            if state is None:
+                pools.append(pool)
+            elif pool.kind == KIND_CONSTANT_PRODUCT:
                 pools.append(Pool(pid, pool.kind, pool.tokens, pool.fee_bps,
-                                  tuple(r[t] for t in pool.tokens)))
+                                  tuple(state[t] for t in pool.tokens)))
             else:
                 directions = []
                 for d in pool.directions:
                     segs = [Segment(c, vi, vo) for c, vi, vo
-                            in self._pw[pid][(d.token_in, d.token_out)]
-                            if c > 0]
+                            in state[(d.token_in, d.token_out)] if c > 0]
                     while segs:
                         try:
                             PiecewiseLiquidity(tuple(segs), pool.fee_bps)
@@ -173,6 +183,25 @@ def _execute_fractions(state: _FlowState, flows: Sequence[SinglePath],
             cur = state.swap(e.pool_id, e.token_in, e.token_out, cur)
         total += cur
     return total
+
+
+def _ternary_max(total_at: Callable[[float], int]) -> Tuple[float, int, int]:
+    """Ternary-search the ratio in [0, 1] maximizing ``total_at``.
+
+    Returns (ratio, total at the ratio, number of evaluations).
+    """
+    lo, hi = 0.0, 1.0
+    it = 0
+    while hi - lo > TERNARY_TOL and it < TERNARY_MAX_ITERS:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if total_at(m1) < total_at(m2):
+            lo = m1
+        else:
+            hi = m2
+        it += 1
+    lam = (lo + hi) / 2.0
+    return lam, total_at(lam), 2 * it + 1
 
 
 def prime_flow(g: SwapGraph, query: RouteQuery) -> RouteSolution:
@@ -217,20 +246,8 @@ def prime_flow(g: SwapGraph, query: RouteQuery) -> RouteSolution:
             return _execute_fractions(state, flows + [found], trial,
                                       query.amount)
 
-        lo, hi = 0.0, 1.0
-        it = 0
-        while hi - lo > TERNARY_TOL and it < TERNARY_MAX_ITERS:
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if total_at(m1) < total_at(m2):
-                lo = m1
-            else:
-                hi = m2
-            evaluations += 2
-            it += 1
-        lam = (lo + hi) / 2.0
-        candidate = total_at(lam)
-        evaluations += 1
+        lam, candidate, spent = _ternary_max(total_at)
+        evaluations += spent
         if candidate <= best_total:
             break
         fractions = [f * (1.0 - lam) for f in fractions] + [lam]
@@ -257,20 +274,8 @@ def prime_flow(g: SwapGraph, query: RouteQuery) -> RouteSolution:
                 trial[_i] = lam
                 return _execute_fractions(state, flows, trial, query.amount)
 
-            lo, hi = 0.0, 1.0
-            it = 0
-            while hi - lo > TERNARY_TOL and it < TERNARY_MAX_ITERS:
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                if total_with(m1) < total_with(m2):
-                    lo = m1
-                else:
-                    hi = m2
-                evaluations += 2
-                it += 1
-            lam = (lo + hi) / 2.0
-            candidate = total_with(lam)
-            evaluations += 1
+            lam, candidate, spent = _ternary_max(total_with)
+            evaluations += spent
             if candidate > best_total:
                 fractions = [f * (1.0 - lam) / rest for f in fractions]
                 fractions[i] = lam

@@ -186,6 +186,10 @@ class PiecewiseLiquidity:
             f"input {x} exceeds total capacity {self.input_capacity()}")
 
     def out_real(self, x: float) -> float:
+        """Real-valued output; as in marginal_price, a point at the rounded
+        total capacity ends on the last segment."""
+        if x > float(self.input_capacity()):
+            raise CapacityExceededError("real input exceeds total capacity")
         remaining = float(x)
         out = 0.0
         for s in self.segments:
@@ -193,26 +197,35 @@ class PiecewiseLiquidity:
             out += cp_out_real(s.virtual_reserve_in, s.virtual_reserve_out, self.fee_bps, take)
             remaining -= take
             if remaining <= 0.0:
-                return out
-        raise CapacityExceededError("real input exceeds total capacity")
+                break
+        return out
 
     def marginal_price(self, x) -> float:
         """Derivative of the active segment at the local offset.
 
         An operating point sitting exactly on a boundary belongs to the next
-        segment (the one the next input unit would enter).
+        segment (the one the next input unit would enter).  A real point at
+        the rounded total capacity belongs to the end of the last segment,
+        even where the rounded segment offsets carry it past that end.
+        Integer points beyond the exact capacity raise.
         """
         if isinstance(x, int):
             check_amount(x)
+            cap = self.input_capacity()
+        else:
+            cap = float(self.input_capacity())
+        if x > cap:
+            raise CapacityExceededError("operating point beyond total capacity")
         offset = float(x)
-        last = len(self.segments) - 1
-        for i, s in enumerate(self.segments):
+        for s in self.segments[:-1]:
             cap = float(s.capacity_in)
-            if offset < cap or (i == last and offset <= cap):
+            if offset < cap:
                 return cp_marginal(s.virtual_reserve_in, s.virtual_reserve_out,
                                    self.fee_bps, offset)
             offset -= cap
-        raise CapacityExceededError("operating point beyond total capacity")
+        last = self.segments[-1]
+        return cp_marginal(last.virtual_reserve_in, last.virtual_reserve_out,
+                           self.fee_bps, min(offset, float(last.capacity_in)))
 
     def spot_price(self) -> float:
         first = self.segments[0]

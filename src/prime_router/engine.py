@@ -25,15 +25,15 @@ from .allocation import (
     AsgmParams,
     AsgmResult,
     MultiEdgePath,
+    PlanStep,
     TraceRow,
     asgm,
-    hop_shares,
+    hop_amounts,
     integer_shares,
-    objective,
     path_marginal_real,
     single_to_multi,
 )
-from .errors import NoRouteError
+from .errors import InvalidParamsError, NoRouteError, RoutingError
 from .graph import Edge, SwapGraph, prune_leaf_tokens
 from .pathfind import SearchStats, SinglePath, find_path
 from .preprocess import ShortcutIndex, build_shortcut_index, select_hubs
@@ -69,15 +69,6 @@ class RouteQuery:
             raise ValueError("amount must be positive")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    pool_id: str
-    token_in: str
-    token_out: str
-    amount_in: int
-    min_out: int
 
 
 @dataclass
@@ -129,6 +120,11 @@ def _merge_candidates(*groups: Sequence[Edge]) -> Tuple[Edge, ...]:
     return tuple(sorted(merged, key=lambda e: (-e.spot, e.pool_id)))
 
 
+# the RouteQuery fields that stage 0 is built from
+_STAGE0_FIELDS = ("hub_count", "hub_metric", "numeraire", "explicit_hubs",
+                  "shortcuts")
+
+
 @dataclass
 class PreparedRouting:
     """Stage-0 artifacts, reusable for every query with the same config."""
@@ -138,6 +134,7 @@ class PreparedRouting:
     hubs: Tuple[str, ...]
     shortcut_index: Optional[ShortcutIndex]
     core_rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]]
+    config: Dict[str, object]
 
 
 def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
@@ -174,8 +171,9 @@ def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
         rows[u] = tuple(items)
     log.debug("prepared routing: %d hubs, %d shortcuts", len(hubs),
               len(index) if index is not None else 0)
+    config = {f: getattr(query, f) for f in _STAGE0_FIELDS}
     return PreparedRouting(graph=g, pruned=pruned, hubs=hubs,
-                           shortcut_index=index, core_rows=rows)
+                           shortcut_index=index, core_rows=rows, config=config)
 
 
 def _query_overlay(prep: PreparedRouting, source: str, target: str) -> _Overlay:
@@ -277,33 +275,7 @@ def build_execution_plan(paths: Sequence[MultiEdgePath],
     total = 0
     shares = integer_shares(allocation.path_weights, x)
     for path, hop_w, share in zip(paths, allocation.edge_weights, shares):
-        amt = share
-        for hop, weights in zip(path.hops, hop_w):
-            if amt == 0:
-                break
-            if len(hop) == 1:
-                edge_shares = [amt]
-            else:
-                edge_shares = hop_shares(hop, weights, amt)
-            out = 0
-            for e, sh in zip(hop, edge_shares):
-                if sh == 0:
-                    continue
-                if e.legs:
-                    cur = sh
-                    for leg in e.legs:
-                        leg_out = leg.fn.swap_out(cur)
-                        steps.append(PlanStep(leg.pool_id, leg.token_in,
-                                              leg.token_out, cur, leg_out))
-                        cur = leg_out
-                    out += cur
-                else:
-                    o = e.fn.swap_out(sh)
-                    steps.append(PlanStep(e.pool_id, e.token_in, e.token_out,
-                                          sh, o))
-                    out += o
-            amt = out
-        total += amt
+        total += hop_amounts(path, hop_w, share, steps)[-1]
     return tuple(steps), total
 
 
@@ -311,11 +283,17 @@ def prime(g: SwapGraph, query: RouteQuery,
           prepared: Optional[PreparedRouting] = None) -> RouteSolution:
     """Full two-stage routing for one query.
 
-    Raises NoRouteError when discovery accepts zero paths.
+    Raises NoRouteError when discovery accepts zero paths, and
+    InvalidParamsError when ``prepared`` was built from a query whose stage-0
+    fields differ from this one's.
     """
     if not g.has_token(query.source) or not g.has_token(query.target):
         raise NoRouteError("source or target token not in graph")
     prep = prepared if prepared is not None else prepare_routing(g, query)
+    differ = [f for f, v in prep.config.items() if getattr(query, f) != v]
+    if differ:
+        raise InvalidParamsError("stage 0 was prepared with a different "
+                                 + ", ".join(differ))
     overlay = _query_overlay(prep, query.source, query.target)
     params = query.asgm_params
     # the stage-1 refreshes only need tau at the precision that gates path
@@ -362,8 +340,7 @@ def prime(g: SwapGraph, query: RouteQuery,
     stage1_w = list(stage1_result.allocation.path_weights) if stage1_result \
         else [1.0]
     multi, init_w = merge_and_expand(singles, stage1_w, prep.pruned,
-                                     prep.shortcut_index if query.shortcuts.enabled else None,
-                                     used, query.n_expand)
+                                     prep.shortcut_index, used, query.n_expand)
     final = asgm(multi, query.amount, params, initial_edge_weights=init_w)
     stats.asgm_iterations += final.iterations
     stats.degraded = final.degraded
@@ -412,7 +389,8 @@ def _degenerate_solution(multi: Sequence[MultiEdgePath], single: SinglePath,
         if is_home and chosen is None:
             chosen = len(edge_weights) - 1
         path_weights.append(0.0)
-    assert chosen is not None, "discovered path lost during merge"
+    if chosen is None:
+        raise RoutingError("discovered path lost during merge")
     path_weights[chosen] = 1.0
     allocation = Allocation(tuple(path_weights), tuple(edge_weights))
     plan, total = build_execution_plan(multi, allocation, x)

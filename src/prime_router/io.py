@@ -2,9 +2,8 @@
 
 Snapshots are canonical JSON: sorted keys, compact separators, every amount a
 decimal string (floats would silently corrupt 256-bit quantities).  The same
-bytes always come back out: save(load(save(x))) is byte-identical.  A sha256
-of the canonical bytes keys the shortcut-index sidecar so a stale index is
-never applied to a different market state.
+bytes always come back out: save(load(save(x))) is byte-identical, so a sha256
+of them identifies a market state.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .allocation import TraceRow
 from .engine import RouteSolution
@@ -29,10 +28,8 @@ from .graph import (
     build_graph,
 )
 from .cfmm import Segment
-from .preprocess import Shortcut, ShortcutIndex
 
 SNAPSHOT_VERSION = 1
-INDEX_VERSION = 1
 
 _AMOUNT_RE = re.compile(r"^(0|[1-9][0-9]*)$")
 
@@ -194,69 +191,6 @@ def load_snapshot(path) -> Snapshot:
 
 def snapshot_hash(s: Snapshot) -> str:
     return hashlib.sha256(dumps_snapshot(s).encode("utf-8")).hexdigest()
-
-
-def save_shortcut_index(index: ShortcutIndex, snap_hash: str, path) -> None:
-    """Persist the shortcut index keyed by the snapshot it was built from."""
-    payload = {
-        "version": INDEX_VERSION,
-        "snapshot_hash": snap_hash,
-        "hubs": list(index.hubs),
-        "max_intermediates": index.max_intermediates,
-        "top_s": index.top_s,
-        "shortcuts": [
-            {
-                "hub_in": sc.hub_in,
-                "hub_out": sc.hub_out,
-                "legs": [
-                    {"pool_id": e.pool_id, "token_in": e.token_in,
-                     "token_out": e.token_out}
-                    for e in sc.edges
-                ],
-            }
-            for pair in index.pairs() for sc in index.get(*pair)
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def load_shortcut_index(path, g: SwapGraph, snap_hash: str) -> ShortcutIndex:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON at line {exc.lineno}", "index") from exc
-    version = _require(data, "version", "index", int)
-    if version != INDEX_VERSION:
-        raise VersionUnsupportedError(f"index version {version} unsupported",
-                                      "index")
-    if _require(data, "snapshot_hash", "index", str) != snap_hash:
-        raise ParseError("index was built from a different snapshot", "index")
-    hubs = tuple(_require(data, "hubs", "index", list))
-    entries: Dict[Tuple[str, str], List[Shortcut]] = {}
-    for i, sc in enumerate(_require(data, "shortcuts", "index", list)):
-        ctx = f"shortcuts[{i}]"
-        edges = []
-        for leg in _require(sc, "legs", ctx, list):
-            pid = _require(leg, "pool_id", ctx, str)
-            tin = _require(leg, "token_in", ctx, str)
-            tout = _require(leg, "token_out", ctx, str)
-            match = [e for e in g.edges_between(tin, tout) if e.pool_id == pid]
-            if not match:
-                raise ParseError(f"edge {tin}->{tout} via {pid!r} not in graph",
-                                 ctx)
-            edges.append(match[0])
-        hub_in = _require(sc, "hub_in", ctx, str)
-        hub_out = _require(sc, "hub_out", ctx, str)
-        rate = 1.0
-        for e in edges:
-            rate *= e.spot
-        entries.setdefault((hub_in, hub_out), []).append(
-            Shortcut(hub_in, hub_out, tuple(edges), rate))
-    frozen = {pair: tuple(scs) for pair, scs in entries.items()}
-    return ShortcutIndex(hubs, _require(data, "max_intermediates", "index", int),
-                         _require(data, "top_s", "index", int), frozen)
 
 
 def solution_to_dict(sol: RouteSolution) -> dict:

@@ -1,6 +1,6 @@
-"""Offline routing preparation: hub selection, core graph, shortcut index.
+"""Offline routing preparation: hub selection and the shortcut index.
 
-The core graph keeps only hub tokens (plus the query endpoints), which is
+The engine searches a core of hub tokens (plus the query endpoints), which is
 where almost all viable routes live.  Better prices that detour through a
 non-hub token are captured separately: for every ordered hub pair we
 pre-enumerate short paths whose interior vertices are all non-hubs and keep
@@ -11,7 +11,7 @@ the path search as a single composite edge, so using one costs one hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cfmm import SequentialComposite
 from .errors import InvalidParamsError
@@ -57,23 +57,6 @@ def select_hubs(g: SwapGraph, k: int, metric: str = METRIC_DEGREE,
         raise InvalidParamsError(f"unknown hub metric {metric!r}")
     ranked = sorted(g.tokens, key=lambda t: (-score[t], t))
     return tuple(ranked[:min(k, len(ranked))])
-
-
-def induce_core_graph(g: SwapGraph, hubs: Iterable[str], source: str,
-                      target: str) -> SwapGraph:
-    """Subgraph on hubs plus the endpoints, keeping edges inside that set."""
-    keep = set(hubs) | {source, target}
-    tokens = [g.tokens[t] for t in sorted(keep) if t in g.tokens]
-    kept_ids = {t.id for t in tokens}
-    edges = []
-    pool_ids = set()
-    for u in sorted(kept_ids):
-        for v, candidates in g.out_items(u):
-            if v in kept_ids:
-                edges.extend(candidates)
-                pool_ids.update(e.pool_id for e in candidates)
-    pools = {pid: g.pools[pid] for pid in sorted(pool_ids)}
-    return SwapGraph({t.id: t for t in tokens}, pools, edges)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from prime_router.allocation import (
     asgm,
     integer_shares,
     objective,
-    path_marginal_price,
+    path_marginal_real,
     path_output,
 )
 from prime_router.cfmm import ConstantProduct, PiecewiseLiquidity, Segment
@@ -79,13 +79,13 @@ class TestPathMarginal:
         p = single_edge_path("P0", "S", "T", 10**9, 10**9, fee=30)
         a = 10**6
         fn = p.hops[0][0].fn
-        assert path_marginal_price(p, [(1.0,)], a) == fn.marginal_price(a)
+        assert path_marginal_real(p, [(1.0,)], a) == fn.marginal_price(a)
 
     def test_unit_spot_chain_at_zero(self):
         e1 = Edge("P0", "S", "M", ConstantProduct(10**6, 10**6, 0))
         e2 = Edge("P1", "M", "T", ConstantProduct(10**6, 10**6, 0))
         p = MultiEdgePath(((e1,), (e2,)))
-        assert path_marginal_price(p, [(1.0,), (1.0,)], 0) == pytest.approx(1.0)
+        assert path_marginal_real(p, [(1.0,), (1.0,)], 0) == pytest.approx(1.0)
 
     def test_matches_finite_difference(self):
         # oracle: central difference of the integer path output,
@@ -105,7 +105,7 @@ class TestPathMarginal:
             a = rng.randint(10**14, 10**16)
             h = max(1, a // 10**6)
             fd = (path_output(p, hw, a + h) - path_output(p, hw, a - h)) / (2 * h)
-            assert path_marginal_price(p, hw, a) == pytest.approx(fd, rel=1e-4)
+            assert path_marginal_real(p, hw, a) == pytest.approx(fd, rel=1e-4)
 
 
 class TestObjective:
@@ -239,7 +239,6 @@ class TestAsgm:
 
 
 def _marginals(paths, res, x):
-    from prime_router.allocation import path_marginal_real
     return [path_marginal_real(p, res.allocation.edge_weights[i],
                                res.allocation.path_weights[i] * x)
             for i, p in enumerate(paths)]

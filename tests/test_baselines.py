@@ -6,6 +6,7 @@ import pytest
 from prime_router.allocation import MultiEdgePath, asgm, objective
 from prime_router.baselines import (
     GridSpec,
+    _FlowState,
     best_single_path,
     grid_oracle,
     prime_flow,
@@ -178,6 +179,19 @@ class TestPrimeFlow:
         g = build_graph(tokens(3), [cp_pool("P0", "T0", "T1", 10, 10)])
         with pytest.raises(NoRouteError):
             prime_flow(g, query(s="T0", t="T2"))
+
+    def test_flow_state_copies_only_swapped_pools(self):
+        g = build_graph(tokens(3), [cp_pool("A", "T0", "T1", 10**9, 10**9),
+                                    cp_pool("B", "T1", "T2", 10**9, 10**9)])
+        state = _FlowState(g)
+        out = state.swap("A", "T0", "T1", 10**6)
+        assert out == g.edges_between("T0", "T1")[0].fn.swap_out(10**6)
+        view = state.graph_view()
+        assert view.pools["B"] is g.pools["B"]
+        assert view.pools["A"].reserves == (10**9 + 10**6, 10**9 - out)
+        assert g.pools["A"].reserves == (10**9, 10**9)
+        state.reset()
+        assert state.graph_view().pools["A"] is g.pools["A"]
 
     def test_tracks_prime_within_basis_points_at_higher_cost(self):
         # oracle: direct comparison run.  On arbitraged markets (route rates

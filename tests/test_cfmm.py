@@ -10,6 +10,7 @@ from prime_router.cfmm import (
     PiecewiseLiquidity,
     Segment,
     SequentialComposite,
+    cp_marginal,
     cp_swap_out,
     output_upper_bound,
 )
@@ -114,6 +115,27 @@ class TestPiecewise:
         # second segment spot: 66/150 = 0.44
         assert at_boundary == pytest.approx(0.44)
         assert inside_first > at_boundary
+
+    def test_real_point_at_rounded_capacity(self):
+        # float(a + b) - float(a) > float(b) for these capacities, so the
+        # rounded segment offsets carry float(input_capacity()) past the end
+        a, b = 161324352732870180864, 201206890577582882816
+        f = PiecewiseLiquidity((Segment(a, 10**21, 10**21),
+                                Segment(b, 2 * 10**21, 10**21)), 0)
+        cap = f.input_capacity()
+        assert float(cap) - float(a) > float(b)
+        last = f.segments[-1]
+        assert f.marginal_price(float(cap)) == cp_marginal(
+            last.virtual_reserve_in, last.virtual_reserve_out, 0, float(b))
+        assert f.marginal_price(cap) == f.marginal_price(float(cap))
+        assert f.out_real(float(cap)) == pytest.approx(f.swap_out(cap),
+                                                       rel=1e-12)
+        beyond = float(cap) * (1 + 1e-12)
+        for bad in (cap + 1, beyond):
+            with pytest.raises(CapacityExceededError):
+                f.marginal_price(bad)
+        with pytest.raises(CapacityExceededError):
+            f.out_real(beyond)
 
     def test_max_output_is_segment_sum(self):
         assert make_piecewise().max_output() == 100 + 66

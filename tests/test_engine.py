@@ -2,18 +2,21 @@ import random
 
 import pytest
 
+from prime_router.allocation import asgm, single_to_multi
 from prime_router.baselines import best_single_path
+from prime_router.cfmm import Segment
 from prime_router.engine import (
     PlanStep,
     RouteQuery,
     ShortcutConfig,
+    _degenerate_solution,
     merge_and_expand,
     prepare_routing,
     prime,
     verify_solution,
 )
-from prime_router.errors import NoRouteError
-from prime_router.graph import build_graph
+from prime_router.errors import InvalidParamsError, NoRouteError, RoutingError
+from prime_router.graph import KIND_PIECEWISE, Pool, PoolDirection, build_graph
 from prime_router.pathfind import find_path
 
 from instances import cp_pool, random_cp_graph, tokens
@@ -125,6 +128,30 @@ class TestPrime:
             if tok != "T6":
                 assert bal == 0
 
+    def test_reallocating_over_a_saturated_piecewise_pool(self):
+        # the allocator probes the piecewise pool at float(input_capacity()),
+        # which the rounded segment offsets carry past its last segment
+        a, b = 161324352732870180864, 201206890577582882816
+        segs = (Segment(a, 10**21, 10**21), Segment(b, 2 * 10**21, 10**21))
+        pw = Pool("PW", KIND_PIECEWISE, ("T0", "T1"), 0, directions=(
+            PoolDirection("T0", "T1", segs), PoolDirection("T1", "T0", segs)))
+        g = build_graph(tokens(2), [pw, cp_pool("CP", "T0", "T1",
+                                                10**24, 10**24)])
+        x = 4 * (a + b)
+        sol = prime(g, query("T0", "T1", x))
+        assert verify_solution(sol, g).ok
+        res = asgm(list(sol.paths), x)
+        assert res.trace[-1].objective > 0
+
+    def test_lost_discovered_path_raises(self):
+        # a real raise, not an assert: this also holds under python -O
+        g = build_graph(tokens(2), [cp_pool("A", "T0", "T1", 10**9, 10**9),
+                                    cp_pool("B", "T0", "T1", 10**9, 10**9)])
+        a, b = (find_path(g, "T0", "T1", 10**6, 0.0, 1, frozenset({pid}))
+                for pid in ("B", "A"))
+        with pytest.raises(RoutingError, match="lost during merge"):
+            _degenerate_solution([single_to_multi(a)], b, 10**6)
+
 
 class TestMergeAndExpand:
     def _paths(self, g, s, t, x, count):
@@ -232,6 +259,22 @@ class TestShortcuts:
         # the winning plan routes through the composite's member pools
         used = {st.pool_id for st in with_sc.execution_plan}
         assert {"LEG1", "LEG2"} & used
+
+    @pytest.mark.parametrize("change", [
+        dict(shortcuts=ShortcutConfig(enabled=False)),
+        dict(explicit_hubs=("T0", "T1", "T2")),
+        dict(hub_count=2),
+        dict(hub_metric="reserve_mass", numeraire="T0"),
+    ])
+    def test_prepared_routing_rejects_other_stage0_config(self, change):
+        # cold, shortcuts off routes DIRECT; a stage 0 built with shortcuts on
+        # would silently route LEG1, LEG2 instead
+        g = self.build_detour_market()
+        base = dict(explicit_hubs=("T0", "T1"))
+        prep = prepare_routing(g, query("T0", "T1", 10**6, **base))
+        q = query("T0", "T1", 10**6, **{**base, **change})
+        with pytest.raises(InvalidParamsError, match="stage 0"):
+            prime(g, q, prep)
 
     def test_prepared_routing_reusable(self):
         g = self.build_detour_market()

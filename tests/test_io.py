@@ -12,14 +12,11 @@ from prime_router.io import (
     Snapshot,
     dumps_snapshot,
     generate_synthetic,
-    load_shortcut_index,
     load_snapshot,
     loads_snapshot,
-    save_shortcut_index,
     save_snapshot,
     snapshot_hash,
 )
-from prime_router.preprocess import build_shortcut_index, select_hubs
 
 
 def small_snapshot(seed=1):
@@ -134,30 +131,3 @@ class TestSyntheticGenerator:
             generate_synthetic(1, 10, 3)
         with pytest.raises(InvalidParamsError):
             generate_synthetic(1, 10, 20, hub_fraction=0.0)
-
-
-class TestShortcutIndexSidecar:
-    def test_roundtrip(self, tmp_path):
-        snap = generate_synthetic(9, 10, 25, 0.3, 4)
-        g = snap.build_graph()
-        hubs = select_hubs(g, 3)
-        idx = build_shortcut_index(g, hubs)
-        h = snapshot_hash(snap)
-        path = tmp_path / "index.json"
-        save_shortcut_index(idx, h, path)
-        loaded = load_shortcut_index(path, g, h)
-        assert loaded.hubs == idx.hubs
-        assert loaded.pairs() == idx.pairs()
-        for pair in idx.pairs():
-            got = [s.pool_ids for s in loaded.get(*pair)]
-            want = [s.pool_ids for s in idx.get(*pair)]
-            assert got == want
-
-    def test_stale_hash_rejected(self, tmp_path):
-        snap = generate_synthetic(9, 10, 25, 0.3, 4)
-        g = snap.build_graph()
-        idx = build_shortcut_index(g, select_hubs(g, 3))
-        path = tmp_path / "index.json"
-        save_shortcut_index(idx, snapshot_hash(snap), path)
-        with pytest.raises(ParseError):
-            load_shortcut_index(path, g, "0" * 64)

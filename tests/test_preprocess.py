@@ -9,7 +9,6 @@ from prime_router.preprocess import (
     Shortcut,
     ShortcutIndex,
     build_shortcut_index,
-    induce_core_graph,
     select_hubs,
 )
 
@@ -53,31 +52,6 @@ class TestSelectHubs:
         assert select_hubs(g, 1, explicit=("T2", "T1")) == ("T2", "T1")
         with pytest.raises(InvalidParamsError):
             select_hubs(g, 1, explicit=("T9",))
-
-
-class TestInduceCore:
-    def test_outside_pool_dropped(self):
-        toks = tokens(4)
-        pools = [cp_pool("P0", "T0", "T1", 1, 1),
-                 cp_pool("P1", "T2", "T3", 1, 1)]
-        g = build_graph(toks, pools)
-        core = induce_core_graph(g, ("T0", "T1"), "T0", "T1")
-        assert core.token_ids() == ("T0", "T1")
-        assert core.edge_count == 2
-
-    def test_endpoint_outside_hubs_keeps_its_edges(self):
-        toks = tokens(3)
-        pools = [cp_pool("P0", "T2", "T0", 1, 1)]
-        g = build_graph(toks, pools)
-        core = induce_core_graph(g, ("T0",), "T2", "T0")
-        assert len(core.edges_between("T2", "T0")) == 1
-
-    def test_all_hubs_is_identity(self):
-        rng = random.Random(2)
-        g = random_cp_graph(rng, 6, 10)
-        core = induce_core_graph(g, g.token_ids(), "T0", "T1")
-        assert core.edge_count == g.edge_count
-        assert core.token_ids() == g.token_ids()
 
 
 def spot_product(edges):
