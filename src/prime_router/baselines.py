@@ -42,8 +42,8 @@ from .graph import (
     Pool,
     PoolDirection,
     SwapGraph,
-    build_graph,
     prune_leaf_tokens,
+    replace_pools,
 )
 from .pathfind import SearchStats, SinglePath, find_path
 
@@ -133,19 +133,18 @@ class _FlowState:
         return out
 
     def graph_view(self) -> SwapGraph:
-        """Materialize the current reserve state as a fresh graph.
+        """Materialize the current reserve state as a graph.
 
         Partially consumed piecewise curves can fail the strict stitching
         checks by a rounding sliver; offending tail segments are dropped from
         the view (execution runs on the raw state, never through this graph).
-        Pools no flow has touched are reused as they are.
+        Only the pools a flow has touched are validated and expanded again;
+        the others keep their edges.
         """
         pools = []
-        for pid, pool in sorted(self._graph.pools.items()):
-            state = self._copies.get(pid)
-            if state is None:
-                pools.append(pool)
-            elif pool.kind == KIND_CONSTANT_PRODUCT:
+        for pid, state in self._copies.items():
+            pool = self._graph.pools[pid]
+            if pool.kind == KIND_CONSTANT_PRODUCT:
                 pools.append(Pool(pid, pool.kind, pool.tokens, pool.fee_bps,
                                   tuple(state[t] for t in pool.tokens)))
             else:
@@ -165,8 +164,7 @@ class _FlowState:
                                                     tuple(segs)))
                 pools.append(Pool(pid, pool.kind, pool.tokens, pool.fee_bps,
                                   directions=tuple(directions)))
-        tokens = [self._graph.tokens[t] for t in sorted(self._graph.tokens)]
-        return build_graph(tokens, pools)
+        return replace_pools(self._graph, pools)
 
 
 def _execute_fractions(state: _FlowState, flows: Sequence[SinglePath],

@@ -17,6 +17,7 @@ full, and replaying the plan reproduces the reported output exactly
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -139,14 +140,18 @@ class PreparedRouting:
 
 def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
     """Build hub set, pruned graph, shortcut index and hub-core adjacency."""
+    started = time.perf_counter()
     hubs = select_hubs(g, query.hub_count, query.hub_metric,
                        numeraire=query.numeraire, explicit=query.explicit_hubs)
+    hubs_done = time.perf_counter()
     pruned = prune_leaf_tokens(g, protected=hubs)
+    pruned_done = time.perf_counter()
     index = None
     if query.shortcuts.enabled:
         index = build_shortcut_index(pruned, hubs,
                                      query.shortcuts.max_intermediates,
                                      query.shortcuts.top_s)
+    index_done = time.perf_counter()
     hub_set = set(hubs)
     rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]] = {}
     for u in hubs:
@@ -169,8 +174,13 @@ def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
             items.append((v, _merge_candidates(extras)))
         items.sort(key=lambda it: it[0])
         rows[u] = tuple(items)
-    log.debug("prepared routing: %d hubs, %d shortcuts", len(hubs),
-              len(index) if index is not None else 0)
+    log.debug("prepared routing: %d hubs, %d shortcuts; kept %d tokens, "
+              "%d pools, %d edges; hubs %.3fs, prune %.3fs, shortcuts %.3fs, "
+              "core rows %.3fs", len(hubs),
+              len(index) if index is not None else 0, len(pruned.tokens),
+              len(pruned.pools), pruned.edge_count, hubs_done - started,
+              pruned_done - hubs_done, index_done - pruned_done,
+              time.perf_counter() - index_done)
     config = {f: getattr(query, f) for f in _STAGE0_FIELDS}
     return PreparedRouting(graph=g, pruned=pruned, hubs=hubs,
                            shortcut_index=index, core_rows=rows, config=config)

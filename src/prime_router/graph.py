@@ -13,7 +13,7 @@ the path search wants for its early-stop scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from .cfmm import (
     BPS_DENOM,
@@ -223,27 +223,100 @@ def build_graph(tokens: Iterable[Token], pools: Iterable[Pool]) -> SwapGraph:
     return SwapGraph(token_map, pool_map, edges)
 
 
+def replace_pools(g: SwapGraph, updated: Iterable[Pool]) -> SwapGraph:
+    """``g`` with some pools replaced by new states under the same ids.
+
+    Each updated pool is validated and expanded again; every other pool keeps
+    its ``Edge`` objects, so only the replaced pools pay for curve building.
+    """
+    pools = dict(g.pools)
+    replaced = set()
+    fresh: List[Edge] = []
+    for p in updated:
+        if p.id not in pools or p.id in replaced:
+            raise MalformedSnapshotError(
+                f"pool {p.id!r} not in graph or replaced twice")
+        _validate_pool(p, g.tokens)
+        pools[p.id] = p
+        replaced.add(p.id)
+        fresh.extend(_expand_pool(p))
+    kept = [e for row in g._adj.values() for es in row.values() for e in es
+            if e.pool_id not in replaced]
+    return SwapGraph(g.tokens, pools, kept + fresh)
+
+
+def _subgraph(g: SwapGraph, tokens: Set[str]) -> SwapGraph:
+    """The part of ``g`` on ``tokens``, sharing its rows and objects.
+
+    Only valid when no pool has two tokens inside and one outside, so that an
+    edge between kept tokens belongs to a kept pool.  Leaf pruning ensures it:
+    every token of a live multi-token pool has two neighbours through it.
+    The parent's rows are sorted and filtering keeps them sorted, so every
+    ordering matches what ``build_graph`` gives the kept tokens and pools.
+    """
+    sub = SwapGraph.__new__(SwapGraph)
+    sub._tokens = {t: g._tokens[t] for t in sorted(tokens)}
+    sub._pools = {pid: p for pid, p in g._pools.items()
+                  if all(t in tokens for t in p.tokens)}
+    sub._adj = {}
+    sub._search = {}
+    n_edges = 0
+    for u, pair_map in g._adj.items():
+        if u not in tokens:
+            continue
+        kept = {v: es for v, es in pair_map.items() if v in tokens}
+        if kept:
+            sub._adj[u] = kept
+            sub._search[u] = tuple(item for item in g._search[u]
+                                   if item[0] in kept)
+            n_edges += sum(map(len, kept.values()))
+    sub._edge_count = n_edges
+    return sub
+
+
 def prune_leaf_tokens(g: SwapGraph, protected: Iterable[str]) -> SwapGraph:
     """Drop tokens whose pools touch at most one other token, to a fixpoint.
 
     Protected tokens (query endpoints, hubs) survive regardless.  Pools lose
     all edges once any of their tokens is dropped, which is safe: a token in
-    a multi-token pool always sees >= 2 neighbours through it.
+    a multi-token pool always sees >= 2 neighbours through it.  A drop only
+    lowers other tokens' neighbour counts, so the order in which a worklist
+    drops tokens does not change the fixpoint.
+
+    The result shares its ``Edge``, ``Pool`` and ``Token`` objects with
+    ``g``; they are frozen, so sharing is safe.  Nothing is validated or
+    expanded again, and the orderings are those ``build_graph`` would give
+    the kept tokens and pools.
     """
     protected = set(protected)
-    alive = set(g.tokens)
-    pools = list(g.pools.values())
-    while True:
-        neighbors: Dict[str, set] = {t: set() for t in alive}
-        for p in pools:
-            if all(t in alive for t in p.tokens):
-                for t in p.tokens:
-                    neighbors[t].update(u for u in p.tokens if u != t)
-        drop = {t for t in alive
-                if t not in protected and len(neighbors[t]) <= 1}
-        if not drop:
-            break
-        alive -= drop
-    kept_tokens = [g.tokens[t] for t in sorted(alive)]
-    kept_pools = [p for p in pools if all(t in alive for t in p.tokens)]
-    return build_graph(kept_tokens, kept_pools)
+    # links[t][u]: live pools that hold both t and u
+    links: Dict[str, Dict[str, int]] = {t: {} for t in g.tokens}
+    pools_of: Dict[str, List[Pool]] = {t: [] for t in g.tokens}
+    for p in g.pools.values():
+        for t in p.tokens:
+            pools_of[t].append(p)
+            row = links[t]
+            for u in p.tokens:
+                if u != t:
+                    row[u] = row.get(u, 0) + 1
+    dropped: Set[str] = set()
+    work = [t for t, row in links.items()
+            if len(row) <= 1 and t not in protected]
+    while work:
+        t = work.pop()
+        if t in dropped:
+            continue
+        dropped.add(t)
+        # with one neighbour at most, t is in no multi-token pool: each of
+        # its pools joins it to a single token, which loses one link to t
+        for p in pools_of[t]:
+            for a in p.tokens:
+                if a in dropped:
+                    continue
+                row = links[a]
+                row[t] -= 1
+                if row[t] == 0:
+                    del row[t]
+                    if len(row) <= 1 and a not in protected:
+                        work.append(a)
+    return _subgraph(g, set(g.tokens) - dropped)

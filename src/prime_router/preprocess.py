@@ -107,13 +107,6 @@ class ShortcutIndex:
         return sum(len(v) for v in self._entries.values())
 
 
-def _rate_key(edges: Sequence[Edge]) -> Tuple[float, Tuple[str, ...]]:
-    rate = 1.0
-    for e in edges:
-        rate *= e.spot
-    return rate, tuple(e.pool_id for e in edges)
-
-
 def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
                          max_intermediates: int = 2,
                          top_s: int = 3) -> ShortcutIndex:
@@ -129,35 +122,42 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
     hub_set = set(hubs)
     found: Dict[Tuple[str, str], List[Tuple[float, Tuple[str, ...], Tuple[Edge, ...]]]] = {}
 
-    def consider(h_in: str, h_out: str, edges: Tuple[Edge, ...]):
-        rate, tie = _rate_key(edges)
+    def consider(h_in: str, h_out: str, edges: Tuple[Edge, ...], rate: float,
+                 pools: Tuple[str, ...]):
         bucket = found.setdefault((h_in, h_out), [])
-        bucket.append((-rate, tie, edges))
+        bucket.append((-rate, pools, edges))
         if len(bucket) > 4 * top_s:
             bucket.sort()
             del bucket[top_s:]
 
-    def extend(h_in: str, node: str, edges: Tuple[Edge, ...],
+    # ``rate`` is the spot product of ``edges``, multiplied left to right
+    def extend(h_in: str, node: str, edges: Tuple[Edge, ...], rate: float,
                seen: Tuple[str, ...], pools: Tuple[str, ...]):
+        deeper = len(seen) < max_intermediates
         for v, candidates in g.out_items(node):
             if v == h_in or v in seen:
+                continue
+            is_hub = v in hub_set
+            if not (is_hub or deeper):
                 continue
             for e in candidates:
                 if e.pool_id in pools:
                     continue
                 # all parallel candidates are explored: pool-distinctness
                 # within a shortcut depends on which pool each leg uses
-                if v in hub_set:
-                    consider(h_in, v, edges + (e,))
-                elif len(seen) < max_intermediates:
-                    extend(h_in, v, edges + (e,), seen + (v,), pools + (e.pool_id,))
+                if is_hub:
+                    consider(h_in, v, edges + (e,), rate * e.spot,
+                             pools + (e.pool_id,))
+                else:
+                    extend(h_in, v, edges + (e,), rate * e.spot, seen + (v,),
+                           pools + (e.pool_id,))
 
     for h in hubs:
         for v, candidates in g.out_items(h):
             if v in hub_set:
                 continue
             for e in candidates:
-                extend(h, v, (e,), (v,), (e.pool_id,))
+                extend(h, v, (e,), e.spot, (v,), (e.pool_id,))
 
     entries: Dict[Tuple[str, str], Tuple[Shortcut, ...]] = {}
     for pair, bucket in found.items():

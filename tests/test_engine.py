@@ -1,4 +1,6 @@
+import logging
 import random
+import re
 
 import pytest
 
@@ -275,6 +277,21 @@ class TestShortcuts:
         q = query("T0", "T1", 10**6, **{**base, **change})
         with pytest.raises(InvalidParamsError, match="stage 0"):
             prime(g, q, prep)
+
+    def test_prepare_routing_logs_stage0(self, caplog):
+        # the detour market plus a leaf token T3 that pruning drops
+        g = build_graph(tokens(4), list(self.build_detour_market().pools.values())
+                        + [cp_pool("LEAF", "T0", "T3", 10**9, 10**9)])
+        q = query("T0", "T1", 10**6, explicit_hubs=("T0", "T1"))
+        with caplog.at_level(logging.DEBUG, logger="prime_router.engine"):
+            prepare_routing(g, q)
+        (msg,) = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("prepared routing")]
+        assert msg.startswith("prepared routing: 2 hubs, 2 shortcuts; kept "
+                              "3 tokens, 3 pools, 6 edges; ")
+        assert re.search(r"; hubs \d+\.\d{3}s, prune \d+\.\d{3}s, "
+                         r"shortcuts \d+\.\d{3}s, core rows \d+\.\d{3}s$",
+                         msg)
 
     def test_prepared_routing_reusable(self):
         g = self.build_detour_market()

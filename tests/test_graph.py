@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from prime_router import graph as graph_mod
 from prime_router.cfmm import Segment
 from prime_router.errors import MalformedSnapshotError
 from prime_router.graph import (
@@ -12,7 +13,9 @@ from prime_router.graph import (
     Token,
     build_graph,
     prune_leaf_tokens,
+    replace_pools,
 )
+from prime_router.io import generate_synthetic
 
 from instances import cp_pool, random_cp_graph, tokens
 
@@ -153,3 +156,185 @@ class TestPrune:
                     via.add(mid)
             for mid in via:
                 assert pruned.has_token(mid)
+
+
+def rebuild_prune_oracle(g, protected):
+    """Round-based leaf pruning that rebuilds the survivors with build_graph."""
+    protected = set(protected)
+    alive = set(g.tokens)
+    pools = list(g.pools.values())
+    while True:
+        neighbors = {t: set() for t in alive}
+        for p in pools:
+            if all(t in alive for t in p.tokens):
+                for t in p.tokens:
+                    neighbors[t].update(u for u in p.tokens if u != t)
+        drop = {t for t in alive
+                if t not in protected and len(neighbors[t]) <= 1}
+        if not drop:
+            break
+        alive -= drop
+    kept_tokens = [g.tokens[t] for t in sorted(alive)]
+    kept_pools = [p for p in pools if all(t in alive for t in p.tokens)]
+    return build_graph(kept_tokens, kept_pools)
+
+
+def _piecewise_pool(rng, pid, a, b):
+    def direction(tin, tout):
+        seg = Segment(rng.randint(10**6, 10**9), rng.randint(10**6, 10**9),
+                      rng.randint(10**6, 10**9))
+        return PoolDirection(tin, tout, (seg,))
+    return Pool(pid, KIND_PIECEWISE, (a, b), rng.choice((0, 5, 30)),
+                directions=(direction(a, b), direction(b, a)))
+
+
+def random_mixed_market(rng):
+    """Sparse market of 2- and 3-token CP, piecewise and parallel pools.
+
+    Token and pool ids are drawn at random and inserted unsorted, so a
+    prune that kept input order instead of sorted token order shows.
+    """
+    n = rng.randint(3, 14)
+    toks = [Token(f"T{rng.getrandbits(24):06x}{i}", f"S{i}", 18)
+            for i in range(n)]
+    ids = [t.id for t in toks]
+    pools = []
+
+    def pid():
+        return f"P{rng.getrandbits(20):05x}{len(pools)}"
+    for _ in range(rng.randint(1, 2 * n)):
+        roll = rng.random()
+        if roll < 0.15 and n >= 3:
+            trio = tuple(rng.sample(ids, 3))
+            pools.append(Pool(pid(), KIND_CONSTANT_PRODUCT, trio,
+                              rng.choice((0, 30)),
+                              tuple(rng.randint(10**6, 10**12)
+                                    for _ in trio)))
+        elif roll < 0.35:
+            pools.append(_piecewise_pool(rng, pid(), *rng.sample(ids, 2)))
+        elif roll < 0.5 and pools:
+            # a parallel pool on an existing pair
+            a, b = rng.choice(pools).tokens[:2]
+            pools.append(cp_pool(pid(), a, b, rng.randint(10**6, 10**12),
+                                 rng.randint(10**6, 10**12), 5))
+        else:
+            a, b = rng.sample(ids, 2)
+            pools.append(cp_pool(pid(), a, b, rng.randint(10**6, 10**12),
+                                 rng.randint(10**6, 10**12),
+                                 rng.choice((0, 5, 30, 100))))
+    rng.shuffle(toks)
+    return build_graph(toks, pools)
+
+
+def graph_layout(g):
+    """Everything a consumer can observe about a graph's structure."""
+    return (list(g.tokens), list(g.pools), g.edge_count,
+            {u: [(v, [e.pool_id for e in es]) for v, es in g.out_items(u)]
+             for u in g.token_ids()},
+            {(u, v): [e.pool_id for e in g.edges_between(u, v)]
+             for u in g.token_ids() for v in g.token_ids()
+             if g.edges_between(u, v)})
+
+
+class TestPruneEquivalence:
+    def _markets(self):
+        rng = random.Random(0x5EED)
+        for trial in range(120):
+            g = random_mixed_market(rng)
+            yield rng, g
+        for trial in range(20):
+            n = rng.randint(5, 30)
+            yield rng, generate_synthetic(trial, n, rng.randint(n - 1, 2 * n),
+                                          hub_fraction=0.2).build_graph()
+
+    def _protected_sets(self, rng, g):
+        ids = sorted(g.tokens)
+        yield set()
+        yield set(rng.sample(ids, 1))
+        yield set(rng.sample(ids, rng.randint(1, len(ids))))
+
+    def test_matches_rebuild_oracle(self):
+        pruned_any = 0
+        for rng, g in self._markets():
+            for protected in self._protected_sets(rng, g):
+                got = prune_leaf_tokens(g, protected)
+                want = rebuild_prune_oracle(g, protected)
+                assert graph_layout(got) == graph_layout(want)
+                assert got.edge_count == sum(
+                    len(p.tokens) * (len(p.tokens) - 1)
+                    for p in got.pools.values())
+                pruned_any += len(got.tokens) < len(g.tokens)
+        assert pruned_any > 100
+
+    def test_shares_input_objects(self):
+        for rng, g in self._markets():
+            for protected in self._protected_sets(rng, g):
+                got = prune_leaf_tokens(g, protected)
+                for t, tok in got.tokens.items():
+                    assert tok is g.tokens[t]
+                for pid, pool in got.pools.items():
+                    assert pool is g.pools[pid]
+                for u in got.token_ids():
+                    for v, es in got.out_items(u):
+                        parent = g.edges_between(u, v)
+                        for e in es:
+                            assert any(e is p for p in parent)
+
+    def test_pruning_twice_changes_nothing(self):
+        for rng, g in self._markets():
+            for protected in self._protected_sets(rng, g):
+                once = prune_leaf_tokens(g, protected)
+                twice = prune_leaf_tokens(once, protected)
+                assert graph_layout(twice) == graph_layout(once)
+
+    def test_never_rebuilds_or_expands(self, monkeypatch):
+        rng = random.Random(9)
+        graphs = [random_mixed_market(rng) for _ in range(10)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("prune_leaf_tokens rebuilt the graph")
+        monkeypatch.setattr(graph_mod, "build_graph", forbidden)
+        monkeypatch.setattr(graph_mod, "_expand_pool", forbidden)
+        monkeypatch.setattr(graph_mod, "_validate_pool", forbidden)
+        for g in graphs:
+            prune_leaf_tokens(g, set())
+
+
+class TestReplacePools:
+    def test_matches_full_build_and_reuses_untouched_edges(self):
+        rng = random.Random(21)
+        for trial in range(40):
+            g = random_mixed_market(rng)
+            chosen = rng.sample(list(g.pools.values()),
+                                rng.randint(0, len(g.pools)))
+            updated = []
+            for p in chosen:
+                if p.kind == KIND_CONSTANT_PRODUCT:
+                    updated.append(Pool(p.id, p.kind, p.tokens, p.fee_bps,
+                                        tuple(r + 7 for r in p.reserves)))
+                else:
+                    updated.append(_piecewise_pool(rng, p.id, *p.tokens))
+            got = replace_pools(g, updated)
+            fresh = {p.id: p for p in updated}
+            want = build_graph(g.tokens.values(),
+                               [fresh.get(pid, p)
+                                for pid, p in g.pools.items()])
+            assert graph_layout(got) == graph_layout(want)
+            assert got.pools == want.pools
+            for u in got.token_ids():
+                for v, es in got.out_items(u):
+                    for e, w in zip(es, dict(want.out_items(u))[v]):
+                        assert e == w
+                        reused = any(e is p for p in g.edges_between(u, v))
+                        assert reused == (e.pool_id not in fresh)
+
+    def test_validates_replaced_pools(self):
+        g = build_graph(tokens(3), [cp_pool("P0", "T0", "T1", 10, 10),
+                                    cp_pool("P1", "T1", "T2", 10, 10)])
+        with pytest.raises(MalformedSnapshotError):
+            replace_pools(g, [cp_pool("P0", "T0", "T1", 0, 10)])
+        with pytest.raises(MalformedSnapshotError):
+            replace_pools(g, [cp_pool("P9", "T0", "T1", 10, 10)])
+        with pytest.raises(MalformedSnapshotError):
+            replace_pools(g, [cp_pool("P0", "T0", "T1", 10, 10),
+                              cp_pool("P0", "T0", "T1", 20, 10)])

@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from prime_router.errors import InvalidParamsError
-from prime_router.graph import build_graph
+from prime_router.graph import build_graph, prune_leaf_tokens
+from prime_router.io import generate_synthetic
 from prime_router.preprocess import (
     Shortcut,
     ShortcutIndex,
@@ -161,3 +163,24 @@ class TestShortcutIndex:
                 for (gr, gp), (wr, wp) in zip(got, want):
                     assert gp == wp
                     assert gr == pytest.approx(wr)
+
+    @pytest.mark.parametrize("seed,n_tokens,n_pools,k,max_mid,top_s,digest", [
+        (7, 400, 1200, 12, 2, 3,
+         "31036ac780da8cd725f5058c6e71735eb41ce06fd606a7287094caf757e169e1"),
+        (8, 200, 700, 8, 3, 2,
+         "c831c4490d1e5c28e7c3f31d4df67bbd28bbe7b1c99a3ddbb12f923b2bcf18c5"),
+    ])
+    def test_golden_index(self, seed, n_tokens, n_pools, k, max_mid, top_s,
+                          digest):
+        # digest of the pairs, pool ids and exact spot rates an index kept
+        # before the enumeration carried its rate down the search
+        g = generate_synthetic(seed, n_tokens, n_pools).build_graph()
+        hubs = select_hubs(g, k)
+        idx = build_shortcut_index(prune_leaf_tokens(g, hubs), hubs, max_mid,
+                                   top_s)
+        h = hashlib.sha256()
+        for pair in idx.pairs():
+            for sc in idx.get(*pair):
+                h.update(repr((pair, sc.pool_ids,
+                               repr(sc.spot_rate))).encode())
+        assert h.hexdigest() == digest
