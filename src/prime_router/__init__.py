@@ -20,7 +20,6 @@ from .cfmm import (
 from .engine import (
     RouteQuery,
     RouteSolution,
-    ShortcutConfig,
     merge_and_expand,
     prepare_routing,
     prime,

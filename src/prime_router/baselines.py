@@ -17,8 +17,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from .allocation import (
     Allocation,
     MultiEdgePath,
@@ -334,9 +332,6 @@ class GridResult:
     output: int
 
 
-_FLOAT_EXACT_LIMIT = 2**50
-
-
 def _hop_weight_grids(path: MultiEdgePath, resolution: int):
     """Lattice of per-hop weight vectors for every multi-edge hop."""
     per_hop = []
@@ -390,9 +385,9 @@ def grid_oracle(paths: Sequence[MultiEdgePath], x: int,
     """Exact-integer argmax over the simplex lattice of resolution ``step``.
 
     Separability across pool-disjoint paths turns the lattice search into a
-    dynamic program over per-path value tables; the DP runs in float64 only
-    when every table value is small enough to be represented exactly,
-    otherwise in pure integers.  The winning lattice point is re-scored with
+    dynamic program over per-path value tables, run in exact integers at
+    every output size; among equal sums it keeps the first (smallest) share
+    for the newest path.  The winning lattice point is re-scored with
     the official objective (which routes the flooring remainder) over its
     +-1 lattice neighbourhood; ties prefer the lexicographically smallest
     weight vector.
@@ -410,12 +405,7 @@ def grid_oracle(paths: Sequence[MultiEdgePath], x: int,
         tables.append(v)
         choices.append(c)
 
-    if len(paths) == 1:
-        ks = [n]
-    elif max(max(t) for t in tables) < _FLOAT_EXACT_LIMIT:
-        ks = _dp_argmax_float(tables, n)
-    else:
-        ks = _dp_argmax_int(tables, n)
+    ks = _dp_argmax(tables, n)
 
     # Exact re-score around the DP point under the official remainder rule.
     best_key = None
@@ -431,41 +421,20 @@ def grid_oracle(paths: Sequence[MultiEdgePath], x: int,
     return best
 
 
-def _dp_argmax_float(tables: List[List[int]], n: int) -> List[int]:
-    best = np.asarray(tables[0], dtype=np.float64)
-    parents = []
-    for t in tables[1:]:
-        arr = np.asarray(t, dtype=np.float64)
-        # cand[j, k] = best[j - k] + value[k] for k <= j
-        cand = np.full((n + 1, n + 1), -np.inf)
-        for k in range(n + 1):
-            cand[k:, k] = best[:n + 1 - k] + arr[k]
-        parent = cand.argmax(axis=1)
-        best = cand[np.arange(n + 1), parent]
-        parents.append(parent)
-    ks = []
-    j = n
-    for parent in reversed(parents):
-        k = int(parent[j])
-        ks.append(k)
-        j -= k
-    ks.append(j)
-    ks.reverse()
-    return ks
-
-
-def _dp_argmax_int(tables: List[List[int]], n: int) -> List[int]:
+def _dp_argmax(tables: List[List[int]], n: int) -> List[int]:
+    """Lattice shares ``ks`` (summing to ``n``) maximizing the table sum."""
     best = list(tables[0])
     parents = []
-    for t in tables[1:]:
-        new_best = [-1] * (n + 1)
+    for i in range(1, len(tables)):
+        t = tables[i]
+        new_best = [0] * (n + 1)
         parent = [0] * (n + 1)
-        for j in range(n + 1):
-            for k in range(j + 1):
-                v = best[j - k] + t[k]
-                if v > new_best[j]:
-                    new_best[j] = v
-                    parent[j] = k
+        # the backtrack starts from j = n, so the last table needs only it
+        for j in range(n + 1) if i + 1 < len(tables) else (n,):
+            # sums[k] = best[j - k] + t[k]; index() takes the first maximum
+            sums = [a + b for a, b in zip(best[j::-1], t)]
+            new_best[j] = max(sums)
+            parent[j] = sums.index(new_best[j])
         best = new_best
         parents.append(parent)
     ks = []

@@ -21,7 +21,6 @@ shortcut edges that collapse a multi-pool leg sequence into one logical hop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -109,17 +108,10 @@ class ConstantProduct:
             raise ValueError("operating point must be non-negative")
         return cp_marginal(self.reserve_in, self.reserve_out, self.fee_bps, float(x))
 
-    def spot_price(self) -> float:
-        return self.marginal_price(0)
-
     def spot_ratio(self) -> Tuple[int, int]:
         """Exact zero-input rate as a (numerator, denominator) pair."""
         return ((BPS_DENOM - self.fee_bps) * self.reserve_out,
                 BPS_DENOM * self.reserve_in)
-
-    def max_output(self) -> int:
-        """Asymptotic output bound (never attained)."""
-        return self.reserve_out
 
     def input_capacity(self):
         return None
@@ -227,18 +219,10 @@ class PiecewiseLiquidity:
         return cp_marginal(last.virtual_reserve_in, last.virtual_reserve_out,
                            self.fee_bps, min(offset, float(last.capacity_in)))
 
-    def spot_price(self) -> float:
-        first = self.segments[0]
-        return cp_marginal(first.virtual_reserve_in, first.virtual_reserve_out,
-                           self.fee_bps, 0.0)
-
     def spot_ratio(self) -> Tuple[int, int]:
         first = self.segments[0]
         return ((BPS_DENOM - self.fee_bps) * first.virtual_reserve_out,
                 BPS_DENOM * first.virtual_reserve_in)
-
-    def max_output(self) -> int:
-        return sum(s.virtual_reserve_out for s in self.segments)
 
 
 @dataclass(frozen=True)
@@ -288,9 +272,6 @@ class SequentialComposite:
                 cur = fn.out_real(cur)
         return deriv
 
-    def spot_price(self) -> float:
-        return math.prod(fn.spot_price() for fn in self.parts)
-
     def spot_ratio(self) -> Tuple[int, int]:
         num, den = 1, 1
         for fn in self.parts:
@@ -298,9 +279,6 @@ class SequentialComposite:
             num *= n
             den *= d
         return num, den
-
-    def max_output(self) -> int:
-        return self.parts[-1].max_output()
 
     def input_capacity(self):
         """Largest input the whole chain can absorb (None when unbounded).
@@ -347,9 +325,3 @@ class SequentialComposite:
 
 
 SwapFunction = Union[ConstantProduct, PiecewiseLiquidity, SequentialComposite]
-
-
-def output_upper_bound(fn: SwapFunction, x: int) -> int:
-    """Cheap exact bound ``f(x) <= floor(spot * x) + 1`` from concavity."""
-    num, den = fn.spot_ratio()
-    return x * num // den + 1

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 from .allocation import AsgmParams, asgm, objective
 from .baselines import best_single_path, prime_flow
-from .engine import RouteQuery, ShortcutConfig, prepare_routing, prime
+from .engine import RouteQuery, prepare_routing, prime
 from .errors import NoRouteError, RoutingError
 from . import io as pio
 
@@ -62,7 +62,7 @@ def _build_query(args, source: str, target: str, amount: int) -> RouteQuery:
         source=source, target=target, amount=amount,
         max_hops=args.max_hops, hub_count=hub_count, explicit_hubs=explicit,
         asgm_params=params,
-        shortcuts=ShortcutConfig(enabled=not args.no_shortcuts),
+        shortcuts=not args.no_shortcuts,
     )
 
 

@@ -43,25 +43,15 @@ log = logging.getLogger("prime_router.engine")
 
 
 @dataclass(frozen=True)
-class ShortcutConfig:
-    enabled: bool = True
-    max_intermediates: int = 2
-    top_s: int = 3
-
-
-@dataclass(frozen=True)
 class RouteQuery:
     source: str
     target: str
     amount: int
     max_hops: int = 3
     hub_count: int = 50
-    hub_metric: str = "degree"
-    numeraire: Optional[str] = None
     explicit_hubs: Optional[Tuple[str, ...]] = None
     asgm_params: AsgmParams = field(default_factory=AsgmParams)
-    shortcuts: ShortcutConfig = field(default_factory=ShortcutConfig)
-    n_expand: int = 2
+    shortcuts: bool = True
 
     def __post_init__(self):
         if self.source == self.target:
@@ -122,8 +112,7 @@ def _merge_candidates(*groups: Sequence[Edge]) -> Tuple[Edge, ...]:
 
 
 # the RouteQuery fields that stage 0 is built from
-_STAGE0_FIELDS = ("hub_count", "hub_metric", "numeraire", "explicit_hubs",
-                  "shortcuts")
+_STAGE0_FIELDS = ("hub_count", "explicit_hubs", "shortcuts")
 
 
 @dataclass
@@ -141,16 +130,13 @@ class PreparedRouting:
 def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
     """Build hub set, pruned graph, shortcut index and hub-core adjacency."""
     started = time.perf_counter()
-    hubs = select_hubs(g, query.hub_count, query.hub_metric,
-                       numeraire=query.numeraire, explicit=query.explicit_hubs)
+    hubs = select_hubs(g, query.hub_count, explicit=query.explicit_hubs)
     hubs_done = time.perf_counter()
     pruned = prune_leaf_tokens(g, protected=hubs)
     pruned_done = time.perf_counter()
     index = None
-    if query.shortcuts.enabled:
-        index = build_shortcut_index(pruned, hubs,
-                                     query.shortcuts.max_intermediates,
-                                     query.shortcuts.top_s)
+    if query.shortcuts:
+        index = build_shortcut_index(pruned, hubs)
     index_done = time.perf_counter()
     hub_set = set(hubs)
     rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]] = {}
@@ -207,12 +193,15 @@ def _query_overlay(prep: PreparedRouting, source: str, target: str) -> _Overlay:
     return _Overlay(rows)
 
 
+# unused parallel pools offered per hop in stage 2, best spot price first
+_N_EXPAND = 2
+
+
 def merge_and_expand(singles: Sequence[SinglePath],
                      stage1_weights: Sequence[float],
                      g: SwapGraph,
                      shortcut_index: Optional[ShortcutIndex],
-                     used_pools: Set[str],
-                     n_expand: int = 2
+                     used_pools: Set[str]
                      ) -> Tuple[List[MultiEdgePath], List[List[List[float]]]]:
     """Merge same-token-sequence paths; widen hops with unused liquidity.
 
@@ -248,14 +237,14 @@ def merge_and_expand(singles: Sequence[SinglePath],
                           if e.pool_id not in used_pools
                           and e.pool_id not in present]
             candidates.sort(key=lambda e: (-e.spot, e.pool_id))
-            for e in candidates[:max(0, n_expand)]:
+            for e in candidates[:_N_EXPAND]:
                 hop_edges[j].append(e)
                 hop_w[j].append(0.0)
                 used_pools.add(e.pool_id)
             if shortcut_index is not None and u in hub_set and v in hub_set:
                 # offer the best still-unused shortcut that beats every edge
                 # already on the hop; one per hop bounds the simplex size the
-                # same way n_expand does for parallel pools
+                # same way _N_EXPAND does for parallel pools
                 best_existing = max(e.spot for e in hop_edges[j])
                 for rank, sc in enumerate(shortcut_index.get(u, v)):
                     if sc.spot_rate <= best_existing:
@@ -350,7 +339,7 @@ def prime(g: SwapGraph, query: RouteQuery,
     stage1_w = list(stage1_result.allocation.path_weights) if stage1_result \
         else [1.0]
     multi, init_w = merge_and_expand(singles, stage1_w, prep.pruned,
-                                     prep.shortcut_index, used, query.n_expand)
+                                     prep.shortcut_index, used)
     final = asgm(multi, query.amount, params, initial_edge_weights=init_w)
     stats.asgm_iterations += final.iterations
     stats.degraded = final.degraded

@@ -59,7 +59,9 @@ def _require(obj, key, ctx, kind=None):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"missing field {key!r}", ctx)
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true/false load as bool, which Python counts as an int
+    if kind is not None and (isinstance(value, bool)
+                             or not isinstance(value, kind)):
         raise ParseError(f"field {key!r} has wrong type", ctx)
     return value
 

@@ -17,17 +17,12 @@ from .cfmm import SequentialComposite
 from .errors import InvalidParamsError
 from .graph import Edge, SwapGraph
 
-METRIC_DEGREE = "degree"
-METRIC_RESERVE_MASS = "reserve_mass"
 
-
-def select_hubs(g: SwapGraph, k: int, metric: str = METRIC_DEGREE,
-                numeraire: Optional[str] = None,
+def select_hubs(g: SwapGraph, k: int,
                 explicit: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
-    """Pick the top-k hub tokens; an explicit list overrides the metric.
+    """Pick the top-k hub tokens by incident pool count.
 
-    ``degree`` ranks by incident pool count, ``reserve_mass`` by the total
-    reserve of ``numeraire`` across incident pools.  Ties break on token id.
+    An explicit list overrides the ranking.  Ties break on token id.
     """
     if explicit is not None:
         hubs = tuple(dict.fromkeys(explicit))
@@ -37,25 +32,11 @@ def select_hubs(g: SwapGraph, k: int, metric: str = METRIC_DEGREE,
         return hubs
     if k < 1:
         raise InvalidParamsError("hub count must be >= 1")
-    if metric == METRIC_DEGREE:
-        score: Dict[str, float] = {t: 0 for t in g.tokens}
-        for p in g.pools.values():
-            for t in p.tokens:
-                score[t] += 1
-    elif metric == METRIC_RESERVE_MASS:
-        if numeraire is None or not g.has_token(numeraire):
-            raise InvalidParamsError("reserve_mass metric needs a graph token "
-                                     "as numeraire")
-        score = {t: 0 for t in g.tokens}
-        for p in g.pools.values():
-            if numeraire not in p.tokens:
-                continue
-            mass = p.reserve_of(numeraire)
-            for t in p.tokens:
-                score[t] += mass
-    else:
-        raise InvalidParamsError(f"unknown hub metric {metric!r}")
-    ranked = sorted(g.tokens, key=lambda t: (-score[t], t))
+    degree: Dict[str, int] = {t: 0 for t in g.tokens}
+    for p in g.pools.values():
+        for t in p.tokens:
+            degree[t] += 1
+    ranked = sorted(g.tokens, key=lambda t: (-degree[t], t))
     return tuple(ranked[:min(k, len(ranked))])
 
 
@@ -83,11 +64,9 @@ class Shortcut:
 class ShortcutIndex:
     """Top-S shortcuts per ordered hub pair, ranked by spot rate."""
 
-    def __init__(self, hubs: Tuple[str, ...], max_intermediates: int, top_s: int,
+    def __init__(self, hubs: Tuple[str, ...],
                  entries: Dict[Tuple[str, str], Tuple[Shortcut, ...]]):
         self.hubs = hubs
-        self.max_intermediates = max_intermediates
-        self.top_s = top_s
         self._entries = entries
         hub_set = set(hubs)
         for shortcuts in entries.values():
@@ -166,4 +145,4 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
         for neg_rate, _, edges in bucket[:top_s]:
             kept.append(Shortcut(pair[0], pair[1], edges, -neg_rate))
         entries[pair] = tuple(kept)
-    return ShortcutIndex(tuple(hubs), max_intermediates, top_s, entries)
+    return ShortcutIndex(tuple(hubs), entries)

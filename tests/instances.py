@@ -57,11 +57,7 @@ def random_disjoint_paths(rng: random.Random, n_paths: int,
                           lo: int = 10**9, hi: int = 3 * 10**13,
                           fee_choices: Sequence[int] = (0, 5, 30),
                           max_hops: int = 1) -> List[MultiEdgePath]:
-    """Pool-disjoint single-edge paths over a common source/target pair.
-
-    Reserve scale is kept under 2**50 so the grid oracle's fast route stays
-    exact; the comparison margins in the tests do not depend on that.
-    """
+    """Pool-disjoint paths of 1..max_hops single-edge hops from S to T."""
     paths = []
     for p in range(n_paths):
         hops = []

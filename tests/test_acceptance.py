@@ -23,7 +23,6 @@ from prime_router.cfmm import ConstantProduct, PiecewiseLiquidity, Segment
 from prime_router.cli import main as cli_main
 from prime_router.engine import (
     RouteQuery,
-    ShortcutConfig,
     prepare_routing,
     prime,
     verify_solution,
@@ -324,7 +323,7 @@ def test_criterion_9_shortcut_value():
         q = dict(source="T0", target="T1", amount=2 * w,
                  explicit_hubs=("T0", "T1"))
         full = prime(g, RouteQuery(**q))
-        core = prime(g, RouteQuery(shortcuts=ShortcutConfig(enabled=False), **q))
+        core = prime(g, RouteQuery(shortcuts=False, **q))
         assert verify_solution(full, g).ok
         if full.total_output > core.total_output:
             wins += 1

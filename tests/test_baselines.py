@@ -67,7 +67,7 @@ class TestGridOracle:
         assert res.weights == (0.5, 0.5)
 
     def test_closed_form_within_one_grid_step(self):
-        a, b = closed_form_pair(scale=10**12)  # keep outputs in exact-float range
+        a, b = closed_form_pair(scale=10**12)  # optimum W = (1/3, 2/3)
         res = grid_oracle([a, b], 30 * 10**12, GridSpec(step=0.001))
         assert res.weights[0] == pytest.approx(1 / 3, abs=0.001 + 1e-9)
         assert res.weights[1] == pytest.approx(2 / 3, abs=0.001 + 1e-9)
@@ -78,11 +78,14 @@ class TestGridOracle:
         assert res.weights == (1.0,)
 
     def test_matches_naive_enumeration(self):
-        # independent oracle for the oracle: brute-force lattice scan
+        # independent oracle for the oracle: brute-force lattice scan; the
+        # last input's table values exceed 2**50
         rng = random.Random(5)
-        for _ in range(10):
-            paths = random_disjoint_paths(rng, rng.randint(2, 3))
-            x = rng.randint(10**8, 10**10)
+        cases = [(random_disjoint_paths(rng, rng.randint(2, 3)),
+                  rng.randint(10**8, 10**10)) for _ in range(10)]
+        cases.append((random_disjoint_paths(rng, 3, lo=10**20, hi=10**22),
+                      10**21))
+        for paths, x in cases:
             spec = GridSpec(step=0.1)
             res = grid_oracle(paths, x, spec)
             n = spec.resolution
@@ -98,6 +101,7 @@ class TestGridOracle:
                 if best is None or key < best[0]:
                     best = (key, out)
             assert res.output == best[1]
+        assert res.output > 3 * 2**50
 
     def test_refinement_never_hurts(self):
         rng = random.Random(6)

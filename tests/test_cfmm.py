@@ -12,9 +12,13 @@ from prime_router.cfmm import (
     SequentialComposite,
     cp_marginal,
     cp_swap_out,
-    output_upper_bound,
 )
 from prime_router.errors import AmountOverflowError, CapacityExceededError
+from prime_router.graph import Edge
+
+
+def edge(fn):
+    return Edge("P", "A", "B", fn)
 
 
 def make_piecewise(fee=0):
@@ -61,8 +65,12 @@ class TestConstantProduct:
 
     def test_spot_and_max_output(self):
         f = ConstantProduct(200, 100, 0)
-        assert f.spot_price() == 0.5
-        assert ConstantProduct(1, 7, 0).max_output() == 7
+        assert f.spot_ratio() == (10_000 * 100, 10_000 * 200)
+        assert edge(f).spot == 0.5 == f.marginal_price(0)
+        # the output approaches reserve_out but never reaches it
+        g = ConstantProduct(1, 7, 0)
+        assert g.swap_out(10**60) == 6
+        assert edge(g).output_bound(10**60) > 6
 
     def test_rejects_zero_reserves(self):
         with pytest.raises(ValueError):
@@ -93,7 +101,9 @@ class TestPiecewise:
         assert make_piecewise().swap_out(0) == 0
 
     def test_spot_is_first_segment(self):
-        assert make_piecewise().spot_price() == 1.0
+        f = make_piecewise(fee=30)
+        assert f.spot_ratio() == (9_970 * 100, 10_000 * 100)
+        assert edge(f).spot == pytest.approx(f.marginal_price(0), rel=1e-15)
 
     def test_greedy_fill_matches_manual(self):
         f = make_piecewise()
@@ -138,7 +148,13 @@ class TestPiecewise:
             f.out_real(beyond)
 
     def test_max_output_is_segment_sum(self):
-        assert make_piecewise().max_output() == 100 + 66
+        # every input up to capacity stays under the spot bound and the sum
+        # of the segments' output reserves
+        f = make_piecewise()
+        bound = edge(f).output_bound
+        for x in range(f.input_capacity() + 1):
+            assert f.swap_out(x) <= bound(x)
+        assert f.swap_out(f.input_capacity()) < 100 + 66
 
     def test_rejects_increasing_prices(self):
         with pytest.raises(ValueError):
@@ -160,7 +176,9 @@ class TestComposite:
     def test_spot_is_product(self):
         c = SequentialComposite((ConstantProduct(100, 200, 0),
                                  ConstantProduct(100, 300, 0)))
-        assert c.spot_price() == pytest.approx(6.0)
+        assert c.spot_ratio() == (10_000**2 * 200 * 300, 10_000**2 * 100**2)
+        assert edge(c).spot == 6.0
+        assert edge(c).output_bound(10) > c.swap_out(10)
 
     def test_marginal_chain_rule_at_zero(self):
         c = SequentialComposite((ConstantProduct(100, 200, 0),
@@ -181,7 +199,7 @@ def test_zero_origin_and_bounds(r_in, r_out, fee, x):
     assert out >= 0
     assert out < r_out
     assert f.swap_out(0) == 0
-    assert out <= output_upper_bound(f, x)
+    assert out <= edge(f).output_bound(x)
 
 
 @given(reserves, reserves, fees, amounts, amounts)

@@ -1,6 +1,10 @@
 import csv
 import io as io_mod
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,20 @@ class TestRoute:
                                  "--amount", "10")
         assert code == 1
         assert "unknown token" in err
+
+    def test_boolean_fee_exits_one(self, snapshot_path, tmp_path, capsys):
+        path, source, target = snapshot_path
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["pools"][0]["fee_bps"] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "route", "--snapshot", str(bad),
+                                 "--from", source, "--to", target,
+                                 "--amount", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: pools[0]: field 'fee_bps' has wrong type")
 
     def test_disconnected_exits_two(self, tmp_path, capsys):
         snap = generate_synthetic(5, 6, 6, 0.3, 3)
@@ -191,3 +209,15 @@ class TestBench:
         assert len(rows) == 2
         assert all(r["converged"] == "True" for r in rows)
         assert {r["gap_bp"] for r in rows} == {"0.00"}
+
+
+def test_package_import_loads_no_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, prime_router, prime_router.cli; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -10,7 +10,6 @@ from prime_router.cfmm import Segment
 from prime_router.engine import (
     PlanStep,
     RouteQuery,
-    ShortcutConfig,
     _degenerate_solution,
     merge_and_expand,
     prepare_routing,
@@ -176,8 +175,7 @@ class TestMergeAndExpand:
         g = build_graph(toks, pools)
         singles, used = self._paths(g, "T0", "T1", 10**6, 2)
         assert len(singles) == 2
-        paths, init_w = merge_and_expand(singles, [0.5, 0.5], g, None, used,
-                                         n_expand=0)
+        paths, init_w = merge_and_expand(singles, [0.5, 0.5], g, None, used)
         assert len(paths) == 1
         assert {e.pool_id for e in paths[0].hops[0]} == {"P1", "P2"}
         assert {e.pool_id for e in paths[0].hops[1]} == {"P3", "P4"}
@@ -188,8 +186,7 @@ class TestMergeAndExpand:
                  cp_pool("B", "T0", "T1", 10**6, 10**6)]
         g = build_graph(toks, pools)
         singles, used = self._paths(g, "T0", "T1", 10**5, 1)
-        paths, init_w = merge_and_expand(singles, [1.0], g, None, used,
-                                         n_expand=2)
+        paths, init_w = merge_and_expand(singles, [1.0], g, None, used)
         hop = paths[0].hops[0]
         assert [e.pool_id for e in hop] == ["A", "B"]
         assert init_w[0][0] == [1.0, 0.0]
@@ -202,7 +199,7 @@ class TestMergeAndExpand:
         g = build_graph(toks, pools)
         singles, used = self._paths(g, "T0", "T1", 10**5, 1)
         used.add("B")  # consumed elsewhere in the solution
-        paths, _ = merge_and_expand(singles, [1.0], g, None, used, n_expand=2)
+        paths, _ = merge_and_expand(singles, [1.0], g, None, used)
         assert [e.pool_id for e in paths[0].hops[0]] == ["A"]
 
 
@@ -254,8 +251,7 @@ class TestShortcuts:
         base = dict(explicit_hubs=("T0", "T1"), max_hops=3)
         with_sc = prime(g, query("T0", "T1", x, **base))
         core_only = prime(g, query("T0", "T1", x,
-                                   shortcuts=ShortcutConfig(enabled=False),
-                                   **base))
+                                   shortcuts=False, **base))
         assert with_sc.total_output > core_only.total_output
         assert verify_solution(with_sc, g).ok
         # the winning plan routes through the composite's member pools
@@ -263,10 +259,9 @@ class TestShortcuts:
         assert {"LEG1", "LEG2"} & used
 
     @pytest.mark.parametrize("change", [
-        dict(shortcuts=ShortcutConfig(enabled=False)),
+        dict(shortcuts=False),
         dict(explicit_hubs=("T0", "T1", "T2")),
         dict(hub_count=2),
-        dict(hub_metric="reserve_mass", numeraire="T0"),
     ])
     def test_prepared_routing_rejects_other_stage0_config(self, change):
         # cold, shortcuts off routes DIRECT; a stage 0 built with shortcuts on

@@ -81,6 +81,16 @@ class TestParseErrors:
         with pytest.raises(VersionUnsupportedError):
             loads_snapshot(json.dumps(data))
 
+    @pytest.mark.parametrize("key", ["fee_bps", "decimals", "version"])
+    def test_boolean_for_int_rejected(self, key):
+        # JSON true is a Python bool, which isinstance() counts as an int
+        data = json.loads(dumps_snapshot(small_snapshot()))
+        holder = {"fee_bps": data["pools"][0], "decimals": data["tokens"][0],
+                  "version": data}[key]
+        holder[key] = True
+        with pytest.raises(ParseError, match=f"{key!r} has wrong type"):
+            loads_snapshot(json.dumps(data))
+
     def test_syntax_error_carries_location(self):
         with pytest.raises(ParseError) as err:
             loads_snapshot("{not json")

@@ -38,16 +38,6 @@ class TestSelectHubs:
         g = build_graph(tokens(3), pools)
         assert select_hubs(g, 1) == ("T0",)
 
-    def test_reserve_mass_metric(self):
-        # T2 sits in the deepest T0-pool even though degrees tie
-        pools = [cp_pool("P0", "T0", "T1", 10, 10),
-                 cp_pool("P1", "T0", "T2", 10**9, 10**9)]
-        g = build_graph(tokens(3), pools)
-        hubs = select_hubs(g, 1, metric="reserve_mass", numeraire="T0")
-        assert hubs == ("T0",)
-        hubs2 = select_hubs(g, 2, metric="reserve_mass", numeraire="T0")
-        assert hubs2 == ("T0", "T2")
-
     def test_explicit_list_overrides(self):
         g = build_graph(tokens(3), [cp_pool("P0", "T0", "T1", 1, 1),
                                     cp_pool("P1", "T1", "T2", 1, 1)])
@@ -140,9 +130,9 @@ class TestShortcutIndex:
         g = build_graph(toks, pools)
         edges = (g.edges_between("T0", "T2")[0], g.edges_between("T2", "T1")[0])
         sc = Shortcut("T0", "T1", edges, 1.0)
-        ShortcutIndex(("T0", "T1"), 2, 3, {("T0", "T1"): (sc,)})
+        ShortcutIndex(("T0", "T1"), {("T0", "T1"): (sc,)})
         with pytest.raises(InvalidParamsError, match="passes through a hub"):
-            ShortcutIndex(("T0", "T1", "T2"), 2, 3, {("T0", "T1"): (sc,)})
+            ShortcutIndex(("T0", "T1", "T2"), {("T0", "T1"): (sc,)})
 
     def test_completeness_against_enumeration(self):
         rng = random.Random(47)
