@@ -9,7 +9,7 @@ from .allocation import (
     objective,
     path_output,
 )
-from .baselines import GridSpec, best_single_path, grid_oracle, prime_flow
+from .baselines import GridSpec, best_single_path, grid_oracle
 from .cfmm import (
     MAX_UINT256,
     ConstantProduct,

@@ -1,7 +1,7 @@
 """Command-line entry points: route queries, benchmarking, instance generation.
 
-Exit codes: 0 success, 1 input/configuration error, 2 no route.  The env var
-PRIME_LOG selects the log level (DEBUG/INFO/WARNING/...).
+Exit codes: 0 success, 1 input, configuration or usage error, 2 no route.
+The env var PRIME_LOG selects the log level (DEBUG/INFO/WARNING/...).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from .allocation import AsgmParams, asgm, objective
-from .baselines import best_single_path, prime_flow
+from .baselines import best_single_path
 from .engine import RouteQuery, prepare_routing, prime
 from .errors import NoRouteError, RoutingError
 from . import io as pio
@@ -26,6 +26,8 @@ log = logging.getLogger("prime_router.cli")
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NO_ROUTE = 2
+
+ALGORITHMS = ("prime", "osp")
 
 
 def _setup_logging() -> None:
@@ -78,12 +80,7 @@ def cmd_route(args) -> int:
     query = _build_query(args, args.source, args.target,
                          _parse_amount(args.amount))
     try:
-        if args.algo == "prime":
-            solution = prime(graph, query)
-        elif args.algo == "osp":
-            solution = best_single_path(graph, query)
-        else:
-            solution = prime_flow(graph, query)
+        solution = _solve(args.algo, graph, query)
     except NoRouteError as exc:
         print(f"no route: {exc}", file=sys.stderr)
         return EXIT_NO_ROUTE
@@ -93,16 +90,18 @@ def cmd_route(args) -> int:
     return EXIT_OK
 
 
+def _solve(algo: str, graph, query: RouteQuery, prepared=None):
+    """Run one of ``ALGORITHMS``; ``prepared`` is prime's cached stage 0."""
+    if algo == "prime":
+        return prime(graph, query, prepared)
+    return best_single_path(graph, query)
+
+
 def _run_case(graph, prepared, args, source, target, amount, algo):
     query = _build_query(args, source, target, amount)
     started = time.perf_counter()
     try:
-        if algo == "prime":
-            sol = prime(graph, query, prepared)
-        elif algo == "osp":
-            sol = best_single_path(graph, query)
-        else:
-            sol = prime_flow(graph, query)
+        sol = _solve(algo, graph, query, prepared)
     except NoRouteError:
         return None
     elapsed_ms = (time.perf_counter() - started) * 1e3
@@ -124,7 +123,7 @@ def cmd_bench(args) -> int:
         return _cmd_ablate(args)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
-        if a not in ("prime", "osp", "flow"):
+        if a not in ALGORITHMS:
             print(f"error: unknown algorithm {a!r}", file=sys.stderr)
             return EXIT_ERROR
     rows: List[dict] = []
@@ -247,8 +246,20 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like other input errors, not argparse's 2.
+
+    Exit 2 means "no route".  Subparsers are built from the parent's class,
+    so they inherit this.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="prime-router")
+    parser = _Parser(prog="prime-router")
     sub = parser.add_subparsers(dest="command", required=True)
 
     route = sub.add_parser("route", help="solve one routing query")
@@ -256,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     route.add_argument("--from", dest="source", required=True)
     route.add_argument("--to", dest="target", required=True)
     route.add_argument("--amount", required=True)
-    route.add_argument("--algo", choices=("prime", "osp", "flow"),
-                       default="prime")
+    route.add_argument("--algo", choices=ALGORITHMS, default="prime")
     route.add_argument("--max-hops", type=int, default=3)
     route.add_argument("--hubs", default=None,
                        help="hub count or explicit comma-separated token ids")

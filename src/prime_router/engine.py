@@ -87,7 +87,6 @@ class RouteSolution:
     execution_plan: Tuple[PlanStep, ...]
     stats: RouteStats
     trace: List[TraceRow]
-    disjoint: bool = True
 
 
 class _Overlay:
@@ -362,7 +361,7 @@ def prime(g: SwapGraph, query: RouteQuery,
                          amount=query.amount, algorithm="prime", paths=tuple(multi),
                          allocation=allocation, total_output=total, tau=tau,
                          execution_plan=plan, stats=stats,
-                         trace=final.trace, disjoint=True)
+                         trace=final.trace)
 
 
 def _degenerate_solution(multi: Sequence[MultiEdgePath], single: SinglePath,

@@ -223,28 +223,6 @@ def build_graph(tokens: Iterable[Token], pools: Iterable[Pool]) -> SwapGraph:
     return SwapGraph(token_map, pool_map, edges)
 
 
-def replace_pools(g: SwapGraph, updated: Iterable[Pool]) -> SwapGraph:
-    """``g`` with some pools replaced by new states under the same ids.
-
-    Each updated pool is validated and expanded again; every other pool keeps
-    its ``Edge`` objects, so only the replaced pools pay for curve building.
-    """
-    pools = dict(g.pools)
-    replaced = set()
-    fresh: List[Edge] = []
-    for p in updated:
-        if p.id not in pools or p.id in replaced:
-            raise MalformedSnapshotError(
-                f"pool {p.id!r} not in graph or replaced twice")
-        _validate_pool(p, g.tokens)
-        pools[p.id] = p
-        replaced.add(p.id)
-        fresh.extend(_expand_pool(p))
-    kept = [e for row in g._adj.values() for es in row.values() for e in es
-            if e.pool_id not in replaced]
-    return SwapGraph(g.tokens, pools, kept + fresh)
-
-
 def _subgraph(g: SwapGraph, tokens: Set[str]) -> SwapGraph:
     """The part of ``g`` on ``tokens``, sharing its rows and objects.
 

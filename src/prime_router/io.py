@@ -135,6 +135,8 @@ def snapshot_from_dict(data: dict) -> Snapshot:
         kind = _require(entry, "kind", ctx, str)
         ptokens = tuple(_require(entry, "tokens", ctx, list))
         for t in ptokens:
+            if not isinstance(t, str):
+                raise ParseError("field 'tokens' has wrong type", ctx)
             if t not in ids:
                 raise ParseError(f"unknown token {t!r}", ctx)
         fee = _require(entry, "fee_bps", ctx, int)
@@ -222,7 +224,6 @@ def solution_to_dict(sol: RouteSolution) -> dict:
         "algorithm": sol.algorithm,
         "total_output": _encode_amount(sol.total_output),
         "tau": sol.tau,
-        "disjoint": sol.disjoint,
         "paths": paths,
         "execution_plan": [
             {
@@ -362,7 +363,7 @@ def _synthetic_piecewise(rng: random.Random, pid: str, side_a, side_b,
         segments = []
         k = 10_000 - fee
         for _ in range(rng.randint(2, 3)):
-            # generous capacity keeps flow-state mutations concavity-safe
+            # every generated market depends on this exact draw; keep it as is
             cap = max(2, int(vin * rng.uniform(1.2, 3.0)))
             segments.append(Segment(cap, vin, vout))
             exhausted = vin * 10_000 + k * cap

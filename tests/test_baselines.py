@@ -6,10 +6,8 @@ import pytest
 from prime_router.allocation import MultiEdgePath, asgm, objective
 from prime_router.baselines import (
     GridSpec,
-    _FlowState,
     best_single_path,
     grid_oracle,
-    prime_flow,
 )
 from prime_router.cfmm import ConstantProduct
 from prime_router.engine import RouteQuery
@@ -24,7 +22,6 @@ from instances import (
     WAD,
     closed_form_pair,
     cp_pool,
-    random_cp_graph,
     random_disjoint_paths,
     single_edge_path,
     tokens,
@@ -144,88 +141,3 @@ class TestGridOracle:
                             res.allocation.edge_weights, x)
             ref = grid_oracle(paths, x, GridSpec(step=0.001)).output
             assert got >= 0.9999 * ref
-
-
-class TestPrimeFlow:
-    def test_single_route_matches_osp(self):
-        g = build_graph(tokens(2), [cp_pool("P0", "T0", "T1", 10**9, 10**9)])
-        q = query()
-        flow = prime_flow(g, q)
-        osp = best_single_path(g, q)
-        assert flow.total_output == osp.total_output
-        assert flow.disjoint is False
-
-    def test_symmetric_pools_split_evenly(self):
-        g = build_graph(tokens(2), [cp_pool("A", "T0", "T1", 10**18, 10**18),
-                                    cp_pool("B", "T0", "T1", 10**18, 10**18)])
-        q = query(x=10**15)
-        flow = prime_flow(g, q)
-        assert len(flow.paths) == 2
-        assert flow.allocation.path_weights[0] == pytest.approx(0.5, abs=1e-4)
-
-    def test_never_below_single_path(self):
-        rng = random.Random(9)
-        for _ in range(15):
-            n = rng.randint(3, 8)
-            g = random_cp_graph(rng, n, rng.randint(n, 16))
-            ids = sorted(g.tokens)
-            s, t = rng.sample(ids, 2)
-            x = rng.randint(10**4, 10**8)
-            q = query(s=s, t=t, x=x)
-            try:
-                osp = best_single_path(g, q)
-            except NoRouteError:
-                continue
-            flow = prime_flow(g, q)
-            assert flow.total_output >= osp.total_output
-
-    def test_disconnected_raises(self):
-        g = build_graph(tokens(3), [cp_pool("P0", "T0", "T1", 10, 10)])
-        with pytest.raises(NoRouteError):
-            prime_flow(g, query(s="T0", t="T2"))
-
-    def test_flow_state_copies_only_swapped_pools(self):
-        g = build_graph(tokens(3), [cp_pool("A", "T0", "T1", 10**9, 10**9),
-                                    cp_pool("B", "T1", "T2", 10**9, 10**9)])
-        state = _FlowState(g)
-        out = state.swap("A", "T0", "T1", 10**6)
-        assert out == g.edges_between("T0", "T1")[0].fn.swap_out(10**6)
-        view = state.graph_view()
-        assert view.pools["B"] is g.pools["B"]
-        assert view.pools["A"].reserves == (10**9 + 10**6, 10**9 - out)
-        assert g.pools["A"].reserves == (10**9, 10**9)
-        state.reset()
-        assert state.graph_view().pools["A"] is g.pools["A"]
-
-    def test_tracks_prime_within_basis_points_at_higher_cost(self):
-        # oracle: direct comparison run.  On arbitraged markets (route rates
-        # within a few bp of parity) the relaxed variant and the disjoint
-        # engine agree to basis points, with the relaxed one burning far more
-        # evaluations.  Badly mispriced markets are a different regime: the
-        # marginal-price augmentation then hoovers up arbitrage the stricter
-        # average-rate gate skips, so parity is only claimed near parity.
-        from prime_router.engine import prime
-
-        rng = random.Random(31)
-        w = 10**18
-        for trial in range(8):
-            base = rng.randint(3000, 9000)
-            toks = tokens(3)
-            pools = [
-                cp_pool("PA", "T0", "T1", base * w,
-                        int(base * w * rng.uniform(1.000, 1.002)), 30),
-                cp_pool("PB", "T0", "T1", 2 * base * w,
-                        int(2 * base * w * rng.uniform(1.000, 1.002)), 30),
-                cp_pool("PC", "T0", "T2", 4 * base * w,
-                        int(4 * base * w * rng.uniform(1.000, 1.001)), 5),
-                cp_pool("PD", "T2", "T1", 4 * base * w,
-                        int(4 * base * w * rng.uniform(1.000, 1.001)), 5),
-            ]
-            g = build_graph(tokens(3), pools)
-            q = query(s="T0", t="T1", x=base * w // 20)
-            flow = prime_flow(g, q)
-            full = prime(g, q)
-            bp = 1e4 * (flow.total_output - full.total_output) / full.total_output
-            assert abs(bp) <= 5.0, f"trial {trial}: diverged by {bp:.2f} bp"
-            # flow's ternary evaluations dwarf the allocator's iterations
-            assert flow.stats.asgm_iterations > full.stats.asgm_iterations

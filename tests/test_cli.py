@@ -101,14 +101,45 @@ class TestRoute:
 
     def test_osp_and_flow_algos(self, snapshot_path, capsys):
         path, source, target = snapshot_path
-        for algo in ("osp", "flow"):
-            code, out, _ = run_cli(capsys, "route", "--snapshot", path,
-                                   "--from", source, "--to", target,
-                                   "--amount", "1000000", "--algo", algo)
-            assert code == 0
-            payload = json.loads(out)
-            assert payload["algorithm"] == algo
-            assert payload["stats"]["swap_evals"] > 0
+        argv = ["route", "--snapshot", path, "--from", source, "--to", target,
+                "--amount", "1000000", "--algo"]
+        code, out, _ = run_cli(capsys, *argv, "osp")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["algorithm"] == "osp"
+        assert payload["stats"]["swap_evals"] > 0
+        assert "disjoint" not in payload
+        # "flow" is no algorithm: a usage error (exit 1), not "no route" (2)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["flow"])
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("tail", [("--amount", "10", "--algo", "bogus"),
+                                      ("--amount", "10", "--max-hops", "x"),
+                                      ()])
+    def test_usage_error_exits_one(self, snapshot_path, capsys, tail):
+        # argparse would exit 2, which this CLI reserves for "no route"
+        path, source, target = snapshot_path
+        with pytest.raises(SystemExit) as exc:
+            main(["route", "--snapshot", path, "--from", source,
+                  "--to", target, *tail])
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_list_pool_token_exits_one(self, snapshot_path, tmp_path, capsys):
+        path, source, target = snapshot_path
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        tokens = data["pools"][0]["tokens"]
+        tokens[0] = [tokens[0]]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "route", "--snapshot", str(bad),
+                                 "--from", source, "--to", target,
+                                 "--amount", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: pools[0]: field 'tokens' has wrong type")
 
     def test_trace_written(self, snapshot_path, tmp_path, capsys):
         path, source, target = snapshot_path

@@ -69,6 +69,7 @@ class TestPrime:
                 with pytest.raises(NoRouteError):
                     prime(g, q)
                 continue
+            assert verify_solution(osp, g).ok
             sol = prime(g, q)
             assert sol.total_output >= osp.total_output
             report = verify_solution(sol, g)

@@ -13,7 +13,6 @@ from prime_router.graph import (
     Token,
     build_graph,
     prune_leaf_tokens,
-    replace_pools,
 )
 from prime_router.io import generate_synthetic
 
@@ -298,43 +297,3 @@ class TestPruneEquivalence:
         monkeypatch.setattr(graph_mod, "_validate_pool", forbidden)
         for g in graphs:
             prune_leaf_tokens(g, set())
-
-
-class TestReplacePools:
-    def test_matches_full_build_and_reuses_untouched_edges(self):
-        rng = random.Random(21)
-        for trial in range(40):
-            g = random_mixed_market(rng)
-            chosen = rng.sample(list(g.pools.values()),
-                                rng.randint(0, len(g.pools)))
-            updated = []
-            for p in chosen:
-                if p.kind == KIND_CONSTANT_PRODUCT:
-                    updated.append(Pool(p.id, p.kind, p.tokens, p.fee_bps,
-                                        tuple(r + 7 for r in p.reserves)))
-                else:
-                    updated.append(_piecewise_pool(rng, p.id, *p.tokens))
-            got = replace_pools(g, updated)
-            fresh = {p.id: p for p in updated}
-            want = build_graph(g.tokens.values(),
-                               [fresh.get(pid, p)
-                                for pid, p in g.pools.items()])
-            assert graph_layout(got) == graph_layout(want)
-            assert got.pools == want.pools
-            for u in got.token_ids():
-                for v, es in got.out_items(u):
-                    for e, w in zip(es, dict(want.out_items(u))[v]):
-                        assert e == w
-                        reused = any(e is p for p in g.edges_between(u, v))
-                        assert reused == (e.pool_id not in fresh)
-
-    def test_validates_replaced_pools(self):
-        g = build_graph(tokens(3), [cp_pool("P0", "T0", "T1", 10, 10),
-                                    cp_pool("P1", "T1", "T2", 10, 10)])
-        with pytest.raises(MalformedSnapshotError):
-            replace_pools(g, [cp_pool("P0", "T0", "T1", 0, 10)])
-        with pytest.raises(MalformedSnapshotError):
-            replace_pools(g, [cp_pool("P9", "T0", "T1", 10, 10)])
-        with pytest.raises(MalformedSnapshotError):
-            replace_pools(g, [cp_pool("P0", "T0", "T1", 10, 10),
-                              cp_pool("P0", "T0", "T1", 20, 10)])

@@ -68,11 +68,14 @@ class TestParseErrors:
 
     def test_unknown_token_reference(self):
         snap = small_snapshot()
-        data = json.loads(dumps_snapshot(snap))
-        data["pools"][0]["tokens"][0] = "0xdeadbeef"
-        with pytest.raises(ParseError) as err:
-            loads_snapshot(json.dumps(data))
-        assert "pools[0]" in str(err.value)
+        known = snap.pools[0].tokens[0]
+        # a list-wrapped id is unhashable and must not reach the id lookup
+        for bad in ("0xdeadbeef", [known]):
+            data = json.loads(dumps_snapshot(snap))
+            data["pools"][0]["tokens"][0] = bad
+            with pytest.raises(ParseError) as err:
+                loads_snapshot(json.dumps(data))
+            assert "pools[0]" in str(err.value)
 
     def test_version_gate(self):
         snap = small_snapshot()
