@@ -44,12 +44,11 @@ def check_amount(value: int, what: str = "amount") -> int:
     return value
 
 
-def _check_fee(fee_bps: int) -> int:
+def _check_fee(fee_bps: int) -> None:
     if not isinstance(fee_bps, int) or isinstance(fee_bps, bool):
         raise TypeError("fee_bps must be an int")
     if not (0 <= fee_bps < BPS_DENOM):
         raise ValueError(f"fee_bps must be in [0, {BPS_DENOM}), got {fee_bps}")
-    return fee_bps
 
 
 def cp_swap_out(reserve_in: int, reserve_out: int, fee_bps: int, x: int) -> int:
@@ -87,11 +86,10 @@ class ConstantProduct:
     fee_bps: int = 0
 
     def __post_init__(self):
-        check_amount(self.reserve_in, "reserve_in")
-        check_amount(self.reserve_out, "reserve_out")
-        if self.reserve_in == 0 or self.reserve_out == 0:
-            raise ValueError("reserves must be strictly positive")
         _check_fee(self.fee_bps)
+        if (check_amount(self.reserve_in, "reserve_in") == 0
+                or check_amount(self.reserve_out, "reserve_out") == 0):
+            raise ValueError("reserves must be strictly positive")
 
     def swap_out(self, x: int) -> int:
         check_amount(x)

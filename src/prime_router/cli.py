@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 from .allocation import AsgmParams, asgm, objective
 from .baselines import best_single_path
 from .engine import RouteQuery, prepare_routing, prime
-from .errors import NoRouteError, RoutingError
+from .errors import InvalidParamsError, NoRouteError, RoutingError
 from . import io as pio
 
 log = logging.getLogger("prime_router.cli")
@@ -68,15 +68,17 @@ def _build_query(args, source: str, target: str, amount: int) -> RouteQuery:
     )
 
 
+def _load_graph(path, args):
+    """The graph at ``path``; an unknown --from/--to token is an error."""
+    graph = pio.load_snapshot(path).build_graph()
+    for token_id in (args.source, args.target):
+        if not graph.has_token(token_id):
+            raise InvalidParamsError(f"unknown token id {token_id!r}")
+    return graph
+
+
 def cmd_route(args) -> int:
-    snapshot = pio.load_snapshot(args.snapshot)
-    graph = snapshot.build_graph()
-    if not graph.has_token(args.source):
-        print(f"error: unknown token id {args.source!r}", file=sys.stderr)
-        return EXIT_ERROR
-    if not graph.has_token(args.target):
-        print(f"error: unknown token id {args.target!r}", file=sys.stderr)
-        return EXIT_ERROR
+    graph = _load_graph(args.snapshot, args)
     query = _build_query(args, args.source, args.target,
                          _parse_amount(args.amount))
     try:
@@ -108,12 +110,11 @@ def _run_case(graph, prepared, args, source, target, amount, algo):
     return sol, elapsed_ms
 
 
-def _bench_amounts(args, snapshot) -> List[int]:
+def _bench_amounts(args, graph) -> List[int]:
     """Raw amounts for the ladder; --unit-amounts scales by source decimals."""
     if args.amounts is not None:
         return [_parse_amount(a.strip()) for a in args.amounts.split(",")]
-    decimals = next((t.decimals for t in snapshot.tokens
-                     if t.id == args.source), 18)
+    decimals = graph.tokens[args.source].decimals
     return [_parse_amount(a.strip()) * 10**decimals
             for a in args.unit_amounts.split(",")]
 
@@ -122,15 +123,13 @@ def cmd_bench(args) -> int:
     if args.ablate:
         return _cmd_ablate(args)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    for a in algos:
-        if a not in ALGORITHMS:
-            print(f"error: unknown algorithm {a!r}", file=sys.stderr)
-            return EXIT_ERROR
+    if not algos or not set(algos) <= set(ALGORITHMS):
+        raise InvalidParamsError(f"--algos takes names from "
+                                 f"{', '.join(ALGORITHMS)}, got {args.algos!r}")
     rows: List[dict] = []
     for snap_path in args.snapshot:
-        snapshot = pio.load_snapshot(snap_path)
-        graph = snapshot.build_graph()
-        amounts = _bench_amounts(args, snapshot)
+        graph = _load_graph(snap_path, args)
+        amounts = _bench_amounts(args, graph)
         base_query = _build_query(args, args.source, args.target, amounts[0])
         prepared = prepare_routing(graph, base_query)
         results = [((amount, algo, rep),
@@ -179,9 +178,8 @@ def _cmd_ablate(args) -> int:
     The path set is discovered once; each sweep point re-runs the allocator
     cold from the uniform start, isolating its latency/quality trade-off.
     """
-    snapshot = pio.load_snapshot(args.snapshot[0])
-    graph = snapshot.build_graph()
-    amount = _bench_amounts(args, snapshot)[0]
+    graph = _load_graph(args.snapshot[0], args)
+    amount = _bench_amounts(args, graph)[0]
     query = _build_query(args, args.source, args.target, amount)
     prepared = prepare_routing(graph, query)
     solution = prime(graph, query, prepared)

@@ -8,6 +8,10 @@ Two adjacency views are kept: ``edges_between`` returns parallel edges in
 pool-id order (the reproducibility contract), while ``out_items`` yields
 per-neighbour candidate lists sorted by descending spot rate, which is what
 the path search wants for its early-stop scan.
+
+Structure rules (unique ids, decimals 0..30, pool shape) live here, per entry
+in ``add_token``/``add_pool``, which ``io`` also calls; the ``cfmm``
+constructors own the curve rules and run once per edge, in ``_expand_pool``.
 """
 
 from __future__ import annotations
@@ -15,15 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set, Tuple
 
-from .cfmm import (
-    BPS_DENOM,
-    ConstantProduct,
-    PiecewiseLiquidity,
-    Segment,
-    SwapFunction,
-    check_amount,
-)
-from .errors import MalformedSnapshotError
+from .cfmm import ConstantProduct, PiecewiseLiquidity, Segment, SwapFunction
+from .errors import AmountOverflowError, MalformedSnapshotError
 
 KIND_CONSTANT_PRODUCT = "constant_product"
 KIND_PIECEWISE = "piecewise_liquidity"
@@ -149,19 +146,38 @@ class SwapGraph:
 
 
 def _expand_pool(pool: Pool) -> List[Edge]:
-    edges = []
-    if pool.kind == KIND_CONSTANT_PRODUCT:
-        for i, tin in enumerate(pool.tokens):
-            for j, tout in enumerate(pool.tokens):
-                if i == j:
-                    continue
-                fn = ConstantProduct(pool.reserves[i], pool.reserves[j], pool.fee_bps)
-                edges.append(Edge(pool.id, tin, tout, fn))
-    else:
-        for d in pool.directions:
-            fn = PiecewiseLiquidity(d.segments, pool.fee_bps)
-            edges.append(Edge(pool.id, d.token_in, d.token_out, fn))
-    return edges
+    """The pool's edges; its curves are built here only.  A broken curve rule
+    is a MalformedSnapshotError naming the pool; an overflow keeps its class."""
+    try:
+        if pool.kind == KIND_CONSTANT_PRODUCT:
+            r = pool.reserves
+            return [Edge(pool.id, tin, tout, ConstantProduct(r[i], r[j], pool.fee_bps))
+                    for i, tin in enumerate(pool.tokens)
+                    for j, tout in enumerate(pool.tokens) if i != j]
+        return [Edge(pool.id, d.token_in, d.token_out,
+                     PiecewiseLiquidity(d.segments, pool.fee_bps))
+                for d in pool.directions]
+    except AmountOverflowError as exc:
+        raise AmountOverflowError(f"pool {pool.id!r}: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise MalformedSnapshotError(f"pool {pool.id!r}: {exc}") from exc
+
+
+def add_token(token_map: Dict[str, Token], t: Token) -> None:
+    """Admit one token entry: a new id, decimals in 0..30."""
+    if t.id in token_map:
+        raise MalformedSnapshotError(f"duplicate token id {t.id!r}")
+    if not (0 <= t.decimals <= 30):
+        raise MalformedSnapshotError(f"token {t.id!r}: decimals out of range")
+    token_map[t.id] = t
+
+
+def add_pool(pool_map: Dict[str, Pool], token_map: Dict[str, Token], p: Pool) -> None:
+    """Admit one pool entry: a new id and a shape ``_validate_pool`` accepts."""
+    if p.id in pool_map:
+        raise MalformedSnapshotError(f"duplicate pool id {p.id!r}")
+    _validate_pool(p, token_map)
+    pool_map[p.id] = p
 
 
 def _validate_pool(pool: Pool, token_ids) -> None:
@@ -173,27 +189,16 @@ def _validate_pool(pool: Pool, token_ids) -> None:
     for t in pool.tokens:
         if t not in token_ids:
             raise MalformedSnapshotError(f"{ctx}: dangling token id {t!r}")
-    if not (0 <= pool.fee_bps < BPS_DENOM):
-        raise MalformedSnapshotError(f"{ctx}: fee_bps out of range")
     if pool.kind == KIND_CONSTANT_PRODUCT:
         if len(pool.reserves) != len(pool.tokens):
             raise MalformedSnapshotError(f"{ctx}: reserves/tokens length mismatch")
-        for r in pool.reserves:
-            check_amount(r, f"{ctx} reserve")
-            if r == 0:
-                raise MalformedSnapshotError(f"{ctx}: zero reserve")
     elif pool.kind == KIND_PIECEWISE:
         if len(pool.tokens) != 2:
             raise MalformedSnapshotError(f"{ctx}: piecewise pools are two-token")
         pairs = {(d.token_in, d.token_out) for d in pool.directions}
         a, b = pool.tokens
-        if pairs != {(a, b), (b, a)}:
+        if len(pool.directions) != 2 or pairs != {(a, b), (b, a)}:
             raise MalformedSnapshotError(f"{ctx}: needs both directions exactly once")
-        for d in pool.directions:
-            try:
-                PiecewiseLiquidity(d.segments, pool.fee_bps)
-            except (ValueError, TypeError) as exc:
-                raise MalformedSnapshotError(f"{ctx}: {exc}") from exc
     else:
         raise MalformedSnapshotError(f"{ctx}: unknown pool kind {pool.kind!r}")
 
@@ -201,24 +206,17 @@ def _validate_pool(pool: Pool, token_ids) -> None:
 def build_graph(tokens: Iterable[Token], pools: Iterable[Pool]) -> SwapGraph:
     """Expand a snapshot into the directed multigraph.
 
-    Raises MalformedSnapshotError on dangling token ids, zero reserves or
-    duplicate pool/token ids.  Deterministic: identical snapshots produce
-    identical adjacency orderings.
+    Raises MalformedSnapshotError when an entry breaks a structure rule
+    (``add_token``, ``add_pool``) or a curve rule (``_expand_pool``).
+    Deterministic: identical snapshots produce identical adjacency orderings.
     """
     token_map: Dict[str, Token] = {}
     for t in tokens:
-        if t.id in token_map:
-            raise MalformedSnapshotError(f"duplicate token id {t.id!r}")
-        if not (0 <= t.decimals <= 30):
-            raise MalformedSnapshotError(f"token {t.id!r}: decimals out of range")
-        token_map[t.id] = t
+        add_token(token_map, t)
     pool_map: Dict[str, Pool] = {}
     edges: List[Edge] = []
     for p in pools:
-        if p.id in pool_map:
-            raise MalformedSnapshotError(f"duplicate pool id {p.id!r}")
-        _validate_pool(p, token_map)
-        pool_map[p.id] = p
+        add_pool(pool_map, token_map, p)
         edges.extend(_expand_pool(p))
     return SwapGraph(token_map, pool_map, edges)
 

@@ -4,6 +4,10 @@ Snapshots are canonical JSON: sorted keys, compact separators, every amount a
 decimal string (floats would silently corrupt 256-bit quantities).  The same
 bytes always come back out: save(load(save(x))) is byte-identical, so a sha256
 of them identifies a market state.
+
+Loading checks the JSON itself (fields, types, decimal strings, version, pool
+kind, string token ids), then graph's structure rules per entry, re-raised as
+ParseError with the entry's path.  Curve rules run later, in ``build_graph``.
 """
 
 from __future__ import annotations
@@ -13,11 +17,16 @@ import json
 import random
 import re
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .allocation import TraceRow
 from .engine import RouteSolution
-from .errors import InvalidParamsError, ParseError, VersionUnsupportedError
+from .errors import (
+    InvalidParamsError,
+    MalformedSnapshotError,
+    ParseError,
+    VersionUnsupportedError,
+)
 from .graph import (
     KIND_CONSTANT_PRODUCT,
     KIND_PIECEWISE,
@@ -25,6 +34,8 @@ from .graph import (
     PoolDirection,
     SwapGraph,
     Token,
+    add_pool,
+    add_token,
     build_graph,
 )
 from .cfmm import Segment
@@ -105,48 +116,42 @@ def snapshot_to_dict(s: Snapshot) -> dict:
     }
 
 
+def _admit(add, ctx: str, *args) -> None:
+    """Apply one of graph's structure rules to a parsed entry."""
+    try:
+        add(*args)
+    except MalformedSnapshotError as exc:
+        raise ParseError(str(exc), ctx) from exc
+
+
 def snapshot_from_dict(data: dict) -> Snapshot:
     version = _require(data, "version", "snapshot", int)
     if version != SNAPSHOT_VERSION:
         raise VersionUnsupportedError(
             f"snapshot version {version} unsupported", "snapshot")
     block_ref = _require(data, "block_ref", "snapshot", str)
-    tokens = []
-    ids = set()
+    token_map: Dict[str, Token] = {}
     for i, entry in enumerate(_require(data, "tokens", "snapshot", list)):
         ctx = f"tokens[{i}]"
-        tid = _require(entry, "id", ctx, str)
-        symbol = _require(entry, "symbol", ctx, str)
-        decimals = _require(entry, "decimals", ctx, int)
-        if not (0 <= decimals <= 30):
-            raise ParseError("decimals out of range", ctx)
-        if tid in ids:
-            raise ParseError(f"duplicate token id {tid!r}", ctx)
-        ids.add(tid)
-        tokens.append(Token(tid, symbol, decimals))
-    pools = []
-    pool_ids = set()
+        token = Token(_require(entry, "id", ctx, str),
+                      _require(entry, "symbol", ctx, str),
+                      _require(entry, "decimals", ctx, int))
+        _admit(add_token, ctx, token_map, token)
+    pool_map: Dict[str, Pool] = {}
     for i, entry in enumerate(_require(data, "pools", "snapshot", list)):
         ctx = f"pools[{i}]"
         pid = _require(entry, "id", ctx, str)
-        if pid in pool_ids:
-            raise ParseError(f"duplicate pool id {pid!r}", ctx)
-        pool_ids.add(pid)
         kind = _require(entry, "kind", ctx, str)
         ptokens = tuple(_require(entry, "tokens", ctx, list))
         for t in ptokens:
             if not isinstance(t, str):
                 raise ParseError("field 'tokens' has wrong type", ctx)
-            if t not in ids:
-                raise ParseError(f"unknown token {t!r}", ctx)
         fee = _require(entry, "fee_bps", ctx, int)
         if kind == KIND_CONSTANT_PRODUCT:
             raw = _require(entry, "reserves", ctx, list)
             reserves = tuple(_decode_amount(r, f"{ctx}.reserves[{j}]")
                              for j, r in enumerate(raw))
-            if any(r == 0 for r in reserves):
-                raise ParseError("zero reserve", ctx)
-            pools.append(Pool(pid, kind, ptokens, fee, reserves))
+            pool = Pool(pid, kind, ptokens, fee, reserves)
         elif kind == KIND_PIECEWISE:
             directions = []
             for j, d in enumerate(_require(entry, "directions", ctx, list)):
@@ -162,11 +167,12 @@ def snapshot_from_dict(data: dict) -> Snapshot:
                         _decode_amount(_require(seg, "virtual_reserve_out", sctx), sctx + ".virtual_reserve_out"),
                     ))
                 directions.append(PoolDirection(tin, tout, tuple(segs)))
-            pools.append(Pool(pid, kind, ptokens, fee,
-                              directions=tuple(directions)))
+            pool = Pool(pid, kind, ptokens, fee, directions=tuple(directions))
         else:
             raise ParseError(f"unknown pool kind {kind!r}", ctx)
-    return Snapshot(version, block_ref, tuple(tokens), tuple(pools))
+        _admit(add_pool, ctx, pool_map, token_map, pool)
+    return Snapshot(version, block_ref, tuple(token_map.values()),
+                    tuple(pool_map.values()))
 
 
 def dumps_snapshot(s: Snapshot) -> str:

@@ -141,6 +141,23 @@ class TestRoute:
         assert out == ""
         assert err.startswith("error: pools[0]: field 'tokens' has wrong type")
 
+    def test_zero_reserve_exits_one(self, snapshot_path, tmp_path, capsys):
+        # a curve rule: it fires in build_graph, after the snapshot loaded
+        path, source, target = snapshot_path
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        pool = next(p for p in data["pools"] if "reserves" in p)
+        pool["reserves"][0] = "0"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "route", "--snapshot", str(bad),
+                                 "--from", source, "--to", target,
+                                 "--amount", "10")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: pool {pool['id']!r}: ")
+        assert "Traceback" not in err
+
     def test_trace_written(self, snapshot_path, tmp_path, capsys):
         path, source, target = snapshot_path
         trace = tmp_path / "trace.csv"
@@ -220,6 +237,30 @@ class TestBench:
         assert len(reports[0]) == 8
         assert all(int(r["swap_evals"]) > 0 for r in reports[0])
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("side", ["--from", "--to"])
+    def test_unknown_token_exits_one_like_route(self, snapshot_path, capsys,
+                                                side):
+        path, source, target = snapshot_path
+        ends = {"--from": source, "--to": target, side: "0xmissing"}
+        argv = ["--snapshot", path, "--from", ends["--from"],
+                "--to", ends["--to"]]
+        route = run_cli(capsys, "route", *argv, "--amount", "10")
+        bench = run_cli(capsys, "bench", *argv, "--amounts", "10")
+        assert route[0] == bench[0] == 1
+        assert route[1] == bench[1] == ""
+        assert bench[2] == route[2] == "error: unknown token id '0xmissing'\n"
+
+    @pytest.mark.parametrize("algos", ["", " , "])
+    def test_empty_algorithm_list_exits_one(self, snapshot_path, capsys,
+                                            algos):
+        path, source, target = snapshot_path
+        code, out, err = run_cli(capsys, "bench", "--snapshot", path,
+                                 "--from", source, "--to", target,
+                                 "--amounts", "10", "--algos", algos)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_jobs_flag_removed(self, snapshot_path, capsys):
         path, source, target = snapshot_path

@@ -95,6 +95,46 @@ class TestValidation:
         with pytest.raises(MalformedSnapshotError):
             build_graph(tokens(2), [pool])
 
+    def test_piecewise_direction_given_twice(self):
+        # two curves for one direction would put two edges of a pool on a pair
+        seg = (Segment(10, 100, 100),)
+        pool = Pool("P0", KIND_PIECEWISE, ("T0", "T1"), 0, directions=(
+            PoolDirection("T0", "T1", seg), PoolDirection("T1", "T0", seg),
+            PoolDirection("T0", "T1", seg)))
+        with pytest.raises(MalformedSnapshotError):
+            build_graph(tokens(2), [pool])
+
+    @pytest.mark.parametrize("pool", [
+        cp_pool("P0", "T0", "T1", 10, 10, True),
+        cp_pool("P0", "T0", "T1", 10, 10, 1.5),
+        cp_pool("P0", "T0", "T1", -1, 10),
+        cp_pool("P0", "T0", "T1", 10.0, 10),
+        cp_pool("P0", "T0", "T1", 10, 10, 10_000),
+        # the first segment ends below the second's entry price
+        Pool("P0", KIND_PIECEWISE, ("T0", "T1"), 0, directions=(
+            PoolDirection("T0", "T1", (Segment(1000, 100, 100),
+                                       Segment(10, 1000, 999))),
+            PoolDirection("T1", "T0", (Segment(10, 100, 100),)))),
+    ], ids=["bool_fee", "float_fee", "negative_reserve", "float_reserve",
+            "fee_10000", "non_concave_segments"])
+    def test_bad_curve_names_pool(self, pool):
+        with pytest.raises(MalformedSnapshotError, match="^pool 'P0': "):
+            build_graph(tokens(2), [pool])
+
+    def test_each_piecewise_curve_built_once(self, monkeypatch):
+        built = []
+        real = graph_mod.PiecewiseLiquidity
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(graph_mod, "PiecewiseLiquidity", counting)
+        snap = generate_synthetic(11, 12, 24)
+        snap.build_graph()
+        directions = sum(len(p.directions) for p in snap.pools)
+        assert directions > 0
+        assert len(built) == directions
+
 
 class TestPrune:
     def test_star_collapses_to_protected_hub(self):

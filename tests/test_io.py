@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from prime_router.errors import (
     ParseError,
     VersionUnsupportedError,
 )
+from prime_router.graph import KIND_CONSTANT_PRODUCT, KIND_PIECEWISE
 from prime_router.io import (
     Snapshot,
     dumps_snapshot,
@@ -42,6 +47,48 @@ class TestRoundTrip:
         a, b = small_snapshot(1), small_snapshot(2)
         assert snapshot_hash(a) != snapshot_hash(b)
         assert snapshot_hash(a) == snapshot_hash(small_snapshot(1))
+
+
+STRUCTURE_RULES = ["duplicate_token_id", "decimals_31", "duplicate_pool_id",
+                   "dangling_token", "one_token_pool", "repeated_token_in_pool",
+                   "reserves_tokens_mismatch", "piecewise_missing_direction",
+                   "piecewise_repeated_direction"]
+
+
+def _break_structure(data, rule):
+    """Make snapshot JSON break one structure rule; return the entry's path."""
+    tokens, pools = data["tokens"], data["pools"]
+    if rule == "duplicate_token_id":
+        tokens[1]["id"] = tokens[0]["id"]
+        return "tokens[1]"
+    if rule == "decimals_31":
+        tokens[2]["decimals"] = 31
+        return "tokens[2]"
+    if rule == "duplicate_pool_id":
+        pools[3]["id"] = pools[0]["id"]
+        return "pools[3]"
+    if rule == "dangling_token":
+        pools[1]["tokens"][1] = "0xdeadbeef"
+        return "pools[1]"
+    if rule.startswith("piecewise_"):
+        i = next(i for i, p in enumerate(pools) if p["kind"] == KIND_PIECEWISE)
+        directions = pools[i]["directions"]
+        if rule == "piecewise_missing_direction":
+            directions.pop()
+        else:
+            directions.append(directions[0])
+        return f"pools[{i}]"
+    i = next(i for i, p in enumerate(pools)
+             if p["kind"] == KIND_CONSTANT_PRODUCT)
+    pool = pools[i]
+    if rule == "one_token_pool":
+        del pool["tokens"][1:], pool["reserves"][1:]
+    elif rule == "repeated_token_in_pool":
+        pool["tokens"][1] = pool["tokens"][0]
+    else:
+        assert rule == "reserves_tokens_mismatch"
+        pool["reserves"].append("5")
+    return f"pools[{i}]"
 
 
 class TestParseErrors:
@@ -94,6 +141,15 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=f"{key!r} has wrong type"):
             loads_snapshot(json.dumps(data))
 
+    @pytest.mark.parametrize("rule", STRUCTURE_RULES)
+    def test_structure_rule_names_entry(self, rule):
+        # graph's structure rules fire at load, under the entry's JSON path
+        data = json.loads(dumps_snapshot(small_snapshot()))
+        path = _break_structure(data, rule)
+        with pytest.raises(ParseError) as err:
+            loads_snapshot(json.dumps(data))
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_syntax_error_carries_location(self):
         with pytest.raises(ParseError) as err:
             loads_snapshot("{not json")
@@ -144,3 +200,34 @@ class TestSyntheticGenerator:
             generate_synthetic(1, 10, 3)
         with pytest.raises(InvalidParamsError):
             generate_synthetic(1, 10, 20, hub_fraction=0.0)
+
+
+def test_rules_hold_without_asserts():
+    # python -O strips assert statements; no snapshot rule may rely on one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = """if True:
+        import json, sys
+        from prime_router.errors import MalformedSnapshotError, ParseError
+        from prime_router.graph import Pool, Token, build_graph
+        from prime_router.io import loads_snapshot
+        print(sys.flags.optimize)
+        toks = [Token("T0", "A", 18), Token("T1", "B", 18)]
+        for pool in (Pool("P0", "constant_product", ("T0", "T1"), 0, (0, 10)),
+                     Pool("P0", "constant_product", ("T0",), 0, (10,))):
+            try:
+                build_graph(toks, [pool])
+            except MalformedSnapshotError:
+                print("graph")
+        bad = {"version": 1, "block_ref": "x", "pools": [],
+               "tokens": [{"id": "T0", "symbol": "A", "decimals": 31}]}
+        try:
+            loads_snapshot(json.dumps(bad))
+        except ParseError:
+            print("io")
+    """
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["1", "graph", "graph", "io"]
