@@ -2,8 +2,10 @@
 """Hyperparameter sweep for the allocator's line search.
 
 Writes the step-decay (beta) and acceptance-threshold (alpha) sweeps to CSV
-via the bench harness and prints both tables.  Expected shape: quality is
-flat across the whole grid while latency blows up as beta approaches 1.
+via the bench harness and prints both tables.  Alpha and beta drive only the
+path-level sign steps; each hop's split across parallel pools is solved in
+closed form and does not depend on them.  Expected shape: quality is flat
+across the whole grid while latency grows as beta approaches 1.
 """
 
 import argparse

@@ -1,4 +1,4 @@
-"""Multi-edge path evaluation and the adaptive sign-gradient allocator.
+"""Multi-edge path evaluation, the per-hop water-fill and the path allocator.
 
 The allocation problem is: split an input amount across pool-disjoint paths
 (and, inside each path, across the parallel edges of every hop) to maximize
@@ -10,19 +10,23 @@ integer path output, hop amount and execution-plan step, and one per-hop
 derivative every real-mode marginal price, so the allocator and the emitted
 plan evaluate a path the same way.
 
-The optimizer moves mass from the lowest-marginal-price component to the
-highest one, with the step found by backtracking from a fixed fraction of the
-simplex until an Armijo-style sufficient-increase test passes.  The same
-kernel drives both the outer path-weight loop and the nested per-hop
-edge-weight relaxation; the nested pass runs at a 10x looser tolerance each
-outer iteration since full inner convergence is wasted early on.
+Inside a hop the split is solved exactly: the optimum equalizes the parallel
+edges' marginal prices, and every curve is a chain of Möbius pieces whose
+inverse marginal is closed form, so one search over the pieces' boundary
+prices and one formula give it (the price-indexed subproblem of Diamandis et
+al., FC 2023).  Between paths, the adaptive sign-gradient allocator moves
+mass from the lowest-marginal-price path to the highest one, with the step
+found by backtracking from a fixed fraction of the simplex until an
+Armijo-style sufficient-increase test passes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .cfmm import Piece
 from .errors import CapacityExceededError, InvalidParamsError
 from .graph import Edge
 from .pathfind import SinglePath
@@ -353,8 +357,6 @@ def _sign_step(weights: List[float], gain_grads: Sequence[float],
                loss_grads: Sequence[float], j0: int,
                evaluate: Callable[[List[float]], int],
                params: AsgmParams,
-               plus_order: Optional[Sequence[int]] = None,
-               delta_cap: Optional[Callable[[int], Optional[float]]] = None,
                delta_start: Optional[float] = None
                ) -> Optional[Tuple[List[float], int, float, int]]:
     """One rebalancing step: move mass from the worst coordinate to the best.
@@ -370,20 +372,13 @@ def _sign_step(weights: List[float], gain_grads: Sequence[float],
     _, minus = _select_extremes(weights, loss_grads)
     if minus is None:
         return None
-    if plus_order is None:
-        plus_order = sorted(range(len(gain_grads)),
-                            key=lambda i: (-gain_grads[i], i))
+    plus_order = sorted(range(len(gain_grads)),
+                        key=lambda i: (-gain_grads[i], i))
     top = params.delta0 if delta_start is None else delta_start
     for plus in plus_order:
         if plus == minus or gain_grads[plus] <= loss_grads[minus]:
             break
         delta = min(top, weights[minus])
-        if delta_cap is not None:
-            cap = delta_cap(plus)
-            if cap is not None:
-                if cap < params.delta_min:
-                    continue
-                delta = min(delta, cap)
         saw_capacity = False
         backtracks = 0
         while delta >= params.delta_min:
@@ -409,93 +404,119 @@ def _sign_step(weights: List[float], gain_grads: Sequence[float],
     return None
 
 
-def _downstream_derivs(path: MultiEdgePath,
-                       hop_weights: Sequence[Sequence[float]],
-                       amounts: Sequence[int]) -> List[float]:
-    """after[j] = d(final output)/d(hop j output), at integer points."""
-    after = [1.0] * (len(path.hops) + 1)
-    for j in range(len(path.hops) - 1, -1, -1):
-        recv = _hop_derivs(path.hops[j], hop_weights[j], float(amounts[j]))[0]
-        after[j] = recv * after[j + 1]
-    return after
+def _edge_point(pieces: Tuple[Piece, ...],
+                price: float) -> Tuple[float, Optional[Piece]]:
+    """An edge's optimal input at marginal price ``price``.
+
+    Returns ``(x, piece)``: ``piece`` is the one the price falls strictly
+    inside, with ``x`` its unclamped inverse; otherwise ``piece`` is None and
+    ``x`` a breakpoint, where the price sits between the exit price of one
+    piece and the entry price of the next (or above the first entry price,
+    or below the exit price at capacity).
+    """
+    for pc in pieces:
+        if price >= pc.price(0.0):
+            return float(pc.lo), None
+        if pc.width is None or price > pc.exit_price:
+            return pc.lo + pc.offset_at(price), pc
+    return float(pieces[-1].hi), None
 
 
-_EDGE_STEP_BUDGET = 64
+def water_fill(hop: Tuple[Edge, ...], amount: float) -> Optional[List[float]]:
+    """Inputs that split ``amount`` across a hop at one marginal price.
+
+    Every edge takes what it would at a common price lambda (KKT of the
+    concave hop), and the inputs sum to ``amount``.  Total demand falls as
+    lambda rises, so a binary search over the pieces' boundary prices finds
+    the bracket holding lambda; inside it every edge either sits on a
+    breakpoint or moves within one piece, and ``lambda**-1/2`` is closed
+    form.  Returns None when the edges cannot absorb ``amount``.
+    """
+    if amount <= 0.0:
+        return None
+    curves = [e.fn.pieces for e in hop]
+    prices = sorted({q for pieces in curves for pc in pieces
+                     for q in (pc.price(0.0), pc.exit_price) if q > 0.0})
+
+    def demand(price: float) -> float:
+        return sum(_edge_point(pieces, price)[0] for pieces in curves)
+
+    # demand(prices[lo]) >= amount > demand(prices[hi]); index -1 stands for
+    # a price of 0, and at the top price every edge takes nothing
+    lo, hi = -1, len(prices) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if demand(prices[mid]) >= amount:
+            lo = mid
+        else:
+            hi = mid
+    probe = prices[hi] / 2.0 if lo < 0 else \
+        math.sqrt(prices[lo] * prices[hi])
+    points = [_edge_point(pieces, probe) for pieces in curves]
+    free = [pc for _, pc in points if pc is not None]
+    if not free:
+        return None
+    rest = amount - sum(x if pc is None else pc.lo for x, pc in points)
+    # a free edge takes root * (s - shift / root) past its piece's start,
+    # with s = lambda**-1/2.  Measuring s from the smallest shift / root (the
+    # highest entry price) keeps every term positive, so an amount far below
+    # the pools' depth does not cancel away
+    ref = min(pc.shift / pc.root for pc in free)
+    lags = [pc.root * (pc.shift / pc.root - ref) for pc in free]
+    u = (rest + sum(lags)) / sum(pc.root for pc in free)
+    lag = iter(lags)
+    xs = []
+    for x, pc in points:
+        if pc is not None:
+            x = pc.lo + max(0.0, pc.root * u - next(lag))
+            if pc.width is not None:
+                x = min(x, float(pc.hi))
+        xs.append(x)
+    return xs
+
+
+def _pinned(fn, x: float) -> float:
+    """A float weight cannot hit a large capacity exactly: a saturated edge
+    asks for a hair more, so that ``hop_shares`` clamps it to the unit."""
+    cap = fn.input_capacity()
+    if cap is not None and x >= float(cap):
+        return x * (1.0 + 1e-12) + 2.0
+    return x
 
 
 def optimize_path_edges(path: MultiEdgePath, hop_weights: List[List[float]],
-                        x_path: int, params: AsgmParams, tol: float) -> int:
-    """Equalize marginal prices across the parallel edges of every hop.
+                        x_path: int) -> int:
+    """Split every multi-edge hop at equal marginal prices, front to back.
 
-    Runs the sign-rebalance kernel on each multi-edge hop's weight simplex,
-    with the path's own exact output as the Armijo objective, sweeping until
-    no hop can raise it.  A hop whose accepted step stops moving the integer
-    output has hit flooring resolution (e.g. a dust-sized parallel pool at a
-    huge operating amount) and is left alone until the next relaxation pass.
-    Mutates hop_weights in place; returns the path output.
+    Each hop is water-filled with the real output of the hops before it;
+    every hop's output rises with its input, so the per-hop optimum is the
+    path's.  The new weights are kept only when the exact integer output
+    does not fall.  Mutates hop_weights in place; returns the path output.
     """
-    if x_path == 0 or all(len(h) == 1 for h in path.hops):
-        return path_output(path, hop_weights, x_path)
     out = path_output(path, hop_weights, x_path)
-    budget = _EDGE_STEP_BUDGET
-    while budget > 0:
-        gained = False
-        for j, hop in enumerate(path.hops):
-            if len(hop) == 1:
-                continue
-            caps = [e.fn.input_capacity() for e in hop]
-            while budget > 0:
-                amounts = hop_amounts(path, hop_weights, x_path)
-                a_j = amounts[j]
-                if a_j == 0:
-                    break
-                after = _downstream_derivs(path, hop_weights, amounts)
-                w = hop_weights[j]
-                g = [e.fn.marginal_price(_bounded_point(e.fn, wk * a_j)[0])
-                     for e, wk in zip(hop, w)]
-                # capacity-saturated edges cannot receive mass; they are
-                # pinned at their boundary and excluded from the price target
-                open_idx = [i for i in range(len(hop))
-                            if caps[i] is None or w[i] * a_j + 1.0 <= caps[i]]
-                _, minus = _select_extremes(w, g)
-                if minus is None or not open_idx:
-                    break
-                g_top = max(g[i] for i in open_idx)
-                if g_top <= 0.0 or g_top - g[minus] <= tol * g_top:
-                    break
-                scale = a_j * after[j + 1]
-                grads = [scale * gk for gk in g]
-                plus_order = sorted(open_idx, key=lambda i: (-g[i], i))
-
-                def headroom(i):
-                    if caps[i] is None:
-                        return None
-                    return (caps[i] - w[i] * a_j) / a_j
-
-                def evaluate(trial, _j=j):
-                    saved = hop_weights[_j]
-                    hop_weights[_j] = trial
-                    try:
-                        return path_output(path, hop_weights, x_path)
-                    finally:
-                        hop_weights[_j] = saved
-
-                stepped = _sign_step(w, grads, grads, out, evaluate, params,
-                                     plus_order=plus_order,
-                                     delta_cap=headroom)
-                budget -= 1
-                if stepped is None:
-                    break
-                new_w, new_out, _, _ = stepped
-                hop_weights[j] = new_w
-                if new_out <= out:
-                    out = new_out
-                    break
-                out = new_out
-                gained = True
-        if not gained:
-            break
-    return out
+    if x_path == 0 or all(len(h) == 1 for h in path.hops):
+        return out
+    filled = []
+    amt = float(x_path)
+    for hop, weights in zip(path.hops, hop_weights):
+        xs = water_fill(hop, amt) if len(hop) > 1 else None
+        if xs is None:
+            xs = [amt] if len(hop) == 1 else [w * amt for w in weights]
+        else:
+            asks = [_pinned(e.fn, x) for e, x in zip(hop, xs)]
+            total = sum(asks)
+            weights = [x / total for x in asks]
+        filled.append(list(weights))
+        amt = sum(e.fn.out_real(_bounded_point(e.fn, x)[0])
+                  for e, x in zip(hop, xs))
+    try:
+        new = path_output(path, filled, x_path)
+    except CapacityExceededError:
+        return out
+    if new < out:
+        return out
+    hop_weights[:] = filled
+    return new
 
 
 def _init_edge_weights(paths: Sequence[MultiEdgePath],
@@ -553,7 +574,6 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
         weights = [1.0 / n] * n
     hop_w = _init_edge_weights(paths, initial_edge_weights)
     has_parallel = [any(len(h) > 1 for h in p.hops) for p in paths]
-    inner_tol = 10.0 * params.eps_rel
     cache: Dict[int, Tuple[int, int]] = {}
 
     def objective_at(w: Sequence[float]) -> int:
@@ -582,8 +602,7 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
         shares = integer_shares(weights, x)
         for i in range(n):
             if has_parallel[i] and shares[i] > 0 and shares[i] != relaxed_at[i]:
-                optimize_path_edges(paths[i], hop_w[i], shares[i], params,
-                                    inner_tol)
+                optimize_path_edges(paths[i], hop_w[i], shares[i])
                 relaxed_at[i] = shares[i]
                 cache.pop(i, None)
                 g_point[i] = None

@@ -17,12 +17,20 @@ Two pool kinds are supported:
 
 ``SequentialComposite`` chains swap functions back to back and is used for
 shortcut edges that collapse a multi-pool leg sequence into one logical hop.
+
+Every curve is a chain of Möbius pieces ``x -> (a*x + b) / (c*x + d)``: one
+for a constant-product pool, one per segment for a piecewise pool, and the
+2x2 matrix products of the legs' active pieces for a composite.  ``pieces``
+exposes them with exact int coefficients, which is what lets the allocator
+solve a hop's price-equalizing split in closed form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple, Union
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import List, Optional, Tuple, Union
 
 from .errors import AmountOverflowError, CapacityExceededError
 
@@ -80,6 +88,94 @@ def cp_marginal(reserve_in: int, reserve_out: int, fee_bps: int, x: float) -> fl
 
 
 @dataclass(frozen=True)
+class Piece:
+    """One Möbius piece of a curve: ``lo + t -> (a*t + b) / (c*t + d)``.
+
+    It holds for ``0 <= t <= width`` (``width`` is None on an unbounded last
+    piece).  The coefficients are exact ints with ``c, d > 0`` and
+    ``a*d - b*c > 0``, so the piece rises and is concave, with marginal price
+    ``(a*d - b*c) / (c*t + d)**2``, in floats ``(root / (t + shift))**2``.
+    """
+
+    lo: int
+    width: Optional[int]
+    a: int
+    b: int
+    c: int
+    d: int
+    shift: float = field(init=False, compare=False, repr=False)
+    root: float = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        a, b, c, d = self.a, self.b, self.c, self.d
+        # int true division rounds correctly however large the coefficients
+        object.__setattr__(self, "shift", d / c)
+        object.__setattr__(self, "root", math.sqrt((a * d - b * c) / (c * c)))
+
+    @property
+    def hi(self) -> Optional[int]:
+        return None if self.width is None else self.lo + self.width
+
+    def price(self, t: float) -> float:
+        """Marginal price at local offset ``t``."""
+        r = self.root / (t + self.shift)
+        return r * r
+
+    def offset_at(self, price: float) -> float:
+        """Local offset whose marginal price is ``price`` (unclamped)."""
+        return self.root / math.sqrt(price) - self.shift
+
+    @property
+    def exit_price(self) -> float:
+        return 0.0 if self.width is None else self.price(float(self.width))
+
+
+def _then(outer: Piece, inner: Piece, s: int) -> Tuple[int, int, int, int]:
+    """Coefficients of ``outer`` after ``inner``, local to ``inner.lo + s``.
+
+    The 2x2 product ``outer . T(-outer.lo) . inner . T(s)``, where ``T(u)``
+    is the shift ``t -> t + u``.
+    """
+    qa, qb = outer.a, outer.b - outer.a * outer.lo
+    qc, qd = outer.c, outer.d - outer.c * outer.lo
+    pa, pb = inner.a, inner.a * s + inner.b
+    pc, pd = inner.c, inner.c * s + inner.d
+    return (qa * pa + qb * pc, qa * pb + qb * pd,
+            qc * pa + qd * pc, qc * pb + qd * pd)
+
+
+def _compose(inner: Tuple[Piece, ...], outer: Tuple[Piece, ...]) -> List[Piece]:
+    """Pieces of ``outer`` after ``inner``: each inner piece splits where its
+    output crosses an outer breakpoint, pulled back to the next integer
+    input.  Stops where the output reaches the outer curve's capacity."""
+    out: List[Piece] = []
+    for p in inner:
+        x = p.lo
+        end = p.hi
+        while end is None or x < end:
+            s = x - p.lo
+            num, den = p.a * s + p.b, p.c * s + p.d
+            # the outer piece holding y = num / den; a point on a
+            # breakpoint belongs to the piece it enters
+            q = next((q for q in outer
+                      if q.hi is None or num < q.hi * den), None)
+            if q is None:
+                return out
+            nxt = end
+            if q.hi is not None and p.a > p.c * q.hi:
+                # inner output reaches q.hi at t = (d*y - b) / (a - c*y)
+                t_num, t_den = p.d * q.hi - p.b, p.a - p.c * q.hi
+                cross = p.lo - (-t_num // t_den)
+                nxt = cross if end is None else min(cross, end)
+            out.append(Piece(x, None if nxt is None else nxt - x,
+                             *_then(q, p, s)))
+            if nxt is None:
+                return out
+            x = nxt
+    return out
+
+
+@dataclass(frozen=True)
 class ConstantProduct:
     reserve_in: int
     reserve_out: int
@@ -113,6 +209,16 @@ class ConstantProduct:
 
     def input_capacity(self):
         return None
+
+    def output_ceiling(self) -> int:
+        """Strict upper bound on any output."""
+        return self.reserve_out
+
+    @cached_property
+    def pieces(self) -> Tuple[Piece, ...]:
+        k = BPS_DENOM - self.fee_bps
+        return (Piece(0, None, k * self.reserve_out, 0, k,
+                      BPS_DENOM * self.reserve_in),)
 
 
 @dataclass(frozen=True)
@@ -222,6 +328,26 @@ class PiecewiseLiquidity:
         return ((BPS_DENOM - self.fee_bps) * first.virtual_reserve_out,
                 BPS_DENOM * first.virtual_reserve_in)
 
+    def output_ceiling(self) -> int:
+        """Strict upper bound on any output: each segment's out-reserve."""
+        return sum(s.virtual_reserve_out for s in self.segments)
+
+    @cached_property
+    def pieces(self) -> Tuple[Piece, ...]:
+        """One piece per segment, with the earlier segments' exact output
+        ``p`` folded in: ``p + k*V_out*t / (k*t + 10000*V_in)``."""
+        k = BPS_DENOM - self.fee_bps
+        out = []
+        lo = done = 0
+        for s in self.segments:
+            d = BPS_DENOM * s.virtual_reserve_in
+            out.append(Piece(lo, s.capacity_in, k * (done + s.virtual_reserve_out),
+                             done * d, k, d))
+            lo += s.capacity_in
+            done += cp_swap_out(s.virtual_reserve_in, s.virtual_reserve_out,
+                                self.fee_bps, s.capacity_in)
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class SequentialComposite:
@@ -277,6 +403,23 @@ class SequentialComposite:
             num *= n
             den *= d
         return num, den
+
+    def output_ceiling(self) -> int:
+        return self.parts[-1].output_ceiling()
+
+    @cached_property
+    def pieces(self) -> Tuple[Piece, ...]:
+        """The legs' pieces composed front to back, ending at the exact
+        integer ``input_capacity``."""
+        out = self.parts[0].pieces
+        for fn in self.parts[1:]:
+            out = tuple(_compose(out, fn.pieces))
+        cap = self.input_capacity()
+        if cap is not None:
+            out = tuple(p for p in out if p.lo < cap)
+        last = out[-1]
+        width = None if cap is None else cap - last.lo
+        return out[:-1] + (Piece(last.lo, width, last.a, last.b, last.c, last.d),)
 
     def input_capacity(self):
         """Largest input the whole chain can absorb (None when unbounded).

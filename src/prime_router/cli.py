@@ -161,6 +161,8 @@ def cmd_bench(args) -> int:
                 "iterations": sol.stats.asgm_iterations,
                 "queue_pushes": sol.stats.queue_pushes,
                 "swap_evals": sol.stats.swap_evals,
+                "converged": sol.stats.converged,
+                "fallback": sol.stats.fallback,
             })
             if args.trace_dir and sol.trace:
                 name = f"trace_{os.path.basename(snap_path)}_{algo}_{amount}_{rep}.csv"
@@ -168,7 +170,8 @@ def cmd_bench(args) -> int:
     _write_csv(rows, args.out,
                ["snapshot", "source", "target", "amount", "algorithm",
                 "repetition", "output", "bp_vs_baseline", "wall_time_ms",
-                "iterations", "queue_pushes", "swap_evals"])
+                "iterations", "queue_pushes", "swap_evals", "converged",
+                "fallback"])
     return EXIT_OK
 
 

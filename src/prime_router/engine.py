@@ -64,12 +64,21 @@ class RouteQuery:
 
 @dataclass
 class RouteStats:
+    """Work counts and outcome flags of one query.
+
+    ``converged`` and ``degraded`` are the stage-2 allocator's (both False
+    when no allocator ran); ``fallback`` is set when the allocation lost to
+    the best discovered single path and was replaced by it.
+    """
+
     find_path_calls: int = 0
     queue_pushes: int = 0
     swap_evals: int = 0
     asgm_iterations: int = 0
     paths_discovered: int = 0
+    converged: bool = False
     degraded: bool = False
+    fallback: bool = False
     stage1_taus: List[float] = field(default_factory=list)
     stage1_objectives: List[int] = field(default_factory=list)
 
@@ -341,6 +350,7 @@ def prime(g: SwapGraph, query: RouteQuery,
                                      prep.shortcut_index, used)
     final = asgm(multi, query.amount, params, initial_edge_weights=init_w)
     stats.asgm_iterations += final.iterations
+    stats.converged = final.converged
     stats.degraded = final.degraded
 
     allocation = final.allocation
@@ -354,6 +364,7 @@ def prime(g: SwapGraph, query: RouteQuery,
     if singles[best_i].output > total:
         allocation, plan, total, tau = _degenerate_solution(
             multi, singles[best_i], query.amount)
+        stats.fallback = True
         log.debug("fell back to single-path allocation (%d > %d)",
                   singles[best_i].output, total)
 

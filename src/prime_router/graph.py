@@ -77,6 +77,7 @@ class Edge:
     rate_num: int = field(init=False, compare=False, repr=False)
     rate_den: int = field(init=False, compare=False, repr=False)
     spot: float = field(init=False, compare=False, repr=False)
+    ceiling: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ids = tuple(leg.pool_id for leg in self.legs) if self.legs \
@@ -86,6 +87,7 @@ class Edge:
         object.__setattr__(self, "rate_num", num)
         object.__setattr__(self, "rate_den", den)
         object.__setattr__(self, "spot", num / den)
+        object.__setattr__(self, "ceiling", self.fn.output_ceiling())
 
     def output_bound(self, amount: int) -> int:
         """Concavity bound: f(amount) < floor(spot * amount) + 1, exactly."""
@@ -164,9 +166,12 @@ def _expand_pool(pool: Pool) -> List[Edge]:
 
 
 def add_token(token_map: Dict[str, Token], t: Token) -> None:
-    """Admit one token entry: a new id, decimals in 0..30."""
+    """Admit one token entry: a new id, int decimals in 0..30."""
     if t.id in token_map:
         raise MalformedSnapshotError(f"duplicate token id {t.id!r}")
+    if not isinstance(t.decimals, int) or isinstance(t.decimals, bool):
+        raise MalformedSnapshotError(f"token {t.id!r}: decimals must be an int, "
+                                     f"got {type(t.decimals).__name__}")
     if not (0 <= t.decimals <= 30):
         raise MalformedSnapshotError(f"token {t.id!r}: decimals out of range")
     token_map[t.id] = t

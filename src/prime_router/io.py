@@ -247,7 +247,9 @@ def solution_to_dict(sol: RouteSolution) -> dict:
             "swap_evals": sol.stats.swap_evals,
             "asgm_iterations": sol.stats.asgm_iterations,
             "paths_discovered": sol.stats.paths_discovered,
+            "converged": sol.stats.converged,
             "degraded": sol.stats.degraded,
+            "fallback": sol.stats.fallback,
         },
     }
 

@@ -18,6 +18,9 @@ holding ``out`` at ``v`` with ``r`` hops left can therefore deliver at most
 ``out * rate[r][v]``: an admissible bound in the sense of Hart, Nilsson &
 Raphael (1968).  A successor is dropped, before its exact swap and again
 after it, once that bound cannot exceed ``max(best arrival, tau * amount)``.
+Every output also stays below the pool's ceiling (its output reserve), so a
+pool whose ceiling cannot clear that floor, or the frontier, is never
+evaluated: at a whale amount the shallow pools drop out unswapped.
 
 The bound never changes the result.  A dropped state has no completion that
 could be accepted (average rate above tau) or beat the best arrival already
@@ -77,21 +80,29 @@ class SearchStats:
     swap_evals: int = 0
 
 
-def _best_candidate(candidates: Sequence[Edge], amount: int,
+def _best_candidate(candidates: Sequence[Edge], amount: int, gate: int,
+                    v_rate: float, lim: float,
                     masked: FrozenSet[str], visited: Tuple[str, ...],
                     path_pools: Tuple[str, ...],
                     stats: Optional[SearchStats]) -> Tuple[Optional[Edge], int]:
-    """Best usable parallel edge at this amount.
+    """Best usable parallel edge at this amount, when it can be pushed.
 
-    Candidates arrive sorted by descending spot rate, so once the concavity
-    bound spot*amount falls at or below the best exact output seen, no later
-    candidate can win or tie and the scan stops.
+    A successor is pushed only with an output above ``gate`` whose path
+    bound ``out * v_rate`` clears ``lim``, so an edge whose output ceiling
+    cannot get there is never evaluated.  Candidates arrive sorted by
+    descending spot rate: once the concavity bound spot*amount falls to that
+    floor or to the best exact output seen, no later candidate can win or
+    tie and the scan stops.
     """
     best_edge = None
     best_out = 0
     for e in candidates:
-        if e.output_bound(amount) <= best_out:
+        floor = best_out if best_out > gate else gate
+        bound = e.output_bound(amount)
+        if bound <= floor or bound * v_rate * BOUND_SLACK <= lim:
             break
+        if e.ceiling <= floor or e.ceiling * v_rate * BOUND_SLACK <= lim:
+            continue
         if any(p in masked or p in path_pools for p in e.pool_ids):
             continue
         if e.legs and any(leg.token_in in visited for leg in e.legs[1:]):
@@ -186,8 +197,8 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             cap = candidates[0].output_bound(cur)
             if cap <= gate or cap * v_rate * BOUND_SLACK <= lim:
                 continue
-            edge, out = _best_candidate(candidates, cur, masked_pools,
-                                        visited, pools, stats)
+            edge, out = _best_candidate(candidates, cur, gate, v_rate, lim,
+                                        masked_pools, visited, pools, stats)
             if edge is None or out == 0:
                 continue
             if out * v_rate * BOUND_SLACK <= lim:

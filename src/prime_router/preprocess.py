@@ -86,6 +86,40 @@ class ShortcutIndex:
         return sum(len(v) for v in self._entries.values())
 
 
+def _extend(g: SwapGraph, hub_set, max_intermediates: int, top_s: int,
+            found, h_in: str, node: str, edges: Tuple[Edge, ...], rate: float,
+            seen: Tuple[str, ...], pools: Tuple[str, ...]) -> None:
+    """Record every hub reached from ``node`` through non-hubs in ``found``.
+
+    ``rate`` is the spot product of ``edges``, multiplied left to right.  A
+    module-level recursion, not a closure: a closure that calls itself sits
+    in a reference cycle and would pin ``g`` and ``found`` until a full GC.
+    """
+    deeper = len(seen) < max_intermediates
+    for v, candidates in g.out_items(node):
+        if v == h_in or v in seen:
+            continue
+        is_hub = v in hub_set
+        if not (is_hub or deeper):
+            continue
+        for e in candidates:
+            if e.pool_id in pools:
+                continue
+            # all parallel candidates are explored: pool-distinctness
+            # within a shortcut depends on which pool each leg uses
+            if is_hub:
+                bucket = found.setdefault((h_in, v), [])
+                bucket.append((-(rate * e.spot), pools + (e.pool_id,),
+                               edges + (e,)))
+                if len(bucket) > 4 * top_s:
+                    bucket.sort()
+                    del bucket[top_s:]
+            else:
+                _extend(g, hub_set, max_intermediates, top_s, found, h_in, v,
+                        edges + (e,), rate * e.spot, seen + (v,),
+                        pools + (e.pool_id,))
+
+
 def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
                          max_intermediates: int = 2,
                          top_s: int = 3) -> ShortcutIndex:
@@ -100,43 +134,13 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
         raise InvalidParamsError("top_s must be >= 1")
     hub_set = set(hubs)
     found: Dict[Tuple[str, str], List[Tuple[float, Tuple[str, ...], Tuple[Edge, ...]]]] = {}
-
-    def consider(h_in: str, h_out: str, edges: Tuple[Edge, ...], rate: float,
-                 pools: Tuple[str, ...]):
-        bucket = found.setdefault((h_in, h_out), [])
-        bucket.append((-rate, pools, edges))
-        if len(bucket) > 4 * top_s:
-            bucket.sort()
-            del bucket[top_s:]
-
-    # ``rate`` is the spot product of ``edges``, multiplied left to right
-    def extend(h_in: str, node: str, edges: Tuple[Edge, ...], rate: float,
-               seen: Tuple[str, ...], pools: Tuple[str, ...]):
-        deeper = len(seen) < max_intermediates
-        for v, candidates in g.out_items(node):
-            if v == h_in or v in seen:
-                continue
-            is_hub = v in hub_set
-            if not (is_hub or deeper):
-                continue
-            for e in candidates:
-                if e.pool_id in pools:
-                    continue
-                # all parallel candidates are explored: pool-distinctness
-                # within a shortcut depends on which pool each leg uses
-                if is_hub:
-                    consider(h_in, v, edges + (e,), rate * e.spot,
-                             pools + (e.pool_id,))
-                else:
-                    extend(h_in, v, edges + (e,), rate * e.spot, seen + (v,),
-                           pools + (e.pool_id,))
-
     for h in hubs:
         for v, candidates in g.out_items(h):
             if v in hub_set:
                 continue
             for e in candidates:
-                extend(h, v, (e,), e.spot, (v,), (e.pool_id,))
+                _extend(g, hub_set, max_intermediates, top_s, found, h, v,
+                        (e,), e.spot, (v,), (e.pool_id,))
 
     entries: Dict[Tuple[str, str], Tuple[Shortcut, ...]] = {}
     for pair, bucket in found.items():

@@ -9,14 +9,26 @@ from prime_router.allocation import (
     Allocation,
     AsgmParams,
     MultiEdgePath,
+    _bounded_point,
+    _hop_derivs,
+    _renormalize,
+    _select_extremes,
     asgm,
+    hop_amounts,
     integer_shares,
     objective,
+    optimize_path_edges,
     path_marginal_real,
     path_output,
+    water_fill,
 )
-from prime_router.cfmm import ConstantProduct, PiecewiseLiquidity, Segment
-from prime_router.errors import InvalidParamsError
+from prime_router.cfmm import (
+    ConstantProduct,
+    PiecewiseLiquidity,
+    Segment,
+    SequentialComposite,
+)
+from prime_router.errors import CapacityExceededError, InvalidParamsError
 from prime_router.graph import Edge
 
 from instances import WAD, closed_form_pair, random_disjoint_paths, single_edge_path
@@ -276,3 +288,223 @@ def test_linear_convergence_gap_series():
     r2 = 1.0 - ss_res / ss_tot
     assert slope < 0
     assert r2 >= 0.9
+
+
+# --- the per-hop split -----------------------------------------------------
+
+def _armijo_sign_step(weights, grads, j0, evaluate, params, plus_order,
+                      delta_cap):
+    """The Armijo sign step as the deleted per-hop edge loop ran it."""
+    _, minus = _select_extremes(weights, grads)
+    if minus is None:
+        return None
+    for plus in plus_order:
+        if plus == minus or grads[plus] <= grads[minus]:
+            break
+        delta = min(params.delta0, weights[minus])
+        cap = delta_cap(plus)
+        if cap is not None:
+            if cap < params.delta_min:
+                continue
+            delta = min(delta, cap)
+        saw_capacity = False
+        while delta >= params.delta_min:
+            trial = list(weights)
+            trial[plus] += delta
+            trial[minus] = max(0.0, trial[minus] - delta)
+            try:
+                j1 = evaluate(trial)
+            except CapacityExceededError:
+                saw_capacity = True
+                delta *= params.beta
+                continue
+            if j1 >= j0 + int(params.alpha * delta *
+                              (grads[plus] - grads[minus])):
+                _renormalize(trial)
+                return trial, j1
+            delta *= params.beta
+        if not saw_capacity:
+            return None
+    return None
+
+
+def armijo_path_edges(path, hop_weights, x_path, params=AsgmParams()):
+    """Oracle: the Armijo edge-weight loop that the water-fill replaced.
+
+    Sign steps on each multi-edge hop's simplex with the exact path output
+    as the objective, at the 10x looser inner tolerance and the 64-step
+    budget it ran with.  Mutates hop_weights; returns the path output.
+    """
+    tol = 10.0 * params.eps_rel
+    out = path_output(path, hop_weights, x_path)
+    budget = 64
+    while budget > 0:
+        gained = False
+        for j, hop in enumerate(path.hops):
+            if len(hop) == 1:
+                continue
+            caps = [e.fn.input_capacity() for e in hop]
+            while budget > 0:
+                amounts = hop_amounts(path, hop_weights, x_path)
+                a_j = amounts[j]
+                if a_j == 0:
+                    break
+                after = 1.0
+                for k in range(len(path.hops) - 1, j, -1):
+                    after *= _hop_derivs(path.hops[k], hop_weights[k],
+                                         float(amounts[k]))[0]
+                w = hop_weights[j]
+                g = [e.fn.marginal_price(_bounded_point(e.fn, wk * a_j)[0])
+                     for e, wk in zip(hop, w)]
+                open_idx = [i for i in range(len(hop))
+                            if caps[i] is None or w[i] * a_j + 1.0 <= caps[i]]
+                _, minus = _select_extremes(w, g)
+                if minus is None or not open_idx:
+                    break
+                g_top = max(g[i] for i in open_idx)
+                if g_top <= 0.0 or g_top - g[minus] <= tol * g_top:
+                    break
+
+                def headroom(i, w=w, a_j=a_j):
+                    if caps[i] is None:
+                        return None
+                    return (caps[i] - w[i] * a_j) / a_j
+
+                def evaluate(trial, j=j):
+                    saved = hop_weights[j]
+                    hop_weights[j] = trial
+                    try:
+                        return path_output(path, hop_weights, x_path)
+                    finally:
+                        hop_weights[j] = saved
+
+                stepped = _armijo_sign_step(
+                    w, [a_j * after * gk for gk in g], out, evaluate, params,
+                    sorted(open_idx, key=lambda i: (-g[i], i)), headroom)
+                budget -= 1
+                if stepped is None:
+                    break
+                hop_weights[j], new_out = stepped
+                if new_out <= out:
+                    out = new_out
+                    break
+                out = new_out
+                gained = True
+        if not gained:
+            break
+    return out
+
+
+def _random_piecewise(rng, fee):
+    """2-4 segments; each next entry price at or below the last exit price,
+    so some hops sit on a kink between two segments."""
+    k = 10_000 - fee
+    vin, vout = rng.randint(10**19, 10**21), rng.randint(10**19, 10**21)
+    segments = []
+    for _ in range(rng.randint(2, 4)):
+        cap = int(vin * rng.uniform(0.3, 2.0))
+        segments.append(Segment(cap, vin, vout))
+        exhausted = vin * 10_000 + k * cap
+        next_vin = int(vin * rng.uniform(0.8, 2.0))
+        next_vout = 10_000**2 * vin * vout * next_vin // exhausted**2
+        vin, vout = next_vin, next_vout * rng.choice((10, 9, 5)) // 10
+    return PiecewiseLiquidity(tuple(segments), fee)
+
+
+def _random_curve(rng, kind):
+    fee = rng.choice((0, 5, 30))
+    if kind == "cp":
+        return ConstantProduct(rng.randint(10**19, 10**22),
+                               rng.randint(10**19, 10**22), fee)
+    if kind == "piecewise":
+        return _random_piecewise(rng, fee)
+    return SequentialComposite(tuple(
+        _random_curve(rng, rng.choice(("cp", "piecewise")))
+        for _ in range(rng.randint(2, 3))))
+
+
+def _random_hop(rng, kinds, tin="S", tout="T", tag=""):
+    return tuple(Edge(f"P{tag}{i}", tin, tout, _random_curve(rng, kind))
+                 for i, kind in enumerate(kinds))
+
+
+HOP_KINDS = {
+    "cp": ("cp", "cp", "cp"),
+    "piecewise": ("piecewise", "piecewise", "cp"),
+    "composite": ("composite", "composite", "cp"),
+    # only capped curves, most of their capacity asked for
+    "clamped": ("piecewise", "piecewise", "piecewise"),
+}
+
+
+def _hop_amount(rng, hop, kind):
+    caps = [e.fn.input_capacity() for e in hop]
+    if kind == "clamped":
+        return int(sum(caps) * rng.uniform(0.5, 0.999))
+    return 10**rng.randint(15, 22) * rng.randint(1, 9)
+
+
+def _check_kkt(hop, xs, amount):
+    """Open edges share one marginal price; the rest sit where it lies
+    between their left and right marginal prices."""
+    assert sum(xs) == pytest.approx(amount, rel=1e-9)
+    open_prices, bounds = [], []
+    for e, x in zip(hop, xs):
+        fn = e.fn
+        cap = fn.input_capacity()
+        assert 0.0 <= x and (cap is None or x <= float(cap))
+        if x == 0.0:
+            bounds.append((math.inf, fn.marginal_price(0.0)))
+            continue
+        if cap is not None and x >= float(cap) * (1 - 1e-12):
+            bounds.append((fn.marginal_price(float(cap)), 0.0))
+            continue
+        left = fn.marginal_price(x * (1 - 1e-10))
+        right = fn.marginal_price(x * (1 + 1e-10))
+        if left > right * (1 + 1e-6):
+            bounds.append((left, right))  # on a breakpoint
+        else:
+            open_prices.append(fn.marginal_price(x))
+    assert open_prices, "a hop always has an edge strictly inside a piece"
+    price = open_prices[0]
+    for m in open_prices:
+        assert m == pytest.approx(price, rel=1e-9)
+    for left, right in bounds:
+        assert left >= price * (1 - 1e-9)
+        assert right <= price * (1 + 1e-9)
+
+
+class TestWaterFill:
+    @pytest.mark.parametrize("kind", list(HOP_KINDS))
+    def test_open_edges_share_one_marginal_price(self, kind):
+        rng = random.Random(f"fill-{kind}")
+        for _ in range(60):
+            hop = _random_hop(rng, HOP_KINDS[kind])
+            amount = _hop_amount(rng, hop, kind)
+            xs = water_fill(hop, float(amount))
+            _check_kkt(hop, xs, amount)
+
+    @pytest.mark.parametrize("kind", list(HOP_KINDS))
+    def test_never_below_the_armijo_loop(self, kind):
+        rng = random.Random(f"armijo-{kind}")
+        for trial in range(25):
+            hops = [_random_hop(rng, HOP_KINDS[kind], "S", "M", "a")]
+            if trial % 2:
+                # a second, multi-edge hop fed by the first
+                hops.append(_random_hop(rng, ("cp", "cp"), "M", "T", "b"))
+            path = MultiEdgePath(tuple(hops))
+            x = _hop_amount(rng, hops[0], kind)
+            start = [[1.0 / len(h)] * len(h) for h in path.hops]
+            want = armijo_path_edges(path, [list(w) for w in start], x)
+            hw = [list(w) for w in start]
+            got = optimize_path_edges(path, hw, x)
+            assert got == path_output(path, hw, x)
+            assert got >= want
+
+    def test_dust_amount_against_deep_pools(self):
+        # an amount 15 orders below the pools' depth still lands on the best
+        # entry price instead of cancelling away against the pools' shift
+        hop = (Edge("P0", "S", "T", ConstantProduct(10**28, 10**26, 30)),
+               Edge("P1", "S", "T", ConstantProduct(10**28, 2 * 10**26, 30)))
+        xs = water_fill(hop, 1e12)
+        assert xs == [0.0, pytest.approx(1e12, rel=1e-9)]

@@ -258,3 +258,53 @@ def test_piecewise_concavity_properties():
     for x1, x2 in zip(xs, xs[2:]):
         if (x1 + x2) % 2 == 0:
             assert 2 * f.swap_out((x1 + x2) // 2) + 2 >= f.swap_out(x1) + f.swap_out(x2)
+
+
+def _piece_at(fn, x):
+    """(value, marginal price) of the curve's Möbius piece holding x."""
+    for p in fn.pieces:
+        if p.hi is None or x <= p.hi:
+            t = x - p.lo
+            return (p.a * t + p.b) / (p.c * t + p.d), p.price(float(t))
+    raise AssertionError("x beyond the last piece")
+
+
+class TestPieces:
+    def curves(self):
+        cp = ConstantProduct(10**21, 3 * 10**20, 30)
+        pw = PiecewiseLiquidity((Segment(5 * 10**20, 10**21, 10**21),
+                                 Segment(10**21, 3 * 10**21, 10**21)), 5)
+        wide = ConstantProduct(10**21, 3 * 10**21, 0)
+        return {"cp": cp, "piecewise": pw,
+                # wide's output crosses pw's breakpoint and capacity
+                "composite": SequentialComposite((wide, pw, cp)),
+                "piecewise_first": SequentialComposite((pw, cp, pw))}
+
+    @pytest.mark.parametrize("kind", ["cp", "piecewise", "composite",
+                                      "piecewise_first"])
+    def test_pieces_follow_the_curve(self, kind):
+        fn = self.curves()[kind]
+        cap = fn.input_capacity()
+        rng = random.Random(kind)
+        for x in [1, 10**6] + [rng.randint(1, cap or 10**22) for _ in range(200)]:
+            value, price = _piece_at(fn, x)
+            assert value == pytest.approx(fn.swap_out(x), rel=1e-12, abs=2)
+            assert price == pytest.approx(fn.marginal_price(float(x)), rel=1e-9)
+
+    def test_pieces_tile_the_domain(self):
+        for kind, fn in self.curves().items():
+            pieces = fn.pieces
+            assert pieces[0].lo == 0
+            for a, b in zip(pieces, pieces[1:]):
+                assert a.hi == b.lo
+                # concave: a piece exits at or above the next one's entry
+                assert a.exit_price >= b.price(0.0) * (1 - 1e-12)
+            assert pieces[-1].hi == fn.input_capacity()
+        assert [len(fn.pieces) for fn in self.curves().values()] == [1, 2, 2, 2]
+
+    def test_output_ceiling_is_strict(self):
+        for fn in self.curves().values():
+            cap = fn.input_capacity()
+            x = cap if cap is not None else MAX_UINT256 // 2
+            assert fn.swap_out(x) < fn.output_ceiling()
+            assert edge(fn).ceiling == fn.output_ceiling()

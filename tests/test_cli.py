@@ -54,6 +54,17 @@ class TestRoute:
         assert stats["swap_evals"] >= stats["paths_discovered"] >= 1
         assert stats["queue_pushes"] >= 1
 
+    def test_stats_report_outcome_flags(self, snapshot_path, capsys):
+        path, source, target = snapshot_path
+        code, out, _ = run_cli(capsys, "route", "--snapshot", path,
+                               "--from", source, "--to", target,
+                               "--amount", "1000000")
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        assert stats["converged"] is True
+        assert stats["degraded"] is False
+        assert stats["fallback"] is False
+
     def test_unknown_token_exits_one(self, snapshot_path, capsys):
         path, source, _ = snapshot_path
         code, out, err = run_cli(capsys, "route", "--snapshot", path,
@@ -201,6 +212,19 @@ class TestBench:
                 assert float(row["bp_vs_baseline"]) >= 0.0
             if row["algorithm"] == "osp":
                 assert float(row["bp_vs_baseline"]) == 0.0
+
+    def test_report_outcome_flags(self, snapshot_path, tmp_path, capsys):
+        path, source, target = snapshot_path
+        out_csv = tmp_path / "bench.csv"
+        code, _, _ = run_cli(capsys, "bench", "--snapshot", path,
+                             "--from", source, "--to", target,
+                             "--amounts", "1000000", "--algos", "prime,osp",
+                             "--out", str(out_csv))
+        assert code == 0
+        flags = {r["algorithm"]: (r["converged"], r["fallback"])
+                 for r in csv.DictReader(open(out_csv))}
+        # best_single_path runs no allocator
+        assert flags == {"prime": ("True", "False"), "osp": ("False", "False")}
 
     def test_deterministic_apart_from_wall_time(self, snapshot_path, tmp_path,
                                                 capsys):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from prime_router.allocation import asgm, single_to_multi
+from prime_router.allocation import AsgmParams, asgm, single_to_multi
 from prime_router.baselines import best_single_path
 from prime_router.cfmm import Segment
 from prime_router.engine import (
@@ -144,6 +144,42 @@ class TestPrime:
         assert verify_solution(sol, g).ok
         res = asgm(list(sol.paths), x)
         assert res.trace[-1].objective > 0
+
+    def test_cold_reallocation_matches_the_warm_solve(self):
+        # the market above: a cold allocator run over the final paths used
+        # to stall, degraded, at 0.909x of the output of the warm solve,
+        # because the parallel edges it could not move off were saturated
+        a, b = 161324352732870180864, 201206890577582882816
+        segs = (Segment(a, 10**21, 10**21), Segment(b, 2 * 10**21, 10**21))
+        pw = Pool("PW", KIND_PIECEWISE, ("T0", "T1"), 0, directions=(
+            PoolDirection("T0", "T1", segs), PoolDirection("T1", "T0", segs)))
+        g = build_graph(tokens(2), [pw, cp_pool("CP", "T0", "T1",
+                                                10**24, 10**24)])
+        x = 4 * (a + b)
+        sol = prime(g, query("T0", "T1", x))
+        res = asgm(list(sol.paths), x)
+        assert res.converged and not res.degraded
+        assert res.trace[-1].objective == sol.total_output
+
+    def test_stats_flag_convergence_and_fallback(self):
+        # two routes: a deep pool and a deeper two-hop detour at a lower
+        # spot rate; an allocator stuck at the even split loses to the first
+        w = 10**18
+        g = build_graph(tokens(3), [
+            cp_pool("A", "T0", "T1", 1000 * w, 1000 * w),
+            cp_pool("B", "T0", "T2", 10**6 * w, 10**6 * w),
+            cp_pool("C", "T2", "T1", 10**6 * w, 86 * 10**4 * w)])
+        x = 100 * w
+        sol = prime(g, query("T0", "T1", x))
+        assert sol.stats.paths_discovered == 2
+        assert sol.stats.converged and not sol.stats.fallback
+        stuck = prime(g, query("T0", "T1", x,
+                               asgm_params=AsgmParams(delta_min=0.3)))
+        assert stuck.stats.degraded and not stuck.stats.converged
+        assert stuck.stats.fallback
+        assert stuck.total_output == \
+            g.edges_between("T0", "T1")[0].fn.swap_out(x) < sol.total_output
+        assert verify_solution(stuck, g).ok
 
     def test_lost_discovered_path_raises(self):
         # a real raise, not an assert: this also holds under python -O

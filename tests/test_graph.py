@@ -121,6 +121,14 @@ class TestValidation:
         with pytest.raises(MalformedSnapshotError, match="^pool 'P0': "):
             build_graph(tokens(2), [pool])
 
+    @pytest.mark.parametrize("decimals", ["18", 18.0, True],
+                             ids=["str", "float", "bool"])
+    def test_non_int_decimals(self, decimals):
+        toks = [Token("T0", "A", decimals), Token("T1", "B", 18)]
+        with pytest.raises(MalformedSnapshotError,
+                           match="^token 'T0': decimals must be an int"):
+            build_graph(toks, [cp_pool("P0", "T0", "T1", 10, 10)])
+
     def test_each_piecewise_curve_built_once(self, monkeypatch):
         built = []
         real = graph_mod.PiecewiseLiquidity

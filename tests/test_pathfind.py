@@ -11,8 +11,9 @@ from prime_router.engine import (
     prepare_routing,
     prime,
 )
+from prime_router.cfmm import ConstantProduct
 from prime_router.errors import GraphTooLargeError, NoRouteError
-from prime_router.graph import KIND_PIECEWISE, SwapGraph, build_graph
+from prime_router.graph import KIND_PIECEWISE, Edge, SwapGraph, build_graph
 from prime_router.io import generate_synthetic, solution_to_dict
 from prime_router.pathfind import (
     SearchStats,
@@ -155,7 +156,7 @@ class TestFindPath:
 # sha256 of the stats-free results in test_golden_results; the routes are
 # those the unbounded search that preceded the rate bound returned
 GOLDEN_SHA256 = \
-    "e18cd80c5272c590f52da6917dc6a4a198c966d2ed6fcfcc6ef55a308b619949"
+    "c73155ecb314e607ba53b7c9baa5bb8877514a2b24b539f51853f5bc8ac28cc9"
 
 
 def _spot_product(path):
@@ -279,6 +280,28 @@ class TestBoundPruning:
             assert res is None
             assert stats.pushes == 0 and stats.swap_evals == 0
             assert stats.pops == 1
+
+    def test_shallow_pool_not_evaluated_at_whale_amount(self):
+        # the shallow pool quotes the best spot rate, but its whole output
+        # reserve is far below what the direct pool already delivers
+        evaluated = []
+
+        class Shallow(ConstantProduct):
+            def swap_out(self, x):
+                evaluated.append(x)
+                return super().swap_out(x)
+
+        edges = [Edge("D0", "T0", "T1", ConstantProduct(10**24, 10**24, 30)),
+                 Edge("D1", "T0", "T2", ConstantProduct(10**24, 10**24, 30)),
+                 Edge("SH", "T1", "T2", Shallow(10**6, 3 * 10**6, 30))]
+        g = SwapGraph({t.id: t for t in tokens(3)}, {}, edges)
+        assert edges[2].spot > edges[1].spot
+        for tau in (0.0, 0.5):
+            stats = SearchStats()
+            res = find_path(g, "T0", "T2", 10**18, tau, 3, stats=stats)
+            assert [e.pool_id for e in res.edges] == ["D1"]
+            assert stats.pushes == 2
+        assert evaluated == []
 
     def test_golden_results(self):
         # the bound may change how much work a search does, never a result

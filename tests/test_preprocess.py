@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import itertools
 import random
 
 import pytest
 
+from prime_router.engine import RouteQuery, prepare_routing
 from prime_router.errors import InvalidParamsError
 from prime_router.graph import build_graph, prune_leaf_tokens
 from prime_router.io import generate_synthetic
@@ -174,3 +176,20 @@ class TestShortcutIndex:
                 h.update(repr((pair, sc.pool_ids,
                                repr(sc.spot_rate))).encode())
         assert h.hexdigest() == digest
+
+
+def test_stage0_leaves_no_reference_cycles():
+    # garbage in a cycle would pin the pruned graph until a full collection
+    snap = generate_synthetic(3, 60, 200, hub_fraction=0.2,
+                              reserve_spread_orders=4)
+    g = snap.build_graph()
+    ids = sorted(g.tokens)
+    gc.collect()
+    gc.disable()
+    try:
+        prepared = prepare_routing(g, RouteQuery(ids[0], ids[1], 1,
+                                                 hub_count=8))
+        assert len(prepared.shortcut_index) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
