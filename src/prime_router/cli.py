@@ -36,10 +36,16 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _parse_decimal(text: str, what: str) -> int:
+    """ASCII digits only, as in snapshot amounts; ``str.isdigit`` alone also
+    passes fullwidth, Arabic-Indic and superscript digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{what} must be a decimal integer string, got {text!r}")
+    return int(text)
+
+
 def _parse_amount(text: str) -> int:
-    if not text.isdigit():
-        raise ValueError(f"amount must be a decimal integer string, got {text!r}")
-    value = int(text)
+    value = _parse_decimal(text, "amount")
     if value <= 0:
         raise ValueError("amount must be positive")
     return value
@@ -50,7 +56,7 @@ def _parse_hubs(text: Optional[str]):
     if text is None:
         return 50, None
     if text.isdigit():
-        return int(text), None
+        return _parse_decimal(text, "hub count"), None
     hubs = tuple(h.strip() for h in text.split(",") if h.strip())
     if not hubs:
         raise ValueError("empty hub list")
@@ -70,7 +76,15 @@ def _build_query(args, source: str, target: str, amount: int) -> RouteQuery:
 
 def _load_graph(path, args):
     """The graph at ``path``; an unknown --from/--to token is an error."""
-    graph = pio.load_snapshot(path).build_graph()
+    started = time.perf_counter()
+    snapshot = pio.load_snapshot(path)
+    loaded = time.perf_counter()
+    log.debug("loaded snapshot %s: %d tokens, %d pools in %.3fs", path,
+              len(snapshot.tokens), len(snapshot.pools), loaded - started)
+    graph = snapshot.build_graph()
+    log.debug("built graph: %d tokens, %d pools, %d edges in %.3fs",
+              len(graph.tokens), len(graph.pools), graph.edge_count,
+              time.perf_counter() - loaded)
     for token_id in (args.source, args.target):
         if not graph.has_token(token_id):
             raise InvalidParamsError(f"unknown token id {token_id!r}")

@@ -35,7 +35,7 @@ from .allocation import (
     single_to_multi,
 )
 from .errors import InvalidParamsError, NoRouteError, RoutingError
-from .graph import Edge, SwapGraph, prune_leaf_tokens
+from .graph import Edge, SwapGraph, gc_paused, prune_leaf_tokens
 from .pathfind import SearchStats, SinglePath, find_path
 from .preprocess import ShortcutIndex, build_shortcut_index, select_hubs
 
@@ -135,6 +135,7 @@ class PreparedRouting:
     config: Dict[str, object]
 
 
+@gc_paused
 def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
     """Build hub set, pruned graph, shortcut index and hub-core adjacency."""
     started = time.perf_counter()
@@ -147,12 +148,15 @@ def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
         index = build_shortcut_index(pruned, hubs)
     index_done = time.perf_counter()
     hub_set = set(hubs)
+    # hub -> the hubs it has shortcuts to
+    shortcut_targets: Dict[str, Set[str]] = {}
+    if index is not None:
+        for a, b in index.pairs():
+            shortcut_targets.setdefault(a, set()).add(b)
     rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]] = {}
     for u in hubs:
         items: List[Tuple[str, Tuple[Edge, ...]]] = []
-        composite_pairs = set()
-        if index is not None:
-            composite_pairs = {pair[1] for pair in index.pairs() if pair[0] == u}
+        composite_pairs = shortcut_targets.get(u, set())
         for v, candidates in g.out_items(u):
             if v not in hub_set:
                 continue

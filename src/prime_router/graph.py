@@ -7,7 +7,9 @@ after construction and safe for concurrent read-only queries.
 Two adjacency views are kept: ``edges_between`` returns parallel edges in
 pool-id order (the reproducibility contract), while ``out_items`` yields
 per-neighbour candidate lists sorted by descending spot rate, which is what
-the path search wants for its early-stop scan.
+the path search wants for its early-stop scan.  A pair joined by one edge
+(most pairs of a real market) shares a single one-edge tuple across both
+views; only parallel edges are sorted twice.
 
 Structure rules (unique ids, decimals 0..30, pool shape) live here, per entry
 in ``add_token``/``add_pool``, which ``io`` also calls; the ``cfmm``
@@ -16,14 +18,44 @@ constructors own the curve rules and run once per edge, in ``_expand_pool``.
 
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from .cfmm import ConstantProduct, PiecewiseLiquidity, Segment, SwapFunction
 from .errors import AmountOverflowError, MalformedSnapshotError
 
 KIND_CONSTANT_PRODUCT = "constant_product"
 KIND_PIECEWISE = "piecewise_liquidity"
+
+
+def gc_paused(build: Callable) -> Callable:
+    """Run ``build`` with the cyclic collector off, then restore its state.
+
+    For the stage-0 builders (``io.loads_snapshot``, ``build_graph``,
+    ``engine.prepare_routing``), which allocate hundreds of thousands of
+    tracked objects and no reference cycle: the collections they would
+    trigger walk the heap for nothing.  On resuming, one young-generation
+    collection moves what the build kept to the old generation, so whatever
+    runs next (on the cold path, a query) does not walk it twice.
+
+    A caller that turned the collector off finds it off, with no collection
+    run; an exception restores the state the call found.  The switch is
+    process-wide: a concurrent build on another thread changes only when
+    collections run.
+    """
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+                gc.collect(1)
+    return paused
 
 
 @dataclass(frozen=True)
@@ -114,9 +146,13 @@ class SwapGraph:
             search_items = []
             for v in sorted(by_pair[u]):
                 es = by_pair[u][v]
-                pair_map[v] = tuple(sorted(es, key=lambda e: e.pool_id))
-                search_items.append(
-                    (v, tuple(sorted(es, key=lambda e: (-e.spot, e.pool_id)))))
+                if len(es) == 1:
+                    by_id = by_spot = tuple(es)
+                else:
+                    by_id = tuple(sorted(es, key=lambda e: e.pool_id))
+                    by_spot = tuple(sorted(es, key=lambda e: (-e.spot, e.pool_id)))
+                pair_map[v] = by_id
+                search_items.append((v, by_spot))
             self._adj[u] = pair_map
             self._search[u] = tuple(search_items)
 
@@ -208,6 +244,7 @@ def _validate_pool(pool: Pool, token_ids) -> None:
         raise MalformedSnapshotError(f"{ctx}: unknown pool kind {pool.kind!r}")
 
 
+@gc_paused
 def build_graph(tokens: Iterable[Token], pools: Iterable[Pool]) -> SwapGraph:
     """Expand a snapshot into the directed multigraph.
 

@@ -37,6 +37,7 @@ from .graph import (
     add_pool,
     add_token,
     build_graph,
+    gc_paused,
 )
 from .cfmm import Segment
 
@@ -180,6 +181,7 @@ def dumps_snapshot(s: Snapshot) -> str:
                       separators=(",", ":")) + "\n"
 
 
+@gc_paused
 def loads_snapshot(text: str) -> Snapshot:
     try:
         data = json.loads(text)

@@ -86,22 +86,22 @@ class ShortcutIndex:
         return sum(len(v) for v in self._entries.values())
 
 
-def _extend(g: SwapGraph, hub_set, max_intermediates: int, top_s: int,
+def _extend(g: SwapGraph, exits, hub_set, max_intermediates: int, top_s: int,
             found, h_in: str, node: str, edges: Tuple[Edge, ...], rate: float,
             seen: Tuple[str, ...], pools: Tuple[str, ...]) -> None:
     """Record every hub reached from ``node`` through non-hubs in ``found``.
 
-    ``rate`` is the spot product of ``edges``, multiplied left to right.  A
+    ``rate`` is the spot product of ``edges``, multiplied left to right.  At
+    the depth limit only hub neighbours can finish a shortcut, so the scan
+    reads ``exits[node]``, the hub part of ``node``'s row, in row order.  A
     module-level recursion, not a closure: a closure that calls itself sits
     in a reference cycle and would pin ``g`` and ``found`` until a full GC.
     """
     deeper = len(seen) < max_intermediates
-    for v, candidates in g.out_items(node):
+    for v, candidates in g.out_items(node) if deeper else exits[node]:
         if v == h_in or v in seen:
             continue
         is_hub = v in hub_set
-        if not (is_hub or deeper):
-            continue
         for e in candidates:
             if e.pool_id in pools:
                 continue
@@ -115,8 +115,8 @@ def _extend(g: SwapGraph, hub_set, max_intermediates: int, top_s: int,
                     bucket.sort()
                     del bucket[top_s:]
             else:
-                _extend(g, hub_set, max_intermediates, top_s, found, h_in, v,
-                        edges + (e,), rate * e.spot, seen + (v,),
+                _extend(g, exits, hub_set, max_intermediates, top_s, found,
+                        h_in, v, edges + (e,), rate * e.spot, seen + (v,),
                         pools + (e.pool_id,))
 
 
@@ -133,14 +133,17 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
     if top_s < 1:
         raise InvalidParamsError("top_s must be >= 1")
     hub_set = set(hubs)
+    # each non-hub token's hub neighbours, split from its row once
+    exits = {u: tuple(item for item in g.out_items(u) if item[0] in hub_set)
+             for u in g.tokens if u not in hub_set}
     found: Dict[Tuple[str, str], List[Tuple[float, Tuple[str, ...], Tuple[Edge, ...]]]] = {}
     for h in hubs:
         for v, candidates in g.out_items(h):
             if v in hub_set:
                 continue
             for e in candidates:
-                _extend(g, hub_set, max_intermediates, top_s, found, h, v,
-                        (e,), e.spot, (v,), (e.pool_id,))
+                _extend(g, exits, hub_set, max_intermediates, top_s, found,
+                        h, v, (e,), e.spot, (v,), (e.pool_id,))
 
     entries: Dict[Tuple[str, str], Tuple[Shortcut, ...]] = {}
     for pair, bucket in found.items():

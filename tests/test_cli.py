@@ -1,6 +1,7 @@
 import csv
 import io as io_mod
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from prime_router import cli as cli_mod
 from prime_router.cli import main
 from prime_router.io import generate_synthetic, save_snapshot
 
@@ -305,6 +307,45 @@ class TestBench:
         assert len(rows) == 2
         assert all(r["converged"] == "True" for r in rows)
         assert {r["gap_bp"] for r in rows} == {"0.00"}
+
+
+# fullwidth, Arabic-Indic and superscript digits pass str.isdigit()
+@pytest.mark.parametrize("digits", ["\uff13", "\u0663", "\u00b2"])
+@pytest.mark.parametrize("command,flag", [("route", "--amount"),
+                                          ("route", "--hubs"),
+                                          ("bench", "--amounts"),
+                                          ("bench", "--unit-amounts"),
+                                          ("bench", "--hubs")])
+def test_non_ascii_digits_exit_one(snapshot_path, capsys, monkeypatch,
+                                   command, flag, digits):
+    path, source, target = snapshot_path
+    solved = []
+    for name in ("prime", "best_single_path", "prepare_routing"):
+        monkeypatch.setattr(cli_mod, name,
+                            lambda *a, _n=name, **k: solved.append(_n))
+    argv = [command, "--snapshot", path, "--from", source, "--to", target,
+            flag, digits]
+    if flag == "--hubs":
+        argv += ["--amount" if command == "route" else "--amounts", "10"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "must be a decimal integer" in err
+    assert solved == []
+
+
+def test_debug_log_names_stage0_steps(snapshot_path, capsys, caplog):
+    path, source, target = snapshot_path
+    caplog.set_level(logging.DEBUG, logger="prime_router")
+    code, _, _ = run_cli(capsys, "route", "--snapshot", path, "--from", source,
+                         "--to", target, "--amount", "1000000")
+    assert code == 0
+    lines = [r.getMessage() for r in caplog.records]
+    assert any(m.startswith("loaded snapshot ") and " tokens, " in m
+               for m in lines)
+    assert any(m.startswith("built graph: ") and " edges in " in m
+               for m in lines)
+    assert any(m.startswith("prepared routing: ") for m in lines)
 
 
 def test_package_import_loads_no_numpy():

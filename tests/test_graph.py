@@ -44,6 +44,23 @@ def test_parallel_pools_make_parallel_edges():
     assert [e.pool_id for e in g.edges_between("T0", "T1")] == ["P0", "P1"]
 
 
+def test_adjacency_views_keep_their_orders():
+    # P1 and P2 tie on spot 3, P3 has spot 2, P0 spot 1; given out of order
+    pools = [cp_pool("P3", "T0", "T1", 100, 200),
+             cp_pool("P2", "T0", "T1", 10, 30),
+             cp_pool("P0", "T0", "T1", 100, 100),
+             cp_pool("P1", "T0", "T1", 100, 300),
+             cp_pool("P4", "T0", "T2", 100, 100)]
+    g = build_graph(tokens(3), pools)
+    assert [e.pool_id for e in g.edges_between("T0", "T1")] == \
+        ["P0", "P1", "P2", "P3"]
+    rows = dict(g.out_items("T0"))
+    assert [e.pool_id for e in rows["T1"]] == ["P1", "P2", "P3", "P0"]
+    # a single-edge pair: both views give the same one-edge tuple
+    assert rows["T2"] == g.edges_between("T0", "T2")
+    assert [e.pool_id for e in rows["T2"]] == ["P4"]
+
+
 def test_edge_count_matches_pool_arities():
     rng = random.Random(3)
     g = random_cp_graph(rng, 8, 15)

@@ -2,13 +2,19 @@ import gc
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+from prime_router import engine, graph as graph_mod, io as io_mod
 from prime_router.engine import RouteQuery, prepare_routing
-from prime_router.errors import InvalidParamsError
+from prime_router.errors import (
+    InvalidParamsError,
+    MalformedSnapshotError,
+    ParseError,
+)
 from prime_router.graph import build_graph, prune_leaf_tokens
-from prime_router.io import generate_synthetic
+from prime_router.io import dumps_snapshot, generate_synthetic, loads_snapshot
 from prime_router.preprocess import (
     Shortcut,
     ShortcutIndex,
@@ -193,3 +199,73 @@ def test_stage0_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_cold_path_leaves_no_reference_cycles():
+    # the premise of pausing the cyclic collector over every stage-0 builder
+    text = dumps_snapshot(generate_synthetic(3, 60, 200, hub_fraction=0.2,
+                                             reserve_spread_orders=4))
+    gc.collect()
+    gc.disable()
+    try:
+        g = loads_snapshot(text).build_graph()
+        ids = sorted(g.tokens)
+        prepared = prepare_routing(g, RouteQuery(ids[0], ids[1], 1,
+                                                 hub_count=8))
+        assert len(prepared.shortcut_index) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _stage0_builders():
+    """(builder, good args, bad args, error, a callee seen mid-build)."""
+    snap = generate_synthetic(3, 30, 80, hub_fraction=0.2,
+                              reserve_spread_orders=4)
+    g = snap.build_graph()
+    ids = sorted(g.tokens)
+    query = RouteQuery(ids[0], ids[1], 1, hub_count=4)
+    zero = cp_pool("P0", "T0", "T1", 0, 10)
+    return {
+        "loads_snapshot": (loads_snapshot, (dumps_snapshot(snap),),
+                           ("{",), ParseError, (io_mod, "snapshot_from_dict")),
+        "build_graph": (build_graph, (snap.tokens, snap.pools),
+                        (tokens(2), [zero]), MalformedSnapshotError,
+                        (graph_mod, "_expand_pool")),
+        "prepare_routing": (prepare_routing, (g, query),
+                            (g, replace(query, explicit_hubs=("nope",))),
+                            InvalidParamsError, (engine, "select_hubs")),
+    }
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize("name", ["loads_snapshot", "build_graph",
+                                  "prepare_routing"])
+def test_stage0_builders_restore_gc_state(monkeypatch, name, enabled, fails):
+    build, good, bad, error, (owner, callee) = _stage0_builders()[name]
+    during = []
+    inner = getattr(owner, callee)
+
+    def spy(*args, **kwargs):
+        during.append(gc.isenabled())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, callee, spy)
+    if not enabled:
+        gc.disable()
+    try:
+        if fails:
+            with pytest.raises(error):
+                build(*bad)
+        else:
+            built = build(*good)
+            # with the collector on, the result leaves the young generations
+            young = gc.get_objects(0) + gc.get_objects(1)
+            assert any(o is built for o in young) is not enabled
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    # the collector stays off inside the build
+    assert not any(during)
+    assert during or fails
