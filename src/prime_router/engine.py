@@ -36,7 +36,7 @@ from .allocation import (
 )
 from .errors import InvalidParamsError, NoRouteError, RoutingError
 from .graph import Edge, SwapGraph, gc_paused, prune_leaf_tokens
-from .pathfind import SearchStats, SinglePath, find_path
+from .pathfind import SearchContext, SearchStats, SinglePath, find_path
 from .preprocess import ShortcutIndex, build_shortcut_index, select_hubs
 
 log = logging.getLogger("prime_router.engine")
@@ -54,6 +54,11 @@ class RouteQuery:
     shortcuts: bool = True
 
     def __post_init__(self):
+        for name in ("amount", "max_hops", "hub_count"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(
+                    f"{name} must be an int, got {type(value).__name__}")
         if self.source == self.target:
             raise ValueError("source and target must differ")
         if self.amount <= 0:
@@ -66,6 +71,9 @@ class RouteQuery:
 class RouteStats:
     """Work counts and outcome flags of one query.
 
+    ``swap_evals`` counts the curve evaluations the searches actually ran:
+    the searches of one query share their quotes, so a quote repeated
+    within the query counts once.
     ``converged`` and ``degraded`` are the stage-2 allocator's (both False
     when no allocator ran); ``fallback`` is set when the allocation lost to
     the best discovered single path and was replaced by it.
@@ -317,10 +325,13 @@ def prime(g: SwapGraph, query: RouteQuery,
     singles: List[SinglePath] = []
     tau = 0.0
     stage1_result: Optional[AsgmResult] = None
+    # every search below shares the rate table and the exact quotes
+    context = SearchContext(overlay, query.target, query.max_hops)
     while True:
         search = SearchStats()
         found = find_path(overlay, query.source, query.target, query.amount,
-                          tau, query.max_hops, frozenset(used), search)
+                          tau, query.max_hops, frozenset(used), search,
+                          context=context)
         stats.find_path_calls += 1
         stats.queue_pushes += search.pushes
         stats.swap_evals += search.swap_evals

@@ -10,7 +10,7 @@ the optimum.  With that refinement the search is exact against exhaustive
 enumeration on two-token-pool graphs (see tests).
 
 Every curve is concave with ``f(x) <= spot * x``, so a path delivers at most
-its input times the product of its edges' spot rates.  Each call first
+its input times the product of its edges' spot rates.  A ``SearchContext``
 tabulates ``rate[r][v]``, the largest such product over walks of at most
 ``r`` hops from ``v`` to the target, taking each token pair at its best spot
 rate and ignoring masks, visited tokens and pool-distinctness.  A state
@@ -32,6 +32,13 @@ the same queue order, as in the unbounded search.  The bound is a float and
 carries a relative slack of 1e-9, so rounding can never drop a state that
 reaches the result.
 
+The table depends on neither masks nor ``tau``, and an exact quote is a pure
+function of the edge and its input, so the searches of one query (rising
+``tau``, growing masks, same view and target) share one context: the table
+is built once, by the first search, and every quote is computed once, with
+capacity failures remembered as failures.  A call given no context builds
+its own, so a lone search behaves as it always did.
+
 Paths are vertex-simple and pool-distinct.  The traversal never expands the
 target, so every arrival there is terminal; the best arrival whose average
 rate clears the threshold is returned after the queue drains.
@@ -50,6 +57,8 @@ ORACLE_MAX_TOKENS = 16
 # relative slack on the float bound, far above the rounding error of a
 # product of a few spot rates
 BOUND_SLACK = 1.0 + 1e-9
+# a quote not yet in a context's memo (None there means over capacity)
+_UNQUOTED = object()
 
 
 @dataclass(frozen=True)
@@ -80,10 +89,38 @@ class SearchStats:
     swap_evals: int = 0
 
 
+class SearchContext:
+    """What the searches of one query share: the rate table and exact quotes.
+
+    Bound to one ``(view, target, max_hops)``; ``find_path`` raises
+    ValueError when handed a context bound to anything else.  The view's
+    edges must outlive the context (a SwapGraph's and an overlay's do):
+    quotes are keyed on edge identity and the exact integer input.
+    """
+
+    __slots__ = ("view", "target", "max_hops", "quotes", "_rate")
+
+    def __init__(self, view, target: str, max_hops: int):
+        self.view = view
+        self.target = target
+        self.max_hops = max_hops
+        # (id(edge), amount) -> exact output, or None when over capacity
+        self.quotes: Dict[Tuple[int, int], Optional[int]] = {}
+        self._rate: Optional[List[Dict[str, float]]] = None
+
+    @property
+    def rate(self) -> List[Dict[str, float]]:
+        """``rate[r][v]`` (see ``_rate_table``), built on first use."""
+        if self._rate is None:
+            self._rate = _rate_table(self.view, self.target, self.max_hops)
+        return self._rate
+
+
 def _best_candidate(candidates: Sequence[Edge], amount: int, gate: int,
                     v_rate: float, lim: float,
                     masked: FrozenSet[str], visited: Tuple[str, ...],
                     path_pools: Tuple[str, ...],
+                    quotes: Dict[Tuple[int, int], Optional[int]],
                     stats: Optional[SearchStats]) -> Tuple[Optional[Edge], int]:
     """Best usable parallel edge at this amount, when it can be pushed.
 
@@ -92,7 +129,8 @@ def _best_candidate(candidates: Sequence[Edge], amount: int, gate: int,
     cannot get there is never evaluated.  Candidates arrive sorted by
     descending spot rate: once the concavity bound spot*amount falls to that
     floor or to the best exact output seen, no later candidate can win or
-    tie and the scan stops.
+    tie and the scan stops.  A quote already in ``quotes`` is not evaluated
+    again and does not count in ``stats``.
     """
     best_edge = None
     best_out = 0
@@ -107,12 +145,19 @@ def _best_candidate(candidates: Sequence[Edge], amount: int, gate: int,
             continue
         if e.legs and any(leg.token_in in visited for leg in e.legs[1:]):
             continue
-        try:
-            out = e.fn.swap_out(amount)
-        except CapacityExceededError:
+        key = (id(e), amount)
+        out = quotes.get(key, _UNQUOTED)
+        if out is _UNQUOTED:
+            try:
+                out = e.fn.swap_out(amount)
+            except CapacityExceededError:
+                out = None
+            else:
+                if stats is not None:
+                    stats.swap_evals += 1
+            quotes[key] = out
+        if out is None:
             continue
-        if stats is not None:
-            stats.swap_evals += 1
         if out > best_out or (out == best_out and best_edge is not None
                               and e.pool_id < best_edge.pool_id):
             best_edge, best_out = e, out
@@ -144,14 +189,16 @@ def _rate_table(view, target: str, max_hops: int) -> List[Dict[str, float]]:
 
 def find_path(view, source: str, target: str, amount: int, tau: float,
               max_hops: int, masked_pools: FrozenSet[str] = frozenset(),
-              stats: Optional[SearchStats] = None) -> Optional[SinglePath]:
+              stats: Optional[SearchStats] = None, *,
+              context: Optional[SearchContext] = None) -> Optional[SinglePath]:
     """Best simple pool-distinct path by exact simulated output.
 
     ``view`` is anything exposing ``token_ids()`` and ``out_items(u)`` (a
     SwapGraph or an engine overlay).  Returns None when no arrival at the
     target has average rate output/amount strictly above ``tau``.  Amounts
     compare as exact integers; among equal outputs the first arrival in
-    queue order wins.
+    queue order wins.  ``context`` carries the rate table and the quotes
+    across the searches of one query; without one the call builds its own.
     """
     if source == target:
         raise ValueError("source and target must differ")
@@ -160,7 +207,14 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
 
-    rate = _rate_table(view, target, max_hops)
+    if context is None:
+        context = SearchContext(view, target, max_hops)
+    elif (context.view is not view or context.target != target
+          or context.max_hops != max_hops):
+        raise ValueError("search context is bound to another view, target "
+                         "or max_hops")
+    rate = context.rate
+    quotes = context.quotes
     # frontier[v][h] = best amount recorded at v with at most h hops
     frontier = {}
     best_target = 0
@@ -198,7 +252,8 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             if cap <= gate or cap * v_rate * BOUND_SLACK <= lim:
                 continue
             edge, out = _best_candidate(candidates, cur, gate, v_rate, lim,
-                                        masked_pools, visited, pools, stats)
+                                        masked_pools, visited, pools, quotes,
+                                        stats)
             if edge is None or out == 0:
                 continue
             if out * v_rate * BOUND_SLACK <= lim:

@@ -1,9 +1,16 @@
+import hashlib
+import json
 import logging
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from prime_router import pathfind
 from prime_router.allocation import AsgmParams, asgm, single_to_multi
 from prime_router.baselines import best_single_path
 from prime_router.cfmm import Segment
@@ -18,6 +25,7 @@ from prime_router.engine import (
 )
 from prime_router.errors import InvalidParamsError, NoRouteError, RoutingError
 from prime_router.graph import KIND_PIECEWISE, Pool, PoolDirection, build_graph
+from prime_router.io import generate_synthetic, solution_to_dict
 from prime_router.pathfind import find_path
 
 from instances import cp_pool, random_cp_graph, tokens
@@ -333,3 +341,85 @@ class TestShortcuts:
         b = prime(g, q, prep)
         assert a.total_output == b.total_output
         assert a.execution_plan == b.execution_plan
+
+
+class TestRouteQuery:
+    @pytest.mark.parametrize("name", ["amount", "max_hops", "hub_count"])
+    @pytest.mark.parametrize("value", [True, 1.5, "3"])
+    def test_non_int_count_is_a_type_error(self, name, value):
+        fields = dict(source="T0", target="T1", amount=10**6)
+        fields[name] = value
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got "
+                                            f"{type(value).__name__}$"):
+            RouteQuery(**fields)
+
+
+# sha256 of prime_results_digest's stats-free results, pinned before the
+# searches of one query shared a rate table and their quotes: the work
+# counters under "stats" may change, the routes may not
+PRIME_GOLDEN_SHA256 = \
+    "e034b79e3088fb3ff07abee358aed4760efa32d642230a8e8664890f8c03f4b5"
+
+
+def golden_queries():
+    """A small market, its stage 0 and 32 seeded queries; several split."""
+    snap = generate_synthetic(13, 40, 140, hub_fraction=0.2,
+                              reserve_spread_orders=3)
+    g = snap.build_graph()
+    ids = sorted(g.tokens)
+    prep = prepare_routing(g, query(ids[0], ids[1], 1, hub_count=8))
+    rng = random.Random(9)
+    queries = []
+    for _ in range(32):
+        s, t = rng.sample(ids, 2)
+        queries.append(query(s, t, 10**rng.randint(22, 27), hub_count=8))
+    return g, prep, queries
+
+
+def prime_results_digest() -> str:
+    g, prep, queries = golden_queries()
+    digest = hashlib.sha256()
+    for q in queries:
+        try:
+            d = solution_to_dict(prime(g, q, prep))
+        except NoRouteError:
+            d = {"no_route": [q.source, q.target]}
+        d.pop("stats", None)
+        digest.update(json.dumps(d, sort_keys=True,
+                                 separators=(",", ":")).encode())
+    return digest.hexdigest()
+
+
+class TestQuerySearches:
+    def test_one_rate_table_per_query(self, monkeypatch):
+        built = []
+        rate_table = pathfind._rate_table
+
+        def counting(view, target, max_hops):
+            built.append(target)
+            return rate_table(view, target, max_hops)
+
+        monkeypatch.setattr(pathfind, "_rate_table", counting)
+        g, prep, queries = golden_queries()
+        searches = []
+        for q in queries:
+            built.clear()
+            try:
+                sol = prime(g, q, prep)
+            except NoRouteError:
+                continue
+            assert built == [q.target]
+            searches.append(sol.stats.find_path_calls)
+        assert min(searches) >= 2 and max(searches) >= 4
+
+    @pytest.mark.parametrize("hash_seed", ["0", "4242"])
+    def test_prime_results_golden(self, hash_seed):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), str(root / "tests"),
+                        env.get("PYTHONPATH")) if p)
+        code = "import test_engine; print(test_engine.prime_results_digest())"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == PRIME_GOLDEN_SHA256

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prime_router.baselines import best_single_path
 from prime_router.engine import (
@@ -16,6 +19,7 @@ from prime_router.errors import GraphTooLargeError, NoRouteError
 from prime_router.graph import KIND_PIECEWISE, Edge, SwapGraph, build_graph
 from prime_router.io import generate_synthetic, solution_to_dict
 from prime_router.pathfind import (
+    SearchContext,
     SearchStats,
     enumerate_paths_oracle,
     find_path,
@@ -325,3 +329,69 @@ class TestBoundPruning:
                 digest.update(json.dumps(d, sort_keys=True,
                                          separators=(",", ":")).encode())
         assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def _replay(g, s, t, x, taus, extra_masks, context=None):
+    """A prime-like run: rising tau, each found path's pools masked after it.
+
+    Every search gets ``context`` (None: each builds a fresh one).  Returns
+    each search's (result, pushes, pops) and the summed swap_evals.
+    """
+    masked = frozenset()
+    runs, evals = [], 0
+    for tau, extra in zip(taus, extra_masks):
+        stats = SearchStats()
+        res = find_path(g, s, t, x, tau, 3, masked, stats, context=context)
+        runs.append((res, stats.pushes, stats.pops))
+        evals += stats.swap_evals
+        masked |= extra
+        if res is not None:
+            masked |= frozenset(res.pool_ids)
+    return runs, evals
+
+
+class TestSearchContext:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 9),
+           extra=st.integers(0, 14), searches=st.integers(2, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_shared_context_changes_only_the_eval_count(self, seed, n, extra,
+                                                        searches):
+        rng = random.Random(seed)
+        g = random_cp_graph(rng, n, n - 1 + extra, lo=10**4, hi=10**9)
+        s, t = rng.sample(sorted(g.tokens), 2)
+        x = 10**rng.randint(3, 10)
+        taus = sorted(rng.choice((0.0, 0.3, 0.9, 1.0)) * rng.random()
+                      for _ in range(searches))
+        taus[0] = 0.0
+        extra_masks = [frozenset(pid for pid in g.pools if rng.random() < 0.1)
+                       for _ in range(searches)]
+
+        # every exact quote the fresh searches compute, by curve and input
+        quoted = set()
+        swap_out = ConstantProduct.swap_out
+
+        def recording(fn, amount):
+            out = swap_out(fn, amount)
+            quoted.add((id(fn), amount))
+            return out
+
+        with mock.patch.object(ConstantProduct, "swap_out", recording):
+            fresh, fresh_evals = _replay(g, s, t, x, taus, extra_masks)
+        context = SearchContext(g, t, 3)
+        shared, shared_evals = _replay(g, s, t, x, taus, extra_masks,
+                                       context)
+        assert shared == fresh
+        assert shared_evals == len(quoted) <= fresh_evals
+        assert shared_evals == sum(out is not None
+                                   for out in context.quotes.values())
+
+    def test_context_bound_elsewhere_is_rejected(self):
+        g = random_cp_graph(random.Random(3), 5, 9)
+        context = SearchContext(g, "T1", 3)
+        other = random_cp_graph(random.Random(3), 5, 9)
+        for view, target, max_hops in ((g, "T2", 3), (other, "T1", 3),
+                                       (g, "T1", 2)):
+            with pytest.raises(ValueError, match="search context is bound"):
+                find_path(view, "T0", target, 1000, 0.0, max_hops,
+                          context=context)
+        assert find_path(g, "T0", "T1", 1000, 0.0, 3, context=context)
