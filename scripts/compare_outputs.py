@@ -1,0 +1,198 @@
+#!/usr/bin/env python3
+"""Per-query comparison of prime's outputs between two source trees.
+
+``--out FILE`` builds the criterion-7 market and its stage 0 through
+``perfbench.workloads``, routes the fixed retail, whale and dominance query
+sets (fixed: a workload seed only reorders them) at each of ``MULTIPLES``
+times every query's amount, and writes one JSON record per
+query: its output (null for no route), the audit of its plan, a sha256 of
+its result JSON with ``stats`` removed, and its work counts: 92 queries at
+1x, 3x and 10x, 276 in all.
+``--src`` names the ``prime_router`` sources to route with, so a second
+checkout can be recorded with this script too:
+
+    python scripts/compare_outputs.py --src ../parent/src --out parent.json
+    python scripts/compare_outputs.py --out new.json --against parent.json
+
+``--against FILE`` compares the run (or, without ``--out``, the records in
+``--load``) with FILE.  It prints how many outputs are equal, rose, fell or
+are newly routed, how many routed results changed beyond their stats, how
+many stage-1 objectives fell at the same refresh, and the work counts per
+workload, and exits 1 when any output fell (a query that stops routing
+counts as fallen) or any plan failed its audit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from typing import Dict, List, Optional, Sequence
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("retail", "whale", "dominance")
+MULTIPLES = (1, 3, 10)
+
+
+def _import_paths(src: str) -> None:
+    for path in (ROOT, src):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+
+
+def _record(st, name: str, q, multiple: int) -> dict:
+    from prime_router import engine, io
+    from prime_router.errors import NoRouteError
+
+    amount = q.amount * multiple
+    rec = {"key": f"{name}:{q.qid}:x{multiple}", "source": q.source,
+           "target": q.target, "amount": str(amount), "output": None,
+           "audit": None, "result_sha256": None, "work": None}
+    query = engine.RouteQuery(source=q.source, target=q.target, amount=amount,
+                              max_hops=st.market.max_hops,
+                              hub_count=st.market.hubs)
+    try:
+        sol = engine.prime(st.graph, query, st.prepared)
+    except NoRouteError:
+        return rec
+    report = engine.verify_solution(sol, st.graph)
+    result = io.solution_to_dict(sol)
+    result.pop("stats")
+    digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode())
+    work = dataclasses.asdict(sol.stats)
+    work["stage1_objectives"] = [str(v) for v in work["stage1_objectives"]]
+    rec.update(output=str(sol.total_output),
+               audit="; ".join(report.violations) or "ok",
+               result_sha256=digest.hexdigest(), work=work)
+    return rec
+
+
+def record(market, multiples: Sequence[int],
+           sizes: Optional[Dict[str, int]] = None) -> List[dict]:
+    """Route every query of the market's sets; one record per query."""
+    from perfbench import queries as qgen
+    from perfbench import workloads
+
+    sizes = sizes or workloads.SET_SIZE
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "market.json")
+        workloads.write_market(market, path)
+        _, st = workloads.build_stage0(path, market)
+    records = []
+    for name in WORKLOADS:
+        chosen = qgen.query_set(name, st.snapshot.pools, st.prepared.pruned,
+                                st.prepared.hubs, market.max_hops,
+                                sizes[name], seed=0)
+        for q in sorted(chosen, key=lambda q: q.qid):
+            for m in multiples:
+                records.append(_record(st, name, q, m))
+    return records
+
+
+def allocator_steps(work: dict) -> int:
+    """The benchmark's count: stage-2 iterations plus one per refresh and
+    one for the stage-2 call."""
+    return work["asgm_iterations"] + len(work["stage1_taus"]) + 1
+
+
+def compare(new: Sequence[dict], old: Sequence[dict]) -> Dict[str, int]:
+    """Counts of equal, risen, fallen, newly routed and unrouted queries,
+    routed results that changed, failed audits, and stage-1 objectives
+    below the old one's at the same refresh."""
+    before = {r["key"]: r for r in old}
+    counts = dict.fromkeys(("equal", "risen", "fallen", "newly_routed",
+                            "unrouted", "result_changed", "audit_failed",
+                            "stage1_compared", "stage1_fallen", "missing"), 0)
+    for r in new:
+        if r["audit"] not in (None, "ok"):
+            counts["audit_failed"] += 1
+        o = before.get(r["key"])
+        if o is None:
+            counts["missing"] += 1
+            continue
+        if r["output"] is None:
+            counts["fallen" if o["output"] is not None else "unrouted"] += 1
+            continue
+        if o["output"] is None:
+            counts["newly_routed"] += 1
+            continue
+        a, b = int(r["output"]), int(o["output"])
+        counts["equal" if a == b else "risen" if a > b else "fallen"] += 1
+        counts["result_changed"] += r["result_sha256"] != o["result_sha256"]
+        for x, y in zip(r["work"]["stage1_objectives"],
+                        o["work"]["stage1_objectives"]):
+            counts["stage1_compared"] += 1
+            counts["stage1_fallen"] += int(x) < int(y)
+    return counts
+
+
+def work_table(records: Sequence[dict]) -> Dict[str, Dict[str, float]]:
+    """Mean work per routed query of each workload."""
+    table: Dict[str, Dict[str, float]] = {}
+    for name in WORKLOADS:
+        works = [r["work"] for r in records
+                 if r["key"].startswith(name + ":") and r["work"] is not None]
+        if not works:
+            continue
+        n = len(works)
+        table[name] = {
+            "routed": n,
+            "swap_evals": sum(w["swap_evals"] for w in works) / n,
+            "pushes": sum(w["queue_pushes"] for w in works) / n,
+            "allocator_steps": sum(allocator_steps(w) for w in works) / n,
+        }
+    return table
+
+
+def report(new: Sequence[dict], old: Sequence[dict]) -> int:
+    counts = compare(new, old)
+    print(" ".join(f"{k}={v}" for k, v in counts.items()))
+    tables = (work_table(old), work_table(new))
+    for name in WORKLOADS:
+        was, now = (t.get(name, {}) for t in tables)
+        cells = [f"{k} {was.get(k, 0):.4g} -> {now.get(k, 0):.4g}"
+                 for k in ("routed", "swap_evals", "pushes", "allocator_steps")]
+        print(f"{name}: " + ", ".join(cells))
+    return 1 if counts["fallen"] or counts["audit_failed"] else 0
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
+                    help="prime_router sources to route with")
+    ap.add_argument("--out", help="route the queries and write the records")
+    ap.add_argument("--load", help="records to compare instead of routing")
+    ap.add_argument("--against", help="records to compare with")
+    args = ap.parse_args(argv)
+    if bool(args.out) == bool(args.load):
+        ap.error("give exactly one of --out and --load")
+    if args.load and not args.against:
+        ap.error("--load needs --against")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    if args.out:
+        _import_paths(os.path.abspath(args.src))
+        from perfbench import workloads
+
+        records = record(workloads.CRITERION_7_MARKET, MULTIPLES)
+        with open(args.out, "w") as fh:
+            json.dump(records, fh, indent=1)
+        print(f"wrote {len(records)} records to {args.out}")
+    else:
+        with open(args.load) as fh:
+            records = json.load(fh)
+    if not args.against:
+        return 0
+    with open(args.against) as fh:
+        return report(records, json.load(fh))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

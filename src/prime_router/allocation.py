@@ -14,10 +14,13 @@ Inside a hop the split is solved exactly: the optimum equalizes the parallel
 edges' marginal prices, and every curve is a chain of Möbius pieces whose
 inverse marginal is closed form, so one search over the pieces' boundary
 prices and one formula give it (the price-indexed subproblem of Diamandis et
-al., FC 2023).  Between paths, the adaptive sign-gradient allocator moves
-mass from the lowest-marginal-price path to the highest one, with the step
-found by backtracking from a fixed fraction of the simplex until an
-Armijo-style sufficient-increase test passes.
+al., FC 2023).  The same water-fill splits an amount across whole paths
+whose hops each hold one edge, each path composed into one curve; the
+engine's stage 1 sets its threshold that way.  Between paths with parallel
+edges, the adaptive sign-gradient allocator moves mass from the
+lowest-marginal-price path to the highest one, with the step found by
+backtracking from a fixed fraction of the simplex until an Armijo-style
+sufficient-increase test passes.
 """
 
 from __future__ import annotations
@@ -534,12 +537,10 @@ def _init_edge_weights(paths: Sequence[MultiEdgePath],
 
 def asgm(paths: Sequence[MultiEdgePath], x: int,
          params: AsgmParams = AsgmParams(),
-         initial_edge_weights: Optional[Sequence] = None,
-         initial_path_weights: Optional[Sequence[float]] = None) -> AsgmResult:
+         initial_edge_weights: Optional[Sequence] = None) -> AsgmResult:
     """Allocate ``x`` across pool-disjoint paths by adaptive sign gradients.
 
-    Starts from the uniform path allocation (callers that already hold a
-    near-equilibrium split may pass one in), relaxes every path's internal
+    Starts from the uniform path allocation, relaxes every path's internal
     edge weights each iteration, then rebalances mass between the paths with
     the highest and lowest marginal price until the relative price spread
     drops under eps_rel, the step underflows (degraded), or t_max is hit.
@@ -548,6 +549,7 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
     Relaxation and marginal prices are functions of a path's operating point
     alone, so both are recomputed only for paths whose share moved; a sign
     step touches two paths, which keeps iterations cheap on wide path sets.
+    The engine calls it once per query, in stage 2.
     """
     n = len(paths)
     if n < 1:
@@ -562,16 +564,7 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
                     f"paths {seen_pools[pid]} and {i} share pool {pid!r}")
             seen_pools[pid] = i
 
-    if initial_path_weights is not None:
-        if len(initial_path_weights) != n:
-            raise InvalidParamsError("initial path weights length mismatch")
-        weights = [max(0.0, float(w)) for w in initial_path_weights]
-        total = sum(weights)
-        if total <= 0.0:
-            raise InvalidParamsError("initial path weights sum to zero")
-        weights = [w / total for w in weights]
-    else:
-        weights = [1.0 / n] * n
+    weights = [1.0 / n] * n
     hop_w = _init_edge_weights(paths, initial_edge_weights)
     has_parallel = [any(len(h) > 1 for h in p.hops) for p in paths]
     cache: Dict[int, Tuple[int, int]] = {}

@@ -50,7 +50,8 @@ def best_single_path(g: SwapGraph, query: RouteQuery) -> RouteSolution:
     tau = path_marginal_real(path, allocation.edge_weights[0],
                              float(query.amount))
     rstats = RouteStats(find_path_calls=1, queue_pushes=stats.pushes,
-                        swap_evals=stats.swap_evals, paths_discovered=1)
+                        queue_pops=stats.pops, swap_evals=stats.swap_evals,
+                        paths_discovered=1)
     return RouteSolution(source=query.source, target=query.target,
                          amount=query.amount, algorithm="osp",
                          paths=(path,), allocation=allocation,

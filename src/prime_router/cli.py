@@ -174,7 +174,9 @@ def cmd_bench(args) -> int:
                 "wall_time_ms": f"{elapsed:.3f}",
                 "iterations": sol.stats.asgm_iterations,
                 "queue_pushes": sol.stats.queue_pushes,
+                "queue_pops": sol.stats.queue_pops,
                 "swap_evals": sol.stats.swap_evals,
+                "paths_discovered": sol.stats.paths_discovered,
                 "converged": sol.stats.converged,
                 "fallback": sol.stats.fallback,
             })
@@ -184,8 +186,8 @@ def cmd_bench(args) -> int:
     _write_csv(rows, args.out,
                ["snapshot", "source", "target", "amount", "algorithm",
                 "repetition", "output", "bp_vs_baseline", "wall_time_ms",
-                "iterations", "queue_pushes", "swap_evals", "converged",
-                "fallback"])
+                "iterations", "queue_pushes", "queue_pops", "swap_evals",
+                "paths_discovered", "converged", "fallback"])
     return EXIT_OK
 
 

@@ -4,10 +4,13 @@ A query runs in three stages.  Stage 0 (reusable across queries) selects hub
 tokens, prunes leaf tokens, builds the shortcut index and a merged search
 adjacency over hubs.  Stage 1 repeatedly asks the path search for the best
 remaining route at the current price threshold, masks its pools so later
-routes stay pool-disjoint, and refreshes the threshold by re-allocating over
-everything found so far.  Stage 2 merges paths that share a token sequence,
-widens every hop with unused parallel pools and better-priced shortcuts, runs
-the allocator at full tolerance and emits an exact integer execution plan.
+routes stay pool-disjoint, and refreshes the threshold from the exact split
+of the amount over everything found so far: every discovered path has one
+edge per hop, so its output curve is its edges' curves composed, and one
+water-fill over those curves equalizes their marginal prices.  Stage 2 merges
+paths that share a token sequence, widens every hop with unused parallel
+pools and better-priced shortcuts, runs the allocator and emits an exact
+integer execution plan.
 
 The plan leaves no dust: every hop's integer outputs feed the next hop in
 full, and replaying the plan reproduces the reported output exactly
@@ -18,13 +21,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .allocation import (
     Allocation,
     AsgmParams,
-    AsgmResult,
     MultiEdgePath,
     PlanStep,
     TraceRow,
@@ -32,8 +34,9 @@ from .allocation import (
     hop_amounts,
     integer_shares,
     path_marginal_real,
-    single_to_multi,
+    water_fill,
 )
+from .cfmm import SequentialComposite
 from .errors import InvalidParamsError, NoRouteError, RoutingError
 from .graph import Edge, SwapGraph, gc_paused, prune_leaf_tokens
 from .pathfind import SearchContext, SearchStats, SinglePath, find_path
@@ -44,6 +47,8 @@ log = logging.getLogger("prime_router.engine")
 
 @dataclass(frozen=True)
 class RouteQuery:
+    """One trade to route; ``asgm_params`` tune the stage-2 allocator."""
+
     source: str
     target: str
     amount: int
@@ -73,15 +78,20 @@ class RouteStats:
 
     ``swap_evals`` counts the curve evaluations the searches actually ran:
     the searches of one query share their quotes, so a quote repeated
-    within the query counts once.
-    ``converged`` and ``degraded`` are the stage-2 allocator's (both False
-    when no allocator ran); ``fallback`` is set when the allocation lost to
-    the best discovered single path and was replaced by it.
+    within the query counts once.  ``gate_rejected`` is 1 when the last
+    search found a path that the spot-rate gate turned away, else 0.
+    ``asgm_iterations``, ``converged`` and ``degraded`` are the stage-2
+    allocator's (the flags are False when no allocator ran); ``fallback``
+    is set when the allocation lost to the best discovered single path and
+    was replaced by it.  Stage 1 records one ``tau`` and the exact integer
+    objective of its split per accepted path.
     """
 
     find_path_calls: int = 0
     queue_pushes: int = 0
+    queue_pops: int = 0
     swap_evals: int = 0
+    gate_rejected: int = 0
     asgm_iterations: int = 0
     paths_discovered: int = 0
     converged: bool = False
@@ -314,17 +324,12 @@ def prime(g: SwapGraph, query: RouteQuery,
         raise InvalidParamsError("stage 0 was prepared with a different "
                                  + ", ".join(differ))
     overlay = _query_overlay(prep, query.source, query.target)
-    params = query.asgm_params
-    # the stage-1 refreshes only need tau at the precision that gates path
-    # acceptance (basis points); full tolerance is reserved for stage 2
-    stage1_params = replace(params,
-                            eps_rel=max(params.eps_rel * 100.0, 1e-4),
-                            t_max=min(params.t_max, 200))
     stats = RouteStats()
     used: Set[str] = set()
     singles: List[SinglePath] = []
+    # each accepted path as one composite curve, built once
+    curves: List[Edge] = []
     tau = 0.0
-    stage1_result: Optional[AsgmResult] = None
     # every search below shares the rate table and the exact quotes
     context = SearchContext(overlay, query.target, query.max_hops)
     while True:
@@ -334,37 +339,30 @@ def prime(g: SwapGraph, query: RouteQuery,
                           context=context)
         stats.find_path_calls += 1
         stats.queue_pushes += search.pushes
+        stats.queue_pops += search.pops
         stats.swap_evals += search.swap_evals
         if found is None:
             break
         if singles and found.spot_rate <= tau:
+            stats.gate_rejected = 1
             break
         singles.append(found)
         used.update(found.pool_ids)
-        # warm-start the refresh from the previous equilibrium with the
-        # newcomer at weight zero: the start replays the old optimum exactly,
-        # so the refreshed objective can only climb from there
-        warm = None
-        if stage1_result is not None:
-            warm = list(stage1_result.allocation.path_weights) + [0.0]
-        stage1_result = asgm([single_to_multi(p) for p in singles],
-                             query.amount, stage1_params,
-                             initial_path_weights=warm)
-        stats.asgm_iterations += stage1_result.iterations
-        tau = stage1_result.tau
+        curves.append(Edge(f"path:{len(curves)}", query.source, query.target,
+                           SequentialComposite(tuple(e.fn for e in found.edges))))
+        weights, tau, value = _stage1_fill(singles, curves, query.amount)
         stats.stage1_taus.append(tau)
-        stats.stage1_objectives.append(stage1_result.trace[-1].objective)
+        stats.stage1_objectives.append(value)
     if not singles:
         raise NoRouteError(
             f"no path from {query.source!r} to {query.target!r}")
     stats.paths_discovered = len(singles)
 
-    stage1_w = list(stage1_result.allocation.path_weights) if stage1_result \
-        else [1.0]
-    multi, init_w = merge_and_expand(singles, stage1_w, prep.pruned,
+    multi, init_w = merge_and_expand(singles, weights, prep.pruned,
                                      prep.shortcut_index, used)
-    final = asgm(multi, query.amount, params, initial_edge_weights=init_w)
-    stats.asgm_iterations += final.iterations
+    final = asgm(multi, query.amount, query.asgm_params,
+                 initial_edge_weights=init_w)
+    stats.asgm_iterations = final.iterations
     stats.converged = final.converged
     stats.degraded = final.degraded
 
@@ -388,6 +386,29 @@ def prime(g: SwapGraph, query: RouteQuery,
                          allocation=allocation, total_output=total, tau=tau,
                          execution_plan=plan, stats=stats,
                          trace=final.trace)
+
+
+def _stage1_fill(singles: Sequence[SinglePath], curves: Sequence[Edge],
+                 x: int) -> Tuple[List[float], float, int]:
+    """Path weights, ``tau`` and exact objective of the stage-1 split.
+
+    One water-fill over the paths' composite curves equalizes their marginal
+    prices; ``tau`` is the largest.  A composite chains its legs as
+    ``path_output`` and ``path_marginal_real`` chain a path's hops, so both
+    values are the ones ``objective`` and ``asgm`` give.  If the fill fails,
+    the best path, which its search showed can carry ``x``, takes all of it.
+    """
+    # a lone path takes the whole amount, and its curve's pieces stay unbuilt
+    xs = water_fill(tuple(curves), float(x)) if len(curves) > 1 else [1.0]
+    if xs is None:
+        best = max(range(len(singles)), key=lambda i: singles[i].output)
+        xs = [float(i == best) for i in range(len(singles))]
+    total = sum(xs)
+    weights = [v / total for v in xs]
+    tau = max(c.fn.marginal_price(w * x) for c, w in zip(curves, weights))
+    shares = integer_shares(weights, x)
+    return weights, tau, sum(c.fn.swap_out(s)
+                             for c, s in zip(curves, shares) if s)
 
 
 def _degenerate_solution(multi: Sequence[MultiEdgePath], single: SinglePath,

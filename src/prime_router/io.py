@@ -246,9 +246,14 @@ def solution_to_dict(sol: RouteSolution) -> dict:
         "stats": {
             "find_path_calls": sol.stats.find_path_calls,
             "queue_pushes": sol.stats.queue_pushes,
+            "queue_pops": sol.stats.queue_pops,
             "swap_evals": sol.stats.swap_evals,
+            "gate_rejected": sol.stats.gate_rejected,
             "asgm_iterations": sol.stats.asgm_iterations,
             "paths_discovered": sol.stats.paths_discovered,
+            "stage1_taus": list(sol.stats.stage1_taus),
+            "stage1_objectives": [_encode_amount(v) for v
+                                  in sol.stats.stage1_objectives],
             "converged": sol.stats.converged,
             "degraded": sol.stats.degraded,
             "fallback": sol.stats.fallback,

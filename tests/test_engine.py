@@ -8,10 +8,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+from unittest import mock
 
-from prime_router import pathfind
-from prime_router.allocation import AsgmParams, asgm, single_to_multi
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prime_router import engine, pathfind
+from prime_router.allocation import (
+    AsgmParams,
+    asgm,
+    objective,
+    path_marginal_real,
+    single_to_multi,
+)
 from prime_router.baselines import best_single_path
 from prime_router.cfmm import Segment
 from prime_router.engine import (
@@ -197,6 +207,115 @@ class TestPrime:
                 for pid in ("B", "A"))
         with pytest.raises(RoutingError, match="lost during merge"):
             _degenerate_solution([single_to_multi(a)], b, 10**6)
+
+
+def routed_with_stage1_fills(g, q):
+    """prime's solution and each stage-1 refresh: (singles, result)."""
+    fills = []
+    fill = engine._stage1_fill
+
+    def recording(singles, curves, x):
+        result = fill(singles, curves, x)
+        fills.append((list(singles), result))
+        return result
+
+    with mock.patch.object(engine, "_stage1_fill", recording):
+        return prime(g, q), fills
+
+
+def check_stage1_splits(g, q):
+    """The stage-1 splits equalize the paths' marginals and are recorded."""
+    sol, fills = routed_with_stage1_fills(g, q)
+    stats, x = sol.stats, q.amount
+    assert len(fills) == stats.paths_discovered == len(stats.stage1_taus) \
+        == len(stats.stage1_objectives)
+    for (singles, (weights, tau, _)), recorded_tau, recorded_obj in zip(
+            fills, stats.stage1_taus, stats.stage1_objectives):
+        paths = [single_to_multi(p) for p in singles]
+        hop_w = [[(1.0,)] * len(p.hops) for p in paths]
+        assert recorded_obj == objective(paths, weights, hop_w, x)
+        assert recorded_tau == tau
+        funded = [path_marginal_real(p, hw, w * x)
+                  for p, hw, w in zip(paths, hop_w, weights) if w > 0.0]
+        assert max(funded) - min(funded) <= 1e-9 * max(funded)
+        assert abs(tau - max(funded)) <= 1e-9 * tau
+        for sp, w in zip(singles, weights):
+            if w == 0.0:
+                assert sp.spot_rate <= tau * (1.0 + 1e-9)
+    singles, (_, _, last) = fills[-1]
+    paths = [single_to_multi(p) for p in singles]
+    res = asgm(paths, x)
+    allocated = objective(paths, res.allocation.path_weights,
+                          res.allocation.edge_weights, x)
+    assert last >= allocated * (1.0 - 1e-9)
+    assert verify_solution(sol, g).ok
+    return sol
+
+
+class TestStage1Split:
+    # few tokens, many pools and trades near the pools' depth: about half
+    # of these markets admit more than one path
+    @given(st.integers(0, 2**32), st.integers(2, 5), st.integers(4, 16),
+           st.integers(9, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_split_equalizes_marginals(self, seed, n, extra, digits):
+        g = random_cp_graph(random.Random(seed), n, n - 1 + extra)
+        try:
+            check_stage1_splits(g, query("T0", f"T{n - 1}", 10**digits))
+        except NoRouteError:
+            pass
+
+    def test_piecewise_path(self):
+        # a two-segment pool feeding a deep pool, next to a direct pool:
+        # the split crosses into the piecewise pool's second segment
+        w = 10**18
+        segs = (Segment(100 * w, 1000 * w, 1000 * w),
+                Segment(10**4 * w, 1000 * w, 800 * w))
+        pw = Pool("PW", KIND_PIECEWISE, ("T0", "T1"), 0, directions=(
+            PoolDirection("T0", "T1", segs), PoolDirection("T1", "T0", segs)))
+        g = build_graph(tokens(3), [
+            pw, cp_pool("D", "T1", "T2", 10**6 * w, 10**6 * w),
+            cp_pool("A", "T0", "T2", 1000 * w, 950 * w)])
+        sol = check_stage1_splits(g, query("T0", "T2", 300 * w))
+        assert sol.stats.paths_discovered == 2
+
+    def test_failed_fill_puts_the_amount_on_the_best_path(self, monkeypatch):
+        # the splitting market of test_stage1_tau_monotone_on_splitting_market
+        w = 10**18
+        g = build_graph(tokens(2), [
+            cp_pool("PA", "T0", "T1", 1000 * w, 1100 * w),
+            cp_pool("PB", "T0", "T1", 800 * w, 810 * w),
+            cp_pool("PC", "T0", "T1", 600 * w, 590 * w)])
+        q = query("T0", "T1", 10000 * w)
+        monkeypatch.setattr(engine, "water_fill", lambda hop, amount: None)
+        sol = prime(g, q)
+        best = best_single_path(g, q).total_output
+        assert sol.stats.stage1_objectives == \
+            [best] * sol.stats.paths_discovered
+        assert sol.total_output >= best
+        assert verify_solution(sol, g).ok
+
+    def test_one_allocator_call_per_query(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            result = asgm(*args, **kwargs)
+            calls.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(engine, "asgm", counting)
+        g, prep, queries = golden_queries()
+        routed = 0
+        for q in queries:
+            calls.clear()
+            try:
+                sol = prime(g, q, prep)
+            except NoRouteError:
+                assert calls == []
+                continue
+            routed += 1
+            assert calls == [sol.stats.asgm_iterations]
+        assert routed > 0
 
 
 class TestMergeAndExpand:

@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under ``scripts/``, so they cannot rot."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -27,3 +28,26 @@ def test_run_ablation_sweep(tmp_path, capsys):
         assert float(r["gap_bp"]) >= 0
     ablation.show("sweep", rows)
     assert "alpha" in capsys.readouterr().out
+
+
+def test_compare_outputs(tmp_path, capsys):
+    compare = load_script("compare_outputs")
+    compare._import_paths(str(SCRIPTS.parent / "src"))
+    from perfbench.workloads import Market
+
+    # the market of generate_synthetic(13, 40, 140)
+    market = Market(seed=13, tokens=40, pools=140, hub_fraction=0.1,
+                    spread_orders=6, hubs=8)
+    records = compare.record(market, multiples=(1, 3),
+                             sizes={"retail": 5, "whale": 2, "dominance": 2})
+    assert len(records) == 2 * (5 + 2 + 2)
+    routed = [r for r in records if r["output"] is not None]
+    assert routed and all(r["audit"] == "ok" for r in routed)
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    new.write_text(json.dumps(records))
+    assert compare.main(["--load", str(new), "--against", str(new)]) == 0
+    assert f"equal={len(routed)} risen=0 fallen=0" in capsys.readouterr().out
+    routed[0]["output"] = str(int(routed[0]["output"]) + 1)
+    old.write_text(json.dumps(records))
+    assert compare.main(["--load", str(new), "--against", str(old)]) == 1
+    assert "fallen=1" in capsys.readouterr().out
