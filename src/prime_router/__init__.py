@@ -9,7 +9,7 @@ from .allocation import (
     objective,
     path_output,
 )
-from .baselines import GridSpec, best_single_path, grid_oracle
+from .baselines import best_single_path
 from .cfmm import (
     MAX_UINT256,
     ConstantProduct,
@@ -28,18 +28,16 @@ from .engine import (
 from .errors import (
     AmountOverflowError,
     CapacityExceededError,
-    GraphTooLargeError,
     InvalidParamsError,
     MalformedSnapshotError,
     NoRouteError,
     ParseError,
     RoutingError,
-    TooManyPathsError,
     VersionUnsupportedError,
 )
 from .graph import Edge, Pool, SwapGraph, Token, build_graph, prune_leaf_tokens
 from .io import Snapshot, generate_synthetic, load_snapshot, save_snapshot
-from .pathfind import SinglePath, enumerate_paths_oracle, find_path
+from .pathfind import SinglePath, find_path
 from .preprocess import ShortcutIndex, build_shortcut_index, select_hubs
 
 __all__ = [name for name in dir() if not name.startswith("_")]

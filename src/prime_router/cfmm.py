@@ -379,21 +379,14 @@ class SequentialComposite:
             cur = fn.out_real(self._leg_point(fn, cur))
         return cur
 
-    def marginal_price(self, x) -> float:
-        # Chain rule; the walk stays integer or real depending on the input,
-        # matching how the output itself would be evaluated.
+    def marginal_price(self, x: float) -> float:
+        # chain rule along the real-valued walk that out_real takes
         deriv = 1.0
-        if isinstance(x, int):
-            cur = x
-            for fn in self.parts:
-                deriv *= fn.marginal_price(cur)
-                cur = fn.swap_out(cur)
-        else:
-            cur = float(x)
-            for fn in self.parts:
-                cur = self._leg_point(fn, cur)
-                deriv *= fn.marginal_price(cur)
-                cur = fn.out_real(cur)
+        cur = float(x)
+        for fn in self.parts:
+            cur = self._leg_point(fn, cur)
+            deriv *= fn.marginal_price(cur)
+            cur = fn.out_real(cur)
         return deriv
 
     def spot_ratio(self) -> Tuple[int, int]:

@@ -134,6 +134,9 @@ def _bench_amounts(args, graph) -> List[int]:
 
 
 def cmd_bench(args) -> int:
+    if args.repetitions < 1:
+        raise InvalidParamsError(
+            f"--repetitions must be at least 1, got {args.repetitions}")
     if args.ablate:
         return _cmd_ablate(args)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
@@ -213,7 +216,7 @@ def _cmd_ablate(args) -> int:
             params = replace(query.asgm_params, alpha=alpha, beta=beta)
             best_ms = None
             result = None
-            for _ in range(max(1, args.repetitions)):
+            for _ in range(args.repetitions):
                 started = time.perf_counter()
                 result = asgm(paths, amount, params)
                 elapsed = (time.perf_counter() - started) * 1e3

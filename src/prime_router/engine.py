@@ -34,10 +34,11 @@ from .allocation import (
     hop_amounts,
     integer_shares,
     path_marginal_real,
+    single_to_multi,
     water_fill,
 )
 from .cfmm import SequentialComposite
-from .errors import InvalidParamsError, NoRouteError, RoutingError
+from .errors import InvalidParamsError, NoRouteError
 from .graph import Edge, SwapGraph, gc_paused, prune_leaf_tokens
 from .pathfind import SearchContext, SearchStats, SinglePath, find_path
 from .preprocess import ShortcutIndex, build_shortcut_index, select_hubs
@@ -83,8 +84,9 @@ class RouteStats:
     ``asgm_iterations``, ``converged`` and ``degraded`` are the stage-2
     allocator's (the flags are False when no allocator ran); ``fallback``
     is set when the allocation lost to the best discovered single path and
-    was replaced by it.  Stage 1 records one ``tau`` and the exact integer
-    objective of its split per accepted path.
+    was replaced by it, so that the result lists only that path.  Stage 1
+    records one ``tau`` and the exact integer objective of its split per
+    accepted path.
     """
 
     find_path_calls: int = 0
@@ -313,9 +315,11 @@ def prime(g: SwapGraph, query: RouteQuery,
     """Full two-stage routing for one query.
 
     Raises NoRouteError when discovery accepts zero paths, and
-    InvalidParamsError when ``prepared`` was built from a query whose stage-0
-    fields differ from this one's.
+    InvalidParamsError when ``prepared`` was built from another graph or from
+    a query whose stage-0 fields differ from this one's.
     """
+    if prepared is not None and prepared.graph is not g:
+        raise InvalidParamsError("stage 0 was prepared from another graph")
     if not g.has_token(query.source) or not g.has_token(query.target):
         raise NoRouteError("source or target token not in graph")
     prep = prepared if prepared is not None else prepare_routing(g, query)
@@ -366,25 +370,22 @@ def prime(g: SwapGraph, query: RouteQuery,
     stats.converged = final.converged
     stats.degraded = final.degraded
 
-    allocation = final.allocation
-    plan, total = build_execution_plan(multi, allocation, query.amount)
-    tau = final.tau
+    plan, total = build_execution_plan(multi, final.allocation, query.amount)
 
     # The allocator converges to a tolerance, not exactly; a discovered path
     # probed at the full amount is an exact lower bound, so fall back to it
     # when integer rounding leaves the relaxed solution behind.
-    best_i = max(range(len(singles)), key=lambda i: singles[i].output)
-    if singles[best_i].output > total:
-        allocation, plan, total, tau = _degenerate_solution(
-            multi, singles[best_i], query.amount)
+    best = max(singles, key=lambda sp: sp.output)
+    if best.output > total:
         stats.fallback = True
         log.debug("fell back to single-path allocation (%d > %d)",
-                  singles[best_i].output, total)
+                  best.output, total)
+        return single_path_solution(best, query, "prime", stats, final.trace)
 
     return RouteSolution(source=query.source, target=query.target,
                          amount=query.amount, algorithm="prime", paths=tuple(multi),
-                         allocation=allocation, total_output=total, tau=tau,
-                         execution_plan=plan, stats=stats,
+                         allocation=final.allocation, total_output=total,
+                         tau=final.tau, execution_plan=plan, stats=stats,
                          trace=final.trace)
 
 
@@ -411,38 +412,24 @@ def _stage1_fill(singles: Sequence[SinglePath], curves: Sequence[Edge],
                              for c, s in zip(curves, shares) if s)
 
 
-def _degenerate_solution(multi: Sequence[MultiEdgePath], single: SinglePath,
-                         x: int):
-    """Allocation putting the whole amount on one discovered path."""
-    target_pools = single.pool_ids
-    path_weights = []
-    edge_weights = []
-    chosen = None
-    for p in multi:
-        hops_w = []
-        is_home = all(any(e.pool_ids == single.edges[j].pool_ids
-                          for e in p.hops[j]) for j in range(len(p.hops))) \
-            and p.tokens == single.tokens
-        for j, hop in enumerate(p.hops):
-            if is_home and chosen is None:
-                w = [1.0 if e.pool_ids == single.edges[j].pool_ids else 0.0
-                     for e in hop]
-            else:
-                w = [1.0 / len(hop)] * len(hop)
-            hops_w.append(tuple(w))
-        edge_weights.append(tuple(hops_w))
-        if is_home and chosen is None:
-            chosen = len(edge_weights) - 1
-        path_weights.append(0.0)
-    if chosen is None:
-        raise RoutingError("discovered path lost during merge")
-    path_weights[chosen] = 1.0
-    allocation = Allocation(tuple(path_weights), tuple(edge_weights))
-    plan, total = build_execution_plan(multi, allocation, x)
-    tau = max(path_marginal_real(p, allocation.edge_weights[i],
-                                 allocation.path_weights[i] * x)
-              for i, p in enumerate(multi))
-    return allocation, plan, total, tau
+def single_path_solution(found: SinglePath, query: RouteQuery, algorithm: str,
+                         stats: RouteStats, trace: Sequence[TraceRow] = ()
+                         ) -> RouteSolution:
+    """The whole amount down one discovered path, its only listed path.
+
+    Every hop carries its one edge at weight 1.0, and ``tau`` is the path's
+    marginal price at the full amount.
+    """
+    path = single_to_multi(found)
+    allocation = Allocation((1.0,), (tuple((1.0,) for _ in path.hops),))
+    plan, total = build_execution_plan([path], allocation, query.amount)
+    tau = path_marginal_real(path, allocation.edge_weights[0],
+                             float(query.amount))
+    return RouteSolution(source=query.source, target=query.target,
+                         amount=query.amount, algorithm=algorithm,
+                         paths=(path,), allocation=allocation,
+                         total_output=total, tau=tau, execution_plan=plan,
+                         stats=stats, trace=list(trace))
 
 
 @dataclass

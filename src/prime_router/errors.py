@@ -29,14 +29,6 @@ class VersionUnsupportedError(ParseError):
     """File declares a format version this build does not understand."""
 
 
-class GraphTooLargeError(RoutingError):
-    """Exhaustive oracle invoked on a graph beyond its hard size guard."""
-
-
-class TooManyPathsError(RoutingError):
-    """Grid oracle invoked with more paths than its combinatorial guard."""
-
-
 class NoRouteError(RoutingError):
     """No path from source to target survives discovery."""
 

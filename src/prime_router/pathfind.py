@@ -1,4 +1,4 @@
-"""Bound-pruned best-path search with dominance pruning, plus an oracle.
+"""Bound-pruned best-path search with dominance pruning.
 
 ``find_path`` runs a queue-based traversal (SPFA flavour): states carry the
 exact integer amount produced so far, and a successor is enqueued only when it
@@ -50,10 +50,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import CapacityExceededError, GraphTooLargeError
-from .graph import Edge, SwapGraph
+from .errors import CapacityExceededError
+from .graph import Edge
 
-ORACLE_MAX_TOKENS = 16
 # relative slack on the float bound, far above the rounding error of a
 # product of a few spot rates
 BOUND_SLACK = 1.0 + 1e-9
@@ -296,34 +295,3 @@ def simulate_chain(edges: Sequence[Edge], amount: int) -> Optional[int]:
         except CapacityExceededError:
             return None
     return cur
-
-
-def enumerate_paths_oracle(g: SwapGraph, source: str, target: str,
-                           max_hops: int) -> Tuple[Tuple[Edge, ...], ...]:
-    """All simple pool-distinct paths up to max_hops, deterministic order.
-
-    Test oracle only; guarded to tiny graphs because the count explodes.
-    """
-    if len(g.tokens) > ORACLE_MAX_TOKENS:
-        raise GraphTooLargeError(
-            f"oracle limited to {ORACLE_MAX_TOKENS} tokens, got {len(g.tokens)}")
-    if source == target:
-        raise ValueError("source and target must differ")
-    out: List[Tuple[Edge, ...]] = []
-
-    def walk(token, edges, visited, pools):
-        if token == target:
-            out.append(edges)
-            return
-        if len(edges) >= max_hops:
-            return
-        for v, _ in g.out_items(token):
-            if v in visited:
-                continue
-            for e in g.edges_between(token, v):
-                if e.pool_id in pools:
-                    continue
-                walk(v, edges + (e,), visited | {v}, pools | {e.pool_id})
-
-    walk(source, (), {source}, frozenset())
-    return tuple(out)

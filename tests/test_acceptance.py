@@ -18,7 +18,7 @@ from prime_router.allocation import (
     objective,
     path_marginal_real,
 )
-from prime_router.baselines import GridSpec, best_single_path, grid_oracle
+from prime_router.baselines import best_single_path
 from prime_router.cfmm import ConstantProduct, PiecewiseLiquidity, Segment
 from prime_router.cli import main as cli_main
 from prime_router.engine import (
@@ -30,7 +30,7 @@ from prime_router.engine import (
 from prime_router.errors import NoRouteError
 from prime_router.graph import build_graph
 from prime_router.io import generate_synthetic, save_snapshot
-from prime_router.pathfind import enumerate_paths_oracle, find_path, simulate_chain
+from prime_router.pathfind import find_path, simulate_chain
 
 from instances import (
     WAD,
@@ -40,6 +40,7 @@ from instances import (
     random_disjoint_paths,
     tokens,
 )
+from oracles import GridSpec, enumerate_paths_oracle, grid_oracle
 
 
 def report(num, ok, text):

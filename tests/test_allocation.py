@@ -258,7 +258,7 @@ def _marginals(paths, res, x):
 
 def test_linear_convergence_gap_series():
     # gap to a fine-grid reference falls geometrically on the standard pair
-    from prime_router.baselines import GridSpec, grid_oracle
+    from oracles import GridSpec, grid_oracle
 
     a, b = closed_form_pair()
     x = 30 * WAD

@@ -4,18 +4,10 @@ import random
 import pytest
 
 from prime_router.allocation import MultiEdgePath, asgm, objective
-from prime_router.baselines import (
-    GridSpec,
-    best_single_path,
-    grid_oracle,
-)
+from prime_router.baselines import best_single_path
 from prime_router.cfmm import ConstantProduct
 from prime_router.engine import RouteQuery
-from prime_router.errors import (
-    InvalidParamsError,
-    NoRouteError,
-    TooManyPathsError,
-)
+from prime_router.errors import InvalidParamsError, NoRouteError
 from prime_router.graph import Edge, build_graph
 
 from instances import (
@@ -26,6 +18,7 @@ from instances import (
     single_edge_path,
     tokens,
 )
+from oracles import GridSpec, TooManyPathsError, grid_oracle
 
 
 def query(s="T0", t="T1", x=10**6, **kw):

@@ -288,6 +288,20 @@ class TestBench:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("mode", [(), ("--ablate",)])
+    @pytest.mark.parametrize("repetitions", ["0", "-2"])
+    def test_repetitions_below_one_exit_one(self, snapshot_path, capsys,
+                                            repetitions, mode):
+        path, source, target = snapshot_path
+        code, out, err = run_cli(capsys, "bench", "--snapshot", path,
+                                 "--from", source, "--to", target,
+                                 "--amounts", "10", "--repetitions",
+                                 repetitions, *mode)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: --repetitions must be at least 1, "
+                       f"got {repetitions}\n")
+
     def test_jobs_flag_removed(self, snapshot_path, capsys):
         path, source, target = snapshot_path
         with pytest.raises(SystemExit):

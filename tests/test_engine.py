@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prime_router import engine, pathfind
+from prime_router import baselines, engine, pathfind
 from prime_router.allocation import (
     AsgmParams,
     asgm,
@@ -27,13 +27,12 @@ from prime_router.cfmm import Segment
 from prime_router.engine import (
     PlanStep,
     RouteQuery,
-    _degenerate_solution,
     merge_and_expand,
     prepare_routing,
     prime,
     verify_solution,
 )
-from prime_router.errors import InvalidParamsError, NoRouteError, RoutingError
+from prime_router.errors import InvalidParamsError, NoRouteError
 from prime_router.graph import KIND_PIECEWISE, Pool, PoolDirection, build_graph
 from prime_router.io import generate_synthetic, solution_to_dict
 from prime_router.pathfind import find_path
@@ -43,6 +42,17 @@ from instances import cp_pool, random_cp_graph, tokens
 
 def query(s, t, x, **kw):
     return RouteQuery(source=s, target=t, amount=x, **kw)
+
+
+def fallback_market():
+    """Two routes: a deep pool and a deeper two-hop detour at a lower spot
+    rate; an allocator stuck at the even split loses to the first."""
+    w = 10**18
+    g = build_graph(tokens(3), [
+        cp_pool("A", "T0", "T1", 1000 * w, 1000 * w),
+        cp_pool("B", "T0", "T2", 10**6 * w, 10**6 * w),
+        cp_pool("C", "T2", "T1", 10**6 * w, 86 * 10**4 * w)])
+    return g, 100 * w
 
 
 class TestPrime:
@@ -180,14 +190,7 @@ class TestPrime:
         assert res.trace[-1].objective == sol.total_output
 
     def test_stats_flag_convergence_and_fallback(self):
-        # two routes: a deep pool and a deeper two-hop detour at a lower
-        # spot rate; an allocator stuck at the even split loses to the first
-        w = 10**18
-        g = build_graph(tokens(3), [
-            cp_pool("A", "T0", "T1", 1000 * w, 1000 * w),
-            cp_pool("B", "T0", "T2", 10**6 * w, 10**6 * w),
-            cp_pool("C", "T2", "T1", 10**6 * w, 86 * 10**4 * w)])
-        x = 100 * w
+        g, x = fallback_market()
         sol = prime(g, query("T0", "T1", x))
         assert sol.stats.paths_discovered == 2
         assert sol.stats.converged and not sol.stats.fallback
@@ -199,14 +202,45 @@ class TestPrime:
             g.edges_between("T0", "T1")[0].fn.swap_out(x) < sol.total_output
         assert verify_solution(stuck, g).ok
 
-    def test_lost_discovered_path_raises(self):
-        # a real raise, not an assert: this also holds under python -O
-        g = build_graph(tokens(2), [cp_pool("A", "T0", "T1", 10**9, 10**9),
-                                    cp_pool("B", "T0", "T1", 10**9, 10**9)])
-        a, b = (find_path(g, "T0", "T1", 10**6, 0.0, 1, frozenset({pid}))
-                for pid in ("B", "A"))
-        with pytest.raises(RoutingError, match="lost during merge"):
-            _degenerate_solution([single_to_multi(a)], b, 10**6)
+    def test_fallback_is_the_single_path_solution(self, monkeypatch):
+        g, x = fallback_market()
+        q = query("T0", "T1", x, asgm_params=AsgmParams(delta_min=0.3))
+        found = []
+        search = engine.find_path
+
+        def recording(*args, **kw):
+            sp = search(*args, **kw)
+            found.append(sp)
+            return sp
+
+        monkeypatch.setattr(engine, "find_path", recording)
+        stuck = prime(g, q)
+        assert stuck.stats.fallback
+        best = max(found[:stuck.stats.paths_discovered],
+                   key=lambda sp: sp.output)
+        ref = engine.single_path_solution(best, q, "prime", stuck.stats)
+        fields = ("paths", "allocation", "tau", "execution_plan",
+                  "total_output")
+        for name in fields:
+            assert getattr(stuck, name) == getattr(ref, name), name
+        # only the funded path is listed, at weight 1.0
+        assert stuck.paths == (single_to_multi(best),)
+        assert stuck.allocation.path_weights == (1.0,)
+        assert verify_solution(stuck, g).ok
+
+        # best_single_path builds its result through the same function
+        built = []
+        build = engine.single_path_solution
+
+        def spy(*args, **kw):
+            built.append(build(*args, **kw))
+            return built[-1]
+
+        monkeypatch.setattr(baselines, "single_path_solution", spy)
+        osp = baselines.best_single_path(g, q)
+        assert len(built) == 1 and built[0] is osp and osp.algorithm == "osp"
+        for name in fields:
+            assert getattr(osp, name) == getattr(stuck, name), name
 
 
 def routed_with_stage1_fills(g, q):
@@ -436,6 +470,16 @@ class TestShortcuts:
         q = query("T0", "T1", 10**6, **{**base, **change})
         with pytest.raises(InvalidParamsError, match="stage 0"):
             prime(g, q, prep)
+
+    def test_prepared_routing_rejects_another_graph(self):
+        # an equal copy of the market is still another graph: the plan
+        # would name edges of the graph stage 0 was built from
+        g = self.build_detour_market()
+        q = query("T0", "T1", 10**6, explicit_hubs=("T0", "T1"))
+        prep = prepare_routing(self.build_detour_market(), q)
+        with pytest.raises(InvalidParamsError, match="another graph"):
+            prime(g, q, prep)
+        assert prime(g, q, prepare_routing(g, q)).total_output > 0
 
     def test_prepare_routing_logs_stage0(self, caplog):
         # the detour market plus a leaf token T3 that pruning drops

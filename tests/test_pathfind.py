@@ -15,18 +15,18 @@ from prime_router.engine import (
     prime,
 )
 from prime_router.cfmm import ConstantProduct
-from prime_router.errors import GraphTooLargeError, NoRouteError
+from prime_router.errors import NoRouteError
 from prime_router.graph import KIND_PIECEWISE, Edge, SwapGraph, build_graph
 from prime_router.io import generate_synthetic, solution_to_dict
 from prime_router.pathfind import (
     SearchContext,
     SearchStats,
-    enumerate_paths_oracle,
     find_path,
     simulate_chain,
 )
 
 from instances import cp_pool, random_cp_graph, tokens
+from oracles import GraphTooLargeError, enumerate_paths_oracle
 
 
 def triangle_graph():
