@@ -362,7 +362,8 @@ def prime(g: SwapGraph, query: RouteQuery,
             f"no path from {query.source!r} to {query.target!r}")
     stats.paths_discovered = len(singles)
 
-    multi, init_w = merge_and_expand(singles, weights, prep.pruned,
+    # widen from the full graph: leaf pruning dropped a leaf endpoint's pools
+    multi, init_w = merge_and_expand(singles, weights, prep.graph,
                                      prep.shortcut_index, used)
     final = asgm(multi, query.amount, query.asgm_params,
                  initial_edge_weights=init_w)

@@ -202,6 +202,22 @@ class TestPrime:
             g.edges_between("T0", "T1")[0].fn.swap_out(x) < sol.total_output
         assert verify_solution(stuck, g).ok
 
+    def test_leaf_source_offers_its_parallel_pools(self):
+        # leaf pruning drops T2, whose three pools all lead to hub T0; stage
+        # 2 still widens that hop from the full graph
+        w = 10**18
+        g = build_graph(tokens(3), [
+            *(cp_pool(f"L{i}", "T2", "T0", 10 * w, 10 * w) for i in range(3)),
+            cp_pool("H", "T0", "T1", 10**6 * w, 10**6 * w)])
+        q = query("T2", "T1", 10 * w, explicit_hubs=("T0", "T1"))
+        prep = prepare_routing(g, q)
+        assert not prep.pruned.has_token("T2")
+        sol = prime(g, q, prep)
+        assert {st.pool_id for st in sol.execution_plan} == \
+            {"L0", "L1", "L2", "H"}
+        assert sol.total_output > 1.4 * best_single_path(g, q).total_output
+        assert verify_solution(sol, g).ok
+
     def test_fallback_is_the_single_path_solution(self, monkeypatch):
         g, x = fallback_market()
         q = query("T0", "T1", x, asgm_params=AsgmParams(delta_min=0.3))
@@ -517,11 +533,12 @@ class TestRouteQuery:
             RouteQuery(**fields)
 
 
-# sha256 of prime_results_digest's stats-free results, pinned before the
-# searches of one query shared a rate table and their quotes: the work
-# counters under "stats" may change, the routes may not
+# sha256 of prime_results_digest's stats-free results, pinned when stage 2
+# began widening hops from the full graph, so that a leaf endpoint's
+# parallel pools are offered (3 of the 32 outputs rose, none fell): the
+# work counters under "stats" may change, the routes may not
 PRIME_GOLDEN_SHA256 = \
-    "e034b79e3088fb3ff07abee358aed4760efa32d642230a8e8664890f8c03f4b5"
+    "1593b79f9e730c58eb8cfb6db8ca86e097092e794d2ed6fc0913264683ab83eb"
 
 
 def golden_queries():
