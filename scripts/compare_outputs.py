@@ -17,7 +17,8 @@ checkout can be recorded with this script too:
 ``--against FILE`` compares the run (or, without ``--out``, the records in
 ``--load``) with FILE.  It prints how many outputs are equal, rose, fell or
 are newly routed, how many routed results changed beyond their stats, how
-many stage-1 objectives fell at the same refresh, and the work counts per
+many routed records' work counts (their whole ``stats``) changed, how many
+stage-1 objectives fell at the same refresh, and the work counts per
 workload, and exits 1 when any output fell (a query that stops routing
 counts as fallen) or any plan failed its audit.
 """
@@ -101,12 +102,13 @@ def allocator_steps(work: dict) -> int:
 
 def compare(new: Sequence[dict], old: Sequence[dict]) -> Dict[str, int]:
     """Counts of equal, risen, fallen, newly routed and unrouted queries,
-    routed results that changed, failed audits, and stage-1 objectives
-    below the old one's at the same refresh."""
+    routed results that changed, failed audits, routed records whose work
+    (their whole ``stats``) changed, and stage-1 objectives below the old
+    one's at the same refresh."""
     before = {r["key"]: r for r in old}
     counts = dict.fromkeys(("equal", "risen", "fallen", "newly_routed",
                             "unrouted", "result_changed", "audit_failed",
-                            "stage1_compared", "stage1_fallen", "missing"), 0)
+                            "work_changed", "stage1_compared", "stage1_fallen", "missing"), 0)
     for r in new:
         if r["audit"] not in (None, "ok"):
             counts["audit_failed"] += 1
@@ -123,6 +125,7 @@ def compare(new: Sequence[dict], old: Sequence[dict]) -> Dict[str, int]:
         a, b = int(r["output"]), int(o["output"])
         counts["equal" if a == b else "risen" if a > b else "fallen"] += 1
         counts["result_changed"] += r["result_sha256"] != o["result_sha256"]
+        counts["work_changed"] += r["work"] != o["work"]
         for x, y in zip(r["work"]["stage1_objectives"],
                         o["work"]["stage1_objectives"]):
             counts["stage1_compared"] += 1

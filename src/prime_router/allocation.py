@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cfmm import Piece
+from .cfmm import Piece, SwapFunction, bounded_point
 from .errors import CapacityExceededError, InvalidParamsError
 from .graph import Edge
 from .pathfind import SinglePath
@@ -115,6 +115,9 @@ class AsgmParams:
     eps_rel: float = 1e-6
 
     def __post_init__(self):
+        if not isinstance(self.t_max, int) or isinstance(self.t_max, bool):
+            raise TypeError(
+                f"t_max must be an int, got {type(self.t_max).__name__}")
         if not (0.0 < self.alpha < 1.0):
             raise InvalidParamsError("alpha must be in (0, 1)")
         if not (0.0 < self.beta < 1.0):
@@ -261,14 +264,6 @@ def path_output(path: MultiEdgePath, hop_weights: Sequence[Sequence[float]],
     return hop_amounts(path, hop_weights, x_in)[-1]
 
 
-def _bounded_point(fn, point: float):
-    """(operating point inside the domain, saturated?) for real-mode probes."""
-    cap = fn.input_capacity()
-    if cap is not None and point >= cap:
-        return float(cap), True
-    return point, False
-
-
 def _hop_derivs(hop: Tuple[Edge, ...], weights: Sequence[float],
                 amt: float) -> Tuple[float, float, float]:
     """(receive, give, real output) of one hop fed the real amount ``amt``.
@@ -285,7 +280,7 @@ def _hop_derivs(hop: Tuple[Edge, ...], weights: Sequence[float],
     recv = give = open_mass = out = 0.0
     open_derivs = []
     for e, w in zip(hop, weights):
-        point, saturated = _bounded_point(e.fn, w * amt)
+        point, saturated = bounded_point(e.fn, w * amt)
         d = e.fn.marginal_price(point)
         give += w * d
         if not saturated:
@@ -407,9 +402,9 @@ def _sign_step(weights: List[float], gain_grads: Sequence[float],
     return None
 
 
-def _edge_point(pieces: Tuple[Piece, ...],
-                price: float) -> Tuple[float, Optional[Piece]]:
-    """An edge's optimal input at marginal price ``price``.
+def _curve_point(pieces: Tuple[Piece, ...],
+                 price: float) -> Tuple[float, Optional[Piece]]:
+    """A curve's optimal input at marginal price ``price``.
 
     Returns ``(x, piece)``: ``piece`` is the one the price falls strictly
     inside, with ``x`` its unclamped inverse; otherwise ``piece`` is None and
@@ -425,27 +420,28 @@ def _edge_point(pieces: Tuple[Piece, ...],
     return float(pieces[-1].hi), None
 
 
-def water_fill(hop: Tuple[Edge, ...], amount: float) -> Optional[List[float]]:
-    """Inputs that split ``amount`` across a hop at one marginal price.
+def water_fill(fns: Sequence[SwapFunction],
+               amount: float) -> Optional[List[float]]:
+    """Inputs that split ``amount`` across swap curves at one marginal price.
 
-    Every edge takes what it would at a common price lambda (KKT of the
-    concave hop), and the inputs sum to ``amount``.  Total demand falls as
+    Every curve takes what it would at a common price lambda (KKT of the
+    concave split), and the inputs sum to ``amount``.  Total demand falls as
     lambda rises, so a binary search over the pieces' boundary prices finds
-    the bracket holding lambda; inside it every edge either sits on a
+    the bracket holding lambda; inside it every curve either sits on a
     breakpoint or moves within one piece, and ``lambda**-1/2`` is closed
-    form.  Returns None when the edges cannot absorb ``amount``.
+    form.  Returns None when the curves cannot absorb ``amount``.
     """
     if amount <= 0.0:
         return None
-    curves = [e.fn.pieces for e in hop]
+    curves = [fn.pieces for fn in fns]
     prices = sorted({q for pieces in curves for pc in pieces
                      for q in (pc.price(0.0), pc.exit_price) if q > 0.0})
 
     def demand(price: float) -> float:
-        return sum(_edge_point(pieces, price)[0] for pieces in curves)
+        return sum(_curve_point(pieces, price)[0] for pieces in curves)
 
     # demand(prices[lo]) >= amount > demand(prices[hi]); index -1 stands for
-    # a price of 0, and at the top price every edge takes nothing
+    # a price of 0, and at the top price every curve takes nothing
     lo, hi = -1, len(prices) - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -455,12 +451,12 @@ def water_fill(hop: Tuple[Edge, ...], amount: float) -> Optional[List[float]]:
             hi = mid
     probe = prices[hi] / 2.0 if lo < 0 else \
         math.sqrt(prices[lo] * prices[hi])
-    points = [_edge_point(pieces, probe) for pieces in curves]
+    points = [_curve_point(pieces, probe) for pieces in curves]
     free = [pc for _, pc in points if pc is not None]
     if not free:
         return None
     rest = amount - sum(x if pc is None else pc.lo for x, pc in points)
-    # a free edge takes root * (s - shift / root) past its piece's start,
+    # a free curve takes root * (s - shift / root) past its piece's start,
     # with s = lambda**-1/2.  Measuring s from the smallest shift / root (the
     # highest entry price) keeps every term positive, so an amount far below
     # the pools' depth does not cancel away
@@ -502,7 +498,7 @@ def optimize_path_edges(path: MultiEdgePath, hop_weights: List[List[float]],
     filled = []
     amt = float(x_path)
     for hop, weights in zip(path.hops, hop_weights):
-        xs = water_fill(hop, amt) if len(hop) > 1 else None
+        xs = water_fill([e.fn for e in hop], amt) if len(hop) > 1 else None
         if xs is None:
             xs = [amt] if len(hop) == 1 else [w * amt for w in weights]
         else:
@@ -510,7 +506,7 @@ def optimize_path_edges(path: MultiEdgePath, hop_weights: List[List[float]],
             total = sum(asks)
             weights = [x / total for x in asks]
         filled.append(list(weights))
-        amt = sum(e.fn.out_real(_bounded_point(e.fn, x)[0])
+        amt = sum(e.fn.out_real(bounded_point(e.fn, x)[0])
                   for e, x in zip(hop, xs))
     try:
         new = path_output(path, filled, x_path)

@@ -349,6 +349,15 @@ class PiecewiseLiquidity:
         return tuple(out)
 
 
+def bounded_point(fn: "SwapFunction", point: float) -> Tuple[float, bool]:
+    """(operating point inside ``fn``'s domain, saturated?) of a real-mode
+    probe: a point at or past the input capacity sits on it."""
+    cap = fn.input_capacity()
+    if cap is not None and point >= cap:
+        return float(cap), True
+    return point, False
+
+
 @dataclass(frozen=True)
 class SequentialComposite:
     """Swap functions applied back to back: f = f_n o ... o f_1."""
@@ -365,18 +374,11 @@ class SequentialComposite:
             cur = fn.swap_out(cur)
         return cur
 
-    @staticmethod
-    def _leg_point(fn, cur: float) -> float:
-        # real-mode probes saturate at a leg's capacity instead of failing
-        cap = fn.input_capacity()
-        if cap is not None and cur > cap:
-            return float(cap)
-        return cur
-
     def out_real(self, x: float) -> float:
+        # real-mode probes saturate at a leg's capacity instead of failing
         cur = float(x)
         for fn in self.parts:
-            cur = fn.out_real(self._leg_point(fn, cur))
+            cur = fn.out_real(bounded_point(fn, cur)[0])
         return cur
 
     def marginal_price(self, x: float) -> float:
@@ -384,7 +386,7 @@ class SequentialComposite:
         deriv = 1.0
         cur = float(x)
         for fn in self.parts:
-            cur = self._leg_point(fn, cur)
+            cur = bounded_point(fn, cur)[0]
             deriv *= fn.marginal_price(cur)
             cur = fn.out_real(cur)
         return deriv

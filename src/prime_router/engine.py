@@ -1,15 +1,17 @@
 """Query orchestration: iterative path discovery, merge/expand, final solve.
 
 A query runs in three stages.  Stage 0 (reusable across queries) selects hub
-tokens, prunes leaf tokens, builds the shortcut index and a merged search
-adjacency over hubs.  Stage 1 repeatedly asks the path search for the best
-remaining route at the current price threshold, masks its pools so later
-routes stay pool-disjoint, and refreshes the threshold from the exact split
-of the amount over everything found so far: every discovered path has one
-edge per hop, so its output curve is its edges' curves composed, and one
-water-fill over those curves equalizes their marginal prices.  Stage 2 merges
-paths that share a token sequence, widens every hop with unused parallel
-pools and better-priced shortcuts, runs the allocator and emits an exact
+tokens, prunes leaf tokens, builds the shortcut index and the hub core: a
+``SwapGraph`` of the hub-to-hub pool edges and the index's shortcut edges,
+which each query overlays with the rows its endpoints add.  Stage 1
+repeatedly asks the path search for the best remaining route at the current
+price threshold, masks its pools so later routes stay pool-disjoint, and
+refreshes the threshold from the exact split of the amount over everything
+found so far: every discovered path has one edge per hop, so its output
+curve is its edges' curves composed, and one water-fill over those curves
+equalizes their marginal prices.  Stage 2 merges paths that share a token
+sequence, widens every hop with unused parallel pools and better-priced
+shortcuts (the index's own edges), runs the allocator and emits an exact
 integer execution plan.
 
 The plan leaves no dust: every hop's integer outputs feed the next hop in
@@ -39,7 +41,7 @@ from .allocation import (
 )
 from .cfmm import SequentialComposite
 from .errors import InvalidParamsError, NoRouteError
-from .graph import Edge, SwapGraph, gc_paused, prune_leaf_tokens
+from .graph import Edge, SwapGraph, gc_paused, prune_leaf_tokens, spot_order
 from .pathfind import SearchContext, SearchStats, SinglePath, find_path
 from .preprocess import ShortcutIndex, build_shortcut_index, select_hubs
 
@@ -119,7 +121,8 @@ class RouteSolution:
 
 
 class _Overlay:
-    """Search adjacency: core rows plus per-query source/target attachments."""
+    """Search adjacency: the hub core's rows plus per-query source/target
+    attachments."""
 
     def __init__(self, rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]]):
         self._rows = rows
@@ -130,13 +133,6 @@ class _Overlay:
 
     def out_items(self, u: str):
         return self._rows.get(u, ())
-
-
-def _merge_candidates(*groups: Sequence[Edge]) -> Tuple[Edge, ...]:
-    merged: List[Edge] = []
-    for g in groups:
-        merged.extend(g)
-    return tuple(sorted(merged, key=lambda e: (-e.spot, e.pool_id)))
 
 
 # the RouteQuery fields that stage 0 is built from
@@ -151,13 +147,13 @@ class PreparedRouting:
     pruned: SwapGraph
     hubs: Tuple[str, ...]
     shortcut_index: Optional[ShortcutIndex]
-    core_rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]]
+    core: SwapGraph
     config: Dict[str, object]
 
 
 @gc_paused
 def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
-    """Build hub set, pruned graph, shortcut index and hub-core adjacency."""
+    """Build hub set, pruned graph, shortcut index and hub core."""
     started = time.perf_counter()
     hubs = select_hubs(g, query.hub_count, explicit=query.explicit_hubs)
     hubs_done = time.perf_counter()
@@ -168,30 +164,11 @@ def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
         index = build_shortcut_index(pruned, hubs)
     index_done = time.perf_counter()
     hub_set = set(hubs)
-    # hub -> the hubs it has shortcuts to
-    shortcut_targets: Dict[str, Set[str]] = {}
+    core_edges = [e for u in hubs for v, candidates in g.out_items(u)
+                  if v in hub_set for e in candidates]
     if index is not None:
-        for a, b in index.pairs():
-            shortcut_targets.setdefault(a, set()).add(b)
-    rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]] = {}
-    for u in hubs:
-        items: List[Tuple[str, Tuple[Edge, ...]]] = []
-        composite_pairs = shortcut_targets.get(u, set())
-        for v, candidates in g.out_items(u):
-            if v not in hub_set:
-                continue
-            if v in composite_pairs:
-                extras = [sc.as_edge(rank) for rank, sc
-                          in enumerate(index.get(u, v))]
-                items.append((v, _merge_candidates(candidates, extras)))
-                composite_pairs.discard(v)
-            else:
-                items.append((v, candidates))
-        for v in sorted(composite_pairs):
-            extras = [sc.as_edge(rank) for rank, sc in enumerate(index.get(u, v))]
-            items.append((v, _merge_candidates(extras)))
-        items.sort(key=lambda it: it[0])
-        rows[u] = tuple(items)
+        core_edges.extend(e for pair in index.pairs() for e in index.get(*pair))
+    core = SwapGraph({h: g.tokens[h] for h in hubs}, {}, core_edges)
     log.debug("prepared routing: %d hubs, %d shortcuts; kept %d tokens, "
               "%d pools, %d edges; hubs %.3fs, prune %.3fs, shortcuts %.3fs, "
               "core rows %.3fs", len(hubs),
@@ -201,14 +178,14 @@ def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
               time.perf_counter() - index_done)
     config = {f: getattr(query, f) for f in _STAGE0_FIELDS}
     return PreparedRouting(graph=g, pruned=pruned, hubs=hubs,
-                           shortcut_index=index, core_rows=rows, config=config)
+                           shortcut_index=index, core=core, config=config)
 
 
 def _query_overlay(prep: PreparedRouting, source: str, target: str) -> _Overlay:
     g = prep.graph
     hub_set = set(prep.hubs)
     keep = hub_set | {target}
-    rows = dict(prep.core_rows)
+    rows = {h: prep.core.out_items(h) for h in prep.hubs}
     if source not in hub_set:
         items = [(v, candidates) for v, candidates in g.out_items(source)
                  if v in keep]
@@ -220,7 +197,7 @@ def _query_overlay(prep: PreparedRouting, source: str, target: str) -> _Overlay:
             if not extra:
                 continue
             existing = {v: c for v, c in rows.get(u, ())}
-            existing[target] = _merge_candidates(extra)
+            existing[target] = tuple(sorted(extra, key=spot_order))
             rows[u] = tuple(sorted(existing.items()))
     return _Overlay(rows)
 
@@ -268,7 +245,7 @@ def merge_and_expand(singles: Sequence[SinglePath],
             candidates = [e for e in g.edges_between(u, v)
                           if e.pool_id not in used_pools
                           and e.pool_id not in present]
-            candidates.sort(key=lambda e: (-e.spot, e.pool_id))
+            candidates.sort(key=spot_order)
             for e in candidates[:_N_EXPAND]:
                 hop_edges[j].append(e)
                 hop_w[j].append(0.0)
@@ -278,14 +255,14 @@ def merge_and_expand(singles: Sequence[SinglePath],
                 # already on the hop; one per hop bounds the simplex size the
                 # same way _N_EXPAND does for parallel pools
                 best_existing = max(e.spot for e in hop_edges[j])
-                for rank, sc in enumerate(shortcut_index.get(u, v)):
-                    if sc.spot_rate <= best_existing:
+                for sc in shortcut_index.get(u, v):
+                    if sc.spot <= best_existing:
                         continue
                     if any(p in used_pools for p in sc.pool_ids):
                         continue
-                    if any(tok in token_seq for tok in sc.interior):
+                    if any(leg.token_in in token_seq for leg in sc.legs[1:]):
                         continue
-                    hop_edges[j].append(sc.as_edge(rank))
+                    hop_edges[j].append(sc)
                     hop_w[j].append(0.0)
                     used_pools.update(sc.pool_ids)
                     break
@@ -332,7 +309,7 @@ def prime(g: SwapGraph, query: RouteQuery,
     used: Set[str] = set()
     singles: List[SinglePath] = []
     # each accepted path as one composite curve, built once
-    curves: List[Edge] = []
+    curves: List[SequentialComposite] = []
     tau = 0.0
     # every search below shares the rate table and the exact quotes
     context = SearchContext(overlay, query.target, query.max_hops)
@@ -352,8 +329,7 @@ def prime(g: SwapGraph, query: RouteQuery,
             break
         singles.append(found)
         used.update(found.pool_ids)
-        curves.append(Edge(f"path:{len(curves)}", query.source, query.target,
-                           SequentialComposite(tuple(e.fn for e in found.edges))))
+        curves.append(SequentialComposite(tuple(e.fn for e in found.edges)))
         weights, tau, value = _stage1_fill(singles, curves, query.amount)
         stats.stage1_taus.append(tau)
         stats.stage1_objectives.append(value)
@@ -390,7 +366,8 @@ def prime(g: SwapGraph, query: RouteQuery,
                          trace=final.trace)
 
 
-def _stage1_fill(singles: Sequence[SinglePath], curves: Sequence[Edge],
+def _stage1_fill(singles: Sequence[SinglePath],
+                 curves: Sequence[SequentialComposite],
                  x: int) -> Tuple[List[float], float, int]:
     """Path weights, ``tau`` and exact objective of the stage-1 split.
 
@@ -401,15 +378,15 @@ def _stage1_fill(singles: Sequence[SinglePath], curves: Sequence[Edge],
     the best path, which its search showed can carry ``x``, takes all of it.
     """
     # a lone path takes the whole amount, and its curve's pieces stay unbuilt
-    xs = water_fill(tuple(curves), float(x)) if len(curves) > 1 else [1.0]
+    xs = water_fill(curves, float(x)) if len(curves) > 1 else [1.0]
     if xs is None:
         best = max(range(len(singles)), key=lambda i: singles[i].output)
         xs = [float(i == best) for i in range(len(singles))]
     total = sum(xs)
     weights = [v / total for v in xs]
-    tau = max(c.fn.marginal_price(w * x) for c, w in zip(curves, weights))
+    tau = max(c.marginal_price(w * x) for c, w in zip(curves, weights))
     shares = integer_shares(weights, x)
-    return weights, tau, sum(c.fn.swap_out(s)
+    return weights, tau, sum(c.swap_out(s)
                              for c, s in zip(curves, shares) if s)
 
 

@@ -126,6 +126,11 @@ class Edge:
         return amount * self.rate_num // self.rate_den + 1
 
 
+def spot_order(e: Edge) -> Tuple[float, str]:
+    """Search order of parallel candidates: best spot rate first, then pool id."""
+    return (-e.spot, e.pool_id)
+
+
 class SwapGraph:
     """Immutable directed multigraph; vertices are tokens, edges swap legs."""
 
@@ -150,7 +155,7 @@ class SwapGraph:
                     by_id = by_spot = tuple(es)
                 else:
                     by_id = tuple(sorted(es, key=lambda e: e.pool_id))
-                    by_spot = tuple(sorted(es, key=lambda e: (-e.spot, e.pool_id)))
+                    by_spot = tuple(sorted(es, key=spot_order))
                 pair_map[v] = by_id
                 search_items.append((v, by_spot))
             self._adj[u] = pair_map

@@ -4,13 +4,14 @@ The engine searches a core of hub tokens (plus the query endpoints), which is
 where almost all viable routes live.  Better prices that detour through a
 non-hub token are captured separately: for every ordered hub pair we
 pre-enumerate short paths whose interior vertices are all non-hubs and keep
-the few with the best zero-input rate.  Each kept "shortcut" is exposed to
-the path search as a single composite edge, so using one costs one hop.
+the few with the best zero-input rate.  Each kept "shortcut" is built here,
+once, as a composite edge whose legs are its pools' edges.  The hub core the
+path search walks, stage 2's hop widening and the execution plan all use that
+one edge object, and using it costs the search one hop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cfmm import SequentialComposite
@@ -40,43 +41,30 @@ def select_hubs(g: SwapGraph, k: int,
     return tuple(ranked[:min(k, len(ranked))])
 
 
-@dataclass(frozen=True)
-class Shortcut:
-    hub_in: str
-    hub_out: str
-    edges: Tuple[Edge, ...]
-    spot_rate: float
-
-    @property
-    def interior(self) -> Tuple[str, ...]:
-        return tuple(e.token_in for e in self.edges[1:])
-
-    @property
-    def pool_ids(self) -> Tuple[str, ...]:
-        return tuple(e.pool_id for e in self.edges)
-
-    def as_edge(self, rank: int) -> Edge:
-        fn = SequentialComposite(tuple(e.fn for e in self.edges))
-        pid = f"sc:{self.hub_in}>{self.hub_out}:{rank}"
-        return Edge(pid, self.hub_in, self.hub_out, fn, legs=self.edges)
-
-
 class ShortcutIndex:
-    """Top-S shortcuts per ordered hub pair, ranked by spot rate."""
+    """Top-S shortcuts per ordered hub pair, ranked by spot rate.
+
+    An entry is a composite ``Edge`` from ``hub_in`` to ``hub_out``: its
+    ``legs`` are the pool edges it chains through non-hub tokens, its curve
+    their curves composed, and its pool id ``sc:<hub_in>><hub_out>:<rank>``
+    (rank 0 is the best).  The search, stage 2 and the plan all use these
+    same edge objects.
+    """
 
     def __init__(self, hubs: Tuple[str, ...],
-                 entries: Dict[Tuple[str, str], Tuple[Shortcut, ...]]):
+                 entries: Dict[Tuple[str, str], Tuple[Edge, ...]]):
         self.hubs = hubs
         self._entries = entries
         hub_set = set(hubs)
         for shortcuts in entries.values():
             for sc in shortcuts:
-                if hub_set.intersection(sc.interior):
+                interior = tuple(leg.token_in for leg in sc.legs[1:])
+                if hub_set.intersection(interior):
                     raise InvalidParamsError(
-                        f"shortcut {sc.hub_in}->{sc.hub_out} passes through "
-                        f"a hub: interior {sc.interior}")
+                        f"shortcut {sc.token_in}->{sc.token_out} passes "
+                        f"through a hub: interior {interior}")
 
-    def get(self, hub_in: str, hub_out: str) -> Tuple[Shortcut, ...]:
+    def get(self, hub_in: str, hub_out: str) -> Tuple[Edge, ...]:
         return self._entries.get((hub_in, hub_out), ())
 
     def pairs(self) -> Tuple[Tuple[str, str], ...]:
@@ -126,7 +114,8 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
     """Depth-bounded enumeration of hub-to-hub paths through non-hub tokens.
 
     Keeps the top_s candidates per ordered hub pair by the product of
-    zero-input edge rates; ties break on the pool-id sequence.
+    zero-input edge rates, ties broken on the pool-id sequence, each as its
+    composite edge.
     """
     if max_intermediates < 1:
         raise InvalidParamsError("max_intermediates must be >= 1")
@@ -145,11 +134,13 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
                 _extend(g, exits, hub_set, max_intermediates, top_s, found,
                         h, v, (e,), e.spot, (v,), (e.pool_id,))
 
-    entries: Dict[Tuple[str, str], Tuple[Shortcut, ...]] = {}
-    for pair, bucket in found.items():
+    entries: Dict[Tuple[str, str], Tuple[Edge, ...]] = {}
+    while found:
+        # each bucket goes as its edges are built, which bounds the peak
+        (h_in, h_out), bucket = found.popitem()
         bucket.sort()
-        kept = []
-        for neg_rate, _, edges in bucket[:top_s]:
-            kept.append(Shortcut(pair[0], pair[1], edges, -neg_rate))
-        entries[pair] = tuple(kept)
+        entries[(h_in, h_out)] = tuple(
+            Edge(f"sc:{h_in}>{h_out}:{rank}", h_in, h_out,
+                 SequentialComposite(tuple(e.fn for e in legs)), legs=legs)
+            for rank, (_, _, legs) in enumerate(bucket[:top_s]))
     return ShortcutIndex(tuple(hubs), entries)

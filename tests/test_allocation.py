@@ -9,7 +9,6 @@ from prime_router.allocation import (
     Allocation,
     AsgmParams,
     MultiEdgePath,
-    _bounded_point,
     _hop_derivs,
     _renormalize,
     _select_extremes,
@@ -27,6 +26,7 @@ from prime_router.cfmm import (
     PiecewiseLiquidity,
     Segment,
     SequentialComposite,
+    bounded_point,
 )
 from prime_router.errors import CapacityExceededError, InvalidParamsError
 from prime_router.graph import Edge
@@ -244,6 +244,13 @@ class TestAsgm:
         assert hop_w[0] == pytest.approx(1 / 3, abs=1e-3)
         assert hop_w[1] == pytest.approx(2 / 3, abs=1e-3)
 
+    @pytest.mark.parametrize("value", [True, 2.5, "3"])
+    def test_non_int_t_max_is_a_type_error(self, value):
+        # True ran one iteration and 2.5 ran three
+        with pytest.raises(TypeError, match=f"^t_max must be an int, got "
+                                            f"{type(value).__name__}$"):
+            AsgmParams(t_max=value)
+
     def test_backtrack_bound_loose(self):
         a, b = closed_form_pair()
         res = asgm([a, b], 30 * WAD)
@@ -354,7 +361,7 @@ def armijo_path_edges(path, hop_weights, x_path, params=AsgmParams()):
                     after *= _hop_derivs(path.hops[k], hop_weights[k],
                                          float(amounts[k]))[0]
                 w = hop_weights[j]
-                g = [e.fn.marginal_price(_bounded_point(e.fn, wk * a_j)[0])
+                g = [e.fn.marginal_price(bounded_point(e.fn, wk * a_j)[0])
                      for e, wk in zip(hop, w)]
                 open_idx = [i for i in range(len(hop))
                             if caps[i] is None or w[i] * a_j + 1.0 <= caps[i]]
@@ -481,7 +488,7 @@ class TestWaterFill:
         for _ in range(60):
             hop = _random_hop(rng, HOP_KINDS[kind])
             amount = _hop_amount(rng, hop, kind)
-            xs = water_fill(hop, float(amount))
+            xs = water_fill([e.fn for e in hop], float(amount))
             _check_kkt(hop, xs, amount)
 
     @pytest.mark.parametrize("kind", list(HOP_KINDS))
@@ -506,5 +513,5 @@ class TestWaterFill:
         # entry price instead of cancelling away against the pools' shift
         hop = (Edge("P0", "S", "T", ConstantProduct(10**28, 10**26, 30)),
                Edge("P1", "S", "T", ConstantProduct(10**28, 2 * 10**26, 30)))
-        xs = water_fill(hop, 1e12)
+        xs = water_fill([e.fn for e in hop], 1e12)
         assert xs == [0.0, pytest.approx(1e12, rel=1e-9)]

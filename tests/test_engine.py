@@ -512,6 +512,51 @@ class TestShortcuts:
                          r"shortcuts \d+\.\d{3}s, core rows \d+\.\d{3}s$",
                          msg)
 
+    def test_stage2_offers_the_index_shortcut_object(self):
+        # DIRECT with a fee prices below the detour, so stage 2 offers the
+        # shortcut on the hop DIRECT's path takes
+        pools = dict(self.build_detour_market().pools)
+        pools["DIRECT"] = cp_pool("DIRECT", "T0", "T1", 10**7, 10**7, fee=30)
+        g = build_graph(tokens(3), list(pools.values()))
+        x = 10**6
+        prep = prepare_routing(g, query("T0", "T1", x,
+                                        explicit_hubs=("T0", "T1")))
+        (sc,) = prep.shortcut_index.get("T0", "T1")
+        direct = find_path(g, "T0", "T1", x, 0.0, 1)
+        used = set(direct.pool_ids)
+        paths, _ = merge_and_expand([direct], [1.0], g, prep.shortcut_index,
+                                    used)
+        (offered,) = [e for e in paths[0].hops[0] if e.legs]
+        assert offered is sc
+        # the hub core the search walks holds the same object
+        assert any(e is sc for e in prep.core.edges_between("T0", "T1"))
+
+    @pytest.mark.parametrize("shortcuts", [True, False], ids=["sc", "no_sc"])
+    @pytest.mark.parametrize("seed", [3, 13])
+    def test_core_rows_are_hub_edges_and_shortcuts(self, seed, shortcuts):
+        g = generate_synthetic(seed, 60, 200, hub_fraction=0.2,
+                               reserve_spread_orders=4).build_graph()
+        ids = sorted(g.tokens)
+        prep = prepare_routing(g, query(ids[0], ids[1], 1, hub_count=8,
+                                        shortcuts=shortcuts))
+        index = prep.shortcut_index
+        assert (index is not None and len(index) > 0) == shortcuts
+        mixed = 0
+        for h in prep.hubs:
+            want = []
+            for v in sorted(set(prep.hubs) - {h}):
+                edges = list(g.edges_between(h, v))
+                if index is not None:
+                    edges.extend(index.get(h, v))
+                edges.sort(key=lambda e: (-e.spot, e.pool_id))
+                if edges:
+                    want.append((v, [id(e) for e in edges]))
+                    mixed += len({bool(e.legs) for e in edges}) == 2
+            got = [(v, [id(e) for e in c]) for v, c in prep.core.out_items(h)]
+            assert got == want
+        # some pair holds both pools and shortcuts
+        assert (mixed > 0) == shortcuts
+
     def test_prepared_routing_reusable(self):
         g = self.build_detour_market()
         q = query("T0", "T1", 10**6, explicit_hubs=("T0", "T1"))

@@ -7,16 +7,16 @@ from dataclasses import replace
 import pytest
 
 from prime_router import engine, graph as graph_mod, io as io_mod
+from prime_router.cfmm import SequentialComposite
 from prime_router.engine import RouteQuery, prepare_routing
 from prime_router.errors import (
     InvalidParamsError,
     MalformedSnapshotError,
     ParseError,
 )
-from prime_router.graph import build_graph, prune_leaf_tokens
+from prime_router.graph import Edge, build_graph, prune_leaf_tokens
 from prime_router.io import dumps_snapshot, generate_synthetic, loads_snapshot
 from prime_router.preprocess import (
-    Shortcut,
     ShortcutIndex,
     build_shortcut_index,
     select_hubs,
@@ -94,8 +94,8 @@ class TestShortcutIndex:
         g = build_graph(toks, pools)
         idx = build_shortcut_index(g, ("T0", "T1"))
         (sc,) = idx.get("T0", "T1")
-        assert sc.interior == ("T2",)
-        assert [e.pool_id for e in sc.edges] == ["P0", "P1"]
+        assert [leg.token_in for leg in sc.legs[1:]] == ["T2"]
+        assert [e.pool_id for e in sc.legs] == ["P0", "P1"]
 
     def test_no_intermediates_means_empty_index(self):
         g = build_graph(tokens(2), [cp_pool("P0", "T0", "T1", 1, 1)])
@@ -116,8 +116,8 @@ class TestShortcutIndex:
         # oracle: enumerate all bounded paths, rank by product of spot rates
         brute = exhaustive_shortcuts(g, ("T0", "T1"), 2)[("T0", "T1")]
         rates = sorted((spot_product(c) for c in brute), reverse=True)
-        assert [s.spot_rate for s in shortcuts] == pytest.approx(rates[:3])
-        assert shortcuts[0].edges[0].pool_id == "A1"
+        assert [s.spot for s in shortcuts] == pytest.approx(rates[:3])
+        assert shortcuts[0].legs[0].pool_id == "A1"
 
     def test_interiors_avoid_hubs(self):
         rng = random.Random(31)
@@ -126,8 +126,8 @@ class TestShortcutIndex:
         idx = build_shortcut_index(g, hubs)
         for pair in idx.pairs():
             for sc in idx.get(*pair):
-                assert not set(sc.interior) & set(hubs)
-                assert len(sc.edges) >= 2
+                assert not {leg.token_in for leg in sc.legs[1:]} & set(hubs)
+                assert len(sc.legs) >= 2
                 pools = sc.pool_ids
                 assert len(set(pools)) == len(pools)
 
@@ -137,7 +137,8 @@ class TestShortcutIndex:
                  cp_pool("P1", "T2", "T1", 1, 1)]
         g = build_graph(toks, pools)
         edges = (g.edges_between("T0", "T2")[0], g.edges_between("T2", "T1")[0])
-        sc = Shortcut("T0", "T1", edges, 1.0)
+        sc = Edge("sc:T0>T1:0", "T0", "T1",
+                  SequentialComposite(tuple(e.fn for e in edges)), legs=edges)
         ShortcutIndex(("T0", "T1"), {("T0", "T1"): (sc,)})
         with pytest.raises(InvalidParamsError, match="passes through a hub"):
             ShortcutIndex(("T0", "T1", "T2"), {("T0", "T1"): (sc,)})
@@ -155,7 +156,7 @@ class TestShortcutIndex:
                 ranked = sorted(
                     ((spot_product(c), tuple(e.pool_id for e in c)) for c in combos),
                     key=lambda item: (-item[0], item[1]))
-                got = [(s.spot_rate, s.pool_ids) for s in idx.get(*pair)]
+                got = [(s.spot, s.pool_ids) for s in idx.get(*pair)]
                 want = ranked[:top_s]
                 assert len(got) == len(want)
                 for (gr, gp), (wr, wp) in zip(got, want):
@@ -180,7 +181,7 @@ class TestShortcutIndex:
         for pair in idx.pairs():
             for sc in idx.get(*pair):
                 h.update(repr((pair, sc.pool_ids,
-                               repr(sc.spot_rate))).encode())
+                               repr(spot_product(sc.legs)))).encode())
         assert h.hexdigest() == digest
 
 

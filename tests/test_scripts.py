@@ -46,8 +46,13 @@ def test_compare_outputs(tmp_path, capsys):
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     new.write_text(json.dumps(records))
     assert compare.main(["--load", str(new), "--against", str(new)]) == 0
-    assert f"equal={len(routed)} risen=0 fallen=0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"equal={len(routed)} risen=0 fallen=0" in out
+    assert " work_changed=0 " in out
     routed[0]["output"] = str(int(routed[0]["output"]) + 1)
+    routed[-1]["work"]["queue_pops"] += 1
     old.write_text(json.dumps(records))
     assert compare.main(["--load", str(new), "--against", str(old)]) == 1
-    assert "fallen=1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "fallen=1" in out
+    assert " work_changed=1 " in out
