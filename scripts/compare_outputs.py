@@ -7,7 +7,8 @@ sets (fixed: a workload seed only reorders them) at each of ``MULTIPLES``
 times every query's amount, and writes one JSON record per
 query: its output (null for no route), the audit of its plan, a sha256 of
 its result JSON with ``stats`` removed, and its work counts: 92 queries at
-1x, 3x and 10x, 276 in all.
+1x, 3x and 10x, 276 in all.  Next to the records it writes a sha256 of
+stage 0 itself: the hubs, every shortcut edge and every hub-core row.
 ``--src`` names the ``prime_router`` sources to route with, so a second
 checkout can be recorded with this script too:
 
@@ -17,10 +18,11 @@ checkout can be recorded with this script too:
 ``--against FILE`` compares the run (or, without ``--out``, the records in
 ``--load``) with FILE.  It prints how many outputs are equal, rose, fell or
 are newly routed, how many routed results changed beyond their stats, how
-many routed records' work counts (their whole ``stats``) changed, how many
-stage-1 objectives fell at the same refresh, and the work counts per
-workload, and exits 1 when any output fell (a query that stops routing
-counts as fallen) or any plan failed its audit.
+many routed records' work counts (their whole ``stats``) changed, whether
+stage 0 changed (``stage0_changed``), how many stage-1 objectives fell at
+the same refresh, and the work counts per workload, and exits 1 when any
+output fell (a query that stops routing counts as fallen) or any plan
+failed its audit.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("retail", "whale", "dominance")
@@ -72,9 +74,25 @@ def _record(st, name: str, q, multiple: int) -> dict:
     return rec
 
 
+def stage0_digest(prepared) -> str:
+    """sha256 of the hubs, every shortcut edge (id, pool ids, exact spot)
+    and every hub-core row (neighbour, then each candidate's id and spot)."""
+    index = prepared.shortcut_index
+    shortcuts = [] if index is None else [
+        [e.pool_id, e.pool_ids, e.spot]
+        for pair in index.pairs() for e in index.get(*pair)]
+    core = [[h, [[v, [[e.pool_id, e.spot] for e in candidates]]
+                 for v, candidates in prepared.core.out_items(h)]]
+            for h in prepared.hubs]
+    # json writes a float as its repr, which round-trips exactly
+    payload = json.dumps([prepared.hubs, shortcuts, core])
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
 def record(market, multiples: Sequence[int],
-           sizes: Optional[Dict[str, int]] = None) -> List[dict]:
-    """Route every query of the market's sets; one record per query."""
+           sizes: Optional[Dict[str, int]] = None) -> dict:
+    """Route every query of the market's sets, one record per query, next
+    to the stage-0 digest."""
     from perfbench import queries as qgen
     from perfbench import workloads
 
@@ -91,7 +109,7 @@ def record(market, multiples: Sequence[int],
         for q in sorted(chosen, key=lambda q: q.qid):
             for m in multiples:
                 records.append(_record(st, name, q, m))
-    return records
+    return {"stage0_sha256": stage0_digest(st.prepared), "records": records}
 
 
 def allocator_steps(work: dict) -> int:
@@ -100,16 +118,19 @@ def allocator_steps(work: dict) -> int:
     return work["asgm_iterations"] + len(work["stage1_taus"]) + 1
 
 
-def compare(new: Sequence[dict], old: Sequence[dict]) -> Dict[str, int]:
+def compare(new: dict, old: dict) -> Dict[str, int]:
     """Counts of equal, risen, fallen, newly routed and unrouted queries,
     routed results that changed, failed audits, routed records whose work
-    (their whole ``stats``) changed, and stage-1 objectives below the old
-    one's at the same refresh."""
-    before = {r["key"]: r for r in old}
+    (their whole ``stats``) changed, a changed stage 0 (0 or 1), and
+    stage-1 objectives below the old one's at the same refresh."""
+    before = {r["key"]: r for r in old["records"]}
     counts = dict.fromkeys(("equal", "risen", "fallen", "newly_routed",
                             "unrouted", "result_changed", "audit_failed",
-                            "work_changed", "stage1_compared", "stage1_fallen", "missing"), 0)
-    for r in new:
+                            "work_changed", "stage0_changed", "stage1_compared",
+                            "stage1_fallen", "missing"), 0)
+    counts["stage0_changed"] = int(new["stage0_sha256"]
+                                   != old["stage0_sha256"])
+    for r in new["records"]:
         if r["audit"] not in (None, "ok"):
             counts["audit_failed"] += 1
         o = before.get(r["key"])
@@ -151,10 +172,10 @@ def work_table(records: Sequence[dict]) -> Dict[str, Dict[str, float]]:
     return table
 
 
-def report(new: Sequence[dict], old: Sequence[dict]) -> int:
+def report(new: dict, old: dict) -> int:
     counts = compare(new, old)
     print(" ".join(f"{k}={v}" for k, v in counts.items()))
-    tables = (work_table(old), work_table(new))
+    tables = (work_table(old["records"]), work_table(new["records"]))
     for name in WORKLOADS:
         was, now = (t.get(name, {}) for t in tables)
         cells = [f"{k} {was.get(k, 0):.4g} -> {now.get(k, 0):.4g}"
@@ -184,17 +205,17 @@ def main(argv=None) -> int:
         _import_paths(os.path.abspath(args.src))
         from perfbench import workloads
 
-        records = record(workloads.CRITERION_7_MARKET, MULTIPLES)
+        run = record(workloads.CRITERION_7_MARKET, MULTIPLES)
         with open(args.out, "w") as fh:
-            json.dump(records, fh, indent=1)
-        print(f"wrote {len(records)} records to {args.out}")
+            json.dump(run, fh, indent=1)
+        print(f"wrote {len(run['records'])} records to {args.out}")
     else:
         with open(args.load) as fh:
-            records = json.load(fh)
+            run = json.load(fh)
     if not args.against:
         return 0
     with open(args.against) as fh:
-        return report(records, json.load(fh))
+        return report(run, json.load(fh))
 
 
 if __name__ == "__main__":

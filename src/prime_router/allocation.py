@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .cfmm import Piece, SwapFunction, bounded_point
@@ -118,6 +119,12 @@ class AsgmParams:
         if not isinstance(self.t_max, int) or isinstance(self.t_max, bool):
             raise TypeError(
                 f"t_max must be an int, got {type(self.t_max).__name__}")
+        # a bool would pass the range checks below as 0 or 1
+        for name in ("alpha", "beta", "delta0", "delta_min", "eps_rel"):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a real number, "
+                                f"got {type(value).__name__}")
         if not (0.0 < self.alpha < 1.0):
             raise InvalidParamsError("alpha must be in (0, 1)")
         if not (0.0 < self.beta < 1.0):

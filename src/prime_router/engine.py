@@ -1,18 +1,23 @@
 """Query orchestration: iterative path discovery, merge/expand, final solve.
 
 A query runs in three stages.  Stage 0 (reusable across queries) selects hub
-tokens, prunes leaf tokens, builds the shortcut index and the hub core: a
-``SwapGraph`` of the hub-to-hub pool edges and the index's shortcut edges,
-which each query overlays with the rows its endpoints add.  Stage 1
-repeatedly asks the path search for the best remaining route at the current
-price threshold, masks its pools so later routes stay pool-disjoint, and
-refreshes the threshold from the exact split of the amount over everything
-found so far: every discovered path has one edge per hop, so its output
-curve is its edges' curves composed, and one water-fill over those curves
-equalizes their marginal prices.  Stage 2 merges paths that share a token
-sequence, widens every hop with unused parallel pools and better-priced
-shortcuts (the index's own edges), runs the allocator and emits an exact
-integer execution plan.
+tokens, builds the shortcut index and the hub core: a ``SwapGraph`` of the
+hub-to-hub pool edges and the index's shortcut edges, which each query
+overlays with the rows its endpoints add.  Stage 0 prunes no leaf tokens: a
+token the prune drops hangs off the rest by at most one neighbour, so no
+shortcut passes through it, and routing reads nothing else of the pruned
+graph.  ``PreparedRouting.pruned`` builds it on first read, for callers that
+want it.
+
+Stage 1 repeatedly asks the path search for the best remaining route at the
+current price threshold, masks its pools so later routes stay pool-disjoint,
+and refreshes the threshold from the exact split of the amount over
+everything found so far: every discovered path has one edge per hop, so its
+output curve is its edges' curves composed, and one water-fill over those
+curves equalizes their marginal prices.  Stage 2 merges paths that share a
+token sequence, widens every hop with unused parallel pools and
+better-priced shortcuts (the index's own edges), runs the allocator and
+emits an exact integer execution plan.
 
 The plan leaves no dust: every hop's integer outputs feed the next hop in
 full, and replaying the plan reproduces the reported output exactly
@@ -24,6 +29,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .allocation import (
@@ -144,24 +150,27 @@ class PreparedRouting:
     """Stage-0 artifacts, reusable for every query with the same config."""
 
     graph: SwapGraph
-    pruned: SwapGraph
     hubs: Tuple[str, ...]
     shortcut_index: Optional[ShortcutIndex]
     core: SwapGraph
     config: Dict[str, object]
 
+    @cached_property
+    def pruned(self) -> SwapGraph:
+        """The graph without the leaf tokens no hub needs, built once, on
+        first read; routing never reads it."""
+        return prune_leaf_tokens(self.graph, protected=self.hubs)
+
 
 @gc_paused
 def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
-    """Build hub set, pruned graph, shortcut index and hub core."""
+    """Build hub set, shortcut index and hub core."""
     started = time.perf_counter()
     hubs = select_hubs(g, query.hub_count, explicit=query.explicit_hubs)
     hubs_done = time.perf_counter()
-    pruned = prune_leaf_tokens(g, protected=hubs)
-    pruned_done = time.perf_counter()
     index = None
     if query.shortcuts:
-        index = build_shortcut_index(pruned, hubs)
+        index = build_shortcut_index(g, hubs)
     index_done = time.perf_counter()
     hub_set = set(hubs)
     core_edges = [e for u in hubs for v, candidates in g.out_items(u)
@@ -169,16 +178,14 @@ def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
     if index is not None:
         core_edges.extend(e for pair in index.pairs() for e in index.get(*pair))
     core = SwapGraph({h: g.tokens[h] for h in hubs}, {}, core_edges)
-    log.debug("prepared routing: %d hubs, %d shortcuts; kept %d tokens, "
-              "%d pools, %d edges; hubs %.3fs, prune %.3fs, shortcuts %.3fs, "
-              "core rows %.3fs", len(hubs),
-              len(index) if index is not None else 0, len(pruned.tokens),
-              len(pruned.pools), pruned.edge_count, hubs_done - started,
-              pruned_done - hubs_done, index_done - pruned_done,
+    log.debug("prepared routing: %d hubs, %d shortcuts, %d core edges; "
+              "hubs %.3fs, shortcuts %.3fs, core rows %.3fs", len(hubs),
+              len(index) if index is not None else 0, core.edge_count,
+              hubs_done - started, index_done - hubs_done,
               time.perf_counter() - index_done)
     config = {f: getattr(query, f) for f in _STAGE0_FIELDS}
-    return PreparedRouting(graph=g, pruned=pruned, hubs=hubs,
-                           shortcut_index=index, core=core, config=config)
+    return PreparedRouting(graph=g, hubs=hubs, shortcut_index=index,
+                           core=core, config=config)
 
 
 def _query_overlay(prep: PreparedRouting, source: str, target: str) -> _Overlay:
@@ -338,7 +345,7 @@ def prime(g: SwapGraph, query: RouteQuery,
             f"no path from {query.source!r} to {query.target!r}")
     stats.paths_discovered = len(singles)
 
-    # widen from the full graph: leaf pruning dropped a leaf endpoint's pools
+    # widen from the full graph, so a leaf endpoint's parallel pools count
     multi, init_w = merge_and_expand(singles, weights, prep.graph,
                                      prep.shortcut_index, used)
     final = asgm(multi, query.amount, query.asgm_params,

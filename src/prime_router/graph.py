@@ -33,15 +33,18 @@ KIND_PIECEWISE = "piecewise_liquidity"
 def gc_paused(build: Callable) -> Callable:
     """Run ``build`` with the cyclic collector off, then restore its state.
 
-    For the stage-0 builders (``io.loads_snapshot``, ``build_graph``,
-    ``engine.prepare_routing``), which allocate hundreds of thousands of
-    tracked objects and no reference cycle: the collections they would
-    trigger walk the heap for nothing.  On resuming, one young-generation
-    collection moves what the build kept to the old generation, so whatever
-    runs next (on the cold path, a query) does not walk it twice.
+    For the stage-0 builders (``io.load_snapshot``, ``io.loads_snapshot``,
+    ``build_graph``, ``engine.prepare_routing``), which allocate hundreds of
+    thousands of tracked objects and no reference cycle: the collections
+    they would trigger walk the heap for nothing.  On resuming, what the
+    build kept moves to the old generation, so whatever runs next (on the
+    cold path, a query) does not walk it twice.  ``gc.freeze()`` then
+    ``gc.unfreeze()`` moves it there in O(1), without walking it.  That pair
+    would also thaw objects the caller froze, so while any are frozen one
+    young-generation collection moves it instead.
 
-    A caller that turned the collector off finds it off, with no collection
-    run; an exception restores the state the call found.  The switch is
+    A caller that turned the collector off finds it off, with nothing moved;
+    an exception restores the state the call found.  The switch is
     process-wide: a concurrent build on another thread changes only when
     collections run.
     """
@@ -54,7 +57,11 @@ def gc_paused(build: Callable) -> Callable:
         finally:
             if was_enabled:
                 gc.enable()
-                gc.collect(1)
+                if gc.get_freeze_count():
+                    gc.collect(1)
+                else:
+                    gc.freeze()
+                    gc.unfreeze()
     return paused
 
 

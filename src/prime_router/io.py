@@ -8,6 +8,10 @@ of them identifies a market state.
 Loading checks the JSON itself (fields, types, decimal strings, version, pool
 kind, string token ids), then graph's structure rules per entry, re-raised as
 ParseError with the entry's path.  Curve rules run later, in ``build_graph``.
+It is one pass: an entry's fields are read at once and pass one combined
+test, and only an entry that fails it is walked again, field by field, to
+name the first bad field.  ``load_snapshot`` frees the file's text before
+it builds the entries, so the two are never held at once.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import re
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocation import TraceRow
 from .engine import RouteSolution
@@ -43,8 +47,6 @@ from .cfmm import Segment
 
 SNAPSHOT_VERSION = 1
 
-_AMOUNT_RE = re.compile(r"^(0|[1-9][0-9]*)$")
-
 
 @dataclass(frozen=True)
 class Snapshot:
@@ -59,23 +61,6 @@ class Snapshot:
 
 def _encode_amount(value: int) -> str:
     return str(value)
-
-
-def _decode_amount(value, ctx: str) -> int:
-    if not isinstance(value, str) or not _AMOUNT_RE.match(value):
-        raise ParseError("amounts must be canonical decimal strings", ctx)
-    return int(value)
-
-
-def _require(obj, key, ctx, kind=None):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ParseError(f"missing field {key!r}", ctx)
-    value = obj[key]
-    # JSON true/false load as bool, which Python counts as an int
-    if kind is not None and (isinstance(value, bool)
-                             or not isinstance(value, kind)):
-        raise ParseError(f"field {key!r} has wrong type", ctx)
-    return value
 
 
 def snapshot_to_dict(s: Snapshot) -> dict:
@@ -117,61 +102,158 @@ def snapshot_to_dict(s: Snapshot) -> dict:
     }
 
 
-def _admit(add, ctx: str, *args) -> None:
-    """Apply one of graph's structure rules to a parsed entry."""
+_AMOUNT_MESSAGE = "amounts must be canonical decimal strings"
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, list)
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_amount(value) -> bool:
+    """A canonical decimal string: ASCII digits only (``str.isdigit`` alone
+    would take ``'²'``), with no leading zero."""
+    return (isinstance(value, str) and value.isascii() and value.isdigit()
+            and (value[0] != "0" or len(value) == 1))
+
+
+# (key, test) for every field of an entry, in the order errors are reported
+_TOKEN_FIELDS = (("id", _is_str), ("symbol", _is_str), ("decimals", _is_int))
+_POOL_FIELDS = (("id", _is_str), ("kind", _is_str), ("tokens", _is_str_list),
+                ("fee_bps", _is_int))
+_DIRECTION_FIELDS = (("token_in", _is_str), ("token_out", _is_str),
+                     ("segments", _is_list))
+_SEGMENT_FIELDS = (("capacity_in", _is_amount),
+                   ("virtual_reserve_in", _is_amount),
+                   ("virtual_reserve_out", _is_amount))
+
+_token_fields = itemgetter(*(key for key, _ in _TOKEN_FIELDS))
+_pool_fields = itemgetter(*(key for key, _ in _POOL_FIELDS))
+_direction_fields = itemgetter(*(key for key, _ in _DIRECTION_FIELDS))
+_segment_fields = itemgetter(*(key for key, _ in _SEGMENT_FIELDS))
+
+
+def _field_error(entry, fields, ctx: str) -> Optional[ParseError]:
+    """The error of the first field of ``entry`` that is missing or fails its
+    test, in ``fields`` order; None when every field passes.  An amount's
+    error names the field itself."""
+    for key, test in fields:
+        if not isinstance(entry, dict) or key not in entry:
+            return ParseError(f"missing field {key!r}", ctx)
+        if not test(entry[key]):
+            if test is _is_amount:
+                return ParseError(_AMOUNT_MESSAGE, f"{ctx}.{key}")
+            return ParseError(f"field {key!r} has wrong type", ctx)
+    return None
+
+
+def _snapshot_field(data, key: str, test):
+    error = _field_error(data, ((key, test),), "snapshot")
+    if error is not None:
+        raise error
+    return data[key]
+
+
+def _reserves_error(entry, ctx: str) -> ParseError:
+    error = _field_error(entry, (("reserves", _is_list),), ctx)
+    if error is None:
+        j = next(j for j, r in enumerate(entry["reserves"])
+                 if not _is_amount(r))
+        error = ParseError(_AMOUNT_MESSAGE, f"{ctx}.reserves[{j}]")
+    return error
+
+
+def _direction(d, i: int, j: int) -> PoolDirection:
+    """Direction ``j`` of pool ``i``, a piecewise pool."""
     try:
-        add(*args)
-    except MalformedSnapshotError as exc:
-        raise ParseError(str(exc), ctx) from exc
+        tin, tout, raw_segments = _direction_fields(d)
+        ok = (isinstance(d, dict) and isinstance(tin, str)
+              and isinstance(tout, str) and isinstance(raw_segments, list))
+    except (KeyError, TypeError):
+        ok = False
+    if not ok:
+        raise _field_error(d, _DIRECTION_FIELDS, f"pools[{i}].directions[{j}]")
+    segments = []
+    for m, seg in enumerate(raw_segments):
+        try:
+            amounts = _segment_fields(seg)
+            ok = isinstance(seg, dict) and all(map(_is_amount, amounts))
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            raise _field_error(seg, _SEGMENT_FIELDS,
+                               f"pools[{i}].directions[{j}].segments[{m}]")
+        segments.append(Segment(*map(int, amounts)))
+    return PoolDirection(tin, tout, tuple(segments))
 
 
 def snapshot_from_dict(data: dict) -> Snapshot:
-    version = _require(data, "version", "snapshot", int)
+    """Check and admit every entry in one pass.
+
+    Each entry's fields are read at once and pass one combined test; only an
+    entry that fails it is walked field by field, by ``_field_error``, so
+    the error (and its path) names the first bad field.
+    """
+    version = _snapshot_field(data, "version", _is_int)
     if version != SNAPSHOT_VERSION:
         raise VersionUnsupportedError(
             f"snapshot version {version} unsupported", "snapshot")
-    block_ref = _require(data, "block_ref", "snapshot", str)
+    block_ref = _snapshot_field(data, "block_ref", _is_str)
     token_map: Dict[str, Token] = {}
-    for i, entry in enumerate(_require(data, "tokens", "snapshot", list)):
-        ctx = f"tokens[{i}]"
-        token = Token(_require(entry, "id", ctx, str),
-                      _require(entry, "symbol", ctx, str),
-                      _require(entry, "decimals", ctx, int))
-        _admit(add_token, ctx, token_map, token)
+    for i, entry in enumerate(_snapshot_field(data, "tokens", _is_list)):
+        try:
+            tid, symbol, decimals = _token_fields(entry)
+            ok = (isinstance(entry, dict) and isinstance(tid, str)
+                  and isinstance(symbol, str) and _is_int(decimals))
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            raise _field_error(entry, _TOKEN_FIELDS, f"tokens[{i}]")
+        try:
+            add_token(token_map, Token(tid, symbol, decimals))
+        except MalformedSnapshotError as exc:
+            raise ParseError(str(exc), f"tokens[{i}]") from exc
     pool_map: Dict[str, Pool] = {}
-    for i, entry in enumerate(_require(data, "pools", "snapshot", list)):
-        ctx = f"pools[{i}]"
-        pid = _require(entry, "id", ctx, str)
-        kind = _require(entry, "kind", ctx, str)
-        ptokens = tuple(_require(entry, "tokens", ctx, list))
-        for t in ptokens:
-            if not isinstance(t, str):
-                raise ParseError("field 'tokens' has wrong type", ctx)
-        fee = _require(entry, "fee_bps", ctx, int)
+    for i, entry in enumerate(_snapshot_field(data, "pools", _is_list)):
+        try:
+            pid, kind, ptokens, fee = _pool_fields(entry)
+            ok = (isinstance(entry, dict) and isinstance(pid, str)
+                  and isinstance(kind, str) and _is_str_list(ptokens)
+                  and _is_int(fee))
+        except (KeyError, TypeError):
+            ok = False
+        if not ok:
+            raise _field_error(entry, _POOL_FIELDS, f"pools[{i}]")
         if kind == KIND_CONSTANT_PRODUCT:
-            raw = _require(entry, "reserves", ctx, list)
-            reserves = tuple(_decode_amount(r, f"{ctx}.reserves[{j}]")
-                             for j, r in enumerate(raw))
-            pool = Pool(pid, kind, ptokens, fee, reserves)
+            raw = entry.get("reserves")
+            if not (isinstance(raw, list) and all(map(_is_amount, raw))):
+                raise _reserves_error(entry, f"pools[{i}]")
+            pool = Pool(pid, kind, tuple(ptokens), fee, tuple(map(int, raw)))
         elif kind == KIND_PIECEWISE:
-            directions = []
-            for j, d in enumerate(_require(entry, "directions", ctx, list)):
-                dctx = f"{ctx}.directions[{j}]"
-                tin = _require(d, "token_in", dctx, str)
-                tout = _require(d, "token_out", dctx, str)
-                segs = []
-                for m, seg in enumerate(_require(d, "segments", dctx, list)):
-                    sctx = f"{dctx}.segments[{m}]"
-                    segs.append(Segment(
-                        _decode_amount(_require(seg, "capacity_in", sctx), sctx + ".capacity_in"),
-                        _decode_amount(_require(seg, "virtual_reserve_in", sctx), sctx + ".virtual_reserve_in"),
-                        _decode_amount(_require(seg, "virtual_reserve_out", sctx), sctx + ".virtual_reserve_out"),
-                    ))
-                directions.append(PoolDirection(tin, tout, tuple(segs)))
-            pool = Pool(pid, kind, ptokens, fee, directions=tuple(directions))
+            raw = entry.get("directions")
+            if not isinstance(raw, list):
+                raise _field_error(entry, (("directions", _is_list),),
+                                   f"pools[{i}]")
+            pool = Pool(pid, kind, tuple(ptokens), fee, directions=tuple(
+                _direction(d, i, j) for j, d in enumerate(raw)))
         else:
-            raise ParseError(f"unknown pool kind {kind!r}", ctx)
-        _admit(add_pool, ctx, pool_map, token_map, pool)
+            raise ParseError(f"unknown pool kind {kind!r}", f"pools[{i}]")
+        try:
+            add_pool(pool_map, token_map, pool)
+        except MalformedSnapshotError as exc:
+            raise ParseError(str(exc), f"pools[{i}]") from exc
     return Snapshot(version, block_ref, tuple(token_map.values()),
                     tuple(pool_map.values()))
 
@@ -181,14 +263,17 @@ def dumps_snapshot(s: Snapshot) -> str:
                       separators=(",", ":")) + "\n"
 
 
-@gc_paused
-def loads_snapshot(text: str) -> Snapshot:
+def _decode(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}",
                          "snapshot") from exc
-    return snapshot_from_dict(data)
+
+
+@gc_paused
+def loads_snapshot(text: str) -> Snapshot:
+    return snapshot_from_dict(_decode(text))
 
 
 def save_snapshot(s: Snapshot, path) -> None:
@@ -196,9 +281,12 @@ def save_snapshot(s: Snapshot, path) -> None:
         fh.write(dumps_snapshot(s))
 
 
+@gc_paused
 def load_snapshot(path) -> Snapshot:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_snapshot(fh.read())
+        data = _decode(fh.read())
+    # the file's text is freed before the entries are built
+    return snapshot_from_dict(data)
 
 
 def snapshot_hash(s: Snapshot) -> str:

@@ -251,6 +251,20 @@ class TestAsgm:
                                             f"{type(value).__name__}$"):
             AsgmParams(t_max=value)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "delta0",
+                                       "delta_min", "eps_rel"])
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    def test_non_real_float_field_is_a_type_error(self, field, value):
+        # eps_rel=True converged at iteration 0 with the uniform split, and
+        # alpha="0.1" failed on an unlabelled comparison
+        with pytest.raises(TypeError, match=f"^{field} must be a real number, "
+                                            f"got {type(value).__name__}$"):
+            AsgmParams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["delta0", "delta_min", "eps_rel"])
+    def test_int_for_a_float_field_is_accepted(self, field):
+        assert getattr(AsgmParams(**{field: 1}), field) == 1
+
     def test_backtrack_bound_loose(self):
         a, b = closed_form_pair()
         res = asgm([a, b], 30 * WAD)

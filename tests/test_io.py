@@ -91,7 +91,163 @@ def _break_structure(data, rule):
     return f"pools[{i}]"
 
 
+_AMOUNT = "amounts must be canonical decimal strings"
+_SEG = "pools[10].directions[1].segments[2]"
+_DELETE = object()
+
+# (edits as (JSON path, new value or _DELETE), the exact message) against
+# small_snapshot(), whose pool 2 is constant-product and pool 10 piecewise
+# with three segments in direction 1; several edits pin which field of an
+# entry is reported first
+PARSE_MESSAGES = {
+    "version_missing": ([(("version",), _DELETE)],
+                        "snapshot: missing field 'version'"),
+    "version_bool": ([(("version",), True)],
+                     "snapshot: field 'version' has wrong type"),
+    "version_before_block_ref": (
+        [(("version",), 2), (("block_ref",), _DELETE)],
+        "snapshot: snapshot version 2 unsupported"),
+    "block_ref_wrong_type": ([(("block_ref",), 7)],
+                             "snapshot: field 'block_ref' has wrong type"),
+    "tokens_not_a_list": ([(("tokens",), {})],
+                          "snapshot: field 'tokens' has wrong type"),
+    "pools_missing": ([(("pools",), _DELETE)],
+                      "snapshot: missing field 'pools'"),
+    "tokens_before_pools": (
+        [(("tokens", 3, "id"), 5), (("pools",), _DELETE)],
+        "tokens[3]: field 'id' has wrong type"),
+    "token_missing_key": ([(("tokens", 3, "symbol"), _DELETE)],
+                          "tokens[3]: missing field 'symbol'"),
+    "token_wrong_type": ([(("tokens", 3, "id"), 5)],
+                         "tokens[3]: field 'id' has wrong type"),
+    "token_bool_for_int": ([(("tokens", 3, "decimals"), True)],
+                           "tokens[3]: field 'decimals' has wrong type"),
+    "token_not_an_object": ([(("tokens", 3), ["T"])],
+                            "tokens[3]: missing field 'id'"),
+    "token_first_field_wins": (
+        [(("tokens", 3, "symbol"), _DELETE), (("tokens", 3, "id"), 5)],
+        "tokens[3]: field 'id' has wrong type"),
+    "pool_missing_key": ([(("pools", 2, "fee_bps"), _DELETE)],
+                         "pools[2]: missing field 'fee_bps'"),
+    "pool_wrong_type": ([(("pools", 2, "kind"), 3)],
+                        "pools[2]: field 'kind' has wrong type"),
+    "pool_bool_for_int": ([(("pools", 2, "fee_bps"), False)],
+                          "pools[2]: field 'fee_bps' has wrong type"),
+    "pool_token_wrong_type": ([(("pools", 2, "tokens", 1), 5)],
+                              "pools[2]: field 'tokens' has wrong type"),
+    "pool_not_an_object": ([(("pools", 2), "P")],
+                           "pools[2]: missing field 'id'"),
+    "pool_first_field_wins": (
+        [(("pools", 2, "fee_bps"), _DELETE), (("pools", 2, "kind"), 3)],
+        "pools[2]: field 'kind' has wrong type"),
+    "pool_unknown_kind": ([(("pools", 2, "kind"), "stable")],
+                          "pools[2]: unknown pool kind 'stable'"),
+    "pool_reserves_missing": ([(("pools", 2, "reserves"), _DELETE)],
+                              "pools[2]: missing field 'reserves'"),
+    "pool_reserves_not_a_list": ([(("pools", 2, "reserves"), "1")],
+                                 "pools[2]: field 'reserves' has wrong type"),
+    "pool_amount_leading_zero": ([(("pools", 2, "reserves", 1), "012")],
+                                 f"pools[2].reserves[1]: {_AMOUNT}"),
+    "pool_amount_number": ([(("pools", 2, "reserves", 0), 5)],
+                           f"pools[2].reserves[0]: {_AMOUNT}"),
+    "pool_first_amount_wins": (
+        [(("pools", 2, "reserves", 1), "-1"), (("pools", 2, "reserves", 0), "")],
+        f"pools[2].reserves[0]: {_AMOUNT}"),
+    "pool_directions_missing": ([(("pools", 10, "directions"), _DELETE)],
+                                "pools[10]: missing field 'directions'"),
+    "direction_missing_key": (
+        [(("pools", 10, "directions", 1, "segments"), _DELETE)],
+        "pools[10].directions[1]: missing field 'segments'"),
+    "direction_wrong_type": (
+        [(("pools", 10, "directions", 1, "token_in"), 1)],
+        "pools[10].directions[1]: field 'token_in' has wrong type"),
+    "direction_bool_for_str": (
+        [(("pools", 10, "directions", 1, "token_out"), True)],
+        "pools[10].directions[1]: field 'token_out' has wrong type"),
+    "direction_segments_not_a_list": (
+        [(("pools", 10, "directions", 1, "segments"), {})],
+        "pools[10].directions[1]: field 'segments' has wrong type"),
+    "direction_not_an_object": ([(("pools", 10, "directions", 1), "d")],
+                                "pools[10].directions[1]: missing field "
+                                "'token_in'"),
+    "segment_missing_key": (
+        [(("pools", 10, "directions", 1, "segments", 2,
+           "virtual_reserve_in"), _DELETE)],
+        f"{_SEG}: missing field 'virtual_reserve_in'"),
+    "segment_wrong_type": (
+        [(("pools", 10, "directions", 1, "segments", 2, "capacity_in"), 5)],
+        f"{_SEG}.capacity_in: {_AMOUNT}"),
+    "segment_bool_for_amount": (
+        [(("pools", 10, "directions", 1, "segments", 2,
+           "virtual_reserve_out"), True)],
+        f"{_SEG}.virtual_reserve_out: {_AMOUNT}"),
+    "segment_amount_leading_zero": (
+        [(("pools", 10, "directions", 1, "segments", 2,
+           "virtual_reserve_in"), "00")],
+        f"{_SEG}.virtual_reserve_in: {_AMOUNT}"),
+    "segment_not_an_object": (
+        [(("pools", 10, "directions", 1, "segments", 2), [])],
+        f"{_SEG}: missing field 'capacity_in'"),
+    "segment_missing_before_bad": (
+        [(("pools", 10, "directions", 1, "segments", 2,
+           "virtual_reserve_in"), "x"),
+         (("pools", 10, "directions", 1, "segments", 2, "capacity_in"),
+          _DELETE)],
+        f"{_SEG}: missing field 'capacity_in'"),
+    "segment_bad_before_missing": (
+        [(("pools", 10, "directions", 1, "segments", 2,
+           "virtual_reserve_in"), _DELETE),
+         (("pools", 10, "directions", 1, "segments", 2, "capacity_in"),
+          "1.5")],
+        f"{_SEG}.capacity_in: {_AMOUNT}"),
+}
+
+# amounts int() would take, or str.isdigit() accepts, that are not canonical
+NON_CANONICAL = ["", "0x10", "1e18", "1.0", "+5", "-5", " 5", "5 ", "5_0",
+                 "00", "²", "٣", "１２"]
+
+
+def _edited(edits):
+    data = json.loads(dumps_snapshot(small_snapshot()))
+    for path, value in edits:
+        holder = data
+        for key in path[:-1]:
+            holder = holder[key]
+        if value is _DELETE:
+            del holder[path[-1]]
+        else:
+            holder[path[-1]] = value
+    return json.dumps(data)
+
+
 class TestParseErrors:
+    @pytest.mark.parametrize("case", sorted(PARSE_MESSAGES))
+    def test_exact_message(self, case):
+        edits, message = PARSE_MESSAGES[case]
+        with pytest.raises(ParseError) as err:
+            loads_snapshot(_edited(edits))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("amount", NON_CANONICAL)
+    def test_non_canonical_amount_names_the_field(self, amount):
+        for path, ctx in ((("pools", 2, "reserves", 0), "pools[2].reserves[0]"),
+                          (("pools", 10, "directions", 1, "segments", 2,
+                            "capacity_in"), f"{_SEG}.capacity_in")):
+            with pytest.raises(ParseError) as err:
+                loads_snapshot(_edited([(path, amount)]))
+            assert str(err.value) == f"{ctx}: {_AMOUNT}"
+
+    def test_trailing_newline_amount_rejected(self):
+        # int() strips the newline, so "12\n" would load as 12 and save back
+        # as "12": the snapshot would not round-trip byte for byte
+        for path, ctx in ((("pools", 2, "reserves", 1), "pools[2].reserves[1]"),
+                          (("pools", 10, "directions", 1, "segments", 2,
+                            "virtual_reserve_out"),
+                           f"{_SEG}.virtual_reserve_out")):
+            with pytest.raises(ParseError) as err:
+                loads_snapshot(_edited([(path, "12\n")]))
+            assert str(err.value) == f"{ctx}: {_AMOUNT}"
+
     def test_float_style_amount_rejected(self):
         snap = small_snapshot()
         data = json.loads(dumps_snapshot(snap))

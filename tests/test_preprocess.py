@@ -15,7 +15,12 @@ from prime_router.errors import (
     ParseError,
 )
 from prime_router.graph import Edge, build_graph, prune_leaf_tokens
-from prime_router.io import dumps_snapshot, generate_synthetic, loads_snapshot
+from prime_router.io import (
+    dumps_snapshot,
+    generate_synthetic,
+    load_snapshot,
+    loads_snapshot,
+)
 from prime_router.preprocess import (
     ShortcutIndex,
     build_shortcut_index,
@@ -185,8 +190,56 @@ class TestShortcutIndex:
         assert h.hexdigest() == digest
 
 
+def _index_rows(idx):
+    return [(pair, [(sc.pool_id, sc.token_in, sc.token_out, sc.pool_ids,
+                     sc.spot, tuple(map(id, sc.legs)))
+                    for sc in idx.get(*pair)])
+            for pair in idx.pairs()]
+
+
+# (seed, tokens, pools, hubs, max_intermediates); the first three markets sit
+# near the spanning-tree floor, so most non-hub tokens are leaves
+@pytest.mark.parametrize("seed,n_tokens,n_pools,k,max_mid", [
+    (1, 300, 330, 10, 2), (2, 300, 320, 6, 3), (4, 200, 230, 10, 2),
+    (7, 400, 1200, 12, 2), (8, 200, 700, 8, 3),
+])
+def test_index_ignores_leaf_tokens(seed, n_tokens, n_pools, k, max_mid):
+    # stage 0 builds the index over the full graph: a token the leaf prune
+    # drops hangs off the rest by one neighbour, so no shortcut passes
+    # through it, and the index is the same edge for edge
+    g = generate_synthetic(seed, n_tokens, n_pools).build_graph()
+    hubs = select_hubs(g, k)
+    pruned = prune_leaf_tokens(g, hubs)
+    assert len(pruned.tokens) < len(g.tokens)
+    full = build_shortcut_index(g, hubs, max_mid)
+    assert len(full) > 0
+    assert _index_rows(full) == _index_rows(
+        build_shortcut_index(pruned, hubs, max_mid))
+
+
+def test_stage0_prunes_only_when_asked(monkeypatch):
+    # the pruned graph is built on first read, through the module global
+    # the tracer wraps, and kept
+    calls = []
+    prune = engine.prune_leaf_tokens
+
+    def spy(g, protected):
+        calls.append(tuple(protected))
+        return prune(g, protected)
+
+    monkeypatch.setattr(engine, "prune_leaf_tokens", spy)
+    g = generate_synthetic(3, 60, 70).build_graph()
+    ids = sorted(g.tokens)
+    prepared = prepare_routing(g, RouteQuery(ids[0], ids[1], 1, hub_count=5))
+    assert calls == []
+    pruned = prepared.pruned
+    assert calls == [prepared.hubs]
+    assert prepared.pruned is pruned and len(calls) == 1
+    assert len(pruned.tokens) < len(g.tokens)
+
+
 def test_stage0_leaves_no_reference_cycles():
-    # garbage in a cycle would pin the pruned graph until a full collection
+    # garbage in a cycle would pin stage 0 until a full collection
     snap = generate_synthetic(3, 60, 200, hub_fraction=0.2,
                               reserve_spread_orders=4)
     g = snap.build_graph()
@@ -219,7 +272,11 @@ def test_cold_path_leaves_no_reference_cycles():
         gc.enable()
 
 
-def _stage0_builders():
+STAGE0_BUILDERS = ["load_snapshot", "loads_snapshot", "build_graph",
+                   "prepare_routing"]
+
+
+def _stage0_builders(tmp_path):
     """(builder, good args, bad args, error, a callee seen mid-build)."""
     snap = generate_synthetic(3, 30, 80, hub_fraction=0.2,
                               reserve_spread_orders=4)
@@ -227,7 +284,12 @@ def _stage0_builders():
     ids = sorted(g.tokens)
     query = RouteQuery(ids[0], ids[1], 1, hub_count=4)
     zero = cp_pool("P0", "T0", "T1", 0, 10)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(dumps_snapshot(snap))
+    bad.write_text("{")
     return {
+        "load_snapshot": (load_snapshot, (good,), (bad,), ParseError,
+                          (io_mod, "snapshot_from_dict")),
         "loads_snapshot": (loads_snapshot, (dumps_snapshot(snap),),
                            ("{",), ParseError, (io_mod, "snapshot_from_dict")),
         "build_graph": (build_graph, (snap.tokens, snap.pools),
@@ -241,10 +303,10 @@ def _stage0_builders():
 
 @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
-@pytest.mark.parametrize("name", ["loads_snapshot", "build_graph",
-                                  "prepare_routing"])
-def test_stage0_builders_restore_gc_state(monkeypatch, name, enabled, fails):
-    build, good, bad, error, (owner, callee) = _stage0_builders()[name]
+@pytest.mark.parametrize("name", STAGE0_BUILDERS)
+def test_stage0_builders_restore_gc_state(monkeypatch, tmp_path, name,
+                                          enabled, fails):
+    build, good, bad, error, (owner, callee) = _stage0_builders(tmp_path)[name]
     during = []
     inner = getattr(owner, callee)
 
@@ -270,3 +332,22 @@ def test_stage0_builders_restore_gc_state(monkeypatch, name, enabled, fails):
     # the collector stays off inside the build
     assert not any(during)
     assert during or fails
+
+
+@pytest.mark.parametrize("name", STAGE0_BUILDERS)
+def test_stage0_builders_keep_frozen_objects_frozen(tmp_path, name):
+    # the O(1) promotion thaws the permanent generation, so it must not run
+    # while the caller has objects frozen; with none frozen it leaves none
+    build, good, _, _, _ = _stage0_builders(tmp_path)[name]
+    gc.collect()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        built = build(*good)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+    assert not any(o is built for o in gc.get_objects(0) + gc.get_objects(1))
+    build(*good)
+    assert gc.get_freeze_count() == 0

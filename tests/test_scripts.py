@@ -33,26 +33,34 @@ def test_run_ablation_sweep(tmp_path, capsys):
 def test_compare_outputs(tmp_path, capsys):
     compare = load_script("compare_outputs")
     compare._import_paths(str(SCRIPTS.parent / "src"))
+    from perfbench import workloads
     from perfbench.workloads import Market
 
     # the market of generate_synthetic(13, 40, 140)
     market = Market(seed=13, tokens=40, pools=140, hub_fraction=0.1,
                     spread_orders=6, hubs=8)
-    records = compare.record(market, multiples=(1, 3),
-                             sizes={"retail": 5, "whale": 2, "dominance": 2})
+    run = compare.record(market, multiples=(1, 3),
+                         sizes={"retail": 5, "whale": 2, "dominance": 2})
+    records = run["records"]
     assert len(records) == 2 * (5 + 2 + 2)
     routed = [r for r in records if r["output"] is not None]
     assert routed and all(r["audit"] == "ok" for r in routed)
+    # the stage-0 digest is a function of the market alone
+    path = tmp_path / "market.json"
+    workloads.write_market(market, path)
+    _, st = workloads.build_stage0(str(path), market)
+    assert compare.stage0_digest(st.prepared) == run["stage0_sha256"]
     new, old = tmp_path / "new.json", tmp_path / "old.json"
-    new.write_text(json.dumps(records))
+    new.write_text(json.dumps(run))
     assert compare.main(["--load", str(new), "--against", str(new)]) == 0
     out = capsys.readouterr().out
     assert f"equal={len(routed)} risen=0 fallen=0" in out
-    assert " work_changed=0 " in out
+    assert " work_changed=0 stage0_changed=0 " in out
     routed[0]["output"] = str(int(routed[0]["output"]) + 1)
     routed[-1]["work"]["queue_pops"] += 1
-    old.write_text(json.dumps(records))
+    run["stage0_sha256"] = "0" * 64
+    old.write_text(json.dumps(run))
     assert compare.main(["--load", str(new), "--against", str(old)]) == 1
     out = capsys.readouterr().out
     assert "fallen=1" in out
-    assert " work_changed=1 " in out
+    assert " work_changed=1 stage0_changed=1 " in out
