@@ -8,7 +8,8 @@ times every query's amount, and writes one JSON record per
 query: its output (null for no route), the audit of its plan, a sha256 of
 its result JSON with ``stats`` removed, and its work counts: 92 queries at
 1x, 3x and 10x, 276 in all.  Next to the records it writes a sha256 of
-stage 0 itself: the hubs, every shortcut edge and every hub-core row.
+stage 0 itself: the hubs and every hub-core row, which holds every shortcut
+edge.
 ``--src`` names the ``prime_router`` sources to route with, so a second
 checkout can be recorded with this script too:
 
@@ -28,7 +29,6 @@ failed its audit.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -64,10 +64,8 @@ def _record(st, name: str, q, multiple: int) -> dict:
         return rec
     report = engine.verify_solution(sol, st.graph)
     result = io.solution_to_dict(sol)
-    result.pop("stats")
+    work = result.pop("stats")
     digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode())
-    work = dataclasses.asdict(sol.stats)
-    work["stage1_objectives"] = [str(v) for v in work["stage1_objectives"]]
     rec.update(output=str(sol.total_output),
                audit="; ".join(report.violations) or "ok",
                result_sha256=digest.hexdigest(), work=work)
@@ -75,17 +73,15 @@ def _record(st, name: str, q, multiple: int) -> dict:
 
 
 def stage0_digest(prepared) -> str:
-    """sha256 of the hubs, every shortcut edge (id, pool ids, exact spot)
-    and every hub-core row (neighbour, then each candidate's id and spot)."""
-    index = prepared.shortcut_index
-    shortcuts = [] if index is None else [
-        [e.pool_id, e.pool_ids, e.spot]
-        for pair in index.pairs() for e in index.get(*pair)]
-    core = [[h, [[v, [[e.pool_id, e.spot] for e in candidates]]
+    """sha256 of the hubs and every hub-core row: the neighbour, then each
+    candidate's id, pool ids and exact spot.  The core holds every shortcut
+    edge, and nothing else of stage 0 is read, so a checkout that kept its
+    shortcuts in a separate index as well digests the same way."""
+    core = [[h, [[v, [[e.pool_id, e.pool_ids, e.spot] for e in candidates]]
                  for v, candidates in prepared.core.out_items(h)]]
             for h in prepared.hubs]
     # json writes a float as its repr, which round-trips exactly
-    payload = json.dumps([prepared.hubs, shortcuts, core])
+    payload = json.dumps([prepared.hubs, core])
     return hashlib.sha256(payload.encode()).hexdigest()
 
 

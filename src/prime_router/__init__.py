@@ -38,7 +38,7 @@ from .errors import (
 from .graph import Edge, Pool, SwapGraph, Token, build_graph, prune_leaf_tokens
 from .io import Snapshot, generate_synthetic, load_snapshot, save_snapshot
 from .pathfind import SinglePath, find_path
-from .preprocess import ShortcutIndex, build_shortcut_index, select_hubs
+from .preprocess import build_shortcut_index, select_hubs
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

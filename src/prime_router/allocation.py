@@ -348,35 +348,35 @@ def _renormalize(weights: List[float]) -> None:
             weights[i] /= total
 
 
-def _select_extremes(weights: Sequence[float], grads: Sequence[float]):
-    """Highest-gradient coordinate overall; lowest among positive weights."""
-    plus = min(range(len(grads)), key=lambda i: (-grads[i], i))
+def _lowest_funded(weights: Sequence[float],
+                   grads: Sequence[float]) -> Optional[int]:
+    """The lowest-gradient coordinate among positive weights, the first on
+    a tie; None when no weight is positive."""
     minus = None
     for i, w in enumerate(weights):
         if w > 0.0 and (minus is None or grads[i] < grads[minus]):
             minus = i
-    return plus, minus
+    return minus
 
 
 def _sign_step(weights: List[float], gain_grads: Sequence[float],
-               loss_grads: Sequence[float], j0: int,
+               loss_grads: Sequence[float], minus: int, j0: int,
                evaluate: Callable[[List[float]], int],
                params: AsgmParams,
                delta_start: Optional[float] = None
                ) -> Optional[Tuple[List[float], int, float, int]]:
     """One rebalancing step: move mass from the worst coordinate to the best.
 
-    ``gain_grads`` price what a coordinate earns when receiving mass (zero
-    for capacity-saturated ones); ``loss_grads`` price what giving mass up
-    costs.  Backtracks the step from delta0 until the realized integer gain
-    is at least the alpha-fraction of the predicted first-order gain (the
-    predicted side is truncated toward zero before the comparison).  If the
-    best-priced coordinate keeps tripping a capacity limit, the next-best one
-    is tried.  Returns None when no coordinate admits a feasible step.
+    ``minus`` is the coordinate that gives mass up: the funded one whose
+    loss is priced lowest (``_lowest_funded``).  ``gain_grads`` price what a
+    coordinate earns when receiving mass (zero for capacity-saturated ones);
+    ``loss_grads`` price what giving mass up costs.  Backtracks the step
+    from delta0 until the realized integer gain is at least the
+    alpha-fraction of the predicted first-order gain (the predicted side is
+    truncated toward zero before the comparison).  If the best-priced
+    coordinate keeps tripping a capacity limit, the next-best one is tried.
+    Returns None when no coordinate admits a feasible step.
     """
-    _, minus = _select_extremes(weights, loss_grads)
-    if minus is None:
-        return None
     plus_order = sorted(range(len(gain_grads)),
                         key=lambda i: (-gain_grads[i], i))
     top = params.delta0 if delta_start is None else delta_start
@@ -608,7 +608,7 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
                 recv[i], g[i] = path_marginals_real(paths[i], hop_w[i],
                                                     weights[i] * x)
                 g_point[i] = weights[i]
-        _, minus = _select_extremes(weights, g)
+        minus = _lowest_funded(weights, g)
         best_recv = max(recv)
         g_max = max(g)
         g_min = g[minus] if minus is not None else g_max
@@ -621,8 +621,8 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
             converged = True
             break
         stepped = _sign_step(weights, [x * v for v in recv],
-                             [x * v for v in g], j0, objective_at, params,
-                             delta_start=anneal)
+                             [x * v for v in g], minus, j0, objective_at,
+                             params, delta_start=anneal)
         t += 1
         if stepped is None:
             degraded = True

@@ -1,13 +1,13 @@
 """Query orchestration: iterative path discovery, merge/expand, final solve.
 
 A query runs in three stages.  Stage 0 (reusable across queries) selects hub
-tokens, builds the shortcut index and the hub core: a ``SwapGraph`` of the
-hub-to-hub pool edges and the index's shortcut edges, which each query
-overlays with the rows its endpoints add.  Stage 0 prunes no leaf tokens: a
-token the prune drops hangs off the rest by at most one neighbour, so no
-shortcut passes through it, and routing reads nothing else of the pruned
-graph.  ``PreparedRouting.pruned`` builds it on first read, for callers that
-want it.
+tokens, builds the shortcut edges and the hub core: a ``SwapGraph`` of the
+hub-to-hub pool edges and the shortcuts, the one home of both, which each
+query overlays with the rows its endpoints add.  Stage 0 prunes no leaf
+tokens: a token the prune drops hangs off the rest by at most one
+neighbour, so no shortcut passes through it, and routing reads nothing else
+of the pruned graph.  ``PreparedRouting.pruned`` builds it on first read,
+for callers that want it.
 
 Stage 1 repeatedly asks the path search for the best remaining route at the
 current price threshold, masks its pools so later routes stay pool-disjoint,
@@ -16,7 +16,7 @@ everything found so far: every discovered path has one edge per hop, so its
 output curve is its edges' curves composed, and one water-fill over those
 curves equalizes their marginal prices.  Stage 2 merges paths that share a
 token sequence, widens every hop with unused parallel pools and
-better-priced shortcuts (the index's own edges), runs the allocator and
+better-priced shortcuts (read from the hub core), runs the allocator and
 emits an exact integer execution plan.
 
 The plan leaves no dust: every hop's integer outputs feed the next hop in
@@ -49,7 +49,7 @@ from .cfmm import SequentialComposite
 from .errors import InvalidParamsError, NoRouteError
 from .graph import Edge, SwapGraph, gc_paused, prune_leaf_tokens, spot_order
 from .pathfind import SearchContext, SearchStats, SinglePath, find_path
-from .preprocess import ShortcutIndex, build_shortcut_index, select_hubs
+from .preprocess import build_shortcut_index, select_hubs
 
 log = logging.getLogger("prime_router.engine")
 
@@ -147,11 +147,15 @@ _STAGE0_FIELDS = ("hub_count", "explicit_hubs", "shortcuts")
 
 @dataclass
 class PreparedRouting:
-    """Stage-0 artifacts, reusable for every query with the same config."""
+    """Stage-0 artifacts, reusable for every query with the same config.
+
+    ``shortcut_index`` holds the shortcut edges that ``core`` also holds
+    (none when shortcuts are off).
+    """
 
     graph: SwapGraph
     hubs: Tuple[str, ...]
-    shortcut_index: Optional[ShortcutIndex]
+    shortcut_index: Tuple[Edge, ...]
     core: SwapGraph
     config: Dict[str, object]
 
@@ -164,27 +168,23 @@ class PreparedRouting:
 
 @gc_paused
 def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
-    """Build hub set, shortcut index and hub core."""
+    """Build hub set, shortcut edges and hub core."""
     started = time.perf_counter()
     hubs = select_hubs(g, query.hub_count, explicit=query.explicit_hubs)
     hubs_done = time.perf_counter()
-    index = None
-    if query.shortcuts:
-        index = build_shortcut_index(g, hubs)
-    index_done = time.perf_counter()
+    shortcuts = build_shortcut_index(g, hubs) if query.shortcuts else ()
+    shortcuts_done = time.perf_counter()
     hub_set = set(hubs)
     core_edges = [e for u in hubs for v, candidates in g.out_items(u)
                   if v in hub_set for e in candidates]
-    if index is not None:
-        core_edges.extend(e for pair in index.pairs() for e in index.get(*pair))
+    core_edges.extend(shortcuts)
     core = SwapGraph({h: g.tokens[h] for h in hubs}, {}, core_edges)
     log.debug("prepared routing: %d hubs, %d shortcuts, %d core edges; "
               "hubs %.3fs, shortcuts %.3fs, core rows %.3fs", len(hubs),
-              len(index) if index is not None else 0, core.edge_count,
-              hubs_done - started, index_done - hubs_done,
-              time.perf_counter() - index_done)
+              len(shortcuts), core.edge_count, hubs_done - started,
+              shortcuts_done - hubs_done, time.perf_counter() - shortcuts_done)
     config = {f: getattr(query, f) for f in _STAGE0_FIELDS}
-    return PreparedRouting(graph=g, hubs=hubs, shortcut_index=index,
+    return PreparedRouting(graph=g, hubs=hubs, shortcut_index=shortcuts,
                            core=core, config=config)
 
 
@@ -216,7 +216,7 @@ _N_EXPAND = 2
 def merge_and_expand(singles: Sequence[SinglePath],
                      stage1_weights: Sequence[float],
                      g: SwapGraph,
-                     shortcut_index: Optional[ShortcutIndex],
+                     core: SwapGraph,
                      used_pools: Set[str]
                      ) -> Tuple[List[MultiEdgePath], List[List[List[float]]]]:
     """Merge same-token-sequence paths; widen hops with unused liquidity.
@@ -224,14 +224,14 @@ def merge_and_expand(singles: Sequence[SinglePath],
     Merged hops keep the discovered edges' relative stage-1 weights; every
     edge added here (parallel pools ranked by spot price, plus shortcut
     replacements between hub pairs that beat every existing edge) starts at
-    weight zero.  ``used_pools`` is extended with everything added so the
-    solution stays pool-disjoint by construction.
+    weight zero.  Shortcuts come from the hub core ``core``, which has rows
+    only between hubs.  ``used_pools`` is extended with everything added so
+    the solution stays pool-disjoint by construction.
     """
     groups: Dict[Tuple[str, ...], List[int]] = {}
     for i, sp in enumerate(singles):
         groups.setdefault(sp.tokens, []).append(i)
 
-    hub_set = set(shortcut_index.hubs) if shortcut_index is not None else set()
     paths: List[MultiEdgePath] = []
     init_weights: List[List[List[float]]] = []
     for token_seq, members in groups.items():
@@ -257,22 +257,23 @@ def merge_and_expand(singles: Sequence[SinglePath],
                 hop_edges[j].append(e)
                 hop_w[j].append(0.0)
                 used_pools.add(e.pool_id)
-            if shortcut_index is not None and u in hub_set and v in hub_set:
-                # offer the best still-unused shortcut that beats every edge
-                # already on the hop; one per hop bounds the simplex size the
-                # same way _N_EXPAND does for parallel pools
-                best_existing = max(e.spot for e in hop_edges[j])
-                for sc in shortcut_index.get(u, v):
-                    if sc.spot <= best_existing:
-                        continue
-                    if any(p in used_pools for p in sc.pool_ids):
-                        continue
-                    if any(leg.token_in in token_seq for leg in sc.legs[1:]):
-                        continue
-                    hop_edges[j].append(sc)
-                    hop_w[j].append(0.0)
-                    used_pools.update(sc.pool_ids)
-                    break
+            # offer the best still-unused shortcut that beats every edge
+            # already on the hop; one per hop bounds the simplex size the
+            # same way _N_EXPAND does for parallel pools.  The core lists a
+            # pair's edges in pool-id order, which for its shortcuts is rank
+            # order: ranks stay below 10, so "sc:A>B:<rank>" sorts by rank.
+            best_existing = max(e.spot for e in hop_edges[j])
+            for sc in core.edges_between(u, v):
+                if not sc.legs or sc.spot <= best_existing:
+                    continue
+                if any(p in used_pools for p in sc.pool_ids):
+                    continue
+                if any(leg.token_in in token_seq for leg in sc.legs[1:]):
+                    continue
+                hop_edges[j].append(sc)
+                hop_w[j].append(0.0)
+                used_pools.update(sc.pool_ids)
+                break
         paths.append(MultiEdgePath(tuple(tuple(h) for h in hop_edges)))
         init_weights.append(hop_w)
     return paths, init_weights
@@ -346,8 +347,8 @@ def prime(g: SwapGraph, query: RouteQuery,
     stats.paths_discovered = len(singles)
 
     # widen from the full graph, so a leaf endpoint's parallel pools count
-    multi, init_w = merge_and_expand(singles, weights, prep.graph,
-                                     prep.shortcut_index, used)
+    multi, init_w = merge_and_expand(singles, weights, prep.graph, prep.core,
+                                     used)
     final = asgm(multi, query.amount, query.asgm_params,
                  initial_edge_weights=init_w)
     stats.asgm_iterations = final.iterations

@@ -7,7 +7,9 @@ of them identifies a market state.
 
 Loading checks the JSON itself (fields, types, decimal strings, version, pool
 kind, string token ids), then graph's structure rules per entry, re-raised as
-ParseError with the entry's path.  Curve rules run later, in ``build_graph``.
+ParseError with the entry's path.  Curve rules, the 256-bit range of every
+amount among them, run later, in ``build_graph``; only an amount too long for
+``int`` to read is an AmountOverflowError here, naming its path.
 It is one pass: an entry's fields are read at once and pass one combined
 test, and only an entry that fails it is walked again, field by field, to
 name the first bad field.  ``load_snapshot`` frees the file's text before
@@ -19,13 +21,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .allocation import TraceRow
 from .engine import RouteSolution
 from .errors import (
+    AmountOverflowError,
     InvalidParamsError,
     MalformedSnapshotError,
     ParseError,
@@ -175,6 +178,19 @@ def _reserves_error(entry, ctx: str) -> ParseError:
     return error
 
 
+def _overflow_error(amounts, paths) -> AmountOverflowError:
+    """The error of the first of ``amounts`` (canonical decimal strings)
+    that ``int`` refuses: one longer than Python converts (4,300 digits by
+    default), so far past the 256-bit range that cfmm enforces on the rest."""
+    for value, path in zip(amounts, paths):
+        try:
+            int(value)
+        except ValueError:
+            break
+    return AmountOverflowError(
+        f"{path}: {len(value)}-digit amount exceeds 256-bit range")
+
+
 def _direction(d, i: int, j: int) -> PoolDirection:
     """Direction ``j`` of pool ``i``, a piecewise pool."""
     try:
@@ -195,7 +211,13 @@ def _direction(d, i: int, j: int) -> PoolDirection:
         if not ok:
             raise _field_error(seg, _SEGMENT_FIELDS,
                                f"pools[{i}].directions[{j}].segments[{m}]")
-        segments.append(Segment(*map(int, amounts)))
+        try:
+            values = tuple(map(int, amounts))
+        except ValueError:
+            raise _overflow_error(amounts, [
+                f"pools[{i}].directions[{j}].segments[{m}].{key}"
+                for key, _ in _SEGMENT_FIELDS]) from None
+        segments.append(Segment(*values))
     return PoolDirection(tin, tout, tuple(segments))
 
 
@@ -240,7 +262,13 @@ def snapshot_from_dict(data: dict) -> Snapshot:
             raw = entry.get("reserves")
             if not (isinstance(raw, list) and all(map(_is_amount, raw))):
                 raise _reserves_error(entry, f"pools[{i}]")
-            pool = Pool(pid, kind, tuple(ptokens), fee, tuple(map(int, raw)))
+            try:
+                reserves = tuple(map(int, raw))
+            except ValueError:
+                raise _overflow_error(raw, [
+                    f"pools[{i}].reserves[{j}]"
+                    for j in range(len(raw))]) from None
+            pool = Pool(pid, kind, tuple(ptokens), fee, reserves)
         elif kind == KIND_PIECEWISE:
             raw = entry.get("directions")
             if not isinstance(raw, list):
@@ -294,7 +322,13 @@ def snapshot_hash(s: Snapshot) -> str:
 
 
 def solution_to_dict(sol: RouteSolution) -> dict:
-    """Result schema shared by every algorithm; amounts are decimal strings."""
+    """Result schema shared by every algorithm; amounts are decimal strings.
+
+    ``stats`` holds every ``RouteStats`` field.
+    """
+    stats = asdict(sol.stats)
+    stats["stage1_objectives"] = [_encode_amount(v)
+                                  for v in stats["stage1_objectives"]]
     paths = []
     for p, hop_w, w in zip(sol.paths, sol.allocation.edge_weights,
                            sol.allocation.path_weights):
@@ -331,21 +365,7 @@ def solution_to_dict(sol: RouteSolution) -> dict:
             }
             for st in sol.execution_plan
         ],
-        "stats": {
-            "find_path_calls": sol.stats.find_path_calls,
-            "queue_pushes": sol.stats.queue_pushes,
-            "queue_pops": sol.stats.queue_pops,
-            "swap_evals": sol.stats.swap_evals,
-            "gate_rejected": sol.stats.gate_rejected,
-            "asgm_iterations": sol.stats.asgm_iterations,
-            "paths_discovered": sol.stats.paths_discovered,
-            "stage1_taus": list(sol.stats.stage1_taus),
-            "stage1_objectives": [_encode_amount(v) for v
-                                  in sol.stats.stage1_objectives],
-            "converged": sol.stats.converged,
-            "degraded": sol.stats.degraded,
-            "fallback": sol.stats.fallback,
-        },
+        "stats": stats,
     }
 
 

@@ -1,13 +1,15 @@
-"""Offline routing preparation: hub selection and the shortcut index.
+"""Offline routing preparation: hub selection and the shortcut edges.
 
 The engine searches a core of hub tokens (plus the query endpoints), which is
 where almost all viable routes live.  Better prices that detour through a
 non-hub token are captured separately: for every ordered hub pair we
 pre-enumerate short paths whose interior vertices are all non-hubs and keep
 the few with the best zero-input rate.  Each kept "shortcut" is built here,
-once, as a composite edge whose legs are its pools' edges.  The hub core the
-path search walks, stage 2's hop widening and the execution plan all use that
-one edge object, and using it costs the search one hop.
+once, as a composite edge from hub to hub whose legs are its pools' edges,
+with the pool id ``sc:<hub_in>><hub_out>:<rank>`` (rank 0 is the best).  The
+hub core is their one home: the path search walks it, and stage 2's hop
+widening and the execution plan use the same edge objects.  Using one costs
+the search one hop.
 """
 
 from __future__ import annotations
@@ -39,39 +41,6 @@ def select_hubs(g: SwapGraph, k: int,
             degree[t] += 1
     ranked = sorted(g.tokens, key=lambda t: (-degree[t], t))
     return tuple(ranked[:min(k, len(ranked))])
-
-
-class ShortcutIndex:
-    """Top-S shortcuts per ordered hub pair, ranked by spot rate.
-
-    An entry is a composite ``Edge`` from ``hub_in`` to ``hub_out``: its
-    ``legs`` are the pool edges it chains through non-hub tokens, its curve
-    their curves composed, and its pool id ``sc:<hub_in>><hub_out>:<rank>``
-    (rank 0 is the best).  The search, stage 2 and the plan all use these
-    same edge objects.
-    """
-
-    def __init__(self, hubs: Tuple[str, ...],
-                 entries: Dict[Tuple[str, str], Tuple[Edge, ...]]):
-        self.hubs = hubs
-        self._entries = entries
-        hub_set = set(hubs)
-        for shortcuts in entries.values():
-            for sc in shortcuts:
-                interior = tuple(leg.token_in for leg in sc.legs[1:])
-                if hub_set.intersection(interior):
-                    raise InvalidParamsError(
-                        f"shortcut {sc.token_in}->{sc.token_out} passes "
-                        f"through a hub: interior {interior}")
-
-    def get(self, hub_in: str, hub_out: str) -> Tuple[Edge, ...]:
-        return self._entries.get((hub_in, hub_out), ())
-
-    def pairs(self) -> Tuple[Tuple[str, str], ...]:
-        return tuple(sorted(self._entries))
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._entries.values())
 
 
 def _extend(g: SwapGraph, exits, hub_set, max_intermediates: int, top_s: int,
@@ -110,12 +79,12 @@ def _extend(g: SwapGraph, exits, hub_set, max_intermediates: int, top_s: int,
 
 def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
                          max_intermediates: int = 2,
-                         top_s: int = 3) -> ShortcutIndex:
+                         top_s: int = 3) -> Tuple[Edge, ...]:
     """Depth-bounded enumeration of hub-to-hub paths through non-hub tokens.
 
     Keeps the top_s candidates per ordered hub pair by the product of
     zero-input edge rates, ties broken on the pool-id sequence, each as its
-    composite edge.
+    composite edge; a pair's edges are adjacent, in rank order.
     """
     if max_intermediates < 1:
         raise InvalidParamsError("max_intermediates must be >= 1")
@@ -134,13 +103,13 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
                 _extend(g, exits, hub_set, max_intermediates, top_s, found,
                         h, v, (e,), e.spot, (v,), (e.pool_id,))
 
-    entries: Dict[Tuple[str, str], Tuple[Edge, ...]] = {}
+    shortcuts: List[Edge] = []
     while found:
         # each bucket goes as its edges are built, which bounds the peak
         (h_in, h_out), bucket = found.popitem()
         bucket.sort()
-        entries[(h_in, h_out)] = tuple(
+        shortcuts.extend(
             Edge(f"sc:{h_in}>{h_out}:{rank}", h_in, h_out,
                  SequentialComposite(tuple(e.fn for e in legs)), legs=legs)
             for rank, (_, _, legs) in enumerate(bucket[:top_s]))
-    return ShortcutIndex(tuple(hubs), entries)
+    return tuple(shortcuts)

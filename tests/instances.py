@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from prime_router.allocation import MultiEdgePath
 from prime_router.cfmm import ConstantProduct, Segment
@@ -25,6 +25,16 @@ def tokens(n: int) -> List[Token]:
 
 def cp_pool(pid: str, a: str, b: str, ra: int, rb: int, fee: int = 0) -> Pool:
     return Pool(pid, KIND_CONSTANT_PRODUCT, (a, b), fee, (ra, rb))
+
+
+def by_pair(shortcuts: Sequence[Edge]
+            ) -> Dict[Tuple[str, str], Tuple[Edge, ...]]:
+    """Stage-0 shortcut edges per ordered hub pair, pairs sorted, each
+    pair's edges in the order built."""
+    rows: Dict[Tuple[str, str], List[Edge]] = {}
+    for sc in shortcuts:
+        rows.setdefault((sc.token_in, sc.token_out), []).append(sc)
+    return {pair: tuple(rows[pair]) for pair in sorted(rows)}
 
 
 def random_cp_graph(rng: random.Random, n_tokens: int, n_pools: int,

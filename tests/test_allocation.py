@@ -11,7 +11,7 @@ from prime_router.allocation import (
     MultiEdgePath,
     _hop_derivs,
     _renormalize,
-    _select_extremes,
+    _lowest_funded,
     asgm,
     hop_amounts,
     integer_shares,
@@ -316,7 +316,7 @@ def test_linear_convergence_gap_series():
 def _armijo_sign_step(weights, grads, j0, evaluate, params, plus_order,
                       delta_cap):
     """The Armijo sign step as the deleted per-hop edge loop ran it."""
-    _, minus = _select_extremes(weights, grads)
+    minus = _lowest_funded(weights, grads)
     if minus is None:
         return None
     for plus in plus_order:
@@ -379,7 +379,7 @@ def armijo_path_edges(path, hop_weights, x_path, params=AsgmParams()):
                      for e, wk in zip(hop, w)]
                 open_idx = [i for i in range(len(hop))
                             if caps[i] is None or w[i] * a_j + 1.0 <= caps[i]]
-                _, minus = _select_extremes(w, g)
+                minus = _lowest_funded(w, g)
                 if minus is None or not open_idx:
                     break
                 g_top = max(g[i] for i in open_idx)

@@ -5,12 +5,14 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from prime_router import cli as cli_mod
 from prime_router.cli import main
+from prime_router.engine import RouteStats
 from prime_router.io import generate_synthetic, save_snapshot
 
 
@@ -66,6 +68,20 @@ class TestRoute:
         assert stats["converged"] is True
         assert stats["degraded"] is False
         assert stats["fallback"] is False
+
+    def test_stats_hold_every_route_stats_field(self, snapshot_path, capsys):
+        path, source, target = snapshot_path
+        code, out, _ = run_cli(capsys, "route", "--snapshot", path,
+                               "--from", source, "--to", target,
+                               "--amount", "1000000")
+        assert code == 0
+        stats = json.loads(out)["stats"]
+        assert list(stats) == sorted(f.name for f in fields(RouteStats))
+        assert len(stats) == 12
+        # exact integers as decimal strings, like every amount
+        objectives = stats["stage1_objectives"]
+        assert objectives and all(v.isdigit() for v in objectives)
+        assert all(isinstance(v, float) for v in stats["stage1_taus"])
 
     def test_unknown_token_exits_one(self, snapshot_path, capsys):
         path, source, _ = snapshot_path
@@ -171,6 +187,56 @@ class TestRoute:
         assert err.startswith(f"error: pool {pool['id']!r}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["reserve", "segment"])
+    def test_overlong_amount_exits_one(self, snapshot_path, tmp_path, capsys,
+                                       field):
+        path, source, target = snapshot_path
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if field == "reserve":
+            i = next(i for i, p in enumerate(data["pools"]) if "reserves" in p)
+            data["pools"][i]["reserves"][0] = "1" * 5000
+            where = f"pools[{i}].reserves[0]"
+        else:
+            i = next(i for i, p in enumerate(data["pools"])
+                     if "directions" in p)
+            data["pools"][i]["directions"][0]["segments"][0][
+                "capacity_in"] = "1" * 5000
+            where = f"pools[{i}].directions[0].segments[0].capacity_in"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "route", "--snapshot", str(bad),
+                                 "--from", source, "--to", target,
+                                 "--amount", "10")
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: {where}: 5000-digit amount exceeds 256-bit "
+                       f"range\n")
+
+    def test_explicit_hub_list_routes(self, snapshot_path, capsys):
+        path, source, target = snapshot_path
+        code, out, _ = run_cli(capsys, "route", "--snapshot", path,
+                               "--from", source, "--to", target,
+                               "--amount", "1000000",
+                               "--hubs", f"{source}, {target}")
+        assert code == 0
+        assert int(json.loads(out)["total_output"]) > 0
+
+    @pytest.mark.parametrize("hubs,message", [
+        (",", "empty hub list"),
+        (" , ,", "empty hub list"),
+        ("0xnothub", "explicit hub '0xnothub' not in graph"),
+    ])
+    def test_bad_hub_list_exits_one(self, snapshot_path, capsys, hubs,
+                                    message):
+        path, source, target = snapshot_path
+        code, out, err = run_cli(capsys, "route", "--snapshot", path,
+                                 "--from", source, "--to", target,
+                                 "--amount", "1000000", "--hubs", hubs)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_trace_written(self, snapshot_path, tmp_path, capsys):
         path, source, target = snapshot_path
         trace = tmp_path / "trace.csv"
@@ -227,6 +293,31 @@ class TestBench:
                  for r in csv.DictReader(open(out_csv))}
         # best_single_path runs no allocator
         assert flags == {"prime": ("True", "False"), "osp": ("False", "False")}
+
+    def test_trace_dir_holds_one_csv_per_prime_case(self, snapshot_path,
+                                                    tmp_path, capsys):
+        path, source, target = snapshot_path
+        out_csv, traces = tmp_path / "bench.csv", tmp_path / "traces"
+        traces.mkdir()
+        code, _, _ = run_cli(capsys, "bench", "--snapshot", path,
+                             "--from", source, "--to", target,
+                             "--amounts", "1000,1000000", "--algos", "prime,osp",
+                             "--repetitions", "2", "--out", str(out_csv),
+                             "--trace-dir", str(traces))
+        assert code == 0
+        rows = list(csv.DictReader(open(out_csv)))
+        prime_cases = [(r["amount"], r["repetition"]) for r in rows
+                       if r["algorithm"] == "prime"]
+        assert len(prime_cases) == 4
+        # best_single_path runs no allocator, so it leaves no trace
+        snap = os.path.basename(path)
+        assert sorted(p.name for p in traces.iterdir()) == sorted(
+            f"trace_{snap}_prime_{amount}_{rep}.csv"
+            for amount, rep in prime_cases)
+        for trace in traces.iterdir():
+            rows = list(csv.DictReader(open(trace)))
+            assert rows and set(rows[0]) == {"t", "J", "g_max", "g_min",
+                                             "delta"}
 
     def test_deterministic_apart_from_wall_time(self, snapshot_path, tmp_path,
                                                 capsys):

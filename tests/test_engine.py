@@ -33,11 +33,17 @@ from prime_router.engine import (
     verify_solution,
 )
 from prime_router.errors import InvalidParamsError, NoRouteError
-from prime_router.graph import KIND_PIECEWISE, Pool, PoolDirection, build_graph
+from prime_router.graph import (
+    KIND_PIECEWISE,
+    Pool,
+    PoolDirection,
+    SwapGraph,
+    build_graph,
+)
 from prime_router.io import generate_synthetic, solution_to_dict
 from prime_router.pathfind import find_path
 
-from instances import cp_pool, random_cp_graph, tokens
+from instances import by_pair, cp_pool, random_cp_graph, tokens
 
 
 def query(s, t, x, **kw):
@@ -368,6 +374,10 @@ class TestStage1Split:
         assert routed > 0
 
 
+# a hub core without edges: merge_and_expand offers no shortcut
+EMPTY_CORE = SwapGraph({}, {}, ())
+
+
 class TestMergeAndExpand:
     def _paths(self, g, s, t, x, count):
         used = set()
@@ -389,7 +399,8 @@ class TestMergeAndExpand:
         g = build_graph(toks, pools)
         singles, used = self._paths(g, "T0", "T1", 10**6, 2)
         assert len(singles) == 2
-        paths, init_w = merge_and_expand(singles, [0.5, 0.5], g, None, used)
+        paths, init_w = merge_and_expand(singles, [0.5, 0.5], g, EMPTY_CORE,
+                                         used)
         assert len(paths) == 1
         assert {e.pool_id for e in paths[0].hops[0]} == {"P1", "P2"}
         assert {e.pool_id for e in paths[0].hops[1]} == {"P3", "P4"}
@@ -400,7 +411,7 @@ class TestMergeAndExpand:
                  cp_pool("B", "T0", "T1", 10**6, 10**6)]
         g = build_graph(toks, pools)
         singles, used = self._paths(g, "T0", "T1", 10**5, 1)
-        paths, init_w = merge_and_expand(singles, [1.0], g, None, used)
+        paths, init_w = merge_and_expand(singles, [1.0], g, EMPTY_CORE, used)
         hop = paths[0].hops[0]
         assert [e.pool_id for e in hop] == ["A", "B"]
         assert init_w[0][0] == [1.0, 0.0]
@@ -413,7 +424,7 @@ class TestMergeAndExpand:
         g = build_graph(toks, pools)
         singles, used = self._paths(g, "T0", "T1", 10**5, 1)
         used.add("B")  # consumed elsewhere in the solution
-        paths, _ = merge_and_expand(singles, [1.0], g, None, used)
+        paths, _ = merge_and_expand(singles, [1.0], g, EMPTY_CORE, used)
         assert [e.pool_id for e in paths[0].hops[0]] == ["A"]
 
 
@@ -521,15 +532,37 @@ class TestShortcuts:
         x = 10**6
         prep = prepare_routing(g, query("T0", "T1", x,
                                         explicit_hubs=("T0", "T1")))
-        (sc,) = prep.shortcut_index.get("T0", "T1")
+        (sc,) = by_pair(prep.shortcut_index)[("T0", "T1")]
         direct = find_path(g, "T0", "T1", x, 0.0, 1)
         used = set(direct.pool_ids)
-        paths, _ = merge_and_expand([direct], [1.0], g, prep.shortcut_index,
-                                    used)
+        paths, _ = merge_and_expand([direct], [1.0], g, prep.core, used)
         (offered,) = [e for e in paths[0].hops[0] if e.legs]
         assert offered is sc
         # the hub core the search walks holds the same object
         assert any(e is sc for e in prep.core.edges_between("T0", "T1"))
+
+    def test_stage2_offers_the_best_ranked_shortcut(self):
+        # two detours beat DIRECT; the better one runs through the pools
+        # whose ids sort last, so only rank order picks it
+        g = build_graph(tokens(4), [
+            cp_pool("DIRECT", "T0", "T1", 10**7, 10**7, fee=30),
+            cp_pool("A1", "T0", "T3", 10**12, 10**12, fee=5),
+            cp_pool("A2", "T3", "T1", 10**12, 10**12),
+            cp_pool("Z1", "T0", "T2", 10**12, 10**12),
+            cp_pool("Z2", "T2", "T1", 10**12, 10**12)])
+        x = 10**6
+        prep = prepare_routing(g, query("T0", "T1", x,
+                                        explicit_hubs=("T0", "T1")))
+        ranked = [e for e in prep.core.edges_between("T0", "T1") if e.legs]
+        assert [e.pool_id for e in ranked] == ["sc:T0>T1:0", "sc:T0>T1:1"]
+        assert [e.pool_ids for e in ranked] == [("Z1", "Z2"), ("A1", "A2")]
+        assert ranked[0].spot > ranked[1].spot > g.edges_between(
+            "T0", "T1")[0].spot
+        direct = find_path(g, "T0", "T1", x, 0.0, 1)
+        paths, _ = merge_and_expand([direct], [1.0], g, prep.core,
+                                    set(direct.pool_ids))
+        (offered,) = [e for e in paths[0].hops[0] if e.legs]
+        assert offered.pool_id == "sc:T0>T1:0"
 
     @pytest.mark.parametrize("shortcuts", [True, False], ids=["sc", "no_sc"])
     @pytest.mark.parametrize("seed", [3, 13])
@@ -539,15 +572,14 @@ class TestShortcuts:
         ids = sorted(g.tokens)
         prep = prepare_routing(g, query(ids[0], ids[1], 1, hub_count=8,
                                         shortcuts=shortcuts))
-        index = prep.shortcut_index
-        assert (index is not None and len(index) > 0) == shortcuts
+        built = by_pair(prep.shortcut_index)
+        assert (len(built) > 0) == shortcuts
         mixed = 0
         for h in prep.hubs:
             want = []
             for v in sorted(set(prep.hubs) - {h}):
                 edges = list(g.edges_between(h, v))
-                if index is not None:
-                    edges.extend(index.get(h, v))
+                edges.extend(built.get((h, v), ()))
                 edges.sort(key=lambda e: (-e.spot, e.pool_id))
                 if edges:
                     want.append((v, [id(e) for e in edges]))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from prime_router.errors import (
+    AmountOverflowError,
     InvalidParamsError,
     ParseError,
     VersionUnsupportedError,
@@ -247,6 +248,19 @@ class TestParseErrors:
             with pytest.raises(ParseError) as err:
                 loads_snapshot(_edited([(path, "12\n")]))
             assert str(err.value) == f"{ctx}: {_AMOUNT}"
+
+    @pytest.mark.parametrize("digits", [4301, 5000])
+    def test_overlong_amount_names_the_field(self, digits):
+        # more digits than int() reads: an overflow under the field's path,
+        # not int()'s bare ValueError
+        for path, ctx in ((("pools", 2, "reserves", 1), "pools[2].reserves[1]"),
+                          (("pools", 10, "directions", 1, "segments", 2,
+                            "virtual_reserve_in"),
+                           f"{_SEG}.virtual_reserve_in")):
+            with pytest.raises(AmountOverflowError) as err:
+                loads_snapshot(_edited([(path, "1" * digits)]))
+            assert str(err.value) == (f"{ctx}: {digits}-digit amount "
+                                      f"exceeds 256-bit range")
 
     def test_float_style_amount_rejected(self):
         snap = small_snapshot()

@@ -7,27 +7,22 @@ from dataclasses import replace
 import pytest
 
 from prime_router import engine, graph as graph_mod, io as io_mod
-from prime_router.cfmm import SequentialComposite
 from prime_router.engine import RouteQuery, prepare_routing
 from prime_router.errors import (
     InvalidParamsError,
     MalformedSnapshotError,
     ParseError,
 )
-from prime_router.graph import Edge, build_graph, prune_leaf_tokens
+from prime_router.graph import build_graph, prune_leaf_tokens
 from prime_router.io import (
     dumps_snapshot,
     generate_synthetic,
     load_snapshot,
     loads_snapshot,
 )
-from prime_router.preprocess import (
-    ShortcutIndex,
-    build_shortcut_index,
-    select_hubs,
-)
+from prime_router.preprocess import build_shortcut_index, select_hubs
 
-from instances import cp_pool, random_cp_graph, tokens
+from instances import by_pair, cp_pool, random_cp_graph, tokens
 
 
 class TestSelectHubs:
@@ -97,15 +92,16 @@ class TestShortcutIndex:
         pools = [cp_pool("P0", "T0", "T2", 1, 1),
                  cp_pool("P1", "T2", "T1", 1, 1)]
         g = build_graph(toks, pools)
-        idx = build_shortcut_index(g, ("T0", "T1"))
-        (sc,) = idx.get("T0", "T1")
+        shortcuts = build_shortcut_index(g, ("T0", "T1"))
+        assert list(by_pair(shortcuts)) == [("T0", "T1"), ("T1", "T0")]
+        (sc,) = by_pair(shortcuts)[("T0", "T1")]
+        assert sc.pool_id == "sc:T0>T1:0"
         assert [leg.token_in for leg in sc.legs[1:]] == ["T2"]
         assert [e.pool_id for e in sc.legs] == ["P0", "P1"]
 
     def test_no_intermediates_means_empty_index(self):
         g = build_graph(tokens(2), [cp_pool("P0", "T0", "T1", 1, 1)])
-        idx = build_shortcut_index(g, ("T0", "T1"))
-        assert len(idx) == 0
+        assert build_shortcut_index(g, ("T0", "T1")) == ()
 
     def test_top_s_by_spot_rate(self):
         # four parallel routes T0 -> T2 -> T1 with distinct rates
@@ -115,9 +111,11 @@ class TestShortcutIndex:
             pools.append(cp_pool(f"A{i}", "T0", "T2", 100, r))
             pools.append(cp_pool(f"B{i}", "T2", "T1", 100, 100))
         g = build_graph(toks, pools)
-        idx = build_shortcut_index(g, ("T0", "T1"), top_s=3)
-        shortcuts = idx.get("T0", "T1")
+        shortcuts = by_pair(build_shortcut_index(g, ("T0", "T1"), top_s=3))[
+            ("T0", "T1")]
         assert len(shortcuts) == 3
+        assert [s.pool_id for s in shortcuts] == [
+            f"sc:T0>T1:{rank}" for rank in range(3)]
         # oracle: enumerate all bounded paths, rank by product of spot rates
         brute = exhaustive_shortcuts(g, ("T0", "T1"), 2)[("T0", "T1")]
         rates = sorted((spot_product(c) for c in brute), reverse=True)
@@ -125,28 +123,23 @@ class TestShortcutIndex:
         assert shortcuts[0].legs[0].pool_id == "A1"
 
     def test_interiors_avoid_hubs(self):
+        # every built edge runs hub to hub, as a chain of distinct pools
+        # through non-hub tokens only
         rng = random.Random(31)
         g = random_cp_graph(rng, 8, 14)
         hubs = select_hubs(g, 3)
-        idx = build_shortcut_index(g, hubs)
-        for pair in idx.pairs():
-            for sc in idx.get(*pair):
-                assert not {leg.token_in for leg in sc.legs[1:]} & set(hubs)
-                assert len(sc.legs) >= 2
-                pools = sc.pool_ids
-                assert len(set(pools)) == len(pools)
-
-    def test_interior_hub_rejected(self):
-        toks = tokens(3)
-        pools = [cp_pool("P0", "T0", "T2", 1, 1),
-                 cp_pool("P1", "T2", "T1", 1, 1)]
-        g = build_graph(toks, pools)
-        edges = (g.edges_between("T0", "T2")[0], g.edges_between("T2", "T1")[0])
-        sc = Edge("sc:T0>T1:0", "T0", "T1",
-                  SequentialComposite(tuple(e.fn for e in edges)), legs=edges)
-        ShortcutIndex(("T0", "T1"), {("T0", "T1"): (sc,)})
-        with pytest.raises(InvalidParamsError, match="passes through a hub"):
-            ShortcutIndex(("T0", "T1", "T2"), {("T0", "T1"): (sc,)})
+        shortcuts = build_shortcut_index(g, hubs)
+        assert shortcuts
+        for sc in shortcuts:
+            assert sc.token_in in hubs and sc.token_out in hubs
+            assert sc.legs[0].token_in == sc.token_in
+            assert sc.legs[-1].token_out == sc.token_out
+            assert all(a.token_out == b.token_in
+                       for a, b in zip(sc.legs, sc.legs[1:]))
+            assert not {leg.token_in for leg in sc.legs[1:]} & set(hubs)
+            assert len(sc.legs) >= 2
+            pools = sc.pool_ids
+            assert len(set(pools)) == len(pools)
 
     def test_completeness_against_enumeration(self):
         rng = random.Random(47)
@@ -155,13 +148,14 @@ class TestShortcutIndex:
             g = random_cp_graph(rng, n, rng.randint(n - 1, 18))
             hubs = select_hubs(g, rng.randint(2, 3))
             max_mid, top_s = 2, 3
-            idx = build_shortcut_index(g, hubs, max_mid, top_s)
+            built = by_pair(build_shortcut_index(g, hubs, max_mid, top_s))
             brute = exhaustive_shortcuts(g, hubs, max_mid)
+            assert set(built) <= set(brute)
             for pair, combos in brute.items():
                 ranked = sorted(
                     ((spot_product(c), tuple(e.pool_id for e in c)) for c in combos),
                     key=lambda item: (-item[0], item[1]))
-                got = [(s.spot, s.pool_ids) for s in idx.get(*pair)]
+                got = [(s.spot, s.pool_ids) for s in built.get(pair, ())]
                 want = ranked[:top_s]
                 assert len(got) == len(want)
                 for (gr, gp), (wr, wp) in zip(got, want):
@@ -176,25 +170,25 @@ class TestShortcutIndex:
     ])
     def test_golden_index(self, seed, n_tokens, n_pools, k, max_mid, top_s,
                           digest):
-        # digest of the pairs, pool ids and exact spot rates an index kept
-        # before the enumeration carried its rate down the search
+        # digest of the pairs, pool ids and exact spot rates the shortcuts
+        # had before the enumeration carried its rate down the search
         g = generate_synthetic(seed, n_tokens, n_pools).build_graph()
         hubs = select_hubs(g, k)
-        idx = build_shortcut_index(prune_leaf_tokens(g, hubs), hubs, max_mid,
-                                   top_s)
+        built = by_pair(build_shortcut_index(prune_leaf_tokens(g, hubs), hubs,
+                                             max_mid, top_s))
         h = hashlib.sha256()
-        for pair in idx.pairs():
-            for sc in idx.get(*pair):
+        for pair, shortcuts in built.items():
+            for sc in shortcuts:
                 h.update(repr((pair, sc.pool_ids,
                                repr(spot_product(sc.legs)))).encode())
         assert h.hexdigest() == digest
 
 
-def _index_rows(idx):
+def _index_rows(shortcuts):
     return [(pair, [(sc.pool_id, sc.token_in, sc.token_out, sc.pool_ids,
                      sc.spot, tuple(map(id, sc.legs)))
-                    for sc in idx.get(*pair)])
-            for pair in idx.pairs()]
+                    for sc in row])
+            for pair, row in by_pair(shortcuts).items()]
 
 
 # (seed, tokens, pools, hubs, max_intermediates); the first three markets sit
@@ -204,9 +198,9 @@ def _index_rows(idx):
     (7, 400, 1200, 12, 2), (8, 200, 700, 8, 3),
 ])
 def test_index_ignores_leaf_tokens(seed, n_tokens, n_pools, k, max_mid):
-    # stage 0 builds the index over the full graph: a token the leaf prune
-    # drops hangs off the rest by one neighbour, so no shortcut passes
-    # through it, and the index is the same edge for edge
+    # stage 0 builds the shortcuts over the full graph: a token the leaf
+    # prune drops hangs off the rest by one neighbour, so no shortcut passes
+    # through it, and the shortcuts are the same edge for edge
     g = generate_synthetic(seed, n_tokens, n_pools).build_graph()
     hubs = select_hubs(g, k)
     pruned = prune_leaf_tokens(g, hubs)

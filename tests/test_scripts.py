@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under ``scripts/``, so they cannot rot."""
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -50,6 +51,17 @@ def test_compare_outputs(tmp_path, capsys):
     workloads.write_market(market, path)
     _, st = workloads.build_stage0(str(path), market)
     assert compare.stage0_digest(st.prepared) == run["stage0_sha256"]
+    # it reads only the hubs and the core rows, which hold every shortcut
+    # edge: stage 0 without shortcuts digests differently
+    from prime_router import engine
+    assert compare.stage0_digest(dataclasses.replace(
+        st.prepared, shortcut_index=None)) == run["stage0_sha256"]
+    assert len(st.prepared.shortcut_index) > 0
+    ids = sorted(st.graph.tokens)
+    bare = engine.prepare_routing(st.graph, engine.RouteQuery(
+        ids[0], ids[1], 1, hub_count=market.hubs, shortcuts=False))
+    assert bare.hubs == st.prepared.hubs
+    assert compare.stage0_digest(bare) != run["stage0_sha256"]
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     new.write_text(json.dumps(run))
     assert compare.main(["--load", str(new), "--against", str(new)]) == 0
