@@ -19,11 +19,11 @@ checkout can be recorded with this script too:
 ``--against FILE`` compares the run (or, without ``--out``, the records in
 ``--load``) with FILE.  It prints how many outputs are equal, rose, fell or
 are newly routed, how many routed results changed beyond their stats, how
-many routed records' work counts (their whole ``stats``) changed, whether
-stage 0 changed (``stage0_changed``), how many stage-1 objectives fell at
-the same refresh, and the work counts per workload, and exits 1 when any
-output fell (a query that stops routing counts as fallen) or any plan
-failed its audit.
+many routed records' work counts (their ``stats``, over the keys both sides
+have) changed, whether stage 0 changed (``stage0_changed``), how many
+stage-1 objectives fell at the same refresh, the work keys only one side
+has, and the work counts per workload, and exits 1 when any output fell (a
+query that stops routing counts as fallen) or any plan failed its audit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("retail", "whale", "dominance")
@@ -117,8 +117,9 @@ def allocator_steps(work: dict) -> int:
 def compare(new: dict, old: dict) -> Dict[str, int]:
     """Counts of equal, risen, fallen, newly routed and unrouted queries,
     routed results that changed, failed audits, routed records whose work
-    (their whole ``stats``) changed, a changed stage 0 (0 or 1), and
-    stage-1 objectives below the old one's at the same refresh."""
+    (their ``stats``, over the keys both records have) changed, a changed
+    stage 0 (0 or 1), and stage-1 objectives below the old one's at the
+    same refresh."""
     before = {r["key"]: r for r in old["records"]}
     counts = dict.fromkeys(("equal", "risen", "fallen", "newly_routed",
                             "unrouted", "result_changed", "audit_failed",
@@ -142,12 +143,23 @@ def compare(new: dict, old: dict) -> Dict[str, int]:
         a, b = int(r["output"]), int(o["output"])
         counts["equal" if a == b else "risen" if a > b else "fallen"] += 1
         counts["result_changed"] += r["result_sha256"] != o["result_sha256"]
-        counts["work_changed"] += r["work"] != o["work"]
+        shared = r["work"].keys() & o["work"].keys()
+        counts["work_changed"] += any(r["work"][k] != o["work"][k]
+                                      for k in shared)
         for x, y in zip(r["work"]["stage1_objectives"],
                         o["work"]["stage1_objectives"]):
             counts["stage1_compared"] += 1
             counts["stage1_fallen"] += int(x) < int(y)
     return counts
+
+
+def unshared_work_keys(new: dict, old: dict) -> Tuple[List[str], List[str]]:
+    """The work keys that only the new records have, and only the old."""
+    def keys(run: dict) -> set:
+        return {k for r in run["records"] if r["work"] is not None
+                for k in r["work"]}
+    ours, theirs = keys(new), keys(old)
+    return sorted(ours - theirs), sorted(theirs - ours)
 
 
 def work_table(records: Sequence[dict]) -> Dict[str, Dict[str, float]]:
@@ -171,6 +183,9 @@ def work_table(records: Sequence[dict]) -> Dict[str, Dict[str, float]]:
 def report(new: dict, old: dict) -> int:
     counts = compare(new, old)
     print(" ".join(f"{k}={v}" for k, v in counts.items()))
+    added, dropped = unshared_work_keys(new, old)
+    print(f"work keys added: {' '.join(added) or '-'}; "
+          f"dropped: {' '.join(dropped) or '-'}")
     tables = (work_table(old["records"]), work_table(new["records"]))
     for name in WORKLOADS:
         was, now = (t.get(name, {}) for t in tables)

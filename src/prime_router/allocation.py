@@ -152,7 +152,6 @@ class AsgmResult:
     converged: bool
     degraded: bool
     iterations: int
-    max_backtracks: int = 0
 
 
 def floor_mul(amount: int, weight: float) -> int:
@@ -364,7 +363,7 @@ def _sign_step(weights: List[float], gain_grads: Sequence[float],
                evaluate: Callable[[List[float]], int],
                params: AsgmParams,
                delta_start: Optional[float] = None
-               ) -> Optional[Tuple[List[float], int, float, int]]:
+               ) -> Optional[Tuple[List[float], int, float]]:
     """One rebalancing step: move mass from the worst coordinate to the best.
 
     ``minus`` is the coordinate that gives mass up: the funded one whose
@@ -375,7 +374,8 @@ def _sign_step(weights: List[float], gain_grads: Sequence[float],
     alpha-fraction of the predicted first-order gain (the predicted side is
     truncated toward zero before the comparison).  If the best-priced
     coordinate keeps tripping a capacity limit, the next-best one is tried.
-    Returns None when no coordinate admits a feasible step.
+    Returns the new weights, their objective and the accepted step, or None
+    when no coordinate admits a feasible step.
     """
     plus_order = sorted(range(len(gain_grads)),
                         key=lambda i: (-gain_grads[i], i))
@@ -385,7 +385,6 @@ def _sign_step(weights: List[float], gain_grads: Sequence[float],
             break
         delta = min(top, weights[minus])
         saw_capacity = False
-        backtracks = 0
         while delta >= params.delta_min:
             trial = list(weights)
             trial[plus] += delta
@@ -395,15 +394,13 @@ def _sign_step(weights: List[float], gain_grads: Sequence[float],
             except CapacityExceededError:
                 saw_capacity = True
                 delta *= params.beta
-                backtracks += 1
                 continue
             predicted = int(params.alpha * delta *
                             (gain_grads[plus] - loss_grads[minus]))
             if j1 >= j0 + predicted:
                 _renormalize(trial)
-                return trial, j1, delta, backtracks
+                return trial, j1, delta
             delta *= params.beta
-            backtracks += 1
         if not saw_capacity:
             return None
     return None
@@ -591,7 +588,6 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
     converged = False
     degraded = False
     last_delta = 0.0
-    max_backtracks = 0
     anneal: Optional[float] = None
     t = 0
     while t < params.t_max:
@@ -627,8 +623,7 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
         if stepped is None:
             degraded = True
             break
-        weights, j1, last_delta, steps_back = stepped
-        max_backtracks = max(max_backtracks, steps_back)
+        weights, j1, last_delta = stepped
         # once integer flooring swallows the gains, full-size ladders just
         # bounce between mirror points; keep shrinking the step so the float
         # price gap closes instead of oscillating
@@ -641,5 +636,4 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
                             tuple(tuple(tuple(w) for w in hops)
                                   for hops in hop_w))
     return AsgmResult(allocation=allocation, tau=tau, trace=trace,
-                      converged=converged, degraded=degraded, iterations=t,
-                      max_backtracks=max_backtracks)
+                      converged=converged, degraded=degraded, iterations=t)

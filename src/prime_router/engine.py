@@ -14,10 +14,14 @@ current price threshold, masks its pools so later routes stay pool-disjoint,
 and refreshes the threshold from the exact split of the amount over
 everything found so far: every discovered path has one edge per hop, so its
 output curve is its edges' curves composed, and one water-fill over those
-curves equalizes their marginal prices.  Stage 2 merges paths that share a
-token sequence, widens every hop with unused parallel pools and
-better-priced shortcuts (read from the hub core), runs the allocator and
-emits an exact integer execution plan.
+curves equalizes their marginal prices.  Its one stop rule is the search's
+own: ``find_path`` returns only a path whose exact average rate
+``output / amount`` is above the threshold, and stage 1 ends when none is
+left.  A concave curve's spot rate is at least its average rate, so a
+returned path also clears the threshold at the spot price.  Stage 2 merges
+paths that share a token sequence, widens every hop with unused parallel
+pools and better-priced shortcuts (read from the hub core), runs the
+allocator and emits an exact integer execution plan.
 
 The plan leaves no dust: every hop's integer outputs feed the next hop in
 full, and replaying the plan reproduces the reported output exactly
@@ -87,21 +91,18 @@ class RouteStats:
 
     ``swap_evals`` counts the curve evaluations the searches actually ran:
     the searches of one query share their quotes, so a quote repeated
-    within the query counts once.  ``gate_rejected`` is 1 when the last
-    search found a path that the spot-rate gate turned away, else 0.
-    ``asgm_iterations``, ``converged`` and ``degraded`` are the stage-2
-    allocator's (the flags are False when no allocator ran); ``fallback``
-    is set when the allocation lost to the best discovered single path and
-    was replaced by it, so that the result lists only that path.  Stage 1
-    records one ``tau`` and the exact integer objective of its split per
-    accepted path.
+    within the query counts once.  ``asgm_iterations``, ``converged`` and
+    ``degraded`` are the stage-2 allocator's (the flags are False when no
+    allocator ran); ``fallback`` is set when the allocation lost to the best
+    discovered single path and was replaced by it, so that the result lists
+    only that path.  Stage 1 records one ``tau`` and the exact integer
+    objective of its split per accepted path.
     """
 
     find_path_calls: int = 0
     queue_pushes: int = 0
     queue_pops: int = 0
     swap_evals: int = 0
-    gate_rejected: int = 0
     asgm_iterations: int = 0
     paths_discovered: int = 0
     converged: bool = False
@@ -261,7 +262,8 @@ def merge_and_expand(singles: Sequence[SinglePath],
             # already on the hop; one per hop bounds the simplex size the
             # same way _N_EXPAND does for parallel pools.  The core lists a
             # pair's edges in pool-id order, which for its shortcuts is rank
-            # order: ranks stay below 10, so "sc:A>B:<rank>" sorts by rank.
+            # order: build_shortcut_index keeps at most 10 a pair, so ranks
+            # stay one digit and "sc:A>B:<rank>" sorts by rank.
             best_existing = max(e.spot for e in hop_edges[j])
             for sc in core.edges_between(u, v):
                 if not sc.legs or sc.spot <= best_existing:
@@ -331,9 +333,6 @@ def prime(g: SwapGraph, query: RouteQuery,
         stats.queue_pops += search.pops
         stats.swap_evals += search.swap_evals
         if found is None:
-            break
-        if singles and found.spot_rate <= tau:
-            stats.gate_rejected = 1
             break
         singles.append(found)
         used.update(found.pool_ids)

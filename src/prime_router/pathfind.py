@@ -22,6 +22,14 @@ Every output also stays below the pool's ceiling (its output reserve), so a
 pool whose ceiling cannot clear that floor, or the frontier, is never
 evaluated: at a whale amount the shallow pools drop out unswapped.
 
+One scan per neighbour picks the successor: it runs over the pair's
+parallel edges in descending spot order, its best output seeded at the gate
+the successor must beat (the frontier entry at that token for one more hop,
+or the best arrival when the neighbour is the target).  An edge is chosen
+only when its exact output beats the running best, ties going to the smaller
+pool id, so a chosen edge always clears the gate; the scan stops at the
+first edge whose concavity bound spot*amount cannot.
+
 The bound never changes the result.  A dropped state has no completion that
 could be accepted (average rate above tau) or beat the best arrival already
 recorded, so the winning path never passes through one.  The frontier entries
@@ -115,54 +123,6 @@ class SearchContext:
         return self._rate
 
 
-def _best_candidate(candidates: Sequence[Edge], amount: int, gate: int,
-                    v_rate: float, lim: float,
-                    masked: FrozenSet[str], visited: Tuple[str, ...],
-                    path_pools: Tuple[str, ...],
-                    quotes: Dict[Tuple[int, int], Optional[int]],
-                    stats: Optional[SearchStats]) -> Tuple[Optional[Edge], int]:
-    """Best usable parallel edge at this amount, when it can be pushed.
-
-    A successor is pushed only with an output above ``gate`` whose path
-    bound ``out * v_rate`` clears ``lim``, so an edge whose output ceiling
-    cannot get there is never evaluated.  Candidates arrive sorted by
-    descending spot rate: once the concavity bound spot*amount falls to that
-    floor or to the best exact output seen, no later candidate can win or
-    tie and the scan stops.  A quote already in ``quotes`` is not evaluated
-    again and does not count in ``stats``.
-    """
-    best_edge = None
-    best_out = 0
-    for e in candidates:
-        floor = best_out if best_out > gate else gate
-        bound = e.output_bound(amount)
-        if bound <= floor or bound * v_rate * BOUND_SLACK <= lim:
-            break
-        if e.ceiling <= floor or e.ceiling * v_rate * BOUND_SLACK <= lim:
-            continue
-        if any(p in masked or p in path_pools for p in e.pool_ids):
-            continue
-        if e.legs and any(leg.token_in in visited for leg in e.legs[1:]):
-            continue
-        key = (id(e), amount)
-        out = quotes.get(key, _UNQUOTED)
-        if out is _UNQUOTED:
-            try:
-                out = e.fn.swap_out(amount)
-            except CapacityExceededError:
-                out = None
-            else:
-                if stats is not None:
-                    stats.swap_evals += 1
-            quotes[key] = out
-        if out is None:
-            continue
-        if out > best_out or (out == best_out and best_edge is not None
-                              and e.pool_id < best_edge.pool_id):
-            best_edge, best_out = e, out
-    return best_edge, best_out
-
-
 def _rate_table(view, target: str, max_hops: int) -> List[Dict[str, float]]:
     """``rate[r][v]``: best spot-rate product over walks v -> target, <= r hops.
 
@@ -238,28 +198,44 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             v_rate = reach.get(v)
             if v_rate is None or v in visited:
                 continue
-            # the first candidate has the best spot rate, so its concavity
-            # bound caps the whole pair; skip without any exact evaluation
-            # when even that cannot beat the recorded frontier, or cannot
-            # lift the path bound above lim
             if v == target:
                 gate = best_target
             else:
                 levels = frontier.get(v)
                 gate = levels[hops + 1] if levels is not None else 0
-            cap = candidates[0].output_bound(cur)
-            if cap <= gate or cap * v_rate * BOUND_SLACK <= lim:
-                continue
-            edge, out = _best_candidate(candidates, cur, gate, v_rate, lim,
-                                        masked_pools, visited, pools, quotes,
-                                        stats)
-            if edge is None or out == 0:
-                continue
-            if out * v_rate * BOUND_SLACK <= lim:
+            # the scan seeded at the gate (see the module docstring); a
+            # quote already in ``quotes`` is not evaluated again
+            edge, out = None, gate
+            for e in candidates:
+                bound = e.output_bound(cur)
+                if bound <= out or bound * v_rate * BOUND_SLACK <= lim:
+                    break
+                if e.ceiling <= out or e.ceiling * v_rate * BOUND_SLACK <= lim:
+                    continue
+                if any(p in masked_pools or p in pools for p in e.pool_ids):
+                    continue
+                if e.legs and any(leg.token_in in visited
+                                  for leg in e.legs[1:]):
+                    continue
+                key = (id(e), cur)
+                quote = quotes.get(key, _UNQUOTED)
+                if quote is _UNQUOTED:
+                    try:
+                        quote = e.fn.swap_out(cur)
+                    except CapacityExceededError:
+                        quote = None
+                    else:
+                        if stats is not None:
+                            stats.swap_evals += 1
+                    quotes[key] = quote
+                if quote is None:
+                    continue
+                if quote > out or (quote == out and edge is not None
+                                   and e.pool_id < edge.pool_id):
+                    edge, out = e, quote
+            if edge is None or out * v_rate * BOUND_SLACK <= lim:
                 continue
             if v == target:
-                if out <= best_target:
-                    continue
                 best_target = out
                 if out > lim:
                     lim = out
@@ -267,8 +243,6 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                 if levels is None:
                     levels = [0] * (max_hops + 1)
                     frontier[v] = levels
-                if out <= levels[hops + 1]:
-                    continue
                 for h in range(hops + 1, max_hops + 1):
                     if out > levels[h]:
                         levels[h] = out

@@ -82,14 +82,16 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
                          top_s: int = 3) -> Tuple[Edge, ...]:
     """Depth-bounded enumeration of hub-to-hub paths through non-hub tokens.
 
-    Keeps the top_s candidates per ordered hub pair by the product of
-    zero-input edge rates, ties broken on the pool-id sequence, each as its
-    composite edge; a pair's edges are adjacent, in rank order.
+    Keeps the top_s (1 to 10) candidates per ordered hub pair by the
+    product of zero-input edge rates, ties broken on the pool-id sequence,
+    each as its composite edge; a pair's edges are adjacent, in rank order.
     """
     if max_intermediates < 1:
         raise InvalidParamsError("max_intermediates must be >= 1")
-    if top_s < 1:
-        raise InvalidParamsError("top_s must be >= 1")
+    # stage 2 reads a pair's shortcuts in pool-id order, which is rank order
+    # only while the rank in "sc:A>B:<rank>" is one digit
+    if not 1 <= top_s <= 10:
+        raise InvalidParamsError("top_s must be in 1..10")
     hub_set = set(hubs)
     # each non-hub token's hub neighbours, split from its row once
     exits = {u: tuple(item for item in g.out_items(u) if item[0] in hub_set)

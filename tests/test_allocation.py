@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -265,10 +266,63 @@ class TestAsgm:
     def test_int_for_a_float_field_is_accepted(self, field):
         assert getattr(AsgmParams(**{field: 1}), field) == 1
 
-    def test_backtrack_bound_loose(self):
-        a, b = closed_form_pair()
-        res = asgm([a, b], 30 * WAD)
-        assert res.max_backtracks < 200
+
+def _cp_edge(pid, token_out="T"):
+    return Edge(pid, "S", token_out, ConstantProduct(10**6, 10**6, 0))
+
+
+# each misuse: the call, the error it raises and the whole message
+MISUSE = {
+    "asgm_no_paths": (lambda: asgm([], WAD), InvalidParamsError,
+                      "need at least one path"),
+    "asgm_zero_amount": (lambda: asgm(closed_form_pair(), 0), ValueError,
+                         "input amount must be positive"),
+    "asgm_weight_shape": (
+        lambda: asgm(closed_form_pair(), WAD,
+                     initial_edge_weights=[[[0.5, 0.5]], [[1.0]]]),
+        InvalidParamsError, "initial edge weights shape mismatch"),
+    "alpha_0": (lambda: AsgmParams(alpha=0.0), InvalidParamsError,
+                "alpha must be in (0, 1)"),
+    "alpha_1": (lambda: AsgmParams(alpha=1.0), InvalidParamsError,
+                "alpha must be in (0, 1)"),
+    "beta_0": (lambda: AsgmParams(beta=0.0), InvalidParamsError,
+               "beta must be in (0, 1)"),
+    "beta_1": (lambda: AsgmParams(beta=1.0), InvalidParamsError,
+               "beta must be in (0, 1)"),
+    "delta0_0": (lambda: AsgmParams(delta0=0.0), InvalidParamsError,
+                 "delta0, delta_min and eps_rel must be positive"),
+    "delta_min_negative": (lambda: AsgmParams(delta_min=-1e-12),
+                           InvalidParamsError,
+                           "delta0, delta_min and eps_rel must be positive"),
+    "eps_rel_0": (lambda: AsgmParams(eps_rel=0.0), InvalidParamsError,
+                  "delta0, delta_min and eps_rel must be positive"),
+    "t_max_0": (lambda: AsgmParams(t_max=0), InvalidParamsError,
+                "t_max must be >= 1"),
+    "path_without_hops": (lambda: MultiEdgePath(()), ValueError,
+                          "path needs at least one edge per hop"),
+    "path_with_empty_hop": (
+        lambda: MultiEdgePath(((_cp_edge("P0"),), ())), ValueError,
+        "path needs at least one edge per hop"),
+    "hop_of_two_pairs": (
+        lambda: MultiEdgePath(((_cp_edge("P0"), _cp_edge("P1", "U")),)),
+        ValueError, "parallel edges of a hop must share a token pair"),
+    "no_path_weights": (lambda: Allocation((), ()), ValueError,
+                        "path weights: empty simplex"),
+    "no_hop_weights": (lambda: Allocation((1.0,), (((),),)), ValueError,
+                       "hop weights: empty simplex"),
+    "negative_hop_weight": (lambda: Allocation((1.0,), (((1.5, -0.5),),)),
+                            ValueError, "hop weights: negative weight"),
+    "path_weights_short_of_1": (
+        lambda: Allocation((0.5, 0.25), (((1.0,),), ((1.0,),))), ValueError,
+        "path weights: weights sum to 0.75, expected 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISUSE))
+def test_misuse_is_rejected(case):
+    call, error, message = MISUSE[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _marginals(paths, res, x):

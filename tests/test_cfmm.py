@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,25 @@ class TestComposite:
         c = SequentialComposite((ConstantProduct(100, 200, 0),
                                  ConstantProduct(100, 300, 0)))
         assert c.marginal_price(0) == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: PiecewiseLiquidity((), 0), "need 1..16 segments, got 0"),
+    (lambda: PiecewiseLiquidity((Segment(10, 100, 100),) * 17, 0),
+     "need 1..16 segments, got 17"),
+    (lambda: PiecewiseLiquidity((Segment(0, 100, 100),), 0),
+     "segments[0] fields must be strictly positive"),
+    (lambda: PiecewiseLiquidity((Segment(10, 100, 100), Segment(10, 0, 50)),
+                                0),
+     "segments[1] fields must be strictly positive"),
+    (lambda: PiecewiseLiquidity((Segment(10, 100, 0),), 0),
+     "segments[0] fields must be strictly positive"),
+    (lambda: SequentialComposite(()), "composite needs at least one part"),
+], ids=["no_segments", "17_segments", "zero_capacity", "zero_reserve_in",
+        "zero_reserve_out", "empty_composite"])
+def test_malformed_curve_is_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 amounts = st.integers(min_value=0, max_value=10**24)

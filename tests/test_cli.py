@@ -77,7 +77,7 @@ class TestRoute:
         assert code == 0
         stats = json.loads(out)["stats"]
         assert list(stats) == sorted(f.name for f in fields(RouteStats))
-        assert len(stats) == 12
+        assert len(stats) == 11
         # exact integers as decimal strings, like every amount
         objectives = stats["stage1_objectives"]
         assert objectives and all(v.isdigit() for v in objectives)
@@ -127,6 +127,15 @@ class TestRoute:
                                "--from", source, "--to", target,
                                "--amount", "1e18")
         assert code == 1
+
+    @pytest.mark.parametrize("amount", ["0", "000"])
+    def test_zero_amount_exits_one(self, snapshot_path, capsys, amount):
+        path, source, target = snapshot_path
+        code, _, err = run_cli(capsys, "route", "--snapshot", path,
+                               "--from", source, "--to", target,
+                               "--amount", amount)
+        assert code == 1
+        assert err == "error: amount must be positive\n"
 
     def test_osp_and_flow_algos(self, snapshot_path, capsys):
         path, source, target = snapshot_path

@@ -609,6 +609,17 @@ class TestRouteQuery:
                                             f"{type(value).__name__}$"):
             RouteQuery(**fields)
 
+    @pytest.mark.parametrize("change,message", [
+        ({"target": "T0"}, "source and target must differ"),
+        ({"amount": 0}, "amount must be positive"),
+        ({"amount": -1}, "amount must be positive"),
+        ({"max_hops": 0}, "max_hops must be >= 1"),
+    ], ids=["same_endpoints", "zero_amount", "negative_amount", "no_hops"])
+    def test_out_of_range_field_is_rejected(self, change, message):
+        fields = {"source": "T0", "target": "T1", "amount": 10**6, **change}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RouteQuery(**fields)
+
 
 # sha256 of prime_results_digest's stats-free results, pinned when stage 2
 # began widening hops from the full graph, so that a leaf endpoint's

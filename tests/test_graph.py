@@ -4,7 +4,7 @@ import pytest
 
 from prime_router import graph as graph_mod
 from prime_router.cfmm import Segment
-from prime_router.errors import MalformedSnapshotError
+from prime_router.errors import AmountOverflowError, MalformedSnapshotError
 from prime_router.graph import (
     KIND_CONSTANT_PRODUCT,
     KIND_PIECEWISE,
@@ -137,6 +137,18 @@ class TestValidation:
     def test_bad_curve_names_pool(self, pool):
         with pytest.raises(MalformedSnapshotError, match="^pool 'P0': "):
             build_graph(tokens(2), [pool])
+
+    @pytest.mark.parametrize("pool,error,message", [
+        (Pool("P0", KIND_PIECEWISE, ("T0", "T1", "T2"), 0),
+         MalformedSnapshotError, "piecewise pools are two-token"),
+        (Pool("P0", "stableswap", ("T0", "T1"), 0, (10, 10)),
+         MalformedSnapshotError, "unknown pool kind 'stableswap'"),
+        (cp_pool("P0", "T0", "T1", 2**256, 10), AmountOverflowError,
+         "reserve_in exceeds 256-bit range"),
+    ], ids=["three_token_piecewise", "unknown_kind", "reserve_2_256"])
+    def test_bad_pool_is_rejected_by_name(self, pool, error, message):
+        with pytest.raises(error, match=f"^pool 'P0': {message}$"):
+            build_graph(tokens(3), [pool])
 
     @pytest.mark.parametrize("decimals", ["18", 18.0, True],
                              ids=["str", "float", "bool"])

@@ -370,6 +370,9 @@ class TestSyntheticGenerator:
             generate_synthetic(1, 10, 3)
         with pytest.raises(InvalidParamsError):
             generate_synthetic(1, 10, 20, hub_fraction=0.0)
+        with pytest.raises(InvalidParamsError,
+                           match="^reserve_spread_orders must be >= 1$"):
+            generate_synthetic(1, 10, 20, reserve_spread_orders=0)
 
 
 def test_rules_hold_without_asserts():

@@ -98,6 +98,38 @@ class TestFindPath:
                 assert res.output / x > tau
                 assert res.average_rate == res.output / x
 
+    @given(seed=st.integers(0, 2**32 - 1), overlay=st.booleans(),
+           piecewise=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_result_clears_tau_at_average_and_spot_rate(self, seed, overlay,
+                                                        piecewise):
+        # stage 1's only stop rule: a returned path's exact average rate is
+        # above tau, and concavity puts its spot rate at or above that, so
+        # a spot-rate test at tau would never turn it away
+        rng = random.Random(seed)
+        n = rng.randint(4, 12)
+        if piecewise:
+            g = generate_synthetic(seed, n, rng.randint(n - 1, 2 * n + 4),
+                                   hub_fraction=0.3,
+                                   reserve_spread_orders=3).build_graph()
+        else:
+            g = random_cp_graph(rng, n, rng.randint(n - 1, 2 * n + 4))
+        s, t = rng.sample(sorted(g.tokens), 2)
+        view = g
+        if overlay:
+            prep = prepare_routing(g, RouteQuery(s, t, 1, hub_count=n // 3))
+            view = _query_overlay(prep, s, t)
+        x = 10**rng.randint(15, 24) if piecewise else rng.randint(10**3, 10**9)
+        masked = frozenset(pid for pid in g.pools if rng.random() < 0.2)
+        first = find_path(view, s, t, x, 0.0, 3, masked)
+        if first is None:
+            return
+        for scale in (0.0, 0.5, 0.9, 0.99, 0.999999):
+            tau = scale * first.average_rate
+            res = find_path(view, s, t, x, tau, 3, masked)
+            assert res is not None and res.average_rate > tau
+            assert res.spot_rate >= res.average_rate
+
     def test_respects_masked_pools(self):
         g = triangle_graph()
         res = find_path(g, "T0", "T2", 1000, 0.0, 3)
@@ -148,6 +180,17 @@ class TestFindPath:
             stats = SearchStats()
             find_path(g, "T0", f"T{n-1}", 10**6, 0.0, 3, stats=stats)
             assert stats.pushes <= len(g.tokens) * g.edge_count
+
+    @pytest.mark.parametrize("source,target,amount,max_hops,message", [
+        ("T0", "T0", 10**5, 3, "source and target must differ"),
+        ("T0", "T2", 0, 3, "probe amount must be positive"),
+        ("T0", "T2", -1, 3, "probe amount must be positive"),
+        ("T0", "T2", 10**5, 0, "max_hops must be >= 1"),
+    ], ids=["same_endpoints", "zero_amount", "negative_amount", "no_hops"])
+    def test_out_of_range_argument_is_rejected(self, source, target, amount,
+                                               max_hops, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            find_path(triangle_graph(), source, target, amount, 0.0, max_hops)
 
     def test_first_arrival_wins_ties(self):
         # two identical parallel pools: deterministic pick by pool id

@@ -13,7 +13,7 @@ from prime_router.errors import (
     MalformedSnapshotError,
     ParseError,
 )
-from prime_router.graph import build_graph, prune_leaf_tokens
+from prime_router.graph import Token, build_graph, prune_leaf_tokens
 from prime_router.io import (
     dumps_snapshot,
     generate_synthetic,
@@ -182,6 +182,39 @@ class TestShortcutIndex:
                 h.update(repr((pair, sc.pool_ids,
                                repr(spot_product(sc.legs)))).encode())
         assert h.hexdigest() == digest
+
+
+    def test_ten_shortcuts_sort_by_rank(self):
+        # eleven detours T0 -> Mi -> T1, each worse than the last; at the
+        # largest top_s a pair's ids still sort in rank order, which is the
+        # order stage 2 reads them from the core
+        toks = tokens(2) + [Token(f"M{i}", f"MID{i}", 18) for i in range(11)]
+        pools = [p for i in range(11) for p in (
+            cp_pool(f"A{i}", "T0", f"M{i}", 10**9, 10**9 - 10**6 * i),
+            cp_pool(f"B{i}", f"M{i}", "T1", 10**9, 10**9))]
+        built = build_shortcut_index(build_graph(toks, pools), ("T0", "T1"),
+                                     top_s=10)
+        row = by_pair(built)[("T0", "T1")]
+        assert [sc.pool_id for sc in row] == [
+            f"sc:T0>T1:{rank}" for rank in range(10)]
+        assert [sc.pool_ids[0] for sc in row] == [f"A{i}" for i in range(10)]
+        assert sorted(row, key=lambda sc: sc.pool_id) == list(row)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda g: select_hubs(g, 0), "hub count must be >= 1"),
+    (lambda g: build_shortcut_index(g, ("T0",), max_intermediates=0),
+     "max_intermediates must be >= 1"),
+    (lambda g: build_shortcut_index(g, ("T0",), top_s=0),
+     "top_s must be in 1..10"),
+    # an 11th shortcut's id "sc:A>B:10" would sort before "sc:A>B:2"
+    (lambda g: build_shortcut_index(g, ("T0",), top_s=11),
+     "top_s must be in 1..10"),
+], ids=["no_hubs", "no_intermediates", "top_s_0", "top_s_11"])
+def test_out_of_range_parameter_is_rejected(call, message):
+    g = build_graph(tokens(2), [cp_pool("P0", "T0", "T1", 10, 10)])
+    with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+        call(g)
 
 
 def _index_rows(shortcuts):

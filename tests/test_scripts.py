@@ -76,3 +76,15 @@ def test_compare_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fallen=1" in out
     assert " work_changed=1 stage0_changed=1 " in out
+    # a work key only one side has is listed, not counted as a change
+    for r in routed:
+        r["work"]["added_count"] = 1
+    new.write_text(json.dumps(run))
+    for r in routed:
+        del r["work"]["added_count"]
+        r["work"]["dropped_count"] = 1
+    old.write_text(json.dumps(run))
+    assert compare.main(["--load", str(new), "--against", str(old)]) == 0
+    out = capsys.readouterr().out
+    assert " work_changed=0 " in out
+    assert "work keys added: added_count; dropped: dropped_count\n" in out
