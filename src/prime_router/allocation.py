@@ -174,11 +174,9 @@ def integer_shares(weights: Sequence[float], total: int,
     shares = [floor_mul(total, w) for w in weights]
     remainder = total - sum(shares)
     if remainder:
-        if tie_keys is None:
-            recipient = min(range(len(weights)), key=lambda i: (-weights[i], i))
-        else:
-            recipient = min(range(len(weights)),
-                            key=lambda i: (-weights[i], tie_keys[i]))
+        keys = range(len(weights)) if tie_keys is None else tie_keys
+        recipient = min(range(len(weights)),
+                        key=lambda i: (-weights[i], keys[i]))
         shares[recipient] += remainder
     return shares
 

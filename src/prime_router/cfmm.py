@@ -417,20 +417,8 @@ class SequentialComposite:
         return out[:-1] + (Piece(last.lo, width, last.a, last.b, last.c, last.d),)
 
     def input_capacity(self):
-        """Largest input the whole chain can absorb (None when unbounded).
-
-        A later leg's capacity binds through the upstream curves, so the
-        bound is found by bisecting feasibility of the exact integer chain.
-        Computed lazily and cached: composites are built en masse during
-        preprocessing but only a handful ever carry flow.
-        """
-        try:
-            return object.__getattribute__(self, "_capacity")
-        except AttributeError:
-            pass
-        cap = self._bisect_capacity()
-        object.__setattr__(self, "_capacity", cap)
-        return cap
+        """Largest input the whole chain can absorb (None when unbounded)."""
+        return self._capacity
 
     def _feasible(self, x: int) -> bool:
         try:
@@ -439,7 +427,12 @@ class SequentialComposite:
             return False
         return True
 
-    def _bisect_capacity(self):
+    @cached_property
+    def _capacity(self):
+        """A later leg's capacity binds through the upstream curves, so the
+        bound is found by bisecting feasibility of the exact integer chain.
+        Computed on first read: composites are built en masse during
+        preprocessing but only a handful ever carry flow."""
         if all(fn.input_capacity() is None for fn in self.parts):
             return None
         first = self.parts[0].input_capacity()

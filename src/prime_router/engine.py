@@ -51,7 +51,7 @@ from .allocation import (
 )
 from .cfmm import SequentialComposite
 from .errors import InvalidParamsError, NoRouteError
-from .graph import Edge, SwapGraph, gc_paused, prune_leaf_tokens, spot_order
+from .graph import Edge, SwapGraph, gc_paused, prune_leaf_tokens
 from .pathfind import SearchContext, SearchStats, SinglePath, find_path
 from .preprocess import build_shortcut_index, select_hubs
 
@@ -205,7 +205,7 @@ def _query_overlay(prep: PreparedRouting, source: str, target: str) -> _Overlay:
             if not extra:
                 continue
             existing = {v: c for v, c in rows.get(u, ())}
-            existing[target] = tuple(sorted(extra, key=spot_order))
+            existing[target] = extra
             rows[u] = tuple(sorted(existing.items()))
     return _Overlay(rows)
 
@@ -223,10 +223,11 @@ def merge_and_expand(singles: Sequence[SinglePath],
     """Merge same-token-sequence paths; widen hops with unused liquidity.
 
     Merged hops keep the discovered edges' relative stage-1 weights; every
-    edge added here (parallel pools ranked by spot price, plus shortcut
-    replacements between hub pairs that beat every existing edge) starts at
-    weight zero.  Shortcuts come from the hub core ``core``, which has rows
-    only between hubs.  ``used_pools`` is extended with everything added so
+    edge added here (the best-spot unused parallel pools, plus a shortcut
+    replacement between hub pairs that beats every existing edge) starts at
+    weight zero.  Both are read in the graphs' own edge order, best spot
+    first.  Shortcuts come from the hub core ``core``, which has rows only
+    between hubs.  ``used_pools`` is extended with everything added so
     the solution stays pool-disjoint by construction.
     """
     groups: Dict[Tuple[str, ...], List[int]] = {}
@@ -253,17 +254,14 @@ def merge_and_expand(singles: Sequence[SinglePath],
             candidates = [e for e in g.edges_between(u, v)
                           if e.pool_id not in used_pools
                           and e.pool_id not in present]
-            candidates.sort(key=spot_order)
             for e in candidates[:_N_EXPAND]:
                 hop_edges[j].append(e)
                 hop_w[j].append(0.0)
                 used_pools.add(e.pool_id)
             # offer the best still-unused shortcut that beats every edge
-            # already on the hop; one per hop bounds the simplex size the
-            # same way _N_EXPAND does for parallel pools.  The core lists a
-            # pair's edges in pool-id order, which for its shortcuts is rank
-            # order: build_shortcut_index keeps at most 10 a pair, so ranks
-            # stay one digit and "sc:A>B:<rank>" sorts by rank.
+            # already on the hop, the first eligible one in the core's spot
+            # order; one per hop bounds the simplex size the same way
+            # _N_EXPAND does for parallel pools
             best_existing = max(e.spot for e in hop_edges[j])
             for sc in core.edges_between(u, v):
                 if not sc.legs or sc.spot <= best_existing:

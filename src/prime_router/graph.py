@@ -4,12 +4,11 @@ Every pool expands into one directed edge per ordered token pair it serves, so
 an n-token pool contributes exactly n*(n-1) edges.  The graph is immutable
 after construction and safe for concurrent read-only queries.
 
-Two adjacency views are kept: ``edges_between`` returns parallel edges in
-pool-id order (the reproducibility contract), while ``out_items`` yields
-per-neighbour candidate lists sorted by descending spot rate, which is what
-the path search wants for its early-stop scan.  A pair joined by one edge
-(most pairs of a real market) shares a single one-edge tuple across both
-views; only parallel edges are sorted twice.
+Edges have one order: a pair's parallel edges are kept best spot rate
+first, ties on pool id (``spot_order``), sorted once at construction.  Every
+reader wants that order: the path search's early-stop scan, stage 2's pick
+of the best unused pools and shortcuts, the shortcut enumeration.  So
+``out_items(u)`` and ``edges_between(u, v)`` return the same tuple object.
 
 Structure rules (unique ids, decimals 0..30, pool shape) live here, per entry
 in ``add_token``/``add_pool``, which ``io`` also calls; the ``cfmm``
@@ -134,7 +133,7 @@ class Edge:
 
 
 def spot_order(e: Edge) -> Tuple[float, str]:
-    """Search order of parallel candidates: best spot rate first, then pool id."""
+    """The graph's one edge order: best spot rate first, then pool id."""
     return (-e.spot, e.pool_id)
 
 
@@ -146,27 +145,22 @@ class SwapGraph:
         self._tokens = dict(tokens)
         self._pools = dict(pools)
         by_pair: Dict[str, Dict[str, List[Edge]]] = {}
-        n_edges = 0
         for e in edges:
             by_pair.setdefault(e.token_in, {}).setdefault(e.token_out, []).append(e)
-            n_edges += 1
-        self._edge_count = n_edges
-        self._adj: Dict[str, Dict[str, Tuple[Edge, ...]]] = {}
-        self._search: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]] = {}
-        for u in sorted(by_pair):
-            pair_map = {}
-            search_items = []
-            for v in sorted(by_pair[u]):
-                es = by_pair[u][v]
-                if len(es) == 1:
-                    by_id = by_spot = tuple(es)
-                else:
-                    by_id = tuple(sorted(es, key=lambda e: e.pool_id))
-                    by_spot = tuple(sorted(es, key=spot_order))
-                pair_map[v] = by_id
-                search_items.append((v, by_spot))
-            self._adj[u] = pair_map
-            self._search[u] = tuple(search_items)
+        # most pairs of a real market have one edge: nothing to sort
+        self._index({u: tuple([(v, tuple(es) if len(es) == 1
+                                else tuple(sorted(es, key=spot_order)))
+                               for v, es in sorted(row.items())])
+                     for u, row in sorted(by_pair.items())})
+
+    def _index(self, rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]]
+               ) -> None:
+        """Keep ``rows`` (tokens in id order, edges in spot order) and derive
+        the pair lookup and the edge count from them."""
+        self._rows = rows
+        self._pairs = {u: dict(items) for u, items in rows.items()}
+        self._edge_count = sum(sum(map(len, pair_map.values()))
+                               for pair_map in self._pairs.values())
 
     @property
     def tokens(self) -> Dict[str, Token]:
@@ -187,12 +181,13 @@ class SwapGraph:
         return self._edge_count
 
     def edges_between(self, u: str, v: str) -> Tuple[Edge, ...]:
-        """All directed edges u -> v, in pool-id order."""
-        return self._adj.get(u, {}).get(v, ())
+        """All directed edges u -> v, best spot rate first, ties on pool id:
+        the tuple ``out_items(u)`` pairs with ``v``."""
+        return self._pairs.get(u, {}).get(v, ())
 
     def out_items(self, u: str) -> Tuple[Tuple[str, Tuple[Edge, ...]], ...]:
-        """(neighbour, candidates sorted by spot desc) pairs, neighbour-sorted."""
-        return self._search.get(u, ())
+        """(neighbour, ``edges_between(u, neighbour)``) pairs, neighbour-sorted."""
+        return self._rows.get(u, ())
 
 
 def _expand_pool(pool: Pool) -> List[Edge]:
@@ -288,19 +283,13 @@ def _subgraph(g: SwapGraph, tokens: Set[str]) -> SwapGraph:
     sub._tokens = {t: g._tokens[t] for t in sorted(tokens)}
     sub._pools = {pid: p for pid, p in g._pools.items()
                   if all(t in tokens for t in p.tokens)}
-    sub._adj = {}
-    sub._search = {}
-    n_edges = 0
-    for u, pair_map in g._adj.items():
-        if u not in tokens:
-            continue
-        kept = {v: es for v, es in pair_map.items() if v in tokens}
-        if kept:
-            sub._adj[u] = kept
-            sub._search[u] = tuple(item for item in g._search[u]
-                                   if item[0] in kept)
-            n_edges += sum(map(len, kept.values()))
-    sub._edge_count = n_edges
+    rows = {}
+    for u, items in g._rows.items():
+        if u in tokens:
+            kept = tuple(item for item in items if item[0] in tokens)
+            if kept:
+                rows[u] = kept
+    sub._index(rows)
     return sub
 
 

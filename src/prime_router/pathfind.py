@@ -74,7 +74,6 @@ class SinglePath:
 
     edges: Tuple[Edge, ...]
     output: int
-    average_rate: float
     spot_rate: float
 
     @property
@@ -256,8 +255,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     spot = 1.0
     for e in edges:
         spot *= e.spot
-    return SinglePath(edges=edges, output=out, average_rate=out / amount,
-                      spot_rate=spot)
+    return SinglePath(edges=edges, output=out, spot_rate=spot)
 
 
 def simulate_chain(edges: Sequence[Edge], amount: int) -> Optional[int]:

@@ -3,13 +3,14 @@
 The engine searches a core of hub tokens (plus the query endpoints), which is
 where almost all viable routes live.  Better prices that detour through a
 non-hub token are captured separately: for every ordered hub pair we
-pre-enumerate short paths whose interior vertices are all non-hubs and keep
-the few with the best zero-input rate.  Each kept "shortcut" is built here,
-once, as a composite edge from hub to hub whose legs are its pools' edges,
-with the pool id ``sc:<hub_in>><hub_out>:<rank>`` (rank 0 is the best).  The
-hub core is their one home: the path search walks it, and stage 2's hop
-widening and the execution plan use the same edge objects.  Using one costs
-the search one hop.
+pre-enumerate paths with at most ``MAX_INTERMEDIATES`` interior vertices, all
+non-hubs, and keep the ``TOP_S`` with the best zero-input rate.  Each kept
+"shortcut" is built here, once, as a composite edge from hub to hub whose
+legs are its pools' edges, with the pool id ``sc:<hub_in>><hub_out>:<rank>``
+(rank 0 is the best).  The hub core is their one home: the path search walks
+it, and stage 2's hop widening and the execution plan use the same edge
+objects, in the core's spot order like any other edge.  Using one costs the
+search one hop.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .cfmm import SequentialComposite
 from .errors import InvalidParamsError
 from .graph import Edge, SwapGraph
+
+# interior (non-hub) tokens a shortcut may pass through
+MAX_INTERMEDIATES = 2
+# shortcuts kept per ordered hub pair
+TOP_S = 3
 
 
 def select_hubs(g: SwapGraph, k: int,
@@ -43,9 +49,9 @@ def select_hubs(g: SwapGraph, k: int,
     return tuple(ranked[:min(k, len(ranked))])
 
 
-def _extend(g: SwapGraph, exits, hub_set, max_intermediates: int, top_s: int,
-            found, h_in: str, node: str, edges: Tuple[Edge, ...], rate: float,
-            seen: Tuple[str, ...], pools: Tuple[str, ...]) -> None:
+def _extend(g: SwapGraph, exits, hub_set, found, h_in: str, node: str,
+            edges: Tuple[Edge, ...], rate: float, seen: Tuple[str, ...],
+            pools: Tuple[str, ...]) -> None:
     """Record every hub reached from ``node`` through non-hubs in ``found``.
 
     ``rate`` is the spot product of ``edges``, multiplied left to right.  At
@@ -54,7 +60,7 @@ def _extend(g: SwapGraph, exits, hub_set, max_intermediates: int, top_s: int,
     module-level recursion, not a closure: a closure that calls itself sits
     in a reference cycle and would pin ``g`` and ``found`` until a full GC.
     """
-    deeper = len(seen) < max_intermediates
+    deeper = len(seen) < MAX_INTERMEDIATES
     for v, candidates in g.out_items(node) if deeper else exits[node]:
         if v == h_in or v in seen:
             continue
@@ -68,30 +74,22 @@ def _extend(g: SwapGraph, exits, hub_set, max_intermediates: int, top_s: int,
                 bucket = found.setdefault((h_in, v), [])
                 bucket.append((-(rate * e.spot), pools + (e.pool_id,),
                                edges + (e,)))
-                if len(bucket) > 4 * top_s:
+                if len(bucket) > 4 * TOP_S:
                     bucket.sort()
-                    del bucket[top_s:]
+                    del bucket[TOP_S:]
             else:
-                _extend(g, exits, hub_set, max_intermediates, top_s, found,
-                        h_in, v, edges + (e,), rate * e.spot, seen + (v,),
-                        pools + (e.pool_id,))
+                _extend(g, exits, hub_set, found, h_in, v, edges + (e,),
+                        rate * e.spot, seen + (v,), pools + (e.pool_id,))
 
 
-def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
-                         max_intermediates: int = 2,
-                         top_s: int = 3) -> Tuple[Edge, ...]:
-    """Depth-bounded enumeration of hub-to-hub paths through non-hub tokens.
+def build_shortcut_index(g: SwapGraph, hubs: Sequence[str]) -> Tuple[Edge, ...]:
+    """Enumeration of hub-to-hub paths through at most ``MAX_INTERMEDIATES``
+    non-hub tokens.
 
-    Keeps the top_s (1 to 10) candidates per ordered hub pair by the
-    product of zero-input edge rates, ties broken on the pool-id sequence,
-    each as its composite edge; a pair's edges are adjacent, in rank order.
+    Keeps the ``TOP_S`` candidates per ordered hub pair by the product of
+    zero-input edge rates, ties broken on the pool-id sequence, each as its
+    composite edge; a pair's edges are adjacent, in rank order.
     """
-    if max_intermediates < 1:
-        raise InvalidParamsError("max_intermediates must be >= 1")
-    # stage 2 reads a pair's shortcuts in pool-id order, which is rank order
-    # only while the rank in "sc:A>B:<rank>" is one digit
-    if not 1 <= top_s <= 10:
-        raise InvalidParamsError("top_s must be in 1..10")
     hub_set = set(hubs)
     # each non-hub token's hub neighbours, split from its row once
     exits = {u: tuple(item for item in g.out_items(u) if item[0] in hub_set)
@@ -102,8 +100,8 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
             if v in hub_set:
                 continue
             for e in candidates:
-                _extend(g, exits, hub_set, max_intermediates, top_s, found,
-                        h, v, (e,), e.spot, (v,), (e.pool_id,))
+                _extend(g, exits, hub_set, found, h, v, (e,), e.spot, (v,),
+                        (e.pool_id,))
 
     shortcuts: List[Edge] = []
     while found:
@@ -113,5 +111,5 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str],
         shortcuts.extend(
             Edge(f"sc:{h_in}>{h_out}:{rank}", h_in, h_out,
                  SequentialComposite(tuple(e.fn for e in legs)), legs=legs)
-            for rank, (_, _, legs) in enumerate(bucket[:top_s]))
+            for rank, (_, _, legs) in enumerate(bucket[:TOP_S]))
     return tuple(shortcuts)

@@ -48,6 +48,14 @@ class TestBestSinglePath:
         with pytest.raises(NoRouteError):
             best_single_path(g, query(s="T0", t="T2"))
 
+    @pytest.mark.parametrize("s,t", [("T9", "T1"), ("T0", "T9")],
+                             ids=["source", "target"])
+    def test_endpoint_not_in_graph_raises(self, s, t):
+        g = build_graph(tokens(2), [cp_pool("P0", "T0", "T1", 10, 10)])
+        with pytest.raises(NoRouteError,
+                           match="^source or target token not in graph$"):
+            best_single_path(g, query(s=s, t=t))
+
 
 class TestGridOracle:
     def test_two_identical_paths(self):

@@ -199,8 +199,10 @@ class TestComposite:
     (lambda: PiecewiseLiquidity((Segment(10, 100, 0),), 0),
      "segments[0] fields must be strictly positive"),
     (lambda: SequentialComposite(()), "composite needs at least one part"),
+    (lambda: ConstantProduct(100, 100, 0).marginal_price(-1.0),
+     "operating point must be non-negative"),
 ], ids=["no_segments", "17_segments", "zero_capacity", "zero_reserve_in",
-        "zero_reserve_out", "empty_composite"])
+        "zero_reserve_out", "empty_composite", "negative_point"])
 def test_malformed_curve_is_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

@@ -543,7 +543,7 @@ class TestShortcuts:
 
     def test_stage2_offers_the_best_ranked_shortcut(self):
         # two detours beat DIRECT; the better one runs through the pools
-        # whose ids sort last, so only rank order picks it
+        # whose ids sort last, so only the core's spot order picks it
         g = build_graph(tokens(4), [
             cp_pool("DIRECT", "T0", "T1", 10**7, 10**7, fee=30),
             cp_pool("A1", "T0", "T3", 10**12, 10**12, fee=5),

@@ -13,14 +13,19 @@ from prime_router.errors import (
     MalformedSnapshotError,
     ParseError,
 )
-from prime_router.graph import Token, build_graph, prune_leaf_tokens
+from prime_router.graph import build_graph, prune_leaf_tokens
 from prime_router.io import (
     dumps_snapshot,
     generate_synthetic,
     load_snapshot,
     loads_snapshot,
 )
-from prime_router.preprocess import build_shortcut_index, select_hubs
+from prime_router.preprocess import (
+    MAX_INTERMEDIATES,
+    TOP_S,
+    build_shortcut_index,
+    select_hubs,
+)
 
 from instances import by_pair, cp_pool, random_cp_graph, tokens
 
@@ -111,7 +116,7 @@ class TestShortcutIndex:
             pools.append(cp_pool(f"A{i}", "T0", "T2", 100, r))
             pools.append(cp_pool(f"B{i}", "T2", "T1", 100, 100))
         g = build_graph(toks, pools)
-        shortcuts = by_pair(build_shortcut_index(g, ("T0", "T1"), top_s=3))[
+        shortcuts = by_pair(build_shortcut_index(g, ("T0", "T1")))[
             ("T0", "T1")]
         assert len(shortcuts) == 3
         assert [s.pool_id for s in shortcuts] == [
@@ -147,16 +152,15 @@ class TestShortcutIndex:
             n = rng.randint(4, 12)
             g = random_cp_graph(rng, n, rng.randint(n - 1, 18))
             hubs = select_hubs(g, rng.randint(2, 3))
-            max_mid, top_s = 2, 3
-            built = by_pair(build_shortcut_index(g, hubs, max_mid, top_s))
-            brute = exhaustive_shortcuts(g, hubs, max_mid)
+            built = by_pair(build_shortcut_index(g, hubs))
+            brute = exhaustive_shortcuts(g, hubs, MAX_INTERMEDIATES)
             assert set(built) <= set(brute)
             for pair, combos in brute.items():
                 ranked = sorted(
                     ((spot_product(c), tuple(e.pool_id for e in c)) for c in combos),
                     key=lambda item: (-item[0], item[1]))
                 got = [(s.spot, s.pool_ids) for s in built.get(pair, ())]
-                want = ranked[:top_s]
+                want = ranked[:TOP_S]
                 assert len(got) == len(want)
                 for (gr, gp), (wr, wp) in zip(got, want):
                     assert gp == wp
@@ -165,17 +169,16 @@ class TestShortcutIndex:
     @pytest.mark.parametrize("seed,n_tokens,n_pools,k,max_mid,top_s,digest", [
         (7, 400, 1200, 12, 2, 3,
          "31036ac780da8cd725f5058c6e71735eb41ce06fd606a7287094caf757e169e1"),
-        (8, 200, 700, 8, 3, 2,
-         "c831c4490d1e5c28e7c3f31d4df67bbd28bbe7b1c99a3ddbb12f923b2bcf18c5"),
     ])
     def test_golden_index(self, seed, n_tokens, n_pools, k, max_mid, top_s,
                           digest):
         # digest of the pairs, pool ids and exact spot rates the shortcuts
-        # had before the enumeration carried its rate down the search
+        # had before the enumeration carried its rate down the search; it
+        # holds only at the depth and count it was pinned at
+        assert (MAX_INTERMEDIATES, TOP_S) == (max_mid, top_s)
         g = generate_synthetic(seed, n_tokens, n_pools).build_graph()
         hubs = select_hubs(g, k)
-        built = by_pair(build_shortcut_index(prune_leaf_tokens(g, hubs), hubs,
-                                             max_mid, top_s))
+        built = by_pair(build_shortcut_index(prune_leaf_tokens(g, hubs), hubs))
         h = hashlib.sha256()
         for pair, shortcuts in built.items():
             for sc in shortcuts:
@@ -184,33 +187,9 @@ class TestShortcutIndex:
         assert h.hexdigest() == digest
 
 
-    def test_ten_shortcuts_sort_by_rank(self):
-        # eleven detours T0 -> Mi -> T1, each worse than the last; at the
-        # largest top_s a pair's ids still sort in rank order, which is the
-        # order stage 2 reads them from the core
-        toks = tokens(2) + [Token(f"M{i}", f"MID{i}", 18) for i in range(11)]
-        pools = [p for i in range(11) for p in (
-            cp_pool(f"A{i}", "T0", f"M{i}", 10**9, 10**9 - 10**6 * i),
-            cp_pool(f"B{i}", f"M{i}", "T1", 10**9, 10**9))]
-        built = build_shortcut_index(build_graph(toks, pools), ("T0", "T1"),
-                                     top_s=10)
-        row = by_pair(built)[("T0", "T1")]
-        assert [sc.pool_id for sc in row] == [
-            f"sc:T0>T1:{rank}" for rank in range(10)]
-        assert [sc.pool_ids[0] for sc in row] == [f"A{i}" for i in range(10)]
-        assert sorted(row, key=lambda sc: sc.pool_id) == list(row)
-
-
 @pytest.mark.parametrize("call,message", [
     (lambda g: select_hubs(g, 0), "hub count must be >= 1"),
-    (lambda g: build_shortcut_index(g, ("T0",), max_intermediates=0),
-     "max_intermediates must be >= 1"),
-    (lambda g: build_shortcut_index(g, ("T0",), top_s=0),
-     "top_s must be in 1..10"),
-    # an 11th shortcut's id "sc:A>B:10" would sort before "sc:A>B:2"
-    (lambda g: build_shortcut_index(g, ("T0",), top_s=11),
-     "top_s must be in 1..10"),
-], ids=["no_hubs", "no_intermediates", "top_s_0", "top_s_11"])
+], ids=["no_hubs"])
 def test_out_of_range_parameter_is_rejected(call, message):
     g = build_graph(tokens(2), [cp_pool("P0", "T0", "T1", 10, 10)])
     with pytest.raises(InvalidParamsError, match=f"^{message}$"):
@@ -224,13 +203,13 @@ def _index_rows(shortcuts):
             for pair, row in by_pair(shortcuts).items()]
 
 
-# (seed, tokens, pools, hubs, max_intermediates); the first three markets sit
-# near the spanning-tree floor, so most non-hub tokens are leaves
-@pytest.mark.parametrize("seed,n_tokens,n_pools,k,max_mid", [
-    (1, 300, 330, 10, 2), (2, 300, 320, 6, 3), (4, 200, 230, 10, 2),
-    (7, 400, 1200, 12, 2), (8, 200, 700, 8, 3),
+# (seed, tokens, pools, hubs); the first three markets sit near the
+# spanning-tree floor, so most non-hub tokens are leaves
+@pytest.mark.parametrize("seed,n_tokens,n_pools,k", [
+    (1, 300, 330, 10), (2, 300, 320, 6), (4, 200, 230, 10),
+    (7, 400, 1200, 12), (8, 200, 700, 8),
 ])
-def test_index_ignores_leaf_tokens(seed, n_tokens, n_pools, k, max_mid):
+def test_index_ignores_leaf_tokens(seed, n_tokens, n_pools, k):
     # stage 0 builds the shortcuts over the full graph: a token the leaf
     # prune drops hangs off the rest by one neighbour, so no shortcut passes
     # through it, and the shortcuts are the same edge for edge
@@ -238,10 +217,9 @@ def test_index_ignores_leaf_tokens(seed, n_tokens, n_pools, k, max_mid):
     hubs = select_hubs(g, k)
     pruned = prune_leaf_tokens(g, hubs)
     assert len(pruned.tokens) < len(g.tokens)
-    full = build_shortcut_index(g, hubs, max_mid)
+    full = build_shortcut_index(g, hubs)
     assert len(full) > 0
-    assert _index_rows(full) == _index_rows(
-        build_shortcut_index(pruned, hubs, max_mid))
+    assert _index_rows(full) == _index_rows(build_shortcut_index(pruned, hubs))
 
 
 def test_stage0_prunes_only_when_asked(monkeypatch):
