@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 
 from .allocation import AsgmParams, asgm, objective
 from .baselines import best_single_path
-from .engine import RouteQuery, prepare_routing, prime
+from .engine import RouteQuery, RouteStats, prepare_routing, prime
 from .errors import InvalidParamsError, NoRouteError, RoutingError
 from . import io as pio
 
@@ -28,6 +28,13 @@ EXIT_ERROR = 1
 EXIT_NO_ROUTE = 2
 
 ALGORITHMS = ("prime", "osp")
+
+# the bench CSV's columns: these, then every scalar RouteStats field, named
+# as in the result JSON's stats
+_BENCH_COLUMNS = ["snapshot", "source", "target", "amount", "algorithm",
+                  "repetition", "output", "bp_vs_baseline", "wall_time_ms"]
+_STAT_COLUMNS = [name for name, value in vars(RouteStats()).items()
+                 if not isinstance(value, list)]
 
 
 def _setup_logging() -> None:
@@ -175,22 +182,12 @@ def cmd_bench(args) -> int:
                 "output": str(sol.total_output),
                 "bp_vs_baseline": f"{bp:.2f}",
                 "wall_time_ms": f"{elapsed:.3f}",
-                "iterations": sol.stats.asgm_iterations,
-                "queue_pushes": sol.stats.queue_pushes,
-                "queue_pops": sol.stats.queue_pops,
-                "swap_evals": sol.stats.swap_evals,
-                "paths_discovered": sol.stats.paths_discovered,
-                "converged": sol.stats.converged,
-                "fallback": sol.stats.fallback,
+                **{name: getattr(sol.stats, name) for name in _STAT_COLUMNS},
             })
             if args.trace_dir and sol.trace:
                 name = f"trace_{os.path.basename(snap_path)}_{algo}_{amount}_{rep}.csv"
                 pio.write_trace_csv(sol.trace, os.path.join(args.trace_dir, name))
-    _write_csv(rows, args.out,
-               ["snapshot", "source", "target", "amount", "algorithm",
-                "repetition", "output", "bp_vs_baseline", "wall_time_ms",
-                "iterations", "queue_pushes", "queue_pops", "swap_evals",
-                "paths_discovered", "converged", "fallback"])
+    _write_csv(rows, args.out, _BENCH_COLUMNS + _STAT_COLUMNS)
     return EXIT_OK
 
 
@@ -281,24 +278,28 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="prime-router")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the query options route and bench share
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--max-hops", type=int, default=3)
+    query.add_argument("--hubs", default=None,
+                       help="hub count or explicit comma-separated token ids")
+    query.add_argument("--alpha", type=float, default=1e-4)
+    query.add_argument("--beta", type=float, default=0.5)
+    query.add_argument("--no-shortcuts", action="store_true")
 
-    route = sub.add_parser("route", help="solve one routing query")
+    route = sub.add_parser("route", parents=[query],
+                           help="solve one routing query")
     route.add_argument("--snapshot", required=True)
     route.add_argument("--from", dest="source", required=True)
     route.add_argument("--to", dest="target", required=True)
     route.add_argument("--amount", required=True)
     route.add_argument("--algo", choices=ALGORITHMS, default="prime")
-    route.add_argument("--max-hops", type=int, default=3)
-    route.add_argument("--hubs", default=None,
-                       help="hub count or explicit comma-separated token ids")
-    route.add_argument("--alpha", type=float, default=1e-4)
-    route.add_argument("--beta", type=float, default=0.5)
     route.add_argument("--trace", default=None,
                        help="write the allocator trace CSV here")
-    route.add_argument("--no-shortcuts", action="store_true")
     route.set_defaults(func=cmd_route)
 
-    bench = sub.add_parser("bench", help="benchmark algorithms on snapshots")
+    bench = sub.add_parser("bench", parents=[query],
+                           help="benchmark algorithms on snapshots")
     bench.add_argument("--snapshot", action="append", required=True)
     bench.add_argument("--from", dest="source", required=True)
     bench.add_argument("--to", dest="target", required=True)
@@ -310,13 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "decimals")
     bench.add_argument("--algos", default="prime,osp")
     bench.add_argument("--repetitions", type=int, default=1)
-    bench.add_argument("--max-hops", type=int, default=3)
-    bench.add_argument("--hubs", default=None)
-    bench.add_argument("--alpha", type=float, default=1e-4)
-    bench.add_argument("--beta", type=float, default=0.5)
     bench.add_argument("--out", default=None, help="CSV path (default stdout)")
     bench.add_argument("--trace-dir", default=None)
-    bench.add_argument("--no-shortcuts", action="store_true")
     bench.add_argument("--ablate", action="store_true",
                        help="sweep (alpha, beta) on a fixed path set")
     bench.add_argument("--alphas", default="0.0001")

@@ -199,12 +199,12 @@ def _query_overlay(prep: PreparedRouting, source: str, target: str) -> _Overlay:
                  if v in keep]
         rows[source] = tuple(items)
     if target not in hub_set:
-        # target gains inbound edges from every core vertex
-        for u in list(hub_set | {source}):
+        # every hub gains its edges into the target; a non-hub source has them
+        for u in prep.hubs:
             extra = g.edges_between(u, target)
             if not extra:
                 continue
-            existing = {v: c for v, c in rows.get(u, ())}
+            existing = dict(rows[u])
             existing[target] = extra
             rows[u] = tuple(sorted(existing.items()))
     return _Overlay(rows)
@@ -227,9 +227,10 @@ def merge_and_expand(singles: Sequence[SinglePath],
     replacement between hub pairs that beats every existing edge) starts at
     weight zero.  Both are read in the graphs' own edge order, best spot
     first.  Shortcuts come from the hub core ``core``, which has rows only
-    between hubs.  ``used_pools`` is extended with everything added so
-    the solution stays pool-disjoint by construction.
+    between hubs.  ``used_pools`` gains the paths' pools and everything
+    added, so the solution stays pool-disjoint by construction.
     """
+    used_pools.update(*(sp.pool_ids for sp in singles))
     groups: Dict[Tuple[str, ...], List[int]] = {}
     for i, sp in enumerate(singles):
         groups.setdefault(sp.tokens, []).append(i)
@@ -250,10 +251,8 @@ def merge_and_expand(singles: Sequence[SinglePath],
                 hop_w[j].append(m / total)
         for j in range(n_hops):
             u, v = token_seq[j], token_seq[j + 1]
-            present = {pid for e in hop_edges[j] for pid in e.pool_ids}
             candidates = [e for e in g.edges_between(u, v)
-                          if e.pool_id not in used_pools
-                          and e.pool_id not in present]
+                          if e.pool_id not in used_pools]
             for e in candidates[:_N_EXPAND]:
                 hop_edges[j].append(e)
                 hop_w[j].append(0.0)

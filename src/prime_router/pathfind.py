@@ -125,14 +125,16 @@ class SearchContext:
 def _rate_table(view, target: str, max_hops: int) -> List[Dict[str, float]]:
     """``rate[r][v]``: best spot-rate product over walks v -> target, <= r hops.
 
-    Rows run from r = 0 (the target alone, at 1) to ``max_hops - 1``, the
-    most hops a successor of the source has left.  A token that cannot reach
-    the target within r hops is absent from row r.
+    Rows run from r = 0 (the target alone, at 1) to ``limit - 1``, the most
+    hops a successor of the source has left; ``limit`` is ``max_hops``
+    capped at the view's token count, which no simple path exceeds.  A
+    token that cannot reach the target within r hops is absent from row r.
     """
-    arcs = [(u, v, candidates[0].spot) for u in view.token_ids()
+    tokens = view.token_ids()
+    arcs = [(u, v, candidates[0].spot) for u in tokens
             if u != target for v, candidates in view.out_items(u)]
     rate = [{target: 1.0}]
-    for _ in range(1, max_hops):
+    for _ in range(1, min(max_hops, len(tokens))):
         prev = rate[-1]
         row = dict(prev)
         for u, v, spot in arcs:
@@ -173,6 +175,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                          "or max_hops")
     rate = context.rate
     quotes = context.quotes
+    limit = len(rate)  # max_hops, capped at the view's token count
     # frontier[v][h] = best amount recorded at v with at most h hops
     frontier = {}
     best_target = 0
@@ -191,8 +194,8 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                 best_state = (edges, cur)
             continue
         hops = len(edges)
-        # row 0 holds only the target, so no state past max_hops is queued
-        reach = rate[max_hops - hops - 1]
+        # row 0 holds only the target, so no state past the limit is queued
+        reach = rate[limit - hops - 1]
         for v, candidates in view.out_items(token):
             v_rate = reach.get(v)
             if v_rate is None or v in visited:
@@ -240,9 +243,9 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                     lim = out
             else:
                 if levels is None:
-                    levels = [0] * (max_hops + 1)
+                    levels = [0] * (limit + 1)
                     frontier[v] = levels
-                for h in range(hops + 1, max_hops + 1):
+                for h in range(hops + 1, limit + 1):
                     if out > levels[h]:
                         levels[h] = out
             queue.append((v, out, edges + (edge,), visited + (v,),

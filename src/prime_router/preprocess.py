@@ -3,10 +3,10 @@
 The engine searches a core of hub tokens (plus the query endpoints), which is
 where almost all viable routes live.  Better prices that detour through a
 non-hub token are captured separately: for every ordered hub pair we
-pre-enumerate paths with at most ``MAX_INTERMEDIATES`` interior vertices, all
-non-hubs, and keep the ``TOP_S`` with the best zero-input rate.  Each kept
-"shortcut" is built here, once, as a composite edge from hub to hub whose
-legs are its pools' edges, with the pool id ``sc:<hub_in>><hub_out>:<rank>``
+pre-enumerate the paths whose interior is one or two non-hub tokens, and
+keep the ``TOP_S`` with the best zero-input rate.  Each kept "shortcut" is
+built here, once, as a composite edge from hub to hub whose legs are its
+pools' edges, with the pool id ``sc:<hub_in>><hub_out>:<rank>``
 (rank 0 is the best).  The hub core is their one home: the path search walks
 it, and stage 2's hop widening and the execution plan use the same edge
 objects, in the core's spot order like any other edge.  Using one costs the
@@ -21,8 +21,6 @@ from .cfmm import SequentialComposite
 from .errors import InvalidParamsError
 from .graph import Edge, SwapGraph
 
-# interior (non-hub) tokens a shortcut may pass through
-MAX_INTERMEDIATES = 2
 # shortcuts kept per ordered hub pair
 TOP_S = 3
 
@@ -49,59 +47,61 @@ def select_hubs(g: SwapGraph, k: int,
     return tuple(ranked[:min(k, len(ranked))])
 
 
-def _extend(g: SwapGraph, exits, hub_set, found, h_in: str, node: str,
-            edges: Tuple[Edge, ...], rate: float, seen: Tuple[str, ...],
-            pools: Tuple[str, ...]) -> None:
-    """Record every hub reached from ``node`` through non-hubs in ``found``.
-
-    ``rate`` is the spot product of ``edges``, multiplied left to right.  At
-    the depth limit only hub neighbours can finish a shortcut, so the scan
-    reads ``exits[node]``, the hub part of ``node``'s row, in row order.  A
-    module-level recursion, not a closure: a closure that calls itself sits
-    in a reference cycle and would pin ``g`` and ``found`` until a full GC.
-    """
-    deeper = len(seen) < MAX_INTERMEDIATES
-    for v, candidates in g.out_items(node) if deeper else exits[node]:
-        if v == h_in or v in seen:
-            continue
-        is_hub = v in hub_set
-        for e in candidates:
-            if e.pool_id in pools:
-                continue
-            # all parallel candidates are explored: pool-distinctness
-            # within a shortcut depends on which pool each leg uses
-            if is_hub:
-                bucket = found.setdefault((h_in, v), [])
-                bucket.append((-(rate * e.spot), pools + (e.pool_id,),
-                               edges + (e,)))
-                if len(bucket) > 4 * TOP_S:
-                    bucket.sort()
-                    del bucket[TOP_S:]
-            else:
-                _extend(g, exits, hub_set, found, h_in, v, edges + (e,),
-                        rate * e.spot, seen + (v,), pools + (e.pool_id,))
+def _keep(found, pair: Tuple[str, str], candidate: tuple) -> None:
+    """Add ``(-rate, pools, interior tokens, legs)`` to ``pair``'s bucket,
+    cut to its best ``TOP_S`` past ``4 * TOP_S``.  Candidates that tie on
+    rate and pools differ in their interior, so legs are never compared."""
+    bucket = found.setdefault(pair, [])
+    bucket.append(candidate)
+    if len(bucket) > 4 * TOP_S:
+        bucket.sort()
+        del bucket[TOP_S:]
 
 
 def build_shortcut_index(g: SwapGraph, hubs: Sequence[str]) -> Tuple[Edge, ...]:
-    """Enumeration of hub-to-hub paths through at most ``MAX_INTERMEDIATES``
-    non-hub tokens.
+    """Enumeration of the pool-distinct paths ``h -> a -> H`` and
+    ``h -> a -> b -> H`` between hubs, through one or two non-hubs.
 
-    Keeps the ``TOP_S`` candidates per ordered hub pair by the product of
-    zero-input edge rates, ties broken on the pool-id sequence, each as its
-    composite edge; a pair's edges are adjacent, in rank order.
+    Keeps the ``TOP_S`` per ordered hub pair by the product of zero-input
+    edge rates, multiplied left to right, ties broken on the pool-id
+    sequence and then the interior tokens, each as its composite edge; a
+    pair's edges are adjacent, in rank order.
     """
     hub_set = set(hubs)
     # each non-hub token's hub neighbours, split from its row once
     exits = {u: tuple(item for item in g.out_items(u) if item[0] in hub_set)
              for u in g.tokens if u not in hub_set}
-    found: Dict[Tuple[str, str], List[Tuple[float, Tuple[str, ...], Tuple[Edge, ...]]]] = {}
+    found: Dict[Tuple[str, str], List[tuple]] = {}
     for h in hubs:
-        for v, candidates in g.out_items(h):
-            if v in hub_set:
+        for a, firsts in g.out_items(h):
+            if a in hub_set:
                 continue
-            for e in candidates:
-                _extend(g, exits, hub_set, found, h, v, (e,), e.spot, (v,),
-                        (e.pool_id,))
+            one = (a,)
+            for e1 in firsts:
+                p1 = e1.pool_id
+                for v, seconds in g.out_items(a):
+                    if v == h:
+                        continue
+                    if v in hub_set:
+                        for e2 in seconds:
+                            if e2.pool_id != p1:
+                                _keep(found, (h, v), (-(e1.spot * e2.spot),
+                                      (p1, e2.pool_id), one, (e1, e2)))
+                        continue
+                    two = (a, v)
+                    for e2 in seconds:
+                        p2 = e2.pool_id
+                        if p2 == p1:
+                            continue
+                        rate = e1.spot * e2.spot
+                        for h_out, thirds in exits[v]:
+                            if h_out == h:
+                                continue
+                            for e3 in thirds:
+                                if e3.pool_id != p1 and e3.pool_id != p2:
+                                    _keep(found, (h, h_out), (
+                                        -(rate * e3.spot), (p1, p2, e3.pool_id),
+                                        two, (e1, e2, e3)))
 
     shortcuts: List[Edge] = []
     while found:
@@ -111,5 +111,5 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str]) -> Tuple[Edge, ...]:
         shortcuts.extend(
             Edge(f"sc:{h_in}>{h_out}:{rank}", h_in, h_out,
                  SequentialComposite(tuple(e.fn for e in legs)), legs=legs)
-            for rank, (_, _, legs) in enumerate(bucket[:TOP_S]))
+            for rank, (*_, legs) in enumerate(bucket[:TOP_S]))
     return tuple(shortcuts)

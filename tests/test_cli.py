@@ -303,6 +303,23 @@ class TestBench:
         # best_single_path runs no allocator
         assert flags == {"prime": ("True", "False"), "osp": ("False", "False")}
 
+    def test_header_holds_every_scalar_route_stats_field(self, snapshot_path,
+                                                         tmp_path, capsys):
+        path, source, target = snapshot_path
+        out_csv = tmp_path / "bench.csv"
+        code, _, _ = run_cli(capsys, "bench", "--snapshot", path,
+                             "--from", source, "--to", target,
+                             "--amounts", "1000000", "--algos", "prime",
+                             "--out", str(out_csv))
+        assert code == 0
+        (row,) = csv.DictReader(open(out_csv))
+        scalars = [f.name for f in fields(RouteStats)
+                   if f.type in ("int", "bool")]
+        assert len(scalars) == 9
+        assert list(row)[-len(scalars):] == scalars
+        assert int(row["find_path_calls"]) >= 1
+        assert row["degraded"] == "False"
+
     def test_trace_dir_holds_one_csv_per_prime_case(self, snapshot_path,
                                                     tmp_path, capsys):
         path, source, target = snapshot_path

@@ -437,3 +437,22 @@ class TestSearchContext:
                 find_path(view, "T0", target, 1000, 0.0, max_hops,
                           context=context)
         assert find_path(g, "T0", "T1", 1000, 0.0, 3, context=context)
+
+    def test_hop_limit_caps_at_token_count(self):
+        # no simple path has more hops than the view has tokens, so a larger
+        # max_hops gives the same search and builds no more table rows
+        g = generate_synthetic(3, 40, 120).build_graph()
+        n = len(g.tokens)
+        s, t = sorted(g.tokens)[:2]
+        runs = []
+        for max_hops in (n, 10**9):
+            context = SearchContext(g, t, max_hops)
+            search = SearchStats()
+            found = find_path(g, s, t, 10**15, 0.0, max_hops, stats=search,
+                              context=context)
+            assert len(context.rate) <= n
+            query = RouteQuery(s, t, 10**15, max_hops=max_hops, hub_count=8)
+            runs.append((found, vars(search),
+                         json.dumps(solution_to_dict(prime(g, query)))))
+        assert runs[0][0] is not None
+        assert runs[0] == runs[1]

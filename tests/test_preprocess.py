@@ -13,19 +13,19 @@ from prime_router.errors import (
     MalformedSnapshotError,
     ParseError,
 )
-from prime_router.graph import build_graph, prune_leaf_tokens
+from prime_router.graph import (
+    KIND_CONSTANT_PRODUCT,
+    Pool,
+    build_graph,
+    prune_leaf_tokens,
+)
 from prime_router.io import (
     dumps_snapshot,
     generate_synthetic,
     load_snapshot,
     loads_snapshot,
 )
-from prime_router.preprocess import (
-    MAX_INTERMEDIATES,
-    TOP_S,
-    build_shortcut_index,
-    select_hubs,
-)
+from prime_router.preprocess import TOP_S, build_shortcut_index, select_hubs
 
 from instances import by_pair, cp_pool, random_cp_graph, tokens
 
@@ -91,6 +91,43 @@ def exhaustive_shortcuts(g, hubs, max_intermediates):
     return found
 
 
+def random_mixed_cp_graph(rng, n_tokens, n_pools):
+    """Connected market of constant-product pools of two to four tokens."""
+    toks = tokens(n_tokens)
+    pools = []
+    for i in range(1, n_tokens):
+        members = [rng.randrange(i), i]
+        if i > 1 and rng.random() < 0.4:
+            members.insert(1, rng.choice([j for j in range(i)
+                                          if j != members[0]]))
+        pools.append(members)
+    while len(pools) < n_pools:
+        pools.append(rng.sample(range(n_tokens), rng.choice((2, 3, 4))))
+    return build_graph(toks, [
+        Pool(f"P{i}", KIND_CONSTANT_PRODUCT, tuple(toks[j].id for j in members),
+             rng.choice((0, 5, 30)),
+             tuple(rng.randint(10**6, 10**12) for _ in members))
+        for i, members in enumerate(pools)])
+
+
+def assert_matches_enumeration(g, hubs):
+    """The built shortcuts are the TOP_S best of the brute-force ones per
+    ordered hub pair, by spot product and then pool-id sequence."""
+    built = by_pair(build_shortcut_index(g, hubs))
+    brute = exhaustive_shortcuts(g, hubs, 2)
+    assert set(built) <= set(brute)
+    for pair, combos in brute.items():
+        ranked = sorted(
+            ((spot_product(c), tuple(e.pool_id for e in c)) for c in combos),
+            key=lambda item: (-item[0], item[1]))
+        got = [(s.spot, s.pool_ids) for s in built.get(pair, ())]
+        want = ranked[:TOP_S]
+        assert len(got) == len(want)
+        for (gr, gp), (wr, wp) in zip(got, want):
+            assert gp == wp
+            assert gr == pytest.approx(wr)
+
+
 class TestShortcutIndex:
     def test_definitional_shortcut(self):
         toks = tokens(3)
@@ -151,20 +188,29 @@ class TestShortcutIndex:
         for trial in range(20):
             n = rng.randint(4, 12)
             g = random_cp_graph(rng, n, rng.randint(n - 1, 18))
-            hubs = select_hubs(g, rng.randint(2, 3))
-            built = by_pair(build_shortcut_index(g, hubs))
-            brute = exhaustive_shortcuts(g, hubs, MAX_INTERMEDIATES)
-            assert set(built) <= set(brute)
-            for pair, combos in brute.items():
-                ranked = sorted(
-                    ((spot_product(c), tuple(e.pool_id for e in c)) for c in combos),
-                    key=lambda item: (-item[0], item[1]))
-                got = [(s.spot, s.pool_ids) for s in built.get(pair, ())]
-                want = ranked[:TOP_S]
-                assert len(got) == len(want)
-                for (gr, gp), (wr, wp) in zip(got, want):
-                    assert gp == wp
-                    assert gr == pytest.approx(wr)
+            assert_matches_enumeration(g, select_hubs(g, rng.randint(2, 3)))
+        # a pool of three tokens joins each pair of them, so a leg can reuse
+        # the previous leg's pool; one of four can also rejoin the first leg
+        rng = random.Random(53)
+        for trial in range(40):
+            n = rng.randint(4, 10)
+            g = random_mixed_cp_graph(rng, n, rng.randint(n - 1, 14))
+            assert_matches_enumeration(g, select_hubs(g, rng.randint(2, 3)))
+
+    def test_tied_candidates_break_on_interior_tokens(self):
+        # T0 -> T1 -> T3 and T0 -> T2 -> T3 use the same two pools at the
+        # same spot product: the interior tokens order them
+        pools = [Pool("P1", KIND_CONSTANT_PRODUCT, ("T0", "T1", "T2"), 0,
+                      (10, 20, 20)),
+                 Pool("P2", KIND_CONSTANT_PRODUCT, ("T1", "T2", "T3"), 0,
+                      (20, 20, 10))]
+        g = build_graph(tokens(4), pools)
+        built = by_pair(build_shortcut_index(g, ("T0", "T3")))
+        assert [[leg.token_out for leg in sc.legs[:-1]]
+                for sc in built[("T0", "T3")]] == [["T1"], ["T2"]]
+        assert [sc.pool_ids for sc in built[("T0", "T3")]] == [
+            ("P1", "P2"), ("P1", "P2")]
+        assert len({sc.spot for sc in built[("T0", "T3")]}) == 1
 
     @pytest.mark.parametrize("seed,n_tokens,n_pools,k,max_mid,top_s,digest", [
         (7, 400, 1200, 12, 2, 3,
@@ -175,7 +221,7 @@ class TestShortcutIndex:
         # digest of the pairs, pool ids and exact spot rates the shortcuts
         # had before the enumeration carried its rate down the search; it
         # holds only at the depth and count it was pinned at
-        assert (MAX_INTERMEDIATES, TOP_S) == (max_mid, top_s)
+        assert TOP_S == top_s
         g = generate_synthetic(seed, n_tokens, n_pools).build_graph()
         hubs = select_hubs(g, k)
         built = by_pair(build_shortcut_index(prune_leaf_tokens(g, hubs), hubs))
