@@ -6,9 +6,10 @@ the summed output.  Every weight vector lives on a simplex.  The objective is
 evaluated through exact integer swap math, so accepted optimizer steps never
 lose a unit to drift; marginal prices live in double precision and are only
 compared, never fed back into amounts.  One per-hop evaluator computes every
-integer path output, hop amount and execution-plan step, and one per-hop
-derivative every real-mode marginal price, so the allocator and the emitted
-plan evaluate a path the same way.
+integer path output, hop amount and execution-plan step, so the allocator
+and the emitted plan evaluate a path the same way.  One per-hop derivative
+computes every real-mode marginal price, from one ``real`` call per edge
+that gives the edge's real output and price together.
 
 Inside a hop the split is solved exactly: the optimum equalizes the parallel
 edges' marginal prices, and every curve is a chain of Möbius pieces whose
@@ -106,21 +107,22 @@ def _check_simplex(weights: Sequence[float], what: str) -> None:
         raise ValueError(f"{what}: weights sum to {sum(weights)!r}, expected 1")
 
 
+# the sign step's first trial step, as a fraction of the simplex
+DELTA0 = 0.25
+# sign steps per asgm call
+T_MAX = 1000
+
+
 @dataclass(frozen=True)
 class AsgmParams:
     alpha: float = 1e-4
     beta: float = 0.5
-    delta0: float = 0.25
     delta_min: float = 1e-12
-    t_max: int = 1000
     eps_rel: float = 1e-6
 
     def __post_init__(self):
-        if not isinstance(self.t_max, int) or isinstance(self.t_max, bool):
-            raise TypeError(
-                f"t_max must be an int, got {type(self.t_max).__name__}")
         # a bool would pass the range checks below as 0 or 1
-        for name in ("alpha", "beta", "delta0", "delta_min", "eps_rel"):
+        for name in ("alpha", "beta", "delta_min", "eps_rel"):
             value = getattr(self, name)
             if not isinstance(value, Real) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a real number, "
@@ -129,10 +131,8 @@ class AsgmParams:
             raise InvalidParamsError("alpha must be in (0, 1)")
         if not (0.0 < self.beta < 1.0):
             raise InvalidParamsError("beta must be in (0, 1)")
-        if self.delta0 <= 0.0 or self.delta_min <= 0.0 or self.eps_rel <= 0.0:
-            raise InvalidParamsError("delta0, delta_min and eps_rel must be positive")
-        if self.t_max < 1:
-            raise InvalidParamsError("t_max must be >= 1")
+        if self.delta_min <= 0.0 or self.eps_rel <= 0.0:
+            raise InvalidParamsError("delta_min and eps_rel must be positive")
 
 
 @dataclass(frozen=True)
@@ -272,10 +272,11 @@ def _hop_derivs(hop: Tuple[Edge, ...], weights: Sequence[float],
                 amt: float) -> Tuple[float, float, float]:
     """(receive, give, real output) of one hop fed the real amount ``amt``.
 
-    The give side is the weight-averaged edge marginal price with operating
-    points pulled back to capacity boundaries.  The receive side is what one
-    extra input unit would actually earn: a capacity-saturated edge takes
-    none of it, so it spreads over the open edges by weight.
+    One ``real`` call per edge gives its output and marginal price at its
+    operating point, pulled back to its capacity boundary.  The give side
+    is the weight-averaged edge marginal price.  The receive side is what
+    one extra input unit would actually earn: a capacity-saturated edge
+    takes none of it, so it spreads over the open edges by weight.
     """
     if len(hop) == 1:
         # a lone edge carries the whole amount whatever its weight, as in
@@ -285,13 +286,13 @@ def _hop_derivs(hop: Tuple[Edge, ...], weights: Sequence[float],
     open_derivs = []
     for e, w in zip(hop, weights):
         point, saturated = bounded_point(e.fn, w * amt)
-        d = e.fn.marginal_price(point)
+        edge_out, d = e.fn.real(point)
         give += w * d
         if not saturated:
             recv += w * d
             open_mass += w
             open_derivs.append(d)
-        out += e.fn.out_real(point)
+        out += edge_out
     if open_mass > 0.0:
         recv /= open_mass
     elif open_derivs:
@@ -316,13 +317,6 @@ def path_marginals_real(path: MultiEdgePath,
         recv *= hop_recv
         give *= hop_give
     return recv, give
-
-
-def path_marginal_real(path: MultiEdgePath,
-                       hop_weights: Sequence[Sequence[float]],
-                       a: float) -> float:
-    """Give-side real-mode marginal price (see path_marginals_real)."""
-    return path_marginals_real(path, hop_weights, a)[1]
 
 
 def objective(paths: Sequence[MultiEdgePath],
@@ -368,7 +362,7 @@ def _sign_step(weights: List[float], gain_grads: Sequence[float],
     loss is priced lowest (``_lowest_funded``).  ``gain_grads`` price what a
     coordinate earns when receiving mass (zero for capacity-saturated ones);
     ``loss_grads`` price what giving mass up costs.  Backtracks the step
-    from delta0 until the realized integer gain is at least the
+    from DELTA0 until the realized integer gain is at least the
     alpha-fraction of the predicted first-order gain (the predicted side is
     truncated toward zero before the comparison).  If the best-priced
     coordinate keeps tripping a capacity limit, the next-best one is tried.
@@ -377,7 +371,7 @@ def _sign_step(weights: List[float], gain_grads: Sequence[float],
     """
     plus_order = sorted(range(len(gain_grads)),
                         key=lambda i: (-gain_grads[i], i))
-    top = params.delta0 if delta_start is None else delta_start
+    top = DELTA0 if delta_start is None else delta_start
     for plus in plus_order:
         if plus == minus or gain_grads[plus] <= loss_grads[minus]:
             break
@@ -508,7 +502,7 @@ def optimize_path_edges(path: MultiEdgePath, hop_weights: List[List[float]],
             total = sum(asks)
             weights = [x / total for x in asks]
         filled.append(list(weights))
-        amt = sum(e.fn.out_real(bounded_point(e.fn, x)[0])
+        amt = sum(e.fn.real(bounded_point(e.fn, x)[0])[0]
                   for e, x in zip(hop, xs))
     try:
         new = path_output(path, filled, x_path)
@@ -541,7 +535,7 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
     Starts from the uniform path allocation, relaxes every path's internal
     edge weights each iteration, then rebalances mass between the paths with
     the highest and lowest marginal price until the relative price spread
-    drops under eps_rel, the step underflows (degraded), or t_max is hit.
+    drops under eps_rel, the step underflows (degraded), or T_MAX is hit.
     Returns the allocation, the equalized marginal price, and the trace.
 
     Relaxation and marginal prices are functions of a path's operating point
@@ -588,7 +582,7 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
     last_delta = 0.0
     anneal: Optional[float] = None
     t = 0
-    while t < params.t_max:
+    while t < T_MAX:
         shares = integer_shares(weights, x)
         for i in range(n):
             if has_parallel[i] and shares[i] > 0 and shares[i] != relaxed_at[i]:
@@ -627,9 +621,8 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
         # price gap closes instead of oscillating
         anneal = last_delta * params.beta if j1 == j0 else None
 
-    tau = max(
-        path_marginal_real(paths[i], hop_w[i], weights[i] * x)
-        for i in range(n))
+    tau = max(path_marginals_real(paths[i], hop_w[i], weights[i] * x)[1]
+              for i in range(n))
     allocation = Allocation(tuple(weights),
                             tuple(tuple(tuple(w) for w in hops)
                                   for hops in hop_w))

@@ -18,6 +18,11 @@ Two pool kinds are supported:
 ``SequentialComposite`` chains swap functions back to back and is used for
 shortcut edges that collapse a multi-pool leg sequence into one logical hop.
 
+Each curve has one real-valued method, ``real(x) -> (output, marginal
+price)``: one walk over the pre-floor curve (a piecewise pool's segments, a
+composite's legs), so each boundary and rounded-capacity rule lives in one
+place.
+
 Every curve is a chain of Möbius pieces ``x -> (a*x + b) / (c*x + d)``: one
 for a constant-product pool, one per segment for a piecewise pool, and the
 2x2 matrix products of the legs' active pieces for a composite.  ``pieces``
@@ -72,19 +77,33 @@ def cp_swap_out(reserve_in: int, reserve_out: int, fee_bps: int, x: int) -> int:
     return net * reserve_out // (reserve_in * BPS_DENOM + net)
 
 
-def cp_out_real(reserve_in: int, reserve_out: int, fee_bps: int, x: float) -> float:
-    """Real-valued (pre-floor) constant-product output, used for derivatives."""
-    if x <= 0.0:
-        return 0.0
-    net = x * (BPS_DENOM - fee_bps)
-    return net * reserve_out / (reserve_in * BPS_DENOM + net)
-
-
-def cp_marginal(reserve_in: int, reserve_out: int, fee_bps: int, x: float) -> float:
-    """Analytic derivative of the real-valued constant-product output at x."""
+def cp_real(reserve_in: int, reserve_out: int, fee_bps: int,
+            x: float) -> Tuple[float, float]:
+    """Real-valued (pre-floor) constant-product output at ``x`` and its
+    analytic derivative, the marginal price."""
     k = BPS_DENOM - fee_bps
-    den = reserve_in * BPS_DENOM + k * x
-    return (k * BPS_DENOM * reserve_in * reserve_out) / (den * den)
+    net = x * k
+    den = reserve_in * BPS_DENOM + net
+    return (net * reserve_out / den,
+            (k * BPS_DENOM * reserve_in * reserve_out) / (den * den))
+
+
+def _real_point(x, cap: Optional[int] = None) -> float:
+    """``x`` as a real operating point of a curve with input capacity ``cap``.
+
+    An int point must be a valid amount and is checked against ``cap``
+    exactly; a float point against ``cap`` rounded, so a real probe at the
+    rounded capacity stays inside.  No point may be negative.
+    """
+    if isinstance(x, int):
+        check_amount(x)
+    elif x < 0.0:
+        raise ValueError("operating point must be non-negative")
+    elif cap is not None:
+        cap = float(cap)
+    if cap is not None and x > cap:
+        raise CapacityExceededError("operating point beyond total capacity")
+    return float(x)
 
 
 @dataclass(frozen=True)
@@ -191,16 +210,10 @@ class ConstantProduct:
         check_amount(x)
         return cp_swap_out(self.reserve_in, self.reserve_out, self.fee_bps, x)
 
-    def out_real(self, x: float) -> float:
-        return cp_out_real(self.reserve_in, self.reserve_out, self.fee_bps, x)
-
-    def marginal_price(self, x) -> float:
-        """f'(x); accepts an int or float operating point."""
-        if isinstance(x, int):
-            check_amount(x)
-        elif x < 0.0:
-            raise ValueError("operating point must be non-negative")
-        return cp_marginal(self.reserve_in, self.reserve_out, self.fee_bps, float(x))
+    def real(self, x) -> Tuple[float, float]:
+        """(real output, marginal price) at an int or float point."""
+        return cp_real(self.reserve_in, self.reserve_out, self.fee_bps,
+                       _real_point(x))
 
     def spot_ratio(self) -> Tuple[int, int]:
         """Exact zero-input rate as a (numerator, denominator) pair."""
@@ -281,47 +294,28 @@ class PiecewiseLiquidity:
         raise CapacityExceededError(
             f"input {x} exceeds total capacity {self.input_capacity()}")
 
-    def out_real(self, x: float) -> float:
-        """Real-valued output; as in marginal_price, a point at the rounded
-        total capacity ends on the last segment."""
-        if x > float(self.input_capacity()):
-            raise CapacityExceededError("real input exceeds total capacity")
-        remaining = float(x)
-        out = 0.0
-        for s in self.segments:
-            take = min(remaining, float(s.capacity_in))
-            out += cp_out_real(s.virtual_reserve_in, s.virtual_reserve_out, self.fee_bps, take)
-            remaining -= take
-            if remaining <= 0.0:
-                break
-        return out
+    def real(self, x) -> Tuple[float, float]:
+        """(real output, marginal price) in one walk over the segments.
 
-    def marginal_price(self, x) -> float:
-        """Derivative of the active segment at the local offset.
-
-        An operating point sitting exactly on a boundary belongs to the next
-        segment (the one the next input unit would enter).  A real point at
-        the rounded total capacity belongs to the end of the last segment,
-        even where the rounded segment offsets carry it past that end.
-        Integer points beyond the exact capacity raise.
+        A point sitting exactly on a boundary has the full output of the
+        segments before it and the price of the next segment (the one the
+        next input unit would enter).  A real point at the rounded total
+        capacity ends on the last segment, even where the rounded segment
+        offsets carry it past that end.
         """
-        if isinstance(x, int):
-            check_amount(x)
-            cap = self.input_capacity()
-        else:
-            cap = float(self.input_capacity())
-        if x > cap:
-            raise CapacityExceededError("operating point beyond total capacity")
-        offset = float(x)
-        for s in self.segments[:-1]:
-            cap = float(s.capacity_in)
-            if offset < cap:
-                return cp_marginal(s.virtual_reserve_in, s.virtual_reserve_out,
-                                   self.fee_bps, offset)
-            offset -= cap
-        last = self.segments[-1]
-        return cp_marginal(last.virtual_reserve_in, last.virtual_reserve_out,
-                           self.fee_bps, min(offset, float(last.capacity_in)))
+        offset = _real_point(x, self.input_capacity())
+        out = 0.0
+        last = len(self.segments) - 1
+        for i, s in enumerate(self.segments):
+            width = float(s.capacity_in)
+            if offset < width or i == last:
+                seg_out, price = cp_real(s.virtual_reserve_in,
+                                         s.virtual_reserve_out, self.fee_bps,
+                                         min(offset, width))
+                return out + seg_out, price
+            out += cp_real(s.virtual_reserve_in, s.virtual_reserve_out,
+                           self.fee_bps, width)[0]
+            offset -= width
 
     def spot_ratio(self) -> Tuple[int, int]:
         first = self.segments[0]
@@ -374,22 +368,14 @@ class SequentialComposite:
             cur = fn.swap_out(cur)
         return cur
 
-    def out_real(self, x: float) -> float:
-        # real-mode probes saturate at a leg's capacity instead of failing
-        cur = float(x)
+    def real(self, x) -> Tuple[float, float]:
+        """(real output, marginal price) by the chain rule along one walk;
+        a probe saturates at a leg's capacity instead of failing."""
+        cur, price = _real_point(x), 1.0
         for fn in self.parts:
-            cur = fn.out_real(bounded_point(fn, cur)[0])
-        return cur
-
-    def marginal_price(self, x: float) -> float:
-        # chain rule along the real-valued walk that out_real takes
-        deriv = 1.0
-        cur = float(x)
-        for fn in self.parts:
-            cur = bounded_point(fn, cur)[0]
-            deriv *= fn.marginal_price(cur)
-            cur = fn.out_real(cur)
-        return deriv
+            cur, d = fn.real(bounded_point(fn, cur)[0])
+            price *= d
+        return cur, price
 
     def spot_ratio(self) -> Tuple[int, int]:
         num, den = 1, 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import os
 import sys
@@ -275,7 +276,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: a parser holds reference
+    cycles, and ``parse_args`` keeps no state between calls."""
     parser = _Parser(prog="prime-router")
     sub = parser.add_subparsers(dest="command", required=True)
     # the query options route and bench share

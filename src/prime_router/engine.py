@@ -45,7 +45,7 @@ from .allocation import (
     asgm,
     hop_amounts,
     integer_shares,
-    path_marginal_real,
+    path_marginals_real,
     single_to_multi,
     water_fill,
 )
@@ -376,10 +376,11 @@ def _stage1_fill(singles: Sequence[SinglePath],
     """Path weights, ``tau`` and exact objective of the stage-1 split.
 
     One water-fill over the paths' composite curves equalizes their marginal
-    prices; ``tau`` is the largest.  A composite chains its legs as
-    ``path_output`` and ``path_marginal_real`` chain a path's hops, so both
-    values are the ones ``objective`` and ``asgm`` give.  If the fill fails,
-    the best path, which its search showed can carry ``x``, takes all of it.
+    prices; ``tau`` is the largest, read from each composite's ``real``.  A
+    composite chains its legs as ``path_output`` and ``path_marginals_real``
+    chain a path's hops, so both values are the ones ``objective`` and
+    ``asgm`` give.  If the fill fails, the best path, which its search
+    showed can carry ``x``, takes all of it.
     """
     # a lone path takes the whole amount, and its curve's pieces stay unbuilt
     xs = water_fill(curves, float(x)) if len(curves) > 1 else [1.0]
@@ -388,7 +389,7 @@ def _stage1_fill(singles: Sequence[SinglePath],
         xs = [float(i == best) for i in range(len(singles))]
     total = sum(xs)
     weights = [v / total for v in xs]
-    tau = max(c.marginal_price(w * x) for c, w in zip(curves, weights))
+    tau = max(c.real(w * x)[1] for c, w in zip(curves, weights))
     shares = integer_shares(weights, x)
     return weights, tau, sum(c.swap_out(s)
                              for c, s in zip(curves, shares) if s)
@@ -405,8 +406,8 @@ def single_path_solution(found: SinglePath, query: RouteQuery, algorithm: str,
     path = single_to_multi(found)
     allocation = Allocation((1.0,), (tuple((1.0,) for _ in path.hops),))
     plan, total = build_execution_plan([path], allocation, query.amount)
-    tau = path_marginal_real(path, allocation.edge_weights[0],
-                             float(query.amount))
+    tau = path_marginals_real(path, allocation.edge_weights[0],
+                              float(query.amount))[1]
     return RouteSolution(source=query.source, target=query.target,
                          amount=query.amount, algorithm=algorithm,
                          paths=(path,), allocation=allocation,

@@ -29,10 +29,13 @@ def select_hubs(g: SwapGraph, k: int,
                 explicit: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
     """Pick the top-k hub tokens by incident pool count.
 
-    An explicit list overrides the ranking.  Ties break on token id.
+    An explicit list overrides the ranking; it may not be empty.  Ties
+    break on token id.
     """
     if explicit is not None:
         hubs = tuple(dict.fromkeys(explicit))
+        if not hubs:
+            raise InvalidParamsError("explicit hub list is empty")
         for h in hubs:
             if not g.has_token(h):
                 raise InvalidParamsError(f"explicit hub {h!r} not in graph")

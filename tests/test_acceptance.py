@@ -16,7 +16,7 @@ from prime_router.allocation import (
     AsgmParams,
     asgm,
     objective,
-    path_marginal_real,
+    path_marginals_real,
 )
 from prime_router.baselines import best_single_path
 from prime_router.cfmm import ConstantProduct, PiecewiseLiquidity, Segment
@@ -85,7 +85,7 @@ def test_criterion_1_cfmm_property_suite():
         if out > 10**6:
             h = min(max(1, (r_in + x) // 1000), x)
             fd = (f.swap_out(x + h) - f.swap_out(x - h)) / (2 * h)
-            assert abs(f.marginal_price(x) - fd) <= 1e-5 * abs(fd)
+            assert abs(f.real(x)[1] - fd) <= 1e-5 * abs(fd)
             derivative_checks += 1
     for _ in range(1_000):
         f = _random_piecewise(rng)
@@ -146,8 +146,8 @@ def test_criterion_3_asgm_vs_grid_oracle():
         ref = grid_oracle(paths, x, GridSpec(step=0.001)).output
         worst_ratio = min(worst_ratio, got / ref)
         assert got >= 0.9999 * ref
-        g = [path_marginal_real(p, res.allocation.edge_weights[i],
-                                res.allocation.path_weights[i] * x)
+        g = [path_marginals_real(p, res.allocation.edge_weights[i],
+                                 res.allocation.path_weights[i] * x)[1]
              for i, p in enumerate(paths)]
         funded = [gi for gi, wi in zip(g, res.allocation.path_weights)
                   if wi > 0.0]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from prime_router.allocation import (
     Allocation,
     AsgmParams,
+    DELTA0,
     MultiEdgePath,
     _hop_derivs,
     _renormalize,
@@ -18,7 +19,7 @@ from prime_router.allocation import (
     integer_shares,
     objective,
     optimize_path_edges,
-    path_marginal_real,
+    path_marginals_real,
     path_output,
     water_fill,
 )
@@ -92,13 +93,14 @@ class TestPathMarginal:
         p = single_edge_path("P0", "S", "T", 10**9, 10**9, fee=30)
         a = 10**6
         fn = p.hops[0][0].fn
-        assert path_marginal_real(p, [(1.0,)], a) == fn.marginal_price(a)
+        assert path_marginals_real(p, [(1.0,)], a)[1] == fn.real(a)[1]
 
     def test_unit_spot_chain_at_zero(self):
         e1 = Edge("P0", "S", "M", ConstantProduct(10**6, 10**6, 0))
         e2 = Edge("P1", "M", "T", ConstantProduct(10**6, 10**6, 0))
         p = MultiEdgePath(((e1,), (e2,)))
-        assert path_marginal_real(p, [(1.0,), (1.0,)], 0) == pytest.approx(1.0)
+        assert path_marginals_real(p, [(1.0,), (1.0,)], 0)[1] == \
+            pytest.approx(1.0)
 
     def test_matches_finite_difference(self):
         # oracle: central difference of the integer path output,
@@ -118,7 +120,29 @@ class TestPathMarginal:
             a = rng.randint(10**14, 10**16)
             h = max(1, a // 10**6)
             fd = (path_output(p, hw, a + h) - path_output(p, hw, a - h)) / (2 * h)
-            assert path_marginal_real(p, hw, a) == pytest.approx(fd, rel=1e-4)
+            assert path_marginals_real(p, hw, a)[1] == \
+                pytest.approx(fd, rel=1e-4)
+
+    @pytest.mark.parametrize("n_hops", [2, 3])
+    def test_composite_real_is_the_path_marginal(self, n_hops):
+        # stage 1's tau reads a path's composite curve, and stage 2 and the
+        # single-path tau read the path hop by hop: the two walks must give
+        # the same float.  The first leg is piecewise, so the last point
+        # saturates it
+        rng = random.Random(f"chain-{n_hops}")
+        for _ in range(20):
+            fns = [_random_piecewise(rng, rng.choice((0, 5, 30)))] + [
+                _random_curve(rng, rng.choice(("cp", "piecewise")))
+                for _ in range(n_hops - 1)]
+            tokens = [f"T{i}" for i in range(n_hops + 1)]
+            path = MultiEdgePath(tuple(
+                (Edge(f"P{i}", tokens[i], tokens[i + 1], fn),)
+                for i, fn in enumerate(fns)))
+            composite = SequentialComposite(tuple(fns))
+            cap = float(fns[0].input_capacity())
+            for x in (0.0, cap * rng.uniform(0.01, 0.99), cap, 3.0 * cap):
+                assert composite.real(x)[1] == \
+                    path_marginals_real(path, [(1.0,)] * n_hops, x)[1]
 
 
 class TestObjective:
@@ -227,9 +251,10 @@ class TestAsgm:
         assert abs(sum(w) - 1.0) <= 1e-9
 
     def test_step_floor_exhaustion_sets_degraded_flag(self):
-        # delta_min above every feasible rung: the line search cannot move
+        # delta_min above DELTA0, every feasible rung: the line search
+        # cannot move
         a, b = closed_form_pair()
-        params = AsgmParams(delta0=0.25, delta_min=0.3)
+        params = AsgmParams(delta_min=0.3)
         res = asgm([a, b], 30 * WAD, params)
         assert res.degraded
         assert not res.converged
@@ -245,15 +270,8 @@ class TestAsgm:
         assert hop_w[0] == pytest.approx(1 / 3, abs=1e-3)
         assert hop_w[1] == pytest.approx(2 / 3, abs=1e-3)
 
-    @pytest.mark.parametrize("value", [True, 2.5, "3"])
-    def test_non_int_t_max_is_a_type_error(self, value):
-        # True ran one iteration and 2.5 ran three
-        with pytest.raises(TypeError, match=f"^t_max must be an int, got "
-                                            f"{type(value).__name__}$"):
-            AsgmParams(t_max=value)
-
-    @pytest.mark.parametrize("field", ["alpha", "beta", "delta0",
-                                       "delta_min", "eps_rel"])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "delta_min",
+                                       "eps_rel"])
     @pytest.mark.parametrize("value", [True, "0.1", None])
     def test_non_real_float_field_is_a_type_error(self, field, value):
         # eps_rel=True converged at iteration 0 with the uniform split, and
@@ -262,7 +280,7 @@ class TestAsgm:
                                             f"got {type(value).__name__}$"):
             AsgmParams(**{field: value})
 
-    @pytest.mark.parametrize("field", ["delta0", "delta_min", "eps_rel"])
+    @pytest.mark.parametrize("field", ["delta_min", "eps_rel"])
     def test_int_for_a_float_field_is_accepted(self, field):
         assert getattr(AsgmParams(**{field: 1}), field) == 1
 
@@ -289,15 +307,11 @@ MISUSE = {
                "beta must be in (0, 1)"),
     "beta_1": (lambda: AsgmParams(beta=1.0), InvalidParamsError,
                "beta must be in (0, 1)"),
-    "delta0_0": (lambda: AsgmParams(delta0=0.0), InvalidParamsError,
-                 "delta0, delta_min and eps_rel must be positive"),
     "delta_min_negative": (lambda: AsgmParams(delta_min=-1e-12),
                            InvalidParamsError,
-                           "delta0, delta_min and eps_rel must be positive"),
+                           "delta_min and eps_rel must be positive"),
     "eps_rel_0": (lambda: AsgmParams(eps_rel=0.0), InvalidParamsError,
-                  "delta0, delta_min and eps_rel must be positive"),
-    "t_max_0": (lambda: AsgmParams(t_max=0), InvalidParamsError,
-                "t_max must be >= 1"),
+                  "delta_min and eps_rel must be positive"),
     "path_without_hops": (lambda: MultiEdgePath(()), ValueError,
                           "path needs at least one edge per hop"),
     "path_with_empty_hop": (
@@ -326,8 +340,8 @@ def test_misuse_is_rejected(case):
 
 
 def _marginals(paths, res, x):
-    return [path_marginal_real(p, res.allocation.edge_weights[i],
-                               res.allocation.path_weights[i] * x)
+    return [path_marginals_real(p, res.allocation.edge_weights[i],
+                                res.allocation.path_weights[i] * x)[1]
             for i, p in enumerate(paths)]
 
 
@@ -376,7 +390,7 @@ def _armijo_sign_step(weights, grads, j0, evaluate, params, plus_order,
     for plus in plus_order:
         if plus == minus or grads[plus] <= grads[minus]:
             break
-        delta = min(params.delta0, weights[minus])
+        delta = min(DELTA0, weights[minus])
         cap = delta_cap(plus)
         if cap is not None:
             if cap < params.delta_min:
@@ -429,7 +443,7 @@ def armijo_path_edges(path, hop_weights, x_path, params=AsgmParams()):
                     after *= _hop_derivs(path.hops[k], hop_weights[k],
                                          float(amounts[k]))[0]
                 w = hop_weights[j]
-                g = [e.fn.marginal_price(bounded_point(e.fn, wk * a_j)[0])
+                g = [e.fn.real(bounded_point(e.fn, wk * a_j)[0])[1]
                      for e, wk in zip(hop, w)]
                 open_idx = [i for i in range(len(hop))
                             if caps[i] is None or w[i] * a_j + 1.0 <= caps[i]]
@@ -529,17 +543,17 @@ def _check_kkt(hop, xs, amount):
         cap = fn.input_capacity()
         assert 0.0 <= x and (cap is None or x <= float(cap))
         if x == 0.0:
-            bounds.append((math.inf, fn.marginal_price(0.0)))
+            bounds.append((math.inf, fn.real(0.0)[1]))
             continue
         if cap is not None and x >= float(cap) * (1 - 1e-12):
-            bounds.append((fn.marginal_price(float(cap)), 0.0))
+            bounds.append((fn.real(float(cap))[1], 0.0))
             continue
-        left = fn.marginal_price(x * (1 - 1e-10))
-        right = fn.marginal_price(x * (1 + 1e-10))
+        left = fn.real(x * (1 - 1e-10))[1]
+        right = fn.real(x * (1 + 1e-10))[1]
         if left > right * (1 + 1e-6):
             bounds.append((left, right))  # on a breakpoint
         else:
-            open_prices.append(fn.marginal_price(x))
+            open_prices.append(fn.real(x)[1])
     assert open_prices, "a hop always has an edge strictly inside a piece"
     price = open_prices[0]
     for m in open_prices:

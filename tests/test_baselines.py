@@ -111,11 +111,12 @@ class TestGridOracle:
 
     def test_interior_optimum_prices_nearly_equal(self):
         # empirical optimality condition at the grid optimum
-        from prime_router.allocation import path_marginal_real
+        from prime_router.allocation import path_marginals_real
         a, b = closed_form_pair(scale=10**12)
         x = 30 * 10**12
         res = grid_oracle([a, b], x, GridSpec(step=0.001))
-        g = [path_marginal_real(p, res.edge_weights[i], res.weights[i] * x)
+        g = [path_marginals_real(p, res.edge_weights[i],
+                                 res.weights[i] * x)[1]
              for i, p in enumerate((a, b))]
         # one grid step moves each share by x/1000; bound the price change
         assert abs(g[0] - g[1]) / max(g) < 0.01

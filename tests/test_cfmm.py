@@ -11,7 +11,7 @@ from prime_router.cfmm import (
     PiecewiseLiquidity,
     Segment,
     SequentialComposite,
-    cp_marginal,
+    cp_real,
     cp_swap_out,
 )
 from prime_router.errors import AmountOverflowError, CapacityExceededError
@@ -43,14 +43,15 @@ class TestConstantProduct:
         assert out == 996006
 
     def test_spot_price_no_fee(self):
-        assert ConstantProduct(1000, 1000, 0).marginal_price(0) == 1.0
+        assert ConstantProduct(1000, 1000, 0).real(0)[1] == 1.0
 
     def test_marginal_price_at_reserve(self):
         # 100*100/200^2
-        assert ConstantProduct(100, 100, 0).marginal_price(100) == 0.25
+        assert ConstantProduct(100, 100, 0).real(100)[1] == 0.25
 
     def test_marginal_price_with_fee(self):
-        assert ConstantProduct(10**9, 10**9, 30).marginal_price(0) == pytest.approx(0.997, abs=1e-12)
+        assert ConstantProduct(10**9, 10**9, 30).real(0)[1] == \
+            pytest.approx(0.997, abs=1e-12)
 
     def test_marginal_matches_finite_difference(self):
         # oracle: central difference (step 10^3) on the closed-form curve,
@@ -61,13 +62,13 @@ class TestConstantProduct:
         h = 10**3
         fd = (curve(h) - curve(-h)) / (2 * h)
         f = ConstantProduct(10**9, 10**9, 30)
-        assert f.marginal_price(0) == pytest.approx(fd, rel=1e-6)
-        assert f.marginal_price(0) == pytest.approx(0.997, rel=1e-9)
+        assert f.real(0)[1] == pytest.approx(fd, rel=1e-6)
+        assert f.real(0)[1] == pytest.approx(0.997, rel=1e-9)
 
     def test_spot_and_max_output(self):
         f = ConstantProduct(200, 100, 0)
         assert f.spot_ratio() == (10_000 * 100, 10_000 * 200)
-        assert edge(f).spot == 0.5 == f.marginal_price(0)
+        assert edge(f).spot == 0.5 == f.real(0)[1]
         # the output approaches reserve_out but never reaches it
         g = ConstantProduct(1, 7, 0)
         assert g.swap_out(10**60) == 6
@@ -104,7 +105,7 @@ class TestPiecewise:
     def test_spot_is_first_segment(self):
         f = make_piecewise(fee=30)
         assert f.spot_ratio() == (9_970 * 100, 10_000 * 100)
-        assert edge(f).spot == pytest.approx(f.marginal_price(0), rel=1e-15)
+        assert edge(f).spot == pytest.approx(f.real(0)[1], rel=1e-15)
 
     def test_greedy_fill_matches_manual(self):
         f = make_piecewise()
@@ -121,11 +122,17 @@ class TestPiecewise:
 
     def test_marginal_at_boundary_enters_next_segment(self):
         f = make_piecewise()
-        inside_first = f.marginal_price(49)
-        at_boundary = f.marginal_price(50)
+        inside_first = f.real(49)[1]
+        at_boundary = f.real(50)[1]
         # second segment spot: 66/150 = 0.44
         assert at_boundary == pytest.approx(0.44)
         assert inside_first > at_boundary
+        # one call pairs the first segment's full output with the second
+        # segment's entry price
+        for b in (50, 50.0):
+            assert f.real(b) == (cp_real(100, 100, 0, 50.0)[0],
+                                 cp_real(150, 66, 0, 0.0)[1])
+        assert f.real(50)[0] == pytest.approx(f.swap_out(50), abs=1)
 
     def test_real_point_at_rounded_capacity(self):
         # float(a + b) - float(a) > float(b) for these capacities, so the
@@ -135,18 +142,20 @@ class TestPiecewise:
                                 Segment(b, 2 * 10**21, 10**21)), 0)
         cap = f.input_capacity()
         assert float(cap) - float(a) > float(b)
-        last = f.segments[-1]
-        assert f.marginal_price(float(cap)) == cp_marginal(
-            last.virtual_reserve_in, last.virtual_reserve_out, 0, float(b))
-        assert f.marginal_price(cap) == f.marginal_price(float(cap))
-        assert f.out_real(float(cap)) == pytest.approx(f.swap_out(cap),
-                                                       rel=1e-12)
+        first, last = f.segments
+        out, price = f.real(float(cap))
+        assert price == cp_real(last.virtual_reserve_in,
+                                last.virtual_reserve_out, 0, float(b))[1]
+        assert out == (cp_real(first.virtual_reserve_in,
+                               first.virtual_reserve_out, 0, float(a))[0]
+                       + cp_real(last.virtual_reserve_in,
+                                 last.virtual_reserve_out, 0, float(b))[0])
+        assert out == pytest.approx(f.swap_out(cap), rel=1e-12)
+        assert f.real(cap) == (out, price)
         beyond = float(cap) * (1 + 1e-12)
         for bad in (cap + 1, beyond):
             with pytest.raises(CapacityExceededError):
-                f.marginal_price(bad)
-        with pytest.raises(CapacityExceededError):
-            f.out_real(beyond)
+                f.real(bad)
 
     def test_max_output_is_segment_sum(self):
         # every input up to capacity stays under the spot bound and the sum
@@ -184,7 +193,17 @@ class TestComposite:
     def test_marginal_chain_rule_at_zero(self):
         c = SequentialComposite((ConstantProduct(100, 200, 0),
                                  ConstantProduct(100, 300, 0)))
-        assert c.marginal_price(0) == pytest.approx(6.0)
+        assert c.real(0)[1] == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("fn", [
+        ConstantProduct(100, 100, 0), make_piecewise(),
+        SequentialComposite((ConstantProduct(100, 100, 0),))],
+        ids=["cp", "piecewise", "composite"])
+    def test_real_checks_an_int_point_as_an_amount(self, fn):
+        with pytest.raises(TypeError):
+            fn.real(True)
+        with pytest.raises(AmountOverflowError):
+            fn.real(MAX_UINT256 + 1)
 
 
 @pytest.mark.parametrize("build,message", [
@@ -199,10 +218,15 @@ class TestComposite:
     (lambda: PiecewiseLiquidity((Segment(10, 100, 0),), 0),
      "segments[0] fields must be strictly positive"),
     (lambda: SequentialComposite(()), "composite needs at least one part"),
-    (lambda: ConstantProduct(100, 100, 0).marginal_price(-1.0),
+    (lambda: ConstantProduct(100, 100, 0).real(-1.0),
+     "operating point must be non-negative"),
+    (lambda: make_piecewise().real(-1.0),
+     "operating point must be non-negative"),
+    (lambda: SequentialComposite((make_piecewise(),)).real(-1e-300),
      "operating point must be non-negative"),
 ], ids=["no_segments", "17_segments", "zero_capacity", "zero_reserve_in",
-        "zero_reserve_out", "empty_composite", "negative_point"])
+        "zero_reserve_out", "empty_composite", "negative_point",
+        "negative_point_piecewise", "negative_point_composite"])
 def test_malformed_curve_is_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
@@ -267,7 +291,7 @@ def test_derivative_consistency_randomized():
             continue
         h = min(max(1, (r_in + x) // 1000), x)
         fd = (f.swap_out(x + h) - f.swap_out(x - h)) / (2 * h)
-        assert f.marginal_price(x) == pytest.approx(fd, rel=1e-5)
+        assert f.real(x)[1] == pytest.approx(fd, rel=1e-5)
         checked += 1
 
 
@@ -311,7 +335,7 @@ class TestPieces:
         for x in [1, 10**6] + [rng.randint(1, cap or 10**22) for _ in range(200)]:
             value, price = _piece_at(fn, x)
             assert value == pytest.approx(fn.swap_out(x), rel=1e-12, abs=2)
-            assert price == pytest.approx(fn.marginal_price(float(x)), rel=1e-9)
+            assert price == pytest.approx(fn.real(float(x))[1], rel=1e-9)
 
     def test_pieces_tile_the_domain(self):
         for kind, fn in self.curves().items():

@@ -19,7 +19,7 @@ from prime_router.allocation import (
     AsgmParams,
     asgm,
     objective,
-    path_marginal_real,
+    path_marginals_real,
     single_to_multi,
 )
 from prime_router.baselines import best_single_path
@@ -291,7 +291,7 @@ def check_stage1_splits(g, q):
         hop_w = [[(1.0,)] * len(p.hops) for p in paths]
         assert recorded_obj == objective(paths, weights, hop_w, x)
         assert recorded_tau == tau
-        funded = [path_marginal_real(p, hw, w * x)
+        funded = [path_marginals_real(p, hw, w * x)[1]
                   for p, hw, w in zip(paths, hop_w, weights) if w > 0.0]
         assert max(funded) - min(funded) <= 1e-9 * max(funded)
         assert abs(tau - max(funded)) <= 1e-9 * tau

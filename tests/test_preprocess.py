@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from prime_router import engine, graph as graph_mod, io as io_mod
+from prime_router import cli, engine, graph as graph_mod, io as io_mod
 from prime_router.engine import RouteQuery, prepare_routing
 from prime_router.errors import (
     InvalidParamsError,
@@ -235,7 +235,8 @@ class TestShortcutIndex:
 
 @pytest.mark.parametrize("call,message", [
     (lambda g: select_hubs(g, 0), "hub count must be >= 1"),
-], ids=["no_hubs"])
+    (lambda g: select_hubs(g, 1, explicit=()), "explicit hub list is empty"),
+], ids=["no_hubs", "empty_explicit_hubs"])
 def test_out_of_range_parameter_is_rejected(call, message):
     g = build_graph(tokens(2), [cp_pool("P0", "T0", "T1", 10, 10)])
     with pytest.raises(InvalidParamsError, match=f"^{message}$"):
@@ -321,6 +322,26 @@ def test_cold_path_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_repeated_cli_route_leaves_no_reference_cycles(tmp_path, capsys):
+    # the parser is built once per process; a parser per call left 247
+    # cyclic objects behind on every route
+    snap = generate_synthetic(3, 60, 200)
+    path = tmp_path / "snap.json"
+    path.write_text(dumps_snapshot(snap))
+    ids = sorted(t.id for t in snap.tokens)
+    argv = ["route", "--snapshot", str(path), "--from", ids[0],
+            "--to", ids[1], "--amount", "1000000"]
+    assert cli.main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 STAGE0_BUILDERS = ["load_snapshot", "loads_snapshot", "build_graph",
