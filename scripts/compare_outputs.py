@@ -22,8 +22,10 @@ are newly routed, how many routed results changed beyond their stats, how
 many routed records' work counts (their ``stats``, over the keys both sides
 have) changed, whether stage 0 changed (``stage0_changed``), how many
 stage-1 objectives fell at the same refresh, the work keys only one side
-has, and the work counts per workload, and exits 1 when any output fell (a
-query that stops routing counts as fallen) or any plan failed its audit.
+has, and the mean work counts per workload, pooled over the multiples and
+then per multiple (the benchmark's gated counts are the 1x ones).  It exits
+1 when any output fell (a query that stops routing counts as fallen) or any
+plan failed its audit.
 """
 
 from __future__ import annotations
@@ -162,12 +164,20 @@ def unshared_work_keys(new: dict, old: dict) -> Tuple[List[str], List[str]]:
     return sorted(ours - theirs), sorted(theirs - ours)
 
 
-def work_table(records: Sequence[dict]) -> Dict[str, Dict[str, float]]:
-    """Mean work per routed query of each workload."""
+def multiple_of(key: str) -> int:
+    """The amount multiple a record key ends with (``retail:7:x3`` -> 3)."""
+    return int(key.rsplit(":x", 1)[1])
+
+
+def work_table(records: Sequence[dict], multiple: Optional[int] = None
+               ) -> Dict[str, Dict[str, float]]:
+    """Mean work per routed query of each workload, over every multiple or
+    over the records of one."""
     table: Dict[str, Dict[str, float]] = {}
     for name in WORKLOADS:
         works = [r["work"] for r in records
-                 if r["key"].startswith(name + ":") and r["work"] is not None]
+                 if r["key"].startswith(name + ":") and r["work"] is not None
+                 and multiple in (None, multiple_of(r["key"]))]
         if not works:
             continue
         n = len(works)
@@ -186,12 +196,19 @@ def report(new: dict, old: dict) -> int:
     added, dropped = unshared_work_keys(new, old)
     print(f"work keys added: {' '.join(added) or '-'}; "
           f"dropped: {' '.join(dropped) or '-'}")
-    tables = (work_table(old["records"]), work_table(new["records"]))
-    for name in WORKLOADS:
-        was, now = (t.get(name, {}) for t in tables)
-        cells = [f"{k} {was.get(k, 0):.4g} -> {now.get(k, 0):.4g}"
-                 for k in ("routed", "swap_evals", "pushes", "allocator_steps")]
-        print(f"{name}: " + ", ".join(cells))
+    # pooled over the multiples, then per multiple: the benchmark's gated
+    # work counts are the 1x ones
+    multiples = sorted({multiple_of(r["key"])
+                        for run in (new, old) for r in run["records"]})
+    for label, multiple in [("", None)] + [(f" x{m}", m) for m in multiples]:
+        tables = (work_table(old["records"], multiple),
+                  work_table(new["records"], multiple))
+        for name in WORKLOADS:
+            was, now = (t.get(name, {}) for t in tables)
+            cells = [f"{k} {was.get(k, 0):.6g} -> {now.get(k, 0):.6g}"
+                     for k in ("routed", "swap_evals", "pushes",
+                               "allocator_steps")]
+            print(f"{name}{label}: " + ", ".join(cells))
     return 1 if counts["fallen"] or counts["audit_failed"] else 0
 
 

@@ -51,7 +51,7 @@ from .allocation import (
 )
 from .cfmm import SequentialComposite
 from .errors import InvalidParamsError, NoRouteError
-from .graph import Edge, SwapGraph, gc_paused, prune_leaf_tokens
+from .graph import Edge, SwapGraph, gc_paused, pair_arc, prune_leaf_tokens
 from .pathfind import SearchContext, SearchStats, SinglePath, find_path
 from .preprocess import build_shortcut_index, select_hubs
 
@@ -129,10 +129,15 @@ class RouteSolution:
 
 class _Overlay:
     """Search adjacency: the hub core's rows plus per-query source/target
-    attachments."""
+    attachments, read forward (``out_items``) and backward (``in_arcs``:
+    the core's stage-0 in-arcs plus the attachments' own)."""
 
-    def __init__(self, rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]]):
+    def __init__(self, rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]],
+                 core: SwapGraph,
+                 extra_in: Dict[str, Tuple[Tuple[str, float, int], ...]]):
         self._rows = rows
+        self._core = core
+        self._extra_in = extra_in
 
     def token_ids(self) -> Tuple[str, ...]:
         """Tokens with outgoing edges in this overlay."""
@@ -140,6 +145,11 @@ class _Overlay:
 
     def out_items(self, u: str):
         return self._rows.get(u, ())
+
+    def in_arcs(self, v: str) -> Tuple[Tuple[str, float, int], ...]:
+        arcs = self._core.in_arcs(v)
+        extra = self._extra_in.get(v)
+        return arcs + extra if extra else arcs
 
 
 # the RouteQuery fields that stage 0 is built from
@@ -179,6 +189,7 @@ def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
     core_edges = [e for u in hubs for v, candidates in g.out_items(u)
                   if v in hub_set for e in candidates]
     core_edges.extend(shortcuts)
+    # every query's overlay reads the core's in-arcs, each built once
     core = SwapGraph({h: g.tokens[h] for h in hubs}, {}, core_edges)
     log.debug("prepared routing: %d hubs, %d shortcuts, %d core edges; "
               "hubs %.3fs, shortcuts %.3fs, core rows %.3fs", len(hubs),
@@ -194,12 +205,16 @@ def _query_overlay(prep: PreparedRouting, source: str, target: str) -> _Overlay:
     hub_set = set(prep.hubs)
     keep = hub_set | {target}
     rows = {h: prep.core.out_items(h) for h in prep.hubs}
+    extra_in: Dict[str, List[Tuple[str, float, int]]] = {}
     if source not in hub_set:
         items = [(v, candidates) for v, candidates in g.out_items(source)
                  if v in keep]
         rows[source] = tuple(items)
+        for v, candidates in items:
+            extra_in.setdefault(v, []).append(pair_arc(source, candidates))
     if target not in hub_set:
         # every hub gains its edges into the target; a non-hub source has them
+        into_target = extra_in.setdefault(target, [])
         for u in prep.hubs:
             extra = g.edges_between(u, target)
             if not extra:
@@ -207,7 +222,9 @@ def _query_overlay(prep: PreparedRouting, source: str, target: str) -> _Overlay:
             existing = dict(rows[u])
             existing[target] = extra
             rows[u] = tuple(sorted(existing.items()))
-    return _Overlay(rows)
+            into_target.append(pair_arc(u, extra))
+    return _Overlay(rows, prep.core,
+                    {v: tuple(arcs) for v, arcs in extra_in.items()})
 
 
 # unused parallel pools offered per hop in stage 2, best spot price first

@@ -9,6 +9,13 @@ first, ties on pool id (``spot_order``), sorted once at construction.  Every
 reader wants that order: the path search's early-stop scan, stage 2's pick
 of the best unused pools and shortcuts, the shortcut enumeration.  So
 ``out_items(u)`` and ``edges_between(u, v)`` return the same tuple object.
+``in_arcs(v)`` reads the rows backward, one ``(u, best spot, largest
+ceiling)`` per pair ``u -> v``: what the path search's bound rows need of a
+pair.  A graph whose every pair has its reverse, as every graph
+``build_graph`` makes (each pool serves both directions), has its
+out-neighbours for in-neighbours: each token's arcs are read from its own
+row when first asked for.  Any other graph indexes every token's arcs on
+the first call.
 
 Structure rules (unique ids, decimals 0..30, pool shape) live here, per entry
 in ``add_token``/``add_pool``, which ``io`` also calls; the ``cfmm``
@@ -20,7 +27,7 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .cfmm import ConstantProduct, PiecewiseLiquidity, Segment, SwapFunction
 from .errors import AmountOverflowError, MalformedSnapshotError
@@ -153,14 +160,17 @@ class SwapGraph:
                                for v, es in sorted(row.items())])
                      for u, row in sorted(by_pair.items())})
 
-    def _index(self, rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]]
-               ) -> None:
+    def _index(self, rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]],
+               symmetric: Optional[bool] = None) -> None:
         """Keep ``rows`` (tokens in id order, edges in spot order) and derive
-        the pair lookup and the edge count from them."""
+        the pair lookup and the edge count from them.  ``symmetric`` is
+        True when known, else None: ``_is_symmetric`` works it out."""
         self._rows = rows
         self._pairs = {u: dict(items) for u, items in rows.items()}
         self._edge_count = sum(sum(map(len, pair_map.values()))
                                for pair_map in self._pairs.values())
+        self._in_arcs: Dict[str, Tuple[Tuple[str, float, int], ...]] = {}
+        self._symmetric = symmetric
 
     @property
     def tokens(self) -> Dict[str, Token]:
@@ -188,6 +198,50 @@ class SwapGraph:
     def out_items(self, u: str) -> Tuple[Tuple[str, Tuple[Edge, ...]], ...]:
         """(neighbour, ``edges_between(u, neighbour)``) pairs, neighbour-sorted."""
         return self._rows.get(u, ())
+
+    def _is_symmetric(self) -> bool:
+        """Whether every pair u -> v has its reverse v -> u, as every pool's
+        edges do; worked out on the first call.  A graph that is not indexes
+        every token's ``in_arcs`` then, before it answers."""
+        if self._symmetric is None:
+            pairs = self._pairs
+            symmetric = all(u in pairs.get(v, ())
+                            for u, row in pairs.items() for v in row)
+            if not symmetric:
+                self._in_arcs = _reverse(self._rows)
+            self._symmetric = symmetric
+        return self._symmetric
+
+    def in_arcs(self, v: str) -> Tuple[Tuple[str, float, int], ...]:
+        """``pair_arc`` of every pair u -> v, tokens u in id order.  Two
+        threads may both read a symmetric graph's row, to the same arcs."""
+        arcs = self._in_arcs.get(v)
+        if arcs is None:
+            if not self._is_symmetric():
+                return self._in_arcs.get(v, ())
+            pairs = self._pairs
+            arcs = self._in_arcs[v] = tuple(
+                [pair_arc(u, pairs[u][v]) for u, _ in self.out_items(v)])
+        return arcs
+
+
+def _reverse(rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]]
+             ) -> Dict[str, Tuple[Tuple[str, float, int], ...]]:
+    """Every token's ``in_arcs``, from rows in token order."""
+    into: Dict[str, List[Tuple[str, float, int]]] = {}
+    for u, items in rows.items():
+        for v, candidates in items:
+            into.setdefault(v, []).append(pair_arc(u, candidates))
+    return {v: tuple(arcs) for v, arcs in into.items()}
+
+
+def pair_arc(u: str, candidates: Tuple[Edge, ...]) -> Tuple[str, float, int]:
+    """``(u, best spot, largest ceiling)`` of a pair's spot-ordered edges."""
+    ceiling = candidates[0].ceiling
+    for e in candidates[1:]:
+        if e.ceiling > ceiling:
+            ceiling = e.ceiling
+    return u, candidates[0].spot, ceiling
 
 
 def _expand_pool(pool: Pool) -> List[Edge]:
@@ -289,7 +343,8 @@ def _subgraph(g: SwapGraph, tokens: Set[str]) -> SwapGraph:
             kept = tuple(item for item in items if item[0] in tokens)
             if kept:
                 rows[u] = kept
-    sub._index(rows)
+    # filtering both ends of every pair keeps a symmetric graph symmetric
+    sub._index(rows, True if g._is_symmetric() else None)
     return sub
 
 

@@ -16,11 +16,23 @@ tabulates ``rate[r][v]``, the largest such product over walks of at most
 rate and ignoring masks, visited tokens and pool-distinctness.  A state
 holding ``out`` at ``v`` with ``r`` hops left can therefore deliver at most
 ``out * rate[r][v]``: an admissible bound in the sense of Hart, Nilsson &
-Raphael (1968).  A successor is dropped, before its exact swap and again
-after it, once that bound cannot exceed ``max(best arrival, tau * amount)``.
-Every output also stays below the pool's ceiling (its output reserve), so a
-pool whose ceiling cannot clear that floor, or the frontier, is never
-evaluated: at a whale amount the shallow pools drop out unswapped.
+Raphael (1968).  Every output also stays below the output reserve (the
+ceiling) of each edge it passed, times the spot product of the edges after
+that one, whatever the input; the second row, ``cap[r][v]``, is the largest
+such figure over the same walks (infinite at the target itself).  A state's
+bound is ``min(out * rate[r][v], cap[r][v])``.  A neighbour whose ``cap``
+cannot exceed ``max(best arrival, tau * amount)`` is skipped before any of
+its edges is looked at, and a successor is dropped, before its exact swap
+and again after it, once its bound cannot exceed that floor.  A pool whose
+own ceiling cannot clear the floor, or the frontier, is never evaluated: at
+a whale amount the shallow pools drop out unswapped.
+
+Both rows are built backward from the target.  Row 0 holds the target
+alone; row ``r`` extends row ``r - 1`` through the view's ``in_arcs(w)``,
+one ``(u, best spot, largest ceiling)`` per token pair ``u -> w``, and only
+from the tokens whose entry row ``r - 1`` changed: an unchanged entry
+extends to nothing row ``r - 1`` does not already hold.  So the build reads
+the arcs near the target, not every arc of the view once per row.
 
 One scan per neighbour picks the successor: it runs over the pair's
 parallel edges in descending spot order, its best output seeded at the gate
@@ -34,16 +46,17 @@ The bound never changes the result.  A dropped state has no completion that
 could be accepted (average rate above tau) or beat the best arrival already
 recorded, so the winning path never passes through one.  The frontier entries
 a dropped state would have recorded only dominate states holding less at the
-same token with no more hops left, whose bound is no larger, so the bound
-drops those too: every state that can still win meets the same frontier, in
+same token with no more hops left; both rows only grow with ``r`` and the
+bound grows with ``out``, so those states' bound is no larger and the bound
+drops them too: every state that can still win meets the same frontier, in
 the same queue order, as in the unbounded search.  The bound is a float and
 carries a relative slack of 1e-9, so rounding can never drop a state that
 reaches the result.
 
-The table depends on neither masks nor ``tau``, and an exact quote is a pure
+The rows depend on neither masks nor ``tau``, and an exact quote is a pure
 function of the edge and its input, so the searches of one query (rising
-``tau``, growing masks, same view and target) share one context: the table
-is built once, by the first search, and every quote is computed once, with
+``tau``, growing masks, same view and target) share one context: the rows
+are built once, by the first search, and every quote is computed once, with
 capacity failures remembered as failures.  A call given no context builds
 its own, so a lone search behaves as it always did.
 
@@ -54,6 +67,7 @@ rate clears the threshold is returned after the queue drains.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -96,7 +110,7 @@ class SearchStats:
 
 
 class SearchContext:
-    """What the searches of one query share: the rate table and exact quotes.
+    """What the searches of one query share: the bound rows and exact quotes.
 
     Bound to one ``(view, target, max_hops)``; ``find_path`` raises
     ValueError when handed a context bound to anything else.  The view's
@@ -104,7 +118,7 @@ class SearchContext:
     quotes are keyed on edge identity and the exact integer input.
     """
 
-    __slots__ = ("view", "target", "max_hops", "quotes", "_rate")
+    __slots__ = ("view", "target", "max_hops", "quotes", "_rows")
 
     def __init__(self, view, target: str, max_hops: int):
         self.view = view
@@ -112,39 +126,63 @@ class SearchContext:
         self.max_hops = max_hops
         # (id(edge), amount) -> exact output, or None when over capacity
         self.quotes: Dict[Tuple[int, int], Optional[int]] = {}
-        self._rate: Optional[List[Dict[str, float]]] = None
+        self._rows: Optional[Tuple[List[Dict[str, float]],
+                                   List[Dict[str, float]]]] = None
+
+    @property
+    def rows(self) -> Tuple[List[Dict[str, float]], List[Dict[str, float]]]:
+        """``(rate, cap)`` (see ``_rate_table``), built on first use."""
+        if self._rows is None:
+            self._rows = _rate_table(self.view, self.target, self.max_hops)
+        return self._rows
 
     @property
     def rate(self) -> List[Dict[str, float]]:
-        """``rate[r][v]`` (see ``_rate_table``), built on first use."""
-        if self._rate is None:
-            self._rate = _rate_table(self.view, self.target, self.max_hops)
-        return self._rate
+        return self.rows[0]
 
 
-def _rate_table(view, target: str, max_hops: int) -> List[Dict[str, float]]:
-    """``rate[r][v]``: best spot-rate product over walks v -> target, <= r hops.
+def _rate_table(view, target: str, max_hops: int
+                ) -> Tuple[List[Dict[str, float]], List[Dict[str, float]]]:
+    """``(rate, cap)``, the bound rows of the module docstring.
 
-    Rows run from r = 0 (the target alone, at 1) to ``limit - 1``, the most
-    hops a successor of the source has left; ``limit`` is ``max_hops``
-    capped at the view's token count, which no simple path exceeds.  A
-    token that cannot reach the target within r hops is absent from row r.
+    ``cap[0][target]`` is infinite, and a pair ``u -> w`` offers ``u``
+    ``min(ceiling(u, w) * rate[r-1][w], cap[r-1][w])`` in row r.  Rows run
+    from r = 0 (the target alone) to ``limit - 1``, the most hops a
+    successor of the source has left; ``limit`` is ``max_hops`` capped at
+    the view's token count, which no simple path exceeds.  A token that
+    cannot reach the target within r hops has no rate in row r, and no walk
+    continues past the target.
     """
-    tokens = view.token_ids()
-    arcs = [(u, v, candidates[0].spot) for u in tokens
-            if u != target for v, candidates in view.out_items(u)]
     rate = [{target: 1.0}]
-    for _ in range(1, min(max_hops, len(tokens))):
-        prev = rate[-1]
-        row = dict(prev)
-        for u, v, spot in arcs:
-            tail = prev.get(v)
-            if tail is not None:
-                through = tail * spot
-                if through > row.get(u, 0.0):
-                    row[u] = through
-        rate.append(row)
-    return rate
+    cap = [{target: math.inf}]
+    changed = (target,)
+    for _ in range(1, min(max_hops, len(view.token_ids()))):
+        prev_rate, prev_cap = rate[-1], cap[-1]
+        row_rate, row_cap = dict(prev_rate), dict(prev_cap)
+        get_rate, get_cap = row_rate.get, row_cap.get
+        touched = set()
+        for w in changed:
+            w_rate = prev_rate.get(w)
+            if w_rate is None:
+                continue
+            w_cap = prev_cap[w]
+            for u, spot, ceiling in view.in_arcs(w):
+                through = w_rate * spot
+                if through > get_rate(u, 0.0) and u != target:
+                    row_rate[u] = through
+                    touched.add(u)
+                bound = ceiling * w_rate
+                if bound > w_cap:
+                    bound = w_cap
+                # the target's cap is infinite; a token not in the row
+                # reads as -1, below any bound
+                if bound > get_cap(u, -1.0):
+                    row_cap[u] = bound
+                    touched.add(u)
+        changed = touched
+        rate.append(row_rate)
+        cap.append(row_cap)
+    return rate, cap
 
 
 def find_path(view, source: str, target: str, amount: int, tau: float,
@@ -153,13 +191,20 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
               context: Optional[SearchContext] = None) -> Optional[SinglePath]:
     """Best simple pool-distinct path by exact simulated output.
 
-    ``view`` is anything exposing ``token_ids()`` and ``out_items(u)`` (a
-    SwapGraph or an engine overlay).  Returns None when no arrival at the
-    target has average rate output/amount strictly above ``tau``.  Amounts
-    compare as exact integers; among equal outputs the first arrival in
-    queue order wins.  ``context`` carries the rate table and the quotes
-    across the searches of one query; without one the call builds its own.
+    ``view`` is anything exposing ``token_ids()``, ``out_items(u)`` and
+    ``in_arcs(v)`` (a SwapGraph or an engine overlay).  Returns None when no
+    arrival at the target has average rate output/amount strictly above
+    ``tau``.  Amounts compare as exact integers; among equal outputs the
+    first arrival in queue order wins.  ``context`` carries the bound rows
+    and the quotes across the searches of one query; without one the call
+    builds its own.  A bool or non-int ``max_hops`` is a TypeError and a
+    NaN ``tau`` a ValueError: either would otherwise read as another limit.
     """
+    if not isinstance(max_hops, int) or isinstance(max_hops, bool):
+        raise TypeError(
+            f"max_hops must be an int, got {type(max_hops).__name__}")
+    if math.isnan(tau):
+        raise ValueError("tau must not be NaN")
     if source == target:
         raise ValueError("source and target must differ")
     if amount <= 0:
@@ -173,7 +218,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
           or context.max_hops != max_hops):
         raise ValueError("search context is bound to another view, target "
                          "or max_hops")
-    rate = context.rate
+    rate, cap = context.rows
     quotes = context.quotes
     limit = len(rate)  # max_hops, capped at the view's token count
     # frontier[v][h] = best amount recorded at v with at most h hops
@@ -195,10 +240,11 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             continue
         hops = len(edges)
         # row 0 holds only the target, so no state past the limit is queued
-        reach = rate[limit - hops - 1]
+        reach, ceilings = rate[limit - hops - 1], cap[limit - hops - 1]
         for v, candidates in view.out_items(token):
             v_rate = reach.get(v)
-            if v_rate is None or v in visited:
+            if (v_rate is None or v in visited
+                    or ceilings[v] * BOUND_SLACK <= lim):
                 continue
             if v == target:
                 gate = best_target

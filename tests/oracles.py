@@ -1,19 +1,23 @@
 """Ground-truth oracles the tests check the engine against.
 
 ``enumerate_paths_oracle`` lists every simple pool-distinct path on a tiny
-graph, the exhaustive reference for ``find_path``.  ``grid_oracle``
+graph, the exhaustive reference for ``find_path``.  ``rate_table_oracle``
+builds the search's bound rows forward, relaxing every arc of the view once
+per row, the reference for their backward build.  ``grid_oracle``
 exhaustively maximizes the exact integer objective over a simplex lattice;
 because the objective is separable across pool-disjoint paths, the lattice
 argmax is computed with a dynamic program over per-path value tables instead
 of enumerating the whole lattice, which is what makes fine resolutions
-affordable.  Both refuse inputs beyond their size guards.
+affordable.  The enumerator and the grid oracle refuse inputs beyond their
+size guards.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from prime_router.allocation import MultiEdgePath, objective, path_output
 from prime_router.errors import InvalidParamsError, RoutingError
@@ -59,6 +63,39 @@ def enumerate_paths_oracle(g: SwapGraph, source: str, target: str,
 
     walk(source, (), {source}, frozenset())
     return tuple(out)
+
+
+def rate_table_oracle(view, target: str, max_hops: int
+                      ) -> Tuple[List[Dict[str, float]], List[Dict[str, float]]]:
+    """``pathfind._rate_table``'s ``(rate, cap)``, relaxed forward.
+
+    Every arc ``u -> v`` of the view (``token_ids``, ``out_items``; none
+    leaves the target) is relaxed once per row from the row before, so the
+    rows come from the same float products as a backward build, in another
+    order, and must equal it exactly.
+    """
+    tokens = view.token_ids()
+    arcs = [(u, v, candidates[0].spot, max(e.ceiling for e in candidates))
+            for u in tokens if u != target
+            for v, candidates in view.out_items(u)]
+    rate = [{target: 1.0}]
+    cap = [{target: math.inf}]
+    for _ in range(1, min(max_hops, len(tokens))):
+        prev_rate, prev_cap = rate[-1], cap[-1]
+        row_rate, row_cap = dict(prev_rate), dict(prev_cap)
+        for u, v, spot, ceiling in arcs:
+            tail = prev_rate.get(v)
+            if tail is None:
+                continue
+            through = tail * spot
+            if through > row_rate.get(u, 0.0):
+                row_rate[u] = through
+            bound = min(ceiling * tail, prev_cap[v])
+            if bound > row_cap.get(u, -1.0):
+                row_cap[u] = bound
+        rate.append(row_rate)
+        cap.append(row_cap)
+    return rate, cap
 
 
 @dataclass(frozen=True)

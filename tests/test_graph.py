@@ -10,6 +10,7 @@ from prime_router.graph import (
     KIND_PIECEWISE,
     Pool,
     PoolDirection,
+    SwapGraph,
     Token,
     build_graph,
     prune_leaf_tokens,
@@ -309,6 +310,40 @@ def graph_layout(g):
             {(u, v): [e.pool_id for e in g.edges_between(u, v)]
              for u in g.token_ids() for v in g.token_ids()
              if g.edges_between(u, v)})
+
+
+def in_arcs_oracle(g):
+    """Every token's ``(u, best spot, largest ceiling)`` per pair u -> v,
+    read off the rows forward."""
+    into = {}
+    for u in g.token_ids():
+        for v, es in g.out_items(u):
+            into.setdefault(v, []).append(
+                (u, es[0].spot, max(e.ceiling for e in es)))
+    return into
+
+
+def test_in_arcs_read_the_rows_backward():
+    # a built graph (every pair has its reverse), its leaf-pruned subgraph,
+    # and the same edges with some pairs' reverse dropped
+    rng = random.Random(0xA7C)
+    one_way = 0
+    for _ in range(80):
+        g = random_mixed_market(rng)
+        edges = [e for u in g.token_ids() for _, es in g.out_items(u)
+                 for e in es]
+        dropped = {(e.token_in, e.token_out) for e in edges
+                   if rng.random() < 0.3}
+        kept = [e for e in edges if (e.token_in, e.token_out) not in dropped]
+        partial = SwapGraph(g.tokens, g.pools, kept)
+        pruned = prune_leaf_tokens(g, rng.sample(sorted(g.tokens), 1))
+        for view in (g, pruned, partial):
+            want = in_arcs_oracle(view)
+            for v in view.token_ids():
+                assert list(view.in_arcs(v)) == want.get(v, [])
+                assert view.in_arcs(v) is view.in_arcs(v)
+        one_way += any((v, u) not in dropped for u, v in dropped)
+    assert one_way > 40
 
 
 class TestPruneEquivalence:

@@ -19,14 +19,20 @@ from prime_router.errors import NoRouteError
 from prime_router.graph import KIND_PIECEWISE, Edge, SwapGraph, build_graph
 from prime_router.io import generate_synthetic, solution_to_dict
 from prime_router.pathfind import (
+    BOUND_SLACK,
     SearchContext,
     SearchStats,
+    _rate_table,
     find_path,
     simulate_chain,
 )
 
 from instances import cp_pool, random_cp_graph, tokens
-from oracles import GraphTooLargeError, enumerate_paths_oracle
+from oracles import (
+    GraphTooLargeError,
+    enumerate_paths_oracle,
+    rate_table_oracle,
+)
 
 
 def triangle_graph():
@@ -191,6 +197,21 @@ class TestFindPath:
         with pytest.raises(ValueError, match=f"^{message}$"):
             find_path(triangle_graph(), source, target, amount, 0.0, max_hops)
 
+    def test_misused_argument_is_rejected(self):
+        # unchecked, a bool max_hops reads as 1 hop and a NaN tau as "no
+        # route", both silently: this pair routes in 3 hops
+        g = generate_synthetic(3, 40, 120).build_graph()
+        ids = sorted(g.tokens)
+        s, t = ids[5], ids[17]
+        found = find_path(g, s, t, 10**18, 0.0, 3)
+        assert found is not None and len(found.edges) == 3
+        for max_hops, name in ((True, "bool"), (2.5, "float"), ("3", "str")):
+            with pytest.raises(TypeError,
+                               match=f"^max_hops must be an int, got {name}$"):
+                find_path(g, s, t, 10**18, 0.0, max_hops)
+        with pytest.raises(ValueError, match="^tau must not be NaN$"):
+            find_path(g, s, t, 10**18, float("nan"), 3)
+
     def test_first_arrival_wins_ties(self):
         # two identical parallel pools: deterministic pick by pool id
         g = build_graph(tokens(2), [cp_pool("P1", "T0", "T1", 10**6, 10**6),
@@ -342,11 +363,13 @@ class TestBoundPruning:
                  Edge("SH", "T1", "T2", Shallow(10**6, 3 * 10**6, 30))]
         g = SwapGraph({t.id: t for t in tokens(3)}, {}, edges)
         assert edges[2].spot > edges[1].spot
-        for tau in (0.0, 0.5):
+        # at tau 0.5 the ceiling row drops T1 itself: SH's reserve is all
+        # that T1 -> T2 can deliver, far below half the amount
+        for tau, pushes in ((0.0, 2), (0.5, 1)):
             stats = SearchStats()
             res = find_path(g, "T0", "T2", 10**18, tau, 3, stats=stats)
             assert [e.pool_id for e in res.edges] == ["D1"]
-            assert stats.pushes == 2
+            assert stats.pushes == pushes
         assert evaluated == []
 
     def test_golden_results(self):
@@ -371,6 +394,105 @@ class TestBoundPruning:
                 digest.update(json.dumps(d, sort_keys=True,
                                          separators=(",", ":")).encode())
         assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def _bound_instance(seed, kind, endpoints):
+    """A small market, read as a plain graph (``kind`` "cp" or "mixed", the
+    latter with piecewise pools) or as an engine overlay with composite
+    edges; the endpoints are both hubs, both non-hubs or one of each.
+    Returns (graph, view, source, target); the view is the graph unless
+    ``kind`` is "overlay"."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    if kind == "cp":
+        g = random_cp_graph(rng, n, rng.randint(n - 1, 2 * n + 4))
+    else:
+        g = generate_synthetic(seed, n, rng.randint(n - 1, 2 * n + 4),
+                               hub_fraction=0.3,
+                               reserve_spread_orders=3).build_graph()
+    ids = sorted(g.tokens)
+    if kind != "overlay":
+        s, t = rng.sample(ids, 2)
+        return g, g, s, t
+    # stage 0 reads no query endpoint
+    prep = prepare_routing(g, RouteQuery(ids[0], ids[1], 1,
+                                         hub_count=max(2, n // 3)))
+    sides = {"hub": list(prep.hubs),
+             "non-hub": [tok for tok in ids if tok not in prep.hubs]}
+    s = rng.choice(sides[endpoints[0]])
+    t = rng.choice([tok for tok in sides[endpoints[1]] if tok != s]
+                   or [tok for tok in ids if tok != s])
+    return g, _query_overlay(prep, s, t), s, t
+
+
+def _flat(g, view):
+    """An overlay's edges as one plain graph, for the path enumerator."""
+    edges = [e for u in view.token_ids()
+             for _, cands in view.out_items(u) for e in cands]
+    return SwapGraph({tok: g.tokens[tok] for e in edges
+                      for tok in (e.token_in, e.token_out)}, {}, edges)
+
+
+_ENDPOINTS = st.sampled_from([("hub", "hub"), ("hub", "non-hub"),
+                              ("non-hub", "hub"), ("non-hub", "non-hub")])
+
+
+class TestBoundRows:
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["cp", "mixed", "overlay"]),
+           endpoints=_ENDPOINTS, max_hops=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_backward_rows_equal_forward_relaxation(self, seed, kind,
+                                                    endpoints, max_hops):
+        _, view, _, t = _bound_instance(seed, kind, endpoints)
+        rate, cap = _rate_table(view, t, max_hops)
+        assert (rate, cap) == rate_table_oracle(view, t, max_hops)
+        assert len(rate) == min(max_hops, len(view.token_ids()))
+        for r in range(len(rate)):
+            assert rate[r].keys() <= cap[r].keys()
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["cp", "mixed", "overlay"]),
+           endpoints=_ENDPOINTS)
+    @settings(max_examples=100, deadline=None)
+    def test_ceiling_row_is_admissible(self, seed, kind, endpoints):
+        # every walk's exact output, at any input, stays within both rows:
+        # below cap[r][v], and below the input times rate[r][v]
+        g, view, _, t = _bound_instance(seed, kind, endpoints)
+        flat = g if view is g else _flat(g, view)
+        if not flat.has_token(t):
+            return
+        rate, cap = _rate_table(view, t, 4)
+        rng = random.Random(seed)
+        amounts = [10**rng.randint(2, 30) for _ in range(3)]
+        for v in sorted(flat.tokens):
+            if v == t:
+                continue
+            for path in enumerate_paths_oracle(flat, v, t, len(rate) - 1):
+                r = len(path)
+                assert v in rate[r]
+                for x in amounts:
+                    out = simulate_chain(path, x)
+                    if out is None:
+                        continue
+                    assert out <= cap[r][v] * BOUND_SLACK
+                    assert out <= x * rate[r][v] * BOUND_SLACK
+
+    def test_ceiling_row_takes_the_deepest_parallel_pool(self):
+        # the deep pool quotes the worse spot rate, so the rate row reads
+        # the shallow one and the ceiling row must read the deep one
+        toks = tokens(3)
+        g = build_graph(toks, [
+            cp_pool("S", "T1", "T2", 10**6, 2 * 10**6),
+            cp_pool("D", "T1", "T2", 10**20, 10**20, 30),
+            cp_pool("A", "T0", "T1", 10**20, 10**20)])
+        rate, cap = _rate_table(g, "T2", 3)
+        assert rate[1]["T1"] == g.edges_between("T1", "T2")[0].spot
+        assert g.edges_between("T1", "T2")[0].pool_id == "S"
+        assert cap[1]["T1"] == float(10**20)
+        out = simulate_chain(g.edges_between("T1", "T2")[1:], 10**19)
+        assert 2 * 10**6 < out <= cap[1]["T1"]
+        assert cap[2]["T0"] == min(10**20 * rate[1]["T1"], cap[1]["T1"])
 
 
 def _replay(g, s, t, x, taus, extra_masks, context=None):

@@ -68,6 +68,24 @@ def test_compare_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"equal={len(routed)} risen=0 fallen=0" in out
     assert " work_changed=0 stage0_changed=0 " in out
+    # one work line per workload pooled over the multiples, then one per
+    # workload and multiple, each the mean over that multiple's records
+    lines = [line for line in out.splitlines() if "allocator_steps" in line]
+    assert [line.split(":")[0] for line in lines] == [
+        f"{name}{label}" for label in ("", " x1", " x3")
+        for name in compare.WORKLOADS]
+    for multiple in (1, 3):
+        table = compare.work_table(records, multiple)
+        chosen = [r for r in records
+                  if r["key"].endswith(f":x{multiple}") and r["work"]]
+        assert sum(t["routed"] for t in table.values()) == len(chosen)
+        retail = [r["work"]["queue_pushes"] for r in chosen
+                  if r["key"].startswith("retail:")]
+        assert table["retail"]["pushes"] == sum(retail) / len(retail)
+        pushes = f"{table['retail']['pushes']:.6g}"
+        assert f"retail x{multiple}: routed {len(retail)} -> {len(retail)}, " \
+            in out and f"pushes {pushes} -> {pushes}," in out
+    assert compare.work_table(records) != compare.work_table(records, 1)
     routed[0]["output"] = str(int(routed[0]["output"]) + 1)
     routed[-1]["work"]["queue_pops"] += 1
     run["stage0_sha256"] = "0" * 64
