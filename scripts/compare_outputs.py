@@ -191,11 +191,14 @@ def work_table(records: Sequence[dict], multiple: Optional[int] = None
 
 
 def report(new: dict, old: dict) -> int:
+    """Print the comparison; 1 when an output fell or a plan failed its
+    audit, else 0.  A reader that leaves early (``| head -1``) cuts the
+    printing short, not the status."""
     counts = compare(new, old)
-    print(" ".join(f"{k}={v}" for k, v in counts.items()))
+    lines = [" ".join(f"{k}={v}" for k, v in counts.items())]
     added, dropped = unshared_work_keys(new, old)
-    print(f"work keys added: {' '.join(added) or '-'}; "
-          f"dropped: {' '.join(dropped) or '-'}")
+    lines.append(f"work keys added: {' '.join(added) or '-'}; "
+                 f"dropped: {' '.join(dropped) or '-'}")
     # pooled over the multiples, then per multiple: the benchmark's gated
     # work counts are the 1x ones
     multiples = sorted({multiple_of(r["key"])
@@ -208,7 +211,12 @@ def report(new: dict, old: dict) -> int:
             cells = [f"{k} {was.get(k, 0):.6g} -> {now.get(k, 0):.6g}"
                      for k in ("routed", "swap_evals", "pushes",
                                "allocator_steps")]
-            print(f"{name}{label}: " + ", ".join(cells))
+            lines.append(f"{name}{label}: " + ", ".join(cells))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # point stdout at devnull, or the flush at exit raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if counts["fallen"] or counts["audit_failed"] else 0
 
 

@@ -5,9 +5,9 @@ The allocation problem is: split an input amount across pool-disjoint paths
 the summed output.  Every weight vector lives on a simplex.  The objective is
 evaluated through exact integer swap math, so accepted optimizer steps never
 lose a unit to drift; marginal prices live in double precision and are only
-compared, never fed back into amounts.  One per-hop evaluator computes every
-integer path output, hop amount and execution-plan step, so the allocator
-and the emitted plan evaluate a path the same way.  One per-hop derivative
+compared, never fed back into amounts.  One path walk computes every
+integer path output and execution-plan step, so the allocator and the
+emitted plan evaluate a path the same way.  One per-hop derivative
 computes every real-mode marginal price, from one ``real`` call per edge
 that gives the edge's real output and price together.
 
@@ -35,8 +35,6 @@ from .cfmm import Piece, SwapFunction, bounded_point
 from .errors import CapacityExceededError, InvalidParamsError
 from .graph import Edge
 from .pathfind import SinglePath
-
-_SIMPLEX_DRIFT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,18 +109,23 @@ def _check_simplex(weights: Sequence[float], what: str) -> None:
 DELTA0 = 0.25
 # sign steps per asgm call
 T_MAX = 1000
+# the smallest trial step; a step that backtracks below it fails
+DELTA_MIN = 1e-12
+# converged when the best receive price is within this relative distance of
+# the lowest funded give price
+EPS_REL = 1e-6
 
 
 @dataclass(frozen=True)
 class AsgmParams:
+    """The Armijo fraction ``alpha`` and the backtracking factor ``beta``."""
+
     alpha: float = 1e-4
     beta: float = 0.5
-    delta_min: float = 1e-12
-    eps_rel: float = 1e-6
 
     def __post_init__(self):
         # a bool would pass the range checks below as 0 or 1
-        for name in ("alpha", "beta", "delta_min", "eps_rel"):
+        for name in ("alpha", "beta"):
             value = getattr(self, name)
             if not isinstance(value, Real) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a real number, "
@@ -131,8 +134,6 @@ class AsgmParams:
             raise InvalidParamsError("alpha must be in (0, 1)")
         if not (0.0 < self.beta < 1.0):
             raise InvalidParamsError("beta must be in (0, 1)")
-        if self.delta_min <= 0.0 or self.eps_rel <= 0.0:
-            raise InvalidParamsError("delta_min and eps_rel must be positive")
 
 
 @dataclass(frozen=True)
@@ -250,22 +251,16 @@ def _hop_output(hop: Tuple[Edge, ...], weights: Sequence[float], amt: int,
     return out
 
 
-def hop_amounts(path: MultiEdgePath, hop_weights: Sequence[Sequence[float]],
-                x_in: int, steps: Optional[List[PlanStep]] = None) -> List[int]:
-    """Integer input of every hop plus the final output (length hops+1).
+def path_output(path: MultiEdgePath, hop_weights: Sequence[Sequence[float]],
+                x_in: int, steps: Optional[List[PlanStep]] = None) -> int:
+    """Exact integer output of a path.
 
     Hops chain with zero residual; ``steps`` collects the pool swaps.
     """
-    amounts = [x_in]
+    amt = x_in
     for hop, weights in zip(path.hops, hop_weights):
-        amounts.append(_hop_output(hop, weights, amounts[-1], steps))
-    return amounts
-
-
-def path_output(path: MultiEdgePath, hop_weights: Sequence[Sequence[float]],
-                x_in: int) -> int:
-    """Exact integer output of a path."""
-    return hop_amounts(path, hop_weights, x_in)[-1]
+        amt = _hop_output(hop, weights, amt, steps)
+    return amt
 
 
 def _hop_derivs(hop: Tuple[Edge, ...], weights: Sequence[float],
@@ -329,25 +324,11 @@ def objective(paths: Sequence[MultiEdgePath],
                for p, hw, s in zip(paths, edge_weights, shares))
 
 
-def _renormalize(weights: List[float]) -> None:
-    for i, w in enumerate(weights):
-        if w < 0.0:
-            weights[i] = 0.0
-    total = sum(weights)
-    if abs(total - 1.0) > _SIMPLEX_DRIFT and total > 0.0:
-        for i in range(len(weights)):
-            weights[i] /= total
-
-
-def _lowest_funded(weights: Sequence[float],
-                   grads: Sequence[float]) -> Optional[int]:
+def _lowest_funded(weights: Sequence[float], grads: Sequence[float]) -> int:
     """The lowest-gradient coordinate among positive weights, the first on
-    a tie; None when no weight is positive."""
-    minus = None
-    for i, w in enumerate(weights):
-        if w > 0.0 and (minus is None or grads[i] < grads[minus]):
-            minus = i
-    return minus
+    a tie; weights that sum to 1 always hold a positive one."""
+    return min((i for i, w in enumerate(weights) if w > 0.0),
+               key=grads.__getitem__)
 
 
 def _sign_step(weights: List[float], gain_grads: Sequence[float],
@@ -377,7 +358,7 @@ def _sign_step(weights: List[float], gain_grads: Sequence[float],
             break
         delta = min(top, weights[minus])
         saw_capacity = False
-        while delta >= params.delta_min:
+        while delta >= DELTA_MIN:
             trial = list(weights)
             trial[plus] += delta
             trial[minus] = max(0.0, trial[minus] - delta)
@@ -390,7 +371,6 @@ def _sign_step(weights: List[float], gain_grads: Sequence[float],
             predicted = int(params.alpha * delta *
                             (gain_grads[plus] - loss_grads[minus]))
             if j1 >= j0 + predicted:
-                _renormalize(trial)
                 return trial, j1, delta
             delta *= params.beta
         if not saw_capacity:
@@ -535,7 +515,7 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
     Starts from the uniform path allocation, relaxes every path's internal
     edge weights each iteration, then rebalances mass between the paths with
     the highest and lowest marginal price until the relative price spread
-    drops under eps_rel, the step underflows (degraded), or T_MAX is hit.
+    drops under EPS_REL, the step underflows (degraded), or T_MAX is hit.
     Returns the allocation, the equalized marginal price, and the trace.
 
     Relaxation and marginal prices are functions of a path's operating point
@@ -598,14 +578,12 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
                 g_point[i] = weights[i]
         minus = _lowest_funded(weights, g)
         best_recv = max(recv)
-        g_max = max(g)
-        g_min = g[minus] if minus is not None else g_max
-        trace.append(TraceRow(t, j0, g_max, g_min, last_delta))
+        g_min = g[minus]
+        trace.append(TraceRow(t, j0, max(g), g_min, last_delta))
         # optimal when nothing left to gain: the best price any path would
         # pay for one more unit is (within tolerance of) the worst price a
         # funded path is currently getting
-        if minus is None or best_recv <= 0.0 or \
-                best_recv - g_min <= params.eps_rel * best_recv:
+        if best_recv <= 0.0 or best_recv - g_min <= EPS_REL * best_recv:
             converged = True
             break
         stepped = _sign_step(weights, [x * v for v in recv],

@@ -9,11 +9,11 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import logging
 import os
 import sys
 import time
-from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from .allocation import AsgmParams, asgm, objective
@@ -62,7 +62,7 @@ def _parse_amount(text: str) -> int:
 def _parse_hubs(text: Optional[str]):
     """Either a hub count or an explicit comma-separated token-id list."""
     if text is None:
-        return 50, None
+        return RouteQuery.hub_count, None
     if text.isdigit():
         return _parse_decimal(text, "hub count"), None
     hubs = tuple(h.strip() for h in text.split(",") if h.strip())
@@ -211,7 +211,7 @@ def _cmd_ablate(args) -> int:
     outputs = []
     for alpha in alphas:
         for beta in betas:
-            params = replace(query.asgm_params, alpha=alpha, beta=beta)
+            params = AsgmParams(alpha=alpha, beta=beta)
             best_ms = None
             result = None
             for _ in range(args.repetitions):
@@ -284,11 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # the query options route and bench share
     query = argparse.ArgumentParser(add_help=False)
-    query.add_argument("--max-hops", type=int, default=3)
+    query.add_argument("--max-hops", type=int, default=RouteQuery.max_hops)
     query.add_argument("--hubs", default=None,
                        help="hub count or explicit comma-separated token ids")
-    query.add_argument("--alpha", type=float, default=1e-4)
-    query.add_argument("--beta", type=float, default=0.5)
+    query.add_argument("--alpha", type=float, default=AsgmParams.alpha)
+    query.add_argument("--beta", type=float, default=AsgmParams.beta)
     query.add_argument("--no-shortcuts", action="store_true")
 
     route = sub.add_parser("route", parents=[query],
@@ -319,16 +319,19 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trace-dir", default=None)
     bench.add_argument("--ablate", action="store_true",
                        help="sweep (alpha, beta) on a fixed path set")
-    bench.add_argument("--alphas", default="0.0001")
-    bench.add_argument("--betas", default="0.5")
+    bench.add_argument("--alphas", default=str(AsgmParams.alpha))
+    bench.add_argument("--betas", default=str(AsgmParams.beta))
     bench.set_defaults(func=cmd_bench)
 
     gen = sub.add_parser("gen", help="generate a synthetic snapshot")
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--tokens", type=int, required=True)
     gen.add_argument("--pools", type=int, required=True)
-    gen.add_argument("--hub-fraction", type=float, default=0.1)
-    gen.add_argument("--spread-orders", type=int, default=6)
+    synthetic = inspect.signature(pio.generate_synthetic).parameters
+    gen.add_argument("--hub-fraction", type=float,
+                     default=synthetic["hub_fraction"].default)
+    gen.add_argument("--spread-orders", type=int,
+                     default=synthetic["reserve_spread_orders"].default)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
     return parser

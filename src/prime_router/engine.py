@@ -43,9 +43,9 @@ from .allocation import (
     PlanStep,
     TraceRow,
     asgm,
-    hop_amounts,
     integer_shares,
     path_marginals_real,
+    path_output,
     single_to_multi,
     water_fill,
 )
@@ -307,7 +307,7 @@ def build_execution_plan(paths: Sequence[MultiEdgePath],
     total = 0
     shares = integer_shares(allocation.path_weights, x)
     for path, hop_w, share in zip(paths, allocation.edge_weights, shares):
-        total += hop_amounts(path, hop_w, share, steps)[-1]
+        total += path_output(path, hop_w, share, steps)
     return tuple(steps), total
 
 

@@ -136,10 +136,6 @@ class SearchContext:
             self._rows = _rate_table(self.view, self.target, self.max_hops)
         return self._rows
 
-    @property
-    def rate(self) -> List[Dict[str, float]]:
-        return self.rows[0]
-
 
 def _rate_table(view, target: str, max_hops: int
                 ) -> Tuple[List[Dict[str, float]], List[Dict[str, float]]]:
@@ -212,6 +208,8 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     if max_hops < 1:
         raise ValueError("max_hops must be >= 1")
 
+    if stats is None:
+        stats = SearchStats()
     if context is None:
         context = SearchContext(view, target, max_hops)
     elif (context.view is not view or context.target != target
@@ -232,8 +230,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     queue.append((source, amount, (), (source,), ()))
     while queue:
         token, cur, edges, visited, pools = queue.popleft()
-        if stats is not None:
-            stats.pops += 1
+        stats.pops += 1
         if token == target:
             if cur / amount > tau and (best_state is None or cur > best_state[1]):
                 best_state = (edges, cur)
@@ -273,8 +270,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                     except CapacityExceededError:
                         quote = None
                     else:
-                        if stats is not None:
-                            stats.swap_evals += 1
+                        stats.swap_evals += 1
                     quotes[key] = quote
                 if quote is None:
                     continue
@@ -296,8 +292,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                         levels[h] = out
             queue.append((v, out, edges + (edge,), visited + (v,),
                           pools + edge.pool_ids))
-            if stats is not None:
-                stats.pushes += 1
+            stats.pushes += 1
     if best_state is None:
         return None
     edges, out = best_state

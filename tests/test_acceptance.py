@@ -12,8 +12,8 @@ import time
 
 import pytest
 
+from prime_router import allocation
 from prime_router.allocation import (
-    AsgmParams,
     asgm,
     objective,
     path_marginals_real,
@@ -171,10 +171,11 @@ def test_criterion_4_closed_form_split():
            f"(<= 1e-4)")
 
 
-def test_criterion_5_linear_convergence():
+def test_criterion_5_linear_convergence(monkeypatch):
     a, b = closed_form_pair()
     x = 30 * WAD
-    res = asgm([a, b], x, AsgmParams(eps_rel=1e-9))
+    monkeypatch.setattr(allocation, "EPS_REL", 1e-9)
+    res = asgm([a, b], x)
     objs = [row.objective for row in res.trace]
     assert objs == sorted(objs), "objective decreased within the trace"
     j_star = grid_oracle([a, b], x, GridSpec(step=0.001)).output

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prime_router import allocation
 from prime_router.allocation import (
     Allocation,
     AsgmParams,
     DELTA0,
     MultiEdgePath,
     _hop_derivs,
-    _renormalize,
+    _hop_output,
     _lowest_funded,
     asgm,
-    hop_amounts,
+    hop_shares,
     integer_shares,
     objective,
     optimize_path_edges,
@@ -75,6 +76,31 @@ class TestPathOutput:
         e2 = Edge("P1", "X", "U", ConstantProduct(10, 10, 0))
         with pytest.raises(ValueError):
             MultiEdgePath(((e1,), (e2,)))
+
+
+def capped_hop(cap):
+    """A piecewise edge of input capacity ``cap``, then two uncapped CP
+    edges of different depths."""
+    seg = Segment(cap, 10**6, 2 * 10**6)
+    return (Edge("PW", "S", "T", PiecewiseLiquidity((seg,), 0)),) + tuple(
+        Edge(f"P{i}", "S", "T", ConstantProduct(r, r, 0))
+        for i, r in enumerate((10**6, 4 * 10**6), 1))
+
+
+class TestHopShares:
+    def test_input_over_total_capacity_raises(self):
+        seg = Segment(10, 10**6, 10**6)
+        hop = tuple(Edge(f"P{i}", "S", "T", PiecewiseLiquidity((seg,), 0))
+                    for i in range(2))
+        with pytest.raises(CapacityExceededError,
+                           match="^hop input exceeds total edge capacity$"):
+            hop_shares(hop, (0.5, 0.5), 21)
+        assert hop_shares(hop, (0.5, 0.5), 20) == [10, 10]
+
+    def test_overflow_onto_zero_weight_edges_spreads_uniformly(self):
+        # the funded edge takes 10 of 31; the 21 over spread 10/11 across the
+        # two unfunded edges, the odd unit to the smaller pool id
+        assert hop_shares(capped_hop(10), (1.0, 0.0, 0.0), 31) == [10, 11, 10]
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
@@ -143,6 +169,16 @@ class TestPathMarginal:
             for x in (0.0, cap * rng.uniform(0.01, 0.99), cap, 3.0 * cap):
                 assert composite.real(x)[1] == \
                     path_marginals_real(path, [(1.0,)] * n_hops, x)[1]
+
+    def test_saturated_hop_receives_at_its_open_zero_weight_edges(self):
+        # all the weight sits on a saturated edge, so one more input unit
+        # reroutes onto the unfunded edges: their mean price at zero input
+        hop = capped_hop(10**3)
+        recv, give, _ = _hop_derivs(hop, (1.0, 0.0, 0.0), 2e3)
+        open_prices = [e.fn.real(0.0)[1] for e in hop[1:]]
+        assert recv == sum(open_prices) / 2
+        assert give == hop[0].fn.real(1e3)[1]
+        assert recv != give
 
 
 class TestObjective:
@@ -250,12 +286,40 @@ class TestAsgm:
         assert w[0] == pytest.approx(0.5, abs=1e-9)
         assert abs(sum(w) - 1.0) <= 1e-9
 
-    def test_step_floor_exhaustion_sets_degraded_flag(self):
-        # delta_min above DELTA0, every feasible rung: the line search
+    def test_step_over_capacity_backtracks_to_a_feasible_step(self,
+                                                              monkeypatch):
+        # the better-priced path holds 60% of the amount: the first trial
+        # steps (75%, then 62.5%) overshoot its capacity and shrink
+        x = 10**12
+        seg = Segment(6 * x // 10, 10**13, 2 * 10**13)
+        capped = MultiEdgePath(
+            ((Edge("PW", "S", "T", PiecewiseLiquidity((seg,), 0)),),))
+        loose = single_edge_path("P1", "S", "T", 10**13, 10**13)
+        over = []
+        evaluate = allocation.path_output
+
+        def recording(path, hop_weights, x_in, steps=None):
+            try:
+                return evaluate(path, hop_weights, x_in, steps)
+            except CapacityExceededError:
+                over.append(x_in)
+                raise
+
+        monkeypatch.setattr(allocation, "path_output", recording)
+        res = asgm([capped, loose], x)
+        assert over[:2] == [75 * x // 100, 625 * x // 1000]
+        w = res.allocation.path_weights
+        assert w[0] == pytest.approx(0.6, abs=1e-9)
+        assert integer_shares(w, x)[0] <= 6 * x // 10
+        objectives = [row.objective for row in res.trace]
+        assert objectives == sorted(objectives)
+
+    def test_step_floor_exhaustion_sets_degraded_flag(self, monkeypatch):
+        # the step floor above DELTA0, every feasible rung: the line search
         # cannot move
         a, b = closed_form_pair()
-        params = AsgmParams(delta_min=0.3)
-        res = asgm([a, b], 30 * WAD, params)
+        monkeypatch.setattr(allocation, "DELTA_MIN", 0.3)
+        res = asgm([a, b], 30 * WAD)
         assert res.degraded
         assert not res.converged
         assert res.allocation.path_weights == (0.5, 0.5)
@@ -270,19 +334,13 @@ class TestAsgm:
         assert hop_w[0] == pytest.approx(1 / 3, abs=1e-3)
         assert hop_w[1] == pytest.approx(2 / 3, abs=1e-3)
 
-    @pytest.mark.parametrize("field", ["alpha", "beta", "delta_min",
-                                       "eps_rel"])
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
     @pytest.mark.parametrize("value", [True, "0.1", None])
     def test_non_real_float_field_is_a_type_error(self, field, value):
-        # eps_rel=True converged at iteration 0 with the uniform split, and
         # alpha="0.1" failed on an unlabelled comparison
         with pytest.raises(TypeError, match=f"^{field} must be a real number, "
                                             f"got {type(value).__name__}$"):
             AsgmParams(**{field: value})
-
-    @pytest.mark.parametrize("field", ["delta_min", "eps_rel"])
-    def test_int_for_a_float_field_is_accepted(self, field):
-        assert getattr(AsgmParams(**{field: 1}), field) == 1
 
 
 def _cp_edge(pid, token_out="T"):
@@ -307,11 +365,6 @@ MISUSE = {
                "beta must be in (0, 1)"),
     "beta_1": (lambda: AsgmParams(beta=1.0), InvalidParamsError,
                "beta must be in (0, 1)"),
-    "delta_min_negative": (lambda: AsgmParams(delta_min=-1e-12),
-                           InvalidParamsError,
-                           "delta_min and eps_rel must be positive"),
-    "eps_rel_0": (lambda: AsgmParams(eps_rel=0.0), InvalidParamsError,
-                  "delta_min and eps_rel must be positive"),
     "path_without_hops": (lambda: MultiEdgePath(()), ValueError,
                           "path needs at least one edge per hop"),
     "path_with_empty_hop": (
@@ -345,14 +398,14 @@ def _marginals(paths, res, x):
             for i, p in enumerate(paths)]
 
 
-def test_linear_convergence_gap_series():
+def test_linear_convergence_gap_series(monkeypatch):
     # gap to a fine-grid reference falls geometrically on the standard pair
     from oracles import GridSpec, grid_oracle
 
     a, b = closed_form_pair()
     x = 30 * WAD
-    params = AsgmParams(eps_rel=1e-9)
-    res = asgm([a, b], x, params)
+    monkeypatch.setattr(allocation, "EPS_REL", 1e-9)
+    res = asgm([a, b], x)
     grid = grid_oracle([a, b], x, GridSpec(step=0.001))
     j_star = grid.output
     gaps = [j_star - row.objective for row in res.trace]
@@ -381,23 +434,32 @@ def test_linear_convergence_gap_series():
 
 # --- the per-hop split -----------------------------------------------------
 
+def _renormalize(weights):
+    """The simplex repair the deleted per-hop edge loop ran on every step."""
+    for i, w in enumerate(weights):
+        if w < 0.0:
+            weights[i] = 0.0
+    total = sum(weights)
+    if abs(total - 1.0) > 1e-12 and total > 0.0:
+        for i in range(len(weights)):
+            weights[i] /= total
+
+
 def _armijo_sign_step(weights, grads, j0, evaluate, params, plus_order,
                       delta_cap):
     """The Armijo sign step as the deleted per-hop edge loop ran it."""
     minus = _lowest_funded(weights, grads)
-    if minus is None:
-        return None
     for plus in plus_order:
         if plus == minus or grads[plus] <= grads[minus]:
             break
         delta = min(DELTA0, weights[minus])
         cap = delta_cap(plus)
         if cap is not None:
-            if cap < params.delta_min:
+            if cap < allocation.DELTA_MIN:
                 continue
             delta = min(delta, cap)
         saw_capacity = False
-        while delta >= params.delta_min:
+        while delta >= allocation.DELTA_MIN:
             trial = list(weights)
             trial[plus] += delta
             trial[minus] = max(0.0, trial[minus] - delta)
@@ -424,7 +486,7 @@ def armijo_path_edges(path, hop_weights, x_path, params=AsgmParams()):
     as the objective, at the 10x looser inner tolerance and the 64-step
     budget it ran with.  Mutates hop_weights; returns the path output.
     """
-    tol = 10.0 * params.eps_rel
+    tol = 10.0 * allocation.EPS_REL
     out = path_output(path, hop_weights, x_path)
     budget = 64
     while budget > 0:
@@ -434,7 +496,9 @@ def armijo_path_edges(path, hop_weights, x_path, params=AsgmParams()):
                 continue
             caps = [e.fn.input_capacity() for e in hop]
             while budget > 0:
-                amounts = hop_amounts(path, hop_weights, x_path)
+                amounts = [x_path]
+                for hop_k, w_k in zip(path.hops, hop_weights):
+                    amounts.append(_hop_output(hop_k, w_k, amounts[-1]))
                 a_j = amounts[j]
                 if a_j == 0:
                     break
@@ -448,7 +512,7 @@ def armijo_path_edges(path, hop_weights, x_path, params=AsgmParams()):
                 open_idx = [i for i in range(len(hop))
                             if caps[i] is None or w[i] * a_j + 1.0 <= caps[i]]
                 minus = _lowest_funded(w, g)
-                if minus is None or not open_idx:
+                if not open_idx:
                     break
                 g_top = max(g[i] for i in open_idx)
                 if g_top <= 0.0 or g_top - g[minus] <= tol * g_top:

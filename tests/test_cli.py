@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io as io_mod
 import json
 import logging
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from prime_router import cli as cli_mod
+from prime_router.allocation import AsgmParams
 from prime_router.cli import main
-from prime_router.engine import RouteStats
+from prime_router.engine import RouteQuery, RouteStats
 from prime_router.io import generate_synthetic, save_snapshot
 
 
@@ -270,6 +272,23 @@ class TestGen:
         payload = json.loads(out_path.read_text())
         assert payload["version"] == 1
         assert len(payload["tokens"]) == 10
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    parser = cli_mod.build_parser()
+    route = parser.parse_args(["route", "--snapshot", "s.json", "--from", "A",
+                               "--to", "B", "--amount", "7"])
+    assert cli_mod._build_query(route, "A", "B", 7) == RouteQuery("A", "B", 7)
+    bench = parser.parse_args(["bench", "--snapshot", "s.json", "--from", "A",
+                               "--to", "B"])
+    assert (float(bench.alphas), float(bench.betas)) == \
+        (AsgmParams().alpha, AsgmParams().beta)
+    gen = parser.parse_args(["gen", "--seed", "1", "--tokens", "4",
+                             "--pools", "4", "--out", "g.json"])
+    synthetic = inspect.signature(generate_synthetic).parameters
+    assert (gen.hub_fraction, gen.spread_orders) == \
+        (synthetic["hub_fraction"].default,
+         synthetic["reserve_spread_orders"].default)
 
 
 class TestBench:

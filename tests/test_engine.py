@@ -11,19 +11,18 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prime_router import baselines, engine, pathfind
+from prime_router import allocation, baselines, engine, pathfind
 from prime_router.allocation import (
-    AsgmParams,
     asgm,
     objective,
     path_marginals_real,
     single_to_multi,
 )
 from prime_router.baselines import best_single_path
-from prime_router.cfmm import Segment
+from prime_router.cfmm import Segment, SequentialComposite
 from prime_router.engine import (
     PlanStep,
     RouteQuery,
@@ -195,13 +194,13 @@ class TestPrime:
         assert res.converged and not res.degraded
         assert res.trace[-1].objective == sol.total_output
 
-    def test_stats_flag_convergence_and_fallback(self):
+    def test_stats_flag_convergence_and_fallback(self, monkeypatch):
         g, x = fallback_market()
         sol = prime(g, query("T0", "T1", x))
         assert sol.stats.paths_discovered == 2
         assert sol.stats.converged and not sol.stats.fallback
-        stuck = prime(g, query("T0", "T1", x,
-                               asgm_params=AsgmParams(delta_min=0.3)))
+        monkeypatch.setattr(allocation, "DELTA_MIN", 0.3)
+        stuck = prime(g, query("T0", "T1", x))
         assert stuck.stats.degraded and not stuck.stats.converged
         assert stuck.stats.fallback
         assert stuck.total_output == \
@@ -226,7 +225,8 @@ class TestPrime:
 
     def test_fallback_is_the_single_path_solution(self, monkeypatch):
         g, x = fallback_market()
-        q = query("T0", "T1", x, asgm_params=AsgmParams(delta_min=0.3))
+        monkeypatch.setattr(allocation, "DELTA_MIN", 0.3)
+        q = query("T0", "T1", x)
         found = []
         search = engine.find_path
 
@@ -298,12 +298,19 @@ def check_stage1_splits(g, q):
         for sp, w in zip(singles, weights):
             if w == 0.0:
                 assert sp.spot_rate <= tau * (1.0 + 1e-9)
-    singles, (_, _, last) = fills[-1]
-    paths = [single_to_multi(p) for p in singles]
-    res = asgm(paths, x)
-    allocated = objective(paths, res.allocation.path_weights,
-                          res.allocation.edge_weights, x)
-    assert last >= allocated * (1.0 - 1e-9)
+    # stage 1 solves the real objective exactly, so no cold allocator split
+    # beats it there; on the integer objective, swap rounding can put a
+    # nearby split a few units ahead
+    singles, (weights, _, _) = fills[-1]
+    curves = [SequentialComposite(tuple(e.fn for e in sp.edges))
+              for sp in singles]
+    res = asgm([single_to_multi(p) for p in singles], x)
+
+    def real_output(path_weights):
+        return sum(c.real(w * x)[0] for c, w in zip(curves, path_weights))
+
+    assert real_output(weights) >= \
+        real_output(res.allocation.path_weights) * (1.0 - 1e-9)
     assert verify_solution(sol, g).ok
     return sol
 
@@ -313,6 +320,9 @@ class TestStage1Split:
     # of these markets admit more than one path
     @given(st.integers(0, 2**32), st.integers(2, 5), st.integers(4, 16),
            st.integers(9, 12))
+    # the cold allocator's integer objective came out 15 units (2.7e-9)
+    # above stage 1's here
+    @example(seed=53, n=5, extra=5, digits=9)
     @settings(max_examples=60, deadline=None)
     def test_split_equalizes_marginals(self, seed, n, extra, digits):
         g = random_cp_graph(random.Random(seed), n, n - 1 + extra)

@@ -572,7 +572,7 @@ class TestSearchContext:
             search = SearchStats()
             found = find_path(g, s, t, 10**15, 0.0, max_hops, stats=search,
                               context=context)
-            assert len(context.rate) <= n
+            assert len(context.rows[0]) <= n
             query = RouteQuery(s, t, 10**15, max_hops=max_hops, hub_count=8)
             runs.append((found, vars(search),
                          json.dumps(solution_to_dict(prime(g, query)))))

@@ -3,7 +3,11 @@
 import dataclasses
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -106,3 +110,31 @@ def test_compare_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert " work_changed=0 " in out
     assert "work keys added: added_count; dropped: dropped_count\n" in out
+
+
+@pytest.mark.parametrize("old_output,status", [("5", 0), ("6", 1)])
+def test_compare_outputs_reader_leaving_early(tmp_path, old_output, status):
+    # like ``| head -1``: the reader takes the first line and closes the
+    # pipe; the new side's 10,000 work keys make the report overflow the
+    # pipe, so the report is still writing when the reader leaves
+    def run(output, extra_keys):
+        work = {"swap_evals": 1, "queue_pushes": 1, "asgm_iterations": 0,
+                "stage1_taus": [1.0], "stage1_objectives": [output]}
+        work.update(dict.fromkeys(extra_keys, 0))
+        return {"stage0_sha256": "0" * 64, "records": [
+            {"key": "retail:0:x1", "output": output, "audit": "ok",
+             "result_sha256": "0" * 64, "work": work}]}
+
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    new.write_text(json.dumps(run("5", [f"pad{i:05}" for i in range(10**4)])))
+    old.write_text(json.dumps(run(old_output, [])))
+    proc = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "compare_outputs.py"),
+         "--load", str(new), "--against", str(old)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == status
+    assert f" fallen={status} ".encode() in first
+    assert err == b""
