@@ -467,10 +467,9 @@ def optimize_path_edges(path: MultiEdgePath, hop_weights: List[List[float]],
     every hop's output rises with its input, so the per-hop optimum is the
     path's.  The new weights are kept only when the exact integer output
     does not fall.  Mutates hop_weights in place; returns the path output.
+    Called by ``asgm`` only on a multi-edge path with a positive share.
     """
     out = path_output(path, hop_weights, x_path)
-    if x_path == 0 or all(len(h) == 1 for h in path.hops):
-        return out
     filled = []
     amt = float(x_path)
     for hop, weights in zip(path.hops, hop_weights):

@@ -73,13 +73,10 @@ def _parse_hubs(text: Optional[str]):
 
 def _build_query(args, source: str, target: str, amount: int) -> RouteQuery:
     hub_count, explicit = _parse_hubs(args.hubs)
-    params = AsgmParams(alpha=args.alpha, beta=args.beta)
     return RouteQuery(
         source=source, target=target, amount=amount,
         max_hops=args.max_hops, hub_count=hub_count, explicit_hubs=explicit,
-        asgm_params=params,
-        shortcuts=not args.no_shortcuts,
-    )
+        asgm_params=AsgmParams(alpha=args.alpha, beta=args.beta))
 
 
 def _load_graph(path, args):
@@ -289,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hub count or explicit comma-separated token ids")
     query.add_argument("--alpha", type=float, default=AsgmParams.alpha)
     query.add_argument("--beta", type=float, default=AsgmParams.beta)
-    query.add_argument("--no-shortcuts", action="store_true")
 
     route = sub.add_parser("route", parents=[query],
                            help="solve one routing query")

@@ -51,7 +51,7 @@ from .allocation import (
 )
 from .cfmm import SequentialComposite
 from .errors import InvalidParamsError, NoRouteError
-from .graph import Edge, SwapGraph, gc_paused, pair_arc, prune_leaf_tokens
+from .graph import Edge, SwapGraph, gc_paused, in_arcs_of, prune_leaf_tokens
 from .pathfind import SearchContext, SearchStats, SinglePath, find_path
 from .preprocess import build_shortcut_index, select_hubs
 
@@ -69,7 +69,6 @@ class RouteQuery:
     hub_count: int = 50
     explicit_hubs: Optional[Tuple[str, ...]] = None
     asgm_params: AsgmParams = field(default_factory=AsgmParams)
-    shortcuts: bool = True
 
     def __post_init__(self):
         for name in ("amount", "max_hops", "hub_count"):
@@ -128,16 +127,20 @@ class RouteSolution:
 
 
 class _Overlay:
-    """Search adjacency: the hub core's rows plus per-query source/target
-    attachments, read forward (``out_items``) and backward (``in_arcs``:
-    the core's stage-0 in-arcs plus the attachments' own)."""
+    """Search adjacency: the hub core's rows merged, in neighbour order,
+    with the ``(v, edges)`` pairs a query adds (``added``: token -> pairs),
+    read forward (``out_items``) and backward (``in_arcs``: the core's
+    stage-0 in-arcs, then the added pairs' own, in ``added`` order)."""
 
-    def __init__(self, rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]],
-                 core: SwapGraph,
-                 extra_in: Dict[str, Tuple[Tuple[str, float, int], ...]]):
+    def __init__(self, core: SwapGraph,
+                 added: Dict[str, List[Tuple[str, Tuple[Edge, ...]]]]):
+        # the core's tokens are the hubs, in rank order
+        rows = {h: core.out_items(h) for h in core.tokens}
+        for u, pairs in added.items():
+            rows[u] = tuple(sorted(rows.get(u, ()) + tuple(pairs)))
         self._rows = rows
         self._core = core
-        self._extra_in = extra_in
+        self._added_in = in_arcs_of(added)
 
     def token_ids(self) -> Tuple[str, ...]:
         """Tokens with outgoing edges in this overlay."""
@@ -147,21 +150,18 @@ class _Overlay:
         return self._rows.get(u, ())
 
     def in_arcs(self, v: str) -> Tuple[Tuple[str, float, int], ...]:
-        arcs = self._core.in_arcs(v)
-        extra = self._extra_in.get(v)
-        return arcs + extra if extra else arcs
+        return self._core.in_arcs(v) + self._added_in.get(v, ())
 
 
 # the RouteQuery fields that stage 0 is built from
-_STAGE0_FIELDS = ("hub_count", "explicit_hubs", "shortcuts")
+_STAGE0_FIELDS = ("hub_count", "explicit_hubs")
 
 
 @dataclass
 class PreparedRouting:
     """Stage-0 artifacts, reusable for every query with the same config.
 
-    ``shortcut_index`` holds the shortcut edges that ``core`` also holds
-    (none when shortcuts are off).
+    ``shortcut_index`` holds the shortcut edges that ``core`` also holds.
     """
 
     graph: SwapGraph
@@ -183,7 +183,7 @@ def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
     started = time.perf_counter()
     hubs = select_hubs(g, query.hub_count, explicit=query.explicit_hubs)
     hubs_done = time.perf_counter()
-    shortcuts = build_shortcut_index(g, hubs) if query.shortcuts else ()
+    shortcuts = build_shortcut_index(g, hubs)
     shortcuts_done = time.perf_counter()
     hub_set = set(hubs)
     core_edges = [e for u in hubs for v, candidates in g.out_items(u)
@@ -201,30 +201,21 @@ def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
 
 
 def _query_overlay(prep: PreparedRouting, source: str, target: str) -> _Overlay:
+    """The core plus a non-hub source's row to the hubs and the target, and
+    every hub's edges into a non-hub target, the source's pairs first."""
     g = prep.graph
     hub_set = set(prep.hubs)
-    keep = hub_set | {target}
-    rows = {h: prep.core.out_items(h) for h in prep.hubs}
-    extra_in: Dict[str, List[Tuple[str, float, int]]] = {}
+    added: Dict[str, List[Tuple[str, Tuple[Edge, ...]]]] = {}
     if source not in hub_set:
-        items = [(v, candidates) for v, candidates in g.out_items(source)
-                 if v in keep]
-        rows[source] = tuple(items)
-        for v, candidates in items:
-            extra_in.setdefault(v, []).append(pair_arc(source, candidates))
+        keep = hub_set | {target}
+        added[source] = [(v, candidates) for v, candidates
+                         in g.out_items(source) if v in keep]
     if target not in hub_set:
-        # every hub gains its edges into the target; a non-hub source has them
-        into_target = extra_in.setdefault(target, [])
         for u in prep.hubs:
-            extra = g.edges_between(u, target)
-            if not extra:
-                continue
-            existing = dict(rows[u])
-            existing[target] = extra
-            rows[u] = tuple(sorted(existing.items()))
-            into_target.append(pair_arc(u, extra))
-    return _Overlay(rows, prep.core,
-                    {v: tuple(arcs) for v, arcs in extra_in.items()})
+            into = g.edges_between(u, target)
+            if into:
+                added[u] = [(target, into)]
+    return _Overlay(prep.core, added)
 
 
 # unused parallel pools offered per hop in stage 2, best spot price first

@@ -15,7 +15,8 @@ pair.  A graph whose every pair has its reverse, as every graph
 ``build_graph`` makes (each pool serves both directions), has its
 out-neighbours for in-neighbours: each token's arcs are read from its own
 row when first asked for.  Any other graph indexes every token's arcs on
-the first call.
+the first call, with ``in_arcs_of``, which also reads an engine overlay's
+added pairs backward.
 
 Structure rules (unique ids, decimals 0..30, pool shape) live here, per entry
 in ``add_token``/``add_pool``, which ``io`` also calls; the ``cfmm``
@@ -208,7 +209,7 @@ class SwapGraph:
             symmetric = all(u in pairs.get(v, ())
                             for u, row in pairs.items() for v in row)
             if not symmetric:
-                self._in_arcs = _reverse(self._rows)
+                self._in_arcs = in_arcs_of(self._rows)
             self._symmetric = symmetric
         return self._symmetric
 
@@ -225,9 +226,10 @@ class SwapGraph:
         return arcs
 
 
-def _reverse(rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]]
-             ) -> Dict[str, Tuple[Tuple[str, float, int], ...]]:
-    """Every token's ``in_arcs``, from rows in token order."""
+def in_arcs_of(rows: Dict[str, Iterable[Tuple[str, Tuple[Edge, ...]]]]
+               ) -> Dict[str, Tuple[Tuple[str, float, int], ...]]:
+    """The ``pair_arc`` of every pair ``u -> v`` in ``rows`` (token u ->
+    its ``(v, edges)`` pairs), per token v, in the rows' order of u."""
     into: Dict[str, List[Tuple[str, float, int]]] = {}
     for u, items in rows.items():
         for v, candidates in items:

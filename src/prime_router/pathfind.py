@@ -160,6 +160,7 @@ def _rate_table(view, target: str, max_hops: int
         for w in changed:
             w_rate = prev_rate.get(w)
             if w_rate is None:
+                # its spot product underflowed to 0.0: a cap and no rate
                 continue
             w_cap = prev_cap[w]
             for u, spot, ceiling in view.in_arcs(w):

@@ -470,6 +470,20 @@ class TestVerifySolution:
         report = verify_solution(sol, g)
         assert any("re-simulated" in v for v in report.violations)
 
+    def test_flags_step_through_a_pool_off_its_pair(self):
+        # pool B joins T0 and T2, not the step's T0 -> T1
+        g = build_graph(tokens(3), [cp_pool("A", "T0", "T1", 10**9, 10**9),
+                                    cp_pool("B", "T0", "T2", 10**9, 10**9)])
+        sol = prime(g, query("T0", "T1", 10**6))
+        step = sol.execution_plan[0]
+        sol.execution_plan = (PlanStep("B", step.token_in, step.token_out,
+                                       step.amount_in, step.min_out),)
+        report = verify_solution(sol, g)
+        assert report.violations == (
+            "step 0: no edge T0->T1 in pool 'B'",
+            "residual 1000000 of 'T0' stranded",
+            f"replayed output 0 != reported {sol.total_output}")
+
 
 class TestShortcuts:
     def build_detour_market(self):
@@ -485,8 +499,9 @@ class TestShortcuts:
         x = 10**6
         base = dict(explicit_hubs=("T0", "T1"), max_hops=3)
         with_sc = prime(g, query("T0", "T1", x, **base))
-        core_only = prime(g, query("T0", "T1", x,
-                                   shortcuts=False, **base))
+        with mock.patch.object(engine, "build_shortcut_index",
+                               return_value=()):
+            core_only = prime(g, query("T0", "T1", x, **base))
         assert with_sc.total_output > core_only.total_output
         assert verify_solution(with_sc, g).ok
         # the winning plan routes through the composite's member pools
@@ -494,13 +509,12 @@ class TestShortcuts:
         assert {"LEG1", "LEG2"} & used
 
     @pytest.mark.parametrize("change", [
-        dict(shortcuts=False),
         dict(explicit_hubs=("T0", "T1", "T2")),
         dict(hub_count=2),
-    ])
+    ], ids=["change1", "change2"])
     def test_prepared_routing_rejects_other_stage0_config(self, change):
-        # cold, shortcuts off routes DIRECT; a stage 0 built with shortcuts on
-        # would silently route LEG1, LEG2 instead
+        # a stage 0 built on hubs T0, T1 would silently route a query that
+        # asks for other hub settings over its own core
         g = self.build_detour_market()
         base = dict(explicit_hubs=("T0", "T1"))
         prep = prepare_routing(g, query("T0", "T1", 10**6, **base))
@@ -574,14 +588,46 @@ class TestShortcuts:
         (offered,) = [e for e in paths[0].hops[0] if e.legs]
         assert offered.pool_id == "sc:T0>T1:0"
 
+    def test_stage2_skips_a_shortcut_through_a_token_on_the_path(self):
+        # the path T0 -DIRECT-> T1 -EXIT-> T2 passes T2, the interior token
+        # of the shortcut T0 -LEG1-> T2 -LEG2-> T1, so stage 2 must not
+        # offer it on hop T0 -> T1, though it beats DIRECT and its pools are
+        # free (the other shortcut through T2 runs through the used EXIT)
+        pools = dict(self.build_detour_market().pools)
+        pools["DIRECT"] = cp_pool("DIRECT", "T0", "T1", 10**7, 10**7, fee=30)
+        pools["EXIT"] = cp_pool("EXIT", "T1", "T2", 10**9, 10**9)
+        g = build_graph(tokens(3), list(pools.values()))
+        x = 10**6
+        prep = prepare_routing(g, query("T0", "T1", x,
+                                        explicit_hubs=("T0", "T1")))
+        detour = [e for e in prep.core.edges_between("T0", "T1")
+                  if e.pool_ids == ("LEG1", "LEG2")]
+        assert len(detour) == 1
+        assert detour[0].spot > g.edges_between("T0", "T1")[0].spot
+        through = find_path(g, "T0", "T2", x, 0.0, 2,
+                            frozenset({"LEG1", "LEG2"}))
+        assert through.tokens == ("T0", "T1", "T2")
+        paths, _ = merge_and_expand([through], [1.0], g, prep.core,
+                                    set(through.pool_ids))
+        assert not any(e.legs for hop in paths[0].hops for e in hop)
+        # the same hop on a path that ends at T1 is offered a shortcut
+        direct = find_path(g, "T0", "T1", x, 0.0, 1)
+        paths, _ = merge_and_expand([direct], [1.0], g, prep.core,
+                                    set(direct.pool_ids))
+        (offered,) = [e for e in paths[0].hops[0] if e.legs]
+        assert offered.legs[1].token_in == "T2"
+
     @pytest.mark.parametrize("shortcuts", [True, False], ids=["sc", "no_sc"])
     @pytest.mark.parametrize("seed", [3, 13])
-    def test_core_rows_are_hub_edges_and_shortcuts(self, seed, shortcuts):
+    def test_core_rows_are_hub_edges_and_shortcuts(self, seed, shortcuts,
+                                                   monkeypatch):
         g = generate_synthetic(seed, 60, 200, hub_fraction=0.2,
                                reserve_spread_orders=4).build_graph()
         ids = sorted(g.tokens)
-        prep = prepare_routing(g, query(ids[0], ids[1], 1, hub_count=8,
-                                        shortcuts=shortcuts))
+        if not shortcuts:
+            monkeypatch.setattr(engine, "build_shortcut_index",
+                                lambda g, hubs: ())
+        prep = prepare_routing(g, query(ids[0], ids[1], 1, hub_count=8))
         built = by_pair(prep.shortcut_index)
         assert (len(built) > 0) == shortcuts
         mixed = 0

@@ -16,7 +16,14 @@ from prime_router.engine import (
 )
 from prime_router.cfmm import ConstantProduct
 from prime_router.errors import NoRouteError
-from prime_router.graph import KIND_PIECEWISE, Edge, SwapGraph, build_graph
+from prime_router.graph import (
+    KIND_PIECEWISE,
+    Edge,
+    Pool,
+    SwapGraph,
+    Token,
+    build_graph,
+)
 from prime_router.io import generate_synthetic, solution_to_dict
 from prime_router.pathfind import (
     BOUND_SLACK,
@@ -32,6 +39,7 @@ from oracles import (
     GraphTooLargeError,
     enumerate_paths_oracle,
     rate_table_oracle,
+    unbounded_find_path,
 )
 
 
@@ -493,6 +501,71 @@ class TestBoundRows:
         out = simulate_chain(g.edges_between("T1", "T2")[1:], 10**19)
         assert 2 * 10**6 < out <= cap[1]["T1"]
         assert cap[2]["T0"] == min(10**20 * rate[1]["T1"], cap[1]["T1"])
+
+    def test_underflowed_spot_product_leaves_a_cap_and_no_rate(self):
+        # each hop of the chain quotes 2**-200: six of them underflow to
+        # 0.0, so T1 gets a cap in row 6 and no rate there, and row 7 must
+        # not extend it to T0
+        n = 8
+        g = build_graph(
+            [Token(f"T{i}", f"T{i}", 18) for i in range(n)],
+            [Pool(f"P{i}", "constant_product", (f"T{i}", f"T{i + 1}"), 0,
+                  (2**200, 1)) for i in range(n - 1)])
+        rate, cap = _rate_table(g, "T7", n)
+        assert (rate, cap) == rate_table_oracle(g, "T7", n)
+        assert len(rate) == n and rate[5]["T2"] > 0.0
+        assert "T1" in cap[6] and "T1" not in rate[6]
+        assert "T0" not in cap[7]
+        assert find_path(g, "T0", "T7", 10**20, 0.0, n) is None
+
+
+@pytest.fixture(scope="module")
+def scale_market():
+    """The criterion-7 market (10,000 tokens, 25,000 pools) and its 50-hub
+    stage 0 over its graph, built once for the module."""
+    snap = generate_synthetic(0xC7, 10_000, 25_000, hub_fraction=0.005,
+                              reserve_spread_orders=11)
+    g = snap.build_graph()
+    ids = sorted(g.tokens)
+    return snap, prepare_routing(g, RouteQuery(ids[0], ids[1], 1,
+                                               hub_count=50))
+
+
+class TestBoundRowsAtScale:
+    def test_overlay_rows_and_search_match_the_references(self,
+                                                          scale_market):
+        # 200 seeded queries, three in four endpoints non-hubs, at 1%, 10%
+        # and 300% of a source pool's input reserve: every overlay's rows
+        # equal the forward relaxation, and the bounded search returns what
+        # the bound-free one does
+        snap, prep = scale_market
+        hubs = list(prep.hubs)
+        pools_of = {}
+        for p in snap.pools:
+            for tok in p.tokens:
+                pools_of.setdefault(tok, []).append(p)
+        non_hubs = sorted(set(pools_of) - set(hubs))
+        rng = random.Random(0xB0D)
+        kinds, routed = set(), 0
+        for i in range(200):
+            kind = (rng.random() < 0.25, rng.random() < 0.25)
+            s = rng.choice(hubs if kind[0] else non_hubs)
+            t = s
+            while t == s:
+                t = rng.choice(hubs if kind[1] else non_hubs)
+            pool = rng.choice(pools_of[s])
+            x = max(1, pool.reserve_of(s) * (1, 10, 300)[i % 3] // 100)
+            overlay = _query_overlay(prep, s, t)
+            rows = rate_table_oracle(overlay, t, 3)
+            assert _rate_table(overlay, t, 3) == rows
+            got = find_path(overlay, s, t, x, 0.0, 3)
+            want = unbounded_find_path(overlay, s, t, x, 0.0, 3, rows)
+            assert (got and (got.edges, got.output)) == \
+                (want and (want.edges, want.output))
+            kinds.add(kind)
+            routed += got is not None
+        assert len(kinds) == 4
+        assert 0 < routed < 200
 
 
 def _replay(g, s, t, x, taus, extra_masks, context=None):
