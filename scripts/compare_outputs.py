@@ -6,10 +6,11 @@
 sets (fixed: a workload seed only reorders them) at each of ``MULTIPLES``
 times every query's amount, and writes one JSON record per
 query: its output (null for no route), the audit of its plan, a sha256 of
-its result JSON with ``stats`` removed, and its work counts: 92 queries at
-1x, 3x and 10x, 276 in all.  Next to the records it writes a sha256 of
-stage 0 itself: the hubs and every hub-core row, which holds every shortcut
-edge.
+its result JSON with ``stats`` removed, and its work counts, then the same
+output and sha256 of the checker, ``baselines.best_single_path``: 92
+queries at 1x, 3x and 10x, 276 in all.  Next to the records it writes a
+sha256 of stage 0 itself: the hubs and every hub-core row, which holds
+every shortcut edge.
 ``--src`` names the ``prime_router`` sources to route with, so a second
 checkout can be recorded with this script too:
 
@@ -21,11 +22,13 @@ checkout can be recorded with this script too:
 are newly routed, how many routed results changed beyond their stats, how
 many routed records' work counts (their ``stats``, over the keys both sides
 have) changed, whether stage 0 changed (``stage0_changed``), how many
-stage-1 objectives fell at the same refresh, the work keys only one side
-has, and the mean work counts per workload, pooled over the multiples and
-then per multiple (the benchmark's gated counts are the 1x ones).  It exits
-1 when any output fell (a query that stops routing counts as fallen) or any
-plan failed its audit.
+checker results changed (``osp_changed``), how many stage-1 objectives fell
+at the same refresh, how many queries prime leaves below the checker
+(``below_osp``: no route or a lower output where the checker routes), the
+work keys only one side has, and the mean work counts per workload, pooled
+over the multiples and then per multiple (the benchmark's gated counts are
+the 1x ones).  It exits 1 when any output fell (a query that stops routing
+counts as fallen), any plan failed its audit or any checker result changed.
 """
 
 from __future__ import annotations
@@ -50,27 +53,41 @@ def _import_paths(src: str) -> None:
 
 
 def _record(st, name: str, q, multiple: int) -> dict:
-    from prime_router import engine, io
+    from prime_router import baselines, engine, io
     from prime_router.errors import NoRouteError
 
     amount = q.amount * multiple
     rec = {"key": f"{name}:{q.qid}:x{multiple}", "source": q.source,
            "target": q.target, "amount": str(amount), "output": None,
-           "audit": None, "result_sha256": None, "work": None}
+           "audit": None, "result_sha256": None, "work": None,
+           "osp_output": None, "osp_sha256": None}
     query = engine.RouteQuery(source=q.source, target=q.target, amount=amount,
                               max_hops=st.market.max_hops,
                               hub_count=st.market.hubs)
-    try:
-        sol = engine.prime(st.graph, query, st.prepared)
-    except NoRouteError:
-        return rec
-    report = engine.verify_solution(sol, st.graph)
-    result = io.solution_to_dict(sol)
-    work = result.pop("stats")
-    digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode())
-    rec.update(output=str(sol.total_output),
-               audit="; ".join(report.violations) or "ok",
-               result_sha256=digest.hexdigest(), work=work)
+
+    def solve(router, *args):
+        """The solution, its ``stats`` and a sha256 of the rest of its
+        result JSON, or None for no route."""
+        try:
+            sol = router(st.graph, query, *args)
+        except NoRouteError:
+            return None
+        result = io.solution_to_dict(sol)
+        work = result.pop("stats")
+        digest = hashlib.sha256(json.dumps(result, sort_keys=True).encode())
+        return sol, work, digest.hexdigest()
+
+    routed = solve(engine.prime, st.prepared)
+    if routed is not None:
+        sol, work, digest = routed
+        report = engine.verify_solution(sol, st.graph)
+        rec.update(output=str(sol.total_output),
+                   audit="; ".join(report.violations) or "ok",
+                   result_sha256=digest, work=work)
+    osp = solve(baselines.best_single_path)
+    if osp is not None:
+        sol, _, digest = osp
+        rec.update(osp_output=str(sol.total_output), osp_sha256=digest)
     return rec
 
 
@@ -116,19 +133,31 @@ def allocator_steps(work: dict) -> int:
     return work["asgm_iterations"] + len(work["stage1_taus"]) + 1
 
 
+def below_osp(records: Sequence[dict]) -> int:
+    """Records where the checker routes and prime does not, or routes
+    less."""
+    return sum(r.get("osp_output") is not None
+               and (r["output"] is None
+                    or int(r["output"]) < int(r["osp_output"]))
+               for r in records)
+
+
 def compare(new: dict, old: dict) -> Dict[str, int]:
     """Counts of equal, risen, fallen, newly routed and unrouted queries,
     routed results that changed, failed audits, routed records whose work
     (their ``stats``, over the keys both records have) changed, a changed
-    stage 0 (0 or 1), and stage-1 objectives below the old one's at the
-    same refresh."""
+    stage 0 (0 or 1), changed checker results, the new records below the
+    checker (``below_osp``), and stage-1 objectives below the old one's at
+    the same refresh."""
     before = {r["key"]: r for r in old["records"]}
     counts = dict.fromkeys(("equal", "risen", "fallen", "newly_routed",
                             "unrouted", "result_changed", "audit_failed",
-                            "work_changed", "stage0_changed", "stage1_compared",
-                            "stage1_fallen", "missing"), 0)
+                            "work_changed", "stage0_changed", "osp_changed",
+                            "below_osp", "stage1_compared", "stage1_fallen",
+                            "missing"), 0)
     counts["stage0_changed"] = int(new["stage0_sha256"]
                                    != old["stage0_sha256"])
+    counts["below_osp"] = below_osp(new["records"])
     for r in new["records"]:
         if r["audit"] not in (None, "ok"):
             counts["audit_failed"] += 1
@@ -136,6 +165,7 @@ def compare(new: dict, old: dict) -> Dict[str, int]:
         if o is None:
             counts["missing"] += 1
             continue
+        counts["osp_changed"] += r.get("osp_sha256") != o.get("osp_sha256")
         if r["output"] is None:
             counts["fallen" if o["output"] is not None else "unrouted"] += 1
             continue
@@ -191,9 +221,9 @@ def work_table(records: Sequence[dict], multiple: Optional[int] = None
 
 
 def report(new: dict, old: dict) -> int:
-    """Print the comparison; 1 when an output fell or a plan failed its
-    audit, else 0.  A reader that leaves early (``| head -1``) cuts the
-    printing short, not the status."""
+    """Print the comparison; 1 when an output fell, a plan failed its
+    audit or a checker result changed, else 0.  A reader that leaves early
+    (``| head -1``) cuts the printing short, not the status."""
     counts = compare(new, old)
     lines = [" ".join(f"{k}={v}" for k, v in counts.items())]
     added, dropped = unshared_work_keys(new, old)
@@ -217,7 +247,8 @@ def report(new: dict, old: dict) -> int:
     except BrokenPipeError:
         # point stdout at devnull, or the flush at exit raises again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 1 if counts["fallen"] or counts["audit_failed"] else 0
+    failed = ("fallen", "audit_failed", "osp_changed")
+    return 1 if any(counts[k] for k in failed) else 0
 
 
 def parse_args(argv=None) -> argparse.Namespace:

@@ -1,9 +1,12 @@
-"""The no-splitting reference: the whole amount down the one best route."""
+"""The no-splitting reference: the whole amount down the one best route of
+the graph as given.  A leaf token is a dead end for a simple path, so
+pruning the leaves first could not change that route."""
 
 from __future__ import annotations
 
 from .engine import RouteQuery, RouteSolution, RouteStats, single_path_solution
 from .errors import NoRouteError
+# the benchmark's tracer wraps prune_leaf_tokens here; ROADMAP item 8 drops it
 from .graph import SwapGraph, prune_leaf_tokens
 from .pathfind import SearchStats, find_path
 
@@ -12,9 +15,8 @@ def best_single_path(g: SwapGraph, query: RouteQuery) -> RouteSolution:
     """Highest-output single route at the full amount, no splitting."""
     if not g.has_token(query.source) or not g.has_token(query.target):
         raise NoRouteError("source or target token not in graph")
-    pruned = prune_leaf_tokens(g, protected={query.source, query.target})
     stats = SearchStats()
-    found = find_path(pruned, query.source, query.target, query.amount,
+    found = find_path(g, query.source, query.target, query.amount,
                       0.0, query.max_hops, frozenset(), stats)
     if found is None:
         raise NoRouteError(

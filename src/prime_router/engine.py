@@ -5,9 +5,9 @@ tokens, builds the shortcut edges and the hub core: a ``SwapGraph`` of the
 hub-to-hub pool edges and the shortcuts, the one home of both, which each
 query overlays with the rows its endpoints add.  Stage 0 prunes no leaf
 tokens: a token the prune drops hangs off the rest by at most one
-neighbour, so no shortcut passes through it, and routing reads nothing else
-of the pruned graph.  ``PreparedRouting.pruned`` builds it on first read,
-for callers that want it.
+neighbour, so no shortcut or simple path passes through it, and neither
+routing nor ``best_single_path`` reads the pruned graph.
+``PreparedRouting.pruned`` builds it on first read, for benchmark queries.
 
 Stage 1 repeatedly asks the path search for the best remaining route at the
 current price threshold, masks its pools so later routes stay pool-disjoint,
@@ -173,7 +173,7 @@ class PreparedRouting:
     @cached_property
     def pruned(self) -> SwapGraph:
         """The graph without the leaf tokens no hub needs, built once, on
-        first read; routing never reads it."""
+        first read; neither routing nor the checker reads it."""
         return prune_leaf_tokens(self.graph, protected=self.hubs)
 
 

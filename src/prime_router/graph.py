@@ -161,17 +161,17 @@ class SwapGraph:
                                for v, es in sorted(row.items())])
                      for u, row in sorted(by_pair.items())})
 
-    def _index(self, rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]],
-               symmetric: Optional[bool] = None) -> None:
-        """Keep ``rows`` (tokens in id order, edges in spot order) and derive
-        the pair lookup and the edge count from them.  ``symmetric`` is
-        True when known, else None: ``_is_symmetric`` works it out."""
+    def _index(self, rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]]
+               ) -> None:
+        """Keep ``rows`` (tokens in id order, edges in spot order), derive
+        the pair lookup and the edge count, and sort the token ids once."""
         self._rows = rows
         self._pairs = {u: dict(items) for u, items in rows.items()}
         self._edge_count = sum(sum(map(len, pair_map.values()))
                                for pair_map in self._pairs.values())
+        self._token_ids = tuple(sorted(self._tokens))
         self._in_arcs: Dict[str, Tuple[Tuple[str, float, int], ...]] = {}
-        self._symmetric = symmetric
+        self._symmetric: Optional[bool] = None
 
     @property
     def tokens(self) -> Dict[str, Token]:
@@ -182,7 +182,7 @@ class SwapGraph:
         return self._pools
 
     def token_ids(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._tokens))
+        return self._token_ids
 
     def has_token(self, token_id: str) -> bool:
         return token_id in self._tokens
@@ -200,27 +200,23 @@ class SwapGraph:
         """(neighbour, ``edges_between(u, neighbour)``) pairs, neighbour-sorted."""
         return self._rows.get(u, ())
 
-    def _is_symmetric(self) -> bool:
-        """Whether every pair u -> v has its reverse v -> u, as every pool's
-        edges do; worked out on the first call.  A graph that is not indexes
-        every token's ``in_arcs`` then, before it answers."""
-        if self._symmetric is None:
-            pairs = self._pairs
-            symmetric = all(u in pairs.get(v, ())
-                            for u, row in pairs.items() for v in row)
-            if not symmetric:
-                self._in_arcs = in_arcs_of(self._rows)
-            self._symmetric = symmetric
-        return self._symmetric
-
     def in_arcs(self, v: str) -> Tuple[Tuple[str, float, int], ...]:
-        """``pair_arc`` of every pair u -> v, tokens u in id order.  Two
-        threads may both read a symmetric graph's row, to the same arcs."""
+        """``pair_arc`` of every pair u -> v, tokens u in id order.  The
+        first call works out whether every pair has its reverse, as every
+        pool's edges do.  If so, each token's arcs are read from its own row
+        when first asked for (two threads may both read one, to the same
+        arcs); if not, every token's arcs are indexed at once."""
         arcs = self._in_arcs.get(v)
         if arcs is None:
-            if not self._is_symmetric():
-                return self._in_arcs.get(v, ())
             pairs = self._pairs
+            if self._symmetric is None:
+                symmetric = all(u in pairs.get(w, ())
+                                for u, row in pairs.items() for w in row)
+                if not symmetric:
+                    self._in_arcs = in_arcs_of(self._rows)
+                self._symmetric = symmetric
+            if not self._symmetric:
+                return self._in_arcs.get(v, ())
             arcs = self._in_arcs[v] = tuple(
                 [pair_arc(u, pairs[u][v]) for u, _ in self.out_items(v)])
         return arcs
@@ -345,15 +341,14 @@ def _subgraph(g: SwapGraph, tokens: Set[str]) -> SwapGraph:
             kept = tuple(item for item in items if item[0] in tokens)
             if kept:
                 rows[u] = kept
-    # filtering both ends of every pair keeps a symmetric graph symmetric
-    sub._index(rows, True if g._is_symmetric() else None)
+    sub._index(rows)
     return sub
 
 
 def prune_leaf_tokens(g: SwapGraph, protected: Iterable[str]) -> SwapGraph:
     """Drop tokens whose pools touch at most one other token, to a fixpoint.
 
-    Protected tokens (query endpoints, hubs) survive regardless.  Pools lose
+    Protected tokens (the hubs, for ``PreparedRouting.pruned``) survive.  Pools lose
     all edges once any of their tokens is dropped, which is safe: a token in
     a multi-token pool always sees >= 2 neighbours through it.  A drop only
     lowers other tokens' neighbour counts, so the order in which a worklist

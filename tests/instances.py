@@ -9,8 +9,10 @@ from prime_router.allocation import MultiEdgePath
 from prime_router.cfmm import ConstantProduct, Segment
 from prime_router.graph import (
     KIND_CONSTANT_PRODUCT,
+    KIND_PIECEWISE,
     Edge,
     Pool,
+    PoolDirection,
     SwapGraph,
     Token,
     build_graph,
@@ -90,3 +92,50 @@ def closed_form_pair(scale: int = WAD) -> Tuple[MultiEdgePath, MultiEdgePath]:
     a = single_edge_path("PA", "S", "T", 100 * scale, 100 * scale)
     b = single_edge_path("PB", "S", "T", 200 * scale, 200 * scale)
     return a, b
+
+
+def _piecewise_pool(rng, pid, a, b):
+    def direction(tin, tout):
+        seg = Segment(rng.randint(10**6, 10**9), rng.randint(10**6, 10**9),
+                      rng.randint(10**6, 10**9))
+        return PoolDirection(tin, tout, (seg,))
+    return Pool(pid, KIND_PIECEWISE, (a, b), rng.choice((0, 5, 30)),
+                directions=(direction(a, b), direction(b, a)))
+
+
+def random_mixed_market(rng):
+    """Sparse market of 2- and 3-token CP, piecewise and parallel pools.
+
+    Token and pool ids are drawn at random and inserted unsorted, so a
+    prune that kept input order instead of sorted token order shows.
+    """
+    n = rng.randint(3, 14)
+    toks = [Token(f"T{rng.getrandbits(24):06x}{i}", f"S{i}", 18)
+            for i in range(n)]
+    ids = [t.id for t in toks]
+    pools = []
+
+    def pid():
+        return f"P{rng.getrandbits(20):05x}{len(pools)}"
+    for _ in range(rng.randint(1, 2 * n)):
+        roll = rng.random()
+        if roll < 0.15 and n >= 3:
+            trio = tuple(rng.sample(ids, 3))
+            pools.append(Pool(pid(), KIND_CONSTANT_PRODUCT, trio,
+                              rng.choice((0, 30)),
+                              tuple(rng.randint(10**6, 10**12)
+                                    for _ in trio)))
+        elif roll < 0.35:
+            pools.append(_piecewise_pool(rng, pid(), *rng.sample(ids, 2)))
+        elif roll < 0.5 and pools:
+            # a parallel pool on an existing pair
+            a, b = rng.choice(pools).tokens[:2]
+            pools.append(cp_pool(pid(), a, b, rng.randint(10**6, 10**12),
+                                 rng.randint(10**6, 10**12), 5))
+        else:
+            a, b = rng.sample(ids, 2)
+            pools.append(cp_pool(pid(), a, b, rng.randint(10**6, 10**12),
+                                 rng.randint(10**6, 10**12),
+                                 rng.choice((0, 5, 30, 100))))
+    rng.shuffle(toks)
+    return build_graph(toks, pools)

@@ -6,15 +6,18 @@ import pytest
 from prime_router.allocation import MultiEdgePath, asgm, objective
 from prime_router.baselines import best_single_path
 from prime_router.cfmm import ConstantProduct
-from prime_router.engine import RouteQuery
+from prime_router.engine import RouteQuery, verify_solution
 from prime_router.errors import InvalidParamsError, NoRouteError
-from prime_router.graph import Edge, build_graph
+from prime_router.graph import Edge, build_graph, prune_leaf_tokens
+from prime_router.pathfind import find_path
 
 from instances import (
     WAD,
     closed_form_pair,
     cp_pool,
+    random_cp_graph,
     random_disjoint_paths,
+    random_mixed_market,
     single_edge_path,
     tokens,
 )
@@ -55,6 +58,38 @@ class TestBestSinglePath:
         with pytest.raises(NoRouteError,
                            match="^source or target token not in graph$"):
             best_single_path(g, query(s=s, t=t))
+
+
+class TestCheckerSearchesTheGivenGraph:
+    def test_same_route_as_on_the_leaf_pruned_graph(self):
+        # a leaf token is a dead end for a simple path, so the checker,
+        # which searches the graph as given, returns the path and output of
+        # a search of the graph pruned around the query's endpoints; every
+        # plan it returns audits clean
+        rng = random.Random(0x05B)
+        pruned_routes = no_routes = 0
+        for trial in range(300):
+            if trial % 2:
+                g = random_mixed_market(rng)
+            else:
+                n = rng.randint(2, 12)
+                g = random_cp_graph(rng, n, rng.randint(n - 1, 2 * n))
+            s, t = rng.sample(sorted(g.tokens), 2)
+            q = query(s, t, 10**rng.randint(3, 12),
+                      max_hops=rng.randint(1, 4))
+            pruned = prune_leaf_tokens(g, {s, t})
+            want = find_path(pruned, s, t, q.amount, 0.0, q.max_hops)
+            try:
+                sol = best_single_path(g, q)
+            except NoRouteError:
+                assert want is None
+                no_routes += 1
+                continue
+            assert tuple(e for (e,) in sol.paths[0].hops) == want.edges
+            assert sol.total_output == want.output
+            assert verify_solution(sol, g).ok
+            pruned_routes += len(pruned.tokens) < len(g.tokens)
+        assert pruned_routes > 80 and no_routes > 50
 
 
 class TestGridOracle:

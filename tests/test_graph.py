@@ -17,7 +17,12 @@ from prime_router.graph import (
 )
 from prime_router.io import generate_synthetic
 
-from instances import cp_pool, random_cp_graph, tokens
+from instances import (
+    cp_pool,
+    random_cp_graph,
+    random_mixed_market,
+    tokens,
+)
 
 
 def test_two_token_pool_expands_bidirectionally():
@@ -255,53 +260,6 @@ def rebuild_prune_oracle(g, protected):
     return build_graph(kept_tokens, kept_pools)
 
 
-def _piecewise_pool(rng, pid, a, b):
-    def direction(tin, tout):
-        seg = Segment(rng.randint(10**6, 10**9), rng.randint(10**6, 10**9),
-                      rng.randint(10**6, 10**9))
-        return PoolDirection(tin, tout, (seg,))
-    return Pool(pid, KIND_PIECEWISE, (a, b), rng.choice((0, 5, 30)),
-                directions=(direction(a, b), direction(b, a)))
-
-
-def random_mixed_market(rng):
-    """Sparse market of 2- and 3-token CP, piecewise and parallel pools.
-
-    Token and pool ids are drawn at random and inserted unsorted, so a
-    prune that kept input order instead of sorted token order shows.
-    """
-    n = rng.randint(3, 14)
-    toks = [Token(f"T{rng.getrandbits(24):06x}{i}", f"S{i}", 18)
-            for i in range(n)]
-    ids = [t.id for t in toks]
-    pools = []
-
-    def pid():
-        return f"P{rng.getrandbits(20):05x}{len(pools)}"
-    for _ in range(rng.randint(1, 2 * n)):
-        roll = rng.random()
-        if roll < 0.15 and n >= 3:
-            trio = tuple(rng.sample(ids, 3))
-            pools.append(Pool(pid(), KIND_CONSTANT_PRODUCT, trio,
-                              rng.choice((0, 30)),
-                              tuple(rng.randint(10**6, 10**12)
-                                    for _ in trio)))
-        elif roll < 0.35:
-            pools.append(_piecewise_pool(rng, pid(), *rng.sample(ids, 2)))
-        elif roll < 0.5 and pools:
-            # a parallel pool on an existing pair
-            a, b = rng.choice(pools).tokens[:2]
-            pools.append(cp_pool(pid(), a, b, rng.randint(10**6, 10**12),
-                                 rng.randint(10**6, 10**12), 5))
-        else:
-            a, b = rng.sample(ids, 2)
-            pools.append(cp_pool(pid(), a, b, rng.randint(10**6, 10**12),
-                                 rng.randint(10**6, 10**12),
-                                 rng.choice((0, 5, 30, 100))))
-    rng.shuffle(toks)
-    return build_graph(toks, pools)
-
-
 def graph_layout(g):
     """Everything a consumer can observe about a graph's structure."""
     return (list(g.tokens), list(g.pools), g.edge_count,
@@ -338,6 +296,9 @@ def test_in_arcs_read_the_rows_backward():
         partial = SwapGraph(g.tokens, g.pools, kept)
         pruned = prune_leaf_tokens(g, rng.sample(sorted(g.tokens), 1))
         for view in (g, pruned, partial):
+            # the ids are sorted once per graph, not per call
+            assert view.token_ids() == tuple(sorted(view.tokens))
+            assert view.token_ids() is view.token_ids()
             want = in_arcs_oracle(view)
             for v in view.token_ids():
                 assert list(view.in_arcs(v)) == want.get(v, [])

@@ -13,6 +13,7 @@ from prime_router.engine import (
     _query_overlay,
     prepare_routing,
     prime,
+    verify_solution,
 )
 from prime_router.cfmm import ConstantProduct
 from prime_router.errors import NoRouteError
@@ -23,6 +24,7 @@ from prime_router.graph import (
     SwapGraph,
     Token,
     build_graph,
+    prune_leaf_tokens,
 )
 from prime_router.io import generate_synthetic, solution_to_dict
 from prime_router.pathfind import (
@@ -531,30 +533,40 @@ def scale_market():
                                                hub_count=50))
 
 
+@pytest.fixture(scope="module")
+def scale_queries(scale_market):
+    """200 seeded queries on the scale market, three in four endpoints
+    non-hubs, at 1%, 10% and 300% of a source pool's input reserve:
+    ``(source, target, amount, (source is a hub, target is a hub))``."""
+    snap, prep = scale_market
+    hubs = list(prep.hubs)
+    pools_of = {}
+    for p in snap.pools:
+        for tok in p.tokens:
+            pools_of.setdefault(tok, []).append(p)
+    non_hubs = sorted(set(pools_of) - set(hubs))
+    rng = random.Random(0xB0D)
+    queries = []
+    for i in range(200):
+        kind = (rng.random() < 0.25, rng.random() < 0.25)
+        s = rng.choice(hubs if kind[0] else non_hubs)
+        t = s
+        while t == s:
+            t = rng.choice(hubs if kind[1] else non_hubs)
+        pool = rng.choice(pools_of[s])
+        x = max(1, pool.reserve_of(s) * (1, 10, 300)[i % 3] // 100)
+        queries.append((s, t, x, kind))
+    return queries
+
+
 class TestBoundRowsAtScale:
-    def test_overlay_rows_and_search_match_the_references(self,
-                                                          scale_market):
-        # 200 seeded queries, three in four endpoints non-hubs, at 1%, 10%
-        # and 300% of a source pool's input reserve: every overlay's rows
-        # equal the forward relaxation, and the bounded search returns what
-        # the bound-free one does
-        snap, prep = scale_market
-        hubs = list(prep.hubs)
-        pools_of = {}
-        for p in snap.pools:
-            for tok in p.tokens:
-                pools_of.setdefault(tok, []).append(p)
-        non_hubs = sorted(set(pools_of) - set(hubs))
-        rng = random.Random(0xB0D)
-        kinds, routed = set(), 0
-        for i in range(200):
-            kind = (rng.random() < 0.25, rng.random() < 0.25)
-            s = rng.choice(hubs if kind[0] else non_hubs)
-            t = s
-            while t == s:
-                t = rng.choice(hubs if kind[1] else non_hubs)
-            pool = rng.choice(pools_of[s])
-            x = max(1, pool.reserve_of(s) * (1, 10, 300)[i % 3] // 100)
+    def test_overlay_rows_and_search_match_the_references(self, scale_market,
+                                                          scale_queries):
+        # every query's overlay rows equal the forward relaxation, and the
+        # bounded search returns what the bound-free one does
+        _, prep = scale_market
+        routed = 0
+        for s, t, x, _ in scale_queries:
             overlay = _query_overlay(prep, s, t)
             rows = rate_table_oracle(overlay, t, 3)
             assert _rate_table(overlay, t, 3) == rows
@@ -562,10 +574,42 @@ class TestBoundRowsAtScale:
             want = unbounded_find_path(overlay, s, t, x, 0.0, 3, rows)
             assert (got and (got.edges, got.output)) == \
                 (want and (want.edges, want.output))
-            kinds.add(kind)
             routed += got is not None
-        assert len(kinds) == 4
+        assert len({kind for *_, kind in scale_queries}) == 4
         assert 0 < routed < 200
+
+
+class TestCheckerAtScale:
+    def test_checker_matches_the_pruned_market_and_plans_audit(
+            self, scale_market, scale_queries):
+        # the checker searches the full market; one leaf-pruned copy of it,
+        # kept around the hubs and every query's endpoints, gives the same
+        # path and output; the checker's plans and prime's all audit clean
+        _, prep = scale_market
+        g = prep.graph
+        endpoints = {tok for s, t, *_ in scale_queries for tok in (s, t)}
+        pruned = prune_leaf_tokens(g, endpoints.union(prep.hubs))
+        assert len(pruned.tokens) < len(g.tokens)
+        checked = routed = 0
+        for s, t, x, _ in scale_queries:
+            q = RouteQuery(s, t, x, max_hops=3, hub_count=50)
+            want = find_path(pruned, s, t, x, 0.0, 3)
+            try:
+                sol = best_single_path(g, q)
+            except NoRouteError:
+                assert want is None
+            else:
+                assert tuple(e for (e,) in sol.paths[0].hops) == want.edges
+                assert sol.total_output == want.output
+                assert verify_solution(sol, g).ok
+                checked += 1
+            try:
+                sol = prime(g, q, prep)
+            except NoRouteError:
+                continue
+            assert verify_solution(sol, g).ok
+            routed += 1
+        assert 0 < checked < 200 and 0 < routed < 200
 
 
 def _replay(g, s, t, x, taus, extra_masks, context=None):

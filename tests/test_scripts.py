@@ -68,12 +68,32 @@ def test_compare_outputs(tmp_path, capsys):
             ids[0], ids[1], 1, hub_count=market.hubs))
     assert bare.hubs == st.prepared.hubs
     assert compare.stage0_digest(bare) != run["stage0_sha256"]
+    # each record holds the checker's output, and a digest exactly when it
+    # routes
+    from prime_router.baselines import best_single_path
+    from prime_router.errors import NoRouteError
+    for r in records:
+        try:
+            want = str(best_single_path(st.graph, engine.RouteQuery(
+                r["source"], r["target"], int(r["amount"]),
+                max_hops=market.max_hops, hub_count=market.hubs)
+            ).total_output)
+        except NoRouteError:
+            want = None
+        assert r["osp_output"] == want
+        assert (r["osp_sha256"] is None) == (want is None)
+    assert any(r["osp_output"] for r in records)
+    # below the checker: no route or a lower output where the checker routes
+    pairs = [(None, "5"), ("4", "5"), ("5", "5"), ("6", None), (None, None)]
+    assert compare.below_osp([{"output": out, "osp_output": osp}
+                              for out, osp in pairs]) == 2
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     new.write_text(json.dumps(run))
     assert compare.main(["--load", str(new), "--against", str(new)]) == 0
     out = capsys.readouterr().out
     assert f"equal={len(routed)} risen=0 fallen=0" in out
-    assert " work_changed=0 stage0_changed=0 " in out
+    assert " work_changed=0 stage0_changed=0 osp_changed=0 " \
+        f"below_osp={compare.below_osp(records)} " in out
     # one work line per workload pooled over the multiples, then one per
     # workload and multiple, each the mean over that multiple's records
     lines = [line for line in out.splitlines() if "allocator_steps" in line]
@@ -112,6 +132,13 @@ def test_compare_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert " work_changed=0 " in out
     assert "work keys added: added_count; dropped: dropped_count\n" in out
+    # a changed checker result fails the comparison
+    routed[0]["osp_sha256"] = "0" * 64
+    old.write_text(json.dumps(run))
+    assert compare.main(["--load", str(new), "--against", str(old)]) == 1
+    out = capsys.readouterr().out
+    assert " fallen=0 " in out and " audit_failed=0 " in out
+    assert " osp_changed=1 " in out
 
 
 @pytest.mark.parametrize("old_output,status", [("5", 0), ("6", 1)])
