@@ -1,0 +1,187 @@
+#!/usr/bin/env python3
+"""Interleaved A/B timing of ``prime`` between two source trees, in one process.
+
+The VM this project is measured on drifts in speed by 25-40% in phases, so
+two timing runs in separate processes compare the phases as much as the
+code.  This script imports both trees into one process instead: side B is
+this checkout's ``src/``, imported as ``prime_router``; side A is
+``--against``, imported as ``prime_router_a`` (``src/`` uses relative
+imports only, so a tree imports under any name).  Each side builds its own
+stage 0 from one snapshot of the criterion-7 market, and the script stops
+if their hubs differ.  Every fixed query of
+the retail, whale and dominance sets (the benchmark's, with a workload seed
+that only reorders them) then runs A, B, B, A for ``ROUNDS`` rounds, and
+each side keeps its minimum time per query.
+
+Per workload it prints the median of the per-query ratios B/A with their
+first and third quartiles, the ratio of the summed minima, and how many
+queries ran faster on B.  There is no latency gate: a difference under
+about 5% is within what an A/A run (both sides the same tree) reads.  It
+exits 1 when the hubs or any query's output differ between the sides.
+
+    python scripts/ab_time.py --against ../parent/src
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import math
+import os
+import statistics
+import sys
+import tempfile
+import time
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("retail", "whale", "dominance")
+SIDE_A = "prime_router_a"
+# rounds of A, B, B, A per query: about 25 s on a 2-core VM
+ROUNDS = 6
+
+
+def _import_paths() -> None:
+    for path in (ROOT, os.path.join(ROOT, "src")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+
+
+def import_tree(src: str, name: str = SIDE_A) -> Dict[str, object]:
+    """The ``engine``, ``errors`` and ``io`` modules of the ``prime_router``
+    package under ``src``, imported as the package ``name``."""
+    for module in [m for m in sys.modules
+                   if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
+    package = os.path.join(os.path.abspath(src), "prime_router")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"),
+        submodule_search_locations=[package])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return {part: importlib.import_module(f"{name}.{part}")
+            for part in ("engine", "errors", "io")}
+
+
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """First quartile, median and third quartile (one value: itself)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def min_times(calls: Sequence[Callable[[], Optional[int]]], rounds: int
+              ) -> Tuple[List[float], List[Optional[int]]]:
+    """Each side's minimum time over ``rounds`` rounds of A, B, B, A, and
+    the output of its last call."""
+    best = [math.inf, math.inf]
+    outputs: List[Optional[int]] = [None, None]
+    for _ in range(rounds):
+        for side in (0, 1, 1, 0):
+            started = time.perf_counter()
+            outputs[side] = calls[side]()
+            best[side] = min(best[side], time.perf_counter() - started)
+    return best, outputs
+
+
+def run(market, against: str, rounds: int,
+        sizes: Optional[Dict[str, int]] = None) -> dict:
+    """Time every query of the market's sets on both sides.
+
+    Returns ``{"hubs_equal": bool, "workloads": {name: [(qid, time A,
+    time B, output A, output B), ...]}}``; the workloads are empty when the
+    hubs differ.
+    """
+    from perfbench import queries as qgen
+    from perfbench import workloads
+    from prime_router import engine as engine_b
+    from prime_router.errors import NoRouteError as no_route_b
+
+    sizes = sizes or workloads.SET_SIZE
+    side_a = import_tree(against)
+    engine_a = side_a["engine"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "market.json")
+        workloads.write_market(market, path)
+        _, st = workloads.build_stage0(path, market)
+        graph_a = side_a["io"].load_snapshot(path).build_graph()
+    ids = sorted(graph_a.tokens)
+    prepared_a = engine_a.prepare_routing(graph_a, engine_a.RouteQuery(
+        ids[0], ids[1], 1, max_hops=market.max_hops, hub_count=market.hubs))
+    result = {"hubs_equal": list(prepared_a.hubs) == list(st.prepared.hubs),
+              "workloads": {}}
+    if not result["hubs_equal"]:
+        return result
+
+    def caller(engine, no_route, graph, prepared, q):
+        query = engine.RouteQuery(q.source, q.target, q.amount,
+                                  max_hops=market.max_hops,
+                                  hub_count=market.hubs)
+
+        def call() -> Optional[int]:
+            try:
+                return engine.prime(graph, query, prepared).total_output
+            except no_route:
+                return None
+        return call
+
+    for name in WORKLOADS:
+        chosen = qgen.query_set(name, st.snapshot.pools, st.prepared.pruned,
+                                st.prepared.hubs, market.max_hops,
+                                sizes[name], seed=0)
+        rows = []
+        for q in sorted(chosen, key=lambda q: q.qid):
+            calls = (caller(engine_a, side_a["errors"].NoRouteError,
+                            graph_a, prepared_a, q),
+                     caller(engine_b, no_route_b, st.graph, st.prepared, q))
+            (time_a, time_b), (out_a, out_b) = min_times(calls, rounds)
+            rows.append((q.qid, time_a, time_b, out_a, out_b))
+        result["workloads"][name] = rows
+    return result
+
+
+def report(result: dict) -> int:
+    """Print the ratios; 1 when the hubs or any output differ, else 0."""
+    if not result["hubs_equal"]:
+        print("hubs differ: the two stage 0s would route different cores")
+        return 1
+    differing = []
+    for name, rows in result["workloads"].items():
+        ratios = [b / a for _, a, b, _, _ in rows]
+        q1, median, q3 = quartiles(ratios)
+        total_a = sum(a for _, a, _, _, _ in rows)
+        total_b = sum(b for _, _, b, _, _ in rows)
+        faster = sum(b < a for _, a, b, _, _ in rows)
+        print(f"{name}: {len(rows)} queries, B/A median {median:.3f} "
+              f"(q1 {q1:.3f}, q3 {q3:.3f}), total {total_b / total_a:.3f} "
+              f"({1e3 * total_a:.1f} -> {1e3 * total_b:.1f} ms), "
+              f"B faster on {faster}")
+        differing += [f"{name}:{qid}" for qid, _, _, out_a, out_b in rows
+                      if out_a != out_b]
+    if differing:
+        print(f"outputs differ on {len(differing)} queries: "
+              + " ".join(differing))
+        return 1
+    return 0
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", required=True,
+                    help="prime_router sources of side A")
+    return ap.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    _import_paths()
+    from perfbench import workloads
+
+    return report(run(workloads.CRITERION_7_MARKET, args.against, ROUNDS))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,12 +11,12 @@ of the best unused pools and shortcuts, the shortcut enumeration.  So
 ``out_items(u)`` and ``edges_between(u, v)`` return the same tuple object.
 ``in_arcs(v)`` reads the rows backward, one ``(u, best spot, largest
 ceiling)`` per pair ``u -> v``: what the path search's bound rows need of a
-pair.  A graph whose every pair has its reverse, as every graph
-``build_graph`` makes (each pool serves both directions), has its
-out-neighbours for in-neighbours: each token's arcs are read from its own
-row when first asked for.  Any other graph indexes every token's arcs on
-the first call, with ``in_arcs_of``, which also reads an engine overlay's
-added pairs backward.
+pair.  A graph whose every pair has its reverse has its out-neighbours for
+in-neighbours: each token's arcs are read from its own row when first asked
+for.  Every graph ``build_graph`` makes is one (each pool serves both
+directions) and says so; any other graph finds out on the first call, and
+if not, indexes every token's arcs at once with ``in_arcs_of``, which also
+reads an engine overlay's added pairs backward.
 
 Structure rules (unique ids, decimals 0..30, pool shape) live here, per entry
 in ``add_token``/``add_pool``, which ``io`` also calls; the ``cfmm``
@@ -201,11 +201,12 @@ class SwapGraph:
         return self._rows.get(u, ())
 
     def in_arcs(self, v: str) -> Tuple[Tuple[str, float, int], ...]:
-        """``pair_arc`` of every pair u -> v, tokens u in id order.  The
-        first call works out whether every pair has its reverse, as every
-        pool's edges do.  If so, each token's arcs are read from its own row
-        when first asked for (two threads may both read one, to the same
-        arcs); if not, every token's arcs are indexed at once."""
+        """``pair_arc`` of every pair u -> v, tokens u in id order.  Unless
+        ``build_graph`` made the graph, the first call works out whether
+        every pair has its reverse, as every pool's edges do.  If so, each
+        token's arcs are read from its own row when first asked for (two
+        threads may both read one, to the same arcs); if not, every token's
+        arcs are indexed at once."""
         arcs = self._in_arcs.get(v)
         if arcs is None:
             pairs = self._pairs
@@ -319,7 +320,12 @@ def build_graph(tokens: Iterable[Token], pools: Iterable[Pool]) -> SwapGraph:
     for p in pools:
         add_pool(pool_map, token_map, p)
         edges.extend(_expand_pool(p))
-    return SwapGraph(token_map, pool_map, edges)
+    g = SwapGraph(token_map, pool_map, edges)
+    # every pool serves every ordered pair of its tokens (``_validate_pool``
+    # holds a piecewise pool to both directions), so every pair has its
+    # reverse and ``in_arcs`` need not check
+    g._symmetric = True
+    return g
 
 
 def _subgraph(g: SwapGraph, tokens: Set[str]) -> SwapGraph:

@@ -1,12 +1,12 @@
 """Bound-pruned best-path search with dominance pruning.
 
-``find_path`` runs a queue-based traversal (SPFA flavour): states carry the
-exact integer amount produced so far, and a successor is enqueued only when it
-beats the best amount already recorded at that token.  The recorded best is a
-small per-hop-count frontier rather than one scalar: pruning a state is only
-sound when some earlier state reached the same token with at least as much
-output in at most as many hops, otherwise hop-budget interactions can hide
-the optimum.  With that refinement the search is exact against exhaustive
+``find_path`` runs a best-first traversal: states carry the exact integer
+amount produced so far, and a successor is pushed only when it beats the
+best amount already recorded at that token.  The recorded best is a small
+per-hop-count frontier rather than one scalar: pruning a state is only sound
+when a recorded state reached the same token with at least as much output
+in at most as many hops, otherwise hop-budget interactions can hide the
+optimum.  With that refinement the search is exact against exhaustive
 enumeration on two-token-pool graphs (see tests).
 
 Every curve is concave with ``f(x) <= spot * x``, so a path delivers at most
@@ -27,6 +27,15 @@ and again after it, once its bound cannot exceed that floor.  A pool whose
 own ceiling cannot clear the floor, or the frontier, is never evaluated: at
 a whale amount the shallow pools drop out unswapped.
 
+The bound also orders the search, as in A*: states pop largest bound
+first, ties in push order.  A target arrival's bound is its exact output,
+and the best arrival tends to come early, so the floor rises early and the
+bound drops more successors.  Bounds are fixed at push time and the floor
+only rises, so once a popped state's bound cannot exceed the floor, no
+state left in the heap can, and the search stops.  The best arrival pops
+before that: its push set the floor to its output or found the floor below
+it, and a bound that cannot exceed the floor is smaller.
+
 Both rows are built backward from the target.  Row 0 holds the target
 alone; row ``r`` extends row ``r - 1`` through the view's ``in_arcs(w)``,
 one ``(u, best spot, largest ceiling)`` per token pair ``u -> w``, and only
@@ -42,16 +51,21 @@ only when its exact output beats the running best, ties going to the smaller
 pool id, so a chosen edge always clears the gate; the scan stops at the
 first edge whose concavity bound spot*amount cannot.
 
-The bound never changes the result.  A dropped state has no completion that
-could be accepted (average rate above tau) or beat the best arrival already
-recorded, so the winning path never passes through one.  The frontier entries
-a dropped state would have recorded only dominate states holding less at the
-same token with no more hops left; both rows only grow with ``r`` and the
-bound grows with ``out``, so those states' bound is no larger and the bound
-drops them too: every state that can still win meets the same frontier, in
-the same queue order, as in the unbounded search.  The bound is a float and
-carries a relative slack of 1e-9, so rounding can never drop a state that
-reaches the result.
+Neither the bound nor the order changes the output.  A state is dropped for
+one of two reasons, and neither depends on the order states pop in.  Either
+a recorded state reached its token with at least its output in at most its
+hops (whichever came first, the dominating state is pushed unless the two
+are equal): that state's bound is no smaller, because both rows grow with
+``r`` and the bound grows with ``out``, so whatever drops it or stops the
+search before it pops would drop the dominated state too.  Or its own bound
+cannot exceed the floor: no completion could be accepted (average rate
+above tau) or beat the best arrival.  So where the frontier's dominance
+holds (the tests check it against exhaustive enumeration), the order
+decides only how soon the floor rises, and the output is that of the
+unbounded search, whose bounds are all infinite and whose heap pops first
+in, first out.  Among equal outputs the first target arrival pushed wins: a
+later one must beat it.  The bound is a float and carries a relative slack
+of 1e-9, so rounding can never drop a state that reaches the result.
 
 The rows depend on neither masks nor ``tau``, and an exact quote is a pure
 function of the edge and its input, so the searches of one query (rising
@@ -62,14 +76,16 @@ its own, so a lone search behaves as it always did.
 
 Paths are vertex-simple and pool-distinct.  The traversal never expands the
 target, so every arrival there is terminal; the best arrival whose average
-rate clears the threshold is returned after the queue drains.
+rate clears the threshold is returned once the heap drains or the search
+stops.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import CapacityExceededError
@@ -191,11 +207,15 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     ``view`` is anything exposing ``token_ids()``, ``out_items(u)`` and
     ``in_arcs(v)`` (a SwapGraph or an engine overlay).  Returns None when no
     arrival at the target has average rate output/amount strictly above
-    ``tau``.  Amounts compare as exact integers; among equal outputs the
-    first arrival in queue order wins.  ``context`` carries the bound rows
-    and the quotes across the searches of one query; without one the call
-    builds its own.  A bool or non-int ``max_hops`` is a TypeError and a
-    NaN ``tau`` a ValueError: either would otherwise read as another limit.
+    ``tau``.  States pop largest bound first, ties in push order, and the
+    search stops at the first popped state whose bound cannot exceed
+    ``max(best arrival, tau * amount)``.  Amounts compare as exact integers;
+    among equal outputs the first target arrival pushed wins, and among a
+    pair's parallel edges the smaller pool id.  ``context`` carries the
+    bound rows and the quotes across the searches of one query; without one
+    the call builds its own.  A bool or non-int ``max_hops`` is a TypeError
+    and a NaN ``tau`` a ValueError: either would otherwise read as another
+    limit.
     """
     if not isinstance(max_hops, int) or isinstance(max_hops, bool):
         raise TypeError(
@@ -227,17 +247,23 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     # cannot win
     lim = tau * amount
     best_state = None
-    queue = deque()
-    queue.append((source, amount, (), (source,), ()))
-    while queue:
-        token, cur, edges, visited, pools = queue.popleft()
+    # a max-heap on each state's bound, ties in push order; the source's
+    # key is -inf, so it pops first
+    heap = [(-math.inf, 0, source, amount, (), (source,), ())]
+    order = itertools.count(1)
+    while heap:
+        neg_bound, _, token, cur, edges, visited, pools = heappop(heap)
         stats.pops += 1
         if token == target:
             if cur / amount > tau and (best_state is None or cur > best_state[1]):
                 best_state = (edges, cur)
             continue
+        if -neg_bound * BOUND_SLACK <= lim:
+            # bounds are fixed at push time and lim only rises: no state
+            # left in the heap can win
+            break
         hops = len(edges)
-        # row 0 holds only the target, so no state past the limit is queued
+        # row 0 holds only the target, so no state past the limit is pushed
         reach, ceilings = rate[limit - hops - 1], cap[limit - hops - 1]
         for v, candidates in view.out_items(token):
             v_rate = reach.get(v)
@@ -278,7 +304,12 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                 if quote > out or (quote == out and edge is not None
                                    and e.pool_id < edge.pool_id):
                     edge, out = e, quote
-            if edge is None or out * v_rate * BOUND_SLACK <= lim:
+            if edge is None:
+                continue
+            # the successor's bound, its key: a target arrival's is its exact
+            # output (rate 1, cap infinite)
+            bound = min(out * v_rate, ceilings[v])
+            if bound * BOUND_SLACK <= lim:
                 continue
             if v == target:
                 best_target = out
@@ -291,8 +322,8 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                 for h in range(hops + 1, limit + 1):
                     if out > levels[h]:
                         levels[h] = out
-            queue.append((v, out, edges + (edge,), visited + (v,),
-                          pools + edge.pool_ids))
+            heappush(heap, (-bound, next(order), v, out, edges + (edge,),
+                            visited + (v,), pools + edge.pool_ids))
             stats.pushes += 1
     if best_state is None:
         return None

@@ -5,7 +5,7 @@ graph, the exhaustive reference for ``find_path``.  ``rate_table_oracle``
 builds the search's bound rows forward, relaxing every arc of the view once
 per row, the reference for their backward build.  ``unbounded_find_path``
 is ``find_path`` with those rows' values all infinite, the reference for the
-bound at any size.  ``grid_oracle``
+bound and for the search's order at any size.  ``grid_oracle``
 exhaustively maximizes the exact integer objective over a simplex lattice;
 because the objective is separable across pool-disjoint paths, the lattice
 argmax is computed with a dynamic program over per-path value tables instead
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from prime_router.allocation import MultiEdgePath, objective, path_output
 from prime_router.errors import InvalidParamsError, RoutingError
@@ -104,17 +104,22 @@ def rate_table_oracle(view, target: str, max_hops: int
 def unbounded_find_path(view, source: str, target: str, amount: int,
                         tau: float, max_hops: int,
                         rows: Tuple[List[Dict[str, float]],
-                                    List[Dict[str, float]]]
+                                    List[Dict[str, float]]],
+                        masked_pools: FrozenSet[str] = frozenset()
                         ) -> Optional[SinglePath]:
     """``find_path`` with no bound: ``rows``, the view's ``(rate, cap)`` for
     ``target`` and ``max_hops`` (``rate_table_oracle``'s), keep their keys
     (which tokens reach the target within r hops) and get every value set
-    to infinity, so no rate or ceiling prunes a state."""
+    to infinity, so no rate or ceiling prunes a state.
+
+    Every state's bound is then infinite, so the heap pops in push order and
+    never stops early: this is the first-in-first-out search, kept as the
+    reference for the bounded search's order."""
     context = SearchContext(view, target, max_hops)
     context._rows = tuple([dict.fromkeys(row, math.inf) for row in table]
                           for table in rows)
     return find_path(view, source, target, amount, tau, max_hops,
-                     context=context)
+                     masked_pools, context=context)
 
 
 @dataclass(frozen=True)

@@ -521,6 +521,61 @@ class TestBoundRows:
         assert find_path(g, "T0", "T7", 10**20, 0.0, n) is None
 
 
+class TestSearchOrder:
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["cp", "mixed", "overlay"]),
+           endpoints=_ENDPOINTS, max_hops=st.integers(1, 3),
+           exponent=st.integers(2, 24),
+           tau_share=st.sampled_from((0.0, 0.5, 0.9, 0.99, 1.0, 1.001)))
+    @settings(max_examples=300, deadline=None)
+    def test_best_bound_first_returns_the_first_in_first_out_result(
+            self, seed, kind, endpoints, max_hops, exponent, tau_share):
+        # the bounded search pops the largest bound first and stops early;
+        # the unbounded one pops in push order and drains its heap: the
+        # same output, and the same path unless another path ties with it
+        g, view, s, t = _bound_instance(seed, kind, endpoints)
+        rng = random.Random(seed)
+        x = 10**exponent
+        rows = _rate_table(view, t, max_hops)
+        free = unbounded_find_path(view, s, t, x, 0.0, max_hops, rows)
+        # thresholds around the best rate, so gating hits both ways
+        tau = tau_share * free.output / x if free else 0.0
+        masked = frozenset(pid for pid in g.pools if rng.random() < 0.2)
+        got = find_path(view, s, t, x, tau, max_hops, masked)
+        want = unbounded_find_path(view, s, t, x, tau, max_hops, rows, masked)
+        assert (got and got.output) == (want and want.output)
+        if got is not None and got.edges != want.edges:
+            # a tie: each search keeps the equal arrival it pushed first,
+            # and the orders push them differently (seen only at amounts
+            # of 1000 or less, where outputs are small integers)
+            assert simulate_chain(got.edges, x) == got.output
+            assert got.output / x > tau
+            assert len(got.edges) <= max_hops
+            assert got.tokens[0] == s and got.tokens[-1] == t
+            assert len(set(got.tokens)) == len(got.tokens)
+            assert _pools_free(masked)(got.edges)
+
+    def test_first_target_arrival_pushed_wins_ties(self):
+        # two token-disjoint two-hop routes of identical pools: T1's state
+        # is pushed first, so its arrival is, and T2's equal arrival cannot
+        # beat it; the pool ids would pick T2's route
+        g = build_graph(tokens(4), [
+            cp_pool("P9", "T0", "T1", 10**12, 10**12, 30),
+            cp_pool("P8", "T1", "T3", 10**12, 10**12, 30),
+            cp_pool("P0", "T0", "T2", 10**12, 10**12, 30),
+            cp_pool("P1", "T2", "T3", 10**12, 10**12, 30)])
+        for max_hops in (2, 3):
+            stats = SearchStats()
+            res = find_path(g, "T0", "T3", 10**6, 0.0, max_hops, stats=stats)
+            assert [e.pool_id for e in res.edges] == ["P9", "P8"]
+            rows = _rate_table(g, "T3", max_hops)
+            free = unbounded_find_path(g, "T0", "T3", 10**6, 0.0, max_hops,
+                                       rows)
+            assert (free.edges, free.output) == (res.edges, res.output)
+            # the two middle states and the one arrival
+            assert stats.pushes == 3
+
+
 @pytest.fixture(scope="module")
 def scale_market():
     """The criterion-7 market (10,000 tokens, 25,000 pools) and its 50-hub
@@ -576,6 +631,22 @@ class TestBoundRowsAtScale:
                 (want and (want.edges, want.output))
             routed += got is not None
         assert len({kind for *_, kind in scale_queries}) == 4
+        assert 0 < routed < 200
+
+    def test_full_graph_search_matches_the_unbounded_search(
+            self, scale_market, scale_queries):
+        # the same queries on the whole market, as the checker searches it:
+        # the backward rows read the full graph's in-arcs
+        _, prep = scale_market
+        g = prep.graph
+        routed = 0
+        for s, t, x, _ in scale_queries:
+            got = find_path(g, s, t, x, 0.0, 3)
+            want = unbounded_find_path(g, s, t, x, 0.0, 3,
+                                       _rate_table(g, t, 3))
+            assert (got and (got.edges, got.output)) == \
+                (want and (want.edges, want.output))
+            routed += got is not None
         assert 0 < routed < 200
 
 

@@ -167,3 +167,64 @@ def test_compare_outputs_reader_leaving_early(tmp_path, old_output, status):
     assert proc.wait(timeout=60) == status
     assert f" fallen={status} ".encode() in first
     assert err == b""
+
+
+def test_ab_time_same_tree(capsys):
+    # A/A: both sides import this checkout's sources, so hubs and outputs
+    # agree, and the report exits 0
+    ab_time = load_script("ab_time")
+    ab_time._import_paths()
+    import prime_router
+    from perfbench.workloads import Market
+
+    market = Market(seed=13, tokens=40, pools=140, hub_fraction=0.1,
+                    spread_orders=6, hubs=8)
+    result = ab_time.run(market, str(SCRIPTS.parent / "src"), 1,
+                         {"retail": 5, "whale": 2, "dominance": 2})
+    # side A is a second import of the tree, under its own name
+    side_a = sys.modules[ab_time.SIDE_A]
+    assert side_a is not prime_router
+    assert Path(side_a.__file__).parent == Path(prime_router.__file__).parent
+    assert result["hubs_equal"]
+    assert {name: len(rows) for name, rows in result["workloads"].items()} \
+        == {"retail": 5, "whale": 2, "dominance": 2}
+    rows = [row for rows in result["workloads"].values() for row in rows]
+    assert all(a > 0 and b > 0 and out_a == out_b
+               for _, a, b, out_a, out_b in rows)
+    assert any(out_a is not None for *_, out_a, _ in rows)
+    assert ab_time.report(result) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(ab_time.WORKLOADS)
+    assert lines[0].startswith("retail: 5 queries, B/A median ")
+    # a differing output fails the report and names the query
+    qid, a, b, out_a, out_b = result["workloads"]["whale"][1]
+    result["workloads"]["whale"][1] = (qid, a, b, out_a, (out_b or 0) + 1)
+    assert ab_time.report(result) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        f"outputs differ on 1 queries: whale:{qid}"
+    assert ab_time.report({"hubs_equal": False, "workloads": {}}) == 1
+
+
+def test_ab_time_alternates_and_keeps_minima():
+    # a fake clock that each call advances by its next duration
+    ab_time = load_script("ab_time")
+    now = [0.0]
+    order = []
+    durations = {"A": iter([3.0, 1.0, 2.0, 5.0]),
+                 "B": iter([4.0, 2.0, 0.5, 6.0])}
+
+    def side(name):
+        def call():
+            order.append(name)
+            now[0] += next(durations[name])
+            return len(order)
+        return call
+
+    with mock.patch.object(ab_time.time, "perf_counter", lambda: now[0]):
+        best, outputs = ab_time.min_times((side("A"), side("B")), 2)
+    assert "".join(order) == "ABBAABBA"
+    assert best == [1.0, 0.5]
+    # each side's output is that of its last call
+    assert outputs == [8, 7]
+    assert ab_time.quartiles([2.0]) == (2.0, 2.0, 2.0)
+    assert ab_time.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
