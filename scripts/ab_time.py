@@ -19,12 +19,20 @@ queries ran faster on B.  There is no latency gate: a difference under
 about 5% is within what an A/A run (both sides the same tree) reads.  It
 exits 1 when the hubs or any query's output differ between the sides.
 
+``--stage0`` times stage 0 instead of the queries: each side loads the
+snapshot, builds the graph and prepares routing (``STAGE0_STEPS``), A, B,
+B, A for ``ROUNDS`` rounds, and keeps its minimum per step.  It prints each
+step's minima and ratio B/A, then their sums, and exits 1 when the hubs
+differ.
+
     python scripts/ab_time.py --against ../parent/src
+    python scripts/ab_time.py --against ../parent/src --stage0
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import math
@@ -40,6 +48,7 @@ WORKLOADS = ("retail", "whale", "dominance")
 SIDE_A = "prime_router_a"
 # rounds of A, B, B, A per query: about 25 s on a 2-core VM
 ROUNDS = 6
+STAGE0_STEPS = ("load_snapshot", "build_graph", "prepare_routing")
 
 
 def _import_paths() -> None:
@@ -143,6 +152,62 @@ def run(market, against: str, rounds: int,
     return result
 
 
+def stage0_times(modules: Dict[str, object], path: str, market
+                 ) -> Tuple[List[float], List[str]]:
+    """One side's seconds per ``STAGE0_STEPS`` step on the snapshot at
+    ``path``, and its hubs.  Each build starts from a collected heap,
+    untimed, as the benchmark's does."""
+    io, engine = modules["io"], modules["engine"]
+    gc.collect()
+    marks = [time.perf_counter()]
+    snap = io.load_snapshot(path)
+    marks.append(time.perf_counter())
+    graph = snap.build_graph()
+    marks.append(time.perf_counter())
+    ids = sorted(graph.tokens)
+    prepared = engine.prepare_routing(graph, engine.RouteQuery(
+        ids[0], ids[1], 1, max_hops=market.max_hops, hub_count=market.hubs))
+    marks.append(time.perf_counter())
+    return [b - a for a, b in zip(marks, marks[1:])], list(prepared.hubs)
+
+
+def run_stage0(market, against: str, rounds: int) -> dict:
+    """Time stage 0 on both sides, A, B, B, A for ``rounds`` rounds.
+
+    Returns ``{"hubs_equal": bool, "steps": [(step, min A, min B), ...]}``.
+    """
+    sides = (import_tree(against),
+             {part: importlib.import_module(f"prime_router.{part}")
+              for part in ("engine", "io")})
+    from perfbench import workloads
+
+    best = [[math.inf] * len(STAGE0_STEPS) for _ in sides]
+    hubs: List[List[str]] = [[], []]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "market.json")
+        workloads.write_market(market, path)
+        for _ in range(rounds):
+            for side in (0, 1, 1, 0):
+                times, hubs[side] = stage0_times(sides[side], path, market)
+                best[side] = [min(pair) for pair in zip(best[side], times)]
+    return {"hubs_equal": hubs[0] == hubs[1],
+            "steps": list(zip(STAGE0_STEPS, *best))}
+
+
+def report_stage0(result: dict) -> int:
+    """Print each stage-0 step's minima and ratio; 1 when the hubs
+    differ, else 0."""
+    rows = result["steps"] + [("stage 0",
+                               sum(a for _, a, _ in result["steps"]),
+                               sum(b for *_, b in result["steps"]))]
+    for step, a, b in rows:
+        print(f"{step}: A {a:.4f} s, B {b:.4f} s, B/A {b / a:.3f}")
+    if not result["hubs_equal"]:
+        print("hubs differ: the two stage 0s would route different cores")
+        return 1
+    return 0
+
+
 def report(result: dict) -> int:
     """Print the ratios; 1 when the hubs or any output differ, else 0."""
     if not result["hubs_equal"]:
@@ -172,6 +237,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", required=True,
                     help="prime_router sources of side A")
+    ap.add_argument("--stage0", action="store_true",
+                    help="time stage 0's steps instead of the queries")
     return ap.parse_args(argv)
 
 
@@ -180,7 +247,10 @@ def main(argv=None) -> int:
     _import_paths()
     from perfbench import workloads
 
-    return report(run(workloads.CRITERION_7_MARKET, args.against, ROUNDS))
+    market = workloads.CRITERION_7_MARKET
+    if args.stage0:
+        return report_stage0(run_stage0(market, args.against, ROUNDS))
+    return report(run(market, args.against, ROUNDS))
 
 
 if __name__ == "__main__":

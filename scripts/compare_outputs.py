@@ -214,6 +214,9 @@ def work_table(records: Sequence[dict], multiple: Optional[int] = None
         table[name] = {
             "routed": n,
             "swap_evals": sum(w["swap_evals"] for w in works) / n,
+            # records of a tree without the closed-form skip have no key
+            "quotes_skipped": sum(w.get("quotes_skipped", 0)
+                                  for w in works) / n,
             "pushes": sum(w["queue_pushes"] for w in works) / n,
             "allocator_steps": sum(allocator_steps(w) for w in works) / n,
         }
@@ -239,8 +242,8 @@ def report(new: dict, old: dict) -> int:
         for name in WORKLOADS:
             was, now = (t.get(name, {}) for t in tables)
             cells = [f"{k} {was.get(k, 0):.6g} -> {now.get(k, 0):.6g}"
-                     for k in ("routed", "swap_evals", "pushes",
-                               "allocator_steps")]
+                     for k in ("routed", "swap_evals", "quotes_skipped",
+                               "pushes", "allocator_steps")]
             lines.append(f"{name}{label}: " + ", ".join(cells))
     try:
         print("\n".join(lines), flush=True)

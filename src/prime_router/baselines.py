@@ -23,5 +23,6 @@ def best_single_path(g: SwapGraph, query: RouteQuery) -> RouteSolution:
             f"no path from {query.source!r} to {query.target!r}")
     rstats = RouteStats(find_path_calls=1, queue_pushes=stats.pushes,
                         queue_pops=stats.pops, swap_evals=stats.swap_evals,
+                        quotes_skipped=stats.quotes_skipped,
                         paths_discovered=1)
     return single_path_solution(found, query, "osp", rstats)

@@ -90,18 +90,22 @@ class RouteStats:
 
     ``swap_evals`` counts the curve evaluations the searches actually ran:
     the searches of one query share their quotes, so a quote repeated
-    within the query counts once.  ``asgm_iterations``, ``converged`` and
-    ``degraded`` are the stage-2 allocator's (the flags are False when no
-    allocator ran); ``fallback`` is set when the allocation lost to the best
-    discovered single path and was replaced by it, so that the result lists
-    only that path.  Stage 1 records one ``tau`` and the exact integer
-    objective of its split per accepted path.
+    within the query counts once.  ``quotes_skipped`` counts the quotes the
+    searches' closed-form bound ruled out instead; a skip is not
+    remembered, so a later search that rules out the same quote counts it
+    again.  ``asgm_iterations``, ``converged`` and ``degraded`` are the
+    stage-2 allocator's (the flags are False when no allocator ran);
+    ``fallback`` is set when the allocation lost to the best discovered
+    single path and was replaced by it, so that the result lists only that
+    path.  Stage 1 records one ``tau`` and the exact integer objective of
+    its split per accepted path.
     """
 
     find_path_calls: int = 0
     queue_pushes: int = 0
     queue_pops: int = 0
     swap_evals: int = 0
+    quotes_skipped: int = 0
     asgm_iterations: int = 0
     paths_discovered: int = 0
     converged: bool = False
@@ -337,6 +341,7 @@ def prime(g: SwapGraph, query: RouteQuery,
         stats.queue_pushes += search.pushes
         stats.queue_pops += search.pops
         stats.swap_evals += search.swap_evals
+        stats.quotes_skipped += search.quotes_skipped
         if found is None:
             break
         singles.append(found)

@@ -18,6 +18,13 @@ directions) and says so; any other graph finds out on the first call, and
 if not, indexes every token's arcs at once with ``in_arcs_of``, which also
 reads an engine overlay's added pairs backward.
 
+An ``Edge`` derives its pool ids, exact spot ratio, float spot and output
+ceiling when built: stage 0 reads them all.  One more derivation waits for
+the path search: ``mobius``, the two floats of a curve that is a single
+Möbius map through the origin (a constant-product pool, or a shortcut whose
+legs all are), is computed on the first read and cached on the edge, so
+stage 0 builds none and an edge no search scans never holds one.
+
 Structure rules (unique ids, decimals 0..30, pool shape) live here, per entry
 in ``add_token``/``add_pool``, which ``io`` also calls; the ``cfmm``
 constructors own the curve rules and run once per edge, in ``_expand_pool``.
@@ -30,7 +37,8 @@ import gc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .cfmm import ConstantProduct, PiecewiseLiquidity, Segment, SwapFunction
+from .cfmm import (BPS_DENOM, ConstantProduct, PiecewiseLiquidity, Segment,
+                   SequentialComposite, SwapFunction)
 from .errors import AmountOverflowError, MalformedSnapshotError
 
 KIND_CONSTANT_PRODUCT = "constant_product"
@@ -138,6 +146,29 @@ class Edge:
     def output_bound(self, amount: int) -> int:
         """Concavity bound: f(amount) < floor(spot * amount) + 1, exactly."""
         return amount * self.rate_num // self.rate_den + 1
+
+    @functools.cached_property
+    def mobius(self) -> Optional[Tuple[float, float]]:
+        """``(a / c, d / c)`` when the curve is one map ``x -> a*x / (c*x +
+        d)``, whose real output at x is ``a/c * x / (x + d/c)``, else None.
+
+        A constant-product pool is one, with matrix ``[[k*R_out, 0], [k,
+        10000*R_in]]`` (``k = 10000 - fee_bps``), and so is a composite of
+        them: the legs' matrices multiply to the same shape.  Cached on first
+        read (a frozen dataclass still has its ``__dict__``).
+        """
+        fn = self.fn
+        parts = fn.parts if isinstance(fn, SequentialComposite) else (fn,)
+        a, c, d = 1, 0, 1
+        for part in parts:
+            if not isinstance(part, ConstantProduct):
+                return None
+            k = BPS_DENOM - part.fee_bps
+            r_in = BPS_DENOM * part.reserve_in
+            # [[k*R_out, 0], [k, r_in]] . [[a, 0], [c, d]]
+            a, c, d = k * part.reserve_out * a, k * a + r_in * c, r_in * d
+        # int true division rounds correctly however large the coefficients
+        return a / c, d / c
 
 
 def spot_order(e: Edge) -> Tuple[float, str]:

@@ -48,8 +48,31 @@ parallel edges in descending spot order, its best output seeded at the gate
 the successor must beat (the frontier entry at that token for one more hop,
 or the best arrival when the neighbour is the target).  An edge is chosen
 only when its exact output beats the running best, ties going to the smaller
-pool id, so a chosen edge always clears the gate; the scan stops at the
-first edge whose concavity bound spot*amount cannot.
+pool id, so a chosen edge always clears the gate.  Three upper bounds on an
+edge's exact output rule it out before it is quoted, each against both the
+running best and the floor (times the neighbour's rate):
+
+* ``floor(spot * amount) + 1``, by concavity.  Edges come in spot order, so
+  the first edge this rules out ends the scan.
+* The edge's ceiling, which skips the edge alone.
+* Its closed-form real output, when its curve is one Möbius map through the
+  origin, ``x -> a*x / (c*x + d)``: a constant-product pool, or a shortcut
+  whose legs all are (``Edge.mobius``; piecewise pools and mixed shortcuts
+  have more than one piece and skip this test).  At a whale amount it is
+  far below ``spot * amount``, so it rules out most of a hub pair's
+  shallow parallel pools.  It also skips the edge alone.  It runs before
+  the pool-mask tests, which cost a shortcut two ``any`` scans, so every
+  edge it rules out counts as ``quotes_skipped``, masked or not.
+
+None of the three changes a result.  An edge they skip has an exact quote
+below the running best, which the scan could not choose, or one whose
+successor the floor would drop, as it drops the successor of any lower
+quote the scan chooses instead.  The closed form bounds the quote because
+a floored chain of increasing curves never exceeds its real chain.  It can
+equal the quote, so against the running best it rules out only what falls
+strictly below; the other two bounds are strict.  It is evaluated in floats
+and raised by ``BOUND_SLACK``, far above the rounding of its four float
+operations, before either comparison.
 
 Neither the bound nor the order changes the output.  A state is dropped for
 one of two reasons, and neither depends on the order states pop in.  Either
@@ -123,6 +146,8 @@ class SearchStats:
     pushes: int = 0
     pops: int = 0
     swap_evals: int = 0
+    # edges the closed-form real output ruled out, before the mask tests
+    quotes_skipped: int = 0
 
 
 class SearchContext:
@@ -209,13 +234,18 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     arrival at the target has average rate output/amount strictly above
     ``tau``.  States pop largest bound first, ties in push order, and the
     search stops at the first popped state whose bound cannot exceed
-    ``max(best arrival, tau * amount)``.  Amounts compare as exact integers;
-    among equal outputs the first target arrival pushed wins, and among a
-    pair's parallel edges the smaller pool id.  ``context`` carries the
-    bound rows and the quotes across the searches of one query; without one
-    the call builds its own.  A bool or non-int ``max_hops`` is a TypeError
-    and a NaN ``tau`` a ValueError: either would otherwise read as another
-    limit.
+    ``max(best arrival, tau * amount)``.  A parallel edge is quoted only
+    when its concavity bound, its ceiling and, for a constant-product pool
+    or an all-constant-product shortcut, its closed-form real output can
+    each beat the pair's running best and that floor; the bounds never
+    change the result (see the module docstring), and
+    ``stats.quotes_skipped`` counts the edges the closed form ruled out.
+    Amounts compare as exact integers; among equal outputs the first target
+    arrival pushed wins, and among a pair's parallel edges the smaller pool
+    id.  ``context`` carries the bound rows and the quotes across the
+    searches of one query; without one the call builds its own.  A bool or
+    non-int ``max_hops`` is a TypeError and a NaN ``tau`` a ValueError:
+    either would otherwise read as another limit.
     """
     if not isinstance(max_hops, int) or isinstance(max_hops, bool):
         raise TypeError(
@@ -279,15 +309,28 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             # quote already in ``quotes`` is not evaluated again
             edge, out = None, gate
             for e in candidates:
-                bound = e.output_bound(cur)
+                # Edge.output_bound, inline
+                bound = cur * e.rate_num // e.rate_den + 1
                 if bound <= out or bound * v_rate * BOUND_SLACK <= lim:
                     break
-                if e.ceiling <= out or e.ceiling * v_rate * BOUND_SLACK <= lim:
+                ceiling = e.ceiling
+                if ceiling <= out or ceiling * v_rate * BOUND_SLACK <= lim:
                     continue
-                if any(p in masked_pools or p in pools for p in e.pool_ids):
-                    continue
-                if e.legs and any(leg.token_in in visited
-                                  for leg in e.legs[1:]):
+                mobius = e.mobius
+                if mobius is not None:
+                    scale, shift = mobius
+                    # the real output at cur, raised past float rounding
+                    real = scale * cur / (cur + shift) * BOUND_SLACK
+                    if real < out or real * v_rate * BOUND_SLACK <= lim:
+                        stats.quotes_skipped += 1
+                        continue
+                if e.legs:
+                    if (any(p in masked_pools or p in pools
+                            for p in e.pool_ids)
+                            or any(leg.token_in in visited
+                                   for leg in e.legs[1:])):
+                        continue
+                elif e.pool_id in masked_pools or e.pool_id in pools:
                     continue
                 key = (id(e), cur)
                 quote = quotes.get(key, _UNQUOTED)

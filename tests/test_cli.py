@@ -79,7 +79,7 @@ class TestRoute:
         assert code == 0
         stats = json.loads(out)["stats"]
         assert list(stats) == sorted(f.name for f in fields(RouteStats))
-        assert len(stats) == 11
+        assert len(stats) == 12
         # exact integers as decimal strings, like every amount
         objectives = stats["stage1_objectives"]
         assert objectives and all(v.isdigit() for v in objectives)
@@ -334,7 +334,7 @@ class TestBench:
         (row,) = csv.DictReader(open(out_csv))
         scalars = [f.name for f in fields(RouteStats)
                    if f.type in ("int", "bool")]
-        assert len(scalars) == 9
+        assert len(scalars) == 10
         assert list(row)[-len(scalars):] == scalars
         assert int(row["find_path_calls"]) >= 1
         assert row["degraded"] == "False"

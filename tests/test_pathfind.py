@@ -15,7 +15,12 @@ from prime_router.engine import (
     prime,
     verify_solution,
 )
-from prime_router.cfmm import ConstantProduct
+from prime_router.cfmm import (
+    ConstantProduct,
+    PiecewiseLiquidity,
+    Segment,
+    SequentialComposite,
+)
 from prime_router.errors import NoRouteError
 from prime_router.graph import (
     KIND_PIECEWISE,
@@ -166,7 +171,6 @@ class TestFindPath:
     def test_exact_against_enumeration_randomized(self):
         # dominance pruning must not change the discovered maximum
         rng = random.Random(1234)
-        mismatches = 0
         for trial in range(120):
             n = rng.randint(3, 10)
             m = rng.randint(n - 1, 20)
@@ -185,7 +189,6 @@ class TestFindPath:
             else:
                 assert res.output == best
             assert stats.pushes <= n * g.edge_count
-        assert mismatches == 0
 
     def test_visit_bound_instrumented(self):
         rng = random.Random(77)
@@ -228,6 +231,89 @@ class TestFindPath:
                                     cp_pool("P0", "T0", "T1", 10**6, 10**6)])
         res = find_path(g, "T0", "T1", 1000, 0.0, 3)
         assert res.edges[0].pool_id == "P0"
+
+
+def _closed_form(e, x):
+    """The scan's closed-form test value: ``e``'s real output at ``x``,
+    raised by the slack, as ``find_path`` computes it."""
+    scale, shift = e.mobius
+    return scale * x / (x + shift) * BOUND_SLACK
+
+
+def _random_cp(rng):
+    return ConstantProduct(10**rng.randint(3, 40) + rng.randrange(10**3),
+                           10**rng.randint(3, 40) + rng.randrange(10**3),
+                           rng.randint(0, 100))
+
+
+def _whale_pair(rng, shallow=40):
+    """A hub pair T0 -> T1 holding ``shallow`` shallower parallel pools
+    next to one deep pool, and two 2-hop detours through T2 and T3, each
+    hop with two pools; the amount is 3x the deep pool's depth, so a
+    shallow pool's output ceiling can beat the deep pool's quote where its
+    real output cannot."""
+    depth = 10**15
+    pools = [cp_pool("deep", "T0", "T1", depth, depth, 30)]
+    for i in range(shallow):
+        r = rng.randint(depth // 10, depth)
+        pools.append(cp_pool(f"s{i:02}", "T0", "T1", r,
+                             r * rng.randint(90, 110) // 100,
+                             rng.choice((5, 30, 100))))
+    for mid in ("T2", "T3"):
+        for leg in range(2):
+            for a, b in (("T0", mid), (mid, "T1")):
+                r = rng.randint(depth // 10, depth)
+                pools.append(cp_pool(f"{a}{b}{leg}", a, b, r, r,
+                                     rng.choice((5, 30))))
+    return build_graph(tokens(4), pools), 3 * depth
+
+
+class TestClosedFormBound:
+    def test_bounds_constant_product_pools_and_shortcuts(self):
+        # no exact quote exceeds its closed form times the slack, from 1
+        # unit to far past the reserves
+        rng = random.Random(0xC1)
+        for trial in range(3000):
+            legs = 1 if trial % 3 == 0 else rng.randint(2, 3)
+            parts = tuple(_random_cp(rng) for _ in range(legs))
+            fn = parts[0] if legs == 1 else SequentialComposite(parts)
+            e = Edge("P", "A", "B", fn)
+            depth = max(p.reserve_in for p in parts)
+            for x in (1, rng.randint(1, 10**6), rng.randint(1, depth),
+                      rng.randint(depth, depth * 10**6)):
+                out = fn.swap_out(x)
+                real = _closed_form(e, x)
+                assert real >= out
+                if legs == 1:
+                    # and it is tight: a single pool floors once
+                    assert real <= (out + 1) * (1 + 3e-9)
+
+    def test_other_curves_have_no_closed_form(self):
+        cp = ConstantProduct(10**9, 10**9, 30)
+        pw = PiecewiseLiquidity((Segment(50, 100, 100),), 0)
+        assert Edge("P", "A", "B", cp).mobius is not None
+        assert Edge("P", "A", "B", pw).mobius is None
+        assert Edge("P", "A", "B", SequentialComposite((cp, pw))).mobius \
+            is None
+
+    def test_whale_pair_skips_quotes_not_results(self):
+        for seed in range(5):
+            g, x = _whale_pair(random.Random(seed))
+            stats = SearchStats()
+            res = find_path(g, "T0", "T1", x, 0.0, 3, stats=stats)
+            best = max(simulate_chain(p, x)
+                       for p in enumerate_paths_oracle(g, "T0", "T1", 3))
+            assert res.output == best
+            assert stats.quotes_skipped > 0
+            # the same search quoting every edge the other tests let through
+            plain = SearchStats()
+            g, x = _whale_pair(random.Random(seed))
+            with mock.patch.object(Edge, "mobius", None):
+                again = find_path(g, "T0", "T1", x, 0.0, 3, stats=plain)
+            assert again.edges == res.edges and again.output == res.output
+            assert (plain.pushes, plain.pops, plain.quotes_skipped) \
+                == (stats.pushes, stats.pops, 0)
+            assert plain.swap_evals > stats.swap_evals
 
 
 # sha256 of the stats-free results in test_golden_results; the routes are

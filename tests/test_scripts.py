@@ -205,6 +205,28 @@ def test_ab_time_same_tree(capsys):
     assert ab_time.report({"hubs_equal": False, "workloads": {}}) == 1
 
 
+def test_ab_time_stage0_same_tree(capsys):
+    # A/A on a small market: every step timed on both sides, same hubs
+    ab_time = load_script("ab_time")
+    ab_time._import_paths()
+    from perfbench.workloads import Market
+
+    market = Market(seed=13, tokens=40, pools=140, hub_fraction=0.1,
+                    spread_orders=6, hubs=8)
+    result = ab_time.run_stage0(market, str(SCRIPTS.parent / "src"), 1)
+    assert result["hubs_equal"]
+    assert [step for step, *_ in result["steps"]] == \
+        list(ab_time.STAGE0_STEPS)
+    assert all(a > 0 and b > 0 for _, a, b in result["steps"])
+    assert ab_time.report_stage0(result) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == \
+        list(ab_time.STAGE0_STEPS) + ["stage 0"]
+    result["hubs_equal"] = False
+    assert ab_time.report_stage0(result) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("hubs differ")
+
+
 def test_ab_time_alternates_and_keeps_minima():
     # a fake clock that each call advances by its next duration
     ab_time = load_script("ab_time")
