@@ -21,9 +21,13 @@ exits 1 when the hubs or any query's output differ between the sides.
 
 ``--stage0`` times stage 0 instead of the queries: each side loads the
 snapshot, builds the graph and prepares routing (``STAGE0_STEPS``), A, B,
-B, A for ``ROUNDS`` rounds, and keeps its minimum per step.  It prints each
-step's minima and ratio B/A, then their sums, and exits 1 when the hubs
-differ.
+B, A for ``ROUNDS`` rounds, and keeps its minimum per step.  After the
+timing rounds, one untimed pass per side traces the memory of each step
+with ``tracemalloc``: the bytes held after the step and the peak within
+it.  It prints each step's minima, held and peak memory with their ratios
+B/A, then the sums (for memory, what stage 0 holds at its end and its
+peak), and exits 1 when the hubs differ.  ``stage0_mib`` reads this
+checkout's memory alone, for CI's job summary.
 
     python scripts/ab_time.py --against ../parent/src
     python scripts/ab_time.py --against ../parent/src --stage0
@@ -41,7 +45,9 @@ import statistics
 import sys
 import tempfile
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import tracemalloc
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("retail", "whale", "dominance")
@@ -49,6 +55,7 @@ SIDE_A = "prime_router_a"
 # rounds of A, B, B, A per query: about 25 s on a 2-core VM
 ROUNDS = 6
 STAGE0_STEPS = ("load_snapshot", "build_graph", "prepare_routing")
+MIB = 1 << 20
 
 
 def _import_paths() -> None:
@@ -72,6 +79,23 @@ def import_tree(src: str, name: str = SIDE_A) -> Dict[str, object]:
     spec.loader.exec_module(module)
     return {part: importlib.import_module(f"{name}.{part}")
             for part in ("engine", "errors", "io")}
+
+
+def own_tree() -> Dict[str, object]:
+    """The ``engine`` and ``io`` modules of this checkout's ``prime_router``."""
+    return {part: importlib.import_module(f"prime_router.{part}")
+            for part in ("engine", "io")}
+
+
+@contextmanager
+def market_file(market) -> Iterator[str]:
+    """The path of a snapshot of ``market``, deleted on exit."""
+    from perfbench import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "market.json")
+        workloads.write_market(market, path)
+        yield path
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -112,9 +136,7 @@ def run(market, against: str, rounds: int,
     sizes = sizes or workloads.SET_SIZE
     side_a = import_tree(against)
     engine_a = side_a["engine"]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "market.json")
-        workloads.write_market(market, path)
+    with market_file(market) as path:
         _, st = workloads.build_stage0(path, market)
         graph_a = side_a["io"].load_snapshot(path).build_graph()
     ids = sorted(graph_a.tokens)
@@ -171,37 +193,85 @@ def stage0_times(modules: Dict[str, object], path: str, market
     return [b - a for a, b in zip(marks, marks[1:])], list(prepared.hubs)
 
 
-def run_stage0(market, against: str, rounds: int) -> dict:
-    """Time stage 0 on both sides, A, B, B, A for ``rounds`` rounds.
+def stage0_memory(modules: Dict[str, object], path: str, market
+                  ) -> List[Tuple[int, int]]:
+    """One side's traced ``(bytes held after, peak bytes within)`` per
+    ``STAGE0_STEPS`` step, from a collected heap.  What a step holds
+    includes what the steps before it built."""
+    io, engine = modules["io"], modules["engine"]
+    gc.collect()
+    steps = []
+    tracemalloc.start()
+    try:
+        snap = io.load_snapshot(path)
+        steps.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        graph = snap.build_graph()
+        steps.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        ids = sorted(graph.tokens)
+        # held while read: stage 0 keeps the snapshot, graph and core
+        prepared = engine.prepare_routing(graph, engine.RouteQuery(
+            ids[0], ids[1], 1, max_hops=market.max_hops,
+            hub_count=market.hubs))
+        steps.append(tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return steps
 
-    Returns ``{"hubs_equal": bool, "steps": [(step, min A, min B), ...]}``.
-    """
-    sides = (import_tree(against),
-             {part: importlib.import_module(f"prime_router.{part}")
-              for part in ("engine", "io")})
+
+def stage0_mib(market=None) -> Tuple[float, float]:
+    """This checkout's traced stage 0 on ``market`` (criterion 7's by
+    default), in MiB: what it holds after ``prepare_routing``, and its
+    peak over the three steps."""
+    _import_paths()
     from perfbench import workloads
 
+    market = market or workloads.CRITERION_7_MARKET
+    with market_file(market) as path:
+        steps = stage0_memory(own_tree(), path, market)
+    return steps[-1][0] / MIB, max(peak for _, peak in steps) / MIB
+
+
+def run_stage0(market, against: str, rounds: int) -> dict:
+    """Time stage 0 on both sides, A, B, B, A for ``rounds`` rounds, then
+    trace each side's memory in one untimed pass.
+
+    Returns ``{"hubs_equal": bool, "steps": [(step, min A, min B), ...],
+    "memory": [(step, (held A, peak A), (held B, peak B)), ...]}``, memory
+    in bytes.
+    """
+    sides = (import_tree(against), own_tree())
     best = [[math.inf] * len(STAGE0_STEPS) for _ in sides]
     hubs: List[List[str]] = [[], []]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "market.json")
-        workloads.write_market(market, path)
+    with market_file(market) as path:
         for _ in range(rounds):
             for side in (0, 1, 1, 0):
                 times, hubs[side] = stage0_times(sides[side], path, market)
                 best[side] = [min(pair) for pair in zip(best[side], times)]
+        memory = [stage0_memory(side, path, market) for side in sides]
     return {"hubs_equal": hubs[0] == hubs[1],
-            "steps": list(zip(STAGE0_STEPS, *best))}
+            "steps": list(zip(STAGE0_STEPS, *best)),
+            "memory": list(zip(STAGE0_STEPS, *memory))}
 
 
 def report_stage0(result: dict) -> int:
-    """Print each stage-0 step's minima and ratio; 1 when the hubs
-    differ, else 0."""
-    rows = result["steps"] + [("stage 0",
-                               sum(a for _, a, _ in result["steps"]),
-                               sum(b for *_, b in result["steps"]))]
-    for step, a, b in rows:
-        print(f"{step}: A {a:.4f} s, B {b:.4f} s, B/A {b / a:.3f}")
+    """Print each stage-0 step's minima, held and peak memory, and their
+    ratios; 1 when the hubs differ, else 0."""
+    steps, memory = result["steps"], result["memory"]
+    rows = steps + [("stage 0", sum(a for _, a, _ in steps),
+                     sum(b for *_, b in steps))]
+    # stage 0 holds what its last step holds, and peaks at its highest step
+    total = [(memory[-1][side][0], max(m[side][1] for m in memory))
+             for side in (1, 2)]
+    memory = memory + [("stage 0", *total)]
+    for (step, a, b), (_, (held_a, peak_a), (held_b, peak_b)) in zip(
+            rows, memory):
+        print(f"{step}: A {a:.4f} s, B {b:.4f} s, B/A {b / a:.3f}; "
+              f"held A {held_a / MIB:.2f} MiB, B {held_b / MIB:.2f} MiB, "
+              f"B/A {held_b / held_a:.3f}; "
+              f"peak A {peak_a / MIB:.2f} MiB, B {peak_b / MIB:.2f} MiB, "
+              f"B/A {peak_b / peak_a:.3f}")
     if not result["hubs_equal"]:
         print("hubs differ: the two stage 0s would route different cores")
         return 1

@@ -28,14 +28,17 @@ for a constant-product pool, one per segment for a piecewise pool, and the
 2x2 matrix products of the legs' active pieces for a composite.  ``pieces``
 exposes them with exact int coefficients, which is what lets the allocator
 solve a hop's price-equalizing split in closed form.
+
+The curve classes are slotted, one per edge; what only the curves that
+carry flow need (``pieces``, a composite's capacity) is derived on the first
+read, by ``lazy_slots``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from .errors import AmountOverflowError, CapacityExceededError
 
@@ -45,6 +48,27 @@ BPS_DENOM = 10_000
 # Concavity is only guaranteed for a short stitched curve; mirrors on-chain
 # router limits for tick-range batching.
 MAX_SEGMENTS = 16
+
+
+def lazy_slots(**derive: Callable[[object], object]) -> Callable:
+    """A ``__getattr__`` that fills each slot named in ``derive`` on its
+    first read, with ``derive[name](self)``.
+
+    ``cached_property`` needs an instance ``__dict__``, which a slotted
+    class lacks.  Here the derived value is a field declared with
+    ``field(init=False, compare=False, repr=False)``: construction leaves
+    its slot empty, so the first read misses and lands here, and every
+    later read is a plain slot read.  None is cached like any other value.
+    """
+    def __getattr__(self, name: str):
+        fill = derive.get(name)
+        if fill is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        value = fill(self)
+        object.__setattr__(self, name, value)
+        return value
+    return __getattr__
 
 
 def check_amount(value: int, what: str = "amount") -> int:
@@ -106,7 +130,7 @@ def _real_point(x, cap: Optional[int] = None) -> float:
     return float(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Piece:
     """One Möbius piece of a curve: ``lo + t -> (a*t + b) / (c*t + d)``.
 
@@ -194,11 +218,12 @@ def _compose(inner: Tuple[Piece, ...], outer: Tuple[Piece, ...]) -> List[Piece]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstantProduct:
     reserve_in: int
     reserve_out: int
     fee_bps: int = 0
+    pieces: Tuple[Piece, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_fee(self.fee_bps)
@@ -227,14 +252,15 @@ class ConstantProduct:
         """Strict upper bound on any output."""
         return self.reserve_out
 
-    @cached_property
-    def pieces(self) -> Tuple[Piece, ...]:
+    def _pieces(self) -> Tuple[Piece, ...]:
         k = BPS_DENOM - self.fee_bps
         return (Piece(0, None, k * self.reserve_out, 0, k,
                       BPS_DENOM * self.reserve_in),)
 
+    __getattr__ = lazy_slots(pieces=_pieces)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Segment:
     """One constant-product slice of a concentrated-liquidity curve.
 
@@ -247,10 +273,11 @@ class Segment:
     virtual_reserve_out: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiecewiseLiquidity:
     segments: Tuple[Segment, ...]
     fee_bps: int = 0
+    pieces: Tuple[Piece, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_fee(self.fee_bps)
@@ -326,8 +353,7 @@ class PiecewiseLiquidity:
         """Strict upper bound on any output: each segment's out-reserve."""
         return sum(s.virtual_reserve_out for s in self.segments)
 
-    @cached_property
-    def pieces(self) -> Tuple[Piece, ...]:
+    def _pieces(self) -> Tuple[Piece, ...]:
         """One piece per segment, with the earlier segments' exact output
         ``p`` folded in: ``p + k*V_out*t / (k*t + 10000*V_in)``."""
         k = BPS_DENOM - self.fee_bps
@@ -342,6 +368,8 @@ class PiecewiseLiquidity:
                                 self.fee_bps, s.capacity_in)
         return tuple(out)
 
+    __getattr__ = lazy_slots(pieces=_pieces)
+
 
 def bounded_point(fn: "SwapFunction", point: float) -> Tuple[float, bool]:
     """(operating point inside ``fn``'s domain, saturated?) of a real-mode
@@ -352,11 +380,13 @@ def bounded_point(fn: "SwapFunction", point: float) -> Tuple[float, bool]:
     return point, False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequentialComposite:
     """Swap functions applied back to back: f = f_n o ... o f_1."""
 
     parts: Tuple["SwapFunction", ...]
+    pieces: Tuple[Piece, ...] = field(init=False, compare=False, repr=False)
+    _capacity: Optional[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.parts:
@@ -388,8 +418,7 @@ class SequentialComposite:
     def output_ceiling(self) -> int:
         return self.parts[-1].output_ceiling()
 
-    @cached_property
-    def pieces(self) -> Tuple[Piece, ...]:
+    def _pieces(self) -> Tuple[Piece, ...]:
         """The legs' pieces composed front to back, ending at the exact
         integer ``input_capacity``."""
         out = self.parts[0].pieces
@@ -413,12 +442,12 @@ class SequentialComposite:
             return False
         return True
 
-    @cached_property
-    def _capacity(self):
-        """A later leg's capacity binds through the upstream curves, so the
-        bound is found by bisecting feasibility of the exact integer chain.
-        Computed on first read: composites are built en masse during
-        preprocessing but only a handful ever carry flow."""
+    def _find_capacity(self) -> Optional[int]:
+        """``_capacity``: a later leg's capacity binds through the upstream
+        curves, so the bound is found by bisecting feasibility of the exact
+        integer chain.  A lazy slot, filled on first read: composites are
+        built en masse during preprocessing but only a handful ever carry
+        flow."""
         if all(fn.input_capacity() is None for fn in self.parts):
             return None
         first = self.parts[0].input_capacity()
@@ -437,6 +466,8 @@ class SequentialComposite:
             else:
                 hi = mid
         return lo
+
+    __getattr__ = lazy_slots(pieces=_pieces, _capacity=_find_capacity)
 
 
 SwapFunction = Union[ConstantProduct, PiecewiseLiquidity, SequentialComposite]

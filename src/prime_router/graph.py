@@ -22,8 +22,13 @@ An ``Edge`` derives its pool ids, exact spot ratio, float spot and output
 ceiling when built: stage 0 reads them all.  One more derivation waits for
 the path search: ``mobius``, the two floats of a curve that is a single
 Möbius map through the origin (a constant-product pool, or a shortcut whose
-legs all are), is computed on the first read and cached on the edge, so
+legs all are), is a slot filled on its first read (``cfmm.lazy_slots``), so
 stage 0 builds none and an edge no search scans never holds one.
+
+The value classes stage 0 builds per entry (``Token``, ``Pool``,
+``PoolDirection``, ``Edge``, and the curves in ``cfmm``) are slotted frozen
+dataclasses, without an instance ``__dict__``: stage 0 on the criterion-7
+market holds about 177,000 of them.
 
 Structure rules (unique ids, decimals 0..30, pool shape) live here, per entry
 in ``add_token``/``add_pool``, which ``io`` also calls; the ``cfmm``
@@ -38,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .cfmm import (BPS_DENOM, ConstantProduct, PiecewiseLiquidity, Segment,
-                   SequentialComposite, SwapFunction)
+                   SequentialComposite, SwapFunction, lazy_slots)
 from .errors import AmountOverflowError, MalformedSnapshotError
 
 KIND_CONSTANT_PRODUCT = "constant_product"
@@ -80,14 +85,14 @@ def gc_paused(build: Callable) -> Callable:
     return paused
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     id: str
     symbol: str
     decimals: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoolDirection:
     """Per-direction curve parameters for a piecewise pool."""
 
@@ -96,7 +101,7 @@ class PoolDirection:
     segments: Tuple[Segment, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pool:
     id: str
     kind: str
@@ -119,7 +124,7 @@ class Pool:
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     pool_id: str
     token_in: str
@@ -132,6 +137,9 @@ class Edge:
     rate_den: int = field(init=False, compare=False, repr=False)
     spot: float = field(init=False, compare=False, repr=False)
     ceiling: int = field(init=False, compare=False, repr=False)
+    # derived on the first read, by the path search only
+    mobius: Optional[Tuple[float, float]] = field(init=False, compare=False,
+                                                  repr=False)
 
     def __post_init__(self):
         ids = tuple(leg.pool_id for leg in self.legs) if self.legs \
@@ -143,19 +151,15 @@ class Edge:
         object.__setattr__(self, "spot", num / den)
         object.__setattr__(self, "ceiling", self.fn.output_ceiling())
 
-    def output_bound(self, amount: int) -> int:
-        """Concavity bound: f(amount) < floor(spot * amount) + 1, exactly."""
-        return amount * self.rate_num // self.rate_den + 1
-
-    @functools.cached_property
-    def mobius(self) -> Optional[Tuple[float, float]]:
-        """``(a / c, d / c)`` when the curve is one map ``x -> a*x / (c*x +
-        d)``, whose real output at x is ``a/c * x / (x + d/c)``, else None.
+    def _mobius(self) -> Optional[Tuple[float, float]]:
+        """``mobius``: ``(a / c, d / c)`` when the curve is one map ``x ->
+        a*x / (c*x + d)``, whose real output at x is ``a/c * x / (x +
+        d/c)``, else None.
 
         A constant-product pool is one, with matrix ``[[k*R_out, 0], [k,
         10000*R_in]]`` (``k = 10000 - fee_bps``), and so is a composite of
-        them: the legs' matrices multiply to the same shape.  Cached on first
-        read (a frozen dataclass still has its ``__dict__``).
+        them: the legs' matrices multiply to the same shape.  A lazy slot:
+        computed on the first read and kept in the slot, None included.
         """
         fn = self.fn
         parts = fn.parts if isinstance(fn, SequentialComposite) else (fn,)
@@ -169,6 +173,8 @@ class Edge:
             a, c, d = k * part.reserve_out * a, k * a + r_in * c, r_in * d
         # int true division rounds correctly however large the coefficients
         return a / c, d / c
+
+    __getattr__ = lazy_slots(mobius=_mobius)
 
 
 def spot_order(e: Edge) -> Tuple[float, str]:

@@ -14,6 +14,12 @@ It is one pass: an entry's fields are read at once and pass one combined
 test, and only an entry that fails it is walked again, field by field, to
 name the first bad field.  ``load_snapshot`` frees the file's text before
 it builds the entries, so the two are never held at once.
+
+One string per token id: a pool's tokens and a piecewise direction's ends
+reference the admitted ``Token.id``, not the JSON's fresh copy of it (the
+criterion-7 market's 25,000 pools mention its 10,000 tokens 65,376 times),
+and ``Pool.kind`` is the ``graph`` constant.  An id no token has keeps the
+JSON's string, for ``add_pool`` to name in its error.
 """
 
 from __future__ import annotations
@@ -191,8 +197,9 @@ def _overflow_error(amounts, paths) -> AmountOverflowError:
         f"{path}: {len(value)}-digit amount exceeds 256-bit range")
 
 
-def _direction(d, i: int, j: int) -> PoolDirection:
-    """Direction ``j`` of pool ``i``, a piecewise pool."""
+def _direction(d, i: int, j: int, ids: Dict[str, str]) -> PoolDirection:
+    """Direction ``j`` of pool ``i``, a piecewise pool; ``ids`` maps each
+    admitted token id to its ``Token.id``."""
     try:
         tin, tout, raw_segments = _direction_fields(d)
         ok = (isinstance(d, dict) and isinstance(tin, str)
@@ -218,7 +225,8 @@ def _direction(d, i: int, j: int) -> PoolDirection:
                 f"pools[{i}].directions[{j}].segments[{m}].{key}"
                 for key, _ in _SEGMENT_FIELDS]) from None
         segments.append(Segment(*values))
-    return PoolDirection(tin, tout, tuple(segments))
+    return PoolDirection(ids.get(tin, tin), ids.get(tout, tout),
+                         tuple(segments))
 
 
 def snapshot_from_dict(data: dict) -> Snapshot:
@@ -234,6 +242,7 @@ def snapshot_from_dict(data: dict) -> Snapshot:
             f"snapshot version {version} unsupported", "snapshot")
     block_ref = _snapshot_field(data, "block_ref", _is_str)
     token_map: Dict[str, Token] = {}
+    ids: Dict[str, str] = {}
     for i, entry in enumerate(_snapshot_field(data, "tokens", _is_list)):
         try:
             tid, symbol, decimals = _token_fields(entry)
@@ -247,17 +256,26 @@ def snapshot_from_dict(data: dict) -> Snapshot:
             add_token(token_map, Token(tid, symbol, decimals))
         except MalformedSnapshotError as exc:
             raise ParseError(str(exc), f"tokens[{i}]") from exc
+        ids[tid] = tid
     pool_map: Dict[str, Pool] = {}
+    admitted = ids.__getitem__
     for i, entry in enumerate(_snapshot_field(data, "pools", _is_list)):
         try:
-            pid, kind, ptokens, fee = _pool_fields(entry)
+            pid, kind, raw_tokens, fee = _pool_fields(entry)
             ok = (isinstance(entry, dict) and isinstance(pid, str)
-                  and isinstance(kind, str) and _is_str_list(ptokens)
+                  and isinstance(kind, str) and isinstance(raw_tokens, list)
                   and _is_int(fee))
+            # only a str finds an admitted id, so the lookup that takes
+            # each id's Token.id is also the tokens field's test
+            ptokens = tuple(map(admitted, raw_tokens))
         except (KeyError, TypeError):
             ok = False
         if not ok:
-            raise _field_error(entry, _POOL_FIELDS, f"pools[{i}]")
+            error = _field_error(entry, _POOL_FIELDS, f"pools[{i}]")
+            if error is not None:
+                raise error
+            # every field passes, so an id is dangling: add_pool names it
+            ptokens = tuple(raw_tokens)
         if kind == KIND_CONSTANT_PRODUCT:
             raw = entry.get("reserves")
             if not (isinstance(raw, list) and all(map(_is_amount, raw))):
@@ -268,14 +286,14 @@ def snapshot_from_dict(data: dict) -> Snapshot:
                 raise _overflow_error(raw, [
                     f"pools[{i}].reserves[{j}]"
                     for j in range(len(raw))]) from None
-            pool = Pool(pid, kind, tuple(ptokens), fee, reserves)
+            pool = Pool(pid, KIND_CONSTANT_PRODUCT, ptokens, fee, reserves)
         elif kind == KIND_PIECEWISE:
             raw = entry.get("directions")
             if not isinstance(raw, list):
                 raise _field_error(entry, (("directions", _is_list),),
                                    f"pools[{i}]")
-            pool = Pool(pid, kind, tuple(ptokens), fee, directions=tuple(
-                _direction(d, i, j) for j, d in enumerate(raw)))
+            pool = Pool(pid, KIND_PIECEWISE, ptokens, fee, directions=tuple(
+                _direction(d, i, j, ids) for j, d in enumerate(raw)))
         else:
             raise ParseError(f"unknown pool kind {kind!r}", f"pools[{i}]")
         try:

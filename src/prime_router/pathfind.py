@@ -309,7 +309,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             # quote already in ``quotes`` is not evaluated again
             edge, out = None, gate
             for e in candidates:
-                # Edge.output_bound, inline
+                # concavity: the quote at cur is below floor(spot * cur) + 1
                 bound = cur * e.rate_num // e.rate_den + 1
                 if bound <= out or bound * v_rate * BOUND_SLACK <= lim:
                     break

@@ -22,6 +22,11 @@ def edge(fn):
     return Edge("P", "A", "B", fn)
 
 
+def output_bound(e, amount):
+    """Concavity bound: e's quote at amount is below floor(spot * amount) + 1."""
+    return amount * e.rate_num // e.rate_den + 1
+
+
 def make_piecewise(fee=0):
     # spot 1.0; second segment enters at 0.44, below the first's exit price
     return PiecewiseLiquidity(
@@ -72,7 +77,7 @@ class TestConstantProduct:
         # the output approaches reserve_out but never reaches it
         g = ConstantProduct(1, 7, 0)
         assert g.swap_out(10**60) == 6
-        assert edge(g).output_bound(10**60) > 6
+        assert output_bound(edge(g), 10**60) > 6
 
     def test_rejects_zero_reserves(self):
         with pytest.raises(ValueError):
@@ -161,9 +166,9 @@ class TestPiecewise:
         # every input up to capacity stays under the spot bound and the sum
         # of the segments' output reserves
         f = make_piecewise()
-        bound = edge(f).output_bound
+        e = edge(f)
         for x in range(f.input_capacity() + 1):
-            assert f.swap_out(x) <= bound(x)
+            assert f.swap_out(x) <= output_bound(e, x)
         assert f.swap_out(f.input_capacity()) < 100 + 66
 
     def test_rejects_increasing_prices(self):
@@ -188,7 +193,7 @@ class TestComposite:
                                  ConstantProduct(100, 300, 0)))
         assert c.spot_ratio() == (10_000**2 * 200 * 300, 10_000**2 * 100**2)
         assert edge(c).spot == 6.0
-        assert edge(c).output_bound(10) > c.swap_out(10)
+        assert output_bound(edge(c), 10) > c.swap_out(10)
 
     def test_marginal_chain_rule_at_zero(self):
         c = SequentialComposite((ConstantProduct(100, 200, 0),
@@ -245,7 +250,7 @@ def test_zero_origin_and_bounds(r_in, r_out, fee, x):
     assert out >= 0
     assert out < r_out
     assert f.swap_out(0) == 0
-    assert out <= edge(f).output_bound(x)
+    assert out <= output_bound(edge(f), x)
 
 
 @given(reserves, reserves, fees, amounts, amounts)

@@ -1,13 +1,17 @@
 import random
+from unittest import mock
 
 import pytest
 
 from prime_router import graph as graph_mod
-from prime_router.cfmm import Segment
+from prime_router.cfmm import (ConstantProduct, PiecewiseLiquidity, Segment,
+                               SequentialComposite)
+from prime_router.engine import RouteQuery, prepare_routing
 from prime_router.errors import AmountOverflowError, MalformedSnapshotError
 from prime_router.graph import (
     KIND_CONSTANT_PRODUCT,
     KIND_PIECEWISE,
+    Edge,
     Pool,
     PoolDirection,
     SwapGraph,
@@ -15,7 +19,7 @@ from prime_router.graph import (
     build_graph,
     prune_leaf_tokens,
 )
-from prime_router.io import generate_synthetic
+from prime_router.io import dumps_snapshot, generate_synthetic, loads_snapshot
 
 from instances import (
     cp_pool,
@@ -369,3 +373,93 @@ class TestPruneEquivalence:
         monkeypatch.setattr(graph_mod, "_validate_pool", forbidden)
         for g in graphs:
             prune_leaf_tokens(g, set())
+
+
+def _slot_filled(obj, name):
+    """Whether ``obj``'s slot ``name`` holds a value, read without filling
+    it (through the class's slot descriptor, not the lazy fill)."""
+    try:
+        getattr(type(obj), name).__get__(obj)
+    except AttributeError:
+        return False
+    return True
+
+
+class TestSlottedValues:
+    """Stage 0's value classes hold no instance ``__dict__``, and what they
+    derive lazily is computed on the first read only: a later field or a
+    ``cached_property`` cannot quietly undo either."""
+
+    @pytest.fixture
+    def stage0(self):
+        snap = loads_snapshot(dumps_snapshot(generate_synthetic(
+            13, 40, 140, hub_fraction=0.1, reserve_spread_orders=6)))
+        g = snap.build_graph()
+        ids = sorted(g.tokens)
+        prepared = prepare_routing(g, RouteQuery(ids[0], ids[1], 1,
+                                                 max_hops=3, hub_count=8))
+        return snap, g, prepared
+
+    def test_no_instance_dict(self, stage0):
+        snap, g, prepared = stage0
+        pool = next(p for p in snap.pools if p.directions)
+        edge = prepared.shortcut_index[0]
+        values = [snap.tokens[0], pool, pool.directions[0],
+                  pool.directions[0].segments[0], edge, edge.fn,
+                  edge.fn.parts[0], g.edges_between(*pool.tokens)[0].fn,
+                  edge.fn.pieces[0]]
+        assert sorted(type(v).__name__ for v in values) == sorted([
+            "Token", "Pool", "PoolDirection", "Segment", "Edge",
+            "SequentialComposite", "ConstantProduct", "PiecewiseLiquidity",
+            "Piece"])
+        for v in values:
+            assert not hasattr(v, "__dict__"), type(v).__name__
+            with pytest.raises(AttributeError):
+                v.no_such_field
+
+    def test_stage0_derives_nothing_lazy(self, stage0):
+        _, g, prepared = stage0
+        edges = [e for u in g.token_ids() for _, es in g.out_items(u)
+                 for e in es] + list(prepared.shortcut_index)
+        assert prepared.shortcut_index
+        for e in edges:
+            assert not _slot_filled(e, "mobius")
+            assert not _slot_filled(e.fn, "pieces")
+            for part in getattr(e.fn, "parts", ()):
+                assert not _slot_filled(part, "pieces")
+        assert not any(_slot_filled(e.fn, "_capacity")
+                       for e in prepared.shortcut_index)
+
+    def test_each_derivation_computed_once(self):
+        cp = ConstantProduct(10**9, 10**9, 30)
+        pw = PiecewiseLiquidity((Segment(50, 100, 100),
+                                 Segment(150, 150, 66)), 0)
+        for fn in (cp, pw, SequentialComposite((cp, pw))):
+            first = fn.pieces
+            assert _slot_filled(fn, "pieces")
+            assert fn.pieces is first
+        e = Edge("P", "A", "B", cp)
+        assert e.mobius is e.mobius
+        # a None derivation stays cached too
+        none = Edge("P", "A", "B", pw)
+        assert not _slot_filled(none, "mobius")
+        assert none.mobius is None
+        assert _slot_filled(none, "mobius")
+        composite = SequentialComposite((pw, cp))
+        with mock.patch.object(SequentialComposite, "_feasible",
+                               autospec=True,
+                               side_effect=SequentialComposite._feasible
+                               ) as feasible:
+            assert composite.input_capacity() == 200
+            calls = feasible.call_count
+            assert calls > 0
+            assert composite.input_capacity() == 200
+            assert feasible.call_count == calls
+
+    def test_class_patch_reaches_filled_slots(self):
+        e = Edge("P", "A", "B", ConstantProduct(10**9, 10**9, 30))
+        scale_shift = e.mobius
+        with mock.patch.object(Edge, "mobius", None):
+            assert e.mobius is None
+            assert Edge("P", "A", "B", e.fn).mobius is None
+        assert e.mobius is scale_shift

@@ -44,6 +44,21 @@ class TestRoundTrip:
         twice = dumps_snapshot(loads_snapshot(once))
         assert once == twice
 
+    def test_one_string_per_token_id(self):
+        # every pool and direction token is the admitted Token.id itself,
+        # not the JSON's copy, and every kind is the module constant
+        snap = loads_snapshot(dumps_snapshot(generate_synthetic(
+            13, 40, 140, hub_fraction=0.1, reserve_spread_orders=6)))
+        ids = {t.id: t.id for t in snap.tokens}
+        assert any(p.directions for p in snap.pools)
+        for p in snap.pools:
+            assert all(t is ids[t] for t in p.tokens)
+            for d in p.directions:
+                assert d.token_in is ids[d.token_in]
+                assert d.token_out is ids[d.token_out]
+            assert p.kind is (KIND_PIECEWISE if p.directions
+                              else KIND_CONSTANT_PRODUCT)
+
     def test_hash_tracks_content(self):
         a, b = small_snapshot(1), small_snapshot(2)
         assert snapshot_hash(a) != snapshot_hash(b)
@@ -293,6 +308,20 @@ class TestParseErrors:
             with pytest.raises(ParseError) as err:
                 loads_snapshot(json.dumps(data))
             assert "pools[0]" in str(err.value)
+
+    def test_token_lookup_keeps_the_field_errors(self):
+        # the lookup that finds each Token.id also tests the field: what
+        # iterates to admitted ids but is no list still has the wrong type,
+        # and a dangling id still reaches the structure rule
+        known = small_snapshot().pools[0].tokens
+        for bad, message in (
+                (dict.fromkeys(known, 0), "field 'tokens' has wrong type"),
+                (known[0], "field 'tokens' has wrong type"),
+                ([known[0], "0xdead"],
+                 "pool 'P000000': dangling token id '0xdead'")):
+            with pytest.raises(ParseError) as err:
+                loads_snapshot(_edited([(("pools", 0, "tokens"), bad)]))
+            assert str(err.value) == f"pools[0]: {message}"
 
     def test_version_gate(self):
         snap = small_snapshot()

@@ -218,10 +218,20 @@ def test_ab_time_stage0_same_tree(capsys):
     assert [step for step, *_ in result["steps"]] == \
         list(ab_time.STAGE0_STEPS)
     assert all(a > 0 and b > 0 for _, a, b in result["steps"])
+    # one traced pass per side: held after each step, at most its peak
+    assert [step for step, *_ in result["memory"]] == \
+        list(ab_time.STAGE0_STEPS)
+    for side in (1, 2):
+        held = [m[side][0] for m in result["memory"]]
+        assert all(0 < m[side][0] <= m[side][1] for m in result["memory"])
+        assert held == sorted(held)
     assert ab_time.report_stage0(result) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == \
         list(ab_time.STAGE0_STEPS) + ["stage 0"]
+    assert all("; held A " in line and "; peak A " in line for line in lines)
+    held, peak = ab_time.stage0_mib(market)
+    assert 0 < held <= peak
     result["hubs_equal"] = False
     assert ab_time.report_stage0(result) == 1
     assert capsys.readouterr().out.splitlines()[-1].startswith("hubs differ")
