@@ -24,11 +24,14 @@ many routed records' work counts (their ``stats``, over the keys both sides
 have) changed, whether stage 0 changed (``stage0_changed``), how many
 checker results changed (``osp_changed``), how many stage-1 objectives fell
 at the same refresh, how many queries prime leaves below the checker
-(``below_osp``: no route or a lower output where the checker routes), the
-work keys only one side has, and the mean work counts per workload, pooled
-over the multiples and then per multiple (the benchmark's gated counts are
-the 1x ones).  It exits 1 when any output fell (a query that stops routing
-counts as fallen), any plan failed its audit or any checker result changed.
+(``below_osp``: no route or a lower output where the checker routes), how
+many routed records' gated work rose (``work_rose``: swap evals, queue
+pushes or allocator steps, the counts the benchmark bounds), the work keys
+only one side has, and the mean work counts per workload, pooled over the
+multiples and then per multiple (the benchmark's gated counts are the 1x
+ones).  It exits 1 when any output fell (a query that stops routing counts
+as fallen), any plan failed its audit or any checker result changed; a rise
+in work is reported, not failed.
 """
 
 from __future__ import annotations
@@ -133,6 +136,12 @@ def allocator_steps(work: dict) -> int:
     return work["asgm_iterations"] + len(work["stage1_taus"]) + 1
 
 
+def gated_work(work: dict) -> Tuple[int, int, int]:
+    """A record's work counts that the benchmark bounds: swap evals, queue
+    pushes and allocator steps."""
+    return work["swap_evals"], work["queue_pushes"], allocator_steps(work)
+
+
 def below_osp(records: Sequence[dict]) -> int:
     """Records where the checker routes and prime does not, or routes
     less."""
@@ -147,14 +156,15 @@ def compare(new: dict, old: dict) -> Dict[str, int]:
     routed results that changed, failed audits, routed records whose work
     (their ``stats``, over the keys both records have) changed, a changed
     stage 0 (0 or 1), changed checker results, the new records below the
-    checker (``below_osp``), and stage-1 objectives below the old one's at
-    the same refresh."""
+    checker (``below_osp``), stage-1 objectives below the old one's at the
+    same refresh, and routed records whose ``gated_work`` rose in any count
+    (``work_rose``)."""
     before = {r["key"]: r for r in old["records"]}
     counts = dict.fromkeys(("equal", "risen", "fallen", "newly_routed",
                             "unrouted", "result_changed", "audit_failed",
                             "work_changed", "stage0_changed", "osp_changed",
                             "below_osp", "stage1_compared", "stage1_fallen",
-                            "missing"), 0)
+                            "missing", "work_rose"), 0)
     counts["stage0_changed"] = int(new["stage0_sha256"]
                                    != old["stage0_sha256"])
     counts["below_osp"] = below_osp(new["records"])
@@ -178,6 +188,8 @@ def compare(new: dict, old: dict) -> Dict[str, int]:
         shared = r["work"].keys() & o["work"].keys()
         counts["work_changed"] += any(r["work"][k] != o["work"][k]
                                       for k in shared)
+        counts["work_rose"] += any(
+            a > b for a, b in zip(gated_work(r["work"]), gated_work(o["work"])))
         for x, y in zip(r["work"]["stage1_objectives"],
                         o["work"]["stage1_objectives"]):
             counts["stage1_compared"] += 1

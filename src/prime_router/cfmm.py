@@ -249,7 +249,8 @@ class ConstantProduct:
         return None
 
     def output_ceiling(self) -> int:
-        """Strict upper bound on any output."""
+        """Strict upper bound on any output, and its supremum: the
+        out-reserve, which the output approaches as the input grows."""
         return self.reserve_out
 
     def _pieces(self) -> Tuple[Piece, ...]:
@@ -350,8 +351,9 @@ class PiecewiseLiquidity:
                 BPS_DENOM * first.virtual_reserve_in)
 
     def output_ceiling(self) -> int:
-        """Strict upper bound on any output: each segment's out-reserve."""
-        return sum(s.virtual_reserve_out for s in self.segments)
+        """Strict upper bound on any output, and the least one: one above
+        the output at the input capacity, which no smaller input exceeds."""
+        return self.swap_out(self.input_capacity()) + 1
 
     def _pieces(self) -> Tuple[Piece, ...]:
         """One piece per segment, with the earlier segments' exact output
@@ -416,7 +418,20 @@ class SequentialComposite:
         return num, den
 
     def output_ceiling(self) -> int:
-        return self.parts[-1].output_ceiling()
+        """Strict upper bound on any output, folded from the first leg's.
+
+        Every floored curve is non-decreasing, so a leg whose inputs stay
+        below ``c`` puts out at most its output at ``c - 1``, which is below
+        its own ceiling; where ``c - 1`` is past the leg's capacity, its own
+        ceiling bounds it instead.
+        """
+        c = self.parts[0].output_ceiling()
+        for fn in self.parts[1:]:
+            try:
+                c = fn.swap_out(c - 1) + 1
+            except (CapacityExceededError, AmountOverflowError):
+                c = fn.output_ceiling()
+        return c
 
     def _pieces(self) -> Tuple[Piece, ...]:
         """The legs' pieces composed front to back, ending at the exact

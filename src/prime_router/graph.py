@@ -18,12 +18,15 @@ directions) and says so; any other graph finds out on the first call, and
 if not, indexes every token's arcs at once with ``in_arcs_of``, which also
 reads an engine overlay's added pairs backward.
 
-An ``Edge`` derives its pool ids, exact spot ratio, float spot and output
-ceiling when built: stage 0 reads them all.  One more derivation waits for
-the path search: ``mobius``, the two floats of a curve that is a single
-Möbius map through the origin (a constant-product pool, or a shortcut whose
-legs all are), is a slot filled on its first read (``cfmm.lazy_slots``), so
-stage 0 builds none and an edge no search scans never holds one.
+An ``Edge`` derives its pool ids, exact spot ratio and float spot when
+built: stage 0 reads them all.  Two more derivations wait for the path
+search, each a slot filled on its first read (``cfmm.lazy_slots``):
+``ceiling``, the most the edge can ever put out plus one (its curve's
+``output_ceiling``, which for a piecewise pool or a shortcut quotes the
+curve), and ``mobius``, the two floats of a curve that is a single Möbius
+map through the origin (a constant-product pool, or a shortcut whose legs
+all are).  So stage 0 derives neither, and an edge no search reads never
+holds one.
 
 The value classes stage 0 builds per entry (``Token``, ``Pool``,
 ``PoolDirection``, ``Edge``, and the curves in ``cfmm``) are slotted frozen
@@ -136,8 +139,8 @@ class Edge:
     rate_num: int = field(init=False, compare=False, repr=False)
     rate_den: int = field(init=False, compare=False, repr=False)
     spot: float = field(init=False, compare=False, repr=False)
-    ceiling: int = field(init=False, compare=False, repr=False)
     # derived on the first read, by the path search only
+    ceiling: int = field(init=False, compare=False, repr=False)
     mobius: Optional[Tuple[float, float]] = field(init=False, compare=False,
                                                   repr=False)
 
@@ -149,7 +152,10 @@ class Edge:
         object.__setattr__(self, "rate_num", num)
         object.__setattr__(self, "rate_den", den)
         object.__setattr__(self, "spot", num / den)
-        object.__setattr__(self, "ceiling", self.fn.output_ceiling())
+
+    def _ceiling(self) -> int:
+        """``ceiling``: the curve's ``output_ceiling``, a lazy slot."""
+        return self.fn.output_ceiling()
 
     def _mobius(self) -> Optional[Tuple[float, float]]:
         """``mobius``: ``(a / c, d / c)`` when the curve is one map ``x ->
@@ -174,7 +180,7 @@ class Edge:
         # int true division rounds correctly however large the coefficients
         return a / c, d / c
 
-    __getattr__ = lazy_slots(mobius=_mobius)
+    __getattr__ = lazy_slots(mobius=_mobius, ceiling=_ceiling)
 
 
 def spot_order(e: Edge) -> Tuple[float, str]:

@@ -16,16 +16,18 @@ tabulates ``rate[r][v]``, the largest such product over walks of at most
 rate and ignoring masks, visited tokens and pool-distinctness.  A state
 holding ``out`` at ``v`` with ``r`` hops left can therefore deliver at most
 ``out * rate[r][v]``: an admissible bound in the sense of Hart, Nilsson &
-Raphael (1968).  Every output also stays below the output reserve (the
-ceiling) of each edge it passed, times the spot product of the edges after
-that one, whatever the input; the second row, ``cap[r][v]``, is the largest
-such figure over the same walks (infinite at the target itself).  A state's
-bound is ``min(out * rate[r][v], cap[r][v])``.  A neighbour whose ``cap``
+Raphael (1968).  Every output also stays below the ceiling of each edge
+it passed (``Edge.ceiling``, the most that edge can ever put out, plus
+one), times the spot product of the edges after that one, whatever the
+input; the second row, ``cap[r][v]``, is the largest such figure over the
+same walks (infinite at the target itself).  A state's bound is
+``min(out * rate[r][v], cap[r][v])``.  A neighbour whose ``cap``
 cannot exceed ``max(best arrival, tau * amount)`` is skipped before any of
 its edges is looked at, and a successor is dropped, before its exact swap
-and again after it, once its bound cannot exceed that floor.  A pool whose
+and again after it, once its bound cannot exceed that floor.  An edge whose
 own ceiling cannot clear the floor, or the frontier, is never evaluated: at
-a whale amount the shallow pools drop out unswapped.
+a whale amount the shallow pools, and the shortcuts through one, drop out
+unswapped.
 
 The bound also orders the search, as in A*: states pop largest bound
 first, ties in push order.  A target arrival's bound is its exact output,
@@ -54,7 +56,8 @@ running best and the floor (times the neighbour's rate):
 
 * ``floor(spot * amount) + 1``, by concavity.  Edges come in spot order, so
   the first edge this rules out ends the scan.
-* The edge's ceiling, which skips the edge alone.
+* The edge's ceiling, the most it can ever put out plus one, which skips
+  the edge alone.
 * Its closed-form real output, when its curve is one Möbius map through the
   origin, ``x -> a*x / (c*x + d)``: a constant-product pool, or a shortcut
   whose legs all are (``Edge.mobius``; piecewise pools and mixed shortcuts
@@ -235,10 +238,11 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     ``tau``.  States pop largest bound first, ties in push order, and the
     search stops at the first popped state whose bound cannot exceed
     ``max(best arrival, tau * amount)``.  A parallel edge is quoted only
-    when its concavity bound, its ceiling and, for a constant-product pool
-    or an all-constant-product shortcut, its closed-form real output can
-    each beat the pair's running best and that floor; the bounds never
-    change the result (see the module docstring), and
+    when its concavity bound, its ceiling (the most it can ever put out,
+    plus one) and, for a constant-product pool or an all-constant-product
+    shortcut, its closed-form real output can each beat the pair's running
+    best and that floor; the bounds never change the result (see the
+    module docstring), and
     ``stats.quotes_skipped`` counts the edges the closed form ruled out.
     Amounts compare as exact integers; among equal outputs the first target
     arrival pushed wins, and among a pair's parallel edges the smaller pool

@@ -359,3 +359,123 @@ class TestPieces:
             x = cap if cap is not None else MAX_UINT256 // 2
             assert fn.swap_out(x) < fn.output_ceiling()
             assert edge(fn).ceiling == fn.output_ceiling()
+
+
+def _random_cp(rng, spot_at_most_one=False):
+    r_in = rng.randint(10**12, 10**24)
+    r_out = (rng.randint(r_in // 10, r_in) if spot_at_most_one
+             else rng.randint(10**12, 10**24))
+    return ConstantProduct(r_in, r_out, rng.choice((0, 5, 30, 100)))
+
+
+def _random_piecewise(rng, spot_at_most_one=False, scale=10**24):
+    """1-4 concave segments: each next segment enters at a price between
+    half and all of the previous one's exit price."""
+    fee = rng.choice((0, 5, 30, 100))
+    v_in = rng.randint(scale // 10**6, scale)
+    v_out = (rng.randint(v_in // 10, v_in) if spot_at_most_one
+             else rng.randint(scale // 10**6, scale))
+    segments = []
+    for _ in range(rng.randint(1, 4)):
+        cap = rng.randint(max(1, v_in // 100), 2 * v_in)
+        segments.append(Segment(cap, v_in, v_out))
+        spent = v_in * 10_000 + (10_000 - fee) * cap
+        nxt_in = rng.randint(scale // 10**6, scale)
+        # the exit price is 10**8 * v_in * v_out / spent**2
+        nxt_out = (10**8 * v_in * v_out * nxt_in // spent**2
+                   * rng.randint(50, 100) // 100)
+        if nxt_out == 0:
+            break
+        v_in, v_out = nxt_in, nxt_out
+    return PiecewiseLiquidity(tuple(segments), fee)
+
+
+def _random_composite(rng):
+    legs = tuple(_random_cp(rng) if rng.random() < 0.5
+                 else _random_piecewise(rng)
+                 for _ in range(rng.randint(2, 3)))
+    return SequentialComposite(legs)
+
+
+def _binding_composite(rng):
+    """A deep constant-product leg, then a piecewise leg whose capacity is
+    far below the first leg's output, then maybe a third leg.  Every leg's
+    spot is at most 1, so each upstream output steps by at most one unit and
+    lands on the piecewise leg's capacity exactly."""
+    legs = [_random_cp(rng, spot_at_most_one=True),
+            _random_piecewise(rng, spot_at_most_one=True, scale=10**15)]
+    if rng.random() < 0.7:
+        legs.append(_random_cp(rng, spot_at_most_one=True)
+                    if rng.random() < 0.5
+                    else _random_piecewise(rng, spot_at_most_one=True))
+    return SequentialComposite(tuple(legs))
+
+
+class TestOutputCeiling:
+    """Every curve's ``output_ceiling`` is a strict bound on its output and
+    a tight one: no input reaches it, and the input capacity reaches one
+    below it wherever the chain's outputs land on the capacity that binds."""
+
+    def strict_at(self, fn, rng, draws=30):
+        cap = fn.input_capacity()
+        top = cap if cap is not None else MAX_UINT256 // 2
+        ceiling = fn.output_ceiling()
+        for x in [0, 1, top] + [rng.randint(1, min(top, 10**30))
+                                for _ in range(draws)]:
+            assert fn.swap_out(x) < ceiling
+        return ceiling
+
+    @pytest.mark.parametrize("kind", ["cp", "piecewise", "composite"])
+    def test_strict_on_random_curves(self, kind):
+        rng = random.Random(f"ceiling-{kind}")
+        build = {"cp": _random_cp, "piecewise": _random_piecewise,
+                 "composite": _random_composite}[kind]
+        for _ in range(150):
+            fn = build(rng)
+            ceiling = self.strict_at(fn, rng)
+            assert edge(fn).ceiling == ceiling
+
+    def test_piecewise_ceiling_is_one_above_its_output_at_capacity(self):
+        rng = random.Random(0xCE1)
+        for _ in range(200):
+            fn = _random_piecewise(rng)
+            assert fn.output_ceiling() - 1 == fn.swap_out(fn.input_capacity())
+            # at most the sum of the segments' out-reserves
+            assert fn.output_ceiling() <= sum(s.virtual_reserve_out
+                                              for s in fn.segments)
+        # 33 units out of each segment; the out-reserves sum to 166
+        assert make_piecewise().output_ceiling() == 67
+
+    def test_composite_ceiling_is_at_most_its_last_legs(self):
+        rng = random.Random(0xCE2)
+        tighter = 0
+        for _ in range(200):
+            fn = _random_composite(rng)
+            ceiling = fn.output_ceiling()
+            assert ceiling <= fn.parts[-1].output_ceiling()
+            tighter += ceiling < fn.parts[-1].output_ceiling()
+            cap = fn.input_capacity()
+            if cap is not None and cap == fn.parts[0].input_capacity():
+                # the first leg's capacity binds: its output there is the
+                # largest, and so is the chain's
+                assert ceiling - 1 == fn.swap_out(cap)
+        assert tighter > 150
+
+    def test_a_later_legs_capacity_binds(self):
+        rng = random.Random(0xCE3)
+        for _ in range(150):
+            fn = _binding_composite(rng)
+            cap = fn.input_capacity()
+            assert cap is not None
+            with pytest.raises(CapacityExceededError):
+                fn.swap_out(cap + 1)
+            ceiling = self.strict_at(fn, rng)
+            assert ceiling - 1 == fn.swap_out(cap)
+            assert ceiling <= fn.parts[-1].output_ceiling()
+        # by hand: deep 1:1 pools around a piecewise leg that takes 200
+        # units and puts out 66
+        deep = ConstantProduct(10**9, 10**9, 0)
+        fn = SequentialComposite((deep, make_piecewise(), deep))
+        assert deep.swap_out(fn.input_capacity()) == 200
+        assert fn.output_ceiling() == fn.swap_out(fn.input_capacity()) + 1 \
+            == deep.swap_out(66) + 1 == 66

@@ -17,9 +17,11 @@ from prime_router.graph import (
     SwapGraph,
     Token,
     build_graph,
+    pair_arc,
     prune_leaf_tokens,
 )
 from prime_router.io import dumps_snapshot, generate_synthetic, loads_snapshot
+from prime_router.pathfind import SearchStats, find_path
 
 from instances import (
     cp_pool,
@@ -424,6 +426,7 @@ class TestSlottedValues:
         assert prepared.shortcut_index
         for e in edges:
             assert not _slot_filled(e, "mobius")
+            assert not _slot_filled(e, "ceiling")
             assert not _slot_filled(e.fn, "pieces")
             for part in getattr(e.fn, "parts", ()):
                 assert not _slot_filled(part, "pieces")
@@ -445,6 +448,16 @@ class TestSlottedValues:
         assert not _slot_filled(none, "mobius")
         assert none.mobius is None
         assert _slot_filled(none, "mobius")
+        # a shortcut's ceiling folds its legs once: cp's output overruns
+        # pw's capacity, so pw's own ceiling bounds the chain
+        shortcut = Edge("P", "A", "B", SequentialComposite((cp, pw)))
+        assert not _slot_filled(shortcut, "ceiling")
+        with mock.patch.object(SequentialComposite, "output_ceiling",
+                               autospec=True,
+                               side_effect=SequentialComposite.output_ceiling
+                               ) as derive:
+            assert shortcut.ceiling == shortcut.ceiling == 67
+            assert derive.call_count == 1
         composite = SequentialComposite((pw, cp))
         with mock.patch.object(SequentialComposite, "_feasible",
                                autospec=True,
@@ -455,6 +468,34 @@ class TestSlottedValues:
             assert calls > 0
             assert composite.input_capacity() == 200
             assert feasible.call_count == calls
+
+    def test_search_reads_a_filled_ceiling(self):
+        def pair():
+            # two equal pools: the second's quote ties the first's
+            return build_graph(tokens(2), [
+                cp_pool(pid, "T0", "T1", 10**9, 10**9, 30)
+                for pid in ("P0", "P1")])
+
+        g = pair()
+        first, second = g.edges_between("T0", "T1")
+        object.__setattr__(first, "ceiling", 5)
+        object.__setattr__(second, "ceiling", 7)
+        with mock.patch.object(ConstantProduct, "output_ceiling",
+                               side_effect=AssertionError("curve read")):
+            assert pair_arc("T0", (first, second)) == ("T0", first.spot, 7)
+            assert g.in_arcs("T1") == (("T0", first.spot, 7),)
+        # a second ceiling below the first's quote leaves it unquoted
+        quoted = {}
+        for filled in (False, True):
+            g = pair()
+            if filled:
+                object.__setattr__(g.edges_between("T0", "T1")[1],
+                                   "ceiling", 1)
+            stats = SearchStats()
+            res = find_path(g, "T0", "T1", 10**6, 0.0, 2, stats=stats)
+            assert res.edges[0].pool_id == "P0"
+            quoted[filled] = stats.swap_evals
+        assert quoted == {False: 2, True: 1}
 
     def test_class_patch_reaches_filled_slots(self):
         e = Edge("P", "A", "B", ConstantProduct(10**9, 10**9, 30))

@@ -316,6 +316,63 @@ class TestClosedFormBound:
             assert plain.swap_evals > stats.swap_evals
 
 
+def _shortcut_pair(rng):
+    """A hub pair T0 -> T1 holding one deep pool and one shortcut T0 -> T2
+    -> T3 -> T1 whose outer legs are as deep but whose middle leg is a
+    shallow piecewise pool; the amount is 3x the deep pool's depth.  The
+    piecewise leg takes all the first leg puts out at a spot of 0.3, so the
+    shortcut's concavity bound, like its last leg's reserve, is above the
+    deep pool's quote; but the piecewise leg puts out under 1% of that."""
+    depth = 10**15
+    r = rng.randint(depth, 2 * depth)
+    s = depth // rng.randint(50, 200)
+    deep = Edge("deep", "T0", "T1",
+                ConstantProduct(depth, depth, rng.choice((5, 30))))
+    # the first segment exits at a price near 0.075, the second enters at 0.05
+    shallow = PiecewiseLiquidity((Segment(s, s, 3 * s // 10),
+                                  Segment(4 * depth, s, s // 20)), 30)
+    legs = (Edge("T0T2", "T0", "T2", ConstantProduct(r, r, 5)),
+            Edge("T2T3", "T2", "T3", shallow),
+            Edge("T3T1", "T3", "T1", ConstantProduct(r, r, 5)))
+    shortcut = Edge("sc:T0>T1:0", "T0", "T1",
+                    SequentialComposite(tuple(e.fn for e in legs)), legs)
+    g = SwapGraph({t.id: t for t in tokens(4)}, {}, [deep, shortcut])
+    return g, 3 * depth, shortcut
+
+
+class TestExactCeiling:
+    def test_whale_pair_leaves_a_piecewise_shortcut_unquoted(self):
+        def reserve_sum(fn):
+            return sum(s.virtual_reserve_out for s in fn.segments)
+
+        def last_legs(fn):
+            return fn.parts[-1].output_ceiling()
+
+        for seed in range(5):
+            g, x, shortcut = _shortcut_pair(random.Random(seed))
+            stats = SearchStats()
+            context = SearchContext(g, "T1", 3)
+            res = find_path(g, "T0", "T1", x, 0.0, 3, stats=stats,
+                            context=context)
+            assert (id(shortcut), x) not in context.quotes
+            assert stats.swap_evals == 1
+            best = max(simulate_chain(p, x)
+                       for p in enumerate_paths_oracle(g, "T0", "T1", 3))
+            assert res.output == best
+            # the ceilings before they were exact: a piecewise pool's sum of
+            # out-reserves and a shortcut's last leg's, patched in before
+            # any edge's ceiling is read
+            g, x, _ = _shortcut_pair(random.Random(seed))
+            old = SearchStats()
+            with mock.patch.object(PiecewiseLiquidity, "output_ceiling",
+                                   reserve_sum), \
+                    mock.patch.object(SequentialComposite, "output_ceiling",
+                                      last_legs):
+                again = find_path(g, "T0", "T1", x, 0.0, 3, stats=old)
+            assert again.edges == res.edges and again.output == res.output
+            assert old.swap_evals > stats.swap_evals
+
+
 # sha256 of the stats-free results in test_golden_results; the routes are
 # those the unbounded search that preceded the rate bound returned
 GOLDEN_SHA256 = \

@@ -120,6 +120,8 @@ def test_compare_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fallen=1" in out
     assert " work_changed=1 stage0_changed=1 " in out
+    # queue pops are not a count the benchmark bounds
+    assert out.splitlines()[0].endswith(" missing=0 work_rose=0")
     # a work key only one side has is listed, not counted as a change
     for r in routed:
         r["work"]["added_count"] = 1
@@ -139,6 +141,14 @@ def test_compare_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert " fallen=0 " in out and " audit_failed=0 " in out
     assert " osp_changed=1 " in out
+    # a rise in a gated work count is counted last, and fails nothing
+    new.write_text(json.dumps(run))
+    routed[0]["work"]["swap_evals"] -= 1
+    old.write_text(json.dumps(run))
+    assert compare.main(["--load", str(new), "--against", str(old)]) == 0
+    out = capsys.readouterr().out
+    assert " work_changed=1 " in out
+    assert out.splitlines()[0].endswith(" missing=0 work_rose=1")
 
 
 @pytest.mark.parametrize("old_output,status", [("5", 0), ("6", 1)])
