@@ -27,7 +27,8 @@ with ``tracemalloc``: the bytes held after the step and the peak within
 it.  It prints each step's minima, held and peak memory with their ratios
 B/A, then the sums (for memory, what stage 0 holds at its end and its
 peak), and exits 1 when the hubs differ.  ``stage0_mib`` reads this
-checkout's memory alone, for CI's job summary.
+checkout's memory alone, for CI's job summary, and ``save_snapshot_mib``
+the traced peak of writing the market's snapshot.
 
     python scripts/ab_time.py --against ../parent/src
     python scripts/ab_time.py --against ../parent/src --stage0
@@ -231,6 +232,27 @@ def stage0_mib(market=None) -> Tuple[float, float]:
     with market_file(market) as path:
         steps = stage0_memory(own_tree(), path, market)
     return steps[-1][0] / MIB, max(peak for _, peak in steps) / MIB
+
+
+def save_snapshot_mib(market=None) -> float:
+    """This checkout's traced peak, in MiB, while ``save_snapshot`` writes
+    ``market`` (criterion 7's by default), generated before the trace."""
+    _import_paths()
+    from perfbench import workloads
+
+    market = market or workloads.CRITERION_7_MARKET
+    io = own_tree()["io"]
+    snap = io.generate_synthetic(market.seed, market.tokens, market.pools,
+                                 hub_fraction=market.hub_fraction,
+                                 reserve_spread_orders=market.spread_orders)
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        try:
+            io.save_snapshot(snap, os.path.join(tmp, "market.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak / MIB
 
 
 def run_stage0(market, against: str, rounds: int) -> dict:

@@ -3,7 +3,10 @@
 Snapshots are canonical JSON: sorted keys, compact separators, every amount a
 decimal string (floats would silently corrupt 256-bit quantities).  The same
 bytes always come back out: save(load(save(x))) is byte-identical, so a sha256
-of them identifies a market state.
+of them identifies a market state.  Writing streams: one generator yields
+the text an entry at a time, and ``save_snapshot`` writes, ``dumps_snapshot``
+joins and ``snapshot_hash`` digests those chunks, so a save never holds the
+whole text or a dict tree of every entry.
 
 Loading checks the JSON itself (fields, types, decimal strings, version, pool
 kind, string token ids), then graph's structure rules per entry, re-raised as
@@ -29,7 +32,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .allocation import TraceRow
 from .engine import RouteSolution
@@ -72,43 +75,51 @@ def _encode_amount(value: int) -> str:
     return str(value)
 
 
-def snapshot_to_dict(s: Snapshot) -> dict:
-    pools = []
-    for p in s.pools:
-        entry = {
-            "id": p.id,
-            "kind": p.kind,
-            "tokens": list(p.tokens),
-            "fee_bps": p.fee_bps,
-        }
-        if p.kind == KIND_CONSTANT_PRODUCT:
-            entry["reserves"] = [_encode_amount(r) for r in p.reserves]
-        else:
-            entry["directions"] = [
-                {
-                    "token_in": d.token_in,
-                    "token_out": d.token_out,
-                    "segments": [
-                        {
-                            "capacity_in": _encode_amount(seg.capacity_in),
-                            "virtual_reserve_in": _encode_amount(seg.virtual_reserve_in),
-                            "virtual_reserve_out": _encode_amount(seg.virtual_reserve_out),
-                        }
-                        for seg in d.segments
-                    ],
-                }
-                for d in p.directions
-            ]
-        pools.append(entry)
-    return {
-        "version": s.version,
-        "block_ref": s.block_ref,
-        "tokens": [
-            {"id": t.id, "symbol": t.symbol, "decimals": t.decimals}
-            for t in s.tokens
-        ],
-        "pools": pools,
+def _pool_entry(p: Pool) -> dict:
+    entry = {
+        "id": p.id,
+        "kind": p.kind,
+        "tokens": list(p.tokens),
+        "fee_bps": p.fee_bps,
     }
+    if p.kind == KIND_CONSTANT_PRODUCT:
+        entry["reserves"] = [_encode_amount(r) for r in p.reserves]
+    else:
+        entry["directions"] = [
+            {
+                "token_in": d.token_in,
+                "token_out": d.token_out,
+                "segments": [
+                    {
+                        "capacity_in": _encode_amount(seg.capacity_in),
+                        "virtual_reserve_in": _encode_amount(seg.virtual_reserve_in),
+                        "virtual_reserve_out": _encode_amount(seg.virtual_reserve_out),
+                    }
+                    for seg in d.segments
+                ],
+            }
+            for d in p.directions
+        ]
+    return entry
+
+
+def _snapshot_chunks(s: Snapshot) -> Iterator[str]:
+    """The canonical text of ``s`` in chunks, one per token and pool entry.
+
+    The top-level keys come in sorted order, and each entry is encoded
+    alone with sorted keys and compact separators, so the chunks join to
+    what ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` makes
+    of the whole snapshot, plus a newline.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    yield '{"block_ref":' + encode(s.block_ref) + ',"pools":['
+    for i, p in enumerate(s.pools):
+        yield ("," if i else "") + encode(_pool_entry(p))
+    yield '],"tokens":['
+    for i, t in enumerate(s.tokens):
+        yield ("," if i else "") + encode(
+            {"id": t.id, "symbol": t.symbol, "decimals": t.decimals})
+    yield '],"version":' + encode(s.version) + "}\n"
 
 
 _AMOUNT_MESSAGE = "amounts must be canonical decimal strings"
@@ -305,8 +316,7 @@ def snapshot_from_dict(data: dict) -> Snapshot:
 
 
 def dumps_snapshot(s: Snapshot) -> str:
-    return json.dumps(snapshot_to_dict(s), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return "".join(_snapshot_chunks(s))
 
 
 def _decode(text: str):
@@ -323,8 +333,10 @@ def loads_snapshot(text: str) -> Snapshot:
 
 
 def save_snapshot(s: Snapshot, path) -> None:
+    """Write ``s`` one entry at a time: neither the whole text nor a dict
+    tree of the entries is ever held."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_snapshot(s))
+        fh.writelines(_snapshot_chunks(s))
 
 
 @gc_paused
@@ -336,7 +348,10 @@ def load_snapshot(path) -> Snapshot:
 
 
 def snapshot_hash(s: Snapshot) -> str:
-    return hashlib.sha256(dumps_snapshot(s).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256()
+    for chunk in _snapshot_chunks(s):
+        digest.update(chunk.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def solution_to_dict(sol: RouteSolution) -> dict:

@@ -45,37 +45,51 @@ from the tokens whose entry row ``r - 1`` changed: an unchanged entry
 extends to nothing row ``r - 1`` does not already hold.  So the build reads
 the arcs near the target, not every arc of the view once per row.
 
-One scan per neighbour picks the successor: it runs over the pair's
-parallel edges in descending spot order, its best output seeded at the gate
-the successor must beat (the frontier entry at that token for one more hop,
-or the best arrival when the neighbour is the target).  An edge is chosen
-only when its exact output beats the running best, ties going to the smaller
-pool id, so a chosen edge always clears the gate.  Three upper bounds on an
-edge's exact output rule it out before it is quoted, each against both the
-running best and the floor (times the neighbour's rate):
+One scan per neighbour picks the successor from the pair's parallel edges,
+its best output seeded at the gate the successor must beat (the frontier
+entry at that token for one more hop, or the best arrival when the neighbour
+is the target).  An edge is chosen only when its exact output beats the
+running best, ties going to the smaller pool id, so a chosen edge always
+clears the gate.  Three upper bounds on an edge's exact output, its quote,
+order the scan and rule edges out unquoted:
 
-* ``floor(spot * amount) + 1``, by concavity.  Edges come in spot order, so
-  the first edge this rules out ends the scan.
-* The edge's ceiling, the most it can ever put out plus one, which skips
-  the edge alone.
-* Its closed-form real output, when its curve is one Möbius map through the
-  origin, ``x -> a*x / (c*x + d)``: a constant-product pool, or a shortcut
-  whose legs all are (``Edge.mobius``; piecewise pools and mixed shortcuts
-  have more than one piece and skip this test).  At a whale amount it is
-  far below ``spot * amount``, so it rules out most of a hub pair's
-  shallow parallel pools.  It also skips the edge alone.  It runs before
-  the pool-mask tests, which cost a shortcut two ``any`` scans, so every
-  edge it rules out counts as ``quotes_skipped``, masked or not.
+* ``spot * amount``, by concavity.
+* The edge's ceiling minus one, the most it can ever put out.
+* Its closed-form real output.  When the curve is one Möbius map through
+  the origin, ``x -> a*x / (c*x + d)`` (a constant-product pool, or a
+  shortcut whose legs all are: ``Edge.mobius``), that is the map.  Every
+  other curve, a piecewise pool or a mixed shortcut, folds its real output
+  over its legs' own pieces (``_folded_bound``).  At a whale amount the
+  closed form is far below ``spot * amount``, and below the ceiling of a
+  shallow pool or of a shortcut through one.
 
-None of the three changes a result.  An edge they skip has an exact quote
-below the running best, which the scan could not choose, or one whose
-successor the floor would drop, as it drops the successor of any lower
-quote the scan chooses instead.  The closed form bounds the quote because
-a floored chain of increasing curves never exceeds its real chain.  It can
-equal the quote, so against the running best it rules out only what falls
-strictly below; the other two bounds are strict.  It is evaluated in floats
-and raised by ``BOUND_SLACK``, far above the rounding of its four float
-operations, before either comparison.
+The scan first walks the pair's edges in spot order.  The first edge whose
+concavity bound cannot beat the gate, or the floor (times the neighbour's
+rate), ends the walk, since every later edge's is smaller; an edge whose
+ceiling or closed form cannot is skipped.  Each other edge is keyed by the
+least of its three bounds.  The scan then quotes the keyed edges largest key
+first and stops at the first key below the running best, or whose product
+with the neighbour's rate cannot beat the floor: no later edge can win
+then.  So at a whale amount a pair's deep pool, wherever it sits in spot
+order, is quoted first, and its quote leaves the shallow pools and the
+shortcuts through one unquoted.  The pool-mask tests, which cost a shortcut
+two ``any`` scans, run only on an edge about to be quoted.
+``quotes_skipped`` counts the edges a closed form ruled out: those the
+walk skips for it and those left at the stop whose key was one.
+
+None of the three bounds changes a result.  An edge left unquoted has an
+exact quote below the running best, which the scan could not choose, or one
+whose successor the floor would drop, as it drops the successor of any lower
+quote the scan chooses instead.  A key equal to the running best is still
+quoted, so among equal quotes the smaller pool id wins in any order.  The
+closed form bounds the quote because a floored chain of increasing curves
+never exceeds its real chain: each leg's floored output is at most its real
+output, at an input no larger than the real one, and the next leg rises.
+The fold reads a leg's own pieces, which are cheap; a composite's would
+first search its capacity.  The concavity bound and the closed form are
+floats, each raised by ``BOUND_SLACK``, far above the rounding of its few
+operations; the exact ``floor(spot * amount)`` would cost a big-integer
+division per edge the walk reaches.
 
 Neither the bound nor the order changes the output.  A state is dropped for
 one of two reasons, and neither depends on the order states pop in.  Either
@@ -96,9 +110,10 @@ of 1e-9, so rounding can never drop a state that reaches the result.
 The rows depend on neither masks nor ``tau``, and an exact quote is a pure
 function of the edge and its input, so the searches of one query (rising
 ``tau``, growing masks, same view and target) share one context: the rows
-are built once, by the first search, and every quote is computed once, with
-capacity failures remembered as failures.  A call given no context builds
-its own, so a lone search behaves as it always did.
+are built once, by the first search, and every quote and every fold is
+computed once, with capacity failures remembered as failures.  A call
+given no context builds its own, so a lone search behaves as it always
+did.
 
 Paths are vertex-simple and pool-distinct.  The traversal never expands the
 target, so every arrival there is terminal; the best arrival whose average
@@ -112,8 +127,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from .cfmm import ConstantProduct, SequentialComposite
 from .errors import CapacityExceededError
 from .graph import Edge
 
@@ -122,6 +139,7 @@ from .graph import Edge
 BOUND_SLACK = 1.0 + 1e-9
 # a quote not yet in a context's memo (None there means over capacity)
 _UNQUOTED = object()
+_first = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -149,12 +167,14 @@ class SearchStats:
     pushes: int = 0
     pops: int = 0
     swap_evals: int = 0
-    # edges the closed-form real output ruled out, before the mask tests
+    # edges a closed-form real output ruled out: skipped in the spot-order
+    # walk, or left at the stop of the key-order quotes with one as key
     quotes_skipped: int = 0
 
 
 class SearchContext:
-    """What the searches of one query share: the bound rows and exact quotes.
+    """What the searches of one query share: the bound rows, exact quotes
+    and folded bounds.
 
     Bound to one ``(view, target, max_hops)``; ``find_path`` raises
     ValueError when handed a context bound to anything else.  The view's
@@ -162,7 +182,7 @@ class SearchContext:
     quotes are keyed on edge identity and the exact integer input.
     """
 
-    __slots__ = ("view", "target", "max_hops", "quotes", "_rows")
+    __slots__ = ("view", "target", "max_hops", "quotes", "folds", "_rows")
 
     def __init__(self, view, target: str, max_hops: int):
         self.view = view
@@ -170,6 +190,9 @@ class SearchContext:
         self.max_hops = max_hops
         # (id(edge), amount) -> exact output, or None when over capacity
         self.quotes: Dict[Tuple[int, int], Optional[int]] = {}
+        # (id(edge), amount) -> ``_folded_bound``, for the edges without a
+        # Möbius map
+        self.folds: Dict[Tuple[int, int], float] = {}
         self._rows: Optional[Tuple[List[Dict[str, float]],
                                    List[Dict[str, float]]]] = None
 
@@ -237,13 +260,12 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     arrival at the target has average rate output/amount strictly above
     ``tau``.  States pop largest bound first, ties in push order, and the
     search stops at the first popped state whose bound cannot exceed
-    ``max(best arrival, tau * amount)``.  A parallel edge is quoted only
-    when its concavity bound, its ceiling (the most it can ever put out,
-    plus one) and, for a constant-product pool or an all-constant-product
-    shortcut, its closed-form real output can each beat the pair's running
-    best and that floor; the bounds never change the result (see the
-    module docstring), and
-    ``stats.quotes_skipped`` counts the edges the closed form ruled out.
+    ``max(best arrival, tau * amount)``.  A pair's parallel edges are
+    quoted largest upper bound first (the least of ``spot * amount``, the
+    most the edge can ever put out and its closed-form real output), and
+    only while that bound can beat the pair's running best and that floor;
+    the bounds never change the result (see the module docstring), and
+    ``stats.quotes_skipped`` counts the edges a closed form ruled out.
     Amounts compare as exact integers; among equal outputs the first target
     arrival pushed wins, and among a pair's parallel edges the smaller pool
     id.  ``context`` carries the bound rows and the quotes across the
@@ -272,7 +294,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
         raise ValueError("search context is bound to another view, target "
                          "or max_hops")
     rate, cap = context.rows
-    quotes = context.quotes
+    quotes, folds = context.quotes, context.folds
     limit = len(rate)  # max_hops, capped at the view's token count
     # frontier[v][h] = best amount recorded at v with at most h hops
     frontier = {}
@@ -309,25 +331,54 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             else:
                 levels = frontier.get(v)
                 gate = levels[hops + 1] if levels is not None else 0
-            # the scan seeded at the gate (see the module docstring); a
-            # quote already in ``quotes`` is not evaluated again
-            edge, out = None, gate
+            # every edge that can still win, keyed by the least upper bound
+            # on its quote (see the module docstring)
+            ranked = []
+            closed_left = 0
             for e in candidates:
-                # concavity: the quote at cur is below floor(spot * cur) + 1
-                bound = cur * e.rate_num // e.rate_den + 1
-                if bound <= out or bound * v_rate * BOUND_SLACK <= lim:
+                # concavity: the quote is at most spot * cur, raised past
+                # float rounding
+                key = cur * e.spot * BOUND_SLACK
+                if key < gate or key * v_rate * BOUND_SLACK <= lim:
                     break
-                ceiling = e.ceiling
-                if ceiling <= out or ceiling * v_rate * BOUND_SLACK <= lim:
+                top = e.ceiling - 1
+                if top < gate or top * v_rate * BOUND_SLACK <= lim:
                     continue
+                if top < key:
+                    key = top
                 mobius = e.mobius
                 if mobius is not None:
                     scale, shift = mobius
                     # the real output at cur, raised past float rounding
                     real = scale * cur / (cur + shift) * BOUND_SLACK
-                    if real < out or real * v_rate * BOUND_SLACK <= lim:
+                elif type(e.fn) is ConstantProduct:
+                    # a constant-product pool's closed form is its map alone
+                    real = key
+                else:
+                    qkey = (id(e), cur)
+                    real = folds.get(qkey)
+                    if real is None:
+                        real = folds[qkey] = _folded_bound(e.fn, cur)
+                if real < key:
+                    if real < gate or real * v_rate * BOUND_SLACK <= lim:
                         stats.quotes_skipped += 1
                         continue
+                    ranked.append((real, 1, e))
+                    closed_left += 1
+                else:
+                    ranked.append((key, 0, e))
+            if not ranked:
+                continue
+            if len(ranked) > 1:
+                ranked.sort(key=_first, reverse=True)
+            # quote best key first, from a running best seeded at the gate; a
+            # quote already in ``quotes`` is not evaluated again
+            edge, out = None, gate
+            for key, closed, e in ranked:
+                if key < out or key * v_rate * BOUND_SLACK <= lim:
+                    stats.quotes_skipped += closed_left
+                    break
+                closed_left -= closed
                 if e.legs:
                     if (any(p in masked_pools or p in pools
                             for p in e.pool_ids)
@@ -336,8 +387,8 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                         continue
                 elif e.pool_id in masked_pools or e.pool_id in pools:
                     continue
-                key = (id(e), cur)
-                quote = quotes.get(key, _UNQUOTED)
+                qkey = (id(e), cur)
+                quote = quotes.get(qkey, _UNQUOTED)
                 if quote is _UNQUOTED:
                     try:
                         quote = e.fn.swap_out(cur)
@@ -345,7 +396,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                         quote = None
                     else:
                         stats.swap_evals += 1
-                    quotes[key] = quote
+                    quotes[qkey] = quote
                 if quote is None:
                     continue
                 if quote > out or (quote == out and edge is not None
@@ -379,6 +430,27 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     for e in edges:
         spot *= e.spot
     return SinglePath(edges=edges, output=out, spot_rate=spot)
+
+
+def _folded_bound(fn, x: int) -> float:
+    """An upper bound on ``fn.swap_out(x)``: the real output folded over
+    the pieces of the curve's legs (a composite's parts, else the curve).
+
+    From ``u = x``, each leg sets ``u`` to the real value of its piece
+    holding ``u`` (past the last piece, the last piece), raised by
+    ``BOUND_SLACK``.  A leg's floored output is at most its real output,
+    and every real curve rises, so each ``u`` bounds the leg's exact
+    output.  A leg's own pieces are cheap; a composite's would bisect its
+    capacity.
+    """
+    u = x
+    for part in fn.parts if type(fn) is SequentialComposite else (fn,):
+        for p in part.pieces:
+            if p.width is None or u < p.lo + p.width:
+                break
+        t = u - p.lo
+        u = (p.a * t + p.b) / (p.c * t + p.d) * BOUND_SLACK
+    return u
 
 
 def simulate_chain(edges: Sequence[Edge], amount: int) -> Optional[int]:

@@ -11,19 +11,23 @@ because the objective is separable across pool-disjoint paths, the lattice
 argmax is computed with a dynamic program over per-path value tables instead
 of enumerating the whole lattice, which is what makes fine resolutions
 affordable.  The enumerator and the grid oracle refuse inputs beyond their
-size guards.
+size guards.  ``snapshot_text_oracle`` is a snapshot's canonical text made in
+one ``json.dumps`` of a dict tree of every entry, the reference for the
+streamed writer.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from prime_router.allocation import MultiEdgePath, objective, path_output
 from prime_router.errors import InvalidParamsError, RoutingError
-from prime_router.graph import Edge, SwapGraph
+from prime_router.graph import KIND_CONSTANT_PRODUCT, Edge, SwapGraph
+from prime_router.io import Snapshot
 from prime_router.pathfind import SearchContext, SinglePath, find_path
 
 ORACLE_MAX_TOKENS = 16
@@ -276,3 +280,29 @@ def _lattice_neighbourhood(ks: List[int], n: int):
                 cand[i] += 1
                 cand[j] -= 1
                 yield tuple(cand)
+
+
+def snapshot_text_oracle(s: Snapshot) -> str:
+    """The canonical text of ``s``: one dict tree of every entry, dumped
+    with sorted keys and compact separators, plus a newline."""
+    pools = []
+    for p in s.pools:
+        entry = {"id": p.id, "kind": p.kind, "tokens": list(p.tokens),
+                 "fee_bps": p.fee_bps}
+        if p.kind == KIND_CONSTANT_PRODUCT:
+            entry["reserves"] = [str(r) for r in p.reserves]
+        else:
+            entry["directions"] = [
+                {"token_in": d.token_in, "token_out": d.token_out,
+                 "segments": [
+                     {"capacity_in": str(seg.capacity_in),
+                      "virtual_reserve_in": str(seg.virtual_reserve_in),
+                      "virtual_reserve_out": str(seg.virtual_reserve_out)}
+                     for seg in d.segments]}
+                for d in p.directions]
+        pools.append(entry)
+    tree = {"version": s.version, "block_ref": s.block_ref,
+            "tokens": [{"id": t.id, "symbol": t.symbol, "decimals": t.decimals}
+                       for t in s.tokens],
+            "pools": pools}
+    return json.dumps(tree, sort_keys=True, separators=(",", ":")) + "\n"

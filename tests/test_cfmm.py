@@ -16,6 +16,7 @@ from prime_router.cfmm import (
 )
 from prime_router.errors import AmountOverflowError, CapacityExceededError
 from prime_router.graph import Edge
+from prime_router.pathfind import _folded_bound
 
 
 def edge(fn):
@@ -479,3 +480,36 @@ class TestOutputCeiling:
         assert deep.swap_out(fn.input_capacity()) == 200
         assert fn.output_ceiling() == fn.swap_out(fn.input_capacity()) + 1 \
             == deep.swap_out(66) + 1 == 66
+
+
+class TestFoldedBound:
+    """The search's closed form for a curve without one Möbius map, its
+    real output folded over its legs' pieces, is at least the exact quote
+    at every input the curve takes, and past the input capacity at least
+    the quote at the capacity."""
+
+    @pytest.mark.parametrize("kind", ["piecewise", "composite", "binding"])
+    def test_at_least_the_quote(self, kind):
+        rng = random.Random(f"fold-{kind}")
+        build = {"piecewise": _random_piecewise,
+                 "composite": _random_composite,
+                 "binding": _binding_composite}[kind]
+        for _ in range(150):
+            fn = build(rng)
+            cap = fn.input_capacity()
+            top = cap if cap is not None else 10**30
+            for x in [0, 1, top] + [rng.randint(1, top) for _ in range(10)]:
+                out = fn.swap_out(x)
+                bound = _folded_bound(fn, x)
+                assert bound >= out
+                if kind == "piecewise":
+                    # and it is tight: each piece floors once
+                    assert bound <= (out + 1) * (1 + 3e-9)
+            if cap is None:
+                continue
+            at_cap = fn.swap_out(cap)
+            for x in (cap + 1, 2 * cap, cap * 10**6):
+                with pytest.raises(CapacityExceededError):
+                    fn.swap_out(x)
+                assert _folded_bound(fn, x) >= at_cap
+

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,14 @@ from prime_router.errors import (
     ParseError,
     VersionUnsupportedError,
 )
-from prime_router.graph import KIND_CONSTANT_PRODUCT, KIND_PIECEWISE
+from prime_router.cfmm import Segment
+from prime_router.graph import (
+    KIND_CONSTANT_PRODUCT,
+    KIND_PIECEWISE,
+    Pool,
+    PoolDirection,
+    Token,
+)
 from prime_router.io import (
     Snapshot,
     dumps_snapshot,
@@ -24,10 +33,25 @@ from prime_router.io import (
     snapshot_hash,
 )
 
+from oracles import snapshot_text_oracle
+
 
 def small_snapshot(seed=1):
     return generate_synthetic(seed, 8, 12, hub_fraction=0.25,
                               reserve_spread_orders=4)
+
+
+def odd_text_snapshot():
+    """Ids, symbols and a block ref with non-ASCII characters, quotes and
+    backslashes, in a constant-product and a piecewise pool."""
+    a, b, c = 'tök"en\\a', "токен-б", "t\u00e9\u20ac\U0001f600\n"
+    toks = (Token(a, 'Sym"\\', 18), Token(b, "Σ", 6), Token(c, "€", 0))
+    seg = (Segment(10**6, 10**9, 10**9),)
+    pools = (Pool('p"1\\', KIND_CONSTANT_PRODUCT, (a, b), 30,
+                  (10**20, 10**21)),
+             Pool("пул-2", KIND_PIECEWISE, (b, c), 5, directions=(
+                 PoolDirection(b, c, seg), PoolDirection(c, b, seg))))
+    return Snapshot(1, 'blöck "ref" \\ 7', toks, pools)
 
 
 class TestRoundTrip:
@@ -63,6 +87,43 @@ class TestRoundTrip:
         a, b = small_snapshot(1), small_snapshot(2)
         assert snapshot_hash(a) != snapshot_hash(b)
         assert snapshot_hash(a) == snapshot_hash(small_snapshot(1))
+
+
+class TestStreamedWriter:
+    SNAPSHOTS = {
+        "small": small_snapshot,
+        # 15% of a generated market's pools are piecewise
+        "piecewise": lambda: generate_synthetic(21, 60, 200, hub_fraction=0.1,
+                                                reserve_spread_orders=6),
+        "odd_text": odd_text_snapshot,
+    }
+
+    @pytest.mark.parametrize("name", sorted(SNAPSHOTS))
+    def test_bytes_match_one_dump_of_the_whole_tree(self, name, tmp_path):
+        snap = self.SNAPSHOTS[name]()
+        if name == "piecewise":
+            assert any(p.kind == KIND_PIECEWISE for p in snap.pools)
+        expected = snapshot_text_oracle(snap)
+        assert dumps_snapshot(snap) == expected
+        path = tmp_path / "snap.json"
+        save_snapshot(snap, path)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert snapshot_hash(snap) == hashlib.sha256(
+            expected.encode("utf-8")).hexdigest()
+        assert loads_snapshot(expected) == snap
+
+    def test_save_holds_a_small_fraction_of_the_file(self, tmp_path):
+        # a dict tree of every entry plus the whole text would hold several
+        # times the file; the streamed writer holds about one entry
+        snap = generate_synthetic(5, 2000, 5000, 0.01, 6)
+        path = tmp_path / "snap.json"
+        tracemalloc.start()
+        try:
+            save_snapshot(snap, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 10
 
 
 STRUCTURE_RULES = ["duplicate_token_id", "decimals_31", "duplicate_pool_id",

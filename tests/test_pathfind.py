@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from unittest import mock
 
@@ -316,6 +317,60 @@ class TestClosedFormBound:
             assert plain.swap_evals > stats.swap_evals
 
 
+def _late_winner_pair(rng, shallow=12):
+    """A hub pair T0 -> T1 whose ``shallow`` shallow pools all have a
+    better spot rate than its one deep pool, which is therefore last in
+    spot order, next to a 2-hop detour through T2; the amount is 3x the deep
+    pool's depth, where every shallow pool's real output is below a tenth
+    of the deep pool's quote."""
+    depth = 10**15
+    pools = [cp_pool("deep", "T0", "T1", depth, depth * 9 // 10, 30)]
+    for i in range(shallow):
+        r = rng.randint(depth // 100, depth // 10)
+        pools.append(cp_pool(f"s{i:02}", "T0", "T1", r, r, 5))
+    pools += [cp_pool("T0T2", "T0", "T2", depth, depth, 30),
+              cp_pool("T2T1", "T2", "T1", depth, depth, 30)]
+    return build_graph(tokens(3), pools), 3 * depth
+
+
+class TestPairOrder:
+    def test_whale_winner_last_in_spot_order_is_quoted_first(self):
+        for seed in range(5):
+            g, x = _late_winner_pair(random.Random(seed))
+            pair = g.edges_between("T0", "T1")
+            deep = pair[-1]
+            assert deep.pool_id == "deep"
+            stats = SearchStats()
+            context = SearchContext(g, "T1", 3)
+            res = find_path(g, "T0", "T1", x, 0.0, 3, stats=stats,
+                            context=context)
+            best = max(simulate_chain(p, x)
+                       for p in enumerate_paths_oracle(g, "T0", "T1", 3))
+            assert res.output == best and res.edges == (deep,)
+            # the source's first neighbour is T1: its first quote is the
+            # deep pool's, and no other edge of the pair is quoted
+            assert next(iter(context.quotes)) == (id(deep), x)
+            quoted = {key[0] for key in context.quotes}
+            assert quoted & {id(e) for e in pair} == {id(deep)}
+            # the shallow pools' closed forms ended the scan
+            assert stats.quotes_skipped >= len(pair) - 1
+
+    def test_equal_quotes_go_to_the_smaller_pool_id(self):
+        # both pools put out 9, one below their ceilings, which key them
+        # alike; "b" has the better spot, so it is quoted first, and "a"
+        # must still be quoted and win the tie
+        g = build_graph(tokens(2), [cp_pool("b", "T0", "T1", 10, 10),
+                                    cp_pool("a", "T0", "T1", 20, 10)])
+        x = 10**9
+        assert [e.pool_id for e in g.edges_between("T0", "T1")] == ["b", "a"]
+        assert [e.fn.swap_out(x) for e in g.edges_between("T0", "T1")] \
+            == [9, 9]
+        stats = SearchStats()
+        res = find_path(g, "T0", "T1", x, 0.0, 1, stats=stats)
+        assert [e.pool_id for e in res.edges] == ["a"] and res.output == 9
+        assert stats.swap_evals == 2
+
+
 def _shortcut_pair(rng):
     """A hub pair T0 -> T1 holding one deep pool and one shortcut T0 -> T2
     -> T3 -> T1 whose outer legs are as deep but whose middle leg is a
@@ -361,13 +416,16 @@ class TestExactCeiling:
             assert res.output == best
             # the ceilings before they were exact: a piecewise pool's sum of
             # out-reserves and a shortcut's last leg's, patched in before
-            # any edge's ceiling is read
+            # any edge's ceiling is read, with the folded bound switched off
+            # so that the ceiling alone is tested
             g, x, _ = _shortcut_pair(random.Random(seed))
             old = SearchStats()
             with mock.patch.object(PiecewiseLiquidity, "output_ceiling",
                                    reserve_sum), \
                     mock.patch.object(SequentialComposite, "output_ceiling",
-                                      last_legs):
+                                      last_legs), \
+                    mock.patch("prime_router.pathfind._folded_bound",
+                               lambda fn, x: math.inf):
                 again = find_path(g, "T0", "T1", x, 0.0, 3, stats=old)
             assert again.edges == res.edges and again.output == res.output
             assert old.swap_evals > stats.swap_evals

@@ -247,6 +247,17 @@ def test_ab_time_stage0_same_tree(capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("hubs differ")
 
 
+def test_ab_time_save_snapshot_mib():
+    # the streamed writer's peak is far below the small market's file
+    ab_time = load_script("ab_time")
+    ab_time._import_paths()
+    from perfbench.workloads import Market
+
+    market = Market(seed=13, tokens=400, pools=1400, hub_fraction=0.1,
+                    spread_orders=6, hubs=8)
+    assert 0 < ab_time.save_snapshot_mib(market) < 0.05
+
+
 def test_ab_time_alternates_and_keeps_minima():
     # a fake clock that each call advances by its next duration
     ab_time = load_script("ab_time")
