@@ -132,16 +132,16 @@ class RouteSolution:
 
 class _Overlay:
     """Search adjacency: the hub core's rows merged, in neighbour order,
-    with the ``(v, edges)`` pairs a query adds (``added``: token -> pairs),
+    with the pairs a query adds (``added``: token u -> ``{v: edges}``),
     read forward (``out_items``) and backward (``in_arcs``: the core's
     stage-0 in-arcs, then the added pairs' own, in ``added`` order)."""
 
     def __init__(self, core: SwapGraph,
-                 added: Dict[str, List[Tuple[str, Tuple[Edge, ...]]]]):
+                 added: Dict[str, Dict[str, Tuple[Edge, ...]]]):
         # the core's tokens are the hubs, in rank order
         rows = {h: core.out_items(h) for h in core.tokens}
         for u, pairs in added.items():
-            rows[u] = tuple(sorted(rows.get(u, ()) + tuple(pairs)))
+            rows[u] = tuple(sorted([*rows.get(u, ()), *pairs.items()]))
         self._rows = rows
         self._core = core
         self._added_in = in_arcs_of(added)
@@ -209,16 +209,16 @@ def _query_overlay(prep: PreparedRouting, source: str, target: str) -> _Overlay:
     every hub's edges into a non-hub target, the source's pairs first."""
     g = prep.graph
     hub_set = set(prep.hubs)
-    added: Dict[str, List[Tuple[str, Tuple[Edge, ...]]]] = {}
+    added: Dict[str, Dict[str, Tuple[Edge, ...]]] = {}
     if source not in hub_set:
         keep = hub_set | {target}
-        added[source] = [(v, candidates) for v, candidates
-                         in g.out_items(source) if v in keep]
+        added[source] = {v: candidates for v, candidates
+                         in g.out_items(source) if v in keep}
     if target not in hub_set:
         for u in prep.hubs:
             into = g.edges_between(u, target)
             if into:
-                added[u] = [(target, into)]
+                added[u] = {target: into}
     return _Overlay(prep.core, added)
 
 

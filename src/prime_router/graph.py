@@ -7,20 +7,22 @@ after construction and safe for concurrent read-only queries.
 Edges have one order: a pair's parallel edges are kept best spot rate
 first, ties on pool id (``spot_order``), sorted once at construction.  Every
 reader wants that order: the path search's early-stop scan, stage 2's pick
-of the best unused pools and shortcuts, the shortcut enumeration.  So
-``out_items(u)`` and ``edges_between(u, v)`` return the same tuple object.
-``in_arcs(v)`` reads the rows backward, one ``(u, best spot, largest
-ceiling)`` per pair ``u -> v``: what the path search's bound rows need of a
-pair.  A graph whose every pair has its reverse has its out-neighbours for
-in-neighbours: each token's arcs are read from its own row when first asked
-for.  Every graph ``build_graph`` makes is one (each pool serves both
-directions) and says so; any other graph finds out on the first call, and
-if not, indexes every token's arcs at once with ``in_arcs_of``, which also
-reads an engine overlay's added pairs backward.
+of the best unused pools and shortcuts, the shortcut enumeration.  A graph
+holds one map, token u -> ``{v: edges}``, tokens and neighbours in id
+order: ``edges_between(u, v)`` reads one entry and ``out_items(u)`` is u's
+row's items.  ``in_arcs(v)`` reads the map backward, one ``(u, best spot,
+largest ceiling)`` per pair ``u -> v``: what the path search's bound rows
+need of a pair.  A graph whose every pair has its reverse has its
+out-neighbours for in-neighbours: each token's arcs are read from its own
+row when first asked for.  Every graph ``build_graph`` makes is one (each
+pool serves both directions) and says so; any other graph finds out on the
+first call, and if not, indexes every token's arcs at once with
+``in_arcs_of``, which also reads an engine overlay's added pairs backward.
 
-An ``Edge`` derives its pool ids, exact spot ratio and float spot when
-built: stage 0 reads them all.  Two more derivations wait for the path
-search, each a slot filled on its first read (``cfmm.lazy_slots``):
+An ``Edge`` derives its pool ids and float spot (``num / den`` of its
+curve's ``spot_ratio()``) when built: stage 0 reads both.  Nothing reads
+the exact ratio, so no edge keeps it.  Two more derivations wait for the
+path search, each a slot filled on its first read (``cfmm.lazy_slots``):
 ``ceiling``, the most the edge can ever put out plus one (its curve's
 ``output_ceiling``, which for a piecewise pool or a shortcut quotes the
 curve), and ``mobius``, the two floats of a curve that is a single Möbius
@@ -43,7 +45,8 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, ItemsView, List, Optional, Set,
+                    Tuple)
 
 from .cfmm import (BPS_DENOM, ConstantProduct, PiecewiseLiquidity, Segment,
                    SequentialComposite, SwapFunction, lazy_slots)
@@ -136,8 +139,6 @@ class Edge:
     legs: Tuple["Edge", ...] = ()
     # derived, precomputed once: the search scans these in tight loops
     pool_ids: Tuple[str, ...] = field(init=False, compare=False, repr=False)
-    rate_num: int = field(init=False, compare=False, repr=False)
-    rate_den: int = field(init=False, compare=False, repr=False)
     spot: float = field(init=False, compare=False, repr=False)
     # derived on the first read, by the path search only
     ceiling: int = field(init=False, compare=False, repr=False)
@@ -149,8 +150,6 @@ class Edge:
             else (self.pool_id,)
         num, den = self.fn.spot_ratio()
         object.__setattr__(self, "pool_ids", ids)
-        object.__setattr__(self, "rate_num", num)
-        object.__setattr__(self, "rate_den", den)
         object.__setattr__(self, "spot", num / den)
 
     def _ceiling(self) -> int:
@@ -199,19 +198,17 @@ class SwapGraph:
         for e in edges:
             by_pair.setdefault(e.token_in, {}).setdefault(e.token_out, []).append(e)
         # most pairs of a real market have one edge: nothing to sort
-        self._index({u: tuple([(v, tuple(es) if len(es) == 1
-                                else tuple(sorted(es, key=spot_order)))
-                               for v, es in sorted(row.items())])
+        self._index({u: {v: tuple(es) if len(es) == 1
+                         else tuple(sorted(es, key=spot_order))
+                         for v, es in sorted(row.items())}
                      for u, row in sorted(by_pair.items())})
 
-    def _index(self, rows: Dict[str, Tuple[Tuple[str, Tuple[Edge, ...]], ...]]
-               ) -> None:
-        """Keep ``rows`` (tokens in id order, edges in spot order), derive
-        the pair lookup and the edge count, and sort the token ids once."""
-        self._rows = rows
-        self._pairs = {u: dict(items) for u, items in rows.items()}
-        self._edge_count = sum(sum(map(len, pair_map.values()))
-                               for pair_map in self._pairs.values())
+    def _index(self, pairs: Dict[str, Dict[str, Tuple[Edge, ...]]]) -> None:
+        """Keep ``pairs`` (tokens in id order, edges in spot order), count
+        its edges, and sort the token ids once."""
+        self._pairs = pairs
+        self._edge_count = sum(sum(map(len, row.values()))
+                               for row in pairs.values())
         self._token_ids = tuple(sorted(self._tokens))
         self._in_arcs: Dict[str, Tuple[Tuple[str, float, int], ...]] = {}
         self._symmetric: Optional[bool] = None
@@ -239,9 +236,10 @@ class SwapGraph:
         the tuple ``out_items(u)`` pairs with ``v``."""
         return self._pairs.get(u, {}).get(v, ())
 
-    def out_items(self, u: str) -> Tuple[Tuple[str, Tuple[Edge, ...]], ...]:
-        """(neighbour, ``edges_between(u, neighbour)``) pairs, neighbour-sorted."""
-        return self._rows.get(u, ())
+    def out_items(self, u: str) -> ItemsView[str, Tuple[Edge, ...]]:
+        """``u``'s row's items: (neighbour, ``edges_between(u, neighbour)``)
+        pairs, neighbour-sorted."""
+        return self._pairs.get(u, {}).items()
 
     def in_arcs(self, v: str) -> Tuple[Tuple[str, float, int], ...]:
         """``pair_arc`` of every pair u -> v, tokens u in id order.  Unless
@@ -257,22 +255,22 @@ class SwapGraph:
                 symmetric = all(u in pairs.get(w, ())
                                 for u, row in pairs.items() for w in row)
                 if not symmetric:
-                    self._in_arcs = in_arcs_of(self._rows)
+                    self._in_arcs = in_arcs_of(pairs)
                 self._symmetric = symmetric
             if not self._symmetric:
                 return self._in_arcs.get(v, ())
             arcs = self._in_arcs[v] = tuple(
-                [pair_arc(u, pairs[u][v]) for u, _ in self.out_items(v)])
+                [pair_arc(u, pairs[u][v]) for u in pairs.get(v, ())])
         return arcs
 
 
-def in_arcs_of(rows: Dict[str, Iterable[Tuple[str, Tuple[Edge, ...]]]]
+def in_arcs_of(pairs: Dict[str, Dict[str, Tuple[Edge, ...]]]
                ) -> Dict[str, Tuple[Tuple[str, float, int], ...]]:
-    """The ``pair_arc`` of every pair ``u -> v`` in ``rows`` (token u ->
-    its ``(v, edges)`` pairs), per token v, in the rows' order of u."""
+    """The ``pair_arc`` of every pair ``u -> v`` in ``pairs`` (token u ->
+    ``{v: edges}``), per token v, in the map's order of u."""
     into: Dict[str, List[Tuple[str, float, int]]] = {}
-    for u, items in rows.items():
-        for v, candidates in items:
+    for u, row in pairs.items():
+        for v, candidates in row.items():
             into.setdefault(v, []).append(pair_arc(u, candidates))
     return {v: tuple(arcs) for v, arcs in into.items()}
 
@@ -372,25 +370,25 @@ def build_graph(tokens: Iterable[Token], pools: Iterable[Pool]) -> SwapGraph:
 
 
 def _subgraph(g: SwapGraph, tokens: Set[str]) -> SwapGraph:
-    """The part of ``g`` on ``tokens``, sharing its rows and objects.
+    """The part of ``g`` on ``tokens``, sharing its edge tuples and objects.
 
     Only valid when no pool has two tokens inside and one outside, so that an
     edge between kept tokens belongs to a kept pool.  Leaf pruning ensures it:
     every token of a live multi-token pool has two neighbours through it.
-    The parent's rows are sorted and filtering keeps them sorted, so every
+    The parent's map is sorted and filtering keeps it sorted, so every
     ordering matches what ``build_graph`` gives the kept tokens and pools.
     """
     sub = SwapGraph.__new__(SwapGraph)
     sub._tokens = {t: g._tokens[t] for t in sorted(tokens)}
     sub._pools = {pid: p for pid, p in g._pools.items()
                   if all(t in tokens for t in p.tokens)}
-    rows = {}
-    for u, items in g._rows.items():
+    pairs = {}
+    for u, row in g._pairs.items():
         if u in tokens:
-            kept = tuple(item for item in items if item[0] in tokens)
+            kept = {v: es for v, es in row.items() if v in tokens}
             if kept:
-                rows[u] = kept
-    sub._index(rows)
+                pairs[u] = kept
+    sub._index(pairs)
     return sub
 
 

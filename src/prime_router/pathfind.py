@@ -130,7 +130,7 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .cfmm import ConstantProduct, SequentialComposite
+from .cfmm import SequentialComposite
 from .errors import CapacityExceededError
 from .graph import Edge
 
@@ -351,9 +351,6 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                     scale, shift = mobius
                     # the real output at cur, raised past float rounding
                     real = scale * cur / (cur + shift) * BOUND_SLACK
-                elif type(e.fn) is ConstantProduct:
-                    # a constant-product pool's closed form is its map alone
-                    real = key
                 else:
                     qkey = (id(e), cur)
                     real = folds.get(qkey)

@@ -25,7 +25,8 @@ def edge(fn):
 
 def output_bound(e, amount):
     """Concavity bound: e's quote at amount is below floor(spot * amount) + 1."""
-    return amount * e.rate_num // e.rate_den + 1
+    num, den = e.fn.spot_ratio()
+    return amount * num // den + 1
 
 
 def make_piecewise(fee=0):

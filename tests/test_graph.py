@@ -72,6 +72,28 @@ def test_adjacency_views_keep_their_orders():
     assert [e.pool_id for e in rows["T2"]] == ["P4"]
 
 
+def test_every_builder_keeps_one_map():
+    # build_graph's graph, its leaf-pruned part (``_subgraph``) and
+    # prepare_routing's core: out_items(u) pairs each neighbour, in id
+    # order, with the tuple edges_between returns, and edge_count counts them
+    g = generate_synthetic(5, 60, 200, hub_fraction=0.2,
+                           reserve_spread_orders=4).build_graph()
+    ids = sorted(g.tokens)
+    prep = prepare_routing(g, RouteQuery(ids[0], ids[1], 1, hub_count=8))
+    pruned = prune_leaf_tokens(g, prep.hubs)
+    assert len(pruned.tokens) < len(g.tokens) and prep.shortcut_index
+    for view in (g, pruned, prep.core):
+        count = 0
+        for u in view.token_ids():
+            items = list(view.out_items(u))
+            neighbours = [v for v, _ in items]
+            assert neighbours == sorted(set(neighbours))
+            for v, edges in items:
+                assert edges is view.edges_between(u, v)
+                count += len(edges)
+        assert count > 0 and view.edge_count == count
+
+
 def test_edge_count_matches_pool_arities():
     rng = random.Random(3)
     g = random_cp_graph(rng, 8, 15)

@@ -306,10 +306,13 @@ class TestClosedFormBound:
                        for p in enumerate_paths_oracle(g, "T0", "T1", 3))
             assert res.output == best
             assert stats.quotes_skipped > 0
-            # the same search quoting every edge the other tests let through
+            # the same search quoting every edge the other tests let through,
+            # with no closed form on any curve
             plain = SearchStats()
             g, x = _whale_pair(random.Random(seed))
-            with mock.patch.object(Edge, "mobius", None):
+            with mock.patch.object(Edge, "mobius", None), \
+                    mock.patch("prime_router.pathfind._folded_bound",
+                               lambda fn, x: math.inf):
                 again = find_path(g, "T0", "T1", x, 0.0, 3, stats=plain)
             assert again.edges == res.edges and again.output == res.output
             assert (plain.pushes, plain.pops, plain.quotes_skipped) \
