@@ -27,7 +27,8 @@ at the same refresh, how many queries prime leaves below the checker
 (``below_osp``: no route or a lower output where the checker routes), how
 many routed records' gated work rose (``work_rose``: swap evals, queue
 pushes or allocator steps, the counts the benchmark bounds), the work keys
-only one side has, and the mean work counts per workload, pooled over the
+only one side has, and the mean work counts per workload (swap evals,
+quotes skipped, queue pushes and pops, allocator steps), pooled over the
 multiples and then per multiple (the benchmark's gated counts are the 1x
 ones).  It exits 1 when any output fell (a query that stops routing counts
 as fallen), any plan failed its audit or any checker result changed; a rise
@@ -230,6 +231,8 @@ def work_table(records: Sequence[dict], multiple: Optional[int] = None
             "quotes_skipped": sum(w.get("quotes_skipped", 0)
                                   for w in works) / n,
             "pushes": sum(w["queue_pushes"] for w in works) / n,
+            # a hand-made record may hold only the gated counts
+            "pops": sum(w.get("queue_pops", 0) for w in works) / n,
             "allocator_steps": sum(allocator_steps(w) for w in works) / n,
         }
     return table
@@ -255,7 +258,7 @@ def report(new: dict, old: dict) -> int:
             was, now = (t.get(name, {}) for t in tables)
             cells = [f"{k} {was.get(k, 0):.6g} -> {now.get(k, 0):.6g}"
                      for k in ("routed", "swap_evals", "quotes_skipped",
-                               "pushes", "allocator_steps")]
+                               "pushes", "pops", "allocator_steps")]
             lines.append(f"{name}{label}: " + ", ".join(cells))
     try:
         print("\n".join(lines), flush=True)

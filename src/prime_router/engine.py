@@ -133,8 +133,9 @@ class RouteSolution:
 class _Overlay:
     """Search adjacency: the hub core's rows merged, in neighbour order,
     with the pairs a query adds (``added``: token u -> ``{v: edges}``),
-    read forward (``out_items``) and backward (``in_arcs``: the core's
-    stage-0 in-arcs, then the added pairs' own, in ``added`` order)."""
+    read forward (``out_items``, or one pair by ``edges_between``) and
+    backward (``in_arcs``: the core's stage-0 in-arcs, then the added
+    pairs' own, in ``added`` order)."""
 
     def __init__(self, core: SwapGraph,
                  added: Dict[str, Dict[str, Tuple[Edge, ...]]]):
@@ -144,6 +145,7 @@ class _Overlay:
             rows[u] = tuple(sorted([*rows.get(u, ()), *pairs.items()]))
         self._rows = rows
         self._core = core
+        self._added = added
         self._added_in = in_arcs_of(added)
 
     def token_ids(self) -> Tuple[str, ...]:
@@ -152,6 +154,12 @@ class _Overlay:
 
     def out_items(self, u: str):
         return self._rows.get(u, ())
+
+    def edges_between(self, u: str, v: str) -> Tuple[Edge, ...]:
+        """The tuple ``out_items(u)`` pairs with ``v``: an added pair's,
+        else the core's."""
+        edges = self._added.get(u, {}).get(v)
+        return self._core.edges_between(u, v) if edges is None else edges
 
     def in_arcs(self, v: str) -> Tuple[Tuple[str, float, int], ...]:
         return self._core.in_arcs(v) + self._added_in.get(v, ())

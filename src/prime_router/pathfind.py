@@ -21,10 +21,12 @@ it passed (``Edge.ceiling``, the most that edge can ever put out, plus
 one), times the spot product of the edges after that one, whatever the
 input; the second row, ``cap[r][v]``, is the largest such figure over the
 same walks (infinite at the target itself).  A state's bound is
-``min(out * rate[r][v], cap[r][v])``.  A neighbour whose ``cap``
-cannot exceed ``max(best arrival, tau * amount)`` is skipped before any of
-its edges is looked at, and a successor is dropped, before its exact swap
-and again after it, once its bound cannot exceed that floor.  An edge whose
+``min(out * rate[r][v], cap[r][v])``, and for a state one hop from the
+target (r = 1) also its last hop's closed form (below).  A neighbour
+whose ``cap`` cannot exceed ``max(best arrival, tau * amount)`` is skipped
+before any of its edges is looked at, and a successor is dropped, before
+its exact swap and again after it, once its bound cannot exceed that
+floor.  An edge whose
 own ceiling cannot clear the floor, or the frontier, is never evaluated: at
 a whale amount the shallow pools, and the shortcuts through one, drop out
 unswapped.
@@ -32,7 +34,10 @@ unswapped.
 The bound also orders the search, as in A*: states pop largest bound
 first, ties in push order.  A target arrival's bound is its exact output,
 and the best arrival tends to come early, so the floor rises early and the
-bound drops more successors.  Bounds are fixed at push time and the floor
+bound drops more successors.  Each expansion scans the pair into the
+target first, so that its arrival raises the floor before any sibling is
+quoted, then the rest of the row; a state with no hop left reads that pair
+alone.  Bounds are fixed at push time and the floor
 only rises, so once a popped state's bound cannot exceed the floor, no
 state left in the heap can, and the search stops.  The best arrival pops
 before that: its push set the floor to its output or found the floor below
@@ -77,6 +82,17 @@ two ``any`` scans, run only on an edge about to be quoted.
 ``quotes_skipped`` counts the edges a closed form ruled out: those the
 walk skips for it and those left at the stop whose key was one.
 
+A state one hop from the target can only finish on its pair into the
+target, and at a whale amount that pair puts out far less than its spot
+rate says.  ``_last_hop(pair, x)`` is the largest over the pair of the
+scan's three bounds at input ``x``: at least every edge's exact quote there
+(each of the three is one), for every curve, since it reuses the closed
+forms the scan already trusts, and rising with ``x``.  It caps the bound of
+such a successor, and the scan that picks the successor stops at the first
+key whose ``_last_hop`` cannot beat the floor: a later quote is no larger
+than that key, so its successor's bound could not beat it either.  Each
+token's pair into the target is read once per context (``into``).
+
 None of the three bounds changes a result.  An edge left unquoted has an
 exact quote below the running best, which the scan could not choose, or one
 whose successor the floor would drop, as it drops the successor of any lower
@@ -96,24 +112,27 @@ one of two reasons, and neither depends on the order states pop in.  Either
 a recorded state reached its token with at least its output in at most its
 hops (whichever came first, the dominating state is pushed unless the two
 are equal): that state's bound is no smaller, because both rows grow with
-``r`` and the bound grows with ``out``, so whatever drops it or stops the
-search before it pops would drop the dominated state too.  Or its own bound
-cannot exceed the floor: no completion could be accepted (average rate
-above tau) or beat the best arrival.  So where the frontier's dominance
-holds (the tests check it against exhaustive enumeration), the order
-decides only how soon the floor rises, and the output is that of the
-unbounded search, whose bounds are all infinite and whose heap pops first
-in, first out.  Among equal outputs the first target arrival pushed wins: a
+``r``, the last-hop cap applies only at r = 1, and every term grows with
+``out``, so whatever drops it or stops the search before it pops would drop
+the dominated state too.  Or its own bound cannot exceed the floor: no
+completion could be accepted (average rate above tau) or beat the best
+arrival.  So where the frontier's dominance holds (the tests check it
+against exhaustive enumeration), the order decides only how soon the floor
+rises, and the output is that of the unbounded search, whose bounds are all
+infinite and whose heap pops first in, first out.  Scanning the target pair
+first is such an order: within an expansion each neighbour is a different
+token, so the scan order changes no gate, and the arrival only raises the
+floor sooner.  Among equal outputs the first target arrival pushed wins: a
 later one must beat it.  The bound is a float and carries a relative slack
 of 1e-9, so rounding can never drop a state that reaches the result.
 
 The rows depend on neither masks nor ``tau``, and an exact quote is a pure
 function of the edge and its input, so the searches of one query (rising
 ``tau``, growing masks, same view and target) share one context: the rows
-are built once, by the first search, and every quote and every fold is
-computed once, with capacity failures remembered as failures.  A call
-given no context builds its own, so a lone search behaves as it always
-did.
+are built once, by the first search, and every quote, every fold and every
+pair into the target is computed once, with capacity failures remembered as
+failures.  A call given no context builds its own, so a lone search behaves
+as it always did.
 
 Paths are vertex-simple and pool-distinct.  The traversal never expands the
 target, so every arrival there is terminal; the best arrival whose average
@@ -173,8 +192,8 @@ class SearchStats:
 
 
 class SearchContext:
-    """What the searches of one query share: the bound rows, exact quotes
-    and folded bounds.
+    """What the searches of one query share: the bound rows, exact quotes,
+    folded bounds and each token's pair into the target.
 
     Bound to one ``(view, target, max_hops)``; ``find_path`` raises
     ValueError when handed a context bound to anything else.  The view's
@@ -182,7 +201,8 @@ class SearchContext:
     quotes are keyed on edge identity and the exact integer input.
     """
 
-    __slots__ = ("view", "target", "max_hops", "quotes", "folds", "_rows")
+    __slots__ = ("view", "target", "max_hops", "quotes", "folds", "into",
+                 "_rows")
 
     def __init__(self, view, target: str, max_hops: int):
         self.view = view
@@ -193,6 +213,8 @@ class SearchContext:
         # (id(edge), amount) -> ``_folded_bound``, for the edges without a
         # Möbius map
         self.folds: Dict[Tuple[int, int], float] = {}
+        # token -> its pair into the target, ``view.edges_between``
+        self.into: Dict[str, Tuple[Edge, ...]] = {}
         self._rows: Optional[Tuple[List[Dict[str, float]],
                                    List[Dict[str, float]]]] = None
 
@@ -255,12 +277,15 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
               context: Optional[SearchContext] = None) -> Optional[SinglePath]:
     """Best simple pool-distinct path by exact simulated output.
 
-    ``view`` is anything exposing ``token_ids()``, ``out_items(u)`` and
-    ``in_arcs(v)`` (a SwapGraph or an engine overlay).  Returns None when no
-    arrival at the target has average rate output/amount strictly above
-    ``tau``.  States pop largest bound first, ties in push order, and the
-    search stops at the first popped state whose bound cannot exceed
-    ``max(best arrival, tau * amount)``.  A pair's parallel edges are
+    ``view`` is anything exposing ``token_ids()``, ``out_items(u)``,
+    ``edges_between(u, v)`` (the tuple ``out_items(u)`` pairs with ``v``)
+    and ``in_arcs(v)`` (a SwapGraph or an engine overlay).  Returns None
+    when no arrival at the target has average rate output/amount strictly
+    above ``tau``.  States pop largest bound first, ties in push order, and
+    the search stops at the first popped state whose bound cannot exceed
+    ``max(best arrival, tau * amount)``.  Each expansion scans its pair
+    into the target first; a state one hop from the target is bounded by
+    that pair's closed forms (``_last_hop``).  A pair's parallel edges are
     quoted largest upper bound first (the least of ``spot * amount``, the
     most the edge can ever put out and its closed-form real output), and
     only while that bound can beat the pair's running best and that floor;
@@ -294,7 +319,8 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
         raise ValueError("search context is bound to another view, target "
                          "or max_hops")
     rate, cap = context.rows
-    quotes, folds = context.quotes, context.folds
+    quotes, folds, into = context.quotes, context.folds, context.into
+    last_hop = _last_hop
     limit = len(rate)  # max_hops, capped at the view's token count
     # frontier[v][h] = best amount recorded at v with at most h hops
     frontier = {}
@@ -319,18 +345,37 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             # left in the heap can win
             break
         hops = len(edges)
-        # row 0 holds only the target, so no state past the limit is pushed
-        reach, ceilings = rate[limit - hops - 1], cap[limit - hops - 1]
-        for v, candidates in view.out_items(token):
+        # the hops a successor has left; row 0 holds only the target, so no
+        # state past the limit is pushed
+        left = limit - hops - 1
+        reach, ceilings = rate[left], cap[left]
+        head = into.get(token)
+        if head is None:
+            head = into[token] = view.edges_between(token, target)
+        # the target pair first (marked None, which no row reaches), so that
+        # an arrival raises lim before any sibling is quoted; with no hop
+        # left it is the only pair
+        head = ((None, head),) if head else ()
+        row = view.out_items(token) if left else ()
+        for v, candidates in itertools.chain(head, row):
             v_rate = reach.get(v)
-            if (v_rate is None or v in visited
-                    or ceilings[v] * BOUND_SLACK <= lim):
+            if v_rate is None:
+                if v is not None:
+                    continue
+                v, v_rate, gate, v_into = target, 1.0, best_target, None
+            elif (v in visited or ceilings[v] * BOUND_SLACK <= lim
+                  or v == target):
+                # the row's target pair was scanned first
                 continue
-            if v == target:
-                gate = best_target
             else:
                 levels = frontier.get(v)
                 gate = levels[hops + 1] if levels is not None else 0
+                v_into = None
+                if left == 1:
+                    # v can only finish on its pair into the target
+                    v_into = into.get(v)
+                    if v_into is None:
+                        v_into = into[v] = view.edges_between(v, target)
             # every edge that can still win, keyed by the least upper bound
             # on its quote (see the module docstring)
             ranked = []
@@ -372,7 +417,10 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             # quote already in ``quotes`` is not evaluated again
             edge, out = None, gate
             for key, closed, e in ranked:
-                if key < out or key * v_rate * BOUND_SLACK <= lim:
+                if (key < out or key * v_rate * BOUND_SLACK <= lim
+                        or (v_into is not None and
+                            last_hop(v_into, key, folds) * BOUND_SLACK
+                            <= lim)):
                     stats.quotes_skipped += closed_left
                     break
                 closed_left -= closed
@@ -404,6 +452,8 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             # the successor's bound, its key: a target arrival's is its exact
             # output (rate 1, cap infinite)
             bound = min(out * v_rate, ceilings[v])
+            if v_into is not None:
+                bound = min(bound, last_hop(v_into, out, folds))
             if bound * BOUND_SLACK <= lim:
                 continue
             if v == target:
@@ -427,6 +477,47 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     for e in edges:
         spot *= e.spot
     return SinglePath(edges=edges, output=out, spot_rate=spot)
+
+
+def _last_hop(edges: Sequence[Edge], x: float, folds: Dict) -> float:
+    """An upper bound on the exact output of every edge of a pair, here a
+    token's pair into the target, at input ``x``: the largest over the
+    pair of ``min(spot * x, ceiling - 1, closed form at x)``, the three
+    bounds of the scan, floats raised by ``BOUND_SLACK``.
+
+    The pair is in spot order, so the first edge whose concavity bound
+    cannot beat the best so far ends the walk, as in the scan.  Every
+    closed form rises with ``x``, so the bound does.  ``folds`` memoizes
+    the folded bounds at an integer input, where the scan's fold of a
+    popped state's pair reads them again; a scan key, a float, recurs too
+    rarely to keep.
+    """
+    best = 0.0
+    for e in edges:
+        key = x * e.spot * BOUND_SLACK
+        if key <= best:
+            break
+        top = e.ceiling - 1
+        if top <= best:
+            continue
+        if top < key:
+            key = top
+        mobius = e.mobius
+        if mobius is not None:
+            scale, shift = mobius
+            real = scale * x / (x + shift) * BOUND_SLACK
+        elif type(x) is int:
+            qkey = (id(e), x)
+            real = folds.get(qkey)
+            if real is None:
+                real = folds[qkey] = _folded_bound(e.fn, x)
+        else:
+            real = _folded_bound(e.fn, x)
+        if real < key:
+            key = real
+        if key > best:
+            best = key
+    return best
 
 
 def _folded_bound(fn, x: int) -> float:

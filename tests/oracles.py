@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from unittest import mock
 
 from prime_router.allocation import MultiEdgePath, objective, path_output
 from prime_router.errors import InvalidParamsError, RoutingError
@@ -116,14 +117,17 @@ def unbounded_find_path(view, source: str, target: str, amount: int,
     (which tokens reach the target within r hops) and get every value set
     to infinity, so no rate or ceiling prunes a state.
 
-    Every state's bound is then infinite, so the heap pops in push order and
+    The last-hop bound (``pathfind._last_hop``) reads infinite too.  Every
+    state's bound is then infinite, so the heap pops in push order and
     never stops early: this is the first-in-first-out search, kept as the
     reference for the bounded search's order."""
     context = SearchContext(view, target, max_hops)
     context._rows = tuple([dict.fromkeys(row, math.inf) for row in table]
                           for table in rows)
-    return find_path(view, source, target, amount, tau, max_hops,
-                     masked_pools, context=context)
+    with mock.patch("prime_router.pathfind._last_hop",
+                    lambda *args: math.inf):
+        return find_path(view, source, target, amount, tau, max_hops,
+                         masked_pools, context=context)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from prime_router.cfmm import (
     cp_swap_out,
 )
 from prime_router.errors import AmountOverflowError, CapacityExceededError
-from prime_router.graph import Edge
-from prime_router.pathfind import _folded_bound
+from prime_router.graph import Edge, spot_order
+from prime_router.pathfind import _folded_bound, _last_hop
 
 
 def edge(fn):
@@ -514,3 +514,39 @@ class TestFoldedBound:
                     fn.swap_out(x)
                 assert _folded_bound(fn, x) >= at_cap
 
+
+
+class TestLastHop:
+    """``_last_hop``, the bound the search puts on a state one hop from the
+    target, is at least the exact quote of every edge of the pair into the
+    target at every input up to its own, integer or float, and rises with
+    its input."""
+
+    @pytest.mark.parametrize("kind", ["constant_product", "piecewise",
+                                      "mixed"])
+    def test_at_least_every_quote_of_the_pair(self, kind):
+        rng = random.Random(f"last-hop-{kind}")
+        builders = {"constant_product": (_random_cp,),
+                    "piecewise": (_random_piecewise,),
+                    "mixed": (_random_cp, _random_piecewise,
+                              _random_composite, _binding_composite)}[kind]
+        for _ in range(80):
+            pair = sorted((Edge(f"P{i}", "A", "B", rng.choice(builders)(rng))
+                           for i in range(rng.randint(1, 5))), key=spot_order)
+            caps = [e.fn.input_capacity() for e in pair]
+            xs = [0, 1]
+            for cap in caps:
+                top = cap if cap is not None else 10**30
+                xs += [top, rng.randint(1, top), rng.uniform(1, top)]
+            folds = {}
+            bounds = []
+            for x in sorted(xs):
+                bound = _last_hop(pair, x, folds)
+                # a float input stands for any quote's input up to it
+                whole = int(x)
+                for e, cap in zip(pair, caps):
+                    if cap is None or whole <= cap:
+                        assert bound >= e.fn.swap_out(whole)
+                bounds.append(bound)
+            assert bounds == sorted(bounds)
+            assert bounds[0] == 0.0

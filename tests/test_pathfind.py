@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -24,6 +25,7 @@ from prime_router.cfmm import (
 )
 from prime_router.errors import NoRouteError
 from prime_router.graph import (
+    KIND_CONSTANT_PRODUCT,
     KIND_PIECEWISE,
     Edge,
     Pool,
@@ -577,9 +579,11 @@ class TestBoundPruning:
                  Edge("SH", "T1", "T2", Shallow(10**6, 3 * 10**6, 30))]
         g = SwapGraph({t.id: t for t in tokens(3)}, {}, edges)
         assert edges[2].spot > edges[1].spot
-        # at tau 0.5 the ceiling row drops T1 itself: SH's reserve is all
-        # that T1 -> T2 can deliver, far below half the amount
-        for tau, pushes in ((0.0, 2), (0.5, 1)):
+        # the target pair is scanned first, so D1's arrival is pushed before
+        # T1, whose ceiling cannot beat it; at tau 0.5 the ceiling row drops
+        # T1 itself: SH's reserve is all that T1 -> T2 can deliver, far
+        # below half the amount
+        for tau, pushes in ((0.0, 1), (0.5, 1)):
             stats = SearchStats()
             res = find_path(g, "T0", "T2", 10**18, tau, 3, stats=stats)
             assert [e.pool_id for e in res.edges] == ["D1"]
@@ -885,6 +889,65 @@ class TestCheckerAtScale:
             assert verify_solution(sol, g).ok
             routed += 1
         assert 0 < checked < 200 and 0 < routed < 200
+
+
+class TestLastHopAtScale:
+    def test_whale_probes_push_more_without_the_last_hop_bound(
+            self, scale_market):
+        # hub-to-hub probes at 3x a direct pool's reserve, as the whale
+        # workload draws them: with the last-hop bound switched off, every
+        # search returns the same path and output after more pushes
+        snap, prep = scale_market
+        hub_set = set(prep.hubs)
+        direct = [p for p in snap.pools if p.kind == KIND_CONSTANT_PRODUCT
+                  and all(tok in hub_set for tok in p.tokens)]
+        rng = random.Random(0x1A57)
+        pushes = {"bound": 0, "off": 0}
+        for pool in rng.sample(direct, 8):
+            s, t = pool.tokens if rng.random() < 0.5 else pool.tokens[::-1]
+            x = 3 * pool.reserve_of(s)
+            overlay = _query_overlay(prep, s, t)
+            stats = SearchStats()
+            res = find_path(overlay, s, t, x, 0.0, 3, stats=stats)
+            off = SearchStats()
+            with mock.patch("prime_router.pathfind._last_hop",
+                            lambda *args: math.inf):
+                again = find_path(overlay, s, t, x, 0.0, 3, stats=off)
+            assert (again.edges, again.output) == (res.edges, res.output)
+            pushes["bound"] += stats.pushes
+            pushes["off"] += off.pushes
+        assert pushes["off"] > pushes["bound"]
+
+
+class TestOverlayPairs:
+    def test_pair_lookup_reads_the_rows(self, scale_market, scale_queries):
+        # every pair of an overlay's tokens, and of its endpoints, reads the
+        # tuple its row pairs with the neighbour, or none: core pairs between
+        # hubs, and the pairs a query adds from a non-hub source and into a
+        # non-hub target
+        snap, prep = scale_market
+        hub_set = set(prep.hubs)
+        chosen = [q[:2] for kind in itertools.product((True, False), repeat=2)
+                  for q in [q for q in scale_queries if q[3] == kind][:3]]
+        # and the two tokens of a pool between non-hubs
+        chosen.append(next(p.tokens for p in snap.pools
+                           if not hub_set.intersection(p.tokens)))
+        seen = set()
+        for s, t in chosen:
+            overlay = _query_overlay(prep, s, t)
+            toks = {*overlay.token_ids(), s, t}
+            for u in toks:
+                row = dict(overlay.out_items(u))
+                for v in toks:
+                    got = overlay.edges_between(u, v)
+                    assert got == row.get(v, ())
+                    if got:
+                        seen.add((u in hub_set, v in hub_set, u == s, v == t))
+        # hub -> hub core pairs, a non-hub source's added pairs to hubs and
+        # to a non-hub target, and hubs' added pairs into a non-hub target
+        assert {(True, True, False, False), (False, True, True, False),
+                (False, False, True, True),
+                (True, False, False, True)} <= seen
 
 
 def _replay(g, s, t, x, taus, extra_masks, context=None):

@@ -108,9 +108,14 @@ def test_compare_outputs(tmp_path, capsys):
         retail = [r["work"]["queue_pushes"] for r in chosen
                   if r["key"].startswith("retail:")]
         assert table["retail"]["pushes"] == sum(retail) / len(retail)
+        pops = [r["work"]["queue_pops"] for r in chosen
+                if r["key"].startswith("retail:")]
+        assert table["retail"]["pops"] == sum(pops) / len(pops)
         pushes = f"{table['retail']['pushes']:.6g}"
+        pops = f"{table['retail']['pops']:.6g}"
         assert f"retail x{multiple}: routed {len(retail)} -> {len(retail)}, " \
-            in out and f"pushes {pushes} -> {pushes}," in out
+            in out and f"pushes {pushes} -> {pushes}, " \
+            f"pops {pops} -> {pops}," in out
     assert compare.work_table(records) != compare.work_table(records, 1)
     routed[0]["output"] = str(int(routed[0]["output"]) + 1)
     routed[-1]["work"]["queue_pops"] += 1
