@@ -25,10 +25,10 @@ the exact ratio, so no edge keeps it.  Two more derivations wait for the
 path search, each a slot filled on its first read (``cfmm.lazy_slots``):
 ``ceiling``, the most the edge can ever put out plus one (its curve's
 ``output_ceiling``, which for a piecewise pool or a shortcut quotes the
-curve), and ``mobius``, the two floats of a curve that is a single Möbius
-map through the origin (a constant-product pool, or a shortcut whose legs
-all are).  So stage 0 derives neither, and an edge no search reads never
-holds one.
+curve), and ``closed``, the curve's real output as float Möbius pieces,
+a table per leg, which the search folds for its closed-form bound
+(``pathfind._closed_out``).  So stage 0 derives neither, and an edge no
+search reads never holds one.
 
 The value classes stage 0 builds per entry (``Token``, ``Pool``,
 ``PoolDirection``, ``Edge``, and the curves in ``cfmm``) are slotted frozen
@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, ItemsView, List, Optional, Set,
                     Tuple)
@@ -142,8 +144,8 @@ class Edge:
     spot: float = field(init=False, compare=False, repr=False)
     # derived on the first read, by the path search only
     ceiling: int = field(init=False, compare=False, repr=False)
-    mobius: Optional[Tuple[float, float]] = field(init=False, compare=False,
-                                                  repr=False)
+    closed: Tuple[Tuple[Tuple[float, ...], ...], ...] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ids = tuple(leg.pool_id for leg in self.legs) if self.legs \
@@ -156,30 +158,44 @@ class Edge:
         """``ceiling``: the curve's ``output_ceiling``, a lazy slot."""
         return self.fn.output_ceiling()
 
-    def _mobius(self) -> Optional[Tuple[float, float]]:
-        """``mobius``: ``(a / c, d / c)`` when the curve is one map ``x ->
-        a*x / (c*x + d)``, whose real output at x is ``a/c * x / (x +
-        d/c)``, else None.
+    def _closed(self) -> Tuple[Tuple[Tuple[float, ...], ...], ...]:
+        """``closed``: the curve's real output in floats, one table per leg
+        (a composite's parts, else the curve), each a tuple of ``(hi, lo,
+        a, b, c, d)``, one per Möbius piece ``lo + t -> (a*t + b) / (c*t +
+        d)`` in input order, ``hi`` where the next piece starts (infinite
+        on the last).
 
-        A constant-product pool is one, with matrix ``[[k*R_out, 0], [k,
-        10000*R_in]]`` (``k = 10000 - fee_bps``), and so is a composite of
-        them: the legs' matrices multiply to the same shape.  A lazy slot:
-        computed on the first read and kept in the slot, None included.
+        A run of constant-product legs is one map ``x -> a*x / (c*x + d)``:
+        each pool's matrix ``[[k*R_out, 0], [k, 10000*R_in]]`` (``k = 10000
+        - fee_bps``) multiplies the run's exactly, and the run keeps one
+        piece ``(inf, 0, a / c, 0.0, 1.0, d / c)``.  Any other leg keeps
+        its own pieces.  A lazy slot: computed on the first read.
         """
         fn = self.fn
         parts = fn.parts if isinstance(fn, SequentialComposite) else (fn,)
-        a, c, d = 1, 0, 1
-        for part in parts:
-            if not isinstance(part, ConstantProduct):
-                return None
-            k = BPS_DENOM - part.fee_bps
-            r_in = BPS_DENOM * part.reserve_in
-            # [[k*R_out, 0], [k, r_in]] . [[a, 0], [c, d]]
-            a, c, d = k * part.reserve_out * a, k * a + r_in * c, r_in * d
-        # int true division rounds correctly however large the coefficients
-        return a / c, d / c
+        tables = []
+        for run, legs in itertools.groupby(
+                parts, lambda part: isinstance(part, ConstantProduct)):
+            if run:
+                a, c, d = 1, 0, 1
+                for part in legs:
+                    k = BPS_DENOM - part.fee_bps
+                    r_in = BPS_DENOM * part.reserve_in
+                    # [[k*R_out, 0], [k, r_in]] . [[a, 0], [c, d]]
+                    a, c, d = (k * part.reserve_out * a, k * a + r_in * c,
+                               r_in * d)
+                # int true division rounds correctly however large a, c, d
+                tables.append(((math.inf, 0, a / c, 0.0, 1.0, d / c),))
+                continue
+            for part in legs:
+                pieces = part.pieces
+                his = [p.lo for p in pieces[1:]] + [math.inf]
+                tables.append(tuple(
+                    (hi, p.lo, float(p.a), float(p.b), float(p.c),
+                     float(p.d)) for hi, p in zip(his, pieces)))
+        return tuple(tables)
 
-    __getattr__ = lazy_slots(mobius=_mobius, ceiling=_ceiling)
+    __getattr__ = lazy_slots(closed=_closed, ceiling=_ceiling)
 
 
 def spot_order(e: Edge) -> Tuple[float, str]:

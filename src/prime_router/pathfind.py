@@ -60,13 +60,13 @@ order the scan and rule edges out unquoted:
 
 * ``spot * amount``, by concavity.
 * The edge's ceiling minus one, the most it can ever put out.
-* Its closed-form real output.  When the curve is one Möbius map through
-  the origin, ``x -> a*x / (c*x + d)`` (a constant-product pool, or a
-  shortcut whose legs all are: ``Edge.mobius``), that is the map.  Every
-  other curve, a piecewise pool or a mixed shortcut, folds its real output
-  over its legs' own pieces (``_folded_bound``).  At a whale amount the
-  closed form is far below ``spot * amount``, and below the ceiling of a
-  shallow pool or of a shortcut through one.
+* Its closed-form real output, ``_closed_out``: the real output folded
+  over the Möbius pieces of the curve's legs, compiled once per edge into
+  floats (``Edge.closed``).  A run of constant-product legs is one map
+  through the origin, ``x -> a*x / (c*x + d)``, and a piecewise leg has a
+  piece per segment.  At a whale amount the closed form is far below
+  ``spot * amount``, and below the ceiling of a shallow pool or of a
+  shortcut through one.
 
 The scan first walks the pair's edges in spot order.  The first edge whose
 concavity bound cannot beat the gate, or the floor (times the neighbour's
@@ -101,11 +101,12 @@ quoted, so among equal quotes the smaller pool id wins in any order.  The
 closed form bounds the quote because a floored chain of increasing curves
 never exceeds its real chain: each leg's floored output is at most its real
 output, at an input no larger than the real one, and the next leg rises.
-The fold reads a leg's own pieces, which are cheap; a composite's would
-first search its capacity.  The concavity bound and the closed form are
-floats, each raised by ``BOUND_SLACK``, far above the rounding of its few
-operations; the exact ``floor(spot * amount)`` would cost a big-integer
-division per edge the walk reaches.
+The fold reads each leg's own pieces; a composite's would first search
+its capacity.  The concavity bound and each leg of the fold are floats,
+each raised by ``BOUND_SLACK``, far above the rounding of its few
+operations and of the coefficients' conversion to floats; the exact
+``floor(spot * amount)`` would cost a big-integer division per edge the
+walk reaches.
 
 Neither the bound nor the order changes the output.  A state is dropped for
 one of two reasons, and neither depends on the order states pop in.  Either
@@ -129,8 +130,8 @@ of 1e-9, so rounding can never drop a state that reaches the result.
 The rows depend on neither masks nor ``tau``, and an exact quote is a pure
 function of the edge and its input, so the searches of one query (rising
 ``tau``, growing masks, same view and target) share one context: the rows
-are built once, by the first search, and every quote, every fold and every
-pair into the target is computed once, with capacity failures remembered as
+are built once, by the first search, and every quote and every pair into
+the target is computed once, with capacity failures remembered as
 failures.  A call given no context builds its own, so a lone search behaves
 as it always did.
 
@@ -149,7 +150,6 @@ from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .cfmm import SequentialComposite
 from .errors import CapacityExceededError
 from .graph import Edge
 
@@ -192,8 +192,8 @@ class SearchStats:
 
 
 class SearchContext:
-    """What the searches of one query share: the bound rows, exact quotes,
-    folded bounds and each token's pair into the target.
+    """What the searches of one query share: the bound rows, exact quotes
+    and each token's pair into the target.
 
     Bound to one ``(view, target, max_hops)``; ``find_path`` raises
     ValueError when handed a context bound to anything else.  The view's
@@ -201,8 +201,7 @@ class SearchContext:
     quotes are keyed on edge identity and the exact integer input.
     """
 
-    __slots__ = ("view", "target", "max_hops", "quotes", "folds", "into",
-                 "_rows")
+    __slots__ = ("view", "target", "max_hops", "quotes", "into", "_rows")
 
     def __init__(self, view, target: str, max_hops: int):
         self.view = view
@@ -210,9 +209,6 @@ class SearchContext:
         self.max_hops = max_hops
         # (id(edge), amount) -> exact output, or None when over capacity
         self.quotes: Dict[Tuple[int, int], Optional[int]] = {}
-        # (id(edge), amount) -> ``_folded_bound``, for the edges without a
-        # Möbius map
-        self.folds: Dict[Tuple[int, int], float] = {}
         # token -> its pair into the target, ``view.edges_between``
         self.into: Dict[str, Tuple[Edge, ...]] = {}
         self._rows: Optional[Tuple[List[Dict[str, float]],
@@ -319,8 +315,8 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
         raise ValueError("search context is bound to another view, target "
                          "or max_hops")
     rate, cap = context.rows
-    quotes, folds, into = context.quotes, context.folds, context.into
-    last_hop = _last_hop
+    quotes, into = context.quotes, context.into
+    last_hop, closed_out = _last_hop, _closed_out
     limit = len(rate)  # max_hops, capped at the view's token count
     # frontier[v][h] = best amount recorded at v with at most h hops
     frontier = {}
@@ -391,16 +387,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                     continue
                 if top < key:
                     key = top
-                mobius = e.mobius
-                if mobius is not None:
-                    scale, shift = mobius
-                    # the real output at cur, raised past float rounding
-                    real = scale * cur / (cur + shift) * BOUND_SLACK
-                else:
-                    qkey = (id(e), cur)
-                    real = folds.get(qkey)
-                    if real is None:
-                        real = folds[qkey] = _folded_bound(e.fn, cur)
+                real = closed_out(e.closed, cur)
                 if real < key:
                     if real < gate or real * v_rate * BOUND_SLACK <= lim:
                         stats.quotes_skipped += 1
@@ -419,7 +406,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             for key, closed, e in ranked:
                 if (key < out or key * v_rate * BOUND_SLACK <= lim
                         or (v_into is not None and
-                            last_hop(v_into, key, folds) * BOUND_SLACK
+                            last_hop(v_into, key) * BOUND_SLACK
                             <= lim)):
                     stats.quotes_skipped += closed_left
                     break
@@ -453,7 +440,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             # output (rate 1, cap infinite)
             bound = min(out * v_rate, ceilings[v])
             if v_into is not None:
-                bound = min(bound, last_hop(v_into, out, folds))
+                bound = min(bound, last_hop(v_into, out))
             if bound * BOUND_SLACK <= lim:
                 continue
             if v == target:
@@ -479,7 +466,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     return SinglePath(edges=edges, output=out, spot_rate=spot)
 
 
-def _last_hop(edges: Sequence[Edge], x: float, folds: Dict) -> float:
+def _last_hop(edges: Sequence[Edge], x: float) -> float:
     """An upper bound on the exact output of every edge of a pair, here a
     token's pair into the target, at input ``x``: the largest over the
     pair of ``min(spot * x, ceiling - 1, closed form at x)``, the three
@@ -487,10 +474,7 @@ def _last_hop(edges: Sequence[Edge], x: float, folds: Dict) -> float:
 
     The pair is in spot order, so the first edge whose concavity bound
     cannot beat the best so far ends the walk, as in the scan.  Every
-    closed form rises with ``x``, so the bound does.  ``folds`` memoizes
-    the folded bounds at an integer input, where the scan's fold of a
-    popped state's pair reads them again; a scan key, a float, recurs too
-    rarely to keep.
+    closed form rises with ``x``, so the bound does.
     """
     best = 0.0
     for e in edges:
@@ -502,17 +486,7 @@ def _last_hop(edges: Sequence[Edge], x: float, folds: Dict) -> float:
             continue
         if top < key:
             key = top
-        mobius = e.mobius
-        if mobius is not None:
-            scale, shift = mobius
-            real = scale * x / (x + shift) * BOUND_SLACK
-        elif type(x) is int:
-            qkey = (id(e), x)
-            real = folds.get(qkey)
-            if real is None:
-                real = folds[qkey] = _folded_bound(e.fn, x)
-        else:
-            real = _folded_bound(e.fn, x)
+        real = _closed_out(e.closed, x)
         if real < key:
             key = real
         if key > best:
@@ -520,24 +494,24 @@ def _last_hop(edges: Sequence[Edge], x: float, folds: Dict) -> float:
     return best
 
 
-def _folded_bound(fn, x: int) -> float:
-    """An upper bound on ``fn.swap_out(x)``: the real output folded over
-    the pieces of the curve's legs (a composite's parts, else the curve).
+def _closed_out(closed: tuple, x: float) -> float:
+    """An upper bound on the exact output of the curve that ``closed``
+    (``Edge.closed``) compiles, at input ``x``: the real output folded over
+    its legs' tables.
 
-    From ``u = x``, each leg sets ``u`` to the real value of its piece
-    holding ``u`` (past the last piece, the last piece), raised by
-    ``BOUND_SLACK``.  A leg's floored output is at most its real output,
-    and every real curve rises, so each ``u`` bounds the leg's exact
-    output.  A leg's own pieces are cheap; a composite's would bisect its
-    capacity.
+    From ``u = x``, each leg sets ``u`` to ``(a*t + b) / (c*t + d)`` on its
+    piece holding ``u`` (the first whose ``hi`` is above it, the last past
+    the end), ``t = u - lo``, raised by ``BOUND_SLACK``.  A leg's floored
+    output is at most its real output, and every real curve rises, so each
+    ``u`` bounds the leg's exact output.
     """
     u = x
-    for part in fn.parts if type(fn) is SequentialComposite else (fn,):
-        for p in part.pieces:
-            if p.width is None or u < p.lo + p.width:
+    for table in closed:
+        for hi, lo, a, b, c, d in table:
+            if u < hi:
                 break
-        t = u - p.lo
-        u = (p.a * t + p.b) / (p.c * t + p.d) * BOUND_SLACK
+        t = u - lo
+        u = (a * t + b) / (c * t + d) * BOUND_SLACK
     return u
 
 

@@ -1,5 +1,7 @@
+import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from prime_router.cfmm import (
 )
 from prime_router.errors import AmountOverflowError, CapacityExceededError
 from prime_router.graph import Edge, spot_order
-from prime_router.pathfind import _folded_bound, _last_hop
+from prime_router.pathfind import BOUND_SLACK, _closed_out, _last_hop
 
 
 def edge(fn):
@@ -370,19 +372,21 @@ def _random_cp(rng, spot_at_most_one=False):
     return ConstantProduct(r_in, r_out, rng.choice((0, 5, 30, 100)))
 
 
-def _random_piecewise(rng, spot_at_most_one=False, scale=10**24):
+def _random_piecewise(rng, spot_at_most_one=False, scale=10**24, fee=None):
     """1-4 concave segments: each next segment enters at a price between
     half and all of the previous one's exit price."""
-    fee = rng.choice((0, 5, 30, 100))
-    v_in = rng.randint(scale // 10**6, scale)
+    if fee is None:
+        fee = rng.choice((0, 5, 30, 100))
+    least = max(1, scale // 10**6)
+    v_in = rng.randint(least, scale)
     v_out = (rng.randint(v_in // 10, v_in) if spot_at_most_one
-             else rng.randint(scale // 10**6, scale))
+             else rng.randint(least, scale))
     segments = []
     for _ in range(rng.randint(1, 4)):
         cap = rng.randint(max(1, v_in // 100), 2 * v_in)
         segments.append(Segment(cap, v_in, v_out))
         spent = v_in * 10_000 + (10_000 - fee) * cap
-        nxt_in = rng.randint(scale // 10**6, scale)
+        nxt_in = rng.randint(least, scale)
         # the exit price is 10**8 * v_in * v_out / spent**2
         nxt_out = (10**8 * v_in * v_out * nxt_in // spent**2
                    * rng.randint(50, 100) // 100)
@@ -483,11 +487,27 @@ class TestOutputCeiling:
             == deep.swap_out(66) + 1 == 66
 
 
+def _cp_map(parts):
+    """``(a, c, d)`` of a constant-product chain's map ``x -> a*x / (c*x +
+    d)``: the product of each pool's matrix ``[[k*R_out, 0], [k,
+    10000*R_in]]``, ``k = 10000 - fee_bps``, first pool rightmost."""
+    a, c, d = 1, 0, 1
+    for p in parts:
+        k, r_in = 10_000 - p.fee_bps, 10_000 * p.reserve_in
+        a, c, d = k * p.reserve_out * a, k * a + r_in * c, r_in * d
+    return a, c, d
+
+
 class TestFoldedBound:
-    """The search's closed form for a curve without one Möbius map, its
-    real output folded over its legs' pieces, is at least the exact quote
-    at every input the curve takes, and past the input capacity at least
-    the quote at the capacity."""
+    """The search's closed form, the real output folded over the legs'
+    float tables (``_closed_out`` over ``Edge.closed``), is at least the
+    exact quote at every input the curve takes, and past the input capacity
+    at least the quote at the capacity: on random curves, at reserves up to
+    10**60, at the extreme fees, on and beside every piece boundary, and
+    through constant-product runs on both sides of a piecewise leg."""
+
+    SCALES = (10**3, 10**12, 10**30, 10**45, 10**60)
+    FEES = (0, 1, 30, 9999)
 
     @pytest.mark.parametrize("kind", ["piecewise", "composite", "binding"])
     def test_at_least_the_quote(self, kind):
@@ -497,11 +517,12 @@ class TestFoldedBound:
                  "binding": _binding_composite}[kind]
         for _ in range(150):
             fn = build(rng)
+            closed = edge(fn).closed
             cap = fn.input_capacity()
             top = cap if cap is not None else 10**30
             for x in [0, 1, top] + [rng.randint(1, top) for _ in range(10)]:
                 out = fn.swap_out(x)
-                bound = _folded_bound(fn, x)
+                bound = _closed_out(closed, x)
                 assert bound >= out
                 if kind == "piecewise":
                     # and it is tight: each piece floors once
@@ -512,8 +533,93 @@ class TestFoldedBound:
             for x in (cap + 1, 2 * cap, cap * 10**6):
                 with pytest.raises(CapacityExceededError):
                     fn.swap_out(x)
-                assert _folded_bound(fn, x) >= at_cap
+                assert _closed_out(closed, x) >= at_cap
 
+    def curve(self, rng, kind, scale, fee):
+        if kind == "piecewise":
+            return _random_piecewise(rng, scale=scale, fee=fee)
+        return ConstantProduct(rng.randint(max(1, scale // 10**3), scale),
+                               rng.randint(max(1, scale // 10**3), scale),
+                               fee)
+
+    def check(self, fn, rng):
+        """Checks the bound at 0, 1, each piece's ends and their
+        neighbours, and random inputs up to twice the capacity (2**200
+        without one); returns how many inputs it checked.  A composite's
+        pieces split wherever a leg's output crosses a later leg's piece
+        boundary, so its ends are every leg's."""
+        closed = edge(fn).closed
+        cap = fn.input_capacity()
+        top = 2 * cap if cap is not None else 2**200
+        ends = [p.lo for p in fn.pieces] + [p.hi for p in fn.pieces
+                                            if p.hi is not None]
+        xs = {0, 1} | {e + s for e in ends for s in (-1, 0, 1)}
+        xs |= {rng.randint(1, top) for _ in range(8)}
+        xs = [x for x in xs if 0 <= x <= top]
+        for x in xs:
+            quote = fn.swap_out(x if cap is None else min(x, cap))
+            assert _closed_out(closed, x) >= quote, (fn, x)
+        return len(xs)
+
+    @pytest.mark.parametrize("kind", ["constant_product", "piecewise"])
+    def test_at_least_the_quote_of_a_pool_at_any_scale(self, kind):
+        rng = random.Random(f"closed-{kind}")
+        checks = 0
+        for scale in self.SCALES:
+            for fee in self.FEES:
+                for _ in range(6):
+                    checks += self.check(self.curve(rng, kind, scale, fee),
+                                         rng)
+        assert checks > 500
+
+    @pytest.mark.parametrize("shape", [("cp", "pw", "cp"),
+                                       ("cp", "cp", "pw", "cp", "cp"),
+                                       ("pw", "cp", "pw")])
+    def test_at_least_the_quote_of_a_composite_at_any_scale(self, shape):
+        rng = random.Random(f"closed-{'-'.join(shape)}")
+        checks = 0
+        for scale in self.SCALES[1:]:
+            for fee in self.FEES:
+                fn = SequentialComposite(tuple(
+                    self.curve(rng, "piecewise" if leg == "pw"
+                               else "constant_product", scale, fee)
+                    for leg in shape))
+                # each run of constant-product legs is one table
+                assert len(edge(fn).closed) == 3
+                checks += self.check(fn, rng)
+        assert checks > 100
+
+    def test_constant_product_chain_is_one_exact_map(self):
+        rng = random.Random(0xC105)
+        for legs in (1, 2, 3):
+            for scale in self.SCALES:
+                for fee in self.FEES:
+                    parts = tuple(self.curve(rng, "constant_product", scale,
+                                             fee) for _ in range(legs))
+                    fn = parts[0] if legs == 1 else SequentialComposite(parts)
+                    a, c, d = _cp_map(parts)
+                    closed = edge(fn).closed
+                    assert closed == (((math.inf, 0, a / c, 0.0, 1.0,
+                                        d / c),),)
+                    x = rng.randint(1, 10 * scale)
+                    # the map is the chain's real output
+                    real = Fraction(x)
+                    for p in parts:
+                        k = 10_000 - p.fee_bps
+                        real = (k * real * p.reserve_out
+                                / (10_000 * p.reserve_in + k * real))
+                    assert Fraction(a * x, c * x + d) == real
+                    # and the bound is the one-map formula, bit for bit
+                    assert _closed_out(closed, x) \
+                        == a / c * x / (x + d / c) * BOUND_SLACK
+        # a run inside a composite keeps the same one piece
+        cp1, cp2, cp3 = (ConstantProduct(10**20, 3 * 10**20, 30)
+                         for _ in range(3))
+        pw = make_piecewise()
+        closed = edge(SequentialComposite((cp1, cp2, pw, cp3))).closed
+        assert closed[0] == edge(SequentialComposite((cp1, cp2))).closed[0]
+        assert closed[1] == edge(pw).closed[0]
+        assert closed[2] == edge(cp3).closed[0]
 
 
 class TestLastHop:
@@ -538,10 +644,9 @@ class TestLastHop:
             for cap in caps:
                 top = cap if cap is not None else 10**30
                 xs += [top, rng.randint(1, top), rng.uniform(1, top)]
-            folds = {}
             bounds = []
             for x in sorted(xs):
-                bound = _last_hop(pair, x, folds)
+                bound = _last_hop(pair, x)
                 # a float input stands for any quote's input up to it
                 whole = int(x)
                 for e, cap in zip(pair, caps):

@@ -447,7 +447,7 @@ class TestSlottedValues:
                  for e in es] + list(prepared.shortcut_index)
         assert prepared.shortcut_index
         for e in edges:
-            assert not _slot_filled(e, "mobius")
+            assert not _slot_filled(e, "closed")
             assert not _slot_filled(e, "ceiling")
             assert not _slot_filled(e.fn, "pieces")
             for part in getattr(e.fn, "parts", ()):
@@ -463,13 +463,17 @@ class TestSlottedValues:
             first = fn.pieces
             assert _slot_filled(fn, "pieces")
             assert fn.pieces is first
-        e = Edge("P", "A", "B", cp)
-        assert e.mobius is e.mobius
-        # a None derivation stays cached too
-        none = Edge("P", "A", "B", pw)
-        assert not _slot_filled(none, "mobius")
-        assert none.mobius is None
-        assert _slot_filled(none, "mobius")
+        for fn in (cp, pw, SequentialComposite((cp, pw))):
+            e = Edge("P", "A", "B", fn)
+            assert not _slot_filled(e, "closed")
+            assert e.closed is e.closed
+            assert _slot_filled(e, "closed")
+        # a None derivation stays cached too: constant-product legs have
+        # no capacity
+        none = SequentialComposite((cp, cp))
+        assert not _slot_filled(none, "_capacity")
+        assert none.input_capacity() is None
+        assert _slot_filled(none, "_capacity")
         # a shortcut's ceiling folds its legs once: cp's output overruns
         # pw's capacity, so pw's own ceiling bounds the chain
         shortcut = Edge("P", "A", "B", SequentialComposite((cp, pw)))
@@ -521,8 +525,8 @@ class TestSlottedValues:
 
     def test_class_patch_reaches_filled_slots(self):
         e = Edge("P", "A", "B", ConstantProduct(10**9, 10**9, 30))
-        scale_shift = e.mobius
-        with mock.patch.object(Edge, "mobius", None):
-            assert e.mobius is None
-            assert Edge("P", "A", "B", e.fn).mobius is None
-        assert e.mobius is scale_shift
+        closed = e.closed
+        with mock.patch.object(Edge, "closed", None):
+            assert e.closed is None
+            assert Edge("P", "A", "B", e.fn).closed is None
+        assert e.closed is closed

@@ -39,6 +39,7 @@ from prime_router.pathfind import (
     BOUND_SLACK,
     SearchContext,
     SearchStats,
+    _closed_out,
     _rate_table,
     find_path,
     simulate_chain,
@@ -236,13 +237,6 @@ class TestFindPath:
         assert res.edges[0].pool_id == "P0"
 
 
-def _closed_form(e, x):
-    """The scan's closed-form test value: ``e``'s real output at ``x``,
-    raised by the slack, as ``find_path`` computes it."""
-    scale, shift = e.mobius
-    return scale * x / (x + shift) * BOUND_SLACK
-
-
 def _random_cp(rng):
     return ConstantProduct(10**rng.randint(3, 40) + rng.randrange(10**3),
                            10**rng.randint(3, 40) + rng.randrange(10**3),
@@ -285,19 +279,25 @@ class TestClosedFormBound:
             for x in (1, rng.randint(1, 10**6), rng.randint(1, depth),
                       rng.randint(depth, depth * 10**6)):
                 out = fn.swap_out(x)
-                real = _closed_form(e, x)
+                real = _closed_out(e.closed, x)
                 assert real >= out
                 if legs == 1:
                     # and it is tight: a single pool floors once
                     assert real <= (out + 1) * (1 + 3e-9)
 
-    def test_other_curves_have_no_closed_form(self):
+    def test_closed_is_a_piece_per_chain_else_per_segment(self):
+        # a constant-product chain's closed form is its one Möbius map;
+        # any other curve's is a table per leg, a piece per segment
         cp = ConstantProduct(10**9, 10**9, 30)
-        pw = PiecewiseLiquidity((Segment(50, 100, 100),), 0)
-        assert Edge("P", "A", "B", cp).mobius is not None
-        assert Edge("P", "A", "B", pw).mobius is None
-        assert Edge("P", "A", "B", SequentialComposite((cp, pw))).mobius \
-            is None
+        pw = PiecewiseLiquidity((Segment(50, 100, 100),
+                                 Segment(150, 150, 66)), 0)
+        for fn in (cp, SequentialComposite((cp, cp))):
+            (table,) = Edge("P", "A", "B", fn).closed
+            assert len(table) == 1 and table[0][:2] == (math.inf, 0)
+        (table,) = Edge("P", "A", "B", pw).closed
+        assert [piece[:2] for piece in table] == [(50, 0), (math.inf, 50)]
+        closed = Edge("P", "A", "B", SequentialComposite((cp, pw))).closed
+        assert closed == (Edge("P", "A", "B", cp).closed[0], table)
 
     def test_whale_pair_skips_quotes_not_results(self):
         for seed in range(5):
@@ -312,9 +312,8 @@ class TestClosedFormBound:
             # with no closed form on any curve
             plain = SearchStats()
             g, x = _whale_pair(random.Random(seed))
-            with mock.patch.object(Edge, "mobius", None), \
-                    mock.patch("prime_router.pathfind._folded_bound",
-                               lambda fn, x: math.inf):
+            with mock.patch("prime_router.pathfind._closed_out",
+                            lambda closed, x: math.inf):
                 again = find_path(g, "T0", "T1", x, 0.0, 3, stats=plain)
             assert again.edges == res.edges and again.output == res.output
             assert (plain.pushes, plain.pops, plain.quotes_skipped) \
@@ -421,7 +420,7 @@ class TestExactCeiling:
             assert res.output == best
             # the ceilings before they were exact: a piecewise pool's sum of
             # out-reserves and a shortcut's last leg's, patched in before
-            # any edge's ceiling is read, with the folded bound switched off
+            # any edge's ceiling is read, with the closed form switched off
             # so that the ceiling alone is tested
             g, x, _ = _shortcut_pair(random.Random(seed))
             old = SearchStats()
@@ -429,8 +428,8 @@ class TestExactCeiling:
                                    reserve_sum), \
                     mock.patch.object(SequentialComposite, "output_ceiling",
                                       last_legs), \
-                    mock.patch("prime_router.pathfind._folded_bound",
-                               lambda fn, x: math.inf):
+                    mock.patch("prime_router.pathfind._closed_out",
+                               lambda closed, x: math.inf):
                 again = find_path(g, "T0", "T1", x, 0.0, 3, stats=old)
             assert again.edges == res.edges and again.output == res.output
             assert old.swap_evals > stats.swap_evals
