@@ -169,7 +169,9 @@ def cmd_bench(args) -> int:
                 continue
             sol, elapsed = result
             base = baseline.get(amount)
-            bp = (1e4 * (sol.total_output - base) / base) if base else 0.0
+            # no osp result at this amount: no baseline to read against
+            bp = (f"{1e4 * (sol.total_output - base) / base:.2f}" if base
+                  else "")
             rows.append({
                 "snapshot": snap_path,
                 "source": args.source,
@@ -178,7 +180,7 @@ def cmd_bench(args) -> int:
                 "algorithm": algo,
                 "repetition": rep,
                 "output": str(sol.total_output),
-                "bp_vs_baseline": f"{bp:.2f}",
+                "bp_vs_baseline": bp,
                 "wall_time_ms": f"{elapsed:.3f}",
                 **{name: getattr(sol.stats, name) for name in _STAT_COLUMNS},
             })

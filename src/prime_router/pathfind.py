@@ -56,42 +56,41 @@ entry at that token for one more hop, or the best arrival when the neighbour
 is the target).  An edge is chosen only when its exact output beats the
 running best, ties going to the smaller pool id, so a chosen edge always
 clears the gate.  Three upper bounds on an edge's exact output, its quote,
-order the scan and rule edges out unquoted:
+rule edges out unquoted, each with one job:
 
-* ``spot * amount``, by concavity.
-* The edge's ceiling minus one, the most it can ever put out.
+* ``spot * amount``, by concavity, ends the walk.  The pair's edges are in
+  spot order, so once an edge's concavity bound cannot beat the gate, or
+  the floor (times the neighbour's rate), no later edge's can.
+* The edge's ceiling minus one, the most it can ever put out, skips an
+  edge that cannot beat them at any input: at a whale amount, the shallow
+  pools and the shortcuts through one, before their closed form is read.
 * Its closed-form real output, ``_closed_out``: the real output folded
   over the Möbius pieces of the curve's legs, compiled once per edge into
   floats (``Edge.closed``).  A run of constant-product legs is one map
   through the origin, ``x -> a*x / (c*x + d)``, and a piecewise leg has a
-  piece per segment.  At a whale amount the closed form is far below
-  ``spot * amount``, and below the ceiling of a shallow pool or of a
-  shortcut through one.
+  piece per segment.  It is the edge's key: it skips an edge that cannot
+  beat them, ranks the rest and stops the quotes.  At a whale amount it is
+  far below ``spot * amount``.
 
-The scan first walks the pair's edges in spot order.  The first edge whose
-concavity bound cannot beat the gate, or the floor (times the neighbour's
-rate), ends the walk, since every later edge's is smaller; an edge whose
-ceiling or closed form cannot is skipped.  Each other edge is keyed by the
-least of its three bounds.  The scan then quotes the keyed edges largest key
-first and stops at the first key below the running best, or whose product
-with the neighbour's rate cannot beat the floor: no later edge can win
-then.  So at a whale amount a pair's deep pool, wherever it sits in spot
-order, is quoted first, and its quote leaves the shallow pools and the
-shortcuts through one unquoted.  The pool-mask tests, which cost a shortcut
-two ``any`` scans, run only on an edge about to be quoted.
-``quotes_skipped`` counts the edges a closed form ruled out: those the
-walk skips for it and those left at the stop whose key was one.
+The scan quotes the keyed edges largest key first and stops at the first
+key below the running best, or whose product with the neighbour's rate
+cannot beat the floor: no later edge can win then.  So at a whale amount a
+pair's deep pool, wherever it sits in spot order, is quoted first, and its
+quote leaves the shallow pools and the shortcuts through one unquoted.  The
+pool-mask test, an ``any`` scan over the edge's pools and one over its
+inner tokens (none for a pool), runs only on an edge about to be quoted.
+``quotes_skipped`` counts the edges a closed form ruled out: those the walk
+skips for it and those left at the stop.
 
 A state one hop from the target can only finish on its pair into the
 target, and at a whale amount that pair puts out far less than its spot
-rate says.  ``_last_hop(pair, x)`` is the largest over the pair of the
-scan's three bounds at input ``x``: at least every edge's exact quote there
-(each of the three is one), for every curve, since it reuses the closed
-forms the scan already trusts, and rising with ``x``.  It caps the bound of
-such a successor, and the scan that picks the successor stops at the first
-key whose ``_last_hop`` cannot beat the floor: a later quote is no larger
-than that key, so its successor's bound could not beat it either.  Each
-token's pair into the target is read once per context (``into``).
+rate says.  ``_last_hop(pair, x)`` is the largest closed form over the pair
+at input ``x``, walked in spot order while an edge's concavity bound can
+still beat it: at least every edge's exact quote there, for every curve,
+and rising with ``x``.  It caps the bound of such a successor, and the scan
+that picks the successor stops at the first key whose ``_last_hop`` cannot
+beat the floor: a later quote is no larger than that key, so its
+successor's bound could not beat it either.
 
 None of the three bounds changes a result.  An edge left unquoted has an
 exact quote below the running best, which the scan could not choose, or one
@@ -130,9 +129,8 @@ of 1e-9, so rounding can never drop a state that reaches the result.
 The rows depend on neither masks nor ``tau``, and an exact quote is a pure
 function of the edge and its input, so the searches of one query (rising
 ``tau``, growing masks, same view and target) share one context: the rows
-are built once, by the first search, and every quote and every pair into
-the target is computed once, with capacity failures remembered as
-failures.  A call given no context builds its own, so a lone search behaves
+are built once, by the first search, and every quote is computed once,
+with capacity failures remembered as failures.  A call given no context builds its own, so a lone search behaves
 as it always did.
 
 Paths are vertex-simple and pool-distinct.  The traversal never expands the
@@ -192,8 +190,8 @@ class SearchStats:
 
 
 class SearchContext:
-    """What the searches of one query share: the bound rows, exact quotes
-    and each token's pair into the target.
+    """What the searches of one query share: the bound rows and the exact
+    quotes.
 
     Bound to one ``(view, target, max_hops)``; ``find_path`` raises
     ValueError when handed a context bound to anything else.  The view's
@@ -201,7 +199,7 @@ class SearchContext:
     quotes are keyed on edge identity and the exact integer input.
     """
 
-    __slots__ = ("view", "target", "max_hops", "quotes", "into", "_rows")
+    __slots__ = ("view", "target", "max_hops", "quotes", "_rows")
 
     def __init__(self, view, target: str, max_hops: int):
         self.view = view
@@ -209,8 +207,6 @@ class SearchContext:
         self.max_hops = max_hops
         # (id(edge), amount) -> exact output, or None when over capacity
         self.quotes: Dict[Tuple[int, int], Optional[int]] = {}
-        # token -> its pair into the target, ``view.edges_between``
-        self.into: Dict[str, Tuple[Edge, ...]] = {}
         self._rows: Optional[Tuple[List[Dict[str, float]],
                                    List[Dict[str, float]]]] = None
 
@@ -282,11 +278,12 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     ``max(best arrival, tau * amount)``.  Each expansion scans its pair
     into the target first; a state one hop from the target is bounded by
     that pair's closed forms (``_last_hop``).  A pair's parallel edges are
-    quoted largest upper bound first (the least of ``spot * amount``, the
-    most the edge can ever put out and its closed-form real output), and
-    only while that bound can beat the pair's running best and that floor;
-    the bounds never change the result (see the module docstring), and
-    ``stats.quotes_skipped`` counts the edges a closed form ruled out.
+    walked in spot order until ``spot * amount`` cannot beat the gate,
+    skipped when the most they can ever put out cannot, and quoted largest
+    closed-form real output first, only while that closed form can beat the
+    pair's running best and that floor; the bounds never change the result
+    (see the module docstring), and ``stats.quotes_skipped`` counts the
+    edges a closed form ruled out.
     Amounts compare as exact integers; among equal outputs the first target
     arrival pushed wins, and among a pair's parallel edges the smaller pool
     id.  ``context`` carries the bound rows and the quotes across the
@@ -315,7 +312,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
         raise ValueError("search context is bound to another view, target "
                          "or max_hops")
     rate, cap = context.rows
-    quotes, into = context.quotes, context.into
+    quotes = context.quotes
     last_hop, closed_out = _last_hop, _closed_out
     limit = len(rate)  # max_hops, capped at the view's token count
     # frontier[v][h] = best amount recorded at v with at most h hops
@@ -345,12 +342,10 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
         # state past the limit is pushed
         left = limit - hops - 1
         reach, ceilings = rate[left], cap[left]
-        head = into.get(token)
-        if head is None:
-            head = into[token] = view.edges_between(token, target)
         # the target pair first (marked None, which no row reaches), so that
         # an arrival raises lim before any sibling is quoted; with no hop
         # left it is the only pair
+        head = view.edges_between(token, target)
         head = ((None, head),) if head else ()
         row = view.out_items(token) if left else ()
         for v, candidates in itertools.chain(head, row):
@@ -366,58 +361,41 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             else:
                 levels = frontier.get(v)
                 gate = levels[hops + 1] if levels is not None else 0
-                v_into = None
-                if left == 1:
-                    # v can only finish on its pair into the target
-                    v_into = into.get(v)
-                    if v_into is None:
-                        v_into = into[v] = view.edges_between(v, target)
-            # every edge that can still win, keyed by the least upper bound
-            # on its quote (see the module docstring)
+                # v can only finish on its pair into the target
+                v_into = view.edges_between(v, target) if left == 1 else None
+            # every edge that can still win, keyed by its closed form (see
+            # the module docstring)
             ranked = []
-            closed_left = 0
             for e in candidates:
                 # concavity: the quote is at most spot * cur, raised past
-                # float rounding
-                key = cur * e.spot * BOUND_SLACK
-                if key < gate or key * v_rate * BOUND_SLACK <= lim:
+                # float rounding, and no later edge's bound is larger
+                spot_out = cur * e.spot * BOUND_SLACK
+                if spot_out < gate or spot_out * v_rate * BOUND_SLACK <= lim:
                     break
                 top = e.ceiling - 1
                 if top < gate or top * v_rate * BOUND_SLACK <= lim:
                     continue
-                if top < key:
-                    key = top
                 real = closed_out(e.closed, cur)
-                if real < key:
-                    if real < gate or real * v_rate * BOUND_SLACK <= lim:
-                        stats.quotes_skipped += 1
-                        continue
-                    ranked.append((real, 1, e))
-                    closed_left += 1
-                else:
-                    ranked.append((key, 0, e))
+                if real < gate or real * v_rate * BOUND_SLACK <= lim:
+                    stats.quotes_skipped += 1
+                    continue
+                ranked.append((real, e))
             if not ranked:
                 continue
-            if len(ranked) > 1:
-                ranked.sort(key=_first, reverse=True)
+            ranked.sort(key=_first, reverse=True)
             # quote best key first, from a running best seeded at the gate; a
             # quote already in ``quotes`` is not evaluated again
             edge, out = None, gate
-            for key, closed, e in ranked:
+            for i, (key, e) in enumerate(ranked):
                 if (key < out or key * v_rate * BOUND_SLACK <= lim
                         or (v_into is not None and
                             last_hop(v_into, key) * BOUND_SLACK
                             <= lim)):
-                    stats.quotes_skipped += closed_left
+                    stats.quotes_skipped += len(ranked) - i
                     break
-                closed_left -= closed
-                if e.legs:
-                    if (any(p in masked_pools or p in pools
-                            for p in e.pool_ids)
-                            or any(leg.token_in in visited
-                                   for leg in e.legs[1:])):
-                        continue
-                elif e.pool_id in masked_pools or e.pool_id in pools:
+                if (any(p in masked_pools or p in pools for p in e.pool_ids)
+                        or any(leg.token_in in visited
+                               for leg in e.legs[1:])):
                     continue
                 qkey = (id(e), cur)
                 quote = quotes.get(qkey, _UNQUOTED)
@@ -468,29 +446,21 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
 
 def _last_hop(edges: Sequence[Edge], x: float) -> float:
     """An upper bound on the exact output of every edge of a pair, here a
-    token's pair into the target, at input ``x``: the largest over the
-    pair of ``min(spot * x, ceiling - 1, closed form at x)``, the three
-    bounds of the scan, floats raised by ``BOUND_SLACK``.
+    token's pair into the target, at input ``x``: the largest closed form
+    over the pair, the scan's key, a float raised by ``BOUND_SLACK``.
 
-    The pair is in spot order, so the first edge whose concavity bound
-    cannot beat the best so far ends the walk, as in the scan.  Every
-    closed form rises with ``x``, so the bound does.
+    The pair is in spot order, and every quote is at most its concavity
+    bound ``spot * x``, so the first edge whose concavity bound cannot beat
+    the best so far ends the walk, as in the scan.  Every closed form rises
+    with ``x``, so the bound does.
     """
     best = 0.0
     for e in edges:
-        key = x * e.spot * BOUND_SLACK
-        if key <= best:
+        if x * e.spot * BOUND_SLACK <= best:
             break
-        top = e.ceiling - 1
-        if top <= best:
-            continue
-        if top < key:
-            key = top
         real = _closed_out(e.closed, x)
-        if real < key:
-            key = real
-        if key > best:
-            best = key
+        if real > best:
+            best = real
     return best
 
 

@@ -654,6 +654,37 @@ class TestWaterFill:
             assert got == path_output(path, hw, x)
             assert got >= want
 
+    @pytest.mark.parametrize("amount", [0.0, -1.0])
+    def test_no_split_of_a_non_positive_amount(self, amount):
+        hop = two_pool_hop(10**9, 4 * 10**9).hops[0]
+        assert water_fill([e.fn for e in hop], amount) is None
+
+    def test_no_split_past_the_curves_capacity(self):
+        fns = [PiecewiseLiquidity((Segment(cap, 10**8, 10**8),), 0)
+               for cap in (10**6, 2 * 10**6)]
+        assert water_fill(fns, 5e6) is None
+        # at exactly their total capacity both curves fill up
+        assert water_fill(fns, 3e6) == [1e6, 2e6]
+
+    def test_kept_weights_when_the_split_overruns_a_later_hop(self):
+        # the equal split puts out more than the last pool can take, so
+        # the path keeps the weights it was given
+        x = 10**6
+        first = (Edge("P0", "S", "M", ConstantProduct(10**7, 10**7, 0)),
+                 Edge("P1", "S", "M", ConstantProduct(10**7, 10**7, 0)))
+        skewed = path_output(MultiEdgePath((first,)), [[0.9, 0.1]], x)
+        even = path_output(MultiEdgePath((first,)), [[0.5, 0.5]], x)
+        assert skewed < even
+        seg = Segment((skewed + even) // 2, 10**8, 10**8)
+        last = Edge("PW", "M", "T", PiecewiseLiquidity((seg,), 0))
+        path = MultiEdgePath((first, (last,)))
+        with pytest.raises(CapacityExceededError):
+            path_output(path, [[0.5, 0.5], [1.0]], x)
+        hw = [[0.9, 0.1], [1.0]]
+        out = path_output(path, hw, x)
+        assert optimize_path_edges(path, hw, x) == out
+        assert hw == [[0.9, 0.1], [1.0]]
+
     def test_dust_amount_against_deep_pools(self):
         # an amount 15 orders below the pools' depth still lands on the best
         # entry price instead of cancelling away against the pools' shift

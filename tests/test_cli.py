@@ -35,6 +35,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def lonely_snapshot(tmp_path):
+    """A synthetic market plus a token no pool touches: the path of its
+    snapshot, a pooled token and the lonely token."""
+    from prime_router.graph import Token
+    from prime_router.io import Snapshot
+    snap = generate_synthetic(5, 6, 6, 0.3, 3)
+    lonely = Token("0x" + "ab" * 20, "LONELY", 18)
+    snap = Snapshot(snap.version, snap.block_ref,
+                    snap.tokens + (lonely,), snap.pools)
+    path = tmp_path / "s.json"
+    save_snapshot(snap, path)
+    return str(path), snap.tokens[0].id, lonely.id
+
+
 class TestRoute:
     def test_happy_path_prints_solution_json(self, snapshot_path, capsys):
         path, source, target = snapshot_path
@@ -108,18 +122,10 @@ class TestRoute:
         assert err.startswith("error: pools[0]: field 'fee_bps' has wrong type")
 
     def test_disconnected_exits_two(self, tmp_path, capsys):
-        snap = generate_synthetic(5, 6, 6, 0.3, 3)
-        # add an isolated token by rebuilding with an extra token, no pools
-        from prime_router.graph import Token
-        from prime_router.io import Snapshot
-        lonely = Token("0x" + "ab" * 20, "LONELY", 18)
-        snap = Snapshot(snap.version, snap.block_ref,
-                        snap.tokens + (lonely,), snap.pools)
-        path = tmp_path / "s.json"
-        save_snapshot(snap, path)
-        code, out, err = run_cli(capsys, "route", "--snapshot", str(path),
-                                 "--from", snap.tokens[0].id,
-                                 "--to", lonely.id, "--amount", "100")
+        path, source, lonely = lonely_snapshot(tmp_path)
+        code, out, err = run_cli(capsys, "route", "--snapshot", path,
+                                 "--from", source, "--to", lonely,
+                                 "--amount", "100")
         assert code == 2
         assert "no route" in err
 
@@ -308,6 +314,67 @@ class TestBench:
                 assert float(row["bp_vs_baseline"]) >= 0.0
             if row["algorithm"] == "osp":
                 assert float(row["bp_vs_baseline"]) == 0.0
+
+    def test_baseline_cell_reads_against_osp(self, snapshot_path, tmp_path,
+                                             capsys):
+        path, source, target = snapshot_path
+        out_csv = tmp_path / "bench.csv"
+        code, _, _ = run_cli(capsys, "bench", "--snapshot", path,
+                             "--from", source, "--to", target,
+                             "--amounts", "1000000", "--algos", "prime,osp",
+                             "--out", str(out_csv))
+        assert code == 0
+        rows = {r["algorithm"]: r for r in csv.DictReader(open(out_csv))}
+        prime_out = int(rows["prime"]["output"])
+        osp_out = int(rows["osp"]["output"])
+        assert rows["prime"]["bp_vs_baseline"] == \
+            f"{1e4 * (prime_out - osp_out) / osp_out:.2f}"
+        assert rows["osp"]["bp_vs_baseline"] == "0.00"
+
+    def test_baseline_cell_empty_without_osp(self, snapshot_path, tmp_path,
+                                             capsys):
+        path, source, target = snapshot_path
+        out_csv = tmp_path / "bench.csv"
+        code, _, _ = run_cli(capsys, "bench", "--snapshot", path,
+                             "--from", source, "--to", target,
+                             "--amounts", "1000,1000000", "--algos", "prime",
+                             "--out", str(out_csv))
+        assert code == 0
+        rows = list(csv.DictReader(open(out_csv)))
+        assert len(rows) == 2
+        # no osp result: the cell must not read as parity with it
+        assert [r["bp_vs_baseline"] for r in rows] == ["", ""]
+
+    def test_case_with_no_route_left_out(self, tmp_path, capsys):
+        path, source, lonely = lonely_snapshot(tmp_path)
+        out_csv = tmp_path / "bench.csv"
+        code, out, err = run_cli(capsys, "bench", "--snapshot", path,
+                                 "--from", source, "--to", lonely,
+                                 "--amounts", "100,1000",
+                                 "--algos", "prime,osp",
+                                 "--out", str(out_csv))
+        assert (code, out, err) == (0, "", "")
+        with open(out_csv, newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert list(reader) == []
+            assert reader.fieldnames == (cli_mod._BENCH_COLUMNS
+                                         + cli_mod._STAT_COLUMNS)
+
+    def test_without_out_writes_csv_to_stdout(self, snapshot_path, tmp_path,
+                                              capsys):
+        path, source, target = snapshot_path
+        argv = ["bench", "--snapshot", path, "--from", source, "--to",
+                target, "--amounts", "1000,1000000", "--algos", "prime,osp"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        out_csv = tmp_path / "bench.csv"
+        assert run_cli(capsys, *argv, "--out", str(out_csv))[0] == 0
+        printed = list(csv.DictReader(io_mod.StringIO(out)))
+        written = list(csv.DictReader(open(out_csv)))
+        assert len(printed) == 4
+        for row in printed + written:
+            del row["wall_time_ms"]
+        assert printed == written
 
     def test_report_outcome_flags(self, snapshot_path, tmp_path, capsys):
         path, source, target = snapshot_path

@@ -415,6 +415,19 @@ class TestMergeAndExpand:
         assert {e.pool_id for e in paths[0].hops[0]} == {"P1", "P2"}
         assert {e.pool_id for e in paths[0].hops[1]} == {"P3", "P4"}
 
+    def test_zero_stage1_weights_split_evenly(self):
+        toks = tokens(4)
+        pools = [cp_pool("P1", "T0", "T2", 10**9, 10**9),
+                 cp_pool("P2", "T0", "T2", 10**9, 10**9),
+                 cp_pool("P3", "T2", "T1", 10**9, 10**9),
+                 cp_pool("P4", "T2", "T1", 10**9, 10**9)]
+        g = build_graph(toks, pools)
+        singles, used = self._paths(g, "T0", "T1", 10**6, 2)
+        paths, init_w = merge_and_expand(singles, [0.0, 0.0], g, EMPTY_CORE,
+                                         used)
+        assert len(paths) == 1
+        assert init_w == [[[0.5, 0.5], [0.5, 0.5]]]
+
     def test_expansion_appends_unused_pool_at_zero_weight(self):
         toks = tokens(2)
         pools = [cp_pool("A", "T0", "T1", 10**9, 10**9),

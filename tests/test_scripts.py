@@ -286,3 +286,54 @@ def test_ab_time_alternates_and_keeps_minima():
     assert outputs == [8, 7]
     assert ab_time.quartiles([2.0]) == (2.0, 2.0, 2.0)
     assert ab_time.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+
+
+SPLIT_PACKAGE = {
+    "__init__.py": (
+        '"""Package doc,\n'
+        'over two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # a trailing comment is code\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """One line."""\n'
+        '    s = """not a\n'
+        'docstring"""\n'
+        "    # an indented comment\n"
+        "\n"
+        "    return x\n"),
+    # no newline at the end: the last line still counts
+    "sub/mod.py": "x = 1\n# end",
+    "sub/notes.txt": "not python\n",
+}
+
+
+def test_src_lines_splits_a_package(tmp_path, monkeypatch, capsys):
+    src_lines = load_script("src_lines")
+    for name, text in SPLIT_PACKAGE.items():
+        path = tmp_path / "pkg" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert src_lines.file_split(SPLIT_PACKAGE["__init__.py"].encode()) == {
+        "code": 5, "docstring": 3, "comment": 2, "blank": 4}
+    counts = src_lines.split(str(tmp_path))
+    assert counts == {"code": 6, "docstring": 3, "comment": 3, "blank": 4}
+    # the parts sum to perfbench's count of the same tree
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent))
+    from perfbench import run
+    monkeypatch.setattr(run, "SRC", str(tmp_path))
+    assert run.src_line_count() == sum(counts.values()) == 16
+    assert src_lines.main([str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(" lines: 16 (code 6, docstring 3, comment 3, "
+                        "blank 4)\n")
+    assert src_lines.main([str(tmp_path / "missing")]) == 2
+
+
+def test_src_lines_sums_to_the_src_count(monkeypatch):
+    src_lines = load_script("src_lines")
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent))
+    from perfbench import run
+    assert sum(src_lines.split(run.SRC).values()) == run.src_line_count()
