@@ -16,7 +16,9 @@ amount among them, run later, in ``build_graph``; only an amount too long for
 It is one pass: an entry's fields are read at once and pass one combined
 test, and only an entry that fails it is walked again, field by field, to
 name the first bad field.  ``load_snapshot`` frees the file's text before
-it builds the entries, so the two are never held at once.
+it builds the entries, so the two are never held at once, and it decodes
+the text from a read-only mapping of the file, so the file's bytes and its
+text are never both on the heap.
 
 One string per token id: a pool's tokens and a piecewise direction's ends
 reference the admitted ``Token.id``, not the JSON's fresh copy of it (the
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import random
 from dataclasses import asdict, dataclass
 from operator import itemgetter
@@ -339,10 +342,22 @@ def save_snapshot(s: Snapshot, path) -> None:
         fh.writelines(_snapshot_chunks(s))
 
 
+def _read_text(path) -> str:
+    """The file's UTF-8 text, decoded straight from a read-only mapping of
+    it, so the heap holds one copy of the text, never its bytes as well.
+    An empty file or a pipe, which cannot be mapped, is read."""
+    with open(path, "rb") as fh:
+        try:
+            view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):
+            return fh.read().decode("utf-8")
+        with view:
+            return str(view, "utf-8")
+
+
 @gc_paused
 def load_snapshot(path) -> Snapshot:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = _decode(fh.read())
+    data = _decode(_read_text(path))
     # the file's text is freed before the entries are built
     return snapshot_from_dict(data)
 

@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from prime_router import io as io_mod
 from prime_router.errors import (
     AmountOverflowError,
     InvalidParamsError,
@@ -124,6 +126,49 @@ class TestStreamedWriter:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 10
+
+
+class TestLoadReadsTheFile:
+    def test_load_holds_one_copy_of_the_text(self, tmp_path):
+        # the text is decoded from a mapping of the file: the file's bytes
+        # are never held next to it
+        path = tmp_path / "snap.json"
+        save_snapshot(generate_synthetic(5, 2000, 5000, 0.01, 6), path)
+        tracemalloc.start()
+        try:
+            text = io_mod._read_text(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == path.read_text(encoding="utf-8")
+        assert peak < 1.5 * path.stat().st_size
+
+    def test_empty_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_bytes(b"")
+        with pytest.raises(ParseError) as err:
+            load_snapshot(path)
+        assert str(err.value) == ("snapshot: invalid JSON at line 1, "
+                                  "column 1")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+    def test_pipe_is_read(self, tmp_path):
+        snap = small_snapshot()
+        path = tmp_path / "snap.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=save_snapshot, args=(snap, path))
+        writer.start()
+        try:
+            assert load_snapshot(path) == snap
+        finally:
+            writer.join()
+
+    def test_invalid_utf8_raises(self, tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_bytes(dumps_snapshot(small_snapshot()).encode("utf-8")
+                         + b"\xff")
+        with pytest.raises(UnicodeDecodeError):
+            load_snapshot(path)
 
 
 STRUCTURE_RULES = ["duplicate_token_id", "decimals_31", "duplicate_pool_id",
