@@ -21,14 +21,19 @@ exits 1 when the hubs or any query's output differ between the sides.
 
 ``--stage0`` times stage 0 instead of the queries: each side loads the
 snapshot, builds the graph and prepares routing (``STAGE0_STEPS``), A, B,
-B, A for ``ROUNDS`` rounds, and keeps its minimum per step.  After the
-timing rounds, one untimed pass per side traces the memory of each step
-with ``tracemalloc``: the bytes held after the step and the peak within
-it.  It prints each step's minima, held and peak memory with their ratios
-B/A, then the sums (for memory, what stage 0 holds at its end and its
-peak), and exits 1 when the hubs differ.  ``stage0_mib`` reads this
-checkout's memory alone, for CI's job summary, and ``save_snapshot_mib``
-the traced peak of writing the market's snapshot.
+B, A for ``STAGE0_ROUNDS`` rounds, and keeps its minimum per step.  The
+minima alone read a 5% step as noise when the machine is in a slow phase,
+so each round also gives a ratio B/A per step, the lesser of its two B
+times over the lesser of its two A times.  After the timing rounds, one
+untimed pass per side traces the memory of each step with
+``tracemalloc``: the bytes held after the step and the peak within it.
+It prints each step's minima with their ratio B/A, the median of the
+per-round ratios with their quartiles, and held and peak memory with
+their ratios B/A, then the same for the sums (for memory, what stage 0
+holds at its end and its peak), and exits 1 when the hubs differ.
+``stage0_mib`` reads this checkout's memory alone, for CI's job summary,
+and ``save_snapshot_mib`` the traced peak of writing the market's
+snapshot.
 
     python scripts/ab_time.py --against ../parent/src
     python scripts/ab_time.py --against ../parent/src --stage0
@@ -56,6 +61,8 @@ SIDE_A = "prime_router_a"
 # rounds of A, B, B, A per query: about 25 s on a 2-core VM
 ROUNDS = 6
 STAGE0_STEPS = ("load_snapshot", "build_graph", "prepare_routing")
+# rounds of A, B, B, A for --stage0: about 40 s on a 2-core VM
+STAGE0_ROUNDS = 10
 MIB = 1 << 20
 
 
@@ -260,26 +267,39 @@ def run_stage0(market, against: str, rounds: int) -> dict:
     trace each side's memory in one untimed pass.
 
     Returns ``{"hubs_equal": bool, "steps": [(step, min A, min B), ...],
-    "memory": [(step, (held A, peak A), (held B, peak B)), ...]}``, memory
-    in bytes.
+    "ratios": [(step, [B/A per round, ...]), ...], "memory": [(step,
+    (held A, peak A), (held B, peak B)), ...]}``, memory in bytes.  A
+    round's ratio is the lesser of its two B times over the lesser of its
+    two A times: a build the machine slowed down is dropped, and a drift
+    that spans rounds cancels.  The ratios end with stage 0's, over the
+    sums of the steps.
     """
     sides = (import_tree(against), own_tree())
     best = [[math.inf] * len(STAGE0_STEPS) for _ in sides]
     hubs: List[List[str]] = [[], []]
+    ratios: List[List[float]] = [[] for _ in range(len(STAGE0_STEPS) + 1)]
     with market_file(market) as path:
         for _ in range(rounds):
+            # each side's least time per step, and per stage 0, this round
+            least = [[math.inf] * len(ratios) for _ in sides]
             for side in (0, 1, 1, 0):
                 times, hubs[side] = stage0_times(sides[side], path, market)
                 best[side] = [min(pair) for pair in zip(best[side], times)]
+                least[side] = [min(pair) for pair in zip(
+                    least[side], times + [sum(times)])]
+            for step, (a, b) in enumerate(zip(*least)):
+                ratios[step].append(b / a)
         memory = [stage0_memory(side, path, market) for side in sides]
     return {"hubs_equal": hubs[0] == hubs[1],
             "steps": list(zip(STAGE0_STEPS, *best)),
+            "ratios": list(zip(STAGE0_STEPS + ("stage 0",), ratios)),
             "memory": list(zip(STAGE0_STEPS, *memory))}
 
 
 def report_stage0(result: dict) -> int:
-    """Print each stage-0 step's minima, held and peak memory, and their
-    ratios; 1 when the hubs differ, else 0."""
+    """Print each stage-0 step's minima and the ratio B/A of its minima, the
+    median of its per-round ratios B/A with their quartiles, and its held
+    and peak memory with their ratios; 1 when the hubs differ, else 0."""
     steps, memory = result["steps"], result["memory"]
     rows = steps + [("stage 0", sum(a for _, a, _ in steps),
                      sum(b for *_, b in steps))]
@@ -287,9 +307,12 @@ def report_stage0(result: dict) -> int:
     total = [(memory[-1][side][0], max(m[side][1] for m in memory))
              for side in (1, 2)]
     memory = memory + [("stage 0", *total)]
-    for (step, a, b), (_, (held_a, peak_a), (held_b, peak_b)) in zip(
-            rows, memory):
+    for (step, a, b), (_, ratios), (_, (held_a, peak_a), (held_b, peak_b)) \
+            in zip(rows, result["ratios"], memory):
+        q1, median, q3 = quartiles(ratios)
         print(f"{step}: A {a:.4f} s, B {b:.4f} s, B/A {b / a:.3f}; "
+              f"per round B/A median {median:.3f} (q1 {q1:.3f}, q3 {q3:.3f}, "
+              f"{len(ratios)} rounds); "
               f"held A {held_a / MIB:.2f} MiB, B {held_b / MIB:.2f} MiB, "
               f"B/A {held_b / held_a:.3f}; "
               f"peak A {peak_a / MIB:.2f} MiB, B {peak_b / MIB:.2f} MiB, "
@@ -341,7 +364,8 @@ def main(argv=None) -> int:
 
     market = workloads.CRITERION_7_MARKET
     if args.stage0:
-        return report_stage0(run_stage0(market, args.against, ROUNDS))
+        return report_stage0(run_stage0(market, args.against,
+                                        STAGE0_ROUNDS))
     return report(run(market, args.against, ROUNDS))
 
 

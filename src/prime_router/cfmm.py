@@ -218,18 +218,23 @@ def _compose(inner: Tuple[Piece, ...], outer: Tuple[Piece, ...]) -> List[Piece]:
     return out
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ConstantProduct:
     reserve_in: int
     reserve_out: int
     fee_bps: int = 0
     pieces: Tuple[Piece, ...] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        _check_fee(self.fee_bps)
-        if (check_amount(self.reserve_in, "reserve_in") == 0
-                or check_amount(self.reserve_out, "reserve_out") == 0):
+    def __init__(self, reserve_in: int, reserve_out: int, fee_bps: int = 0):
+        """The generated frozen ``__init__`` and its checks, in one step:
+        stage 0 builds two curves per pool."""
+        _check_fee(fee_bps)
+        if (check_amount(reserve_in, "reserve_in") == 0
+                or check_amount(reserve_out, "reserve_out") == 0):
             raise ValueError("reserves must be strictly positive")
+        _set_reserve_in(self, reserve_in)
+        _set_reserve_out(self, reserve_out)
+        _set_fee_bps(self, fee_bps)
 
     def swap_out(self, x: int) -> int:
         check_amount(x)
@@ -261,6 +266,12 @@ class ConstantProduct:
     __getattr__ = lazy_slots(pieces=_pieces)
 
 
+# the slots' own setters, which the frozen ``__setattr__`` does not guard
+_set_reserve_in, _set_reserve_out, _set_fee_bps = (
+    getattr(ConstantProduct, name).__set__
+    for name in ("reserve_in", "reserve_out", "fee_bps"))
+
+
 @dataclass(frozen=True, slots=True)
 class Segment:
     """One constant-product slice of a concentrated-liquidity curve.
@@ -272,6 +283,16 @@ class Segment:
     capacity_in: int
     virtual_reserve_in: int
     virtual_reserve_out: int
+
+
+def _check_segment(i: int, s: Segment) -> None:
+    """Raise the error of segment ``i``'s first bad field: each an amount
+    (``check_amount``), and none of them zero."""
+    check_amount(s.capacity_in, f"segments[{i}].capacity_in")
+    check_amount(s.virtual_reserve_in, f"segments[{i}].virtual_reserve_in")
+    check_amount(s.virtual_reserve_out, f"segments[{i}].virtual_reserve_out")
+    if s.capacity_in == 0 or s.virtual_reserve_in == 0 or s.virtual_reserve_out == 0:
+        raise ValueError(f"segments[{i}] fields must be strictly positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -287,11 +308,14 @@ class PiecewiseLiquidity:
         if not 1 <= len(segs) <= MAX_SEGMENTS:
             raise ValueError(f"need 1..{MAX_SEGMENTS} segments, got {len(segs)}")
         for i, s in enumerate(segs):
-            check_amount(s.capacity_in, f"segments[{i}].capacity_in")
-            check_amount(s.virtual_reserve_in, f"segments[{i}].virtual_reserve_in")
-            check_amount(s.virtual_reserve_out, f"segments[{i}].virtual_reserve_out")
-            if s.capacity_in == 0 or s.virtual_reserve_in == 0 or s.virtual_reserve_out == 0:
-                raise ValueError(f"segments[{i}] fields must be strictly positive")
+            cap, v_in, v_out = (s.capacity_in, s.virtual_reserve_in,
+                                s.virtual_reserve_out)
+            # one combined test; only a segment that fails it is checked
+            # field by field, so the error names the first bad field
+            if not (type(cap) is int and type(v_in) is int
+                    and type(v_out) is int and 0 < cap <= MAX_UINT256
+                    and 0 < v_in <= MAX_UINT256 and 0 < v_out <= MAX_UINT256):
+                _check_segment(i, s)
         k = BPS_DENOM - self.fee_bps
         for i in range(len(segs) - 1):
             a, b = segs[i], segs[i + 1]

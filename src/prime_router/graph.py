@@ -12,15 +12,18 @@ holds one map, token u -> ``{v: edges}``, tokens and neighbours in id
 order: ``edges_between(u, v)`` reads one entry and ``out_items(u)`` is u's
 row's items.  ``in_arcs(v)`` reads the map backward, one ``(u, best spot,
 largest ceiling)`` per pair ``u -> v``: what the path search's bound rows
-need of a pair.  A graph whose every pair has its reverse has its
-out-neighbours for in-neighbours: each token's arcs are read from its own
-row when first asked for.  Every graph ``build_graph`` makes is one (each
-pool serves both directions) and says so; any other graph finds out on the
-first call, and if not, indexes every token's arcs at once with
-``in_arcs_of``, which also reads an engine overlay's added pairs backward.
+need of a pair.  A graph whose every pair has its reverse
+(``pairs_reversed``) has its out-neighbours for in-neighbours: each token's
+arcs are read from its own row when first asked for, and the shortcut
+enumeration finds a token's pairs into the hubs in the hubs' rows.  Every
+graph ``build_graph`` makes is one (each pool serves both directions) and
+says so; any other graph finds out on the first call, and if not, indexes
+every token's arcs at once with ``in_arcs_of``, which also reads an engine
+overlay's added pairs backward.
 
 An ``Edge`` derives its pool ids and float spot (``num / den`` of its
-curve's ``spot_ratio()``) when built: stage 0 reads both.  Nothing reads
+curve's ``spot_ratio()``) when built, in its hand-written constructor,
+which sets its seven slots in one step: stage 0 reads both.  Nothing reads
 the exact ratio, so no edge keeps it.  Two more derivations wait for the
 path search, each a slot filled on its first read (``cfmm.lazy_slots``):
 ``ceiling``, the most the edge can ever put out plus one (its curve's
@@ -36,8 +39,12 @@ dataclasses, without an instance ``__dict__``: stage 0 on the criterion-7
 market holds about 177,000 of them.
 
 Structure rules (unique ids, decimals 0..30, pool shape) live here, per entry
-in ``add_token``/``add_pool``, which ``io`` also calls; the ``cfmm``
-constructors own the curve rules and run once per edge, in ``_expand_pool``.
+in ``add_token``/``add_pool``, and each entry passes them once.  ``io``
+admits a loaded snapshot's entries with them and hands its pools on as an
+``AdmittedPools``, which ``build_graph`` takes without a second pass; it
+checks any other tokens and pools in full, as a hand-built ``Snapshot`` or
+a direct call gives them.  The ``cfmm`` constructors own the curve rules
+and run once per edge, in ``_expand_pool``.
 """
 
 from __future__ import annotations
@@ -132,7 +139,7 @@ class Pool:
         return total
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
     pool_id: str
     token_in: str
@@ -147,12 +154,20 @@ class Edge:
     closed: Tuple[Tuple[Tuple[float, ...], ...], ...] = field(
         init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        ids = tuple(leg.pool_id for leg in self.legs) if self.legs \
-            else (self.pool_id,)
-        num, den = self.fn.spot_ratio()
-        object.__setattr__(self, "pool_ids", ids)
-        object.__setattr__(self, "spot", num / den)
+    def __init__(self, pool_id: str, token_in: str, token_out: str,
+                 fn: SwapFunction, legs: Tuple["Edge", ...] = ()):
+        """The generated frozen ``__init__`` and the derivation of
+        ``pool_ids`` and ``spot``, in one step: stage 0 builds about 57,000
+        edges on the criterion-7 market."""
+        num, den = fn.spot_ratio()
+        _set_pool_id(self, pool_id)
+        _set_token_in(self, token_in)
+        _set_token_out(self, token_out)
+        _set_fn(self, fn)
+        _set_legs(self, legs)
+        _set_pool_ids(self, tuple([leg.pool_id for leg in legs]) if legs
+                      else (pool_id,))
+        _set_spot(self, num / den)
 
     def _ceiling(self) -> int:
         """``ceiling``: the curve's ``output_ceiling``, a lazy slot."""
@@ -196,6 +211,13 @@ class Edge:
         return tuple(tables)
 
     __getattr__ = lazy_slots(closed=_closed, ceiling=_ceiling)
+
+
+# the slots' own setters, which the frozen ``__setattr__`` does not guard
+(_set_pool_id, _set_token_in, _set_token_out, _set_fn, _set_legs,
+ _set_pool_ids, _set_spot) = (
+    getattr(Edge, name).__set__ for name in (
+        "pool_id", "token_in", "token_out", "fn", "legs", "pool_ids", "spot"))
 
 
 def spot_order(e: Edge) -> Tuple[float, str]:
@@ -260,24 +282,30 @@ class SwapGraph:
     def in_arcs(self, v: str) -> Tuple[Tuple[str, float, int], ...]:
         """``pair_arc`` of every pair u -> v, tokens u in id order.  Unless
         ``build_graph`` made the graph, the first call works out whether
-        every pair has its reverse, as every pool's edges do.  If so, each
-        token's arcs are read from its own row when first asked for (two
-        threads may both read one, to the same arcs); if not, every token's
-        arcs are indexed at once."""
+        every pair has its reverse (``pairs_reversed``), as every pool's
+        edges do.  If so, each token's arcs are read from its own row when
+        first asked for (two threads may both read one, to the same arcs);
+        if not, every token's arcs are indexed at once."""
         arcs = self._in_arcs.get(v)
         if arcs is None:
             pairs = self._pairs
-            if self._symmetric is None:
-                symmetric = all(u in pairs.get(w, ())
-                                for u, row in pairs.items() for w in row)
-                if not symmetric:
+            if not self.pairs_reversed():
+                if not self._in_arcs:
                     self._in_arcs = in_arcs_of(pairs)
-                self._symmetric = symmetric
-            if not self._symmetric:
                 return self._in_arcs.get(v, ())
             arcs = self._in_arcs[v] = tuple(
                 [pair_arc(u, pairs[u][v]) for u in pairs.get(v, ())])
         return arcs
+
+    def pairs_reversed(self) -> bool:
+        """Whether every pair u -> v has its reverse v -> u, so that each
+        token's out-neighbours are its in-neighbours: worked out on the
+        first call, unless ``build_graph`` made the graph, which says so."""
+        if self._symmetric is None:
+            pairs = self._pairs
+            self._symmetric = all(u in pairs.get(w, ())
+                                  for u, row in pairs.items() for w in row)
+        return self._symmetric
 
 
 def in_arcs_of(pairs: Dict[str, Dict[str, Tuple[Edge, ...]]]
@@ -361,21 +389,52 @@ def _validate_pool(pool: Pool, token_ids) -> None:
         raise MalformedSnapshotError(f"{ctx}: unknown pool kind {pool.kind!r}")
 
 
+class AdmittedPools(tuple):
+    """Pools that ``add_pool`` admitted, in order, against ``tokens``: the
+    tuple of tokens ``add_token`` admitted, in order, before them.
+
+    ``io.snapshot_from_dict`` makes one per snapshot.  ``build_graph``
+    given one with its own ``tokens`` takes both as admitted; any other
+    pools, or other tokens, it checks in full.  A slice or a concatenation
+    is a plain tuple, so only the pools as admitted skip the checks.
+    """
+
+    def __new__(cls, pools: Iterable[Pool], tokens: Tuple[Token, ...]):
+        self = super().__new__(cls, pools)
+        self.tokens = tokens
+        return self
+
+    def __getnewargs__(self):
+        return tuple(self), self.tokens
+
+
 @gc_paused
 def build_graph(tokens: Iterable[Token], pools: Iterable[Pool]) -> SwapGraph:
     """Expand a snapshot into the directed multigraph.
 
     Raises MalformedSnapshotError when an entry breaks a structure rule
-    (``add_token``, ``add_pool``) or a curve rule (``_expand_pool``).
+    (``add_token``, ``add_pool``) or a curve rule (``_expand_pool``).  The
+    structure rules are skipped for ``pools`` that are an ``AdmittedPools``
+    admitted against ``tokens``: those passed them once.
     Deterministic: identical snapshots produce identical adjacency orderings.
     """
+    admitted = isinstance(pools, AdmittedPools) and pools.tokens is tokens
     token_map: Dict[str, Token] = {}
     for t in tokens:
-        add_token(token_map, t)
+        if admitted:
+            token_map[t.id] = t
+        else:
+            add_token(token_map, t)
     pool_map: Dict[str, Pool] = {}
     edges: List[Edge] = []
+    # admitted entries fill the maps in the same loops and order as checked
+    # ones: building the maps first, by comprehension, left the heap laid
+    # out so that whale's peak RSS read about 2 MB higher
     for p in pools:
-        add_pool(pool_map, token_map, p)
+        if admitted:
+            pool_map[p.id] = p
+        else:
+            add_pool(pool_map, token_map, p)
         edges.extend(_expand_pool(p))
     g = SwapGraph(token_map, pool_map, edges)
     # every pool serves every ordered pair of its tokens (``_validate_pool``

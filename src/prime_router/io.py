@@ -10,7 +10,10 @@ whole text or a dict tree of every entry.
 
 Loading checks the JSON itself (fields, types, decimal strings, version, pool
 kind, string token ids), then graph's structure rules per entry, re-raised as
-ParseError with the entry's path.  Curve rules, the 256-bit range of every
+ParseError with the entry's path.  That is the only time a loaded entry
+passes them: the snapshot's pools are an ``AdmittedPools`` admitted against
+its tokens, which ``build_graph`` does not check again (a ``Snapshot`` built
+by hand is checked in full).  Curve rules, the 256-bit range of every
 amount among them, run later, in ``build_graph``; only an amount too long for
 ``int`` to read is an AmountOverflowError here, naming its path.
 It is one pass: an entry's fields are read at once and pass one combined
@@ -49,6 +52,7 @@ from .errors import (
 from .graph import (
     KIND_CONSTANT_PRODUCT,
     KIND_PIECEWISE,
+    AdmittedPools,
     Pool,
     PoolDirection,
     SwapGraph,
@@ -314,8 +318,9 @@ def snapshot_from_dict(data: dict) -> Snapshot:
             add_pool(pool_map, token_map, pool)
         except MalformedSnapshotError as exc:
             raise ParseError(str(exc), f"pools[{i}]") from exc
-    return Snapshot(version, block_ref, tuple(token_map.values()),
-                    tuple(pool_map.values()))
+    tokens = tuple(token_map.values())
+    return Snapshot(version, block_ref, tokens,
+                    AdmittedPools(pool_map.values(), tokens))
 
 
 def dumps_snapshot(s: Snapshot) -> str:

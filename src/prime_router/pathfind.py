@@ -353,7 +353,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             if v_rate is None:
                 if v is not None:
                     continue
-                v, v_rate, gate, v_into = target, 1.0, best_target, None
+                v, v_rate, gate = target, 1.0, best_target
             elif (v in visited or ceilings[v] * BOUND_SLACK <= lim
                   or v == target):
                 # the row's target pair was scanned first
@@ -361,8 +361,6 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
             else:
                 levels = frontier.get(v)
                 gate = levels[hops + 1] if levels is not None else 0
-                # v can only finish on its pair into the target
-                v_into = view.edges_between(v, target) if left == 1 else None
             # every edge that can still win, keyed by its closed form (see
             # the module docstring)
             ranked = []
@@ -382,6 +380,10 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                 ranked.append((real, e))
             if not ranked:
                 continue
+            # a non-target v with one hop left can only finish on its pair
+            # into the target
+            v_into = (view.edges_between(v, target)
+                      if left == 1 and v != target else None)
             ranked.sort(key=_first, reverse=True)
             # quote best key first, from a running best seeded at the gate; a
             # quote already in ``quotes`` is not evaluated again

@@ -15,7 +15,8 @@ search one hop.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import insort
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cfmm import SequentialComposite
 from .errors import InvalidParamsError
@@ -50,15 +51,29 @@ def select_hubs(g: SwapGraph, k: int,
     return tuple(ranked[:min(k, len(ranked))])
 
 
-def _keep(found, pair: Tuple[str, str], candidate: tuple) -> None:
-    """Add ``(-rate, pools, interior tokens, legs)`` to ``pair``'s bucket,
-    cut to its best ``TOP_S`` past ``4 * TOP_S``.  Candidates that tie on
-    rate and pools differ in their interior, so legs are never compared."""
-    bucket = found.setdefault(pair, [])
-    bucket.append(candidate)
-    if len(bucket) > 4 * TOP_S:
-        bucket.sort()
-        del bucket[TOP_S:]
+def _hub_exits(g: SwapGraph, hubs: Sequence[str], hub_set: Set[str]
+               ) -> Dict[str, List[Tuple[str, Tuple[Edge, ...]]]]:
+    """Each non-hub token's pairs into the hubs, ``(hub, edges)`` in hub id
+    order, the order of its row; a token with none has no entry.
+
+    Where every pair has its reverse (``SwapGraph.pairs_reversed``, as in
+    every graph ``build_graph`` makes), a token with a pair into a hub is
+    in that hub's row, so the hubs' rows name them all; any other
+    graph's rows are read in full.
+    """
+    exits: Dict[str, List[Tuple[str, Tuple[Edge, ...]]]] = {}
+    if g.pairs_reversed():
+        for h in sorted(hubs):
+            for v, _ in g.out_items(h):
+                if v not in hub_set:
+                    exits.setdefault(v, []).append((h, g.edges_between(v, h)))
+        return exits
+    for v in g.token_ids():
+        if v not in hub_set:
+            found = [item for item in g.out_items(v) if item[0] in hub_set]
+            if found:
+                exits[v] = found
+    return exits
 
 
 def build_shortcut_index(g: SwapGraph, hubs: Sequence[str]) -> Tuple[Edge, ...]:
@@ -69,50 +84,87 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str]) -> Tuple[Edge, ...]:
     edge rates, multiplied left to right, ties broken on the pool-id
     sequence and then the interior tokens, each as its composite edge; a
     pair's edges are adjacent, in rank order.
+
+    Each pair's bucket holds its best ``TOP_S`` candidates so far, ``(-rate,
+    pools, interior tokens, legs)`` in rank order.  Once it is full, the
+    worst rate in it is the pair's floor, which the pair's final ``TOP_S``
+    can only beat or tie.  A pair's last leg runs over a spot-ordered tuple
+    of edges, and its rate is ``rate * spot`` with ``rate`` fixed, so the
+    rate never rises along the tuple: the scan leaves the tuple at the
+    first edge whose rate is below the floor, before it builds the tuples a
+    candidate costs.  The test is strict, so a candidate that ties the
+    floor still reaches the pool-id and interior tie-break.
     """
     hub_set = set(hubs)
-    # each non-hub token's hub neighbours, split from its row once
-    exits = {u: tuple(item for item in g.out_items(u) if item[0] in hub_set)
-             for u in g.tokens if u not in hub_set}
+    exits = _hub_exits(g, hubs, hub_set)
     found: Dict[Tuple[str, str], List[tuple]] = {}
     for h in hubs:
+        # the buckets and floors of the pairs (h, H), by H
+        buckets: Dict[str, List[tuple]] = {}
+        floors: Dict[str, float] = {}
+
+        def keep(h_out: str, candidate: tuple) -> float:
+            """Rank ``candidate`` into ``(h, h_out)``'s bucket; the pair's
+            floor, 0 while the bucket is not full.  Candidates that tie on
+            rate and pools differ in their interior, so legs are never
+            compared."""
+            bucket = buckets.get(h_out)
+            if bucket is None:
+                bucket = buckets[h_out] = found[(h, h_out)] = []
+            insort(bucket, candidate)
+            if len(bucket) < TOP_S:
+                return 0.0
+            del bucket[TOP_S:]
+            floor = floors[h_out] = -bucket[-1][0]
+            return floor
+
         for a, firsts in g.out_items(h):
             if a in hub_set:
                 continue
             one = (a,)
             for e1 in firsts:
-                p1 = e1.pool_id
+                p1, s1 = e1.pool_id, e1.spot
                 for v, seconds in g.out_items(a):
                     if v == h:
                         continue
                     if v in hub_set:
+                        floor = floors.get(v, 0.0)
                         for e2 in seconds:
+                            rate = s1 * e2.spot
+                            if rate < floor:
+                                break
                             if e2.pool_id != p1:
-                                _keep(found, (h, v), (-(e1.spot * e2.spot),
-                                      (p1, e2.pool_id), one, (e1, e2)))
+                                floor = keep(v, (-rate, (p1, e2.pool_id),
+                                                 one, (e1, e2)))
+                        continue
+                    ends = exits.get(v)
+                    if ends is None:
                         continue
                     two = (a, v)
                     for e2 in seconds:
                         p2 = e2.pool_id
                         if p2 == p1:
                             continue
-                        rate = e1.spot * e2.spot
-                        for h_out, thirds in exits[v]:
+                        rate = s1 * e2.spot
+                        for h_out, thirds in ends:
                             if h_out == h:
                                 continue
+                            floor = floors.get(h_out, 0.0)
                             for e3 in thirds:
-                                if e3.pool_id != p1 and e3.pool_id != p2:
-                                    _keep(found, (h, h_out), (
-                                        -(rate * e3.spot), (p1, p2, e3.pool_id),
-                                        two, (e1, e2, e3)))
+                                out = rate * e3.spot
+                                if out < floor:
+                                    break
+                                p3 = e3.pool_id
+                                if p3 != p1 and p3 != p2:
+                                    floor = keep(h_out, (
+                                        -out, (p1, p2, p3), two, (e1, e2, e3)))
 
     shortcuts: List[Edge] = []
     while found:
         # each bucket goes as its edges are built, which bounds the peak
         (h_in, h_out), bucket = found.popitem()
-        bucket.sort()
         shortcuts.extend(
             Edge(f"sc:{h_in}>{h_out}:{rank}", h_in, h_out,
                  SequentialComposite(tuple(e.fn for e in legs)), legs=legs)
-            for rank, (*_, legs) in enumerate(bucket[:TOP_S]))
+            for rank, (*_, legs) in enumerate(bucket))
     return tuple(shortcuts)

@@ -241,6 +241,32 @@ def test_malformed_curve_is_rejected(build, message):
         build()
 
 
+class Amount(int):
+    """An int subclass, which a segment's amounts may be."""
+
+
+@pytest.mark.parametrize("segments,error,message", [
+    ((Segment(True, 100, 100),), TypeError,
+     "segments[0].capacity_in must be an int, got bool"),
+    ((Segment(10, 100.0, 100),), TypeError,
+     "segments[0].virtual_reserve_in must be an int, got float"),
+    ((Segment(10, 100, -1),), ValueError,
+     "segments[0].virtual_reserve_out must be non-negative, got -1"),
+    ((Segment(10, 2**256, 100),), AmountOverflowError,
+     "segments[0].virtual_reserve_in exceeds 256-bit range"),
+    ((Segment(10, 100, 100), Segment(-5, 0, 10)), ValueError,
+     "segments[1].capacity_in must be non-negative, got -5"),
+], ids=["bool", "float", "negative", "overflow", "second_segment"])
+def test_bad_segment_names_its_first_bad_field(segments, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        PiecewiseLiquidity(segments, 0)
+
+
+def test_segment_amounts_may_be_an_int_subclass():
+    fn = PiecewiseLiquidity((Segment(Amount(10), Amount(100), 100),), 0)
+    assert fn == PiecewiseLiquidity((Segment(10, 100, 100),), 0)
+
+
 amounts = st.integers(min_value=0, max_value=10**24)
 reserves = st.integers(min_value=10**3, max_value=10**24)
 fees = st.integers(min_value=0, max_value=500)

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from unittest import mock
 
@@ -20,7 +22,8 @@ from prime_router.graph import (
     pair_arc,
     prune_leaf_tokens,
 )
-from prime_router.io import dumps_snapshot, generate_synthetic, loads_snapshot
+from prime_router.io import (Snapshot, dumps_snapshot, generate_synthetic,
+                             loads_snapshot)
 from prime_router.pathfind import SearchStats, find_path
 
 from instances import (
@@ -204,6 +207,140 @@ class TestValidation:
         directions = sum(len(p.directions) for p in snap.pools)
         assert directions > 0
         assert len(built) == directions
+
+
+class TestEdgeConstructor:
+    """``Edge``'s hand-written constructor is the generated frozen one."""
+
+    def test_fields_are_frozen(self):
+        e = Edge("P0", "T0", "T1", ConstantProduct(10, 20, 30))
+        for name in ("pool_id", "token_in", "token_out", "fn", "legs",
+                     "pool_ids", "spot", "ceiling"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, name, None)
+
+    def test_keyword_construction(self):
+        fn = ConstantProduct(10, 20, 30)
+        assert Edge(pool_id="P0", token_in="T0", token_out="T1", fn=fn) == \
+            Edge("P0", "T0", "T1", fn, ())
+        assert Edge(fn=fn, token_out="T1", pool_id="P0", token_in="T0",
+                    legs=()).pool_ids == ("P0",)
+        with pytest.raises(TypeError):
+            Edge("P0", "T0", "T1")
+
+    def test_equality_and_hash_read_the_five_fields(self):
+        fn = ConstantProduct(10, 20, 30)
+        a, b = Edge("P0", "T0", "T1", fn), Edge("P0", "T0", "T1",
+                                                 ConstantProduct(10, 20, 30))
+        assert a == b and hash(a) == hash(b)
+        # the generated hash: of the tuple of the compared fields
+        assert hash(a) == hash(("P0", "T0", "T1", fn, ()))
+        assert a != Edge("P1", "T0", "T1", fn)
+        assert a != Edge("P0", "T0", "T1", ConstantProduct(10, 21, 30))
+        # the derived slots compare as nothing
+        a.ceiling
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == ("Edge(pool_id='P0', token_in='T0', token_out='T1', "
+                           f"fn={fn!r}, legs=())")
+
+    def test_pool_ids_and_spot(self):
+        first = Edge("P0", "T0", "T1", ConstantProduct(10, 20, 30))
+        second = Edge("P1", "T1", "T2", PiecewiseLiquidity(
+            (Segment(50, 40, 10),), 5))
+        assert first.pool_ids == ("P0",)
+        assert first.spot == (9970 * 20) / (10_000 * 10)
+        assert second.spot == (9995 * 10) / (10_000 * 40)
+        legs = (first, second)
+        shortcut = Edge("sc:T0>T2:0", "T0", "T2", SequentialComposite(
+            (first.fn, second.fn)), legs=legs)
+        assert shortcut.pool_ids == ("P0", "P1")
+        assert shortcut.spot == (9970 * 20 * 9995 * 10) / (
+            10_000 * 10 * 10_000 * 40)
+
+    def test_constant_product_constructor_is_the_generated_one(self):
+        fn = ConstantProduct(fee_bps=30, reserve_out=20, reserve_in=10)
+        assert fn == ConstantProduct(10, 20, 30)
+        assert hash(fn) == hash((10, 20, 30))
+        assert ConstantProduct(10, 20) == ConstantProduct(10, 20, 0)
+        assert repr(fn) == \
+            "ConstantProduct(reserve_in=10, reserve_out=20, fee_bps=30)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fn.reserve_in = 1
+        for args, error in [((0, 20), "reserves must be strictly positive"),
+                            ((10, -1), "reserve_out must be non-negative"),
+                            ((10, 20, 10_000), "fee_bps must be in")]:
+            with pytest.raises(ValueError, match=error):
+                ConstantProduct(*args)
+
+
+def _forbid_admission(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an admitted entry was checked again")
+    for name in ("add_token", "add_pool", "_validate_pool"):
+        monkeypatch.setattr(graph_mod, name, forbidden)
+
+
+class TestAdmitOnce:
+    """Entries ``io`` admitted reach the graph without a second check;
+    every other snapshot's entries are checked in full."""
+
+    @pytest.fixture
+    def loaded(self):
+        return loads_snapshot(dumps_snapshot(generate_synthetic(17, 30, 90)))
+
+    def test_loaded_snapshot_is_not_checked_again(self, loaded, monkeypatch):
+        want = graph_layout(loaded.build_graph())
+        _forbid_admission(monkeypatch)
+        assert graph_layout(loaded.build_graph()) == want
+        # a pickled snapshot keeps its pools' tokens
+        assert graph_layout(pickle.loads(pickle.dumps(loaded)).build_graph()) \
+            == want
+
+    def test_hand_built_snapshot_is_checked(self, loaded, monkeypatch):
+        _forbid_admission(monkeypatch)
+        # equal tokens, but another tuple of them
+        tokens = tuple(list(loaded.tokens))
+        for snap in (Snapshot(1, "x", loaded.tokens, tuple(loaded.pools)),
+                     # admitted pools, but not against these tokens
+                     Snapshot(1, "x", tokens, loaded.pools),
+                     dataclasses.replace(loaded, pools=loaded.pools[1:])):
+            with pytest.raises(AssertionError, match="checked again"):
+                snap.build_graph()
+        with pytest.raises(AssertionError, match="checked again"):
+            build_graph(loaded.tokens, list(loaded.pools))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda toks, pools: (toks, pools + pools[:1]),
+         "duplicate pool id 'P000000'"),
+        (lambda toks, pools: (toks[1:], pools),
+         "pool 'P000000': dangling token id "),
+        (lambda toks, pools: ((dataclasses.replace(toks[0], decimals=31),)
+                              + toks[1:], pools),
+         "token '[^']+': decimals out of range"),
+        (lambda toks, pools: ((dataclasses.replace(toks[0], decimals="18"),)
+                              + toks[1:], pools),
+         "token '[^']+': decimals must be an int, got str"),
+    ], ids=["duplicate_pool_id", "dangling_token", "decimals_31",
+            "str_decimals"])
+    def test_hand_built_snapshot_keeps_its_errors(self, loaded, edit,
+                                                  message):
+        toks, pools = edit(loaded.tokens, loaded.pools)
+        with pytest.raises(MalformedSnapshotError, match=f"^{message}"):
+            Snapshot(1, "x", toks, pools).build_graph()
+
+    def test_loaded_and_hand_built_build_the_same(self, loaded):
+        hand = Snapshot(loaded.version, loaded.block_ref,
+                        tuple(loaded.tokens), tuple(loaded.pools))
+        graphs = [loaded.build_graph(), hand.build_graph()]
+        assert graph_layout(graphs[0]) == graph_layout(graphs[1])
+        spots = [{(u, v): [e.spot for e in es] for u in g.token_ids()
+                  for v, es in g.out_items(u)} for g in graphs]
+        assert spots[0] == spots[1]
+        ids = sorted(graphs[0].tokens)
+        shortcuts = [[(e.pool_id, e.pool_ids, e.spot) for e in prepare_routing(
+            g, RouteQuery(ids[0], ids[1], 1, hub_count=4)).shortcut_index]
+            for g in graphs]
+        assert shortcuts[0] and shortcuts[0] == shortcuts[1]
 
 
 class TestPrune:

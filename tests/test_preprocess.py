@@ -16,6 +16,7 @@ from prime_router.errors import (
 from prime_router.graph import (
     KIND_CONSTANT_PRODUCT,
     Pool,
+    SwapGraph,
     build_graph,
     prune_leaf_tokens,
 )
@@ -196,6 +197,56 @@ class TestShortcutIndex:
             n = rng.randint(4, 10)
             g = random_mixed_cp_graph(rng, n, rng.randint(n - 1, 14))
             assert_matches_enumeration(g, select_hubs(g, rng.randint(2, 3)))
+
+    def test_ties_at_the_floor_against_enumeration(self):
+        # every pool has the same reserves and fee, or one of two reserve
+        # pairs, so a pair's candidates tie at its floor by the dozen; pool
+        # ids are shuffled, so a later candidate can still outrank the kept
+        # ones on its pool ids
+        rng = random.Random(61)
+        for trial in range(30):
+            n = rng.randint(5, 9)
+            toks = tokens(n)
+            ids = rng.sample(range(1000), 3 * n)
+            reserves = [(10**9, 10**9)] if trial % 2 else \
+                [(10**9, 10**9), (10**9, 2 * 10**9)]
+            pools = []
+            for i, pid in enumerate(ids):
+                a, b = (i % (n - 1), i % (n - 1) + 1) if i < n - 1 \
+                    else rng.sample(range(n), 2)
+                ra, rb = rng.choice(reserves)
+                pools.append(cp_pool(f"P{pid:03d}", toks[a].id, toks[b].id,
+                                     ra, rb, 30))
+            g = build_graph(toks, pools)
+            hubs = select_hubs(g, rng.randint(2, 3))
+            assert_matches_enumeration(g, hubs)
+            built = by_pair(build_shortcut_index(g, hubs))
+            assert any(len({sc.spot for sc in scs}) < len(scs)
+                       for scs in built.values())
+
+    def test_one_way_pairs_against_enumeration(self):
+        # a graph where some pairs lack their reverse: a token's pairs into
+        # the hubs are read from its own row, and the graph's in-arcs are
+        # still every token's
+        rng = random.Random(67)
+        one_way = 0
+        for trial in range(30):
+            n = rng.randint(5, 10)
+            g = random_cp_graph(rng, n, rng.randint(n, 16))
+            edges = [e for u in g.token_ids() for _, es in g.out_items(u)
+                     for e in es]
+            dropped = {(e.token_in, e.token_out) for e in edges
+                       if rng.random() < 0.3}
+            partial = SwapGraph(g.tokens, g.pools, [
+                e for e in edges if (e.token_in, e.token_out) not in dropped])
+            hubs = select_hubs(partial, rng.randint(2, 3))
+            assert_matches_enumeration(partial, hubs)
+            one_way += not partial.pairs_reversed()
+            for v in partial.token_ids():
+                assert [u for u, *_ in partial.in_arcs(v)] == [
+                    u for u in partial.token_ids()
+                    if partial.edges_between(u, v)]
+        assert one_way > 20
 
     def test_tied_candidates_break_on_interior_tokens(self):
         # T0 -> T1 -> T3 and T0 -> T2 -> T3 use the same two pools at the

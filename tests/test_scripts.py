@@ -252,6 +252,25 @@ def test_ab_time_stage0_same_tree(capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("hubs differ")
 
 
+def test_ab_time_stage0_reports_per_round_ratios(capsys):
+    # each step's line gives the median of its rounds' ratios B/A and
+    # their quartiles, next to the ratio of the minima
+    ab_time = load_script("ab_time")
+    mib = 1 << 20
+    steps = [(step, 1.0, 0.9) for step in ab_time.STAGE0_STEPS]
+    ratios = [(step, [0.8, 0.9, 1.0, 0.95, 0.85])
+              for step in ab_time.STAGE0_STEPS + ("stage 0",)]
+    memory = [(step, (mib, 2 * mib), (mib, 2 * mib))
+              for step in ab_time.STAGE0_STEPS]
+    assert ab_time.report_stage0({"hubs_equal": True, "steps": steps,
+                                  "ratios": ratios, "memory": memory}) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(ab_time.STAGE0_STEPS) + 1
+    for line in lines:
+        assert "B/A 0.900; per round B/A median 0.900 (q1 0.850, " \
+            "q3 0.950, 5 rounds); held A 1.00 MiB" in line
+
+
 def test_ab_time_save_snapshot_mib():
     # the streamed writer's peak is far below the small market's file
     ab_time = load_script("ab_time")
