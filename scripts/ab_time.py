@@ -31,9 +31,10 @@ It prints each step's minima with their ratio B/A, the median of the
 per-round ratios with their quartiles, and held and peak memory with
 their ratios B/A, then the same for the sums (for memory, what stage 0
 holds at its end and its peak), and exits 1 when the hubs differ.
-``stage0_mib`` reads this checkout's memory alone, for CI's job summary,
-and ``save_snapshot_mib`` the traced peak of writing the market's
-snapshot.
+``stage0_mib`` reads this checkout's memory alone, and
+``stage0_peak_step`` a tree's memory with the step that sets its peak,
+for CI's job summary; ``save_snapshot_mib`` reads the traced peak of
+writing the market's snapshot.
 
     python scripts/ab_time.py --against ../parent/src
     python scripts/ab_time.py --against ../parent/src --stage0
@@ -232,13 +233,24 @@ def stage0_mib(market=None) -> Tuple[float, float]:
     """This checkout's traced stage 0 on ``market`` (criterion 7's by
     default), in MiB: what it holds after ``prepare_routing``, and its
     peak over the three steps."""
+    held, peak, _ = stage0_peak_step(market)
+    return held, peak
+
+
+def stage0_peak_step(market=None, src: Optional[str] = None
+                     ) -> Tuple[float, float, str]:
+    """``stage0_mib`` of the tree under ``src`` (this checkout's by
+    default), and the ``STAGE0_STEPS`` step whose peak is stage 0's: a
+    change that moves the peak to another step shows on every push."""
     _import_paths()
     from perfbench import workloads
 
     market = market or workloads.CRITERION_7_MARKET
+    modules = own_tree() if src is None else import_tree(src)
     with market_file(market) as path:
-        steps = stage0_memory(own_tree(), path, market)
-    return steps[-1][0] / MIB, max(peak for _, peak in steps) / MIB
+        steps = stage0_memory(modules, path, market)
+    step, (_, peak) = max(zip(STAGE0_STEPS, steps), key=lambda s: s[1][1])
+    return steps[-1][0] / MIB, peak / MIB, step
 
 
 def save_snapshot_mib(market=None) -> float:

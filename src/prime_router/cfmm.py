@@ -272,7 +272,7 @@ _set_reserve_in, _set_reserve_out, _set_fee_bps = (
     for name in ("reserve_in", "reserve_out", "fee_bps"))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Segment:
     """One constant-product slice of a concentrated-liquidity curve.
 
@@ -283,6 +283,19 @@ class Segment:
     capacity_in: int
     virtual_reserve_in: int
     virtual_reserve_out: int
+
+    def __init__(self, capacity_in: int, virtual_reserve_in: int,
+                 virtual_reserve_out: int):
+        """The generated frozen ``__init__`` in one step, through the
+        slots' setters: a snapshot's piecewise pools load thousands."""
+        _set_capacity_in(self, capacity_in)
+        _set_virtual_reserve_in(self, virtual_reserve_in)
+        _set_virtual_reserve_out(self, virtual_reserve_out)
+
+
+_set_capacity_in, _set_virtual_reserve_in, _set_virtual_reserve_out = (
+    getattr(Segment, name).__set__ for name in (
+        "capacity_in", "virtual_reserve_in", "virtual_reserve_out"))
 
 
 def _check_segment(i: int, s: Segment) -> None:

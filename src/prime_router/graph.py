@@ -21,6 +21,11 @@ says so; any other graph finds out on the first call, and if not, indexes
 every token's arcs at once with ``in_arcs_of``, which also reads an engine
 overlay's added pairs backward.
 
+``SwapGraph`` builds the map in one pass over the edges, without a second
+copy of it: each pair's edges go straight into a tuple (most pairs of a
+real market have one edge, which is then neither copied nor sorted), and
+each token's scratch row is dropped as its sorted row is made.
+
 An ``Edge`` derives its pool ids and float spot (``num / den`` of its
 curve's ``spot_ratio()``) when built, in its hand-written constructor,
 which sets its seven slots in one step: stage 0 reads both.  Nothing reads
@@ -36,7 +41,11 @@ search reads never holds one.
 The value classes stage 0 builds per entry (``Token``, ``Pool``,
 ``PoolDirection``, ``Edge``, and the curves in ``cfmm``) are slotted frozen
 dataclasses, without an instance ``__dict__``: stage 0 on the criterion-7
-market holds about 177,000 of them.
+market holds about 177,000 of them.  The six it builds most of (``Token``,
+``Pool``, ``PoolDirection``, ``Edge``, ``cfmm.Segment`` and
+``cfmm.ConstantProduct``) have a hand-written constructor that sets the
+slots through their own setters, in one step, where the generated frozen
+one calls ``object.__setattr__`` per field.
 
 Structure rules (unique ids, decimals 0..30, pool shape) live here, per entry
 in ``add_token``/``add_pool``, and each entry passes them once.  ``io``
@@ -100,14 +109,21 @@ def gc_paused(build: Callable) -> Callable:
     return paused
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Token:
     id: str
     symbol: str
     decimals: int
 
+    def __init__(self, id: str, symbol: str, decimals: int):
+        """The generated frozen ``__init__`` in one step, through the
+        slots' setters: stage 0 builds one per token entry."""
+        _set_token_id(self, id)
+        _set_symbol(self, symbol)
+        _set_decimals(self, decimals)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class PoolDirection:
     """Per-direction curve parameters for a piecewise pool."""
 
@@ -115,8 +131,15 @@ class PoolDirection:
     token_out: str
     segments: Tuple[Segment, ...]
 
+    def __init__(self, token_in: str, token_out: str,
+                 segments: Tuple[Segment, ...]):
+        """The generated frozen ``__init__`` in one step."""
+        _set_direction_in(self, token_in)
+        _set_direction_out(self, token_out)
+        _set_segments(self, segments)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Pool:
     id: str
     kind: str
@@ -124,6 +147,18 @@ class Pool:
     fee_bps: int
     reserves: Tuple[int, ...] = ()
     directions: Tuple[PoolDirection, ...] = ()
+
+    def __init__(self, id: str, kind: str, tokens: Tuple[str, ...],
+                 fee_bps: int, reserves: Tuple[int, ...] = (),
+                 directions: Tuple[PoolDirection, ...] = ()):
+        """The generated frozen ``__init__`` in one step: stage 0 builds
+        one per pool entry."""
+        _set_pool_entry_id(self, id)
+        _set_kind(self, kind)
+        _set_tokens(self, tokens)
+        _set_fee(self, fee_bps)
+        _set_reserves(self, reserves)
+        _set_directions(self, directions)
 
     def reserve_of(self, token_id: str) -> int:
         """Liquidity mass attributed to one side; a ranking proxy only."""
@@ -137,6 +172,18 @@ class Pool:
             if d.token_in == token_id:
                 total += sum(s.virtual_reserve_in for s in d.segments)
         return total
+
+
+# the slots' own setters, which the frozen ``__setattr__`` does not guard
+_set_token_id, _set_symbol, _set_decimals = (
+    getattr(Token, name).__set__ for name in ("id", "symbol", "decimals"))
+_set_direction_in, _set_direction_out, _set_segments = (
+    getattr(PoolDirection, name).__set__
+    for name in ("token_in", "token_out", "segments"))
+(_set_pool_entry_id, _set_kind, _set_tokens, _set_fee, _set_reserves,
+ _set_directions) = (
+    getattr(Pool, name).__set__ for name in (
+        "id", "kind", "tokens", "fee_bps", "reserves", "directions"))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -232,14 +279,22 @@ class SwapGraph:
                  edges: Iterable[Edge]):
         self._tokens = dict(tokens)
         self._pools = dict(pools)
-        by_pair: Dict[str, Dict[str, List[Edge]]] = {}
+        # each pair's edges are a tuple from the first: most pairs of a real
+        # market have one edge, which is then neither copied nor sorted
+        by_pair: Dict[str, Dict[str, Tuple[Edge, ...]]] = {}
         for e in edges:
-            by_pair.setdefault(e.token_in, {}).setdefault(e.token_out, []).append(e)
-        # most pairs of a real market have one edge: nothing to sort
-        self._index({u: {v: tuple(es) if len(es) == 1
-                         else tuple(sorted(es, key=spot_order))
-                         for v, es in sorted(row.items())}
-                     for u, row in sorted(by_pair.items())})
+            row = by_pair.get(e.token_in)
+            if row is None:
+                row = by_pair[e.token_in] = {}
+            es = row.get(e.token_out)
+            row[e.token_out] = (e,) if es is None else es + (e,)
+        pairs: Dict[str, Dict[str, Tuple[Edge, ...]]] = {}
+        for u in sorted(by_pair):
+            # each scratch row is dropped as its sorted row is made
+            pairs[u] = {v: es if len(es) == 1
+                        else tuple(sorted(es, key=spot_order))
+                        for v, es in sorted(by_pair.pop(u).items())}
+        self._index(pairs)
 
     def _index(self, pairs: Dict[str, Dict[str, Tuple[Edge, ...]]]) -> None:
         """Keep ``pairs`` (tokens in id order, edges in spot order), count
@@ -367,26 +422,34 @@ def add_pool(pool_map: Dict[str, Pool], token_map: Dict[str, Token], p: Pool) ->
 
 
 def _validate_pool(pool: Pool, token_ids) -> None:
-    ctx = f"pool {pool.id!r}"
+    error = _pool_shape_error(pool, token_ids)
+    if error is not None:
+        # the ``pool '...'`` prefix is built only for a pool that fails
+        raise MalformedSnapshotError(f"pool {pool.id!r}: {error}")
+
+
+def _pool_shape_error(pool: Pool, token_ids) -> Optional[str]:
+    """What is wrong with ``pool``'s shape, or None when nothing is."""
     if len(pool.tokens) < 2:
-        raise MalformedSnapshotError(f"{ctx}: needs at least two tokens")
+        return "needs at least two tokens"
     if len(set(pool.tokens)) != len(pool.tokens):
-        raise MalformedSnapshotError(f"{ctx}: duplicate token in pool")
+        return "duplicate token in pool"
     for t in pool.tokens:
         if t not in token_ids:
-            raise MalformedSnapshotError(f"{ctx}: dangling token id {t!r}")
+            return f"dangling token id {t!r}"
     if pool.kind == KIND_CONSTANT_PRODUCT:
         if len(pool.reserves) != len(pool.tokens):
-            raise MalformedSnapshotError(f"{ctx}: reserves/tokens length mismatch")
+            return "reserves/tokens length mismatch"
     elif pool.kind == KIND_PIECEWISE:
         if len(pool.tokens) != 2:
-            raise MalformedSnapshotError(f"{ctx}: piecewise pools are two-token")
+            return "piecewise pools are two-token"
         pairs = {(d.token_in, d.token_out) for d in pool.directions}
         a, b = pool.tokens
         if len(pool.directions) != 2 or pairs != {(a, b), (b, a)}:
-            raise MalformedSnapshotError(f"{ctx}: needs both directions exactly once")
+            return "needs both directions exactly once"
     else:
-        raise MalformedSnapshotError(f"{ctx}: unknown pool kind {pool.kind!r}")
+        return f"unknown pool kind {pool.kind!r}"
+    return None
 
 
 class AdmittedPools(tuple):

@@ -18,9 +18,19 @@ amount among them, run later, in ``build_graph``; only an amount too long for
 ``int`` to read is an AmountOverflowError here, naming its path.
 It is one pass: an entry's fields are read at once and pass one combined
 test, and only an entry that fails it is walked again, field by field, to
-name the first bad field.  ``load_snapshot`` frees the file's text before
-it builds the entries, so the two are never held at once, and it decodes
-the text from a read-only mapping of the file, so the file's bytes and its
+name the first bad field.
+
+Canonical text is streamed from the held text.  Text laid out exactly as
+``save_snapshot`` writes it (``{"block_ref":…,"pools":[…],"tokens":[…],
+"version":…}``, compact, at most whitespace after it) has its block ref,
+tokens and version decoded where they lie, and its pools one entry at a
+time, each admitted before the next is decoded: one pool's dict is alive
+at a time, not a dict tree of every pool next to the text.  Everything
+else, and any text the stream finds a fault in, goes through the full
+decode (``json.loads``, then ``snapshot_from_dict``), which raises the
+error of the text's first fault and frees the text before it builds the
+entries, so the two are never held at once.  ``load_snapshot`` decodes the
+text from a read-only mapping of the file, so the file's bytes and its
 text are never both on the heap.
 
 One string per token id: a pool's tokens and a piecewise direction's ends
@@ -38,7 +48,8 @@ import mmap
 import random
 from dataclasses import asdict, dataclass
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .allocation import TraceRow
 from .engine import RouteSolution
@@ -277,7 +288,7 @@ def snapshot_from_dict(data: dict) -> Snapshot:
         ids[tid] = tid
     pool_map: Dict[str, Pool] = {}
     admitted = ids.__getitem__
-    for i, entry in enumerate(_snapshot_field(data, "pools", _is_list)):
+    for i, entry in enumerate(_snapshot_field(data, "pools", _is_pools)):
         try:
             pid, kind, raw_tokens, fee = _pool_fields(entry)
             ok = (isinstance(entry, dict) and isinstance(pid, str)
@@ -335,9 +346,98 @@ def _decode(text: str):
                          "snapshot") from exc
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_json_space = json.decoder.WHITESPACE.match
+_BLOCK_REF_KEY = '{"block_ref":'
+_POOLS_KEY = ',"pools":['
+_TOKENS_KEY = '],"tokens":['
+_VERSION_KEY = ',"version":'
+
+
+class _NotCanonical(ValueError):
+    """The text is not laid out as ``save_snapshot`` writes it."""
+
+
+class _PoolStream:
+    """The pool array of canonical text, which ``snapshot_from_dict`` takes
+    for the pools list: iterating decodes its entries one at a time, from
+    the one at ``start``, and checks that the array closes at ``stop``."""
+
+    __slots__ = ("text", "start", "stop")
+
+    def __init__(self, text: str, start: int, stop: int):
+        self.text, self.start, self.stop = text, start, stop
+
+    def __iter__(self) -> Iterator:
+        text, at, stop = self.text, self.start, self.stop
+        if at == stop:
+            return
+        while True:
+            entry, at = _raw_decode(text, at)
+            yield entry
+            if at == stop:
+                return
+            if at > stop or text[at] != ",":
+                raise _NotCanonical(at)
+            at += 1
+
+
+def _is_pools(value) -> bool:
+    return isinstance(value, (list, _PoolStream))
+
+
+def _streamed(text: str) -> Snapshot:
+    """The snapshot in ``text`` laid out exactly as ``save_snapshot``
+    writes it, its pools decoded one entry at a time from the text and
+    admitted as they come (``_PoolStream``): no pool's dict outlives its
+    admission.  Raises ``_NotCanonical`` on any other layout, and whatever
+    an entry raises."""
+    if not text.startswith(_BLOCK_REF_KEY):
+        raise _NotCanonical(0)
+    block_ref, at = _raw_decode(text, len(_BLOCK_REF_KEY))
+    if not text.startswith(_POOLS_KEY, at):
+        raise _NotCanonical(at)
+    start = at + len(_POOLS_KEY)
+    # the last one: every constant-product pool has a "tokens" key too,
+    # after its reserves
+    stop = text.rfind(_TOKENS_KEY)
+    if stop < start:
+        raise _NotCanonical(stop)
+    tokens, at = _raw_decode(text, stop + len(_TOKENS_KEY) - 1)
+    if not text.startswith(_VERSION_KEY, at):
+        raise _NotCanonical(at)
+    version, at = _raw_decode(text, at + len(_VERSION_KEY))
+    if text[at:at + 1] != "}" or _json_space(text, at + 1).end() != len(text):
+        raise _NotCanonical(at)
+    return snapshot_from_dict({"block_ref": block_ref,
+                               "pools": _PoolStream(text, start, stop),
+                               "tokens": tokens, "version": version})
+
+
+def _snapshot_of(read: Callable[[], str]) -> Snapshot:
+    """The snapshot in the text ``read()`` gives.
+
+    Canonical text is streamed (``_streamed``).  Any other text, or any
+    error on the way, goes through the full decode, ``_decode`` then
+    ``snapshot_from_dict``, which raises what the snapshot's first fault
+    is.  The text is read here, so that this frame holds its only
+    reference when ``read`` reads a file, and the full decode frees it
+    before it builds the entries.
+    """
+    text = read()
+    try:
+        return _streamed(text)
+    except Exception:
+        # the partial entries go with the exception, before the decode
+        pass
+    data = _decode(text)
+    del text
+    return snapshot_from_dict(data)
+
+
 @gc_paused
 def loads_snapshot(text: str) -> Snapshot:
-    return snapshot_from_dict(_decode(text))
+    return _snapshot_of(lambda: text)
 
 
 def save_snapshot(s: Snapshot, path) -> None:
@@ -362,9 +462,7 @@ def _read_text(path) -> str:
 
 @gc_paused
 def load_snapshot(path) -> Snapshot:
-    data = _decode(_read_text(path))
-    # the file's text is freed before the entries are built
-    return snapshot_from_dict(data)
+    return _snapshot_of(lambda: _read_text(path))
 
 
 def snapshot_hash(s: Snapshot) -> str:

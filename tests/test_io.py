@@ -21,6 +21,7 @@ from prime_router.cfmm import Segment
 from prime_router.graph import (
     KIND_CONSTANT_PRODUCT,
     KIND_PIECEWISE,
+    AdmittedPools,
     Pool,
     PoolDirection,
     Token,
@@ -32,6 +33,7 @@ from prime_router.io import (
     load_snapshot,
     loads_snapshot,
     save_snapshot,
+    snapshot_from_dict,
     snapshot_hash,
 )
 
@@ -459,6 +461,171 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             loads_snapshot("{not json")
         assert "line" in str(err.value)
+
+
+def _compact(data) -> str:
+    """``data`` in the canonical layout: sorted keys, compact, a newline."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _outcome(load, arg):
+    """What ``load(arg)`` returns, or the class and message of the error
+    it raises."""
+    try:
+        return load(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _full_decode(text):
+    return snapshot_from_dict(io_mod._decode(text))
+
+
+def _with_two_faults(name):
+    """small_snapshot()'s canonical text with two faults."""
+    data = json.loads(dumps_snapshot(small_snapshot()))
+    tokens, pools = data["tokens"], data["pools"]
+    if name == "bad_token_and_bad_pool":
+        pools[2]["kind"] = 3
+        tokens[5]["id"] = 5
+    elif name == "late_syntax_error_and_bad_version":
+        data["version"] = 2
+        text = _compact(data)
+        at = text.rindex('"fee_bps":')
+        return text[:at] + '"fee_bps":,' + text[at + len('"fee_bps":'):]
+    elif name == "early_bad_pool_and_late_syntax_error":
+        pools[1]["kind"] = "stable"
+        text = _compact(data)
+        at = text.rindex('"fee_bps":')
+        return text[:at] + text[at + len('"fee_bps":'):]
+    elif name == "dangling_id_and_duplicate_pool_id":
+        pools[4]["id"] = pools[0]["id"]
+        pools[1]["tokens"][1] = "0xdeadbeef"
+    elif name == "overlong_amount_and_bad_token":
+        pools[0]["reserves"][0] = "1" * 5000
+        tokens[7]["decimals"] = 31
+    else:
+        assert name == "bad_segment_and_extra_key"
+        pools[10]["directions"][1]["segments"][2]["capacity_in"] = "00"
+        data["zzz"] = []
+    return _compact(data)
+
+
+TWO_FAULTS = ["bad_token_and_bad_pool", "late_syntax_error_and_bad_version",
+              "early_bad_pool_and_late_syntax_error",
+              "dangling_id_and_duplicate_pool_id",
+              "overlong_amount_and_bad_token", "bad_segment_and_extra_key"]
+
+
+def _variant(name):
+    """small_snapshot()'s entries in a text that is not the canonical
+    layout."""
+    data = json.loads(dumps_snapshot(small_snapshot()))
+    if name == "indented":
+        return json.dumps(data, sort_keys=True, indent=2)
+    if name == "key_order":
+        return json.dumps(dict(reversed(sorted(data.items()))),
+                          separators=(",", ":"))
+    if name == "leading_space":
+        return " " + _compact(data)
+    if name == "extra_key_first":
+        data["aaa"] = 1
+    elif name == "extra_key_last":
+        data["zzz"] = [1]
+    else:
+        # a token field that is an array, then one named "tokens": the
+        # text's last '],"tokens":[' is inside the token array
+        assert name == "nested_tokens_key"
+        data["tokens"][-1].update(t=[1], tokens=[2])
+    return _compact(data)
+
+
+VARIANTS = ["indented", "key_order", "leading_space", "extra_key_first",
+            "extra_key_last", "nested_tokens_key"]
+
+
+class TestStreamedLoad:
+    """Canonical text is streamed; any other text, and any fault, takes
+    the full decode, and both load what it loads."""
+
+    CANONICAL = {
+        "small": lambda: dumps_snapshot(small_snapshot()),
+        "odd_text": lambda: dumps_snapshot(odd_text_snapshot()),
+        "no_pools": lambda: dumps_snapshot(Snapshot(
+            1, "empty", small_snapshot().tokens, ())),
+        "no_newline": lambda: dumps_snapshot(small_snapshot()).rstrip("\n"),
+        "piecewise": lambda: dumps_snapshot(generate_synthetic(21, 60, 200)),
+    }
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        """The texts ``_decode`` is given, in order."""
+        seen = []
+        decode = io_mod._decode
+
+        def spy(text):
+            seen.append(text)
+            return decode(text)
+        monkeypatch.setattr(io_mod, "_decode", spy)
+        return seen
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL))
+    def test_canonical_text_is_streamed(self, name, decodes, tmp_path):
+        text = self.CANONICAL[name]()
+        want = snapshot_from_dict(json.loads(text))
+        path = tmp_path / "snap.json"
+        path.write_text(text, encoding="utf-8")
+        for got in (loads_snapshot(text), load_snapshot(path)):
+            assert got == want
+            assert isinstance(got.pools, AdmittedPools)
+            assert got.pools.tokens is got.tokens
+        assert decodes == []
+
+    def test_canonical_text_never_decodes_whole(self, monkeypatch):
+        def forbidden(text):
+            raise AssertionError("canonical text was decoded whole")
+        monkeypatch.setattr(io_mod, "_decode", forbidden)
+        snap = generate_synthetic(21, 60, 200)
+        assert loads_snapshot(dumps_snapshot(snap)) == snap
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_other_layouts_take_the_full_decode(self, name, decodes):
+        text = _variant(name)
+        assert loads_snapshot(text) == snapshot_from_dict(json.loads(text))
+        assert decodes == [text]
+
+    @pytest.mark.parametrize("name", TWO_FAULTS)
+    def test_two_faults_raise_what_the_full_decode_raises(self, name,
+                                                          tmp_path):
+        text = _with_two_faults(name)
+        want = _outcome(_full_decode, text)
+        assert isinstance(want, tuple)
+        path = tmp_path / "snap.json"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(loads_snapshot, text) == want
+        assert _outcome(load_snapshot, path) == want
+
+    @pytest.mark.parametrize("case", sorted(PARSE_MESSAGES))
+    def test_parse_errors_in_the_canonical_layout(self, case):
+        # each of TestParseErrors' texts, laid out as save_snapshot writes
+        edits, message = PARSE_MESSAGES[case]
+        with pytest.raises(ParseError) as err:
+            loads_snapshot(_compact(json.loads(_edited(edits))))
+        assert str(err.value) == message
+
+    def test_load_peaks_near_what_it_keeps(self, tmp_path):
+        # one pool entry's dict at a time: the peak is about the text and
+        # the entries; a dict tree of every pool next to them read 1.96x
+        path = tmp_path / "snap.json"
+        save_snapshot(generate_synthetic(5, 2000, 5000, 0.01, 6), path)
+        tracemalloc.start()
+        try:
+            snap = load_snapshot(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(snap.pools) == 5000
+        assert peak < 1.3 * (held + path.stat().st_size)
 
 
 class TestSyntheticGenerator:

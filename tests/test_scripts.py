@@ -252,6 +252,21 @@ def test_ab_time_stage0_same_tree(capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith("hubs differ")
 
 
+def test_ab_time_stage0_peak_step():
+    # held and peak with the step that sets the peak, for this checkout
+    # and for a tree given by its path
+    ab_time = load_script("ab_time")
+    ab_time._import_paths()
+    from perfbench.workloads import Market
+
+    market = Market(seed=13, tokens=40, pools=140, hub_fraction=0.1,
+                    spread_orders=6, hubs=8)
+    for src in (None, str(SCRIPTS.parent / "src")):
+        held, peak, step = ab_time.stage0_peak_step(market, src)
+        assert 0 < held <= peak
+        assert step in ab_time.STAGE0_STEPS
+
+
 def test_ab_time_stage0_reports_per_round_ratios(capsys):
     # each step's line gives the median of its rounds' ratios B/A and
     # their quartiles, next to the ratio of the minima
