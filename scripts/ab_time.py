@@ -34,7 +34,17 @@ holds at its end and its peak), and exits 1 when the hubs differ.
 ``stage0_mib`` reads this checkout's memory alone, and
 ``stage0_peak_step`` a tree's memory with the step that sets its peak,
 for CI's job summary; ``save_snapshot_mib`` reads the traced peak of
-writing the market's snapshot.
+writing the market's snapshot.  ``tracemalloc`` sees only Python's own
+allocations, not mapped file pages or what the allocator keeps, so
+``reload_peak_rss_mb`` reads a tree's peak RSS in a fresh process that
+builds a second stage 0 next to its first, as a router reloading a new
+snapshot does.
+
+Both sides share one process, and with it glibc's allocator state, such
+as its dynamic mmap threshold, which a freed large block raises: a
+change to large transient allocations moves the other side's memory and
+time as well.  Time such a change in separate processes too (the
+benchmark's runs, or ``reload_peak_rss_mb`` for memory).
 
     python scripts/ab_time.py --against ../parent/src
     python scripts/ab_time.py --against ../parent/src --stage0
@@ -48,7 +58,9 @@ import importlib
 import importlib.util
 import math
 import os
+import resource
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -272,6 +284,45 @@ def save_snapshot_mib(market=None) -> float:
         finally:
             tracemalloc.stop()
     return peak / MIB
+
+
+def reload_peak_rss_mb(src: Optional[str] = None, market=None) -> float:
+    """The peak RSS, in MB, of a fresh process that builds stage 0 of the
+    tree under ``src`` (this checkout's by default) from a snapshot of
+    ``market`` (criterion 7's by default), then loads, builds and
+    prepares a second stage 0 while keeping the first.  The snapshot is
+    written by this process, so the reading is the reload's alone."""
+    _import_paths()
+    from perfbench import workloads
+
+    market = market or workloads.CRITERION_7_MARKET
+    code = (f"import sys; sys.path.insert(0, {os.path.dirname(__file__)!r});"
+            f" import ab_time; ab_time._reload(*sys.argv[1:])")
+    with market_file(market) as path:
+        out = subprocess.run(
+            [sys.executable, "-c", code, path, src or "",
+             str(market.max_hops), str(market.hubs)],
+            check=True, capture_output=True, text=True).stdout
+    return float(out)
+
+
+def _reload(path: str, src: str, max_hops: str, hubs: str) -> None:
+    """``reload_peak_rss_mb``'s process: print its peak RSS in MB after
+    two stage 0s of the tree under ``src`` (this checkout's when empty)
+    from the snapshot at ``path``, both kept."""
+    _import_paths()
+    modules = import_tree(src) if src else own_tree()
+    io, engine = modules["io"], modules["engine"]
+    kept = []
+    for _ in range(2):
+        snap = io.load_snapshot(path)
+        graph = snap.build_graph()
+        ids = sorted(graph.tokens)
+        kept.append((snap, engine.prepare_routing(graph, engine.RouteQuery(
+            ids[0], ids[1], 1, max_hops=int(max_hops),
+            hub_count=int(hubs)))))
+    # ru_maxrss is in KiB on Linux
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
 def run_stage0(market, against: str, rounds: int) -> dict:

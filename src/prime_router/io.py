@@ -20,18 +20,22 @@ It is one pass: an entry's fields are read at once and pass one combined
 test, and only an entry that fails it is walked again, field by field, to
 name the first bad field.
 
-Canonical text is streamed from the held text.  Text laid out exactly as
-``save_snapshot`` writes it (``{"block_ref":…,"pools":[…],"tokens":[…],
-"version":…}``, compact, at most whitespace after it) has its block ref,
-tokens and version decoded where they lie, and its pools one entry at a
-time, each admitted before the next is decoded: one pool's dict is alive
-at a time, not a dict tree of every pool next to the text.  Everything
-else, and any text the stream finds a fault in, goes through the full
-decode (``json.loads``, then ``snapshot_from_dict``), which raises the
-error of the text's first fault and frees the text before it builds the
-entries, so the two are never held at once.  ``load_snapshot`` decodes the
-text from a read-only mapping of the file, so the file's bytes and its
-text are never both on the heap.
+A canonical file is read in bounded windows and never mapped.  A regular
+file laid out exactly as ``save_snapshot`` writes it (``{"block_ref":…,
+"pools":[…],"tokens":[…],"version":…}``, compact, at most whitespace after
+it) is read through one buffered handle in ``_WINDOW``-byte windows: its
+tail, from the last ``],"tokens":[`` to the end, is found by reading
+backwards and gives the tokens and version; the text before it is read
+forwards, the block ref first, then the pools one entry at a time, each
+admitted before the next is decoded.  So neither the file's bytes nor its
+text is held whole, and one pool's dict is alive at a time, not a dict
+tree of every pool.  ``loads_snapshot`` reads the text it is given the
+same way, as its only window.  Everything else (another layout, any
+fault the reader finds, a pipe or other file that is not regular) goes
+through the full decode: the file's text decoded from a read-only mapping
+of it, ``json.loads``, then ``snapshot_from_dict``, which raises the error
+of the text's first fault and frees the text before it builds the
+entries.
 
 One string per token id: a pool's tokens and a piecewise direction's ends
 reference the admitted ``Token.id``, not the JSON's fresh copy of it (the
@@ -42,14 +46,16 @@ JSON's string, for ``add_pool`` to name in its error.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import mmap
+import os
 import random
+import stat
 from dataclasses import asdict, dataclass
 from operator import itemgetter
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .allocation import TraceRow
 from .engine import RouteSolution
@@ -352,92 +358,167 @@ _BLOCK_REF_KEY = '{"block_ref":'
 _POOLS_KEY = ',"pools":['
 _TOKENS_KEY = '],"tokens":['
 _VERSION_KEY = ',"version":'
+# bytes a canonical file is read in: below glibc's default 128 KiB mmap
+# threshold, so a window and its text are heap blocks that are reused
+_WINDOW = 1 << 16
+# characters an entry may take after the low-water mark: a window is
+# refilled once the entries pass it, so an entry is rarely cut off
+_LOW_WATER = 1 << 12
 
 
 class _NotCanonical(ValueError):
     """The text is not laid out as ``save_snapshot`` writes it."""
 
 
-class _PoolStream:
-    """The pool array of canonical text, which ``snapshot_from_dict`` takes
-    for the pools list: iterating decodes its entries one at a time, from
-    the one at ``start``, and checks that the array closes at ``stop``."""
+class _Window:
+    """Canonical text read forward: ``text[at:stop]`` is what is left of
+    the current window, and ``refill`` adds the next window of the file's
+    byte range to it.  A text given whole is its own only window, so no
+    slice of it is ever copied.
 
-    __slots__ = ("text", "start", "stop")
+    Iterating reads the entries of the array that runs to the range's
+    end, one at a time, checking each ``,`` and that the last entry ends
+    exactly there; ``snapshot_from_dict`` takes it for the pools list.
+    An entry that ends past ``low``, ``_LOW_WATER`` characters before the
+    window's end (its end on the last window), is where the window is
+    refilled, so each entry pays one comparison for it."""
 
-    def __init__(self, text: str, start: int, stop: int):
-        self.text, self.start, self.stop = text, start, stop
+    __slots__ = ("text", "at", "stop", "low", "_fh", "_left", "_utf8")
+
+    def __init__(self, text: str, stop: int, fh=None, left: int = 0):
+        self.text, self.at, self.stop, self.low = text, 0, stop, stop
+        self._fh, self._left = fh, left
+        self._utf8 = codecs.getincrementaldecoder("utf-8")().decode
+
+    def refill(self) -> bool:
+        """Add the next window's text to what is left of this one; False
+        at the end of the range.  A UTF-8 sequence that a window's edge
+        splits is decoded with the next window."""
+        while self._left:
+            data = self._fh.read(min(_WINDOW, self._left))
+            if not data:
+                raise _NotCanonical(self._left)
+            self._left -= len(data)
+            more = self._utf8(data, not self._left)
+            if more:
+                self.text = self.text[self.at:self.stop] + more
+                self.at, self.stop = 0, len(self.text)
+                self.low = (self.stop - _LOW_WATER if self._left
+                            else self.stop)
+                return True
+        return False
+
+    def expect(self, key: str) -> None:
+        while self.stop - self.at < len(key) and self.refill():
+            pass
+        if not self.text.startswith(key, self.at, self.stop):
+            raise _NotCanonical(self.at)
+        self.at += len(key)
+
+    def value(self):
+        """The JSON value at the cursor, read past it.  One that runs past
+        the range's end fails the next ``expect``."""
+        while True:
+            try:
+                value, self.at = _raw_decode(self.text, self.at)
+                return value
+            except ValueError:
+                # cut off by the window's end, or a fault
+                if not self.refill():
+                    raise
 
     def __iter__(self) -> Iterator:
-        text, at, stop = self.text, self.start, self.stop
-        if at == stop:
+        if self.at == self.stop and not self.refill():
             return
+        text, at, low = self.text, self.at, self.low
         while True:
-            entry, at = _raw_decode(text, at)
+            try:
+                entry, at = _raw_decode(text, at)
+            except ValueError:
+                # an entry longer than the low-water margin
+                self.at = at
+                if not self.refill():
+                    raise
+                text, at, low = self.text, self.at, self.low
+                continue
             yield entry
-            if at == stop:
-                return
-            if at > stop or text[at] != ",":
+            if at >= low:
+                self.at = at
+                if not self.refill():
+                    if at != self.stop:
+                        raise _NotCanonical(at)
+                    return
+                text, at, low = self.text, self.at, self.low
+            if text[at] != ",":
                 raise _NotCanonical(at)
             at += 1
 
 
 def _is_pools(value) -> bool:
-    return isinstance(value, (list, _PoolStream))
+    return isinstance(value, (list, _Window))
 
 
-def _streamed(text: str) -> Snapshot:
-    """The snapshot in ``text`` laid out exactly as ``save_snapshot``
-    writes it, its pools decoded one entry at a time from the text and
-    admitted as they come (``_PoolStream``): no pool's dict outlives its
-    admission.  Raises ``_NotCanonical`` on any other layout, and whatever
-    an entry raises."""
-    if not text.startswith(_BLOCK_REF_KEY):
-        raise _NotCanonical(0)
-    block_ref, at = _raw_decode(text, len(_BLOCK_REF_KEY))
-    if not text.startswith(_POOLS_KEY, at):
+def _canonical(head: _Window, tail: str, at: int) -> Snapshot:
+    """The snapshot laid out exactly as ``save_snapshot`` writes it
+    (``{"block_ref":…,"pools":[…],"tokens":[…],"version":…}``, compact, at
+    most JSON whitespace after it).  ``tail`` holds the top-level tokens
+    key at ``at`` and the text after it; ``head`` reads the text before
+    that key.  The pools are decoded one entry at a time and admitted as
+    they come: no pool's dict outlives its admission.  Raises
+    ``_NotCanonical`` on any other layout, and whatever an entry raises."""
+    if not tail.startswith(_TOKENS_KEY, at):
         raise _NotCanonical(at)
-    start = at + len(_POOLS_KEY)
-    # the last one: every constant-product pool has a "tokens" key too,
-    # after its reserves
-    stop = text.rfind(_TOKENS_KEY)
-    if stop < start:
-        raise _NotCanonical(stop)
-    tokens, at = _raw_decode(text, stop + len(_TOKENS_KEY) - 1)
-    if not text.startswith(_VERSION_KEY, at):
+    tokens, at = _raw_decode(tail, at + len(_TOKENS_KEY) - 1)
+    if not tail.startswith(_VERSION_KEY, at):
         raise _NotCanonical(at)
-    version, at = _raw_decode(text, at + len(_VERSION_KEY))
-    if text[at:at + 1] != "}" or _json_space(text, at + 1).end() != len(text):
+    version, at = _raw_decode(tail, at + len(_VERSION_KEY))
+    if tail[at:at + 1] != "}" or _json_space(tail, at + 1).end() != len(tail):
         raise _NotCanonical(at)
-    return snapshot_from_dict({"block_ref": block_ref,
-                               "pools": _PoolStream(text, start, stop),
+    head.expect(_BLOCK_REF_KEY)
+    block_ref = head.value()
+    head.expect(_POOLS_KEY)
+    return snapshot_from_dict({"block_ref": block_ref, "pools": head,
                                "tokens": tokens, "version": version})
 
 
-def _snapshot_of(read: Callable[[], str]) -> Snapshot:
-    """The snapshot in the text ``read()`` gives.
-
-    Canonical text is streamed (``_streamed``).  Any other text, or any
-    error on the way, goes through the full decode, ``_decode`` then
-    ``snapshot_from_dict``, which raises what the snapshot's first fault
-    is.  The text is read here, so that this frame holds its only
-    reference when ``read`` reads a file, and the full decode frees it
-    before it builds the entries.
-    """
-    text = read()
-    try:
-        return _streamed(text)
-    except Exception:
-        # the partial entries go with the exception, before the decode
-        pass
-    data = _decode(text)
-    del text
-    return snapshot_from_dict(data)
+def _windowed(fh, size: int) -> Snapshot:
+    """``_canonical`` on the regular file ``fh`` of ``size`` bytes, read in
+    ``_WINDOW``-byte windows: the tail is found by reading backwards to
+    the file's last tokens key (every constant-product pool has a
+    "tokens" key too, after its reserves), and the text before it is
+    read forwards as the pools are admitted."""
+    key = _TOKENS_KEY.encode("ascii")
+    end, carry = size, b""
+    while True:
+        if end <= 0:
+            raise _NotCanonical(0)
+        begin = max(0, end - _WINDOW)
+        fh.seek(begin)
+        # a key that a window's end splits is found with the next one
+        window = fh.read(end - begin) + carry
+        at = window.rfind(key)
+        if at >= 0:
+            break
+        carry, end = window[:len(key) - 1], begin
+    stop = begin + at
+    fh.seek(stop)
+    tail = fh.read(size - stop).decode("utf-8")
+    fh.seek(0)
+    return _canonical(_Window("", 0, fh, stop), tail, 0)
 
 
 @gc_paused
 def loads_snapshot(text: str) -> Snapshot:
-    return _snapshot_of(lambda: text)
+    """The snapshot in ``text``: canonical text is read in place
+    (``_canonical``), and any other text, or any fault in it, goes through
+    the full decode, which raises what the snapshot's first fault is."""
+    try:
+        stop = text.rfind(_TOKENS_KEY)
+        return _canonical(_Window(text, stop), text, stop)
+    except Exception:
+        # the partial entries go with the exception, before the decode
+        pass
+    return snapshot_from_dict(_decode(text))
 
 
 def save_snapshot(s: Snapshot, path) -> None:
@@ -447,11 +528,12 @@ def save_snapshot(s: Snapshot, path) -> None:
         fh.writelines(_snapshot_chunks(s))
 
 
-def _read_text(path) -> str:
-    """The file's UTF-8 text, decoded straight from a read-only mapping of
-    it, so the heap holds one copy of the text, never its bytes as well.
-    An empty file or a pipe, which cannot be mapped, is read."""
-    with open(path, "rb") as fh:
+def _read_text(file) -> str:
+    """The UTF-8 text of ``file``, a path or the descriptor of a file open
+    at its start (left open), decoded straight from a read-only mapping
+    of it, so the heap holds one copy of the text, never its bytes as
+    well.  An empty file or a pipe, which cannot be mapped, is read."""
+    with open(file, "rb", closefd=not isinstance(file, int)) as fh:
         try:
             view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except (ValueError, OSError):
@@ -462,7 +544,21 @@ def _read_text(path) -> str:
 
 @gc_paused
 def load_snapshot(path) -> Snapshot:
-    return _snapshot_of(lambda: _read_text(path))
+    """The snapshot in the file at ``path``, opened once.  A regular file
+    in the canonical layout is read in windows (``_windowed``); any other
+    file, layout or fault goes through the full decode, which frees the
+    text before it builds the entries.  A pipe is never read by the
+    windows, so the full decode sees every byte of it."""
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            try:
+                return _windowed(fh, info.st_size)
+            except Exception:
+                pass
+            fh.seek(0)
+        data = _decode(_read_text(fh.fileno()))
+    return snapshot_from_dict(data)
 
 
 def snapshot_hash(s: Snapshot) -> str:

@@ -628,6 +628,162 @@ class TestStreamedLoad:
         assert peak < 1.3 * (held + path.stat().st_size)
 
 
+# window sizes, in bytes, that cut nearly every token, key and entry
+WINDOWS = [1, 7, 64]
+
+
+def _straddles(data: bytes, window: int) -> bool:
+    """Whether a multibyte UTF-8 character between the pools key and the
+    top-level tokens key of ``data`` spans the edge of two windows."""
+    at = data.index(b',"pools":[')
+    for ch in data[at:data.rindex(b'],"tokens":[')].decode("utf-8"):
+        n = len(ch.encode("utf-8"))
+        if n > 1 and at // window != (at + n - 1) // window:
+            return True
+        at += n
+    return False
+
+
+class TestWindowedLoad:
+    """A regular file in the canonical layout is read in windows: at any
+    window size it loads what the full decode loads, and raises what it
+    raises."""
+
+    @pytest.fixture(params=WINDOWS)
+    def window(self, request, monkeypatch):
+        monkeypatch.setattr(io_mod, "_WINDOW", request.param)
+        return request.param
+
+    @pytest.fixture
+    def no_decode(self, monkeypatch):
+        def forbidden(text):
+            raise AssertionError("canonical text was decoded whole")
+        monkeypatch.setattr(io_mod, "_decode", forbidden)
+
+    @pytest.mark.parametrize("name", sorted(TestStreamedLoad.CANONICAL))
+    def test_canonical_file_loads_what_the_full_decode_loads(
+            self, name, window, no_decode, tmp_path):
+        text = TestStreamedLoad.CANONICAL[name]()
+        path = tmp_path / "snap.json"
+        path.write_text(text, encoding="utf-8")
+        got = load_snapshot(path)
+        assert got == snapshot_from_dict(json.loads(text))
+        assert isinstance(got.pools, AdmittedPools)
+        assert got.pools.tokens is got.tokens
+
+    def test_raw_utf8_across_a_window_edge(self, window, no_decode,
+                                           tmp_path):
+        # save_snapshot escapes non-ASCII, but the layout allows it raw;
+        # the block ref's length moves a character onto a window's edge
+        data = json.loads(dumps_snapshot(odd_text_snapshot()))
+        for pad in range(window + 4):
+            data["block_ref"] = "x" * pad
+            raw = json.dumps(data, sort_keys=True, separators=(",", ":"),
+                             ensure_ascii=False).encode("utf-8")
+            if _straddles(raw, window):
+                break
+        else:
+            pytest.fail("no character straddles a window edge")
+        path = tmp_path / "snap.json"
+        path.write_bytes(raw)
+        assert load_snapshot(path) == snapshot_from_dict(json.loads(raw))
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xd0", b"\xe2\x82"])
+    def test_invalid_utf8_in_the_pools_raises_what_the_full_decode_raises(
+            self, bad, window, tmp_path):
+        raw = dumps_snapshot(small_snapshot()).encode("utf-8")
+        at = raw.index(b'"P000003"') + 2
+        path = tmp_path / "snap.json"
+        path.write_bytes(raw[:at] + bad + raw[at:])
+        want = _outcome(lambda p: str(p.read_bytes(), "utf-8"), path)
+        assert want[0] is UnicodeDecodeError
+        assert _outcome(load_snapshot, path) == want
+
+    @pytest.mark.parametrize("name", TWO_FAULTS)
+    def test_two_faults_raise_what_the_full_decode_raises(self, name, window,
+                                                          tmp_path):
+        text = _with_two_faults(name)
+        want = _outcome(_full_decode, text)
+        assert isinstance(want, tuple)
+        path = tmp_path / "snap.json"
+        path.write_text(text, encoding="utf-8")
+        assert _outcome(load_snapshot, path) == want
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_other_layouts_load_from_a_file(self, name, window, tmp_path):
+        text = _variant(name)
+        path = tmp_path / "snap.json"
+        path.write_text(text, encoding="utf-8")
+        assert load_snapshot(path) == snapshot_from_dict(json.loads(text))
+
+    def test_canonical_file_is_never_mapped(self, monkeypatch, no_decode,
+                                            tmp_path):
+        def refused(*args, **kwargs):
+            raise AssertionError("the file was mapped")
+        monkeypatch.setattr(io_mod.mmap, "mmap", refused)
+        snap = generate_synthetic(21, 60, 200)
+        path = tmp_path / "snap.json"
+        save_snapshot(snap, path)
+        assert load_snapshot(path) == snap
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs mkfifo")
+    def test_pipe_is_never_read_in_windows(self, monkeypatch, tmp_path):
+        windowed = []
+        monkeypatch.setattr(io_mod, "_windowed",
+                            lambda *args: windowed.append(args))
+        snap = small_snapshot()
+        path = tmp_path / "snap.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=save_snapshot, args=(snap, path))
+        writer.start()
+        try:
+            assert load_snapshot(path) == snap
+        finally:
+            writer.join()
+        assert windowed == []
+
+    def test_load_transient_does_not_grow_with_the_file(self, tmp_path):
+        # the transient (traced peak less what the load keeps) is a few
+        # windows, the tokens' tail and the pool map: 0.84 and 1.26 MB
+        # here, where a text of the whole file read 2.58 and 8.46 MB
+        transient, size = [], []
+        for pools in (5000, 20000):
+            path = tmp_path / f"snap-{pools}.json"
+            save_snapshot(generate_synthetic(5, 2000, pools, 0.01, 6), path)
+            tracemalloc.start()
+            try:
+                snap = load_snapshot(path)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(snap.pools) == pools
+            del snap
+            transient.append(peak - held)
+            size.append(path.stat().st_size)
+        assert transient[1] < transient[0] + (1 << 20)
+        assert transient[1] < size[1] / 4
+
+
+class TestParseErrorsInWindows(TestParseErrors):
+    """Every ``TestParseErrors`` case, from a file laid out as
+    ``save_snapshot`` writes (where its JSON parses) and read in windows
+    of a few bytes."""
+
+    @pytest.fixture(autouse=True, params=WINDOWS)
+    def from_a_file(self, request, monkeypatch, tmp_path):
+        monkeypatch.setattr(io_mod, "_WINDOW", request.param)
+
+        def load_from_a_file(text):
+            try:
+                text = _compact(json.loads(text))
+            except ValueError:
+                pass
+            path = tmp_path / "snap.json"
+            path.write_text(text, encoding="utf-8")
+            return load_snapshot(path)
+        monkeypatch.setitem(globals(), "loads_snapshot", load_from_a_file)
+
+
 class TestSyntheticGenerator:
     def test_deterministic(self):
         a = generate_synthetic(1, 10, 20, 0.2, 6)

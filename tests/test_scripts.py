@@ -297,6 +297,19 @@ def test_ab_time_save_snapshot_mib():
     assert 0 < ab_time.save_snapshot_mib(market) < 0.05
 
 
+def test_ab_time_reload_peak_rss_mb():
+    # a fresh process per tree, for this checkout and for a tree given by
+    # its path; the process holds the interpreter and two stage 0s
+    ab_time = load_script("ab_time")
+    ab_time._import_paths()
+    from perfbench.workloads import Market
+
+    market = Market(seed=13, tokens=40, pools=140, hub_fraction=0.1,
+                    spread_orders=6, hubs=8)
+    for src in (None, str(SCRIPTS.parent / "src")):
+        assert 1 < ab_time.reload_peak_rss_mb(src, market) < 1000
+
+
 def test_ab_time_alternates_and_keeps_minima():
     # a fake clock that each call advances by its next duration
     ab_time = load_script("ab_time")
