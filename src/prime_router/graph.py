@@ -26,17 +26,19 @@ copy of it: each pair's edges go straight into a tuple (most pairs of a
 real market have one edge, which is then neither copied nor sorted), and
 each token's scratch row is dropped as its sorted row is made.
 
-An ``Edge`` derives its pool ids and float spot (``num / den`` of its
-curve's ``spot_ratio()``) when built, in its hand-written constructor,
-which sets its seven slots in one step: stage 0 reads both.  Nothing reads
-the exact ratio, so no edge keeps it.  Two more derivations wait for the
-path search, each a slot filled on its first read (``cfmm.lazy_slots``):
-``ceiling``, the most the edge can ever put out plus one (its curve's
-``output_ceiling``, which for a piecewise pool or a shortcut quotes the
-curve), and ``closed``, the curve's real output as float Möbius pieces,
-a table per leg, which the search folds for its closed-form bound
-(``pathfind._closed_out``).  So stage 0 derives neither, and an edge no
-search reads never holds one.
+An ``Edge`` derives its float spot (``num / den`` of its curve's
+``spot_ratio()``) when built, in its hand-written constructor, which sets
+its six slots in one step: stage 0 reads it.  Nothing reads the exact
+ratio, so no edge keeps it.  Three more derivations wait for the path
+search, each a slot filled on its first read (``cfmm.lazy_slots``):
+``pool_ids``, the pools the edge swaps through (its own, or its legs' for
+a shortcut), which the search and stage 2 keep disjoint; ``ceiling``, the
+most the edge can ever put out plus one (its curve's ``output_ceiling``,
+which for a piecewise pool or a shortcut quotes the curve); and
+``closed``, the curve's real output as float Möbius pieces, a table per
+leg, which the search folds for its closed-form bound
+(``pathfind._closed_out``).  So stage 0 derives none of them, and an edge
+no search reads never holds one.
 
 The value classes stage 0 builds per entry (``Token``, ``Pool``,
 ``PoolDirection``, ``Edge``, and the curves in ``cfmm``) are slotted frozen
@@ -193,10 +195,10 @@ class Edge:
     token_out: str
     fn: SwapFunction
     legs: Tuple["Edge", ...] = ()
-    # derived, precomputed once: the search scans these in tight loops
-    pool_ids: Tuple[str, ...] = field(init=False, compare=False, repr=False)
+    # derived, precomputed once: the search scans it in tight loops
     spot: float = field(init=False, compare=False, repr=False)
-    # derived on the first read, by the path search only
+    # derived on the first read, by the path search and stage 2 only
+    pool_ids: Tuple[str, ...] = field(init=False, compare=False, repr=False)
     ceiling: int = field(init=False, compare=False, repr=False)
     closed: Tuple[Tuple[Tuple[float, ...], ...], ...] = field(
         init=False, compare=False, repr=False)
@@ -204,17 +206,20 @@ class Edge:
     def __init__(self, pool_id: str, token_in: str, token_out: str,
                  fn: SwapFunction, legs: Tuple["Edge", ...] = ()):
         """The generated frozen ``__init__`` and the derivation of
-        ``pool_ids`` and ``spot``, in one step: stage 0 builds about 57,000
-        edges on the criterion-7 market."""
+        ``spot``, in one step: stage 0 builds about 57,000 edges on the
+        criterion-7 market."""
         num, den = fn.spot_ratio()
         _set_pool_id(self, pool_id)
         _set_token_in(self, token_in)
         _set_token_out(self, token_out)
         _set_fn(self, fn)
         _set_legs(self, legs)
-        _set_pool_ids(self, tuple([leg.pool_id for leg in legs]) if legs
-                      else (pool_id,))
         _set_spot(self, num / den)
+
+    def _pool_ids(self) -> Tuple[str, ...]:
+        """``pool_ids``: the legs' pool ids for a shortcut, else the edge's
+        own, a lazy slot."""
+        return tuple([leg.pool_id for leg in self.legs]) or (self.pool_id,)
 
     def _ceiling(self) -> int:
         """``ceiling``: the curve's ``output_ceiling``, a lazy slot."""
@@ -257,14 +262,14 @@ class Edge:
                      float(p.d)) for hi, p in zip(his, pieces)))
         return tuple(tables)
 
-    __getattr__ = lazy_slots(closed=_closed, ceiling=_ceiling)
+    __getattr__ = lazy_slots(pool_ids=_pool_ids, closed=_closed,
+                             ceiling=_ceiling)
 
 
 # the slots' own setters, which the frozen ``__setattr__`` does not guard
-(_set_pool_id, _set_token_in, _set_token_out, _set_fn, _set_legs,
- _set_pool_ids, _set_spot) = (
+_set_pool_id, _set_token_in, _set_token_out, _set_fn, _set_legs, _set_spot = (
     getattr(Edge, name).__set__ for name in (
-        "pool_id", "token_in", "token_out", "fn", "legs", "pool_ids", "spot"))
+        "pool_id", "token_in", "token_out", "fn", "legs", "spot"))
 
 
 def spot_order(e: Edge) -> Tuple[float, str]:

@@ -94,6 +94,10 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str]) -> Tuple[Edge, ...]:
     first edge whose rate is below the floor, before it builds the tuples a
     candidate costs.  The test is strict, so a candidate that ties the
     floor still reaches the pool-id and interior tie-break.
+
+    The non-hubs' exit lists into the hubs (``_hub_exits``) are dropped
+    when the scan ends, before any shortcut edge is built, so that stage 0
+    never holds both.
     """
     hub_set = set(hubs)
     exits = _hub_exits(g, hubs, hub_set)
@@ -159,6 +163,7 @@ def build_shortcut_index(g: SwapGraph, hubs: Sequence[str]) -> Tuple[Edge, ...]:
                                     floor = keep(h_out, (
                                         -out, (p1, p2, p3), two, (e1, e2, e3)))
 
+    del exits
     shortcuts: List[Edge] = []
     while found:
         # each bucket goes as its edges are built, which bounds the peak

@@ -241,23 +241,32 @@ class TestEdgeConstructor:
         assert a != Edge("P0", "T0", "T1", ConstantProduct(10, 21, 30))
         # the derived slots compare as nothing
         a.ceiling
+        a.pool_ids
         assert a == b and hash(a) == hash(b)
         assert repr(a) == ("Edge(pool_id='P0', token_in='T0', token_out='T1', "
                            f"fn={fn!r}, legs=())")
+        back = pickle.loads(pickle.dumps(b))
+        assert back == b and hash(back) == hash(b)
+        assert (back.pool_ids, back.spot) == (("P0",), b.spot)
 
     def test_pool_ids_and_spot(self):
         first = Edge("P0", "T0", "T1", ConstantProduct(10, 20, 30))
         second = Edge("P1", "T1", "T2", PiecewiseLiquidity(
             (Segment(50, 40, 10),), 5))
-        assert first.pool_ids == ("P0",)
         assert first.spot == (9970 * 20) / (10_000 * 10)
         assert second.spot == (9995 * 10) / (10_000 * 40)
         legs = (first, second)
         shortcut = Edge("sc:T0>T2:0", "T0", "T2", SequentialComposite(
             (first.fn, second.fn)), legs=legs)
-        assert shortcut.pool_ids == ("P0", "P1")
         assert shortcut.spot == (9970 * 20 * 9995 * 10) / (
             10_000 * 10 * 10_000 * 40)
+        # the pool ids wait for their first read, which fills the slot once
+        for e, want in [(first, ("P0",)), (second, ("P1",)),
+                        (shortcut, ("P0", "P1"))]:
+            assert not _slot_filled(e, "pool_ids")
+            ids = e.pool_ids
+            assert ids == want and _slot_filled(e, "pool_ids")
+            assert e.pool_ids is ids
 
     def test_constant_product_constructor_is_the_generated_one(self):
         fn = ConstantProduct(fee_bps=30, reserve_out=20, reserve_in=10)
@@ -699,10 +708,13 @@ class TestSlottedValues:
 
     def test_stage0_derives_nothing_lazy(self, stage0):
         _, g, prepared = stage0
-        edges = [e for u in g.token_ids() for _, es in g.out_items(u)
-                 for e in es] + list(prepared.shortcut_index)
+        edges = [e for graph in (g, prepared.core)
+                 for u in graph.token_ids() for _, es in graph.out_items(u)
+                 for e in es]
+        assert set(prepared.shortcut_index) <= set(edges)
         assert prepared.shortcut_index
         for e in edges:
+            assert not _slot_filled(e, "pool_ids")
             assert not _slot_filled(e, "closed")
             assert not _slot_filled(e, "ceiling")
             assert not _slot_filled(e.fn, "pieces")
