@@ -34,11 +34,14 @@ holds at its end and its peak), and exits 1 when the hubs differ.
 ``stage0_mib`` reads this checkout's memory alone, and
 ``stage0_peak_step`` a tree's memory with the step that sets its peak,
 for CI's job summary; ``save_snapshot_mib`` reads the traced peak of
-writing the market's snapshot.  ``tracemalloc`` sees only Python's own
-allocations, not mapped file pages or what the allocator keeps, so
-``reload_peak_rss_mb`` reads a tree's peak RSS in a fresh process that
-builds a second stage 0 next to its first, as a router reloading a new
-snapshot does.
+writing the market's snapshot.  Those steps keep the snapshot alive next
+to the graph, as the benchmark's stage 0 does; ``cold_route_peak_mib``
+reads a tree's traced peak over one in-process ``prime-router route``,
+which drops the snapshot once the graph is built.  ``tracemalloc`` sees
+only Python's own allocations, not mapped file pages or what the
+allocator keeps, so ``reload_peak_rss_mb`` reads a tree's peak RSS in a
+fresh process that builds a second stage 0 next to its first, as a
+router reloading a new snapshot does.
 
 Both sides share one process, and with it glibc's allocator state, such
 as its dynamic mmap threshold, which a freed large block raises: a
@@ -53,12 +56,13 @@ benchmark's runs, or ``reload_peak_rss_mb`` for memory).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import importlib
 import importlib.util
+import io as stdio
 import math
 import os
-import resource
 import statistics
 import subprocess
 import sys
@@ -86,8 +90,9 @@ def _import_paths() -> None:
 
 
 def import_tree(src: str, name: str = SIDE_A) -> Dict[str, object]:
-    """The ``engine``, ``errors`` and ``io`` modules of the ``prime_router``
-    package under ``src``, imported as the package ``name``."""
+    """The ``cli``, ``engine``, ``errors`` and ``io`` modules of the
+    ``prime_router`` package under ``src``, imported as the package
+    ``name``."""
     for module in [m for m in sys.modules
                    if m == name or m.startswith(name + ".")]:
         del sys.modules[module]
@@ -99,13 +104,14 @@ def import_tree(src: str, name: str = SIDE_A) -> Dict[str, object]:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return {part: importlib.import_module(f"{name}.{part}")
-            for part in ("engine", "errors", "io")}
+            for part in ("cli", "engine", "errors", "io")}
 
 
 def own_tree() -> Dict[str, object]:
-    """The ``engine`` and ``io`` modules of this checkout's ``prime_router``."""
+    """The ``cli``, ``engine`` and ``io`` modules of this checkout's
+    ``prime_router``."""
     return {part: importlib.import_module(f"prime_router.{part}")
-            for part in ("engine", "io")}
+            for part in ("cli", "engine", "io")}
 
 
 @contextmanager
@@ -286,6 +292,43 @@ def save_snapshot_mib(market=None) -> float:
     return peak / MIB
 
 
+def cold_route_peak_mib(src: Optional[str] = None, market=None) -> float:
+    """The traced peak, in MiB, of one in-process ``prime-router route``
+    by the tree under ``src`` (this checkout's by default) on a snapshot
+    of ``market`` (criterion 7's by default), between its first two
+    tokens; a route that exits other than 0 raises.  The snapshot is
+    written and dropped before the trace, so the peak is the route's: the
+    load, the graph, stage 0 and the query."""
+    _import_paths()
+    from perfbench import workloads
+
+    market = market or workloads.CRITERION_7_MARKET
+    modules = own_tree() if src is None else import_tree(src)
+    io = modules["io"]
+    snap = io.generate_synthetic(market.seed, market.tokens, market.pools,
+                                 hub_fraction=market.hub_fraction,
+                                 reserve_spread_orders=market.spread_orders)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "market.json")
+        io.save_snapshot(snap, path)
+        argv = ["route", "--snapshot", path, "--from", snap.tokens[0].id,
+                "--to", snap.tokens[1].id, "--amount", str(10**18),
+                "--max-hops", str(market.max_hops),
+                "--hubs", str(market.hubs)]
+        del snap
+        gc.collect()
+        with contextlib.redirect_stdout(stdio.StringIO()):
+            tracemalloc.start()
+            try:
+                code = modules["cli"].main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    if code != modules["cli"].EXIT_OK:
+        raise RuntimeError(f"route exited {code}")
+    return peak / MIB
+
+
 def reload_peak_rss_mb(src: Optional[str] = None, market=None) -> float:
     """The peak RSS, in MB, of a fresh process that builds stage 0 of the
     tree under ``src`` (this checkout's by default) from a snapshot of
@@ -309,7 +352,13 @@ def reload_peak_rss_mb(src: Optional[str] = None, market=None) -> float:
 def _reload(path: str, src: str, max_hops: str, hubs: str) -> None:
     """``reload_peak_rss_mb``'s process: print its peak RSS in MB after
     two stage 0s of the tree under ``src`` (this checkout's when empty)
-    from the snapshot at ``path``, both kept."""
+    from the snapshot at ``path``, both kept.
+
+    The peak is ``VmHWM``, the high-water mark of the process's own
+    memory.  ``ru_maxrss`` would read the caller's when the caller is the
+    larger: ``subprocess`` starts the child with ``vfork``, in the
+    caller's memory, and Linux carries that memory's high-water mark
+    across ``execve`` into ``ru_maxrss``."""
     _import_paths()
     modules = import_tree(src) if src else own_tree()
     io, engine = modules["io"], modules["engine"]
@@ -321,8 +370,17 @@ def _reload(path: str, src: str, max_hops: str, hubs: str) -> None:
         kept.append((snap, engine.prepare_routing(graph, engine.RouteQuery(
             ids[0], ids[1], 1, max_hops=int(max_hops),
             hub_count=int(hubs)))))
-    # ru_maxrss is in KiB on Linux
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+    print(own_peak_rss_mb())
+
+
+def own_peak_rss_mb() -> float:
+    """This process's ``VmHWM``, in MB (MiB, as ``ru_maxrss`` / 1024 reads
+    it): the peak RSS of its own memory, not of a memory it started in."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmHWM in /proc/self/status")
 
 
 def run_stage0(market, against: str, rounds: int) -> dict:

@@ -88,7 +88,7 @@ def _load_graph(path, args):
               len(snapshot.tokens), len(snapshot.pools), loaded - started)
     graph = snapshot.build_graph()
     log.debug("built graph: %d tokens, %d pools, %d edges in %.3fs",
-              len(graph.tokens), len(graph.pools), graph.edge_count,
+              len(graph.tokens), len(snapshot.pools), graph.edge_count,
               time.perf_counter() - loaded)
     for token_id in (args.source, args.target):
         if not graph.has_token(token_id):

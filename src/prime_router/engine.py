@@ -202,7 +202,7 @@ def prepare_routing(g: SwapGraph, query: RouteQuery) -> PreparedRouting:
                   if v in hub_set for e in candidates]
     core_edges.extend(shortcuts)
     # every query's overlay reads the core's in-arcs, each built once
-    core = SwapGraph({h: g.tokens[h] for h in hubs}, {}, core_edges)
+    core = SwapGraph({h: g.tokens[h] for h in hubs}, core_edges)
     log.debug("prepared routing: %d hubs, %d shortcuts, %d core edges; "
               "hubs %.3fs, shortcuts %.3fs, core rows %.3fs", len(hubs),
               len(shortcuts), core.edge_count, hubs_done - started,

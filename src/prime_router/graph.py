@@ -26,6 +26,16 @@ copy of it: each pair's edges go straight into a tuple (most pairs of a
 real market have one edge, which is then neither copied nor sorted), and
 each token's scratch row is dropped as its sorted row is made.
 
+The graph is the one home of a pool's facts: each edge's curve holds
+them, and the graph keeps no ``Pool``.  Its readers read the rows: hub
+selection counts each row's distinct pool ids, the leaf prune counts
+neighbours, and ``pools`` gathers the ids on each call.  So once the
+snapshot is dropped, as the CLI drops it, its ``Pool`` and
+``PoolDirection`` objects are freed: on the criterion-7 market stage 0
+then holds 26.2 MiB after ``prepare_routing``, where a ``Pool`` map kept
+32.1 MiB, and ``prime-router route`` peaks at 28.8 MiB, not 32.8
+(``tracemalloc``, Python 3.11).
+
 An ``Edge`` derives its float spot (``num / den`` of its curve's
 ``spot_ratio()``) when built, in its hand-written constructor, which sets
 its six slots in one step: stage 0 reads it.  Nothing reads the exact
@@ -42,9 +52,10 @@ no search reads never holds one.
 
 The value classes stage 0 builds per entry (``Token``, ``Pool``,
 ``PoolDirection``, ``Edge``, and the curves in ``cfmm``) are slotted frozen
-dataclasses, without an instance ``__dict__``: stage 0 on the criterion-7
-market holds about 177,000 of them.  The six it builds most of (``Token``,
-``Pool``, ``PoolDirection``, ``Edge``, ``cfmm.Segment`` and
+dataclasses, without an instance ``__dict__``: on the criterion-7 market
+stage 0 builds about 177,000 of them and, once the snapshot is dropped,
+holds 144,000.  The six it builds most of (``Token``, ``Pool``,
+``PoolDirection``, ``Edge``, ``cfmm.Segment`` and
 ``cfmm.ConstantProduct``) have a hand-written constructor that sets the
 slots through their own setters, in one step, where the generated frozen
 one calls ``object.__setattr__`` per field.
@@ -65,8 +76,8 @@ import gc
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterable, ItemsView, List, Optional, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, ItemsView, List,
+                    Optional, Set, Tuple)
 
 from .cfmm import (BPS_DENOM, ConstantProduct, PiecewiseLiquidity, Segment,
                    SequentialComposite, SwapFunction, lazy_slots)
@@ -280,10 +291,8 @@ def spot_order(e: Edge) -> Tuple[float, str]:
 class SwapGraph:
     """Immutable directed multigraph; vertices are tokens, edges swap legs."""
 
-    def __init__(self, tokens: Dict[str, Token], pools: Dict[str, Pool],
-                 edges: Iterable[Edge]):
+    def __init__(self, tokens: Dict[str, Token], edges: Iterable[Edge]):
         self._tokens = dict(tokens)
-        self._pools = dict(pools)
         # each pair's edges are a tuple from the first: most pairs of a real
         # market have one edge, which is then neither copied nor sorted
         by_pair: Dict[str, Dict[str, Tuple[Edge, ...]]] = {}
@@ -316,8 +325,11 @@ class SwapGraph:
         return self._tokens
 
     @property
-    def pools(self) -> Dict[str, Pool]:
-        return self._pools
+    def pools(self) -> FrozenSet[str]:
+        """The pool ids of the graph's edges (a shortcut's own ``sc:`` id),
+        gathered from the rows on each call: the graph keeps no pools."""
+        return frozenset([e.pool_id for row in self._pairs.values()
+                          for es in row.values() for e in es])
 
     def token_ids(self) -> Tuple[str, ...]:
         return self._token_ids
@@ -493,18 +505,15 @@ def build_graph(tokens: Iterable[Token], pools: Iterable[Pool]) -> SwapGraph:
             token_map[t.id] = t
         else:
             add_token(token_map, t)
+    # only ``add_pool``'s duplicate-id check reads the pools by id: the
+    # graph keeps none, as each edge's curve holds its pool's facts
     pool_map: Dict[str, Pool] = {}
     edges: List[Edge] = []
-    # admitted entries fill the maps in the same loops and order as checked
-    # ones: building the maps first, by comprehension, left the heap laid
-    # out so that whale's peak RSS read about 2 MB higher
     for p in pools:
-        if admitted:
-            pool_map[p.id] = p
-        else:
+        if not admitted:
             add_pool(pool_map, token_map, p)
         edges.extend(_expand_pool(p))
-    g = SwapGraph(token_map, pool_map, edges)
+    g = SwapGraph(token_map, edges)
     # every pool serves every ordered pair of its tokens (``_validate_pool``
     # holds a piecewise pool to both directions), so every pair has its
     # reverse and ``in_arcs`` need not check
@@ -515,16 +524,12 @@ def build_graph(tokens: Iterable[Token], pools: Iterable[Pool]) -> SwapGraph:
 def _subgraph(g: SwapGraph, tokens: Set[str]) -> SwapGraph:
     """The part of ``g`` on ``tokens``, sharing its edge tuples and objects.
 
-    Only valid when no pool has two tokens inside and one outside, so that an
-    edge between kept tokens belongs to a kept pool.  Leaf pruning ensures it:
-    every token of a live multi-token pool has two neighbours through it.
     The parent's map is sorted and filtering keeps it sorted, so every
-    ordering matches what ``build_graph`` gives the kept tokens and pools.
+    ordering matches what ``build_graph`` gives the kept tokens and the
+    pools among them.
     """
     sub = SwapGraph.__new__(SwapGraph)
     sub._tokens = {t: g._tokens[t] for t in sorted(tokens)}
-    sub._pools = {pid: p for pid, p in g._pools.items()
-                  if all(t in tokens for t in p.tokens)}
     pairs = {}
     for u, row in g._pairs.items():
         if u in tokens:
@@ -536,48 +541,41 @@ def _subgraph(g: SwapGraph, tokens: Set[str]) -> SwapGraph:
 
 
 def prune_leaf_tokens(g: SwapGraph, protected: Iterable[str]) -> SwapGraph:
-    """Drop tokens whose pools touch at most one other token, to a fixpoint.
+    """Drop tokens with at most one neighbour, to a fixpoint.
 
-    Protected tokens (the hubs, for ``PreparedRouting.pruned``) survive.  Pools lose
-    all edges once any of their tokens is dropped, which is safe: a token in
-    a multi-token pool always sees >= 2 neighbours through it.  A drop only
-    lowers other tokens' neighbour counts, so the order in which a worklist
-    drops tokens does not change the fixpoint.
+    Protected tokens (the hubs, for ``PreparedRouting.pruned``) survive.
+    A token's neighbours are the tokens its edges join it to, either way:
+    on a graph whose every pair has its reverse (``pairs_reversed``, as in
+    every graph ``build_graph`` makes), its row's.  With at most one
+    neighbour a token is in no pool of three or more tokens, so each of
+    its pools joins it to that one neighbour, and dropping it drops the
+    pools whole: the kept tokens keep every edge of every pool among them.
+    A drop only lowers other tokens' neighbour counts, so the order in
+    which a worklist drops tokens does not change the fixpoint.
 
-    The result shares its ``Edge``, ``Pool`` and ``Token`` objects with
-    ``g``; they are frozen, so sharing is safe.  Nothing is validated or
-    expanded again, and the orderings are those ``build_graph`` would give
-    the kept tokens and pools.
+    The result shares its ``Edge`` and ``Token`` objects with ``g``; they
+    are frozen, so sharing is safe.  Nothing is validated or expanded
+    again, and the orderings are those ``build_graph`` would give the
+    kept tokens and pools.
     """
     protected = set(protected)
-    # links[t][u]: live pools that hold both t and u
-    links: Dict[str, Dict[str, int]] = {t: {} for t in g.tokens}
-    pools_of: Dict[str, List[Pool]] = {t: [] for t in g.tokens}
-    for p in g.pools.values():
-        for t in p.tokens:
-            pools_of[t].append(p)
-            row = links[t]
-            for u in p.tokens:
-                if u != t:
-                    row[u] = row.get(u, 0) + 1
+    links = g._pairs
+    if not g.pairs_reversed():
+        links = {t: set(links.get(t, ())) for t in g.tokens}
+        for u, row in g._pairs.items():
+            for v in row:
+                links[v].add(u)
+    count = {t: len(links.get(t, ())) for t in g.tokens}
     dropped: Set[str] = set()
-    work = [t for t, row in links.items()
-            if len(row) <= 1 and t not in protected]
+    work = [t for t, n in count.items() if n <= 1 and t not in protected]
     while work:
         t = work.pop()
         if t in dropped:
             continue
         dropped.add(t)
-        # with one neighbour at most, t is in no multi-token pool: each of
-        # its pools joins it to a single token, which loses one link to t
-        for p in pools_of[t]:
-            for a in p.tokens:
-                if a in dropped:
-                    continue
-                row = links[a]
-                row[t] -= 1
-                if row[t] == 0:
-                    del row[t]
-                    if len(row) <= 1 and a not in protected:
-                        work.append(a)
+        for a in links.get(t, ()):
+            if a not in dropped:
+                count[a] -= 1
+                if count[a] <= 1 and a not in protected:
+                    work.append(a)
     return _subgraph(g, set(g.tokens) - dropped)

@@ -16,6 +16,8 @@ search one hop.
 from __future__ import annotations
 
 from bisect import insort
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cfmm import SequentialComposite
@@ -25,13 +27,21 @@ from .graph import Edge, SwapGraph
 # shortcuts kept per ordered hub pair
 TOP_S = 3
 
+_pool_id = attrgetter("pool_id")
+_edges = itemgetter(1)
+
 
 def select_hubs(g: SwapGraph, k: int,
                 explicit: Optional[Sequence[str]] = None) -> Tuple[str, ...]:
-    """Pick the top-k hub tokens by incident pool count.
+    """Pick the top-k hub tokens by incident pool count, ties on token id.
 
-    An explicit list overrides the ranking; it may not be empty.  Ties
-    break on token id.
+    A token's pools are the distinct pool ids in its row: every pool
+    serves every ordered pair of its tokens, so a pool of n tokens puts
+    n - 1 edges in each of their rows.  A row's edge count thus bounds its
+    pool count, and only rows whose bound reaches the k-th count found so
+    far, taken largest bound first, are counted: on the criterion-7 market
+    the k hubs' own rows.  An explicit list overrides the ranking; it may
+    not be empty.
     """
     if explicit is not None:
         hubs = tuple(dict.fromkeys(explicit))
@@ -43,12 +53,16 @@ def select_hubs(g: SwapGraph, k: int,
         return hubs
     if k < 1:
         raise InvalidParamsError("hub count must be >= 1")
-    degree: Dict[str, int] = {t: 0 for t in g.tokens}
-    for p in g.pools.values():
-        for t in p.tokens:
-            degree[t] += 1
-    ranked = sorted(g.tokens, key=lambda t: (-degree[t], t))
-    return tuple(ranked[:min(k, len(ranked))])
+    size = {t: sum(map(len, map(_edges, g.out_items(t)))) for t in g.tokens}
+    counted: List[Tuple[int, str]] = []  # (-pool count, token), in order
+    # largest bound first: a stable sort keeps equal bounds in id order
+    for t in sorted(g.token_ids(), key=size.__getitem__, reverse=True):
+        if len(counted) >= k and size[t] < -counted[k - 1][0]:
+            break
+        # in C: the row's edge tuples, chained, mapped to their pool ids
+        insort(counted, (-len(set(map(_pool_id, chain.from_iterable(
+            map(_edges, g.out_items(t)))))), t))
+    return tuple(t for _, t in counted[:k])
 
 
 def _hub_exits(g: SwapGraph, hubs: Sequence[str], hub_set: Set[str]

@@ -43,6 +43,16 @@ def random_cp_graph(rng: random.Random, n_tokens: int, n_pools: int,
                     fee_choices: Sequence[int] = (0, 5, 30, 100),
                     lo: int = 10**6, hi: int = 10**12) -> SwapGraph:
     """Connected multigraph of two-token constant-product pools."""
+    return build_graph(*random_cp_pools(rng, n_tokens, n_pools,
+                                        fee_choices, lo, hi))
+
+
+def random_cp_pools(rng: random.Random, n_tokens: int, n_pools: int,
+                    fee_choices: Sequence[int] = (0, 5, 30, 100),
+                    lo: int = 10**6, hi: int = 10**12
+                    ) -> Tuple[List[Token], List[Pool]]:
+    """The tokens and pools ``random_cp_graph`` builds, from the same
+    draws."""
     assert n_tokens >= 2 and n_pools >= n_tokens - 1
     toks = tokens(n_tokens)
     pools = []
@@ -56,7 +66,7 @@ def random_cp_graph(rng: random.Random, n_tokens: int, n_pools: int,
         pools.append(cp_pool(f"P{len(pools)}", toks[a].id, toks[b].id,
                              rng.randint(lo, hi), rng.randint(lo, hi),
                              rng.choice(fee_choices)))
-    return build_graph(toks, pools)
+    return toks, pools
 
 
 def single_edge_path(pid: str, tin: str, tout: str, r_in: int, r_out: int,
@@ -109,6 +119,12 @@ def random_mixed_market(rng):
     Token and pool ids are drawn at random and inserted unsorted, so a
     prune that kept input order instead of sorted token order shows.
     """
+    return build_graph(*random_mixed_pools(rng))
+
+
+def random_mixed_pools(rng) -> Tuple[List[Token], List[Pool]]:
+    """The tokens and pools ``random_mixed_market`` builds, from the same
+    draws."""
     n = rng.randint(3, 14)
     toks = [Token(f"T{rng.getrandbits(24):06x}{i}", f"S{i}", 18)
             for i in range(n)]
@@ -138,4 +154,4 @@ def random_mixed_market(rng):
                                  rng.randint(10**6, 10**12),
                                  rng.choice((0, 5, 30, 100))))
     rng.shuffle(toks)
-    return build_graph(toks, pools)
+    return toks, pools

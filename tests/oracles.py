@@ -13,7 +13,9 @@ of enumerating the whole lattice, which is what makes fine resolutions
 affordable.  The enumerator and the grid oracle refuse inputs beyond their
 size guards.  ``snapshot_text_oracle`` is a snapshot's canonical text made in
 one ``json.dumps`` of a dict tree of every entry, the reference for the
-streamed writer.
+streamed writer.  ``hubs_oracle`` and ``prune_oracle`` read a market's
+pools, which the graph does not keep: the references for the hub ranking
+and the leaf prune, which read the graph's rows.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Collection, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 from unittest import mock
 
 from prime_router.allocation import MultiEdgePath, objective, path_output
 from prime_router.errors import InvalidParamsError, RoutingError
-from prime_router.graph import KIND_CONSTANT_PRODUCT, Edge, SwapGraph
+from prime_router.graph import (KIND_CONSTANT_PRODUCT, Edge, Pool, SwapGraph,
+                                Token, build_graph)
 from prime_router.io import Snapshot
 from prime_router.pathfind import SearchContext, SinglePath, find_path
 
@@ -310,3 +314,35 @@ def snapshot_text_oracle(s: Snapshot) -> str:
                        for t in s.tokens],
             "pools": pools}
     return json.dumps(tree, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def hubs_oracle(pools: Sequence[Pool], token_ids: Collection[str], k: int
+                ) -> Tuple[str, ...]:
+    """The k tokens in the most pools, ties on token id."""
+    count = dict.fromkeys(token_ids, 0)
+    for p in pools:
+        for t in p.tokens:
+            count[t] += 1
+    return tuple(sorted(count, key=lambda t: (-count[t], t))[:k])
+
+
+def prune_oracle(tokens: Sequence[Token], pools: Sequence[Pool],
+                 protected: Collection[str]) -> SwapGraph:
+    """Round-based leaf pruning over the pools: each round drops every
+    unprotected token that the pools among the survivors join to at most
+    one other; the survivors are rebuilt with ``build_graph``."""
+    alive = {t.id for t in tokens}
+    while True:
+        neighbors: Dict[str, set] = {t: set() for t in alive}
+        for p in pools:
+            if alive.issuperset(p.tokens):
+                for t in p.tokens:
+                    neighbors[t].update(u for u in p.tokens if u != t)
+        drop = {t for t in alive
+                if t not in protected and len(neighbors[t]) <= 1}
+        if not drop:
+            break
+        alive -= drop
+    return build_graph(sorted((t for t in tokens if t.id in alive),
+                              key=lambda t: t.id),
+                       [p for p in pools if alive.issuperset(p.tokens)])

@@ -385,7 +385,7 @@ class TestStage1Split:
 
 
 # a hub core without edges: merge_and_expand offers no shortcut
-EMPTY_CORE = SwapGraph({}, {}, ())
+EMPTY_CORE = SwapGraph({}, ())
 
 
 class TestMergeAndExpand:
@@ -499,13 +499,14 @@ class TestVerifySolution:
 
 
 class TestShortcuts:
-    def build_detour_market(self):
+    def detour_pools(self):
         # direct hub pool is shallow; the best route detours via non-hub T2
-        toks = tokens(3)
-        pools = [cp_pool("DIRECT", "T0", "T1", 10**7, 10**7),
-                 cp_pool("LEG1", "T0", "T2", 10**12, 10**12),
-                 cp_pool("LEG2", "T2", "T1", 10**12, 10**12)]
-        return build_graph(toks, pools)
+        return [cp_pool("DIRECT", "T0", "T1", 10**7, 10**7),
+                cp_pool("LEG1", "T0", "T2", 10**12, 10**12),
+                cp_pool("LEG2", "T2", "T1", 10**12, 10**12)]
+
+    def build_detour_market(self):
+        return build_graph(tokens(3), self.detour_pools())
 
     def test_shortcut_strictly_beats_core_only(self):
         g = self.build_detour_market()
@@ -549,7 +550,7 @@ class TestShortcuts:
         # the detour market plus a leaf token T3; stage 0 prunes nothing, so
         # the line reports no prune; the core is DIRECT both ways plus the
         # two shortcuts
-        g = build_graph(tokens(4), list(self.build_detour_market().pools.values())
+        g = build_graph(tokens(4), self.detour_pools()
                         + [cp_pool("LEAF", "T0", "T3", 10**9, 10**9)])
         q = query("T0", "T1", 10**6, explicit_hubs=("T0", "T1"))
         with caplog.at_level(logging.DEBUG, logger="prime_router.engine"):
@@ -563,7 +564,7 @@ class TestShortcuts:
     def test_stage2_offers_the_index_shortcut_object(self):
         # DIRECT with a fee prices below the detour, so stage 2 offers the
         # shortcut on the hop DIRECT's path takes
-        pools = dict(self.build_detour_market().pools)
+        pools = {p.id: p for p in self.detour_pools()}
         pools["DIRECT"] = cp_pool("DIRECT", "T0", "T1", 10**7, 10**7, fee=30)
         g = build_graph(tokens(3), list(pools.values()))
         x = 10**6
@@ -606,7 +607,7 @@ class TestShortcuts:
         # of the shortcut T0 -LEG1-> T2 -LEG2-> T1, so stage 2 must not
         # offer it on hop T0 -> T1, though it beats DIRECT and its pools are
         # free (the other shortcut through T2 runs through the used EXIT)
-        pools = dict(self.build_detour_market().pools)
+        pools = {p.id: p for p in self.detour_pools()}
         pools["DIRECT"] = cp_pool("DIRECT", "T0", "T1", 10**7, 10**7, fee=30)
         pools["EXIT"] = cp_pool("EXIT", "T1", "T2", 10**9, 10**9)
         g = build_graph(tokens(3), list(pools.values()))

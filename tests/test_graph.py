@@ -25,15 +25,18 @@ from prime_router.graph import (
     prune_leaf_tokens,
 )
 from prime_router.io import (Snapshot, dumps_snapshot, generate_synthetic,
-                             loads_snapshot)
+                             load_snapshot, loads_snapshot, save_snapshot)
 from prime_router.pathfind import SearchStats, find_path
 
 from instances import (
     cp_pool,
     random_cp_graph,
+    random_cp_pools,
     random_mixed_market,
+    random_mixed_pools,
     tokens,
 )
+from oracles import prune_oracle
 
 
 def test_two_token_pool_expands_bidirectionally():
@@ -101,9 +104,11 @@ def test_every_builder_keeps_one_map():
 
 def test_edge_count_matches_pool_arities():
     rng = random.Random(3)
-    g = random_cp_graph(rng, 8, 15)
-    expected = sum(len(p.tokens) * (len(p.tokens) - 1) for p in g.pools.values())
+    toks, pools = random_cp_pools(rng, 8, 15)
+    g = build_graph(toks, pools)
+    expected = sum(len(p.tokens) * (len(p.tokens) - 1) for p in pools)
     assert g.edge_count == expected
+    assert g.pools == {p.id for p in pools}
 
 
 def test_build_is_deterministic():
@@ -383,7 +388,6 @@ def test_swap_graph_builds_its_rows_without_a_second_copy():
     snap = generate_synthetic(5, 2000, 5000, 0.01, 6)
     g = snap.build_graph()
     token_map = dict(g.tokens)
-    pool_map = dict(g.pools)
     edges = [e for u in g.token_ids() for _, es in g.out_items(u)
              for e in es]
     random.Random(1).shuffle(edges)
@@ -392,13 +396,40 @@ def test_swap_graph_builds_its_rows_without_a_second_copy():
     gc.collect()
     tracemalloc.start()
     try:
-        rebuilt = SwapGraph(token_map, pool_map, edges)
+        rebuilt = SwapGraph(token_map, edges)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert _rows(rebuilt) == want
     # halfway between the two
     assert peak - held < 0.55 * held
+
+
+def _pool_objects():
+    """How many ``Pool`` and ``PoolDirection`` objects are alive."""
+    return sum(isinstance(o, (Pool, PoolDirection)) for o in gc.get_objects())
+
+
+def test_stage0_keeps_no_pool_once_the_snapshot_is_dropped(tmp_path):
+    # each edge's curve holds its pool's facts: once the snapshot is
+    # dropped, as the CLI drops it, stage 0 (the pruned graph too) keeps
+    # none of the snapshot's pools or directions
+    path = tmp_path / "market.json"
+    save_snapshot(generate_synthetic(7, 60, 200, hub_fraction=0.1,
+                                     reserve_spread_orders=6), path)
+    gc.collect()
+    before = _pool_objects()
+    snap = load_snapshot(path)
+    assert any(p.directions for p in snap.pools)
+    g = snap.build_graph()
+    assert _pool_objects() - before > 200
+    del snap
+    ids = sorted(g.tokens)
+    prepared = prepare_routing(g, RouteQuery(ids[0], ids[1], 1, max_hops=3,
+                                             hub_count=8))
+    assert prepared.pruned.pools
+    gc.collect()
+    assert _pool_objects() == before
 
 
 def _forbid_admission(monkeypatch):
@@ -532,30 +563,9 @@ class TestPrune:
                 assert pruned.has_token(mid)
 
 
-def rebuild_prune_oracle(g, protected):
-    """Round-based leaf pruning that rebuilds the survivors with build_graph."""
-    protected = set(protected)
-    alive = set(g.tokens)
-    pools = list(g.pools.values())
-    while True:
-        neighbors = {t: set() for t in alive}
-        for p in pools:
-            if all(t in alive for t in p.tokens):
-                for t in p.tokens:
-                    neighbors[t].update(u for u in p.tokens if u != t)
-        drop = {t for t in alive
-                if t not in protected and len(neighbors[t]) <= 1}
-        if not drop:
-            break
-        alive -= drop
-    kept_tokens = [g.tokens[t] for t in sorted(alive)]
-    kept_pools = [p for p in pools if all(t in alive for t in p.tokens)]
-    return build_graph(kept_tokens, kept_pools)
-
-
 def graph_layout(g):
     """Everything a consumer can observe about a graph's structure."""
-    return (list(g.tokens), list(g.pools), g.edge_count,
+    return (list(g.tokens), sorted(g.pools), g.edge_count,
             {u: [(v, [e.pool_id for e in es]) for v, es in g.out_items(u)]
              for u in g.token_ids()},
             {(u, v): [e.pool_id for e in g.edges_between(u, v)]
@@ -586,7 +596,7 @@ def test_in_arcs_read_the_rows_backward():
         dropped = {(e.token_in, e.token_out) for e in edges
                    if rng.random() < 0.3}
         kept = [e for e in edges if (e.token_in, e.token_out) not in dropped]
-        partial = SwapGraph(g.tokens, g.pools, kept)
+        partial = SwapGraph(g.tokens, kept)
         pruned = prune_leaf_tokens(g, rng.sample(sorted(g.tokens), 1))
         for view in (g, pruned, partial):
             # the ids are sorted once per graph, not per call
@@ -602,14 +612,17 @@ def test_in_arcs_read_the_rows_backward():
 
 class TestPruneEquivalence:
     def _markets(self):
+        """``(rng, tokens, pools, graph)``: random markets with 3-token
+        pools, then synthetic ones."""
         rng = random.Random(0x5EED)
         for trial in range(120):
-            g = random_mixed_market(rng)
-            yield rng, g
+            toks, pools = random_mixed_pools(rng)
+            yield rng, toks, pools, build_graph(toks, pools)
         for trial in range(20):
             n = rng.randint(5, 30)
-            yield rng, generate_synthetic(trial, n, rng.randint(n - 1, 2 * n),
-                                          hub_fraction=0.2).build_graph()
+            snap = generate_synthetic(trial, n, rng.randint(n - 1, 2 * n),
+                                      hub_fraction=0.2)
+            yield rng, snap.tokens, snap.pools, snap.build_graph()
 
     def _protected_sets(self, rng, g):
         ids = sorted(g.tokens)
@@ -618,34 +631,71 @@ class TestPruneEquivalence:
         yield set(rng.sample(ids, rng.randint(1, len(ids))))
 
     def test_matches_rebuild_oracle(self):
+        # the prune reads neighbour counts off the rows; the oracle drops
+        # leaves by their pools, round by round, and rebuilds the rest
         pruned_any = 0
-        for rng, g in self._markets():
+        for rng, toks, pools, g in self._markets():
+            arity = {p.id: len(p.tokens) for p in pools}
             for protected in self._protected_sets(rng, g):
                 got = prune_leaf_tokens(g, protected)
-                want = rebuild_prune_oracle(g, protected)
+                want = prune_oracle(toks, pools, protected)
                 assert graph_layout(got) == graph_layout(want)
                 assert got.edge_count == sum(
-                    len(p.tokens) * (len(p.tokens) - 1)
-                    for p in got.pools.values())
+                    arity[pid] * (arity[pid] - 1) for pid in got.pools)
                 pruned_any += len(got.tokens) < len(g.tokens)
         assert pruned_any > 100
 
     def test_shares_input_objects(self):
-        for rng, g in self._markets():
+        for rng, _, _, g in self._markets():
             for protected in self._protected_sets(rng, g):
                 got = prune_leaf_tokens(g, protected)
                 for t, tok in got.tokens.items():
                     assert tok is g.tokens[t]
-                for pid, pool in got.pools.items():
-                    assert pool is g.pools[pid]
+                assert got.pools <= g.pools
                 for u in got.token_ids():
                     for v, es in got.out_items(u):
                         parent = g.edges_between(u, v)
                         for e in es:
                             assert any(e is p for p in parent)
 
+    def test_one_way_pairs_join_neighbours_too(self):
+        # where some pairs lack their reverse, a token's neighbours are the
+        # tokens an edge joins it to either way, not its row's alone
+        rng = random.Random(0x1EAF)
+        one_way = pruned_any = 0
+        for _ in range(150):
+            g = random_mixed_market(rng)
+            edges = [e for u in g.token_ids() for _, es in g.out_items(u)
+                     for e in es]
+            dropped = {(e.token_in, e.token_out) for e in edges
+                       if rng.random() < 0.3}
+            partial = SwapGraph(g.tokens, [
+                e for e in edges if (e.token_in, e.token_out) not in dropped])
+            protected = set(rng.sample(sorted(g.tokens), 1))
+            alive = set(g.tokens)
+            while True:
+                near = {t: set() for t in alive}
+                for u in partial.token_ids():
+                    for v, _ in partial.out_items(u):
+                        if u in alive and v in alive:
+                            near[u].add(v)
+                            near[v].add(u)
+                drop = {t for t in alive
+                        if t not in protected and len(near[t]) <= 1}
+                if not drop:
+                    break
+                alive -= drop
+            got = prune_leaf_tokens(partial, protected)
+            assert got.token_ids() == tuple(sorted(alive))
+            for u in got.token_ids():
+                assert list(got.out_items(u)) == [
+                    (v, es) for v, es in partial.out_items(u) if v in alive]
+            one_way += not partial.pairs_reversed()
+            pruned_any += len(alive) < len(g.tokens)
+        assert one_way > 50 and pruned_any > 50
+
     def test_pruning_twice_changes_nothing(self):
-        for rng, g in self._markets():
+        for rng, _, _, g in self._markets():
             for protected in self._protected_sets(rng, g):
                 once = prune_leaf_tokens(g, protected)
                 twice = prune_leaf_tokens(once, protected)

@@ -144,7 +144,7 @@ class TestFindPath:
             prep = prepare_routing(g, RouteQuery(s, t, 1, hub_count=n // 3))
             view = _query_overlay(prep, s, t)
         x = 10**rng.randint(15, 24) if piecewise else rng.randint(10**3, 10**9)
-        masked = frozenset(pid for pid in g.pools if rng.random() < 0.2)
+        masked = frozenset(pid for pid in sorted(g.pools) if rng.random() < 0.2)
         first = find_path(view, s, t, x, 0.0, 3, masked)
         if first is None:
             return
@@ -395,7 +395,7 @@ def _shortcut_pair(rng):
             Edge("T3T1", "T3", "T1", ConstantProduct(r, r, 5)))
     shortcut = Edge("sc:T0>T1:0", "T0", "T1",
                     SequentialComposite(tuple(e.fn for e in legs)), legs)
-    g = SwapGraph({t.id: t for t in tokens(4)}, {}, [deep, shortcut])
+    g = SwapGraph({t.id: t for t in tokens(4)}, [deep, shortcut])
     return g, 3 * depth, shortcut
 
 
@@ -484,12 +484,12 @@ class TestBoundPruning:
                                       reserve_spread_orders=3)
             g = snap.build_graph()
             piecewise_seen += sum(p.kind == KIND_PIECEWISE
-                                  for p in g.pools.values())
+                                  for p in snap.pools)
             s, t = rng.sample(sorted(g.tokens), 2)
             x = 10**rng.randint(15, 24)
             paths = enumerate_paths_oracle(g, s, t, 3)
             tau = _pick_tau(rng, paths, x)
-            masked = frozenset(pid for pid in g.pools if rng.random() < 0.3)
+            masked = frozenset(p.id for p in snap.pools if rng.random() < 0.3)
             res = find_path(g, s, t, x, tau, 3, masked)
             want = _expected(paths, x, tau, _pools_free(masked))
             assert (res.output if res else None) == want
@@ -513,13 +513,13 @@ class TestBoundPruning:
             # the overlay as a plain graph, so the oracle can enumerate it;
             # each composite edge is one "pool" there, its legs checked below
             flat = SwapGraph({tok: g.tokens[tok] for e in edges
-                              for tok in (e.token_in, e.token_out)}, {}, edges)
+                              for tok in (e.token_in, e.token_out)}, edges)
             if not flat.has_token(s) or not flat.has_token(t):
                 continue
             x = 10**rng.randint(15, 24)
             paths = enumerate_paths_oracle(flat, s, t, 3)
             tau = _pick_tau(rng, paths, x)
-            masked = frozenset(pid for pid in g.pools if rng.random() < 0.2)
+            masked = frozenset(p.id for p in snap.pools if rng.random() < 0.2)
             free = _pools_free(masked)
 
             def usable(path):
@@ -576,7 +576,7 @@ class TestBoundPruning:
         edges = [Edge("D0", "T0", "T1", ConstantProduct(10**24, 10**24, 30)),
                  Edge("D1", "T0", "T2", ConstantProduct(10**24, 10**24, 30)),
                  Edge("SH", "T1", "T2", Shallow(10**6, 3 * 10**6, 30))]
-        g = SwapGraph({t.id: t for t in tokens(3)}, {}, edges)
+        g = SwapGraph({t.id: t for t in tokens(3)}, edges)
         assert edges[2].spot > edges[1].spot
         # the target pair is scanned first, so D1's arrival is pushed before
         # T1, whose ceiling cannot beat it; at tau 0.5 the ceiling row drops
@@ -647,7 +647,7 @@ def _flat(g, view):
     edges = [e for u in view.token_ids()
              for _, cands in view.out_items(u) for e in cands]
     return SwapGraph({tok: g.tokens[tok] for e in edges
-                      for tok in (e.token_in, e.token_out)}, {}, edges)
+                      for tok in (e.token_in, e.token_out)}, edges)
 
 
 _ENDPOINTS = st.sampled_from([("hub", "hub"), ("hub", "non-hub"),
@@ -747,7 +747,7 @@ class TestSearchOrder:
         free = unbounded_find_path(view, s, t, x, 0.0, max_hops, rows)
         # thresholds around the best rate, so gating hits both ways
         tau = tau_share * free.output / x if free else 0.0
-        masked = frozenset(pid for pid in g.pools if rng.random() < 0.2)
+        masked = frozenset(pid for pid in sorted(g.pools) if rng.random() < 0.2)
         got = find_path(view, s, t, x, tau, max_hops, masked)
         want = unbounded_find_path(view, s, t, x, tau, max_hops, rows, masked)
         assert (got and got.output) == (want and want.output)
@@ -981,7 +981,7 @@ class TestSearchContext:
         taus = sorted(rng.choice((0.0, 0.3, 0.9, 1.0)) * rng.random()
                       for _ in range(searches))
         taus[0] = 0.0
-        extra_masks = [frozenset(pid for pid in g.pools if rng.random() < 0.1)
+        extra_masks = [frozenset(pid for pid in sorted(g.pools) if rng.random() < 0.1)
                        for _ in range(searches)]
 
         # every exact quote the fresh searches compute, by curve and input

@@ -28,7 +28,9 @@ from prime_router.io import (
 )
 from prime_router.preprocess import TOP_S, build_shortcut_index, select_hubs
 
-from instances import by_pair, cp_pool, random_cp_graph, tokens
+from instances import (by_pair, cp_pool, random_cp_graph, random_mixed_pools,
+                       tokens)
+from oracles import hubs_oracle
 
 
 class TestSelectHubs:
@@ -51,6 +53,28 @@ class TestSelectHubs:
                  cp_pool("P3", "T1", "T2", 1, 1)]
         g = build_graph(tokens(3), pools)
         assert select_hubs(g, 1) == ("T0",)
+
+    def test_matches_pool_count_oracle(self):
+        # random markets with 3-token pools, whose two edges in the row of
+        # each of their tokens count once, then synthetic ones
+        rng = random.Random(0x4B5)
+        markets = [random_mixed_pools(rng) for _ in range(200)]
+        markets += [(snap.tokens, snap.pools) for snap in (
+            generate_synthetic(seed, 40, 120, hub_fraction=0.1)
+            for seed in range(5))]
+        edge_ranked_differs = 0
+        for toks, pools in markets:
+            g = build_graph(toks, pools)
+            ids = [t.id for t in toks]
+            for k in range(1, len(ids) + 2):
+                assert select_hubs(g, k) == hubs_oracle(pools, ids, k)
+            edges = {t: sum(len(es) for _, es in g.out_items(t))
+                     for t in ids}
+            edge_ranked_differs += tuple(sorted(
+                ids, key=lambda t: (-edges[t], t))) != hubs_oracle(
+                    pools, ids, len(ids))
+        # a count of edges would rank these markets otherwise
+        assert edge_ranked_differs > 20
 
     def test_explicit_list_overrides(self):
         g = build_graph(tokens(3), [cp_pool("P0", "T0", "T1", 1, 1),
@@ -237,7 +261,7 @@ class TestShortcutIndex:
                      for e in es]
             dropped = {(e.token_in, e.token_out) for e in edges
                        if rng.random() < 0.3}
-            partial = SwapGraph(g.tokens, g.pools, [
+            partial = SwapGraph(g.tokens, [
                 e for e in edges if (e.token_in, e.token_out) not in dropped])
             hubs = select_hubs(partial, rng.randint(2, 3))
             assert_matches_enumeration(partial, hubs)

@@ -310,6 +310,36 @@ def test_ab_time_reload_peak_rss_mb():
         assert 1 < ab_time.reload_peak_rss_mb(src, market) < 1000
 
 
+def test_ab_time_reload_reads_its_own_peak_not_its_callers():
+    # the child starts in this process's memory (vfork), whose high-water
+    # mark Linux carries across execve into the child's ru_maxrss; the
+    # child's VmHWM is its own
+    ab_time = load_script("ab_time")
+    ab_time._import_paths()
+    from perfbench.workloads import Market
+
+    market = Market(seed=13, tokens=40, pools=140, hub_fraction=0.1,
+                    spread_orders=6, hubs=8)
+    ballast = b"\x01" * (128 << 20)
+    del ballast
+    assert ab_time.own_peak_rss_mb() >= 128
+    # the interpreter, the imports and two stage 0s of 40 tokens
+    assert 1 < ab_time.reload_peak_rss_mb(None, market) < 64
+
+
+def test_ab_time_cold_route_peak_mib():
+    # one in-process route per tree, for this checkout and for a tree
+    # given by its path; the route exits 0, else the call raises
+    ab_time = load_script("ab_time")
+    ab_time._import_paths()
+    from perfbench.workloads import Market
+
+    market = Market(seed=13, tokens=40, pools=140, hub_fraction=0.1,
+                    spread_orders=6, hubs=8)
+    for src in (None, str(SCRIPTS.parent / "src")):
+        assert 0 < ab_time.cold_route_peak_mib(src, market) < 5
+
+
 def test_ab_time_alternates_and_keeps_minima():
     # a fake clock that each call advances by its next duration
     ab_time = load_script("ab_time")
