@@ -27,7 +27,9 @@ at the same refresh, how many queries prime leaves below the checker
 (``below_osp``: no route or a lower output where the checker routes), how
 many routed records' gated work rose (``work_rose``: swap evals, queue
 pushes or allocator steps, the counts the benchmark bounds), the work keys
-only one side has, and the mean work counts per workload (swap evals,
+only one side has, one line per record behind ``work_rose`` (its key, and
+each gated count that rose, from what to what), and the mean work counts
+per workload (swap evals,
 quotes skipped, queue pushes and pops, allocator steps), pooled over the
 multiples and then per multiple (the benchmark's gated counts are the 1x
 ones).  It exits 1 when any output fell (a query that stops routing counts
@@ -137,10 +139,33 @@ def allocator_steps(work: dict) -> int:
     return work["asgm_iterations"] + len(work["stage1_taus"]) + 1
 
 
+# the names of ``gated_work``'s counts, in its order
+GATED = ("swap_evals", "queue_pushes", "allocator_steps")
+
+
 def gated_work(work: dict) -> Tuple[int, int, int]:
     """A record's work counts that the benchmark bounds: swap evals, queue
     pushes and allocator steps."""
     return work["swap_evals"], work["queue_pushes"], allocator_steps(work)
+
+
+def work_rises(new: dict, old: dict
+               ) -> List[Tuple[str, List[Tuple[str, int, int]]]]:
+    """The records routed on both sides whose ``gated_work`` rose: each
+    record's key with every count that rose, as ``(name, old, new)``, in
+    the new run's record order."""
+    before = {r["key"]: r for r in old["records"]}
+    rises = []
+    for r in new["records"]:
+        o = before.get(r["key"])
+        if r["work"] is None or o is None or o["work"] is None:
+            continue
+        rose = [(name, b, a) for name, a, b in
+                zip(GATED, gated_work(r["work"]), gated_work(o["work"]))
+                if a > b]
+        if rose:
+            rises.append((r["key"], rose))
+    return rises
 
 
 def below_osp(records: Sequence[dict]) -> int:
@@ -189,12 +214,11 @@ def compare(new: dict, old: dict) -> Dict[str, int]:
         shared = r["work"].keys() & o["work"].keys()
         counts["work_changed"] += any(r["work"][k] != o["work"][k]
                                       for k in shared)
-        counts["work_rose"] += any(
-            a > b for a, b in zip(gated_work(r["work"]), gated_work(o["work"])))
         for x, y in zip(r["work"]["stage1_objectives"],
                         o["work"]["stage1_objectives"]):
             counts["stage1_compared"] += 1
             counts["stage1_fallen"] += int(x) < int(y)
+    counts["work_rose"] = len(work_rises(new, old))
     return counts
 
 
@@ -247,6 +271,9 @@ def report(new: dict, old: dict) -> int:
     added, dropped = unshared_work_keys(new, old)
     lines.append(f"work keys added: {' '.join(added) or '-'}; "
                  f"dropped: {' '.join(dropped) or '-'}")
+    lines.extend(f"work rose on {key}: " + ", ".join(
+        f"{name} {was} -> {now}" for name, was, now in rose)
+        for key, rose in work_rises(new, old))
     # pooled over the multiples, then per multiple: the benchmark's gated
     # work counts are the 1x ones
     multiples = sorted({multiple_of(r["key"])

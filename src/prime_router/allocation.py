@@ -27,7 +27,7 @@ sufficient-increase test passes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,9 +39,20 @@ from .pathfind import SinglePath
 
 @dataclass(frozen=True)
 class MultiEdgePath:
-    """Ordered hops; each hop is a tuple of parallel edges for one token pair."""
+    """Ordered hops; each hop is a tuple of parallel edges for one token pair.
+
+    ``hop_keys`` and ``hop_caps`` hold the facts of each hop that
+    ``hop_shares`` reads, taken from its edges once, at construction: the
+    edges' pool ids (the rounding remainder's tie keys) and their input
+    capacities (None for an edge with none).  They stay out of equality,
+    hashing and the repr.
+    """
 
     hops: Tuple[Tuple[Edge, ...], ...]
+    hop_keys: Tuple[Tuple[str, ...], ...] = field(
+        init=False, repr=False, compare=False)
+    hop_caps: Tuple[Tuple[Optional[int], ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hops or any(not hop for hop in self.hops):
@@ -57,6 +68,10 @@ class MultiEdgePath:
         pools = self.pool_ids
         if len(set(pools)) != len(pools):
             raise ValueError("pool ids must be distinct within a path")
+        object.__setattr__(self, "hop_keys", tuple(
+            _hop_pool_keys(hop) for hop in self.hops))
+        object.__setattr__(self, "hop_caps", tuple(
+            _hop_caps(hop) for hop in self.hops))
 
     @property
     def tokens(self) -> Tuple[str, ...]:
@@ -186,18 +201,29 @@ def _hop_pool_keys(hop: Tuple[Edge, ...]) -> Tuple[str, ...]:
     return tuple(e.pool_id for e in hop)
 
 
-def hop_shares(hop: Tuple[Edge, ...], weights: Sequence[float],
-               amt: int) -> List[int]:
+def _hop_caps(hop: Tuple[Edge, ...]) -> Tuple[Optional[int], ...]:
+    return tuple(e.fn.input_capacity() for e in hop)
+
+
+def hop_shares(hop: Tuple[Edge, ...], weights: Sequence[float], amt: int,
+               keys: Optional[Sequence[str]] = None,
+               caps: Optional[Sequence[Optional[int]]] = None) -> List[int]:
     """Integer split of a hop's input across its parallel edges.
 
     floor(w_e * amt) per edge, remainder to the largest-weight edge (ties to
     smallest pool id).  A share exceeding an edge's capacity is clamped and
     the overflow rerouted to edges that still have room, weight-proportional,
     so the hop consumes exactly its input whenever its total capacity allows;
-    otherwise CapacityExceededError propagates up.
+    otherwise CapacityExceededError propagates up.  ``keys`` and ``caps``
+    are the hop's pool ids and input capacities (a ``MultiEdgePath``'s
+    ``hop_keys`` and ``hop_caps`` entries), read from the edges when not
+    given.
     """
-    shares = integer_shares(weights, amt, _hop_pool_keys(hop))
-    caps = [e.fn.input_capacity() for e in hop]
+    if keys is None:
+        keys = _hop_pool_keys(hop)
+    if caps is None:
+        caps = _hop_caps(hop)
+    shares = integer_shares(weights, amt, keys)
     if all(c is None or s <= c for s, c in zip(shares, caps)):
         return shares
     n = len(hop)
@@ -218,23 +244,26 @@ def hop_shares(hop: Tuple[Edge, ...], weights: Sequence[float],
             sub = [weights[i] / mass for i in open_idx]
         else:
             sub = [1.0 / len(open_idx)] * len(open_idx)
-        extra = integer_shares(sub, overflow,
-                               [hop[i].pool_id for i in open_idx])
+        extra = integer_shares(sub, overflow, [keys[i] for i in open_idx])
         for i, add in zip(open_idx, extra):
             shares[i] += add
     raise CapacityExceededError("hop input exceeds total edge capacity")
 
 
 def _hop_output(hop: Tuple[Edge, ...], weights: Sequence[float], amt: int,
-                steps: Optional[List[PlanStep]] = None) -> int:
+                steps: Optional[List[PlanStep]] = None,
+                keys: Optional[Sequence[str]] = None,
+                caps: Optional[Sequence[Optional[int]]] = None) -> int:
     """Exact integer output of one hop fed ``amt``.
 
     A single edge takes the whole amount; parallel edges split it with
-    ``hop_shares``.  With ``steps``, one PlanStep per pool swap is appended:
-    a shortcut composite edge expands into its member legs, chained so each
-    leg consumes the previous leg's full output.
+    ``hop_shares``, given ``keys`` and ``caps``.  With ``steps``, one
+    PlanStep per pool swap is appended: a shortcut composite edge expands
+    into its member legs, chained so each leg consumes the previous leg's
+    full output.
     """
-    shares = [amt] if len(hop) == 1 else hop_shares(hop, weights, amt)
+    shares = [amt] if len(hop) == 1 else hop_shares(hop, weights, amt, keys,
+                                                    caps)
     out = 0
     for e, share in zip(hop, shares):
         if not share:
@@ -258,8 +287,9 @@ def path_output(path: MultiEdgePath, hop_weights: Sequence[Sequence[float]],
     Hops chain with zero residual; ``steps`` collects the pool swaps.
     """
     amt = x_in
-    for hop, weights in zip(path.hops, hop_weights):
-        amt = _hop_output(hop, weights, amt, steps)
+    for hop, weights, keys, caps in zip(path.hops, hop_weights,
+                                        path.hop_keys, path.hop_caps):
+        amt = _hop_output(hop, weights, amt, steps, keys, caps)
     return amt
 
 
@@ -460,16 +490,19 @@ def _pinned(fn, x: float) -> float:
 
 
 def optimize_path_edges(path: MultiEdgePath, hop_weights: List[List[float]],
-                        x_path: int) -> int:
+                        x_path: int, out: Optional[int] = None) -> int:
     """Split every multi-edge hop at equal marginal prices, front to back.
 
     Each hop is water-filled with the real output of the hops before it;
     every hop's output rises with its input, so the per-hop optimum is the
     path's.  The new weights are kept only when the exact integer output
     does not fall.  Mutates hop_weights in place; returns the path output.
+    ``out``, when given, is ``path_output(path, hop_weights, x_path)``,
+    already computed (``asgm``'s objective cache), and is not walked again.
     Called by ``asgm`` only on a multi-edge path with a positive share.
     """
-    out = path_output(path, hop_weights, x_path)
+    if out is None:
+        out = path_output(path, hop_weights, x_path)
     filled = []
     amt = float(x_path)
     for hop, weights in zip(path.hops, hop_weights):
@@ -538,6 +571,7 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
     weights = [1.0 / n] * n
     hop_w = _init_edge_weights(paths, initial_edge_weights)
     has_parallel = [any(len(h) > 1 for h in p.hops) for p in paths]
+    # path index -> (share, exact output at the path's current hop weights)
     cache: Dict[int, Tuple[int, int]] = {}
 
     def objective_at(w: Sequence[float]) -> int:
@@ -565,9 +599,16 @@ def asgm(paths: Sequence[MultiEdgePath], x: int,
         shares = integer_shares(weights, x)
         for i in range(n):
             if has_parallel[i] and shares[i] > 0 and shares[i] != relaxed_at[i]:
-                optimize_path_edges(paths[i], hop_w[i], shares[i])
+                # a cache entry is always the output at the path's current
+                # hop weights, so only its share must match; the relaxation
+                # returns the output at the weights it leaves
+                hit = cache.get(i)
+                out = optimize_path_edges(
+                    paths[i], hop_w[i], shares[i],
+                    hit[1] if hit is not None and hit[0] == shares[i]
+                    else None)
+                cache[i] = (shares[i], out)
                 relaxed_at[i] = shares[i]
-                cache.pop(i, None)
                 g_point[i] = None
         j0 = objective_at(weights)
         for i in range(n):

@@ -22,26 +22,44 @@ one), times the spot product of the edges after that one, whatever the
 input; the second row, ``cap[r][v]``, is the largest such figure over the
 same walks (infinite at the target itself).  A state's bound is
 ``min(out * rate[r][v], cap[r][v])``, and for a state one hop from the
-target (r = 1) also its last hop's closed form (below).  A neighbour
-whose ``cap`` cannot exceed ``max(best arrival, tau * amount)`` is skipped
-before any of its edges is looked at, and a successor is dropped, before
-its exact swap and again after it, once its bound cannot exceed that
-floor.  An edge whose
-own ceiling cannot clear the floor, or the frontier, is never evaluated: at
-a whale amount the shallow pools, and the shortcuts through one, drop out
-unswapped.
+target (r = 1) also its last hop's closed form (below).  The floor,
+``lim``, is the largest of ``tau * amount``, the best arrival and an
+incumbent's output minus one (below).  A neighbour whose ``cap`` cannot
+exceed the floor is skipped before any of its edges is looked at, and a
+successor is dropped, before its exact swap and again after it, once its
+bound cannot exceed the floor.  An edge whose own ceiling cannot clear the
+floor, or the frontier, is never evaluated: at a whale amount the shallow
+pools, and the shortcuts through one, drop out unswapped.
 
 The bound also orders the search, as in A*: states pop largest bound
-first, ties in push order.  A target arrival's bound is its exact output,
-and the best arrival tends to come early, so the floor rises early and the
-bound drops more successors.  Each expansion scans the pair into the
-target first, so that its arrival raises the floor before any sibling is
-quoted, then the rest of the row; a state with no hop left reads that pair
-alone.  Bounds are fixed at push time and the floor
-only rises, so once a popped state's bound cannot exceed the floor, no
-state left in the heap can, and the search stops.  The best arrival pops
-before that: its push set the floor to its output or found the floor below
-it, and a bound that cannot exceed the floor is smaller.
+first, ties in push order.  A target arrival is recorded where it is found,
+never queued: the traversal never expands the target.  Each expansion
+scans the pair into the target first, so that its arrival raises the floor
+before any sibling is quoted, then the rest of the row; a state with no hop
+left reads that pair alone.  The target pair's gate is the best arrival, so
+arrivals strictly rise, and the last one whose average rate clears ``tau``
+is the result.  Bounds are fixed at push time and the floor only rises, so
+once a popped state's bound cannot exceed the floor, no state left in the
+heap can, and the search stops.
+
+The floor also holds an incumbent, as in branch and bound (Land & Doig,
+1960): the exact output ``L`` of one complete path, known before an
+expansion's siblings are queued.  An expansion collects its successors
+first; when it has two or more, ``_incumbent`` runs the pair scan on the
+pair from the one with the largest bound into the target, as that state's
+own expansion would, and the floor rises to ``L - 1``.  Only then are the
+successors whose bound still clears the floor queued.  No result changes,
+because the bound is consistent: a child's bound never exceeds its
+parent's (the rows grow with the hops left and ``_last_hop`` caps only the
+last hop), so states pop in non-increasing bound order.  The successor
+behind ``L`` has a bound of at least ``L``, so it is queued, and when it
+pops, its own scan finds ``L`` unless a larger arrival came first: the
+search ends at or above ``L``, every state it expands has a bound above
+``L - 1``, and the expanded states and their order are those of the search
+without the incumbent.  A state whose bound is at most ``L - 1`` only
+delivers less than the result, and its frontier entries could gate only
+states with bounds no larger.  The incumbent's quote stays in the
+context's memo, so that successor's own scan reads it.
 
 Both rows are built backward from the target.  Row 0 holds the target
 alone; row ``r`` extends row ``r - 1`` through the view's ``in_arcs(w)``,
@@ -50,13 +68,13 @@ from the tokens whose entry row ``r - 1`` changed: an unchanged entry
 extends to nothing row ``r - 1`` does not already hold.  So the build reads
 the arcs near the target, not every arc of the view once per row.
 
-One scan per neighbour picks the successor from the pair's parallel edges,
-its best output seeded at the gate the successor must beat (the frontier
-entry at that token for one more hop, or the best arrival when the neighbour
-is the target).  An edge is chosen only when its exact output beats the
-running best, ties going to the smaller pool id, so a chosen edge always
-clears the gate.  Three upper bounds on an edge's exact output, its quote,
-rule edges out unquoted, each with one job:
+One scan per neighbour, ``_scan``, picks the successor from the pair's
+parallel edges, its best output seeded at the gate the successor must beat
+(the frontier entry at that token for one more hop, or the best arrival
+when the neighbour is the target).  An edge is chosen only when its exact
+output beats the running best, ties going to the smaller pool id, so a
+chosen edge always clears the gate.  Three upper bounds on an edge's exact
+output, its quote, rule edges out unquoted, each with one job:
 
 * ``spot * amount``, by concavity, ends the walk.  The pair's edges are in
   spot order, so once an edge's concavity bound cannot beat the gate, or
@@ -115,26 +133,26 @@ are equal): that state's bound is no smaller, because both rows grow with
 ``r``, the last-hop cap applies only at r = 1, and every term grows with
 ``out``, so whatever drops it or stops the search before it pops would drop
 the dominated state too.  Or its own bound cannot exceed the floor: no
-completion could be accepted (average rate above tau) or beat the best
-arrival.  So where the frontier's dominance holds (the tests check it
-against exhaustive enumeration), the order decides only how soon the floor
-rises, and the output is that of the unbounded search, whose bounds are all
-infinite and whose heap pops first in, first out.  Scanning the target pair
-first is such an order: within an expansion each neighbour is a different
-token, so the scan order changes no gate, and the arrival only raises the
-floor sooner.  Among equal outputs the first target arrival pushed wins: a
-later one must beat it.  The bound is a float and carries a relative slack
-of 1e-9, so rounding can never drop a state that reaches the result.
+completion could be accepted (average rate above tau), beat the best
+arrival or reach the incumbent's output.  So where the frontier's dominance
+holds (the tests check it against exhaustive enumeration), the order
+decides only how soon the floor rises, and the output is that of the
+unbounded search, whose bounds are all infinite and whose heap pops first
+in, first out.  Scanning the target pair first is such an order: within an
+expansion each neighbour is a different token, so the scan order changes no
+gate, and the arrival only raises the floor sooner.  Among equal outputs
+the first target arrival found wins: a later one must beat it.  The bound
+is a float and carries a relative slack of 1e-9, so rounding can never drop
+a state that reaches the result.
 
 The rows depend on neither masks nor ``tau``, and an exact quote is a pure
 function of the edge and its input, so the searches of one query (rising
 ``tau``, growing masks, same view and target) share one context: the rows
 are built once, by the first search, and every quote is computed once,
-with capacity failures remembered as failures.  A call given no context builds its own, so a lone search behaves
-as it always did.
+with capacity failures remembered as failures.  A call given no context
+builds its own, so a lone search behaves as it always did.
 
-Paths are vertex-simple and pool-distinct.  The traversal never expands the
-target, so every arrival there is terminal; the best arrival whose average
+Paths are vertex-simple and pool-distinct.  The best arrival whose average
 rate clears the threshold is returned once the heap drains or the search
 stops.
 """
@@ -275,9 +293,16 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     when no arrival at the target has average rate output/amount strictly
     above ``tau``.  States pop largest bound first, ties in push order, and
     the search stops at the first popped state whose bound cannot exceed
-    ``max(best arrival, tau * amount)``.  Each expansion scans its pair
-    into the target first; a state one hop from the target is bounded by
-    that pair's closed forms (``_last_hop``).  A pair's parallel edges are
+    the floor: the largest of ``tau * amount``, the best arrival and an
+    incumbent's output minus one.  Each expansion scans its pair into the
+    target first and records an arrival there, never queuing it; a state
+    one hop from the target is bounded by that pair's closed forms
+    (``_last_hop``).  An expansion with two or more successors first
+    finishes the one with the largest bound on its pair into the target
+    (``_incumbent``), raises the floor to that output minus one, and only
+    then queues the successors whose bound still clears it; the bound is
+    consistent, so the search expands the same states in the same order as
+    without the incumbent.  A pair's parallel edges are
     walked in spot order until ``spot * amount`` cannot beat the gate,
     skipped when the most they can ever put out cannot, and quoted largest
     closed-form real output first, only while that closed form can beat the
@@ -285,7 +310,7 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     (see the module docstring), and ``stats.quotes_skipped`` counts the
     edges a closed form ruled out.
     Amounts compare as exact integers; among equal outputs the first target
-    arrival pushed wins, and among a pair's parallel edges the smaller pool
+    arrival found wins, and among a pair's parallel edges the smaller pool
     id.  ``context`` carries the bound rows and the quotes across the
     searches of one query; without one the call builds its own.  A bool or
     non-int ``max_hops`` is a TypeError and a NaN ``tau`` a ValueError:
@@ -313,15 +338,16 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
                          "or max_hops")
     rate, cap = context.rows
     quotes = context.quotes
-    last_hop, closed_out = _last_hop, _closed_out
+    last_hop = _last_hop
     limit = len(rate)  # max_hops, capped at the view's token count
     # frontier[v][h] = best amount recorded at v with at most h hops
     frontier = {}
+    # the latest arrival: arrivals only rise, since each must beat this
     best_target = 0
-    # a state whose bound cannot exceed lim = max(best_target, tau * amount)
-    # cannot win
+    # a state whose bound cannot exceed lim (at least tau * amount, the
+    # latest arrival and an incumbent's output minus one) cannot win
     lim = tau * amount
-    best_state = None
+    best_edges = None
     # a max-heap on each state's bound, ties in push order; the source's
     # key is -inf, so it pops first
     heap = [(-math.inf, 0, source, amount, (), (source,), ())]
@@ -329,10 +355,6 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
     while heap:
         neg_bound, _, token, cur, edges, visited, pools = heappop(heap)
         stats.pops += 1
-        if token == target:
-            if cur / amount > tau and (best_state is None or cur > best_state[1]):
-                best_state = (edges, cur)
-            continue
         if -neg_bound * BOUND_SLACK <= lim:
             # bounds are fixed at push time and lim only rises: no state
             # left in the heap can win
@@ -348,102 +370,153 @@ def find_path(view, source: str, target: str, amount: int, tau: float,
         head = view.edges_between(token, target)
         head = ((None, head),) if head else ()
         row = view.out_items(token) if left else ()
+        successors = []
         for v, candidates in itertools.chain(head, row):
             v_rate = reach.get(v)
             if v_rate is None:
                 if v is not None:
                     continue
-                v, v_rate, gate = target, 1.0, best_target
-            elif (v in visited or ceilings[v] * BOUND_SLACK <= lim
-                  or v == target):
+                # an arrival is recorded here, never queued
+                edge, out = _scan(candidates, cur, best_target, 1.0, lim,
+                                  None, visited, pools, masked_pools, quotes,
+                                  stats)
+                if edge is not None and out * BOUND_SLACK > lim:
+                    best_target = out
+                    if out > lim:
+                        lim = out
+                    if out / amount > tau:
+                        best_edges = edges + (edge,)
+                continue
+            if (v in visited or ceilings[v] * BOUND_SLACK <= lim
+                    or v == target):
                 # the row's target pair was scanned first
                 continue
-            else:
-                levels = frontier.get(v)
-                gate = levels[hops + 1] if levels is not None else 0
-            # every edge that can still win, keyed by its closed form (see
-            # the module docstring)
-            ranked = []
-            for e in candidates:
-                # concavity: the quote is at most spot * cur, raised past
-                # float rounding, and no later edge's bound is larger
-                spot_out = cur * e.spot * BOUND_SLACK
-                if spot_out < gate or spot_out * v_rate * BOUND_SLACK <= lim:
-                    break
-                top = e.ceiling - 1
-                if top < gate or top * v_rate * BOUND_SLACK <= lim:
-                    continue
-                real = closed_out(e.closed, cur)
-                if real < gate or real * v_rate * BOUND_SLACK <= lim:
-                    stats.quotes_skipped += 1
-                    continue
-                ranked.append((real, e))
-            if not ranked:
-                continue
-            # a non-target v with one hop left can only finish on its pair
-            # into the target
-            v_into = (view.edges_between(v, target)
-                      if left == 1 and v != target else None)
-            ranked.sort(key=_first, reverse=True)
-            # quote best key first, from a running best seeded at the gate; a
-            # quote already in ``quotes`` is not evaluated again
-            edge, out = None, gate
-            for i, (key, e) in enumerate(ranked):
-                if (key < out or key * v_rate * BOUND_SLACK <= lim
-                        or (v_into is not None and
-                            last_hop(v_into, key) * BOUND_SLACK
-                            <= lim)):
-                    stats.quotes_skipped += len(ranked) - i
-                    break
-                if (any(p in masked_pools or p in pools for p in e.pool_ids)
-                        or any(leg.token_in in visited
-                               for leg in e.legs[1:])):
-                    continue
-                qkey = (id(e), cur)
-                quote = quotes.get(qkey, _UNQUOTED)
-                if quote is _UNQUOTED:
-                    try:
-                        quote = e.fn.swap_out(cur)
-                    except CapacityExceededError:
-                        quote = None
-                    else:
-                        stats.swap_evals += 1
-                    quotes[qkey] = quote
-                if quote is None:
-                    continue
-                if quote > out or (quote == out and edge is not None
-                                   and e.pool_id < edge.pool_id):
-                    edge, out = e, quote
+            levels = frontier.get(v)
+            gate = levels[hops + 1] if levels is not None else 0
+            # a v with one hop left can only finish on its pair into the
+            # target
+            v_into = view.edges_between(v, target) if left == 1 else None
+            edge, out = _scan(candidates, cur, gate, v_rate, lim, v_into,
+                              visited, pools, masked_pools, quotes, stats)
             if edge is None:
                 continue
-            # the successor's bound, its key: a target arrival's is its exact
-            # output (rate 1, cap infinite)
+            # the successor's bound, its heap key
             bound = min(out * v_rate, ceilings[v])
             if v_into is not None:
                 bound = min(bound, last_hop(v_into, out))
+            if bound * BOUND_SLACK > lim:
+                successors.append((bound, v, out, edge))
+        if len(successors) > 1:
+            # one complete path's exact output floors the search before any
+            # sibling is queued
+            _, v, out, edge = max(successors, key=_first)
+            floor = _incumbent(view, target, v, out, best_target, lim,
+                               visited, pools + edge.pool_ids, masked_pools,
+                               quotes, stats) - 1
+            if floor > lim:
+                lim = floor
+        for bound, v, out, edge in successors:
             if bound * BOUND_SLACK <= lim:
                 continue
-            if v == target:
-                best_target = out
-                if out > lim:
-                    lim = out
-            else:
-                if levels is None:
-                    levels = [0] * (limit + 1)
-                    frontier[v] = levels
-                for h in range(hops + 1, limit + 1):
-                    if out > levels[h]:
-                        levels[h] = out
+            levels = frontier.get(v)
+            if levels is None:
+                levels = [0] * (limit + 1)
+                frontier[v] = levels
+            for h in range(hops + 1, limit + 1):
+                if out > levels[h]:
+                    levels[h] = out
             heappush(heap, (-bound, next(order), v, out, edges + (edge,),
                             visited + (v,), pools + edge.pool_ids))
             stats.pushes += 1
-    if best_state is None:
+    if best_edges is None:
         return None
-    edges, out = best_state
     spot = 1.0
-    for e in edges:
+    for e in best_edges:
         spot *= e.spot
-    return SinglePath(edges=edges, output=out, spot_rate=spot)
+    return SinglePath(edges=best_edges, output=best_target, spot_rate=spot)
+
+
+def _scan(candidates: Sequence[Edge], cur: int, gate: int, v_rate: float,
+          lim: float, v_into: Optional[Sequence[Edge]], visited: tuple,
+          pools: tuple, masked_pools: FrozenSet[str],
+          quotes: Dict[Tuple[int, int], Optional[int]],
+          stats: SearchStats) -> Tuple[Optional[Edge], int]:
+    """The pair scan of the module docstring: the edge of ``candidates``
+    (one token pair, in spot order) whose exact quote at ``cur`` is largest
+    and beats ``gate``, ties to the smaller pool id, and that quote; or
+    ``(None, gate)``.
+
+    ``v_rate`` is the neighbour's rate row entry and ``v_into`` its pair into
+    the target when it has one hop left (else None): an edge whose bound
+    cannot exceed ``lim`` is never quoted.  Edges through a pool of
+    ``masked_pools`` or ``pools``, or an inner token in ``visited``, are
+    skipped; a quote is read from ``quotes`` when there, else computed and
+    kept (None when over capacity).
+    """
+    # every edge that can still win, keyed by its closed form
+    ranked = []
+    for e in candidates:
+        # concavity: the quote is at most spot * cur, raised past float
+        # rounding, and no later edge's bound is larger
+        spot_out = cur * e.spot * BOUND_SLACK
+        if spot_out < gate or spot_out * v_rate * BOUND_SLACK <= lim:
+            break
+        top = e.ceiling - 1
+        if top < gate or top * v_rate * BOUND_SLACK <= lim:
+            continue
+        real = _closed_out(e.closed, cur)
+        if real < gate or real * v_rate * BOUND_SLACK <= lim:
+            stats.quotes_skipped += 1
+            continue
+        ranked.append((real, e))
+    if not ranked:
+        return None, gate
+    ranked.sort(key=_first, reverse=True)
+    # quote best key first, from a running best seeded at the gate
+    edge, out = None, gate
+    for i, (key, e) in enumerate(ranked):
+        if (key < out or key * v_rate * BOUND_SLACK <= lim
+                or (v_into is not None and
+                    _last_hop(v_into, key) * BOUND_SLACK <= lim)):
+            stats.quotes_skipped += len(ranked) - i
+            break
+        if (any(p in masked_pools or p in pools for p in e.pool_ids)
+                or any(leg.token_in in visited for leg in e.legs[1:])):
+            continue
+        qkey = (id(e), cur)
+        quote = quotes.get(qkey, _UNQUOTED)
+        if quote is _UNQUOTED:
+            try:
+                quote = e.fn.swap_out(cur)
+            except CapacityExceededError:
+                quote = None
+            else:
+                stats.swap_evals += 1
+            quotes[qkey] = quote
+        if quote is None:
+            continue
+        if quote > out or (quote == out and edge is not None
+                           and e.pool_id < edge.pool_id):
+            edge, out = e, quote
+    return edge, out
+
+
+def _incumbent(view, target: str, v: str, out: int, best_target: int,
+               lim: float, visited: tuple, pools: tuple,
+               masked_pools: FrozenSet[str],
+               quotes: Dict[Tuple[int, int], Optional[int]],
+               stats: SearchStats) -> int:
+    """The exact output of a complete path: a successor holding ``out`` at
+    ``v`` (``visited`` and ``pools`` its parent's, plus its edge's pools),
+    finished on its pair into the target as its own expansion would scan it,
+    from the gate ``best_target``; ``best_target`` when that pair offers
+    nothing better.  The quote stays in ``quotes``, so the successor's own
+    scan reads it."""
+    into = view.edges_between(v, target)
+    if not into:
+        return best_target
+    return _scan(into, out, best_target, 1.0, lim, None, visited + (v,),
+                 pools, masked_pools, quotes, stats)[1]
 
 
 def _last_hop(edges: Sequence[Edge], x: float) -> float:

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -692,3 +693,76 @@ class TestWaterFill:
                Edge("P1", "S", "T", ConstantProduct(10**28, 2 * 10**26, 30)))
         xs = water_fill([e.fn for e in hop], 1e12)
         assert xs == [0.0, pytest.approx(1e12, rel=1e-9)]
+
+
+def _random_weights(rng, n):
+    """A point of the n-simplex, some coordinates zero."""
+    raw = [rng.random() if rng.random() < 0.8 else 0.0 for _ in range(n)]
+    if not any(raw):
+        raw[rng.randrange(n)] = 1.0
+    return [w / sum(raw) for w in raw]
+
+
+class TestStoredHopFacts:
+    @pytest.mark.parametrize("kind", list(HOP_KINDS))
+    def test_hop_shares_from_the_stored_facts(self, kind):
+        # the pool ids and capacities a path keeps give the split a fresh
+        # read of the edges gives, clamps and capacity failures included
+        rng = random.Random(f"facts-{kind}")
+        clamped = 0
+        for _ in range(80):
+            hop = _random_hop(rng, HOP_KINDS[kind])
+            path = MultiEdgePath((hop,))
+            assert path.hop_keys == (tuple(e.pool_id for e in hop),)
+            assert path.hop_caps == (
+                tuple(e.fn.input_capacity() for e in hop),)
+            weights = _random_weights(rng, len(hop))
+            amount = _hop_amount(rng, hop, kind)
+            if kind == "clamped" and rng.random() < 0.2:
+                # past the hop's total capacity
+                amount = sum(path.hop_caps[0]) + rng.randint(1, 10**6)
+            stored = (path.hop_keys[0], path.hop_caps[0])
+            try:
+                fresh = hop_shares(hop, weights, amount)
+            except CapacityExceededError:
+                with pytest.raises(CapacityExceededError):
+                    hop_shares(hop, weights, amount, *stored)
+                continue
+            assert hop_shares(hop, weights, amount, *stored) == fresh
+            clamped += fresh != integer_shares(weights, amount,
+                                               path.hop_keys[0])
+        # constant-product edges have no capacity to clamp at
+        assert (clamped > 0) == (kind != "cp")
+
+    def test_facts_stay_out_of_equality_and_repr(self):
+        hop = two_pool_hop().hops[0]
+        path = MultiEdgePath((hop,))
+        assert path == MultiEdgePath((hop,))
+        assert hash(path) == hash(MultiEdgePath((hop,)))
+        assert "hop_keys" not in repr(path) and "hop_caps" not in repr(path)
+
+    @pytest.mark.parametrize("kind", list(HOP_KINDS))
+    def test_optimize_given_the_cached_output(self, kind):
+        # handed the old weights' exact output, the relaxation walks only
+        # the new weights and keeps what it keeps without it
+        rng = random.Random(f"cached-{kind}")
+        for trial in range(25):
+            hops = [_random_hop(rng, HOP_KINDS[kind], "S", "M", "a")]
+            if trial % 2:
+                hops.append(_random_hop(rng, ("cp", "cp"), "M", "T", "b"))
+            path = MultiEdgePath(tuple(hops))
+            x = _hop_amount(rng, hops[0], kind)
+            start = [_random_weights(rng, len(h)) for h in path.hops]
+            try:
+                out = path_output(path, start, x)
+            except CapacityExceededError:
+                continue
+            walked = [list(w) for w in start]
+            want = optimize_path_edges(path, walked, x)
+            cached = [list(w) for w in start]
+            with mock.patch.object(allocation, "path_output",
+                                   wraps=allocation.path_output) as walks:
+                got = optimize_path_edges(path, cached, x, out)
+            assert (got, cached) == (want, walked)
+            assert walks.call_count == 1
+

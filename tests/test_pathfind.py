@@ -45,7 +45,7 @@ from prime_router.pathfind import (
     simulate_chain,
 )
 
-from instances import cp_pool, random_cp_graph, tokens
+from instances import cp_pool, random_cp_graph, random_mixed_market, tokens
 from oracles import (
     GraphTooLargeError,
     enumerate_paths_oracle,
@@ -582,7 +582,7 @@ class TestBoundPruning:
         # T1, whose ceiling cannot beat it; at tau 0.5 the ceiling row drops
         # T1 itself: SH's reserve is all that T1 -> T2 can deliver, far
         # below half the amount
-        for tau, pushes in ((0.0, 1), (0.5, 1)):
+        for tau, pushes in ((0.0, 0), (0.5, 0)):
             stats = SearchStats()
             res = find_path(g, "T0", "T2", 10**18, tau, 3, stats=stats)
             assert [e.pool_id for e in res.edges] == ["D1"]
@@ -779,8 +779,76 @@ class TestSearchOrder:
             free = unbounded_find_path(g, "T0", "T3", 10**6, 0.0, max_hops,
                                        rows)
             assert (free.edges, free.output) == (res.edges, res.output)
-            # the two middle states and the one arrival
-            assert stats.pushes == 3
+            # the two middle states
+            assert stats.pushes == 2
+
+
+def _floor_off():
+    """The search with its incumbent floor switched off: no expansion's
+    incumbent raises ``lim``."""
+    return mock.patch("prime_router.pathfind._incumbent", lambda *args: 0)
+
+
+class TestIncumbentFloor:
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["cp", "mixed"]),
+           max_hops=st.integers(1, 3), exponent=st.integers(4, 22),
+           tau_share=st.sampled_from((0.0, 0.5, 0.9, 0.99, 1.0, 1.001)))
+    @settings(max_examples=300, deadline=None)
+    def test_floor_keeps_the_result_and_never_pushes_more(
+            self, seed, kind, max_hops, exponent, tau_share):
+        # the floor drops only states that cannot reach the result, so the
+        # search returns what the bound-free one without the floor does, and
+        # what it returns with the floor off, in no more pushes
+        rng = random.Random(seed)
+        if kind == "cp":
+            n = rng.randint(3, 12)
+            g = random_cp_graph(rng, n, rng.randint(n - 1, 2 * n + 4))
+        else:
+            g = random_mixed_market(rng)
+        s, t = rng.sample(sorted(g.tokens), 2)
+        x = 10**exponent
+        rows = rate_table_oracle(g, t, max_hops)
+        free = unbounded_find_path(g, s, t, x, 0.0, max_hops, rows)
+        tau = tau_share * free.output / x if free else 0.0
+        masked = frozenset(pid for pid in sorted(g.pools)
+                           if rng.random() < 0.2)
+        stats = SearchStats()
+        got = find_path(g, s, t, x, tau, max_hops, masked, stats)
+        off = SearchStats()
+        with _floor_off():
+            want = unbounded_find_path(g, s, t, x, tau, max_hops, rows,
+                                       masked)
+            again = find_path(g, s, t, x, tau, max_hops, masked, off)
+        assert (got and (got.edges, got.output)) == \
+            (want and (want.edges, want.output))
+        assert again == got
+        assert stats.pushes <= off.pushes
+
+    def test_floor_keeps_a_sibling_out_of_the_heap(self):
+        # T0 reaches T3 through T1 or through T2, whose last pool holds half
+        # the output reserve.  Expanding T0 quotes T1's pair into T3 before
+        # either state is queued, and T2's bound falls below that output:
+        # only T1 is pushed, and its arrival is recorded, not queued
+        g = build_graph(tokens(4), [
+            cp_pool("P0", "T0", "T1", 10**12, 10**12, 30),
+            cp_pool("P1", "T1", "T3", 10**12, 10**12, 30),
+            cp_pool("P2", "T0", "T2", 10**12, 10**12, 30),
+            cp_pool("P3", "T2", "T3", 10**12, 5 * 10**11, 30)])
+        for max_hops in (2, 3):
+            stats = SearchStats()
+            res = find_path(g, "T0", "T3", 10**6, 0.0, max_hops, stats=stats)
+            assert [e.pool_id for e in res.edges] == ["P0", "P1"]
+            assert res.output == simulate_chain(res.edges, 10**6)
+            # the source and T1
+            assert (stats.pushes, stats.pops) == (1, 2)
+            off = SearchStats()
+            with _floor_off():
+                again = find_path(g, "T0", "T3", 10**6, 0.0, max_hops,
+                                  stats=off)
+            assert again == res
+            # without the floor T2 is queued too, and pops to stop the search
+            assert (off.pushes, off.pops) == (2, 3)
 
 
 @pytest.fixture(scope="module")
@@ -855,6 +923,32 @@ class TestBoundRowsAtScale:
                 (want and (want.edges, want.output))
             routed += got is not None
         assert 0 < routed < 200
+
+
+class TestIncumbentFloorAtScale:
+    def test_overlay_search_keeps_results_in_fewer_pushes(self, scale_market,
+                                                          scale_queries):
+        # every query's overlay search returns what the bound-free search
+        # without the floor does, and what it returns with the floor off,
+        # never in more pushes
+        _, prep = scale_market
+        pushes = {"floor": 0, "off": 0}
+        for s, t, x, _ in scale_queries:
+            overlay = _query_overlay(prep, s, t)
+            stats = SearchStats()
+            got = find_path(overlay, s, t, x, 0.0, 3, stats=stats)
+            off = SearchStats()
+            with _floor_off():
+                want = unbounded_find_path(overlay, s, t, x, 0.0, 3,
+                                           rate_table_oracle(overlay, t, 3))
+                again = find_path(overlay, s, t, x, 0.0, 3, stats=off)
+            assert (got and (got.edges, got.output)) == \
+                (want and (want.edges, want.output))
+            assert again == got
+            assert stats.pushes <= off.pushes
+            pushes["floor"] += stats.pushes
+            pushes["off"] += off.pushes
+        assert pushes["floor"] < pushes["off"]
 
 
 class TestCheckerAtScale:

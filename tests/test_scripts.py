@@ -156,6 +156,50 @@ def test_compare_outputs(tmp_path, capsys):
     assert out.splitlines()[0].endswith(" missing=0 work_rose=1")
 
 
+def test_compare_outputs_lists_the_work_rises(tmp_path, capsys):
+    # each record behind work_rose gets a line: its key and every gated
+    # count that rose, from what to what; a fall, an ungated count and an
+    # unrouted record get none, and nothing fails
+    compare = load_script("compare_outputs")
+
+    def record(key, output, swap_evals, pushes, iterations, pops=0):
+        work = None if output is None else {
+            "swap_evals": swap_evals, "queue_pushes": pushes,
+            "queue_pops": pops, "asgm_iterations": iterations,
+            "stage1_taus": [1.0], "stage1_objectives": [output]}
+        return {"key": key, "output": output, "audit": "ok",
+                "result_sha256": "0" * 64, "work": work}
+
+    old = {"stage0_sha256": "0" * 64, "records": [
+        record("retail:0:x1", "5", 8, 10, 0),
+        record("retail:1:x1", "5", 8, 10, 0),
+        record("whale:0:x3", "5", 30, 40, 3),
+        record("whale:1:x1", "5", 30, 40, 3, pops=1),
+        record("dominance:0:x1", None, 0, 0, 0)]}
+    new = {"stage0_sha256": "0" * 64, "records": [
+        record("retail:0:x1", "5", 9, 8, 0),
+        record("retail:1:x1", "5", 7, 9, 0),
+        record("whale:0:x3", "5", 31, 41, 5),
+        record("whale:1:x1", "5", 30, 40, 3, pops=9),
+        record("dominance:0:x1", "5", 99, 99, 99)]}
+    assert compare.work_rises(new, old) == [
+        ("retail:0:x1", [("swap_evals", 8, 9)]),
+        ("whale:0:x3", [("swap_evals", 30, 31), ("queue_pushes", 40, 41),
+                        ("allocator_steps", 5, 7)])]
+    paths = tmp_path / "new.json", tmp_path / "old.json"
+    for path, run in zip(paths, (new, old)):
+        path.write_text(json.dumps(run))
+    assert compare.main(["--load", str(paths[0]),
+                         "--against", str(paths[1])]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(" missing=0 work_rose=2")
+    assert lines[2:4] == [
+        "work rose on retail:0:x1: swap_evals 8 -> 9",
+        "work rose on whale:0:x3: swap_evals 30 -> 31, "
+        "queue_pushes 40 -> 41, allocator_steps 5 -> 7"]
+    assert lines[4].startswith("retail: routed ")
+
+
 @pytest.mark.parametrize("old_output,status", [("5", 0), ("6", 1)])
 def test_compare_outputs_reader_leaving_early(tmp_path, old_output, status):
     # like ``| head -1``: the reader takes the first line and closes the
